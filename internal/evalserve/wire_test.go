@@ -2,7 +2,9 @@ package evalserve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -15,6 +17,7 @@ import (
 	"tensorkmc/internal/encoding"
 	"tensorkmc/internal/fault"
 	"tensorkmc/internal/nnp"
+	"tensorkmc/internal/telemetry/trace"
 	"tensorkmc/internal/units"
 )
 
@@ -197,19 +200,138 @@ func TestWireRejectsEvalBeforeHello(t *testing.T) {
 	}
 }
 
-// TestWireFrameEncoding: result frames must round-trip exact bit
-// patterns, including negative zero and the valid mask.
+// goldenBackend answers every system with one fixed result, so the bytes
+// a session carries depend on nothing but the wire format.
+type goldenBackend struct {
+	tb  *encoding.Tables
+	res Result
+}
+
+func (g goldenBackend) Tables() *encoding.Tables { return g.tb }
+
+func (g goldenBackend) EvaluateBatch(vets []encoding.VET) []Result {
+	out := make([]Result, len(vets))
+	for i := range out {
+		out[i] = g.res
+	}
+	return out
+}
+
+// recConn records every byte a session sends and receives.
+type recConn struct {
+	net.Conn
+	sent, recv []byte
+}
+
+func (c *recConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.sent = append(c.sent, p[:n]...)
+	return n, err
+}
+
+func (c *recConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.recv = append(c.recv, p[:n]...)
+	return n, err
+}
+
+// TestWireFrameEncoding pins the wire format to literal bytes: what the
+// Client and Frontend.handle put on a socket for every frame of a session
+// (length prefix included), and what the result and error encoders
+// produce. A refactor that moves one byte fails here. The geometry
+// (a = 2.87, rcut = 1.5: the vacancy and its eight first neighbours,
+// NAll = 9) keeps an eval frame short enough to write out.
 func TestWireFrameEncoding(t *testing.T) {
 	res := Result{Initial: math.Copysign(0, -1)}
 	res.Final[0] = 1.0 / 3.0
 	res.Final[7] = -2.5e-17
 	res.Valid[0], res.Valid[7] = true, true
+	const resultHex = "82" + // opResult
+		"0000000000000080" + // initial: -0
+		"555555555555d53f" + // final[0]: 1/3
+		"0000000000000000 0000000000000000 0000000000000000" +
+		"0000000000000000 0000000000000000 0000000000000000" +
+		"bc89d897b2d27cbc" + // final[7]: -2.5e-17
+		"81" // valid mask: directions 0 and 7
+
 	got, err := decodeResult(resultFrame(res))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(got.Initial) != math.Float64bits(res.Initial) || got.Final != res.Final || got.Valid != res.Valid {
 		t.Fatalf("result frame round-trip: %+v != %+v", got, res)
+	}
+
+	tb := encoding.New(units.LatticeConstantFe, 1.5)
+	srv := New(goldenBackend{tb: tb, res: res}, Options{Capacity: 8})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := Serve(srv, ln)
+	defer func() { fe.Close(); srv.Close() }()
+
+	// One recorded session: hello, an untraced eval, a traced eval.
+	var rec *recConn
+	dc := DialConfig{Dialer: func(addr string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		rec = &recConn{Conn: conn}
+		return rec, err
+	}}
+	cl, err := dc.Dial(fe.Addr().String(), units.LatticeConstantFe, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	vet := encoding.VET{2, 0, 1, 0, 0, 0, 0, 0, 1} // vacancy, then Fe/Cu neighbours
+	if _, err := cl.Evaluate(vet); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.EvaluateTraced(vet, trace.Context{Trace: 0xfeedc0dedeadbeef, Span: 0x0123456789abcdef}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A second, raw session: a request before the hello draws an error
+	// frame.
+	raw, err := net.Dial("tcp", fe.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	raw.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeFrame(raw, []byte{opStats}); err != nil {
+		t.Fatal(err)
+	}
+	refusal, err := io.ReadAll(raw) // the server closes after refusing
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const (
+		hello2   = "12000000 04 f6285c8fc2f50640 000000000000f83f 02"                 // a, rcut, max version
+		eval     = "0a000000 02 020001000000000001"                                   // NAll species bytes
+		eval2    = "1a000000 05 efbeaddedec0edfe efcdab8967452301 020001000000000001" // trace ID, span ID, species
+		helloOK2 = "06000000 84 09000000 02"                                          // NAll, negotiated version
+	)
+	golden := []struct {
+		name string
+		got  []byte
+		want string // hex; spaces are ignored
+	}{
+		{"client session: hello2, eval, eval2", rec.sent, hello2 + eval + eval2},
+		{"server session: helloOK2, result, result", rec.recv, helloOK2 + "4a000000" + resultHex + "4a000000" + resultHex},
+		{"server refusal: error", refusal, "16000000 7f 00" + hex.EncodeToString([]byte("expected hello frame"))},
+		{"resultFrame", resultFrame(res), resultHex},
+		{"errorFrame", errorFrame(errCorruption, "tripwire"), "7f 01 7472697077697265"},
+	}
+	for _, g := range golden {
+		want, err := hex.DecodeString(strings.ReplaceAll(g.want, " ", ""))
+		if err != nil {
+			t.Fatalf("%s: bad golden literal: %v", g.name, err)
+		}
+		if !bytes.Equal(g.got, want) {
+			t.Errorf("%s:\n got  %x\n want %x", g.name, g.got, want)
+		}
 	}
 }
 
