@@ -13,7 +13,6 @@ import (
 
 	"tensorkmc/internal/bondcount"
 	"tensorkmc/internal/cluster"
-	"tensorkmc/internal/core"
 	"tensorkmc/internal/dataset"
 	"tensorkmc/internal/eam"
 	"tensorkmc/internal/encoding"
@@ -519,8 +518,8 @@ func BenchmarkCPEFeatureOperator(b *testing.B) {
 // same recurring dilute-alloy workload against the direct NNP evaluator
 // and against the shared evaluation service (content-addressed cache +
 // fused batcher). Results accumulate into BENCH_evalserve.json — hit
-// rate, ns/op, and the batch-width occupancy sweep — so a bench run
-// leaves a machine-readable report next to the human one.
+// rate, ns/op, and the batch-width sweep — so a bench run leaves a
+// machine-readable report next to the human one.
 
 var (
 	evalBenchMu     sync.Mutex
@@ -612,44 +611,6 @@ func BenchmarkHopEnergiesCached(b *testing.B) {
 	b.ReportMetric(100*hitRate, "%hit")
 	recordEvalBench("cached_ns_per_op", float64(b.Elapsed().Nanoseconds())/float64(b.N))
 	recordEvalBench("hit_rate", hitRate)
-}
-
-// BenchmarkEvalSpeculativeOccupancy runs a real serial KMC trajectory
-// through the evaluation service with speculative prefetching on and
-// records the true drained-batch occupancy histogram (mean/p50/max) plus
-// the speculation counters — the headline numbers of the batching-and-
-// speculation design (DESIGN.md §10). A synchronous single engine on its
-// own can only ever produce width-1 batches; speculation is what fills
-// the remaining width, so occupancy mean well above 1 here is the
-// system working end to end.
-func BenchmarkEvalSpeculativeOccupancy(b *testing.B) {
-	var st evalserve.Stats
-	for i := 0; i < b.N; i++ {
-		desc := feature.Standard(units.CutoffStandard)
-		pot := nnp.NewPotential(desc, []int{desc.Dim(), 12, 1}, rng.New(9))
-		sim, err := core.New(core.Config{
-			Cells: [3]int{10, 10, 10}, CuFraction: 0.02, VacancyFraction: 0.001,
-			Seed: 11, Potential: core.NNP, Net: pot,
-			EvalCache: 1 << 15, EvalSpeculate: 8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.Run(4e-7, nil); err != nil {
-			b.Fatal(err)
-		}
-		st, _ = sim.EvalStats()
-		sim.Close()
-	}
-	b.ReportMetric(st.Occupancy(), "occupancy")
-	b.ReportMetric(float64(st.SpecWarmHits), "warm-hits")
-	recordEvalBench("batch_occupancy_mean", st.Occupancy())
-	recordEvalBench("batch_occupancy_p50", st.OccupancyP50())
-	recordEvalBench("batch_occupancy_max", st.MaxBatchWidth)
-	recordEvalBench("spec_enqueued", st.SpecEnqueued)
-	recordEvalBench("spec_batched", st.SpecBatched)
-	recordEvalBench("spec_warm_hits", st.SpecWarmHits)
-	recordEvalBench("spec_hit_rate", st.HitRate())
 }
 
 // BenchmarkEvalBatchWidth sweeps the fused batch width: the wide-matrix

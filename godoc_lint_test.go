@@ -1,10 +1,9 @@
 // TestExportedSymbolsDocumented is the documentation lint step of the
 // performance-critical packages: every exported symbol of
 // internal/fusion and internal/evalserve must carry a doc comment —
-// these packages' contracts (concurrency safety, bit-identity,
-// advisory speculation) live in their godoc, so an undocumented export
-// is a broken contract, not a style nit. CI runs this with the normal
-// test suite.
+// these packages' contracts (concurrency safety, bit-identity) live in
+// their godoc, so an undocumented export is a broken contract, not a
+// style nit. CI runs this with the normal test suite.
 package tensorkmc_test
 
 import (

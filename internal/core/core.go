@@ -107,15 +107,9 @@ type Config struct {
 	EvalWorkers int
 	// EvalF32 runs fused NNP batches in f32 — the real accelerator's
 	// arithmetic, deterministic but NOT bit-identical to the f64 engine
-	// path. Ignored for non-NNP potentials.
+	// path. Only the local fusion backend has an f32 path, so New rejects
+	// it without EvalCache, for non-NNP potentials and for fleet runs.
 	EvalF32 bool
-	// EvalSpeculate, when positive with EvalCache enabled, has the
-	// engines predict each refreshed system's EvalSpeculate most
-	// probable hops and hand the post-hop environments to the
-	// evaluation service as low-priority prefetch. Speculation is pure
-	// cache warm-up: mispredictions cost only wasted evaluation, and
-	// trajectories are bit-identical with it on or off.
-	EvalSpeculate int
 
 	// EvalFleet, when non-empty, routes every energy evaluation through
 	// a remote tkmc-serve fleet: a consistent-hash ring over the
@@ -263,6 +257,9 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.Potential == NNP && cfg.Net.Desc.Rcut > cfg.Cutoff+1e-9 {
 		return nil, fmt.Errorf("core: potential cutoff %v exceeds table cutoff %v", cfg.Net.Desc.Rcut, cfg.Cutoff)
 	}
+	if cfg.EvalF32 && (cfg.EvalCache <= 0 || cfg.Potential != NNP || len(cfg.EvalFleet) > 0) {
+		return nil, fmt.Errorf("core: EvalF32 (eval_f32) needs EvalCache and a locally evaluated NNP potential; it would run in f64 here")
+	}
 
 	s := &Simulation{Cfg: cfg}
 	if set := cfg.Telemetry; set != nil {
@@ -361,11 +358,6 @@ func New(cfg Config) (*Simulation, error) {
 		// Every rank (and the serial engine) shares the one service, so
 		// identical environments on different ranks hit the same entry.
 		s.mkMod = func() kmc.Model { return s.evalSrv }
-		if cfg.EvalSpeculate > 0 {
-			cfg.Options.Speculate = cfg.EvalSpeculate
-			cfg.Options.Prefetcher = s.evalSrv
-			s.Cfg.Options = cfg.Options
-		}
 	}
 	if mon := telemetry.NewSLOMonitor(cfg.SLO, cfg.Telemetry); mon != nil {
 		s.slo = mon
@@ -767,8 +759,6 @@ func (s *Simulation) runChunk(duration float64, observer func(ev kmc.Event)) (er
 			ExchangeTimeout: s.Cfg.ExchangeTimeout,
 			Chaos:           s.Cfg.Chaos,
 			Telemetry:       s.Cfg.Telemetry,
-			Speculate:       s.Cfg.Options.Speculate,
-			Prefetcher:      s.Cfg.Options.Prefetcher,
 		}
 		res, err := sublattice.Run(s.box, cfg, duration, s.mkMod)
 		if err != nil {

@@ -32,6 +32,7 @@ func TestNewValidation(t *testing.T) {
 		"zero cells":  {Cells: [3]int{0, 4, 4}},
 		"bad frac":    {Cells: [3]int{4, 4, 4}, CuFraction: 0.9, VacancyFraction: 0.2},
 		"nnp w/o net": {Cells: [3]int{10, 10, 10}, Potential: NNP},
+		"f32 on eam":  {Cells: [3]int{10, 10, 10}, EvalCache: 64, EvalF32: true},
 	}
 	for name, cfg := range cases {
 		if _, err := New(cfg); err == nil {

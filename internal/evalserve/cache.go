@@ -15,12 +15,7 @@ type CacheStats struct {
 	Misses     int64 // lookups that fell through to evaluation
 	Evictions  int64 // entries displaced by the LRU policy
 	Collisions int64 // hash matches vetoed by the full-environment compare
-	// SpecWarmHits counts demand lookups answered by an entry a
-	// speculative prefetch inserted — the realised value of speculation.
-	// Each speculative entry is counted at most once (its flag clears on
-	// first demand use).
-	SpecWarmHits int64
-	Entries      int // current resident entries
+	Entries    int   // current resident entries
 }
 
 // add accumulates o into s (for aggregate reporting).
@@ -29,19 +24,15 @@ func (s *CacheStats) add(o CacheStats) {
 	s.Misses += o.Misses
 	s.Evictions += o.Evictions
 	s.Collisions += o.Collisions
-	s.SpecWarmHits += o.SpecWarmHits
 	s.Entries += o.Entries
 }
 
 // entry is one cached vacancy system: the full canonical environment (the
-// collision check) and the exact f64 evaluation outputs. spec marks an
-// entry inserted by a speculative prefetch that no demand request has
-// used yet.
+// collision check) and the exact f64 evaluation outputs.
 type entry struct {
 	hash uint64
 	env  []byte
 	res  Result
-	spec bool
 	elem *list.Element
 }
 
@@ -108,39 +99,20 @@ func (c *Cache) shardFor(hash uint64) *cacheShard {
 }
 
 // Get returns the cached result for the vacancy system, verifying the
-// stored environment byte-for-byte before trusting the hash. It is a
-// demand lookup: a hit on a speculative entry counts as a SpecWarmHit
-// and promotes the entry to a normal one.
+// stored environment byte-for-byte before trusting the hash.
 func (c *Cache) Get(hash uint64, vet encoding.VET) (Result, bool) {
-	return c.lookup(hash, vet, true, true)
+	return c.lookup(hash, vet, true)
 }
 
 // peek is Get without hit/miss accounting — the server's second-chance
 // check uses it so one client request never counts as two lookups.
 // Collisions are still counted (they are a property of the store, not of
-// request traffic). consumeSpec tells the lookup whether it serves a
-// demand request (and so realises speculative value) or a speculative
-// one.
-func (c *Cache) peek(hash uint64, vet encoding.VET, consumeSpec bool) (Result, bool) {
-	return c.lookup(hash, vet, false, consumeSpec)
+// request traffic).
+func (c *Cache) peek(hash uint64, vet encoding.VET) (Result, bool) {
+	return c.lookup(hash, vet, false)
 }
 
-// Contains reports whether the system is resident, with no side effects:
-// no counters, no LRU touch, no speculative-flag consumption. Prefetch
-// uses it so speculative probes never perturb demand-driven state.
-func (c *Cache) Contains(hash uint64, vet encoding.VET) bool {
-	s := c.shardFor(hash)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.buckets[hash] {
-		if encoding.MatchEnv(e.env, vet) {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Cache) lookup(hash uint64, vet encoding.VET, record, consumeSpec bool) (Result, bool) {
+func (c *Cache) lookup(hash uint64, vet encoding.VET, record bool) (Result, bool) {
 	s := c.shardFor(hash)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -149,10 +121,6 @@ func (c *Cache) lookup(hash uint64, vet encoding.VET, record, consumeSpec bool) 
 			s.lru.MoveToFront(e.elem)
 			if record {
 				s.stats.Hits++
-			}
-			if e.spec && consumeSpec {
-				s.stats.SpecWarmHits++
-				e.spec = false
 			}
 			return e.res, true
 		}
@@ -168,30 +136,17 @@ func (c *Cache) lookup(hash uint64, vet encoding.VET, record, consumeSpec bool) 
 // the evaluated VET; res the exact f64 outputs. Re-inserting an existing
 // environment refreshes its recency and overwrites the entry.
 func (c *Cache) Put(hash uint64, env []byte, res Result) {
-	c.put(hash, env, res, false)
-}
-
-// PutSpeculative inserts a speculatively evaluated system, flagged so the
-// first demand hit on it is counted as realised speculation value.
-// Re-inserting an environment a demand evaluation already stored leaves
-// it a normal entry.
-func (c *Cache) PutSpeculative(hash uint64, env []byte, res Result) {
-	c.put(hash, env, res, true)
-}
-
-func (c *Cache) put(hash uint64, env []byte, res Result, spec bool) {
 	s := c.shardFor(hash)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range s.buckets[hash] {
 		if bytes.Equal(e.env, env) {
 			e.res = res
-			e.spec = e.spec && spec
 			s.lru.MoveToFront(e.elem)
 			return
 		}
 	}
-	e := &entry{hash: hash, env: env, res: res, spec: spec}
+	e := &entry{hash: hash, env: env, res: res}
 	e.elem = s.lru.PushFront(e)
 	s.buckets[hash] = append(s.buckets[hash], e)
 	for s.lru.Len() > s.cap {

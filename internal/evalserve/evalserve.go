@@ -47,10 +47,6 @@ type Options struct {
 	// QueueDepth bounds the pending-miss queue; submitters block when it
 	// is full — the service's backpressure (default 4×MaxBatch).
 	QueueDepth int
-	// SpecQueueDepth bounds the low-priority speculative-prefetch queue.
-	// Unlike the demand queue it never blocks: a full queue drops the
-	// prefetch (speculation is advisory). Default = QueueDepth.
-	SpecQueueDepth int
 	// Telemetry, if non-nil, exports the service counters as registry
 	// metrics and times fused dispatches under the evalserve/batch span.
 	// The registry metrics are function-backed reads of the very same
@@ -84,9 +80,6 @@ func (o *Options) applyDefaults() {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 4 * o.MaxBatch
 	}
-	if o.SpecQueueDepth <= 0 {
-		o.SpecQueueDepth = o.QueueDepth
-	}
 }
 
 // Stats is a point-in-time account of the service.
@@ -109,14 +102,6 @@ type Stats struct {
 	// at MaxBatch; index 0 is unused). Σ_w WidthHist[w] == Batches and
 	// Σ_w w·WidthHist[w] == BatchedSystems.
 	WidthHist []int64
-	// SpecEnqueued / SpecDropped / SpecCoalesced count Prefetch calls
-	// that were queued, dropped on a full spec queue, or skipped because
-	// the environment was already in flight; SpecBatched counts the
-	// speculative systems fused batches actually evaluated.
-	SpecEnqueued  int64
-	SpecDropped   int64
-	SpecCoalesced int64
-	SpecBatched   int64
 }
 
 // HitRate returns the cache hit fraction (0 when idle).
@@ -155,10 +140,10 @@ func (s Stats) OccupancyP50() int64 {
 
 // String renders the one-line operations summary.
 func (s Stats) String() string {
-	return fmt.Sprintf("evalserve: %.1f%% hit rate (%d hits, %d misses, %d evictions), %d batches (occupancy mean %.1f p50 %d max %d), %d deduped, %d spec batched (%d warm hits), queue high-water %d",
+	return fmt.Sprintf("evalserve: %.1f%% hit rate (%d hits, %d misses, %d evictions), %d batches (occupancy mean %.1f p50 %d max %d), %d deduped, queue high-water %d",
 		100*s.HitRate(), s.Hits, s.Misses, s.Evictions,
 		s.Batches, s.Occupancy(), s.OccupancyP50(), s.MaxBatchWidth,
-		s.Deduped, s.SpecBatched, s.SpecWarmHits, s.QueueHighWater)
+		s.Deduped, s.QueueHighWater)
 }
 
 // response carries a request's outcome back to its submitter.
@@ -167,17 +152,14 @@ type response struct {
 	err error
 }
 
-// request is one pending miss. spec marks a speculative prefetch: nobody
-// waits on its done channel (buffered, so completion never blocks), and
-// workers only pick it up after all demand work. tctx, when valid,
-// carries the submitter's distributed-trace context so the fused batch
-// that resolves the request can join its trace; enq is the submission
-// time the batch span turns into a queue-wait annotation.
+// request is one pending miss. tctx, when valid, carries the submitter's
+// distributed-trace context so the fused batch that resolves the request
+// can join its trace; enq is the submission time the batch span turns
+// into a queue-wait annotation.
 type request struct {
 	vet  encoding.VET
 	env  []byte
 	hash uint64
-	spec bool
 	tctx trace.Context
 	enq  time.Time
 	done chan response
@@ -202,8 +184,7 @@ type Server struct {
 	opts  Options
 
 	reqCh  chan *request
-	specCh chan *request // low-priority speculative prefetches
-	mu     sync.RWMutex  // closed-flag vs in-flight submissions
+	mu     sync.RWMutex // closed-flag vs in-flight submissions
 	close  sync.Once
 	done   bool        // guarded by mu: no sends after close(reqCh)
 	closed atomic.Bool // fast-path refusal, checked before the cache
@@ -217,10 +198,6 @@ type Server struct {
 	deduped        atomic.Int64
 	maxBatchWidth  atomic.Int64
 	queueHighWater atomic.Int64
-	specEnqueued   atomic.Int64
-	specDropped    atomic.Int64
-	specCoalesced  atomic.Int64
-	specBatched    atomic.Int64
 	widthHist      []atomic.Int64 // index = min(batch width, MaxBatch)
 
 	batchPh *telemetry.Phase   // nil when telemetry is off
@@ -236,7 +213,6 @@ func New(be Backend, opts Options) *Server {
 		cache:     NewCache(opts.Capacity, opts.Shards),
 		opts:      opts,
 		reqCh:     make(chan *request, opts.QueueDepth),
-		specCh:    make(chan *request, opts.SpecQueueDepth),
 		flights:   map[uint64][]*flight{},
 		widthHist: make([]atomic.Int64, opts.MaxBatch+1),
 	}
@@ -299,18 +275,6 @@ func (s *Server) bindTelemetry(set *telemetry.Set) {
 	reg.GaugeFunc(telemetry.MetricEvalQueueHigh,
 		"Deepest the pending-miss queue has been.",
 		func() float64 { return float64(s.queueHighWater.Load()) })
-	reg.CounterFunc(telemetry.MetricEvalSpecEnq,
-		"Speculative prefetches accepted onto the low-priority queue.",
-		s.specEnqueued.Load)
-	reg.CounterFunc(telemetry.MetricEvalSpecDropped,
-		"Speculative prefetches dropped on a full queue.",
-		s.specDropped.Load)
-	reg.CounterFunc(telemetry.MetricEvalSpecBatched,
-		"Speculative systems evaluated by fused batches.",
-		s.specBatched.Load)
-	reg.CounterFunc(telemetry.MetricEvalSpecWarmHits,
-		"Demand lookups answered by a speculatively inserted cache entry.",
-		agg(func(c CacheStats) int64 { return c.SpecWarmHits }))
 	s.batchPh = set.Trace().PhaseAt(telemetry.PhaseEvalServe, telemetry.PhaseBatch)
 	s.journal = set.Events()
 	s.cache.setJournal(set.Events())
@@ -383,63 +347,6 @@ func (s *Server) EvaluateTraced(vet encoding.VET, tctx trace.Context) (Result, e
 	return resp.res, resp.err
 }
 
-// Prefetch enqueues a speculative evaluation of a vacancy system the
-// caller predicts it will need soon. It never blocks and never returns a
-// result: a warm cache, an in-flight evaluation of the same environment,
-// a full speculative queue, or a closed server all turn it into a cheap
-// no-op. The VET is copied, so the caller may reuse its buffer
-// immediately.
-//
-// Determinism: speculation only inserts cache entries the demand path
-// would have computed identically (same backend, same bit-exact fused
-// kernels), so enabling or disabling prefetching — or any misprediction
-// — can never change a trajectory, only cache temperature. The return
-// value reports whether the prefetch was actually queued.
-func (s *Server) Prefetch(vet encoding.VET) bool {
-	if s.closed.Load() {
-		return false
-	}
-	hash := s.tb.Fingerprint(vet)
-	if s.cache.Contains(hash, vet) {
-		return false
-	}
-	req := &request{vet: append(encoding.VET(nil), vet...), hash: hash, spec: true, done: make(chan response, 1)}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.done {
-		return false
-	}
-	// The flight registration and the queue insert happen under one
-	// flightMu hold: either both succeed, or the flight is removed before
-	// anyone could have joined it — no dangling flights, no lost waiters.
-	s.flightMu.Lock()
-	defer s.flightMu.Unlock()
-	for _, f := range s.flights[req.hash] {
-		if encoding.MatchEnv(f.env, req.vet) {
-			s.specCoalesced.Add(1)
-			return false // already being computed; nothing to add
-		}
-	}
-	req.env = s.tb.EncodeEnv(req.vet)
-	s.flights[req.hash] = append(s.flights[req.hash], &flight{env: req.env})
-	select {
-	case s.specCh <- req:
-		s.specEnqueued.Add(1)
-		return true
-	default:
-		// Queue full: speculation is advisory, so drop rather than block.
-		bucket := s.flights[req.hash]
-		bucket = bucket[:len(bucket)-1]
-		if len(bucket) == 0 {
-			delete(s.flights, req.hash)
-		} else {
-			s.flights[req.hash] = bucket
-		}
-		s.specDropped.Add(1)
-		return false
-	}
-}
-
 // joinFlight attaches the request to an in-progress evaluation of the
 // same environment if one exists; otherwise it registers a new flight
 // (owned by this request) and reports false. The request's canonical
@@ -485,16 +392,14 @@ func (s *Server) completeFlight(hash uint64, env []byte, res Result, err error) 
 	}
 }
 
-// Close stops accepting work, drains every queued request — demand and
-// speculative alike, since a demand caller may be waiting on a flight a
-// prefetch owns — and waits for the workers to finish. It is idempotent.
+// Close stops accepting work, drains every queued request and waits for
+// the workers to finish. It is idempotent.
 func (s *Server) Close() {
 	s.close.Do(func() {
 		s.closed.Store(true)
 		s.mu.Lock()
 		s.done = true
 		close(s.reqCh)
-		close(s.specCh)
 		s.mu.Unlock()
 		s.wg.Wait()
 	})
@@ -509,10 +414,6 @@ func (s *Server) Stats() Stats {
 		Deduped:        s.deduped.Load(),
 		MaxBatchWidth:  s.maxBatchWidth.Load(),
 		QueueHighWater: s.queueHighWater.Load(),
-		SpecEnqueued:   s.specEnqueued.Load(),
-		SpecDropped:    s.specDropped.Load(),
-		SpecCoalesced:  s.specCoalesced.Load(),
-		SpecBatched:    s.specBatched.Load(),
 		WidthHist:      make([]int64, len(s.widthHist)),
 	}
 	for w := range s.widthHist {
@@ -524,60 +425,25 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// worker pulls pending misses, coalescing everything immediately
-// available (up to MaxBatch) into one fused evaluation. Demand requests
-// always fill first; any leftover width is topped up from the
-// speculative queue — the speculation payoff: batches that would have
-// gone out narrow instead carry prefetch work that warms the cache for
-// free. With a single synchronous caller and no speculation, batches
-// degenerate to width 1 — correct, just unamortised.
+// worker pulls pending misses, coalescing everything already waiting (up
+// to MaxBatch) into one fused evaluation. Width comes only from concurrent
+// demand — ranks and wire clients sharing the Server; a single synchronous
+// caller gets width-1 batches — correct, just unamortised.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	reqCh, specCh := s.reqCh, s.specCh
-	for reqCh != nil || specCh != nil {
-		// Block until any work arrives (a nil channel never fires).
-		var batch []*request
-		select {
-		case r, ok := <-reqCh:
-			if !ok {
-				reqCh = nil
-				continue
-			}
-			batch = append(batch, r)
-		case r, ok := <-specCh:
-			if !ok {
-				specCh = nil
-				continue
-			}
-			batch = append(batch, r)
-		}
-		// Fill with everything immediately available: demand first...
-		for reqCh != nil && len(batch) < s.opts.MaxBatch {
+	for r := range s.reqCh {
+		batch := []*request{r}
+	fill:
+		for len(batch) < s.opts.MaxBatch {
 			select {
-			case r, ok := <-reqCh:
+			case r, ok := <-s.reqCh:
 				if !ok {
-					reqCh = nil
-					continue
+					break fill // closed and drained; the outer range ends next
 				}
 				batch = append(batch, r)
-				continue
 			default:
+				break fill
 			}
-			break
-		}
-		// ...then speculative top-up of the remaining width.
-		for specCh != nil && len(batch) < s.opts.MaxBatch {
-			select {
-			case r, ok := <-specCh:
-				if !ok {
-					specCh = nil
-					continue
-				}
-				batch = append(batch, r)
-				continue
-			default:
-			}
-			break
 		}
 		s.serve(batch)
 	}
@@ -596,7 +462,7 @@ func (s *Server) serve(batch []*request) {
 	// the caller's miss and this dispatch.
 	pending := batch[:0]
 	for _, r := range batch {
-		if res, ok := s.cache.peek(r.hash, r.vet, !r.spec); ok {
+		if res, ok := s.cache.peek(r.hash, r.vet); ok {
 			r.done <- response{res: res}
 			s.completeFlight(r.hash, r.env, res, nil)
 			continue
@@ -635,22 +501,15 @@ func (s *Server) serve(batch []*request) {
 		return
 	}
 	gemm := time.Since(gemmStart)
-	var specN int64
 	for i, r := range pending {
-		if r.spec {
-			s.cache.PutSpeculative(r.hash, r.env, results[i])
-			specN++
-		} else {
-			s.cache.Put(r.hash, r.env, results[i])
-		}
+		s.cache.Put(r.hash, r.env, results[i])
 		r.done <- response{res: results[i]}
 		s.completeFlight(r.hash, r.env, results[i], nil)
 	}
-	bsp.EndMsg("width=%d spec=%d gemm=%.3fms", len(pending), specN, float64(gemm.Microseconds())/1e3)
+	bsp.EndMsg("width=%d gemm=%.3fms", len(pending), float64(gemm.Microseconds())/1e3)
 
 	s.batches.Add(1)
 	s.batchedSystems.Add(int64(len(pending)))
-	s.specBatched.Add(specN)
 	w := len(pending)
 	if w >= len(s.widthHist) {
 		w = len(s.widthHist) - 1

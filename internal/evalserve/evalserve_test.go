@@ -2,7 +2,9 @@ package evalserve
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tensorkmc/internal/eam"
 	"tensorkmc/internal/encoding"
@@ -39,6 +41,46 @@ func smallPotential(seed uint64) (*nnp.Potential, *encoding.Tables) {
 	desc := feature.Standard(units.CutoffShort)
 	pot := nnp.NewPotential(desc, []int{desc.Dim(), 16, 8, 1}, rng.New(seed))
 	return pot, tb
+}
+
+// waitFor polls cond for up to two seconds — for server-side state
+// (a queued request, a joined flight) that no caller is told about.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("timed out waiting for %s", what)
+}
+
+// gatedBackend wraps a backend so a test can hold workers inside an
+// evaluation: entered reports each EvaluateBatch call's width, closing
+// release lets them all finish.
+type gatedBackend struct {
+	inner   Backend
+	entered chan int
+	release chan struct{}
+}
+
+func newGatedBackend(inner Backend) *gatedBackend {
+	return &gatedBackend{
+		inner: inner,
+		// Never blocks a worker: no test here makes more than 16 calls.
+		entered: make(chan int, 16),
+		release: make(chan struct{}),
+	}
+}
+
+func (g *gatedBackend) Tables() *encoding.Tables { return g.inner.Tables() }
+
+func (g *gatedBackend) EvaluateBatch(vets []encoding.VET) []Result {
+	g.entered <- len(vets)
+	<-g.release
+	return g.inner.EvaluateBatch(vets)
 }
 
 // TestFusionBackendBitIdentical: the fused wide-matrix evaluation must be
@@ -138,9 +180,14 @@ func TestServerMatchesDirectModel(t *testing.T) {
 // TestServerConcurrentClients hammers one server from many goroutines
 // sharing a small set of environments: every result must equal the direct
 // evaluation, duplicates must coalesce, and the counters must add up.
+// Concurrent demand is the service's only source of batch width, so the
+// test also pins that it produces some: the single worker is held inside
+// its first evaluation until every other environment is queued behind it,
+// which leaves its second batch no choice but to be wide.
 func TestServerConcurrentClients(t *testing.T) {
 	pot, tb := smallPotential(6)
-	srv := New(NewFusionBackend(pot, tb, F64), Options{Capacity: 256, MaxBatch: 8, Workers: 3})
+	gate := newGatedBackend(NewFusionBackend(pot, tb, F64))
+	srv := New(gate, Options{Capacity: 256, MaxBatch: 8, Workers: 1})
 	defer srv.Close()
 	direct := nnp.NewLatticeEvaluator(pot, tb)
 	vets := sampleVETs(t, tb, 6, 7)
@@ -167,6 +214,13 @@ func TestServerConcurrentClients(t *testing.T) {
 			}
 		}(c)
 	}
+	// Round 0 asks for every environment once (clients ≥ len(vets)): what
+	// is not in the held batch ends up in the queue.
+	held := <-gate.entered
+	waitFor(t, "every other environment to be queued", func() bool {
+		return len(srv.reqCh) == len(vets)-held
+	})
+	close(gate.release)
 	wg.Wait()
 	close(errs)
 	for e := range errs {
@@ -175,6 +229,18 @@ func TestServerConcurrentClients(t *testing.T) {
 	st := srv.Stats()
 	if got := st.Hits + st.Misses; got != clients*rounds {
 		t.Fatalf("lookup count %d, want %d", got, clients*rounds)
+	}
+	if st.MaxBatchWidth < 2 {
+		t.Fatalf("widest batch %d: concurrent callers were not coalesced", st.MaxBatchWidth)
+	}
+	var n, rows int64
+	for w, c := range st.WidthHist {
+		n += c
+		rows += int64(w) * c
+	}
+	if n != st.Batches || rows != st.BatchedSystems {
+		t.Fatalf("width histogram inconsistent: Σ=%d batches=%d, Σw=%d systems=%d",
+			n, st.Batches, rows, st.BatchedSystems)
 	}
 	// Only len(vets) distinct environments exist, so at most that many
 	// evaluations were necessary beyond coalesced duplicates.
@@ -213,37 +279,50 @@ func TestServerBackpressureBounded(t *testing.T) {
 	}
 }
 
-// TestServerGracefulDrain: Close must complete queued work, and later
-// submissions must fail cleanly rather than hang.
+// TestServerGracefulDrain: Close must complete everything already
+// accepted — the evaluation a worker is inside, a caller joined to that
+// flight, and the queue behind it — and later submissions must fail
+// cleanly rather than hang.
 func TestServerGracefulDrain(t *testing.T) {
 	pot, tb := smallPotential(10)
-	srv := New(NewFusionBackend(pot, tb, F64), Options{Workers: 1, QueueDepth: 64})
+	gate := newGatedBackend(NewFusionBackend(pot, tb, F64))
+	srv := New(gate, Options{Workers: 1, QueueDepth: 64})
 	vets := sampleVETs(t, tb, 8, 11)
 
 	var wg sync.WaitGroup
-	results := make([]Result, len(vets))
-	errCount := 0
-	var mu sync.Mutex
-	for i := range vets {
+	var failed atomic.Int64
+	submit := func(vet encoding.VET) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			res, err := srv.Evaluate(vets[i])
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errCount++
-				return
+			if _, err := srv.Evaluate(vet); err != nil {
+				failed.Add(1)
 			}
-			results[i] = res
-		}(i)
+		}()
 	}
+	submit(vets[0])
+	<-gate.entered  // the only worker is now held inside vets[0]
+	submit(vets[0]) // joins that flight
+	for _, vet := range vets[1:] {
+		submit(vet) // queues behind it
+	}
+	waitFor(t, "a joined caller and a full queue", func() bool {
+		return srv.Stats().Deduped == 1 && len(srv.reqCh) == len(vets)-1
+	})
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close to stop admissions", srv.closed.Load)
+	close(gate.release)
+	<-closed
 	wg.Wait()
-	srv.Close()
 	srv.Close() // idempotent
 
-	if errCount != 0 {
-		t.Fatalf("%d pre-close submissions failed", errCount)
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d pre-close submissions failed", n)
 	}
 	if _, err := srv.Evaluate(vets[0]); err == nil {
 		t.Fatal("Evaluate after Close did not fail")
@@ -300,5 +379,33 @@ func TestModelBackendMatchesNNP(t *testing.T) {
 		if got[i].Initial != wi || got[i].Final != wf || got[i].Valid != wv {
 			t.Fatalf("system %d: pooled (%v) != direct (%v)", i, got[i].Initial, wi)
 		}
+	}
+}
+
+// TestOccupancyP50 checks the median-width readout against hand-built
+// histograms.
+func TestOccupancyP50(t *testing.T) {
+	cases := []struct {
+		hist []int64
+		want int64
+	}{
+		{hist: []int64{0, 10}, want: 1},                     // all width 1
+		{hist: []int64{0, 1, 0, 0, 9}, want: 4},             // one narrow straggler
+		{hist: []int64{0, 5, 5}, want: 1},                   // even split: lower median
+		{hist: []int64{0, 0, 0, 7}, want: 3},                // uniform width 3
+		{hist: []int64{0, 4, 0, 0, 0, 0, 0, 0, 3}, want: 1}, // narrow majority
+	}
+	for i, c := range cases {
+		var batches int64
+		for _, n := range c.hist {
+			batches += n
+		}
+		st := Stats{Batches: batches, WidthHist: c.hist}
+		if got := st.OccupancyP50(); got != c.want {
+			t.Errorf("case %d: p50 = %d, want %d", i, got, c.want)
+		}
+	}
+	if (Stats{}).OccupancyP50() != 0 {
+		t.Error("idle stats should report p50 = 0")
 	}
 }

@@ -3,7 +3,6 @@ package evalserve
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"net"
 	"sync"
 	"testing"
@@ -48,32 +47,25 @@ func fuzzServerAddr(t testing.TB) string {
 // beyond the frame limits. Malformed input must always surface as an
 // error (or a reaped connection), never a crash.
 func FuzzWireFrame(f *testing.F) {
-	// Valid frames of every opcode, so mutation starts near the format.
-	hello := make([]byte, 17)
-	hello[0] = opHello
-	binary.LittleEndian.PutUint64(hello[1:], math.Float64bits(units.LatticeConstantFe))
-	binary.LittleEndian.PutUint64(hello[9:], math.Float64bits(units.CutoffShort))
-	f.Add(frameBytes(hello))
+	// Valid frames of every opcode, so mutation starts near the format:
+	// the 18-byte hello (trailing version byte; 0, 1 and 0xff probe the
+	// refuse and clamp paths), the retired 17-byte version-1 hello the
+	// server must refuse, the 6-byte acknowledgement, and evals with and
+	// without the 16-byte trace context prefix.
+	for _, ver := range []byte{wireVersion, 0, 1, 0xff} {
+		f.Add(frameBytes(hello2Payload(ver)))
+	}
+	f.Add(frameBytes(legacyHelloPayload()))
 	f.Add(frameBytes([]byte{opStats}))
 	f.Add(frameBytes(resultFrame(Result{Initial: 1.5, Valid: [8]bool{true}})))
 	f.Add(frameBytes(errorFrame(errGeneric, "boom")))
 	f.Add(frameBytes(errorFrame(errCorruption, "tripwire")))
 	f.Add(frameBytes(append([]byte{opEval}, bytes.Repeat([]byte{1}, 32)...)))
-	f.Add(frameBytes([]byte{opHelloOK, 0, 0, 0, 0}))
-	// Version-2 negotiation frames: the 18-byte hello2 (trailing version
-	// byte), its 6-byte acknowledgement, and an eval2 with the 16-byte
-	// trace context prefix. Version bytes out of range (0, 0xff) probe the
-	// clamp/refuse paths on both ends.
-	hello2 := append(bytes.Clone(hello[:17]), 2)
-	hello2[0] = opHello2
-	f.Add(frameBytes(hello2))
-	f.Add(frameBytes(append(bytes.Clone(hello2[:17]), 0)))
-	f.Add(frameBytes(append(bytes.Clone(hello2[:17]), 0xff)))
-	f.Add(frameBytes([]byte{opHelloOK2, 0, 0, 0, 0, 2}))
+	f.Add(frameBytes([]byte{opHelloOK2, 0, 0, 0, 0, wireVersion}))
 	f.Add(frameBytes([]byte{opHelloOK2, 0, 0, 0, 0, 0xff}))
 	f.Add(frameBytes(append([]byte{opEval2}, bytes.Repeat([]byte{1}, 16+32)...)))
 	f.Add(frameBytes(append([]byte{opEval2}, 1, 2, 3))) // truncated trace context
-	f.Add(append(frameBytes(hello2), frameBytes([]byte{opStats})...))
+	f.Add(append(frameBytes(hello2Payload(wireVersion)), frameBytes([]byte{opStats})...))
 	f.Add([]byte{0, 0, 0, 0})                // empty frame
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}) // oversized length prefix
 	f.Add([]byte{4, 0, 0, 0, 1})             // truncated payload
@@ -111,37 +103,21 @@ func FuzzWireFrame(f *testing.F) {
 
 		// Client handshake decode: a fake server answers the hello with
 		// the fuzz bytes verbatim. Dial must return an error or a client,
-		// never panic — at both protocol pins, since the negotiating
-		// client has two decode paths (helloOK and helloOK2) plus the
-		// refusal-redial, and each dial attempt gets a fresh pipe.
-		for _, proto := range []int{0, 1} {
-			var pipeMu sync.Mutex
-			var server net.Conn
-			dc := DialConfig{
-				Timeout:  time.Second,
-				Protocol: proto,
-				Dialer: func(string) (net.Conn, error) {
-					cc, sc := net.Pipe()
-					pipeMu.Lock()
-					server = sc
-					pipeMu.Unlock()
-					go func() {
-						sc.SetDeadline(time.Now().Add(2 * time.Second))
-						readFrame(sc, minFrame) // consume the client's hello
-						sc.Write(data)
-						sc.Close()
-					}()
-					return cc, nil
-				},
-			}
-			if cl, err := dc.Dial("pipe", units.LatticeConstantFe, units.CutoffShort); err == nil {
-				cl.Close()
-			}
-			pipeMu.Lock()
-			if server != nil {
-				server.Close()
-			}
-			pipeMu.Unlock()
+		// never panic.
+		cc, sc := net.Pipe()
+		go func() {
+			sc.SetDeadline(time.Now().Add(2 * time.Second))
+			readFrame(sc, minFrame) // consume the client's hello
+			sc.Write(data)
+			sc.Close()
+		}()
+		dc := DialConfig{
+			Timeout: time.Second,
+			Dialer:  func(string) (net.Conn, error) { return cc, nil },
 		}
+		if cl, err := dc.Dial("pipe", units.LatticeConstantFe, units.CutoffShort); err == nil {
+			cl.Close()
+		}
+		sc.Close()
 	})
 }

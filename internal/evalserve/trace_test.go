@@ -1,7 +1,6 @@
 package evalserve
 
 import (
-	"bufio"
 	"net"
 	"path/filepath"
 	"strings"
@@ -14,10 +13,11 @@ import (
 	"tensorkmc/internal/units"
 )
 
-// TestWireProtocolNegotiation pins the version matrix: a default client
-// lands on v2 against a current server, a v1-pinned client gets a v1
-// session that still serves correctly, and trace contexts only cross
-// the wire on v2 sessions.
+// TestWireProtocolNegotiation pins the handshake: a dialled session
+// carries trace contexts to the server, a hello offering a newer version
+// is answered at this build's, and a hello older than the floor — the
+// version-1 frame, or a hello2 offering less than 2 — is answered with an
+// error frame naming the minimum version, never a session.
 func TestWireProtocolNegotiation(t *testing.T) {
 	set := telemetry.NewSet()
 	pot, tb := smallPotential(60)
@@ -29,126 +29,64 @@ func TestWireProtocolNegotiation(t *testing.T) {
 	fe := Serve(srv, ln)
 	defer func() { fe.Close(); srv.Close() }()
 	addr := fe.Addr().String()
-	_ = pot
 
-	vets := sampleVETs(t, tb, 2, 61)
-
-	// Default dial negotiates the newest protocol.
-	v2, err := Dial(addr, units.LatticeConstantFe, units.CutoffShort)
+	cl, err := Dial(addr, units.LatticeConstantFe, units.CutoffShort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v2.Close()
-	if v2.Protocol() != 2 {
-		t.Fatalf("default dial negotiated v%d, want v2", v2.Protocol())
-	}
+	defer cl.Close()
 
-	// Pinned to v1: the session works, just without trace carriage.
-	v1, err := DialConfig{Protocol: 1}.Dial(addr, units.LatticeConstantFe, units.CutoffShort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	if v1.Protocol() != 1 {
-		t.Fatalf("pinned dial negotiated v%d, want v1", v1.Protocol())
-	}
-
-	// Both sessions answer identically.
-	for i, vet := range vets {
-		a1, b1, c1 := v1.HopEnergies(vet)
-		a2, b2, c2 := v2.HopEnergies(vet)
-		if a1 != a2 || b1 != b2 || c1 != c2 {
-			t.Fatalf("system %d: v1 (%v) != v2 (%v)", i, a1, a2)
-		}
-	}
-
-	// A traced request on the v2 session lands a serve span whose parent
-	// is the client's span; the same call on the v1 session must not (the
-	// context cannot cross a v1 wire).
-	countServeSpans := func() int {
-		n := 0
-		for _, e := range set.Events().Events() {
-			if e.Type == trace.EventType && strings.HasPrefix(e.Msg, "serve") {
-				n++
-			}
-		}
-		return n
-	}
-	base := countServeSpans()
+	// A traced request lands a serve span whose parent is the client's
+	// span.
 	ctx := trace.Context{Trace: 0xabc123, Span: 0xdef456}
-	if _, err := v2.EvaluateTraced(vets[0], ctx); err != nil {
+	if _, err := cl.EvaluateTraced(sampleVETs(t, tb, 1, 61)[0], ctx); err != nil {
 		t.Fatal(err)
-	}
-	if got := countServeSpans(); got != base+1 {
-		t.Fatalf("v2 traced request produced %d serve spans, want %d", got, base+1)
 	}
 	var serveEv telemetry.Event
+	serves := 0
 	for _, e := range set.Events().Events() {
 		if e.Type == trace.EventType && strings.HasPrefix(e.Msg, "serve") {
 			serveEv = e
+			serves++
 		}
+	}
+	if serves != 1 {
+		t.Fatalf("traced request produced %d serve spans, want 1", serves)
 	}
 	if serveEv.Trace != trace.ID(ctx.Trace) || serveEv.Parent != trace.ID(ctx.Span) {
 		t.Fatalf("serve span lineage = trace %s parent %s, want trace %s parent %s",
 			serveEv.Trace, serveEv.Parent, trace.ID(ctx.Trace), trace.ID(ctx.Span))
 	}
-	base = countServeSpans()
-	if _, err := v1.EvaluateTraced(vets[0], ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := countServeSpans(); got != base {
-		t.Fatalf("v1 session leaked a trace context to the server (%d new serve spans)", got-base)
-	}
-}
 
-// TestWireDialFallsBackToLegacyServer: against a server that predates
-// negotiation — rejects the unknown hello2 opcode with an error frame —
-// the client must transparently redial at v1.
-func TestWireDialFallsBackToLegacyServer(t *testing.T) {
-	_, tb := smallPotential(62)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				conn.SetDeadline(time.Now().Add(5 * time.Second))
-				r := bufio.NewReader(conn)
-				w := bufio.NewWriter(conn)
-				p, err := readFrame(r, minFrame)
-				if err != nil {
-					return
-				}
-				// A legacy server knows only the 17-byte opHello.
-				if len(p) != 17 || p[0] != opHello {
-					writeFrame(w, errorFrame(errGeneric, "unknown frame"))
-					w.Flush()
-					return
-				}
-				ok := make([]byte, 5)
-				ok[0] = opHelloOK
-				ok[1] = byte(tb.NAll)
-				ok[2] = byte(tb.NAll >> 8)
-				writeFrame(w, ok)
-				w.Flush()
-			}(conn)
+	for _, c := range []struct {
+		name   string
+		hello  []byte
+		refuse bool
+	}{
+		{"hello2 offering a newer version", hello2Payload(0xff), false},
+		{"version-1 hello", legacyHelloPayload(), true},
+		{"hello2 offering version 1", hello2Payload(1), true},
+		{"hello2 offering version 0", hello2Payload(0), true},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-
-	cl, err := Dial(ln.Addr().String(), units.LatticeConstantFe, units.CutoffShort)
-	if err != nil {
-		t.Fatalf("dial against a legacy server failed instead of falling back: %v", err)
-	}
-	defer cl.Close()
-	if cl.Protocol() != 1 {
-		t.Fatalf("fallback session negotiated v%d, want v1", cl.Protocol())
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := writeFrame(conn, c.hello); err != nil {
+			t.Fatal(err)
+		}
+		p, err := readFrame(conn, maxStatsFrame)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		switch {
+		case c.refuse && (p[0] != opError || !strings.Contains(string(p[2:]), "needs version 2")):
+			t.Errorf("%s: answered %q, want an error frame naming the minimum version", c.name, p)
+		case !c.refuse && (len(p) != 6 || p[0] != opHelloOK2 || p[5] != wireVersion):
+			t.Errorf("%s: answered %q, want a version-%d session", c.name, p, wireVersion)
+		}
 	}
 }
 

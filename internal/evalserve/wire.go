@@ -21,42 +21,33 @@ import (
 //
 // Every frame is a little-endian uint32 payload length followed by the
 // payload; payload byte 0 is the opcode. A session starts with a hello
-// carrying the client's lattice constant and cutoff — the server verifies
-// they reproduce its own tables (same geometry ⇒ same NAll ⇒ same VET
-// layout) and answers with NAll, after which the client streams eval
-// frames (one canonical environment each) and receives result frames
-// with the exact f64 energies. Frames larger than the session bound
-// (derived from NAll) are rejected and the connection dropped, so one
-// misbehaving client cannot grow server memory.
+// carrying the client's lattice constant and cutoff and the highest
+// protocol version it speaks — the server verifies the geometry
+// reproduces its own tables (same geometry ⇒ same NAll ⇒ same VET
+// layout) and answers with NAll and the session's version, after which
+// the client streams eval frames (one canonical environment each, with
+// or without a trace context) and receives result frames with the exact
+// f64 energies. Frames larger than the session bound (derived from NAll)
+// are rejected and the connection dropped, so one misbehaving client
+// cannot grow server memory.
 const (
-	opHello    = 0x01 // client → server: f64 a, f64 rcut
+	opHello    = 0x01 // retired version-1 hello (f64 a, f64 rcut); refused by name
 	opEval     = 0x02 // client → server: NAll species bytes
 	opStats    = 0x03 // client → server: empty
 	opHello2   = 0x04 // client → server: f64 a, f64 rcut, u8 max protocol version
 	opEval2    = 0x05 // client → server: 16-byte trace context, NAll species bytes
-	opHelloOK  = 0x81 // server → client: u32 NAll
 	opResult   = 0x82 // server → client: f64 initial, 8×f64 final, u8 valid mask
 	opStatsOK  = 0x83 // server → client: JSON Stats
-	opHelloOK2 = 0x84 // server → client: u32 NAll, u8 negotiated protocol version
+	opHelloOK2 = 0x84 // server → client: u32 NAll, u8 session protocol version
 	opError    = 0x7f // server → client: u8 kind, message bytes
 )
 
-// Wire protocol versions. Version 1 is the original handshake (opHello/
-// opHelloOK, opEval only). Version 2 adds the opHello2/opHelloOK2
-// negotiation and the opEval2 frame carrying a 16-byte distributed-trace
-// context ahead of the species bytes.
-//
-// Negotiation keeps old and new binaries interoperable in both
-// directions: a v1 client sends the legacy 17-byte opHello and a v2
-// server answers it with the legacy opHelloOK (the session simply runs
-// at v1); a v2 client opens with opHello2, and when the server turns
-// out to predate negotiation (it rejects the unknown hello with an
-// error frame and closes), the client transparently redials at v1.
-const (
-	wireV1   = 1
-	wireV2   = 2
-	wireVMax = wireV2
-)
+// wireVersion is the one protocol version this build speaks, and so both
+// the minimum a server accepts and what a client offers. A hello offering
+// more is answered at wireVersion; one offering less (or the version-1
+// hello, which had no version byte) is refused with an error frame that
+// names the minimum.
+const wireVersion = 2
 
 // opError kinds.
 const (
@@ -315,29 +306,25 @@ func (f *Frontend) handle(conn net.Conn) {
 		w.Flush()
 	}
 
-	// The session opens with a hello declaring the client's geometry —
-	// legacy 17-byte opHello (the session runs at v1) or the 18-byte
-	// opHello2 carrying the client's highest protocol version, answered
-	// with the server's pick of min(client max, wireVMax).
+	// The session opens with the 18-byte hello declaring the client's
+	// geometry and its highest protocol version.
 	armRead()
 	p, err := readFrame(r, minFrame)
 	if err != nil {
 		return
 	}
-	ver := wireV1
+	var offered int
 	switch {
-	case len(p) == 17 && p[0] == opHello:
 	case len(p) == 18 && p[0] == opHello2:
-		ver = int(p[17])
-		if ver > wireVMax {
-			ver = wireVMax
-		}
-		if ver < wireV1 {
-			fail(errGeneric, fmt.Sprintf("unsupported protocol version %d", p[17]))
-			return
-		}
+		offered = int(p[17])
+	case len(p) == 17 && p[0] == opHello:
+		offered = 1
 	default:
 		fail(errGeneric, "expected hello frame")
+		return
+	}
+	if offered < wireVersion {
+		fail(errGeneric, fmt.Sprintf("protocol version %d is too old: this server needs version %d or newer", offered, wireVersion))
 		return
 	}
 	a := math.Float64frombits(binary.LittleEndian.Uint64(p[1:]))
@@ -346,17 +333,10 @@ func (f *Frontend) handle(conn net.Conn) {
 		fail(errGeneric, fmt.Sprintf("geometry mismatch: server has a=%v rcut=%v, client sent a=%v rcut=%v", tb.A, tb.Rcut, a, rcut))
 		return
 	}
-	var ok []byte
-	if ver >= wireV2 {
-		ok = make([]byte, 6)
-		ok[0] = opHelloOK2
-		binary.LittleEndian.PutUint32(ok[1:], uint32(tb.NAll))
-		ok[5] = byte(ver)
-	} else {
-		ok = make([]byte, 5)
-		ok[0] = opHelloOK
-		binary.LittleEndian.PutUint32(ok[1:], uint32(tb.NAll))
-	}
+	ok := make([]byte, 6)
+	ok[0] = opHelloOK2
+	binary.LittleEndian.PutUint32(ok[1:], uint32(tb.NAll))
+	ok[5] = wireVersion
 	armWrite()
 	if err := writeFrame(w, ok); err != nil {
 		return
@@ -366,11 +346,8 @@ func (f *Frontend) handle(conn net.Conn) {
 	}
 
 	// Post-hello frames are bounded by the eval frame size (plus the
-	// trace context a v2 session may prepend).
-	limit := 1 + tb.NAll
-	if ver >= wireV2 {
-		limit += trace.ContextSize
-	}
+	// trace context it may carry).
+	limit := 1 + trace.ContextSize + tb.NAll
 	if limit < minFrame {
 		limit = minFrame
 	}
@@ -385,10 +362,6 @@ func (f *Frontend) handle(conn net.Conn) {
 			body := p[1:]
 			var tctx trace.Context
 			if p[0] == opEval2 {
-				if ver < wireV2 {
-					fail(errGeneric, "eval frame with trace context on a v1 session")
-					return
-				}
 				if len(body) < trace.ContextSize {
 					fail(errGeneric, "truncated trace context")
 					return
@@ -455,13 +428,6 @@ type DialConfig struct {
 	// Dialer replaces the TCP dial — the hook through which tests
 	// interpose ConnChaos faults. Nil means net.Dial("tcp", addr).
 	Dialer func(addr string) (net.Conn, error)
-	// Protocol pins the highest wire protocol version the client offers
-	// (0 = newest known, wireVMax). Sessions negotiated down to version
-	// 1 — by this pin, by the server's answer, or by falling back to a
-	// pre-negotiation server — silently drop trace contexts from
-	// EvaluateTraced, which is the interop contract: tracing degrades,
-	// requests do not.
-	Protocol int
 }
 
 // Client is a wire-protocol connection to a tkmc-serve front-end. It
@@ -483,7 +449,6 @@ type Client struct {
 	tb      *encoding.Tables
 	addr    string
 	timeout time.Duration
-	ver     int // negotiated wire protocol version
 	broken  bool
 }
 
@@ -496,116 +461,70 @@ func Dial(addr string, a, rcut float64) (*Client, error) {
 
 // Dial connects with the config's deadlines and dialer. Transport
 // failures — including the handshake timing out — return a
-// *fault.TransportError; a geometry refusal by the server returns a
-// plain (non-retryable) error.
-//
-// Unless Protocol pins otherwise, the client offers the newest wire
-// protocol via opHello2. A server that predates negotiation rejects the
-// unknown hello with an error frame and closes the session, so on any
-// hello refusal the client redials once at version 1 — old servers get
-// a v1 session transparently, and a genuine refusal (e.g. geometry
-// mismatch) reproduces identically on the retry and surfaces as the
-// final error.
+// *fault.TransportError; a refusal by the server (geometry mismatch,
+// protocol version too old) returns a plain (non-retryable) error.
 func (dc DialConfig) Dial(addr string, a, rcut float64) (*Client, error) {
-	dial := dc.Dialer
-	if dial == nil {
-		dial = func(addr string) (net.Conn, error) {
-			if dc.Timeout > 0 {
-				return net.DialTimeout("tcp", addr, dc.Timeout)
-			}
-			return net.Dial("tcp", addr)
-		}
+	var conn net.Conn
+	var err error
+	switch {
+	case dc.Dialer != nil:
+		conn, err = dc.Dialer(addr)
+	case dc.Timeout > 0:
+		conn, err = net.DialTimeout("tcp", addr, dc.Timeout)
+	default:
+		conn, err = net.Dial("tcp", addr)
 	}
-	tb := encoding.New(a, rcut)
-	maxVer := dc.Protocol
-	if maxVer <= 0 || maxVer > wireVMax {
-		maxVer = wireVMax
-	}
-	if maxVer >= wireV2 {
-		c, refused, err := dc.dialVersion(dial, tb, addr, a, rcut, maxVer)
-		if !refused {
-			return c, err
-		}
-	}
-	c, _, err := dc.dialVersion(dial, tb, addr, a, rcut, wireV1)
-	return c, err
-}
-
-// dialVersion performs one dial + hello exchange offering the given
-// protocol version. refused reports that the server answered the hello
-// with an error frame — at version >= 2 the caller falls back to a
-// version-1 dial (the server may predate negotiation); at version 1 the
-// refusal is final.
-func (dc DialConfig) dialVersion(dial func(string) (net.Conn, error), tb *encoding.Tables, addr string, a, rcut float64, ver int) (*Client, bool, error) {
-	conn, err := dial(addr)
 	if err != nil {
-		return nil, false, &fault.TransportError{Op: "dial", Addr: addr, Err: err}
+		return nil, &fault.TransportError{Op: "dial", Addr: addr, Err: err}
 	}
 	c := &Client{
 		conn:    conn,
 		r:       bufio.NewReader(conn),
 		w:       bufio.NewWriter(conn),
-		tb:      tb,
+		tb:      encoding.New(a, rcut),
 		addr:    addr,
 		timeout: dc.Timeout,
-		ver:     wireV1,
 	}
 	c.arm()
-	var hello []byte
-	if ver >= wireV2 {
-		hello = make([]byte, 18)
-		hello[0] = opHello2
-		hello[17] = byte(ver)
-	} else {
-		hello = make([]byte, 17)
-		hello[0] = opHello
-	}
+	hello := make([]byte, 18)
+	hello[0] = opHello2
 	binary.LittleEndian.PutUint64(hello[1:], math.Float64bits(a))
 	binary.LittleEndian.PutUint64(hello[9:], math.Float64bits(rcut))
+	hello[17] = wireVersion
 	if err := writeFrame(c.w, hello); err != nil {
 		conn.Close()
-		return nil, false, &fault.TransportError{Op: "hello", Addr: addr, Err: err}
+		return nil, &fault.TransportError{Op: "hello", Addr: addr, Err: err}
 	}
 	if err := c.w.Flush(); err != nil {
 		conn.Close()
-		return nil, false, &fault.TransportError{Op: "hello", Addr: addr, Err: err}
+		return nil, &fault.TransportError{Op: "hello", Addr: addr, Err: err}
 	}
 	p, err := readFrame(c.r, maxStatsFrame)
 	if err != nil {
 		conn.Close()
-		return nil, false, &fault.TransportError{Op: "hello", Addr: addr, Err: err}
+		return nil, &fault.TransportError{Op: "hello", Addr: addr, Err: err}
 	}
 	c.disarm()
 	if p[0] == opError {
 		conn.Close()
-		return nil, true, fmt.Errorf("evalserve: server refused hello: %s", p[2:])
+		return nil, fmt.Errorf("evalserve: server refused hello: %s", p[2:])
 	}
-	switch {
-	case len(p) == 5 && p[0] == opHelloOK:
-		// Legacy acknowledgement: the session runs at v1 regardless of
-		// what was offered.
-	case len(p) == 6 && p[0] == opHelloOK2 && ver >= wireV2:
-		if got := int(p[5]); got >= wireV1 && got <= ver {
-			c.ver = got
-		} else {
-			conn.Close()
-			return nil, false, &fault.TransportError{Op: "hello", Addr: addr,
-				Err: fmt.Errorf("evalserve: server negotiated unusable protocol version %d", p[5])}
-		}
-	default:
+	if len(p) != 6 || p[0] != opHelloOK2 {
 		conn.Close()
-		return nil, false, &fault.TransportError{Op: "hello", Addr: addr,
+		return nil, &fault.TransportError{Op: "hello", Addr: addr,
 			Err: errors.New("evalserve: malformed hello reply")}
+	}
+	if p[5] != wireVersion {
+		conn.Close()
+		return nil, &fault.TransportError{Op: "hello", Addr: addr,
+			Err: fmt.Errorf("evalserve: server negotiated unusable protocol version %d", p[5])}
 	}
 	if n := int(binary.LittleEndian.Uint32(p[1:])); n != c.tb.NAll {
 		conn.Close()
-		return nil, false, fmt.Errorf("evalserve: server NAll %d != local %d", n, c.tb.NAll)
+		return nil, fmt.Errorf("evalserve: server NAll %d != local %d", n, c.tb.NAll)
 	}
-	return c, false, nil
+	return c, nil
 }
-
-// Protocol returns the session's negotiated wire protocol version.
-func (c *Client) Protocol() int { return c.ver }
 
 // arm sets the connection deadline for one wire interaction (no-op
 // without a configured timeout).
@@ -675,18 +594,15 @@ func (c *Client) Evaluate(vet encoding.VET) (Result, error) {
 	return c.EvaluateTraced(vet, trace.Context{})
 }
 
-// EvaluateTraced is Evaluate carrying a distributed-trace context. On a
-// version-2 session a valid context rides the eval frame, so the
-// serving node's spans (cache hit/miss, batch fill, GEMM time) join the
-// caller's trace; on a version-1 session — an old server, or a pinned
-// Protocol — the context is silently dropped and the request proceeds
-// untraced, which is the interop contract.
+// EvaluateTraced is Evaluate carrying a distributed-trace context: a
+// valid context rides the eval frame, so the serving node's spans (cache
+// hit/miss, batch fill, GEMM time) join the caller's trace.
 func (c *Client) EvaluateTraced(vet encoding.VET, tctx trace.Context) (Result, error) {
 	if len(vet) != c.tb.NAll {
 		return Result{}, fmt.Errorf("evalserve: VET length %d, want %d", len(vet), c.tb.NAll)
 	}
 	var req []byte
-	if tctx.Valid() && c.ver >= wireV2 {
+	if tctx.Valid() {
 		req = make([]byte, 1+trace.ContextSize+c.tb.NAll)
 		req[0] = opEval2
 		tctx.Encode(req[1:])

@@ -38,6 +38,25 @@ func startFrontend(t *testing.T, opts Options, seed uint64) (*Frontend, *nnp.Pot
 	return fe, pot
 }
 
+// hello2Payload is the 18-byte hello for the short-cutoff test geometry,
+// offering the given protocol version.
+func hello2Payload(ver byte) []byte {
+	p := make([]byte, 18)
+	p[0] = opHello2
+	binary.LittleEndian.PutUint64(p[1:], math.Float64bits(units.LatticeConstantFe))
+	binary.LittleEndian.PutUint64(p[9:], math.Float64bits(units.CutoffShort))
+	p[17] = ver
+	return p
+}
+
+// legacyHelloPayload is the retired 17-byte version-1 hello: the same
+// geometry, no version byte.
+func legacyHelloPayload() []byte {
+	p := hello2Payload(0)[:17]
+	p[0] = opHello
+	return p
+}
+
 // TestWireRoundTrip: energies served over TCP must be bit-identical to
 // direct evaluation, and the handshake must reconstruct matching tables.
 func TestWireRoundTrip(t *testing.T) {
@@ -376,8 +395,7 @@ func TestWireClientTimeout(t *testing.T) {
 	go func() { // fake server: handshake, then silence
 		sc.SetDeadline(time.Now().Add(5 * time.Second))
 		readFrame(sc, minFrame)
-		ok := make([]byte, 5)
-		ok[0] = opHelloOK
+		ok := []byte{opHelloOK2, 0, 0, 0, 0, wireVersion}
 		binary.LittleEndian.PutUint32(ok[1:], uint32(tb.NAll))
 		w := bufio.NewWriter(sc)
 		writeFrame(w, ok)

@@ -161,6 +161,11 @@ func Parse(r io.Reader) (*Deck, error) {
 		// whole fleet should slow a simulation down, not kill it.
 		d.Config.EvalFallback = true
 	}
+	if d.Config.EvalCache == 0 {
+		if d.Config.EvalShards != 0 || d.Config.EvalBatch != 0 || d.Config.EvalWorkers != 0 || d.Config.EvalF32 {
+			return nil, fmt.Errorf("input: 'eval_shards', 'eval_batch', 'eval_workers' and 'eval_f32' require 'eval_cache'")
+		}
+	}
 	if d.Config.SLO.P99 == 0 && d.Config.SLO.ErrorRate == 0 {
 		if d.Config.SLO.Window > 0 || d.Config.SLO.Burn > 0 || d.Config.SLO.CaptureDir != "" {
 			return nil, fmt.Errorf("input: 'slo_window', 'slo_burn' and 'blackbox_dir' require an objective ('slo_p99' or 'slo_error_rate')")
@@ -318,8 +323,6 @@ func (d *Deck) apply(key string, args []string) error {
 		return nonNegInt(args, &d.Config.EvalBatch)
 	case "eval_workers":
 		return nonNegInt(args, &d.Config.EvalWorkers)
-	case "eval_speculate":
-		return nonNegInt(args, &d.Config.EvalSpeculate)
 	case "eval_f32":
 		if len(args) != 1 {
 			return fmt.Errorf("eval_f32 wants 'on' or 'off'")

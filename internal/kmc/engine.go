@@ -3,7 +3,6 @@ package kmc
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"tensorkmc/internal/encoding"
 	"tensorkmc/internal/fault"
@@ -21,16 +20,6 @@ import (
 type Model interface {
 	Tables() *encoding.Tables
 	HopEnergies(vet encoding.VET) (initial float64, final [8]float64, valid [8]bool)
-}
-
-// Prefetcher accepts speculative evaluation requests: environments the
-// engine predicts it will need soon, handed off as pure cache warm-up.
-// Implementations (the evalserve.Server) must treat the call as
-// advisory — never blocking the caller, never changing any result — so
-// that speculation on/off trajectories stay bit-identical. The VET is
-// only valid for the duration of the call; implementations copy it.
-type Prefetcher interface {
-	Prefetch(vet encoding.VET) bool
 }
 
 // Rates converts hop energies into Arrhenius propensities per Eqs. (1)–(2):
@@ -95,19 +84,6 @@ type Options struct {
 	// LinearSelection replaces the sum tree with a cumulative linear
 	// scan — the no-tree ablation.
 	LinearSelection bool
-	// Speculate enables speculative batch filling: after every propensity
-	// refresh, the final-state environments of the Speculate most
-	// probable hops (and the patched environments of neighbouring cached
-	// systems those hops would dirty) are handed to Prefetcher as
-	// low-priority warm-up work. The prediction consumes no randomness
-	// and mutates no engine state, so trajectories are bit-identical with
-	// speculation on or off — mispredictions cost only wasted cache
-	// entries. 0 disables; ignored unless Prefetcher is set.
-	Speculate int
-	// Prefetcher receives the speculative environments (typically the
-	// shared evalserve.Server). Results are never read back directly —
-	// the demand path finds them in the cache.
-	Prefetcher Prefetcher
 	// Telemetry, if non-nil, hooks the engine into the run-wide
 	// telemetry: executed hops bump tkmc_step_total and the hot path is
 	// decomposed into step/select-hop/encode/eval/apply spans under
@@ -143,10 +119,9 @@ func newProbes(set *telemetry.Set) probes {
 
 // Stats counts cache behaviour for the ablation benches.
 type Stats struct {
-	Refills      int64 // full VET rebuilds from the lattice
-	Patches      int64 // in-cache VET updates (no lattice access)
-	Refreshes    int64 // propensity recomputations (model calls)
-	Speculations int64 // speculative environments handed to the Prefetcher
+	Refills   int64 // full VET rebuilds from the lattice
+	Patches   int64 // in-cache VET updates (no lattice access)
+	Refreshes int64 // propensity recomputations (model calls)
 }
 
 // Engine is the serial TensorKMC AKMC engine over a periodic box.
@@ -166,20 +141,6 @@ type Engine struct {
 	steps int64
 	stats Stats
 	pr    probes
-
-	// Speculation scratch (reused across prefetches; engine is
-	// single-goroutine).
-	specVet  encoding.VET
-	specNbr  encoding.VET
-	specNbrs map[int]*nbrPatch
-}
-
-// nbrPatch records how one candidate hop would dirty a neighbouring
-// cached system: the VET indices (into that system's VET) of the hop's
-// origin and destination sites, -1 when outside its CET.
-type nbrPatch struct {
-	fromIdx int
-	toIdx   int
 }
 
 // NewEngine builds an engine over the box's current vacancies. The box
@@ -328,139 +289,6 @@ func (e *Engine) refresh(slot int) {
 	s.dirty = false
 	e.stats.Refreshes++
 	e.tree.Update(slot, s.total)
-	if e.opts.Speculate > 0 && e.opts.Prefetcher != nil {
-		e.speculate(slot)
-	}
-}
-
-// speculate predicts the system's most probable hops and hands their
-// final-state environments to the Prefetcher. Pure read-side work: no
-// randomness is drawn, no engine or lattice state changes, so the
-// trajectory is bit-identical with speculation on or off.
-func (e *Engine) speculate(slot int) {
-	s := e.systems[slot]
-	if s.total <= 0 {
-		return
-	}
-	// Rank directions by propensity descending; the insertion sort swaps
-	// only on strictly-greater, so ties keep ascending direction order —
-	// the prediction sequence is deterministic.
-	var order [8]int
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < 8; i++ {
-		for j := i; j > 0 && s.rates[order[j]] > s.rates[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	top := e.opts.Speculate
-	if top > 8 {
-		top = 8
-	}
-	for i := 0; i < top; i++ {
-		k := order[i]
-		if s.rates[k] <= 0 {
-			break
-		}
-		e.prefetchHop(slot, k)
-	}
-}
-
-// prefetchHop submits the final-state environments hop k of the given
-// system would create: the moved vacancy's own environment (a full
-// overlay refill — the post-hop lattice differs from the current one at
-// exactly the origin and destination sites) and the patched environments
-// of every other filled cached system the hop would dirty, mirroring
-// invalidate().
-func (e *Engine) prefetchHop(slot, k int) {
-	s := e.systems[slot]
-	from := s.center
-	to := e.box.Wrap(from.Add(lattice.NN1[k]))
-	mover := s.vet[e.tb.NN1Index[k]]
-	idxFrom, idxTo := e.box.Index(from), e.box.Index(to)
-	if e.specVet == nil {
-		e.specVet = e.tb.NewVET()
-	}
-	get := func(v lattice.Vec) lattice.Species {
-		switch e.box.Index(v) {
-		case idxFrom:
-			return mover
-		case idxTo:
-			return lattice.Vacancy
-		}
-		return e.box.Get(v)
-	}
-	e.tb.FillVET(e.specVet, to, get)
-	e.opts.Prefetcher.Prefetch(e.specVet)
-	e.stats.Speculations++
-	e.prefetchNeighbors(slot, from, mover, to)
-}
-
-// prefetchNeighbors submits the patched post-hop environments of every
-// other filled cached system covering the hop's changed sites.
-func (e *Engine) prefetchNeighbors(skipSlot int, from lattice.Vec, mover lattice.Species, to lattice.Vec) {
-	if len(e.systems) <= 1 {
-		return
-	}
-	if e.specNbrs == nil {
-		e.specNbrs = make(map[int]*nbrPatch)
-	} else {
-		clear(e.specNbrs)
-	}
-	collect := func(changed lattice.Vec, isFrom bool) {
-		for _, c := range e.tb.CET {
-			centre := e.box.Wrap(changed.Add(c))
-			nslot, ok := e.slotOf[e.box.Index(centre)]
-			if !ok || nslot == skipSlot {
-				continue
-			}
-			if !e.systems[nslot].filled {
-				continue
-			}
-			idx, found := e.tb.IndexOf(lattice.Vec{X: -c.X, Y: -c.Y, Z: -c.Z})
-			if !found {
-				continue
-			}
-			p := e.specNbrs[nslot]
-			if p == nil {
-				p = &nbrPatch{fromIdx: -1, toIdx: -1}
-				e.specNbrs[nslot] = p
-			}
-			if isFrom {
-				p.fromIdx = int(idx)
-			} else {
-				p.toIdx = int(idx)
-			}
-		}
-	}
-	collect(from, true)
-	collect(to, false)
-	if len(e.specNbrs) == 0 {
-		return
-	}
-	if e.specNbr == nil {
-		e.specNbr = e.tb.NewVET()
-	}
-	// Visit neighbours in ascending slot order so the prefetch sequence
-	// is deterministic (map iteration is not).
-	slots := make([]int, 0, len(e.specNbrs))
-	for nslot := range e.specNbrs {
-		slots = append(slots, nslot)
-	}
-	sort.Ints(slots)
-	for _, nslot := range slots {
-		p := e.specNbrs[nslot]
-		copy(e.specNbr, e.systems[nslot].vet)
-		if p.fromIdx >= 0 {
-			e.specNbr[p.fromIdx] = mover
-		}
-		if p.toIdx >= 0 {
-			e.specNbr[p.toIdx] = lattice.Vacancy
-		}
-		e.opts.Prefetcher.Prefetch(e.specNbr)
-		e.stats.Speculations++
-	}
 }
 
 func (e *Engine) refreshAll() {

@@ -59,15 +59,6 @@ type Config struct {
 	// send/recv/timeout counters. Purely observational: the trajectory
 	// is bit-identical with telemetry on or off.
 	Telemetry *telemetry.Set
-	// Speculate, when positive with a Prefetcher set, has each rank
-	// predict the Speculate most probable hops of every refreshed
-	// system and hand their post-hop environments to the Prefetcher as
-	// cache warm-up. Ranks only speculate hops whose target stays in
-	// their own interior (the surrounding environment is then fully
-	// resident, ghosts included). Advisory and side-effect-free: the
-	// trajectory is bit-identical with speculation on or off.
-	Speculate  int
-	Prefetcher kmc.Prefetcher
 }
 
 // Ranks returns the world size.
@@ -81,11 +72,10 @@ type SiteChange struct {
 
 // RankStats reports one rank's work counters.
 type RankStats struct {
-	Hops         int64 // executed hops
-	Discarded    int64 // events rejected by the t_stop window
-	Sent         int64 // site changes broadcast
-	Refills      int64 // VET rebuilds
-	Speculations int64 // post-hop environments handed to the Prefetcher
+	Hops      int64 // executed hops
+	Discarded int64 // events rejected by the t_stop window
+	Sent      int64 // site changes broadcast
+	Refills   int64 // VET rebuilds
 }
 
 // Result is the outcome of a parallel run.
@@ -220,7 +210,6 @@ type rankState struct {
 
 	changes []SiteChange
 	stats   RankStats
-	specVet encoding.VET // speculation scratch, lazily allocated
 
 	// Telemetry handles (nil-safe no-ops when uninstrumented). All
 	// ranks share the same nodes; the atomics make concurrent
@@ -351,70 +340,6 @@ func (r *rankState) refresh(slot int) {
 	initial, final, valid := r.model.HopEnergies(sys.vet)
 	sys.rates, sys.total = kmc.Rates(sys.vet, r.tb, initial, final, valid, r.cfg.Temperature)
 	sys.dirty = false
-	if r.cfg.Speculate > 0 && r.cfg.Prefetcher != nil {
-		r.speculate(slot)
-	}
-}
-
-// speculate hands the post-hop environments of the system's most
-// probable hops to the Prefetcher. Only hops whose target stays inside
-// the rank's interior are speculated: the environment around such a
-// target is fully resident (local plus ghost region), so it can be
-// filled without touching any other rank. Pure read-side work — no
-// randomness drawn, no state changed — so the trajectory is
-// bit-identical with speculation on or off.
-func (r *rankState) speculate(slot int) {
-	sys := r.systems[slot]
-	if sys.total <= 0 {
-		return
-	}
-	// Strictly-greater insertion sort: ties keep ascending direction
-	// order, making the prediction sequence deterministic.
-	var order [8]int
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < 8; i++ {
-		for j := i; j > 0 && sys.rates[order[j]] > sys.rates[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	top := r.cfg.Speculate
-	if top > 8 {
-		top = 8
-	}
-	for i := 0; i < top; i++ {
-		k := order[i]
-		if sys.rates[k] <= 0 {
-			break
-		}
-		from := sys.center
-		toRaw := from.Add(lattice.NN1[k])
-		if !r.dom.IsLocal(toRaw) {
-			continue
-		}
-		mover := sys.vet[r.tb.NN1Index[k]]
-		idxFrom := r.global.Index(from)
-		idxTo := r.global.Index(toRaw)
-		if r.specVet == nil {
-			r.specVet = r.tb.NewVET()
-		}
-		// Overlay on canonical indices so every periodic image of the
-		// two changed sites (an undivided axis holds several) reads its
-		// post-hop occupancy.
-		get := func(v lattice.Vec) lattice.Species {
-			switch r.global.Index(v) {
-			case idxFrom:
-				return mover
-			case idxTo:
-				return lattice.Vacancy
-			}
-			return r.dom.Get(v)
-		}
-		r.tb.FillVET(r.specVet, toRaw, get)
-		r.cfg.Prefetcher.Prefetch(r.specVet)
-		r.stats.Speculations++
-	}
 }
 
 // runSector evolves the active sector for the window (seconds).

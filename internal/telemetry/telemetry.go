@@ -56,10 +56,6 @@ const (
 	MetricEvalBatchedSys   = "tkmc_eval_batched_systems_total"
 	MetricEvalDeduped      = "tkmc_eval_deduped_total"
 	MetricEvalQueueHigh    = "tkmc_eval_queue_high_water"
-	MetricEvalSpecEnq      = "tkmc_eval_spec_enqueued_total"
-	MetricEvalSpecDropped  = "tkmc_eval_spec_dropped_total"
-	MetricEvalSpecBatched  = "tkmc_eval_spec_batched_total"
-	MetricEvalSpecWarmHits = "tkmc_eval_spec_warm_hits_total"
 	MetricFleetRetries     = "tkmc_fleet_retries_total"
 	MetricFleetFailovers   = "tkmc_fleet_failovers_total"
 	MetricFleetFallbacks   = "tkmc_fleet_fallbacks_total"

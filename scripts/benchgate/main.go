@@ -4,14 +4,8 @@
 // trajectory-recording bench) and fails if the corresponding machinery
 // has regressed to its degenerate states —
 //
-//   - mean drained-batch occupancy ≤ 1.5: speculation is no longer
-//     filling batches, so every fused dispatch goes out (nearly) width-1
-//     and the wide-GEMM amortisation is dead weight;
 //   - width-64 fused evaluation slower per system than width-1: the wide
 //     kernel has lost to its own overhead, i.e. batching actively hurts;
-//   - speculative warm-hit rate < 0.5: the predictor is guessing wrong
-//     more often than right, so speculation is burning evaluation work
-//     without filling batches with anything useful;
 //   - trajectory-recording overhead > 5%: the event log has fallen off
 //     the buffered fast path and is taxing every hop;
 //   - bytes per logged event outside (0, 512]: the wire encoding has
@@ -41,8 +35,6 @@ import (
 // must at minimum not be slower than width-1 beyond the run-to-run
 // variance band; a genuine regression (streaming pipeline broken, tiles
 // falling out of cache) shows up as 1.5–2× and trips regardless.
-// minSpecHitRate is the coin-flip line: a predictor below 0.5 is worse
-// than guessing and speculation should be treated as broken.
 // maxRecordOverhead is the trajectory budget: recording rides the hot
 // hop path, so anything past a few percent means the buffered writer or
 // the varint encoding has structurally regressed. maxBytesPerEvent is a
@@ -54,9 +46,7 @@ import (
 // rides on (the batch-pipeline evaluation — the request that carries
 // the simulation's work).
 const (
-	minOccupancy      = 1.5
 	wideTolerance     = 1.10
-	minSpecHitRate    = 0.5
 	maxRecordOverhead = 0.05
 	maxBytesPerEvent  = 512.0
 	maxTraceOverhead  = 0.02
@@ -102,40 +92,25 @@ func need(report map[string]float64, missing *[]string, key string) float64 {
 	return v
 }
 
-// gateEvalserve screens the batching-and-speculation report.
+// gateEvalserve screens the batching report.
 func gateEvalserve(path string, report map[string]float64) bool {
 	var missing []string
-	occ := need(report, &missing, "batch_occupancy_mean")
 	w1 := need(report, &missing, "batch_width_1_ns_per_system")
 	w64 := need(report, &missing, "batch_width_64_ns_per_system")
-	hit := need(report, &missing, "spec_hit_rate")
 	if len(missing) > 0 {
 		fail("%s missing %s — run the evalserve benches first "+
-			"(go test -bench 'EvalSpeculativeOccupancy|EvalBatchWidth' -benchtime=1x .)",
+			"(go test -bench EvalBatchWidth -benchtime=1x .)",
 			path, strings.Join(missing, ", "))
 	}
 
-	ok := true
-	if occ <= minOccupancy {
-		fmt.Fprintf(os.Stderr, "FAIL: mean batch occupancy %.2f ≤ %.1f — speculative batch filling is not working\n",
-			occ, minOccupancy)
-		ok = false
-	}
 	if w64 >= wideTolerance*w1 {
 		fmt.Fprintf(os.Stderr, "FAIL: width-64 fused evaluation (%.0f ns/system) is slower than width-1 (%.0f ns/system) beyond the %.0f%% noise band\n",
 			w64, w1, 100*(wideTolerance-1))
-		ok = false
+		return false
 	}
-	if hit < minSpecHitRate {
-		fmt.Fprintf(os.Stderr, "FAIL: speculative warm-hit rate %.3f < %.1f — the hop predictor is worse than a coin flip\n",
-			hit, minSpecHitRate)
-		ok = false
-	}
-	if ok {
-		fmt.Printf("benchgate ok (%s): occupancy %.2f (> %.1f), width-64 %.0f ns/system vs width-1 %.0f ns/system (%.2fx, tolerance %.2fx), spec hit rate %.3f (≥ %.1f)\n",
-			path, occ, minOccupancy, w64, w1, w1/w64, wideTolerance, hit, minSpecHitRate)
-	}
-	return ok
+	fmt.Printf("benchgate ok (%s): width-64 %.0f ns/system vs width-1 %.0f ns/system (%.2fx, tolerance %.2fx)\n",
+		path, w64, w1, w1/w64, wideTolerance)
+	return true
 }
 
 // gateTraj screens the trajectory-recording report.

@@ -37,12 +37,12 @@ import (
 // unexported there; the values are part of the frozen wire format, so
 // duplicating them here is safe).
 const (
-	opHello    = 0x01
+	opHello    = 0x01 // retired version-1 hello: a server must refuse it
 	opEval     = 0x02
 	opStats    = 0x03
 	opHello2   = 0x04
 	opEval2    = 0x05
-	opHelloOK  = 0x81
+	opHelloOK  = 0x81 // retired version-1 acknowledgement: a client must refuse it
 	opResult   = 0x82
 	opHelloOK2 = 0x84
 	opError    = 0x7f
@@ -228,7 +228,7 @@ func writeWireCorpus(dir string) error {
 	helloOK[0] = opHelloOK
 	binary.LittleEndian.PutUint32(helloOK[1:], uint32(tb.NAll))
 
-	// Version-2 negotiation: the 18-byte hello2 (trailing max-version
+	// The live handshake: the 18-byte hello2 (trailing max-version
 	// byte), its 6-byte acknowledgement, and an eval2 carrying the
 	// 16-byte trace context before the species bytes.
 	hello2 := make([]byte, 18)
@@ -247,9 +247,10 @@ func writeWireCorpus(dir string) error {
 	binary.LittleEndian.PutUint64(eval2[9:], 0x0123456789abcdef) // span ID
 	eval2[1+traceContextSize+1] = 1
 
-	badVer := make([]byte, 18)
-	copy(badVer, hello2)
-	badVer[17] = 0xff // far past wireVMax: the server must clamp, not crash
+	badVer := bytes.Clone(hello2)
+	badVer[17] = 0xff // far past the server's version: it must clamp, not crash
+	oldVer := bytes.Clone(hello2)
+	oldVer[17] = 1 // below the version floor: refused like the version-1 hello
 
 	seeds := map[string][]byte{
 		"hello":          frame(hello),
@@ -257,6 +258,7 @@ func writeWireCorpus(dir string) error {
 		"hello2":         frame(hello2),
 		"hello2-ok":      frame(helloOK2),
 		"hello2-bad-ver": frame(badVer),
+		"hello2-old-ver": frame(oldVer),
 		"eval":           frame(eval),
 		"eval2":          frame(eval2),
 		"eval2-torn":     frame(eval2[:1+traceContextSize/2]), // truncated trace context
@@ -266,7 +268,7 @@ func writeWireCorpus(dir string) error {
 		"bad-empty":      {0, 0, 0, 0},
 		"bad-oversized":  {0xff, 0xff, 0xff, 0xff, 1},
 		"bad-truncated":  {4, 0, 0, 0, 1},
-		"session-pair":   append(frame(hello), frame([]byte{opStats})...),
+		"session-pair":   append(frame(hello2), frame([]byte{opStats})...),
 		"session-pair2":  append(frame(hello2), frame(eval2)...),
 	}
 	for name, data := range seeds {
