@@ -1,0 +1,57 @@
+package kmc
+
+import (
+	"testing"
+
+	"tensorkmc/internal/eam"
+	"tensorkmc/internal/encoding"
+	"tensorkmc/internal/lattice"
+	"tensorkmc/internal/rng"
+	"tensorkmc/internal/units"
+)
+
+// TestEngineDifferential checks the vacancy cache against the lattice
+// after every one of 2000 hops: each cached VET — the hopper's, rebuilt
+// by the refill walk, and every neighbour's, patched in place — must
+// equal a fresh generic FillVET. The box is Cu-rich, holds nine
+// vacancies and is 12 half-units wide under a 19-wide VET, so every
+// system wraps every face and one changed site patches several entries
+// of the same VET. The Stats literals were recorded at commit ac23b9f
+// (before the division-free walk): refill, patch and refresh counts are
+// part of the ledger's exact-count contract and may not move.
+func TestEngineDifferential(t *testing.T) {
+	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
+	model := eam.NewFastRegionEvaluator(eam.New(eam.Default()), tb)
+	box := lattice.NewBox(6, 6, 6, units.LatticeConstantFe)
+	lattice.FillRandomAlloy(box, 0.25, 0.02, rng.New(21))
+	e := NewEngine(box, model, 1000, rng.New(22), Options{})
+	if e.NumVacancies() != 9 {
+		t.Fatalf("box holds %d vacancies, want 9", e.NumVacancies())
+	}
+
+	fresh := tb.NewVET()
+	for hop := 0; hop < 2000; hop++ {
+		if _, ok := e.Step(1e300); !ok {
+			t.Fatalf("no event possible at hop %d", hop)
+		}
+		// Bring every system up to date now; the next Step would do
+		// exactly this first, so the trajectory and counts are unchanged.
+		e.TotalRate()
+		for slot, s := range e.systems {
+			if !s.filled || s.dirty {
+				t.Fatalf("hop %d: slot %d not refreshed", hop, slot)
+			}
+			tb.FillVET(fresh, s.center, box.Get)
+			for j := range fresh {
+				if s.vet[j] != fresh[j] {
+					t.Fatalf("hop %d: cached VET of slot %d (centre %v) differs from the lattice at entry %d (%v vs %v)",
+						hop, slot, s.center, j, s.vet[j], fresh[j])
+				}
+			}
+		}
+	}
+	want := Stats{Refills: 2009, Patches: 43430, Refreshes: 18009}
+	if got := e.Stats(); got != want {
+		t.Fatalf("Stats = %+v, recorded %+v", got, want)
+	}
+}
