@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tensorkmc/internal/feature"
+	"tensorkmc/internal/lattice"
 	"tensorkmc/internal/nnp"
 	"tensorkmc/internal/rng"
 	"tensorkmc/internal/units"
@@ -84,6 +85,31 @@ func TestEvalCacheBitIdenticalNNP(t *testing.T) {
 
 	if !bytes.Equal(plain, served) {
 		t.Fatal("fused NNP cached run diverged from the direct run")
+	}
+}
+
+// TestEvalCacheNNPAdjacentVacancies: the same contract where it used to
+// break — two vacancies that start as first nearest neighbours, so each
+// system has a closed hop direction from the first evaluation on (the
+// fused backend once shifted every later direction down by one).
+func TestEvalCacheNNPAdjacentVacancies(t *testing.T) {
+	desc := feature.Standard(units.CutoffStandard)
+	pot := nnp.NewPotential(desc, []int{desc.Dim(), 12, 1}, rng.New(9))
+	box := lattice.NewBox(10, 10, 10, units.LatticeConstantFe)
+	lattice.FillRandomAlloy(box, 0.02, 0, rng.New(11))
+	box.Set(lattice.Vec{X: 4, Y: 4, Z: 4}, lattice.Vacancy)
+	box.Set(lattice.Vec{X: 5, Y: 5, Z: 3}, lattice.Vacancy)
+	base := Config{InitialBox: box, Seed: 11, Potential: NNP, Net: pot}
+	const duration = 1e-7
+
+	plain := checkpointBytes(t, base, duration)
+
+	cached := base
+	cached.EvalCache = 1 << 12
+	served := checkpointBytes(t, cached, duration)
+
+	if !bytes.Equal(plain, served) {
+		t.Fatal("fused NNP cached run with adjacent vacancies diverged from the direct run")
 	}
 }
 

@@ -56,7 +56,6 @@ func TestGoldenTrajectories(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(tc.cfg)
 			if err != nil {

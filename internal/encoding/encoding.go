@@ -75,6 +75,12 @@ type Tables struct {
 	NN1Index  [8]int32
 	MaxExtent int
 
+	// Mirror[i] is the CET index of −CET[i]. The CET set is symmetric
+	// under inversion (New checks it), so a site that sits at offset c
+	// from a changed site sees that site at entry Mirror[i] of its own
+	// VET — what the vacancy-cache patch needs, without a map lookup.
+	Mirror []int32
+
 	index map[lattice.Vec]int32
 }
 
@@ -127,6 +133,14 @@ func New(a, rcut float64) *Tables {
 	}
 	for k, nn := range lattice.NN1 {
 		t.NN1Index[k] = t.index[nn]
+	}
+	t.Mirror = make([]int32, t.NAll)
+	for i, v := range t.CET {
+		m, ok := t.index[lattice.Vec{X: -v.X, Y: -v.Y, Z: -v.Z}]
+		if !ok {
+			panic(fmt.Sprintf("encoding: CET not symmetric: %v has no mirror entry", v))
+		}
+		t.Mirror[i] = m
 	}
 	for _, v := range t.CET {
 		for _, c := range []int{v.X, v.Y, v.Z} {
@@ -234,8 +248,8 @@ func (t *Tables) ApplyHop(vet VET, k int) {
 	vet[0], vet[j] = vet[j], vet[0]
 }
 
-// MemoryBytes reports the shared-table footprint (CET + NET + distances):
+// MemoryBytes reports the shared-table footprint (CET + NET + distances + mirror):
 // the memory every process pays once, regardless of simulation size.
 func (t *Tables) MemoryBytes() int {
-	return len(t.CET)*3*8 + len(t.NET)*6 + len(t.Distances)*8
+	return len(t.CET)*3*8 + len(t.NET)*6 + len(t.Distances)*8 + len(t.Mirror)*4
 }

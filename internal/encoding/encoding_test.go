@@ -214,6 +214,32 @@ func TestIndexOf(t *testing.T) {
 	}
 }
 
+// TestMirror: the mirror table is an involution that maps every CET entry
+// to its inversion image, at the standard and a short cutoff.
+func TestMirror(t *testing.T) {
+	for _, tb := range []*Tables{stdTables(t), New(units.LatticeConstantFe, units.CutoffShort)} {
+		if len(tb.Mirror) != tb.NAll {
+			t.Fatalf("Mirror has %d entries, want NAll = %d", len(tb.Mirror), tb.NAll)
+		}
+		if tb.Mirror[0] != 0 {
+			t.Fatal("the origin is not its own mirror")
+		}
+		for i, v := range tb.CET {
+			m := tb.Mirror[i]
+			if tb.Mirror[m] != int32(i) {
+				t.Fatalf("Mirror[Mirror[%d]] = %d", i, tb.Mirror[m])
+			}
+			if tb.CET[m] != (lattice.Vec{X: -v.X, Y: -v.Y, Z: -v.Z}) {
+				t.Fatalf("CET[Mirror[%d]] = %v, want −%v", i, tb.CET[m], v)
+			}
+			// Inversion preserves length, so region maps to region.
+			if (i < tb.NRegion) != (int(m) < tb.NRegion) {
+				t.Fatalf("mirror of entry %d crosses the region boundary", i)
+			}
+		}
+	}
+}
+
 func TestMaxExtent(t *testing.T) {
 	tb := stdTables(t)
 	// Region reaches 1 + √20 ≈ 5.47 → 5-ish; outer shell adds another

@@ -286,8 +286,7 @@ func (fb *FusionBackend) EvaluateBatch(vets []encoding.VET) []Result {
 			}
 			return func(s int) {
 				var cursor [lattice.NumElements]int
-				state := 0
-				forSystemStates(tb, work[s], func(vet encoding.VET) {
+				forSystemStates(tb, work[s], func(state int, vet encoding.VET) {
 					for e := 0; e < lattice.NumElements; e++ {
 						cursor[e] = spans[s][state][e].start
 					}
@@ -310,7 +309,6 @@ func (fb *FusionBackend) EvaluateBatch(vets []encoding.VET) []Result {
 						st.n++
 						cursor[e]++
 					}
-					state++
 				})
 				for e := range stages {
 					flush(e)
@@ -345,8 +343,7 @@ func (fb *FusionBackend) EvaluateBatch(vets []encoding.VET) []Result {
 		forEachSystem(nSys, workers, func() func(s int) {
 			return func(s int) {
 				var cursor [lattice.NumElements]int
-				state := 0
-				forSystemStates(tb, work[s], func(vet encoding.VET) {
+				forSystemStates(tb, work[s], func(state int, vet encoding.VET) {
 					for e := 0; e < lattice.NumElements; e++ {
 						cursor[e] = spans[s][state][e].start
 					}
@@ -361,7 +358,6 @@ func (fb *FusionBackend) EvaluateBatch(vets []encoding.VET) []Result {
 						pot.NormalizeInPlace(row)
 						cursor[e]++
 					}
-					state++
 				})
 			}
 		})
@@ -418,31 +414,32 @@ func (fb *FusionBackend) EvaluateBatch(vets []encoding.VET) []Result {
 
 // forEachState visits, for every system, the initial state and each valid
 // final state, with the VET temporarily mutated into that state (hops are
-// applied and reverted exactly as Potential.HopEnergies does). States are
-// numbered 0 (initial) and k+1 (hop direction k). Single-goroutine only
-// (it mutates the VETs in place); the parallel feature pass instead runs
-// forSystemStates per system on the owning worker.
+// applied and reverted exactly as Potential.HopEnergies does).
+// Single-goroutine only (it mutates the VETs in place); the parallel
+// feature pass instead runs forSystemStates per system on the owning
+// worker.
 func forEachState(tb *encoding.Tables, work []encoding.VET, visit func(s, state int, vet encoding.VET)) {
 	for s, vet := range work {
-		state := 0
-		forSystemStates(tb, vet, func(v encoding.VET) {
-			visit(s, state, v)
-			state++
-		})
+		forSystemStates(tb, vet, func(state int, v encoding.VET) { visit(s, state, v) })
 	}
 }
 
 // forSystemStates visits one system's states in canonical order — the
 // initial VET, then each valid hop's final state — mutating and reverting
 // the VET in place. The caller must own the VET exclusively.
-func forSystemStates(tb *encoding.Tables, vet encoding.VET, visit func(vet encoding.VET)) {
-	visit(vet)
+//
+// States are numbered by direction: 0 is the initial state and k+1 the
+// final state of hop direction k. A closed direction (its 1NN target is
+// another vacancy) is skipped and its number stays unused, so spans and
+// the scatter can index Final/Valid by state−1 whatever the neighbourhood.
+func forSystemStates(tb *encoding.Tables, vet encoding.VET, visit func(state int, vet encoding.VET)) {
+	visit(0, vet)
 	for k := 0; k < 8; k++ {
 		if !vet[tb.NN1Index[k]].IsAtom() {
 			continue
 		}
 		tb.ApplyHop(vet, k)
-		visit(vet)
+		visit(k+1, vet)
 		tb.ApplyHop(vet, k)
 	}
 }

@@ -1,6 +1,7 @@
 package evalserve
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,6 +140,80 @@ func TestFusionBackendF32Deterministic(t *testing.T) {
 		}
 		if diff > 1e-4*(1+scale) {
 			t.Fatalf("f32 drifted too far from f64: %v vs %v", a[i].Initial, f64[i].Initial)
+		}
+	}
+}
+
+// TestFusionBackendNextToVacancy is the regression test for the direction
+// shift: with a vacancy on a 1NN site, that hop direction is closed, and
+// the fused backend used to number only the open directions — so every
+// direction after the closed one landed one slot early in Final/Valid.
+// Environments: a vacancy at (4,4,4) with a second one on each of the
+// eight 1NN sites in turn ((5,5,3) among them), a 2NN control that closes
+// nothing, and a trivacancy that closes two directions. f64 must equal
+// the direct evaluator bit for bit, Valid included, alone and batched;
+// f32 must agree on Valid and stay within the f32 tolerance.
+func TestFusionBackendNextToVacancy(t *testing.T) {
+	pot, tb := smallPotential(1)
+	direct := nnp.NewLatticeEvaluator(pot, tb)
+	box := lattice.NewBox(14, 14, 14, units.LatticeConstantFe)
+	lattice.FillRandomAlloy(box, 0.05, 0.0, rng.New(9))
+	centre := lattice.Vec{X: 4, Y: 4, Z: 4}
+
+	var vets []encoding.VET
+	var closed [][]int
+	env := func(closedDirs []int, others ...lattice.Vec) {
+		saved := box.Clone()
+		box.Set(centre, lattice.Vacancy)
+		for _, v := range others {
+			box.Set(v, lattice.Vacancy)
+		}
+		vet := tb.NewVET()
+		tb.FillVET(vet, centre, box.Get)
+		vets = append(vets, vet)
+		closed = append(closed, closedDirs)
+		copy(box.Types(), saved.Types())
+	}
+	for k, nn := range lattice.NN1 {
+		env([]int{k}, centre.Add(nn))
+	}
+	env(nil, centre.Add(lattice.Vec{X: 2}))
+	env([]int{1, 6}, centre.Add(lattice.NN1[1]), centre.Add(lattice.NN1[6]))
+
+	f64 := NewFusionBackend(pot, tb, F64)
+	batched := f64.EvaluateBatch(vets)
+	f32 := NewFusionBackend(pot, tb, F32).EvaluateBatch(vets)
+	for i, vet := range vets {
+		wi, wf, wv := direct.HopEnergies(vet)
+		for k := 0; k < 8; k++ {
+			isClosed := false
+			for _, c := range closed[i] {
+				isClosed = isClosed || c == k
+			}
+			if wv[k] == isClosed {
+				t.Fatalf("env %d: direct evaluator has Valid[%d] = %v with closed directions %v", i, k, wv[k], closed[i])
+			}
+		}
+		alone := f64.EvaluateBatch(vets[i : i+1])[0]
+		for name, got := range map[string]Result{"alone": alone, "batched": batched[i]} {
+			if got.Initial != wi || got.Final != wf || got.Valid != wv {
+				t.Errorf("env %d (closed %v) %s: fused f64 (%v, %v, %v) != direct (%v, %v, %v)",
+					i, closed[i], name, got.Initial, got.Final, got.Valid, wi, wf, wv)
+			}
+		}
+		if f32[i].Valid != wv {
+			t.Errorf("env %d (closed %v): f32 Valid %v, direct %v", i, closed[i], f32[i].Valid, wv)
+		}
+		near := func(got, want float64) bool {
+			return math.Abs(got-want) <= 1e-4*(1+math.Abs(want))
+		}
+		if !near(f32[i].Initial, wi) {
+			t.Errorf("env %d: f32 initial %v drifted from %v", i, f32[i].Initial, wi)
+		}
+		for k := 0; k < 8; k++ {
+			if !near(f32[i].Final[k], wf[k]) {
+				t.Errorf("env %d: f32 final[%d] %v drifted from %v", i, k, f32[i].Final[k], wf[k])
+			}
 		}
 	}
 }

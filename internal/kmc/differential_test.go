@@ -55,3 +55,23 @@ func TestEngineDifferential(t *testing.T) {
 		t.Fatalf("Stats = %+v, recorded %+v", got, want)
 	}
 }
+
+// TestEngineStepAllocatesNothing: a steady-state hop — refill walk, EAM
+// evaluation, selection, lattice swap, two invalidation walks — reuses
+// the engine's scratch and allocates nothing.
+func TestEngineStepAllocatesNothing(t *testing.T) {
+	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
+	model := eam.NewFastRegionEvaluator(eam.New(eam.Default()), tb)
+	box := lattice.NewBox(8, 8, 8, units.LatticeConstantFe)
+	lattice.FillRandomAlloy(box, 0.05, 0.004, rng.New(31))
+	e := NewEngine(box, model, units.ReactorTemperature, rng.New(32), Options{})
+	e.RunSteps(10) // first refreshes done, scratch warm
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, ok := e.Step(1e300); !ok {
+			t.Fatal("no event possible")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Engine.Step allocates %v objects per hop, want 0", allocs)
+	}
+}

@@ -136,6 +136,7 @@ type Engine struct {
 	systems []*system
 	slotOf  map[int]int // box site index of a vacancy centre → slot
 	tree    *SumTree
+	nbr     []int // scratch: box site index of centre+CET[i], one walk
 
 	time  float64
 	steps int64
@@ -161,6 +162,7 @@ func NewEngine(box *lattice.Box, model Model, temperatureK float64, r *rng.Strea
 		rnd:    r,
 		opts:   opts,
 		slotOf: make(map[int]int),
+		nbr:    make([]int, tb.NAll),
 		pr:     newProbes(opts.Telemetry),
 	}
 	for _, v := range lattice.Vacancies(box) {
@@ -268,7 +270,11 @@ func (e *Engine) refresh(slot int) {
 	s := e.systems[slot]
 	if !s.filled {
 		sw := e.pr.encode.Start()
-		e.tb.FillVET(s.vet, s.center, e.box.Get)
+		e.box.Neighbourhood(s.center, e.tb.CET, e.nbr)
+		types := e.box.Types()
+		for i, site := range e.nbr {
+			s.vet[i] = types[site]
+		}
 		sw.Stop()
 		s.filled = true
 		e.stats.Refills++
@@ -305,12 +311,21 @@ func (e *Engine) refreshAll() {
 
 // invalidate marks every cached system whose VET covers the changed site,
 // patching the cached entry in place (the vacancy-cache fast path: no
-// lattice array access). skipSlot is the hopper, which is refilled
-// separately.
+// VET is rebuilt). skipSlot is the hopper, which is refilled separately.
+//
+// A system covers the site iff its centre lies at changed+c for some CET
+// offset c (the set is symmetric), and the site then sits at entry
+// Mirror[i] of that system's VET. Every tracked centre is a vacancy on
+// the lattice, so the species byte is read first and the slot map is
+// probed only at the few walked sites that hold one.
 func (e *Engine) invalidate(changed lattice.Vec, newSpecies lattice.Species, skipSlot int) {
-	for _, c := range e.tb.CET {
-		centre := e.box.Wrap(changed.Add(c))
-		slot, ok := e.slotOf[e.box.Index(centre)]
+	e.box.Neighbourhood(changed, e.tb.CET, e.nbr)
+	types := e.box.Types()
+	for i, site := range e.nbr {
+		if types[site] != lattice.Vacancy {
+			continue
+		}
+		slot, ok := e.slotOf[site]
 		if !ok || slot == skipSlot {
 			continue
 		}
@@ -319,13 +334,7 @@ func (e *Engine) invalidate(changed lattice.Vec, newSpecies lattice.Species, ski
 			s.dirty = true
 			continue
 		}
-		// The CET set is symmetric (c ∈ CET ⇔ −c ∈ CET), so the
-		// changed site sits at relative coordinate −c in this system.
-		idx, found := e.tb.IndexOf(lattice.Vec{X: -c.X, Y: -c.Y, Z: -c.Z})
-		if !found {
-			panic("kmc: CET not symmetric")
-		}
-		s.vet[idx] = newSpecies
+		s.vet[e.tb.Mirror[i]] = newSpecies
 		s.dirty = true
 		e.stats.Patches++
 	}

@@ -27,6 +27,19 @@ type Domain struct {
 	nLocal int
 	nAll   int
 	types  []Species
+
+	// Constants of Eq. (4), fixed by origin, size and ghost width and
+	// computed once in NewDomain so Index is a handful of shifts and
+	// multiplications. lo is the low corner of the extended region. A
+	// site's parity is that of any of its coordinates: exRow[p] is the
+	// number of parity-p sites in one x-row of the extended region and
+	// exPlane[p] the number in one z-plane. The local region spans whole
+	// unit cells from an even corner, so both parities have half.X sites
+	// per local row, half.Y rows per local plane.
+	lo      Vec
+	exRow   [2]int
+	exPlane [2]int
+	half    Vec
 }
 
 // NewDomain builds a domain with the given origin, size and ghost width.
@@ -47,15 +60,19 @@ func NewDomain(origin, size Vec, ghost int, a float64) *Domain {
 		panic("lattice: negative ghost width")
 	}
 	d := &Domain{Origin: origin, Size: size, Ghost: ghost, A: a}
+	d.lo = origin.Sub(Vec{ghost, ghost, ghost})
+	hi := origin.Add(size).Add(Vec{ghost, ghost, ghost})
 	d.nLocal = sitesInCuboid(
 		origin.X, origin.X+size.X,
 		origin.Y, origin.Y+size.Y,
 		origin.Z, origin.Z+size.Z)
-	d.nAll = sitesInCuboid(
-		origin.X-ghost, origin.X+size.X+ghost,
-		origin.Y-ghost, origin.Y+size.Y+ghost,
-		origin.Z-ghost, origin.Z+size.Z+ghost)
+	d.nAll = sitesInCuboid(d.lo.X, hi.X, d.lo.Y, hi.Y, d.lo.Z, hi.Z)
 	d.types = make([]Species, d.nAll)
+	d.half = Vec{size.X / 2, size.Y / 2, size.Z / 2}
+	for p := 0; p < 2; p++ {
+		d.exRow[p] = countParity(d.lo.X, hi.X, p)
+		d.exPlane[p] = d.exRow[p] * countParity(d.lo.Y, hi.Y, p)
+	}
 	return d
 }
 
@@ -116,54 +133,14 @@ func sitesInCuboid(xlo, xhi, ylo, yhi, zlo, zhi int) int {
 	return total
 }
 
-// rasterID returns the zero-based traversal ID of site v in the extended
-// region, scanning z-major, then y, then x, visiting valid sites only.
-// This is the "local ID ... by traversing the cell" of Sec. 3.3.
-func (d *Domain) rasterID(v Vec) int {
-	exLo, exHi := d.Origin.X-d.Ghost, d.Origin.X+d.Size.X+d.Ghost
-	eyLo := d.Origin.Y - d.Ghost
-	ezLo := d.Origin.Z - d.Ghost
-	pz := mod2(v.Z)
-	id := sitesInCuboid(exLo, exHi, eyLo, d.Origin.Y+d.Size.Y+d.Ghost, ezLo, v.Z)
-	id += countParity(eyLo, v.Y, pz) * countParity(exLo, exHi, pz)
-	id += countParity(exLo, v.X, pz)
-	return id
-}
-
-// nLocalBefore returns the number of local sites whose raster ID is less
-// than that of v.
-func (d *Domain) nLocalBefore(v Vec) int {
-	lxLo, lxHi := d.Origin.X, d.Origin.X+d.Size.X
-	lyLo, lyHi := d.Origin.Y, d.Origin.Y+d.Size.Y
-	lzLo, lzHi := d.Origin.Z, d.Origin.Z+d.Size.Z
-
-	zCap := v.Z
-	if zCap > lzHi {
-		zCap = lzHi
-	}
-	n := sitesInCuboid(lxLo, lxHi, lyLo, lyHi, lzLo, zCap)
-	if v.Z >= lzLo && v.Z < lzHi {
-		pz := mod2(v.Z)
-		yCap := v.Y
-		if yCap > lyHi {
-			yCap = lyHi
-		}
-		n += countParity(lyLo, yCap, pz) * countParity(lxLo, lxHi, pz)
-		if v.Y >= lyLo && v.Y < lyHi {
-			xCap := v.X
-			if xCap > lxHi {
-				xCap = lxHi
-			}
-			n += countParity(lxLo, xCap, pz)
-		}
-	}
-	return n
-}
+// clamp limits n to [0, hi].
+func clamp(n, hi int) int { return min(max(n, 0), hi) }
 
 // Index returns the storage index of site v per the paper's Eq. (4):
-// local sites occupy [0, NumLocal) in raster order, ghost sites occupy
-// [NumLocal, NumAll) in raster order. It panics if v is outside the
-// extended region or not a valid site.
+// local sites occupy [0, NumLocal) in raster order (z-major, then y,
+// then x, valid sites only — the "local ID ... by traversing the cell" of
+// Sec. 3.3), ghost sites occupy [NumLocal, NumAll) in the same order. It
+// panics if v is outside the extended region or not a valid site.
 func (d *Domain) Index(v Vec) int {
 	if !v.IsSite() {
 		panic(fmt.Sprintf("lattice: %v is not a bcc site", v))
@@ -171,13 +148,29 @@ func (d *Domain) Index(v Vec) int {
 	if !d.Contains(v) {
 		panic(fmt.Sprintf("lattice: %v outside domain extended region", v))
 	}
-	id := d.rasterID(v)
-	nloc := d.nLocalBefore(v)
-	nghost := id - nloc
-	if d.IsLocal(v) {
-		return id - nghost // = nloc
+	// Local sites that precede v in the raster: whole local planes below
+	// v.Z, whole local rows below v.Y in v's plane, and the sites of v's
+	// own row left of it. Same-parity coordinates are two apart, hence
+	// the shifts; the clamps cover v lying before or beyond the local
+	// range on an axis.
+	l := v.Sub(d.Origin)
+	nloc := clamp(l.Z, d.Size.Z) * d.half.Y * d.half.X
+	if uint(l.Z) < uint(d.Size.Z) {
+		nloc += clamp(l.Y>>1, d.half.Y) * d.half.X
+		if uint(l.Y) < uint(d.Size.Y) {
+			if uint(l.X) < uint(d.Size.X) {
+				return nloc + l.X>>1 // v is local: its rank among locals
+			}
+			nloc += clamp(l.X>>1, d.half.X)
+		}
 	}
-	return d.nLocal + nghost
+	// v is a ghost: its raster ID over the extended region, less the
+	// locals before it, counted up from NumLocal.
+	e := v.Sub(d.lo)
+	p := v.Z & 1
+	same := e.Z >> 1 // planes of v's parity below it
+	id := same*d.exPlane[p] + (e.Z-same)*d.exPlane[p^1] + (e.Y>>1)*d.exRow[p] + e.X>>1
+	return d.nLocal + id - nloc
 }
 
 // Get returns the species at global site v (local or ghost).

@@ -74,6 +74,11 @@ func TestDomainIndexMatchesPosID(t *testing.T) {
 		{Vec{16, 8, 24}, Vec{8, 8, 4}, 5},
 		{Vec{-8, 0, -16}, Vec{6, 4, 8}, 4},
 		{Vec{2, 2, 2}, Vec{2, 2, 2}, 1},
+		{Vec{0, 0, 0}, Vec{4, 4, 4}, 0},
+		// A rank's slab as the sublattice layer cuts it: the upper half
+		// of x, full y and z, ghost = CET extent at the standard cutoff.
+		{Vec{12, 0, 0}, Vec{12, 12, 16}, 9},
+		{Vec{32, 0, 0}, Vec{32, 64, 64}, 9},
 	}
 	for _, g := range geoms {
 		d := NewDomain(g.origin, g.size, g.ghost, 2.87)

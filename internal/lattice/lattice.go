@@ -155,18 +155,25 @@ type Box struct {
 // NewBox allocates an all-Fe periodic box. It panics on non-positive
 // dimensions.
 func NewBox(nx, ny, nz int, a float64) *Box {
+	b := NewBoxGeometry(nx, ny, nz, a)
+	b.types = make([]Species, b.NumSites())
+	return b
+}
+
+// NewBoxGeometry returns a box that knows its shape but stores no
+// species: Wrap, Index, SiteAt and Neighbourhood work, anything that
+// reads or writes a site does not. A sublattice rank keeps one beside its
+// Domain for canonical wrapping and indexing of the global lattice it
+// holds only a slab of.
+func NewBoxGeometry(nx, ny, nz int, a float64) *Box {
 	if nx <= 0 || ny <= 0 || nz <= 0 {
 		panic(fmt.Sprintf("lattice: invalid box %dx%dx%d", nx, ny, nz))
 	}
-	return &Box{
-		Nx: nx, Ny: ny, Nz: nz,
-		A:     a,
-		types: make([]Species, 2*nx*ny*nz),
-	}
+	return &Box{Nx: nx, Ny: ny, Nz: nz, A: a}
 }
 
 // NumSites returns the number of lattice sites in the box.
-func (b *Box) NumSites() int { return len(b.types) }
+func (b *Box) NumSites() int { return 2 * b.Nx * b.Ny * b.Nz }
 
 // Wrap maps arbitrary half-unit coordinates into the canonical periodic
 // range [0, 2N) per axis.
@@ -174,10 +181,20 @@ func (b *Box) Wrap(v Vec) Vec {
 	return Vec{wrap(v.X, 2*b.Nx), wrap(v.Y, 2*b.Ny), wrap(v.Z, 2*b.Nz)}
 }
 
+// wrap reduces x into [0, period). Hop targets and neighbourhood sites
+// are never more than one period outside the box, so those are settled
+// by a comparison and an addition; only coordinates further out pay for
+// the division.
 func wrap(x, period int) int {
-	x %= period
 	if x < 0 {
 		x += period
+	} else if x >= period {
+		x -= period
+	}
+	if uint(x) >= uint(period) {
+		if x %= period; x < 0 {
+			x += period
+		}
 	}
 	return x
 }
@@ -189,9 +206,60 @@ func (b *Box) Index(v Vec) int {
 	if !v.IsSite() {
 		panic(fmt.Sprintf("lattice: %v is not a bcc site", v))
 	}
-	p := v.X & 1
-	cx, cy, cz := v.X>>1, v.Y>>1, v.Z>>1
-	return (((cz*b.Ny)+cy)*b.Nx+cx)*2 + p
+	// Cells are stored z-major, the corner site (even parity) before the
+	// body centre: ((cz·Ny + cy)·Nx + cx)·2 + parity, and 2·cx + parity
+	// is v.X itself.
+	return ((v.Z>>1)*b.Ny+(v.Y>>1))*2*b.Nx + v.X
+}
+
+// Neighbourhood writes the storage index of the site at centre+rel[i]
+// into idx[i], for every offset of rel. The centre (any periodic image)
+// is wrapped once; each offset then costs three additions and at most
+// three period corrections — no division, no per-site call. It is how
+// the engines rescan a vacancy system: rel is the CET, idx a scratch
+// buffer of the same length.
+//
+// Every offset must satisfy the bcc parity rule and be no longer than
+// the box period on any axis (kmc.NewEngine's size check guarantees that
+// for a CET). Neighbourhood panics on an offset that breaks parity or
+// lands more than one period outside the box, as Index does for a
+// non-site.
+func (b *Box) Neighbourhood(centre Vec, rel []Vec, idx []int) {
+	if len(idx) != len(rel) {
+		panic("lattice: Neighbourhood index buffer length mismatch")
+	}
+	c := b.Wrap(centre)
+	if !c.IsSite() {
+		panic(fmt.Sprintf("lattice: %v is not a bcc site", centre))
+	}
+	px, py, pz := 2*b.Nx, 2*b.Ny, 2*b.Nz
+	ny, row := b.Ny, 2*b.Nx // a row of cells along x holds 2·Nx sites
+	for i, r := range rel {
+		x, y, z := c.X+r.X, c.Y+r.Y, c.Z+r.Z
+		if x < 0 {
+			x += px
+		} else if x >= px {
+			x -= px
+		}
+		if y < 0 {
+			y += py
+		} else if y >= py {
+			y -= py
+		}
+		if z < 0 {
+			z += pz
+		} else if z >= pz {
+			z -= pz
+		}
+		if uint(x) >= uint(px) || uint(y) >= uint(py) || uint(z) >= uint(pz) || ((x^y)|(y^z))&1 != 0 {
+			b.badOffset(r)
+		}
+		idx[i] = ((z>>1)*ny+(y>>1))*row + x // Index's formula
+	}
+}
+
+func (b *Box) badOffset(r Vec) {
+	panic(fmt.Sprintf("lattice: %v is not a site offset within one period of a %dx%dx%d box", r, b.Nx, b.Ny, b.Nz))
 }
 
 // SiteAt is the inverse of Index: it returns the canonical coordinates of

@@ -151,8 +151,7 @@ func Run(box *lattice.Box, cfg Config, duration float64, factory func() kmc.Mode
 		}
 	}
 
-	out := &Result{Time: duration, Stats: make([]RankStats, nRanks)}
-	out.Box = lattice.NewBox(box.Nx, box.Ny, box.Nz, box.A)
+	out := &Result{Box: lattice.NewBox(box.Nx, box.Ny, box.Nz, box.A), Time: duration, Stats: make([]RankStats, nRanks)}
 	for i, r := range results {
 		out.Stats[i] = r.stats
 		r.dom.ForEachLocal(func(v lattice.Vec, idx int) {
@@ -206,7 +205,9 @@ type rankState struct {
 	dom    *lattice.Domain
 
 	systems []*vsys
-	slotOf  map[int]int // canonical global index → slot
+	slotOf  map[int]int // canonical global index of a tracked centre → slot
+	tracked []uint64    // one bit per global site, set iff slotOf has it
+	nbr     []int       // scratch: global index of site+CET[i], one walk
 
 	changes []SiteChange
 	stats   RankStats
@@ -230,14 +231,16 @@ func newRank(c *mpi.Comm, box *lattice.Box, cfg Config, model kmc.Model) *rankSt
 	dom := lattice.NewDomain(origin, lattice.Vec{X: sx, Y: sy, Z: sz}, tb.MaxExtent, box.A)
 
 	r := &rankState{
-		comm:   c,
-		cfg:    cfg,
-		tb:     tb,
-		model:  model,
-		rnd:    rng.New(cfg.Seed).Split(uint64(rank)),
-		global: lattice.NewBox(box.Nx, box.Ny, box.Nz, box.A), // geometry helper
-		dom:    dom,
-		slotOf: make(map[int]int),
+		comm:    c,
+		cfg:     cfg,
+		tb:      tb,
+		model:   model,
+		rnd:     rng.New(cfg.Seed).Split(uint64(rank)),
+		global:  lattice.NewBoxGeometry(box.Nx, box.Ny, box.Nz, box.A),
+		dom:     dom,
+		slotOf:  make(map[int]int),
+		tracked: make([]uint64, (box.NumSites()+63)/64),
+		nbr:     make([]int, tb.NAll),
 	}
 	if set := cfg.Telemetry; set != nil {
 		seg := set.Trace().PhaseAt(telemetry.PhaseRun, telemetry.PhaseSegment)
@@ -259,24 +262,38 @@ func newRank(c *mpi.Comm, box *lattice.Box, cfg Config, model kmc.Model) *rankSt
 	return r
 }
 
+// track and untrack keep slotOf and its tracked bitmap in step.
+func (r *rankState) track(center lattice.Vec, slot int) {
+	site := r.global.Index(center)
+	r.slotOf[site] = slot
+	r.tracked[site>>6] |= 1 << (site & 63)
+}
+
+func (r *rankState) untrack(center lattice.Vec) {
+	site := r.global.Index(center)
+	delete(r.slotOf, site)
+	r.tracked[site>>6] &^= 1 << (site & 63)
+}
+
 func (r *rankState) addSystem(center lattice.Vec) {
 	r.systems = append(r.systems, &vsys{center: center, vet: r.tb.NewVET(), dirty: true})
-	r.slotOf[r.global.Index(center)] = len(r.systems) - 1
+	r.track(center, len(r.systems)-1)
 }
 
 func (r *rankState) removeSystem(slot int) {
 	last := len(r.systems) - 1
-	delete(r.slotOf, r.global.Index(r.systems[slot].center))
+	r.untrack(r.systems[slot].center)
 	if slot != last {
 		r.systems[slot] = r.systems[last]
-		r.slotOf[r.global.Index(r.systems[slot].center)] = slot
+		r.track(r.systems[slot].center, slot)
 	}
 	r.systems = r.systems[:last]
 }
 
 // setAll updates every periodic image of the canonical site within the
-// extended region (an undivided axis can hold two images of one site).
-func (r *rankState) setAll(canon lattice.Vec, s lattice.Species) {
+// extended region (an undivided axis can hold two images of one site)
+// and reports whether there was one.
+func (r *rankState) setAll(canon lattice.Vec, s lattice.Species) (found bool) {
 	period := lattice.Vec{X: 2 * r.global.Nx, Y: 2 * r.global.Ny, Z: 2 * r.global.Nz}
 	for dx := -1; dx <= 1; dx++ {
 		for dy := -1; dy <= 1; dy++ {
@@ -284,33 +301,32 @@ func (r *rankState) setAll(canon lattice.Vec, s lattice.Species) {
 				v := lattice.Vec{X: canon.X + dx*period.X, Y: canon.Y + dy*period.Y, Z: canon.Z + dz*period.Z}
 				if r.dom.Contains(v) {
 					r.dom.Set(v, s)
+					found = true
 				}
 			}
 		}
 	}
+	return found
 }
 
-// patchSystems updates cached VETs that cover the changed canonical site,
-// mirroring the serial engine's vacancy-cache invalidation. skipSlot
-// excludes the hopper (refilled instead).
+// patchSystems updates cached VETs that cover the changed canonical site:
+// kmc.Engine.invalidate over the same division-free walk and mirror
+// table. A rank holds no canonical species array to read first; the
+// tracked bitmap stands in for it, so the slot map is probed only at
+// centres. skipSlot excludes the hopper (refilled instead).
 func (r *rankState) patchSystems(canon lattice.Vec, s lattice.Species, skipSlot int) {
-	for _, c := range r.tb.CET {
-		centre := r.global.Wrap(canon.Add(c))
-		slot, ok := r.slotOf[r.global.Index(centre)]
-		if !ok || slot == skipSlot {
+	r.global.Neighbourhood(canon, r.tb.CET, r.nbr)
+	for i, site := range r.nbr {
+		if r.tracked[site>>6]&(1<<(site&63)) == 0 {
 			continue
 		}
-		sys := r.systems[slot]
-		if !sys.filled {
+		if slot := r.slotOf[site]; slot != skipSlot {
+			sys := r.systems[slot]
+			if sys.filled {
+				sys.vet[r.tb.Mirror[i]] = s
+			}
 			sys.dirty = true
-			continue
 		}
-		idx, found := r.tb.IndexOf(lattice.Vec{X: -c.X, Y: -c.Y, Z: -c.Z})
-		if !found {
-			panic("sublattice: CET not symmetric")
-		}
-		sys.vet[idx] = s
-		sys.dirty = true
 	}
 }
 
@@ -414,20 +430,19 @@ func (r *rankState) executeHop(slot int, k int) {
 	r.stats.Hops++
 	r.hopCtr.Inc()
 
+	// Other cached systems see two occupancy changes.
+	r.patchSystems(from, mover, slot)
+	r.patchSystems(toCanon, lattice.Vacancy, slot)
 	if r.dom.IsLocal(toCanon) {
 		// Stays ours: move the system.
-		delete(r.slotOf, r.global.Index(from))
-		r.slotOf[r.global.Index(toCanon)] = slot
+		r.untrack(from)
+		r.track(toCanon, slot)
 		sys.center = toCanon
 		sys.filled = false
 		sys.dirty = true
-		r.patchSystems(from, mover, slot)
-		r.patchSystems(toCanon, lattice.Vacancy, slot)
 	} else {
 		// Emigrated into a neighbour's territory: drop local ownership;
 		// the neighbour adopts it when the change arrives.
-		r.patchSystems(from, mover, slot)
-		r.patchSystems(toCanon, lattice.Vacancy, slot)
 		r.removeSystem(slot)
 	}
 }
@@ -461,28 +476,12 @@ func (r *rankState) exchange() error {
 
 func (r *rankState) apply(ch SiteChange) {
 	canon := ch.Site
-	// Does any image fall in our extended region?
-	inRegion := false
-	period := lattice.Vec{X: 2 * r.global.Nx, Y: 2 * r.global.Ny, Z: 2 * r.global.Nz}
-	for dx := -1; dx <= 1 && !inRegion; dx++ {
-		for dy := -1; dy <= 1 && !inRegion; dy++ {
-			for dz := -1; dz <= 1 && !inRegion; dz++ {
-				v := lattice.Vec{X: canon.X + dx*period.X, Y: canon.Y + dy*period.Y, Z: canon.Z + dz*period.Z}
-				if r.dom.Contains(v) {
-					inRegion = true
-				}
-			}
-		}
-	}
-	if !inRegion {
-		return
-	}
 	if r.dom.IsLocal(canon) {
 		old := r.dom.Get(canon)
 		if old == ch.New {
 			return
 		}
-		if old == lattice.Vacancy && ch.New != lattice.Vacancy {
+		if old == lattice.Vacancy {
 			// A vacancy we owned was consumed remotely — cannot happen
 			// under the sector discipline for owned interiors, but a
 			// just-adopted vacancy may be re-announced; drop ownership.
@@ -494,8 +493,8 @@ func (r *rankState) apply(ch SiteChange) {
 		if ch.New == lattice.Vacancy {
 			r.addSystem(canon)
 		}
-	} else {
-		r.setAll(canon, ch.New)
+	} else if !r.setAll(canon, ch.New) {
+		return // no image of the site falls in our extended region
 	}
 	r.patchSystems(canon, ch.New, -1)
 }
