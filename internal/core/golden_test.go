@@ -5,10 +5,31 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+
+	"tensorkmc/internal/feature"
+	"tensorkmc/internal/nnp"
+	"tensorkmc/internal/rng"
+	"tensorkmc/internal/units"
 )
 
+// goldenNNP is the potential of the NNP golden cases: seeded heads (no
+// file dependency) with non-trivial normalisation and reference energies,
+// so every term of the per-atom energy takes part in the pinned bytes.
+func goldenNNP() *nnp.Potential {
+	desc := feature.Standard(units.CutoffStandard)
+	pot := nnp.NewPotential(desc, []int{desc.Dim(), 16, 8, 1}, rng.New(9))
+	pot.ERef = [2]float64{-4.013, -3.54}
+	pot.FeatMean = make([]float64, desc.Dim())
+	pot.FeatStd = make([]float64, desc.Dim())
+	for c := range pot.FeatMean {
+		pot.FeatMean[c] = 0.25 + 0.03125*float64(c%7)
+		pot.FeatStd[c] = 1.5 + 0.0625*float64(c%5)
+	}
+	return pot
+}
+
 // TestGoldenTrajectories pins the SHA-256 of the final TKMCBOX2 image of
-// three small EAM runs as literals. Every other byte-identity test in
+// small EAM and NNP runs as literals. Every other byte-identity test in
 // the repository compares the code with itself (cache on vs off, restart
 // vs straight-through); these compare it with the bytes an earlier
 // commit produced, so a hot-path refactor that moves one RNG draw, slot
@@ -54,6 +75,41 @@ func TestGoldenTrajectories(t *testing.T) {
 			hops:     goldenHopsRanks,
 			sha:      goldenSHARanks,
 		},
+		{
+			// NNP on the direct path, one vacancy: nine region energies
+			// per hop straight from nnp.Potential.HopEnergies.
+			name:     "nnp_one_vacancy",
+			cfg:      Config{Cells: [3]int{8, 8, 8}, CuFraction: 0.0134, VacancyFraction: 0.001, Temperature: 1000, Seed: 14, Potential: NNP, Net: goldenNNP()},
+			duration: goldenNNPDurationOneVacancy,
+			hops:     goldenHopsNNPOneVacancy,
+			sha:      goldenSHANNPOneVacancy,
+		},
+		{
+			// Cu-rich, 21 vacancies in the 5×6×7 box at 1000 K: VETs wrap,
+			// vacancies meet (closed hop directions, vacancies inside each
+			// other's regions and outer shells), Cu and Fe both move.
+			name:     "nnp_cu_rich_wrapped",
+			cfg:      Config{Cells: [3]int{5, 6, 7}, CuFraction: 0.2, VacancyFraction: 0.05, Temperature: 1000, Seed: 15, Potential: NNP, Net: goldenNNP()},
+			duration: goldenNNPDurationCuRich,
+			hops:     goldenHopsNNPCuRich,
+			sha:      goldenSHANNPCuRich,
+		},
+		{
+			// The same deck through evalserve.Server + FusionBackend: the
+			// literal is the direct one's, by the service's contract.
+			name:     "nnp_cu_rich_wrapped_cached",
+			cfg:      Config{Cells: [3]int{5, 6, 7}, CuFraction: 0.2, VacancyFraction: 0.05, Temperature: 1000, Seed: 15, Potential: NNP, Net: goldenNNP(), EvalCache: 1 << 12},
+			duration: goldenNNPDurationCuRich,
+			hops:     goldenHopsNNPCuRich,
+			sha:      goldenSHANNPCuRich,
+		},
+		{
+			name:     "nnp_ranks_2_1_1",
+			cfg:      Config{Cells: [3]int{12, 6, 8}, CuFraction: 0.05, VacancyFraction: 0.01, Temperature: 1000, Seed: 16, Ranks: [3]int{2, 1, 1}, TStop: 1e-10, Potential: NNP, Net: goldenNNP()},
+			duration: goldenNNPDurationRanks,
+			hops:     goldenHopsNNPRanks,
+			sha:      goldenSHANNPRanks,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,4 +147,18 @@ const (
 	goldenSHACuRich      = "62113e205b726c192c48a38670a1bba294b93c3e3deb30f75c8cb050288aaf2d"
 	goldenHopsRanks      = 384
 	goldenSHARanks       = "a33b3aa1bb309f9b5194cabfa0e21460ff24481e11c533f2512b885a85bc2340"
+)
+
+// Recorded at commit 1874b19 (the parent of the incremental hop kernel;
+// nine full RegionEnergy passes per vacancy system), go1.24 linux/amd64.
+const (
+	goldenNNPDurationOneVacancy = 3e-8
+	goldenHopsNNPOneVacancy     = 495
+	goldenSHANNPOneVacancy      = "31bf693d1d8aad0a64836ad9eeb6ddd3c108aab2f63dfc938984c71d634afdde"
+	goldenNNPDurationCuRich     = 3e-10
+	goldenHopsNNPCuRich         = 87
+	goldenSHANNPCuRich          = "46e24551cb79f83b179fba87d1101dcba34665d9374fe0a144b6b2e511166144"
+	goldenNNPDurationRanks      = 2e-9
+	goldenHopsNNPRanks          = 189
+	goldenSHANNPRanks           = "9833c0e84668590a8a64b484079868be4996a6e33c06d76212dff10e7a98dc5c"
 )

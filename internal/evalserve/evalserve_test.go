@@ -1,6 +1,8 @@
 package evalserve
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -141,6 +143,79 @@ func TestFusionBackendF32Deterministic(t *testing.T) {
 		if diff > 1e-4*(1+scale) {
 			t.Fatalf("f32 drifted too far from f64: %v vs %v", a[i].Initial, f64[i].Initial)
 		}
+	}
+}
+
+// TestFusionBackendF32Golden pins the f32 path's output bits as a literal.
+// F32 has no oracle to be bit-equal to (it is only close to f64), so the
+// bytes an earlier commit produced are the reference: an FNV-1a hash over
+// math.Float64bits of Initial/Final and the Valid flags of ten
+// multi-vacancy environments (Cu 20 %, 3 % vacancies: closed directions,
+// vacancies inside regions and outer shells, Cu and Fe movers) evaluated
+// as one batch, then the same ten one per call. Normalisation constants
+// and reference energies are non-trivial so every term is in the hash.
+func TestFusionBackendF32Golden(t *testing.T) {
+	pot, tb := smallPotential(21)
+	pot.ERef = [2]float64{-4.013, -3.54}
+	pot.FeatMean = make([]float64, pot.Desc.Dim())
+	pot.FeatStd = make([]float64, pot.Desc.Dim())
+	for c := range pot.FeatMean {
+		pot.FeatMean[c] = 0.25 + 0.03125*float64(c%7)
+		pot.FeatStd[c] = 1.5 + 0.0625*float64(c%5)
+	}
+	box := lattice.NewBox(10, 10, 10, units.LatticeConstantFe)
+	lattice.FillRandomAlloy(box, 0.2, 0.03, rng.New(22))
+	var vets []encoding.VET
+	closedDirs := 0
+	for i := 0; i < box.NumSites() && len(vets) < 10; i++ {
+		if box.GetIndex(i) != lattice.Vacancy {
+			continue
+		}
+		vet := tb.NewVET()
+		tb.FillVET(vet, box.SiteAt(i), box.Get)
+		for k := 0; k < 8; k++ {
+			if !vet[tb.NN1Index[k]].IsAtom() {
+				closedDirs++
+			}
+		}
+		vets = append(vets, vet)
+	}
+	if len(vets) != 10 || closedDirs == 0 {
+		t.Fatalf("corpus has %d environments and %d closed directions; want 10 and some", len(vets), closedDirs)
+	}
+
+	fb := NewFusionBackend(pot, tb, F32)
+	h := fnv.New64a()
+	add := func(r Result) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(r.Initial))
+		h.Write(b[:])
+		for k := 0; k < 8; k++ {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(r.Final[k]))
+			h.Write(b[:])
+			if r.Valid[k] {
+				h.Write([]byte{1})
+			} else {
+				h.Write([]byte{0})
+			}
+		}
+	}
+	batched := fb.EvaluateBatch(vets)
+	for _, r := range batched {
+		add(r)
+	}
+	for i := range vets {
+		alone := fb.EvaluateBatch(vets[i : i+1])[0]
+		if alone != batched[i] {
+			t.Errorf("environment %d: f32 alone %+v != batched %+v", i, alone, batched[i])
+		}
+		add(alone)
+	}
+	// Recorded at commit 1874b19 (materialised per-element matrices,
+	// fusion.RunBigFusionWideF32), go1.24 linux/amd64.
+	const golden = uint64(0x734c639280599f09)
+	if got := h.Sum64(); got != golden {
+		t.Errorf("f32 result hash = %#x, golden %#x", got, golden)
 	}
 }
 
