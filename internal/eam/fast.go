@@ -1,8 +1,6 @@
 package eam
 
 import (
-	"math"
-
 	"tensorkmc/internal/encoding"
 	"tensorkmc/internal/lattice"
 )
@@ -23,58 +21,18 @@ import (
 // compares them.
 type FastRegionEvaluator struct {
 	*RegionEvaluator
-	// affected[k] lists, for final state k, the region sites whose
-	// energy changes (excluding the vacancy origin and the hop target,
-	// which are handled specially), with the quantised distances to the
-	// origin and to the target (-1 if beyond cutoff).
-	affected [8][]affectedSite
 	// scratch
 	ev, er []float64
-}
-
-type affectedSite struct {
-	j       int32
-	distTo0 int16 // distance index site↔origin, -1 if out of range
-	distToK int16 // distance index site↔hop target, -1 if out of range
 }
 
 // NewFastRegionEvaluator builds the incremental evaluator on top of the
 // exact one.
 func NewFastRegionEvaluator(p *Potential, tb *encoding.Tables) *FastRegionEvaluator {
-	f := &FastRegionEvaluator{
+	return &FastRegionEvaluator{
 		RegionEvaluator: NewRegionEvaluator(p, tb),
 		ev:              make([]float64, tb.NRegion),
 		er:              make([]float64, tb.NRegion),
 	}
-	// Quantised-distance lookup by squared half-unit length.
-	distIdx := map[int]int16{}
-	for i, r := range tb.Distances {
-		h := 2 * r / tb.A
-		distIdx[int(math.Round(h*h))] = int16(i)
-	}
-	n2Max := tb.Norm2Max
-	for k := 0; k < 8; k++ {
-		target := lattice.NN1[k]
-		targetIdx := int(tb.NN1Index[k])
-		for j := 0; j < tb.NRegion; j++ {
-			if j == 0 || j == targetIdx {
-				continue
-			}
-			v := tb.CET[j]
-			d0 := int16(-1)
-			if n2 := v.Norm2(); n2 <= n2Max {
-				d0 = distIdx[n2]
-			}
-			dk := int16(-1)
-			if n2 := v.Sub(target).Norm2(); n2 <= n2Max {
-				dk = distIdx[n2]
-			}
-			if d0 >= 0 || dk >= 0 {
-				f.affected[k] = append(f.affected[k], affectedSite{j: int32(j), distTo0: d0, distToK: dk})
-			}
-		}
-	}
-	return f
 }
 
 // HopEnergies implements kmc.Model incrementally.
@@ -100,27 +58,31 @@ func (f *FastRegionEvaluator) HopEnergies(vet encoding.VET) (initial float64, fi
 		valid[k] = true
 		e := initial
 		base := int(mover) * nd
-		for _, a := range f.affected[k] {
-			s := vet[a.j]
+		// Tables.HopSites[k] holds the region sites (origin and target
+		// apart, handled below) that see the swapped pair in different
+		// shells; every other site's pair and density terms cancel
+		// exactly.
+		for _, a := range tb.HopSites[k] {
+			s := vet[a.Site]
 			if !s.IsAtom() {
 				continue
 			}
 			dEV, dER := 0.0, 0.0
 			sBase := int(s) * lattice.NumElements * nd
-			if a.distTo0 >= 0 {
+			if a.ShellOrigin >= 0 {
 				// The origin gains the mover atom.
-				dEV += f.pairTab[sBase+base+int(a.distTo0)]
-				dER += f.densTab[base+int(a.distTo0)]
+				dEV += f.pairTab[sBase+base+int(a.ShellOrigin)]
+				dER += f.densTab[base+int(a.ShellOrigin)]
 			}
-			if a.distToK >= 0 {
+			if a.ShellTarget >= 0 {
 				// The target loses it.
-				dEV -= f.pairTab[sBase+base+int(a.distToK)]
-				dER -= f.densTab[base+int(a.distToK)]
+				dEV -= f.pairTab[sBase+base+int(a.ShellTarget)]
+				dER -= f.densTab[base+int(a.ShellTarget)]
 			}
 			if dEV == 0 && dER == 0 {
 				continue
 			}
-			e += 0.5*dEV + f.Pot.Embed(f.er[a.j]+dER) - f.Pot.Embed(f.er[a.j])
+			e += 0.5*dEV + f.Pot.Embed(f.er[a.Site]+dER) - f.Pot.Embed(f.er[a.Site])
 		}
 		// The mover itself: its old energy (at the target site) is
 		// replaced by its energy at the origin, whose neighbourhood is

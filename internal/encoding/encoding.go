@@ -38,6 +38,18 @@ type Neighbor struct {
 	DistIndex uint16
 }
 
+// HopSite is one entry of Tables.HopSites: a region site whose neighbour
+// tally changes under a hop, with the distance shells (indices into
+// Tables.Distances, −1 beyond the cutoff) at which it sees the origin and
+// the hop target. The hop moves one atom from the target to the origin, so
+// the site gains a neighbour of the mover's element in shell ShellOrigin
+// and loses one in shell ShellTarget.
+type HopSite struct {
+	Site        int32
+	ShellOrigin int16
+	ShellTarget int16
+}
+
 // Tables bundles the shared CET and NET tables for one (a, r_cut) pair.
 type Tables struct {
 	// A is the lattice constant (Å); Rcut the cutoff radius (Å);
@@ -80,6 +92,16 @@ type Tables struct {
 	// from a changed site sees that site at entry Mirror[i] of its own
 	// VET — what the vacancy-cache patch needs, without a map lookup.
 	Mirror []int32
+
+	// HopSites[k] lists, site-ascending, the region sites other than the
+	// origin and the target of hop direction k whose shell to the origin
+	// differs from their shell to the target (142 of 253 at 6.5 Å). Every
+	// other region site sees the swapped pair at equal distances — or not
+	// at all — so its per-(element, shell) neighbour counts, and with them
+	// its features and energy, are the same before and after the hop. Both
+	// incremental evaluators (eam.FastRegionEvaluator, nnp.Potential.
+	// HopEnergies) walk this table.
+	HopSites [8][]HopSite
 
 	index map[lattice.Vec]int32
 }
@@ -183,6 +205,24 @@ func New(a, rcut float64) *Tables {
 			t.NET = append(t.NET, Neighbor{ID: id, DistIndex: distIdx[off.Norm2()]})
 		}
 	}
+
+	shell := func(n2 int) int16 {
+		if i, ok := distIdx[n2]; ok {
+			return int16(i)
+		}
+		return -1
+	}
+	for k, target := range lattice.NN1 {
+		for j := 1; j < t.NRegion; j++ {
+			v := t.CET[j]
+			if v == target {
+				continue
+			}
+			if so, st := shell(v.Norm2()), shell(v.Sub(target).Norm2()); so != st {
+				t.HopSites[k] = append(t.HopSites[k], HopSite{Site: int32(j), ShellOrigin: so, ShellTarget: st})
+			}
+		}
+	}
 	return t
 }
 
@@ -248,8 +288,13 @@ func (t *Tables) ApplyHop(vet VET, k int) {
 	vet[0], vet[j] = vet[j], vet[0]
 }
 
-// MemoryBytes reports the shared-table footprint (CET + NET + distances + mirror):
-// the memory every process pays once, regardless of simulation size.
+// MemoryBytes reports the shared-table footprint (CET + NET + distances +
+// mirror + hop sites): the memory every process pays once, regardless of
+// simulation size.
 func (t *Tables) MemoryBytes() int {
-	return len(t.CET)*3*8 + len(t.NET)*6 + len(t.Distances)*8 + len(t.Mirror)*4
+	n := len(t.CET)*3*8 + len(t.NET)*6 + len(t.Distances)*8 + len(t.Mirror)*4
+	for _, hs := range t.HopSites {
+		n += len(hs) * 8
+	}
+	return n
 }

@@ -240,6 +240,61 @@ func TestMirror(t *testing.T) {
 	}
 }
 
+// TestHopSites checks the hop-site table against brute-force CET
+// distances: every listed site carries the shells of its real distances to
+// the origin and to the hop target, every unlisted region site is the
+// origin, the target, or sees both at the same shell (or neither), and at
+// the paper's (2.87, 6.5) each direction lists 142 of the 253 sites.
+func TestHopSites(t *testing.T) {
+	for _, tb := range []*Tables{stdTables(t), New(units.LatticeConstantFe, units.CutoffShort)} {
+		// Brute-force shell of a separation: the index of its length in
+		// Distances, −1 beyond the cutoff.
+		shell := func(d lattice.Vec) int16 {
+			r := 0.5 * tb.A * math.Sqrt(float64(d.Norm2()))
+			if r > tb.Rcut {
+				return -1
+			}
+			for i, x := range tb.Distances {
+				if math.Abs(x-r) < 1e-9 {
+					return int16(i)
+				}
+			}
+			t.Fatalf("distance %v of separation %v is within the cutoff but not tabulated", r, d)
+			return -1
+		}
+		for k, target := range lattice.NN1 {
+			listed := map[int32]bool{}
+			prev := int32(0)
+			for _, h := range tb.HopSites[k] {
+				if h.Site <= prev || int(h.Site) >= tb.NRegion || h.Site == tb.NN1Index[k] {
+					t.Fatalf("direction %d: entry %+v is out of order, outside the region or the target", k, h)
+				}
+				prev = h.Site
+				listed[h.Site] = true
+				v := tb.CET[h.Site]
+				if so, st := shell(v), shell(v.Sub(target)); h.ShellOrigin != so || h.ShellTarget != st {
+					t.Fatalf("direction %d site %d: shells (%d, %d), brute force (%d, %d)", k, h.Site, h.ShellOrigin, h.ShellTarget, so, st)
+				}
+				if h.ShellOrigin == h.ShellTarget {
+					t.Fatalf("direction %d site %d listed with equal shells %d", k, h.Site, h.ShellOrigin)
+				}
+			}
+			for j := 1; j < tb.NRegion; j++ {
+				if listed[int32(j)] || int32(j) == tb.NN1Index[k] {
+					continue
+				}
+				v := tb.CET[j]
+				if so, st := shell(v), shell(v.Sub(target)); so != st {
+					t.Fatalf("direction %d: site %d has shells (%d, %d) but is not listed", k, j, so, st)
+				}
+			}
+			if tb.Rcut == units.CutoffStandard && len(tb.HopSites[k]) != 142 {
+				t.Fatalf("direction %d lists %d sites, want 142 at 6.5 Å", k, len(tb.HopSites[k]))
+			}
+		}
+	}
+}
+
 func TestMaxExtent(t *testing.T) {
 	tb := stdTables(t)
 	// Region reaches 1 + √20 ≈ 5.47 → 5-ish; outer shell adds another

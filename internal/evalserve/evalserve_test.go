@@ -2,6 +2,7 @@ package evalserve
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"math"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"tensorkmc/internal/eam"
 	"tensorkmc/internal/encoding"
+	"tensorkmc/internal/fault"
 	"tensorkmc/internal/feature"
 	"tensorkmc/internal/kmc"
 	"tensorkmc/internal/lattice"
@@ -111,9 +113,33 @@ func TestFusionBackendBitIdentical(t *testing.T) {
 			}
 		}
 	}
+	// Concurrent callers (the server's worker pool) share the scratch
+	// pool; every call must still see the direct evaluator's bits.
+	want := fb.EvaluateBatch(vets)
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			got := fb.EvaluateBatch(vets[c:])
+			for i := range got {
+				if got[i] != want[c+i] {
+					t.Errorf("concurrent caller %d: system %d diverged", c, c+i)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
 	st := fb.Stats()
-	if st.Batches == 0 || st.Rows == 0 || st.ModeledSeconds <= 0 {
+	if st.Batches == 0 || st.Systems == 0 || st.Rows == 0 {
 		t.Fatalf("fusion stats not accumulated: %+v", st)
+	}
+	// One vacancy per environment, eight open directions: every system
+	// forwards the same rows, fewer than nine full region passes.
+	perSystem := int64(tb.NRegion - 1 + 8*(len(tb.HopSites[0])+1))
+	if st.Rows != st.Systems*perSystem || perSystem >= int64(9*(tb.NRegion-1)) {
+		t.Fatalf("%d rows for %d systems, want %d each (nine passes: %d)", st.Rows, st.Systems, perSystem, 9*(tb.NRegion-1))
 	}
 }
 
@@ -216,6 +242,34 @@ func TestFusionBackendF32Golden(t *testing.T) {
 	const golden = uint64(0x734c639280599f09)
 	if got := h.Sum64(); got != golden {
 		t.Errorf("f32 result hash = %#x, golden %#x", got, golden)
+	}
+}
+
+// TestFusionBackendCorruptionReachesCaller: the kernel's tripwire fires on
+// whichever pool goroutine evaluates the poisoned system; the batch must
+// still fail on the caller's goroutine, as a *fault.CorruptionError the
+// server can turn into its submitters' error — not crash the process.
+func TestFusionBackendCorruptionReachesCaller(t *testing.T) {
+	pot, tb := smallPotential(15)
+	pot.Nets[lattice.Fe].Layers[0].B[0] = math.NaN()
+	vets := sampleVETs(t, tb, 6, 16)
+	for _, workers := range []int{1, 3} {
+		fb := NewFusionBackend(pot, tb, F64)
+		fb.SetWorkers(workers)
+		func() {
+			defer func() {
+				if _, ok := recover().(*fault.CorruptionError); !ok {
+					t.Errorf("workers=%d: EvaluateBatch over a NaN head did not panic with *fault.CorruptionError", workers)
+				}
+			}()
+			fb.EvaluateBatch(vets)
+		}()
+		srv := New(fb, Options{Capacity: 16})
+		var ce *fault.CorruptionError
+		if _, err := srv.Evaluate(vets[0]); !errors.As(err, &ce) {
+			t.Errorf("workers=%d: served evaluation returned %v, want a corruption error", workers, err)
+		}
+		srv.Close()
 	}
 }
 

@@ -131,57 +131,19 @@ func (t *Table) MemoryBytes() int { return 8 * len(t.vals) }
 // system into out (length Dim), given the shared tables and the system's
 // VET. Vacancy neighbours contribute nothing; out is fully overwritten.
 //
-// Evaluation order (part of the determinism contract): neighbours are
-// first tallied into per-(element, distance-shell) occupancy counts, then
-// each occupied shell contributes count·TABLE[shell] to its element's
-// channel block, shells ascending — the weighted-TABLE form of Eq. (6).
-// The order is fixed, so every caller (serial evaluator, fused batcher,
-// CPE feature operator) produces bit-identical rows for the same VET.
-// Grouping by shell costs O(occupied shells) table passes per site
-// instead of O(neighbours) — on the bcc lattice roughly a 5× reduction.
+// Neighbours are first tallied into per-(element, distance-shell)
+// occupancy counts; RowFromCounts turns the tally into the row and owns
+// the evaluation order.
 func ComputeSite(tb *encoding.Tables, tab *Table, vet encoding.VET, i int, out []float64) {
-	d := tab.desc
-	nd := d.NDim()
-	if d.NEl <= maxSiteElems && tab.nDist <= maxSiteShells && len(out) <= len(computeSiteBuf{}) {
-		var cnt [maxSiteElems * maxSiteShells]uint16
-		nDist := tab.nDist
-		for _, nb := range tb.Neighbors(i) {
-			s := vet[nb.ID]
-			if !s.IsAtom() {
-				continue
-			}
-			cnt[int(s)*nDist+int(nb.DistIndex)]++
-		}
-		var buf computeSiteBuf
-		b := buf[:len(out)]
-		for s := 0; s < d.NEl; s++ {
-			dst := b[s*nd : s*nd+nd]
-			for dist := 0; dist < nDist; dist++ {
-				c := cnt[s*nDist+dist]
-				if c == 0 {
-					continue
-				}
-				f := float64(c)
-				row := tab.vals[dist*nd : (dist+1)*nd]
-				x := dst[:len(row)]
-				j := 0
-				for ; j+4 <= len(row); j += 4 {
-					x[j] += f * row[j]
-					x[j+1] += f * row[j+1]
-					x[j+2] += f * row[j+2]
-					x[j+3] += f * row[j+3]
-				}
-				for ; j < len(row); j++ {
-					x[j] += f * row[j]
-				}
-			}
-		}
-		copy(out, b)
-		return
+	// The production encoding (2 elements, 8 shells) tallies on the
+	// stack; oversize descriptors fall back to the heap.
+	var stack [256]uint16
+	cnt := stack[:]
+	if n := tab.desc.NEl * tab.nDist; n <= len(stack) {
+		cnt = cnt[:n]
+	} else {
+		cnt = make([]uint16, n)
 	}
-	// General fallback (oversize descriptors): same shell-grouped order,
-	// heap-allocated tallies.
-	cnt := make([]uint16, d.NEl*tab.nDist)
 	for _, nb := range tb.Neighbors(i) {
 		s := vet[nb.ID]
 		if !s.IsAtom() {
@@ -189,35 +151,50 @@ func ComputeSite(tb *encoding.Tables, tab *Table, vet encoding.VET, i int, out [
 		}
 		cnt[int(s)*tab.nDist+int(nb.DistIndex)]++
 	}
+	tab.RowFromCounts(cnt, out)
+}
+
+// RowFromCounts writes the feature row (length Dim) of a site whose
+// neighbour tally is cnt: cnt[el·nDist+shell] atoms of element el in
+// distance shell `shell`, nDist being the number of tabulated distances.
+// out is fully overwritten.
+//
+// Evaluation order (part of the determinism contract): each occupied
+// shell contributes count·TABLE[shell] to its element's channel block,
+// shells ascending — the weighted-TABLE form of Eq. (6). The counts are
+// integers, so every caller that arrives at the same tally — by walking
+// the neighbour list (ComputeSite) or by adjusting a kept tally for one
+// moved atom (nnp.Potential.HopEnergies) — produces a bit-identical row.
+// Grouping by shell costs O(occupied shells) table passes per site
+// instead of O(neighbours) — on the bcc lattice roughly a 5× reduction.
+func (t *Table) RowFromCounts(cnt []uint16, out []float64) {
+	nd := t.desc.NDim()
 	for k := range out {
 		out[k] = 0
 	}
-	for s := 0; s < d.NEl; s++ {
+	for s := 0; s < t.desc.NEl; s++ {
 		dst := out[s*nd : s*nd+nd]
-		for dist := 0; dist < tab.nDist; dist++ {
-			c := cnt[s*tab.nDist+dist]
+		for dist := 0; dist < t.nDist; dist++ {
+			c := cnt[s*t.nDist+dist]
 			if c == 0 {
 				continue
 			}
 			f := float64(c)
-			row := tab.Row(dist)
-			for j, v := range row {
-				dst[j] += f * v
+			row := t.vals[dist*nd : (dist+1)*nd]
+			x := dst[:len(row)]
+			j := 0
+			for ; j+4 <= len(row); j += 4 {
+				x[j] += f * row[j]
+				x[j+1] += f * row[j+1]
+				x[j+2] += f * row[j+2]
+				x[j+3] += f * row[j+3]
+			}
+			for ; j < len(row); j++ {
+				x[j] += f * row[j]
 			}
 		}
 	}
 }
-
-// computeSiteBuf is the on-stack accumulator of ComputeSite's fast path;
-// it covers the production descriptor (64 channels) with headroom.
-type computeSiteBuf [128]float64
-
-// Fast-path tally bounds: the production encoding has 2 elements and a
-// few tens of distance shells.
-const (
-	maxSiteElems  = 4
-	maxSiteShells = 64
-)
 
 // ComputeRegion evaluates features for every region site of a vacancy
 // system. out must have length NRegion × Dim; it is fully overwritten.

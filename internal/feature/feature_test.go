@@ -147,6 +147,64 @@ func TestComputeSiteMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestRowFromCountsMatchesComputeSite: a tally laid out as documented
+// (cnt[element·nDist+shell]) gives ComputeSite's row bit for bit, and so
+// does a kept tally adjusted by ±1 for a hop — the property the
+// incremental hop kernel stands on.
+func TestRowFromCountsMatchesComputeSite(t *testing.T) {
+	tb, tab, vet := regionSetup(t, 10)
+	d := tab.Desc()
+	nDist := len(tb.Distances)
+	tally := func(i int) []uint16 {
+		cnt := make([]uint16, d.NEl*nDist)
+		for _, nb := range tb.Neighbors(i) {
+			if s := vet[nb.ID]; s.IsAtom() {
+				cnt[int(s)*nDist+int(nb.DistIndex)]++
+			}
+		}
+		return cnt
+	}
+	want := make([]float64, d.Dim())
+	got := make([]float64, d.Dim())
+	same := func(what string, i int) {
+		t.Helper()
+		for c := range want {
+			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+				t.Fatalf("%s, site %d channel %d: from counts %v, ComputeSite %v", what, i, c, got[c], want[c])
+			}
+		}
+	}
+	for i := 0; i < tb.NRegion; i++ {
+		ComputeSite(tb, tab, vet, i, want)
+		tab.RowFromCounts(tally(i), got)
+		same("initial state", i)
+	}
+	for k := range tb.HopSites {
+		mover := vet[tb.NN1Index[k]]
+		if !mover.IsAtom() {
+			continue
+		}
+		before := make([][]uint16, tb.NRegion)
+		for _, h := range tb.HopSites[k] {
+			before[h.Site] = tally(int(h.Site))
+		}
+		tb.ApplyHop(vet, k)
+		for _, h := range tb.HopSites[k] {
+			cnt := before[h.Site]
+			if h.ShellOrigin >= 0 {
+				cnt[int(mover)*nDist+int(h.ShellOrigin)]++
+			}
+			if h.ShellTarget >= 0 {
+				cnt[int(mover)*nDist+int(h.ShellTarget)]--
+			}
+			ComputeSite(tb, tab, vet, int(h.Site), want)
+			tab.RowFromCounts(cnt, got)
+			same("after hop", int(h.Site))
+		}
+		tb.ApplyHop(vet, k)
+	}
+}
+
 func TestComputeRegionLayout(t *testing.T) {
 	tb, tab, vet := regionSetup(t, 10)
 	d := tab.Desc()

@@ -61,68 +61,6 @@ func RunBigFusionWide(net *nnp.Network, x nnp.Matrix, arch sw.Arch, workers int)
 	return finishResult(cg, arch, out)
 }
 
-// RunBigFusionWideF32 is the single-precision wide operator: float32
-// accumulation matching RunBigFusionF32 bit for bit (the quantised
-// network's ascending-k, zero-skip row kernel), with the same blocked
-// tiling and worker pool as the f64 path. Safe for concurrent callers.
-func RunBigFusionWideF32(net *nnp.Network, x nnp.Matrix, arch sw.Arch, workers int) Result {
-	cg := sw.NewCoreGroup(arch)
-	accountBigFusion(cg, net, x.Rows)
-	q := net.Quantize()
-	xf := nnp.ToF32(x)
-	outF := nnp.NewMatrix32(x.Rows, net.OutputDim())
-	forEachTile(x.Rows, WideWorkers(workers), func() tileFunc {
-		s := &nnp.BlockScratch32{}
-		return func(lo, hi int) { q.ForwardBlockInto(xf, outF, lo, hi, s) }
-	})
-	return finishResult(cg, arch, outF.ToF64())
-}
-
-// WideRun is a streaming wide-GEMM big-fusion execution: the modelled
-// accelerator cost of an m-row launch is accounted up front, and callers
-// feed row blocks as they are produced (e.g. straight out of the feature
-// operator, while the rows are still cache-hot) instead of materialising
-// the full fused input matrix. Row independence makes the result
-// bit-identical to RunBigFusionWide / Run(BigFusion) of the same rows in
-// the same positions, for any chunking.
-//
-// Concurrency: Rows may be called from many goroutines as long as their
-// [g0, g0+x.Rows) output ranges are disjoint and each passes a private
-// scratch. Finish must happen-after every Rows call (e.g. after a
-// WaitGroup join).
-type WideRun struct {
-	net  *nnp.Network
-	cg   *sw.CoreGroup
-	arch sw.Arch
-	// Out is the m×OutputDim output matrix, filled by Rows calls.
-	Out nnp.Matrix
-}
-
-// BeginBigFusionWide opens a streaming wide run for m total rows,
-// charging the simulated core group exactly as a one-shot m-row launch
-// would.
-func BeginBigFusionWide(net *nnp.Network, m int, arch sw.Arch) *WideRun {
-	cg := sw.NewCoreGroup(arch)
-	accountBigFusion(cg, net, m)
-	return &WideRun{net: net, cg: cg, arch: arch, Out: nnp.NewMatrix(m, net.OutputDim())}
-}
-
-// Rows forwards every row of x through the network into Out rows
-// [g0, g0+x.Rows). x is read-only; s must be private to the caller.
-func (r *WideRun) Rows(x nnp.Matrix, g0 int, s *nnp.BlockScratch) {
-	if x.Rows == 0 {
-		return
-	}
-	oc := r.Out.Cols
-	sub := nnp.Matrix{Rows: x.Rows, Cols: oc, Data: r.Out.Data[g0*oc : (g0+x.Rows)*oc]}
-	r.net.ForwardBlockInto(x, sub, 0, x.Rows, s)
-}
-
-// Finish packages the output and the up-front modelled cost.
-func (r *WideRun) Finish() Result {
-	return finishResult(r.cg, r.arch, r.Out)
-}
-
 // tileFunc processes one row tile [lo, hi).
 type tileFunc func(lo, hi int)
 
@@ -177,7 +115,7 @@ func forEachTile(rows, workers int, mk func() tileFunc) {
 // counter sequence of the serial big-fusion run for an m-row batch:
 // parameter distribution, per-CPE LDM residency, per-block input/output
 // DMA, per-block flops and per-iteration RMA parameter broadcasts. It
-// performs no numerics, so the wide paths can run them separately (and
+// performs no numerics, so the wide path can run them separately (and
 // in parallel) while reporting the same modelled cost.
 func accountBigFusion(cg *sw.CoreGroup, net *nnp.Network, m int) {
 	if len(net.Layers) > cg.Arch.CPECols {

@@ -23,7 +23,7 @@ func NewLatticeEvaluator(pot *Potential, tb *encoding.Tables) *LatticeEvaluator 
 		Pot: pot,
 		Tb:  tb,
 		Tab: feature.NewTable(pot.Desc, tb.Distances),
-		s:   pot.NewScratch(tb),
+		s:   pot.NewScratch(tb, nil),
 	}
 }
 
@@ -33,7 +33,8 @@ func (ev *LatticeEvaluator) Tables() *encoding.Tables { return ev.Tb }
 // HopEnergies evaluates the 1+8 states of a vacancy system
 // (kmc.Model interface).
 func (ev *LatticeEvaluator) HopEnergies(vet encoding.VET) (initial float64, final [8]float64, valid [8]bool) {
-	return ev.Pot.HopEnergies(ev.Tb, ev.Tab, vet, ev.s)
+	initial, final, valid, _ = ev.Pot.HopEnergies(ev.Tb, ev.Tab, vet, ev.s)
+	return initial, final, valid
 }
 
 // RegionEnergy evaluates the jumping-region energy of one state.

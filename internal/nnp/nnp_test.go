@@ -283,7 +283,7 @@ func TestHopSymmetryPureFe(t *testing.T) {
 		vet[i] = lattice.Fe
 	}
 	vet[0] = lattice.Vacancy
-	initial, final, valid := pot.HopEnergies(tb, tab, vet, pot.NewScratch(tb))
+	initial, final, valid, _ := pot.HopEnergies(tb, tab, vet, pot.NewScratch(tb, nil))
 	for k := 0; k < 8; k++ {
 		if !valid[k] {
 			t.Fatalf("hop %d invalid in pure Fe", k)
@@ -302,8 +302,8 @@ func TestHopEnergiesMatchManualSwap(t *testing.T) {
 	box.Set(center, lattice.Vacancy)
 	vet := tb.NewVET()
 	tb.FillVET(vet, center, box.Get)
-	s := pot.NewScratch(tb)
-	initial, final, valid := pot.HopEnergies(tb, tab, vet, s)
+	s := pot.NewScratch(tb, nil)
+	initial, final, valid, _ := pot.HopEnergies(tb, tab, vet, s)
 	for k := 0; k < 8; k++ {
 		if !valid[k] {
 			continue
@@ -321,7 +321,7 @@ func TestHopEnergiesMatchManualSwap(t *testing.T) {
 	}
 	// Vacancy-target hop must be invalid.
 	vet[tb.NN1Index[3]] = lattice.Vacancy
-	_, _, valid2 := pot.HopEnergies(tb, tab, vet, s)
+	_, _, valid2, _ := pot.HopEnergies(tb, tab, vet, s)
 	if valid2[3] {
 		t.Fatal("hop into another vacancy reported valid")
 	}
@@ -337,7 +337,7 @@ func TestHopEnergiesVacancyMoveChangesEnergyInAlloy(t *testing.T) {
 	// Put one Cu next to the vacancy: hops toward/away from it must now
 	// have different energies.
 	vet[tb.NN1Index[0]] = lattice.Cu
-	initial, final, valid := pot.HopEnergies(tb, tab, vet, nil)
+	initial, final, valid, _ := pot.HopEnergies(tb, tab, vet, nil)
 	distinct := false
 	for k := 0; k < 8; k++ {
 		if valid[k] && math.Abs(final[k]-initial) > 1e-9 {

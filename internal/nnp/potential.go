@@ -50,26 +50,6 @@ func NewPotential(desc *feature.Descriptor, sizes []int, r *rng.Stream) *Potenti
 	return p
 }
 
-// NormalizeInto writes the normalised feature vector into dst — the
-// exact channel-wise transform the evaluator applies before the network,
-// exported so external batchers (internal/evalserve) reproduce it
-// bit-identically.
-func (p *Potential) NormalizeInto(dst, raw []float64) { p.normalizeInto(dst, raw) }
-
-// NormalizeInPlace normalises a raw feature row in place: the same
-// arithmetic as NormalizeInto with dst == raw, so batch assemblers can
-// compute features directly into a fused matrix row and skip the copy.
-// With no normalisation constants (FeatMean nil) it is a no-op, which is
-// exactly what NormalizeInto's copy degenerates to.
-func (p *Potential) NormalizeInPlace(row []float64) {
-	if p.FeatMean == nil {
-		return
-	}
-	for c, v := range row {
-		row[c] = (v - p.FeatMean[c]) / p.FeatStd[c]
-	}
-}
-
 // normalizeInto writes the normalised feature vector into dst.
 func (p *Potential) normalizeInto(dst, raw []float64) {
 	if p.FeatMean == nil {
@@ -92,19 +72,50 @@ func (p *Potential) AtomEnergy(s lattice.Species, raw []float64) float64 {
 	return out.Data[0] + p.ERef[s]
 }
 
-// Scratch holds reusable buffers for region-energy evaluation so the KMC
-// hot loop does not allocate. One Scratch per goroutine.
+// Scratch holds the reusable buffers of region- and hop-energy
+// evaluation so the KMC hot loop does not allocate. One Scratch per
+// goroutine.
 type Scratch struct {
 	feats []float64 // site feature vector (Dim)
-	x     Matrix    // per-element batch input
+	x     Matrix    // per-element batch input (NRegion rows)
+
+	// Hop kernel state, valid for the duration of one HopEnergies call.
+	cnt     []uint16  // per-site (element, shell) neighbour tallies, NRegion × NEl·nDist
+	siteE   []float64 // per-site network output in the initial state
+	stateE  []float64 // the same, patched for the final state being summed
+	out     Matrix    // network outputs of the rows in x
+	rowSite []int32   // region site of each row in x
+	blk     BlockScratch
+
+	// Single-precision row forwarder (nil heads: float64).
+	q     *Potential32
+	x32   Matrix32
+	out32 Matrix32
+	blk32 BlockScratch32
 }
 
-// NewScratch sizes a scratch for the given tables/potential pair.
-func (p *Potential) NewScratch(tb *encoding.Tables) *Scratch {
-	return &Scratch{
-		feats: make([]float64, p.Desc.Dim()),
-		x:     NewMatrix(tb.NRegion, p.Desc.Dim()),
+// NewScratch sizes a scratch for the given tables/potential pair. With a
+// non-nil q, HopEnergies forwards its rows through q's quantised heads in
+// float32 accumulation — the arithmetic of the SW26010-pro big-fusion
+// operator; tallies, features, normalisation and the energy sums stay
+// float64 either way, and RegionEnergy always runs the float64 heads.
+func (p *Potential) NewScratch(tb *encoding.Tables, q *Potential32) *Scratch {
+	dim := p.Desc.Dim()
+	s := &Scratch{
+		feats:   make([]float64, dim),
+		x:       NewMatrix(tb.NRegion, dim),
+		cnt:     make([]uint16, tb.NRegion*p.Desc.NEl*len(tb.Distances)),
+		siteE:   make([]float64, tb.NRegion),
+		stateE:  make([]float64, tb.NRegion),
+		out:     NewMatrix(tb.NRegion, 1),
+		rowSite: make([]int32, tb.NRegion),
+		q:       q,
 	}
+	if q != nil {
+		s.x32 = NewMatrix32(tb.NRegion, dim)
+		s.out32 = NewMatrix32(tb.NRegion, 1)
+	}
+	return s
 }
 
 // RegionEnergy returns the total energy of the jumping region of a
@@ -116,7 +127,7 @@ func (p *Potential) NewScratch(tb *encoding.Tables) *Scratch {
 // on CPEs.
 func (p *Potential) RegionEnergy(tb *encoding.Tables, tab *feature.Table, vet encoding.VET, s *Scratch) float64 {
 	if s == nil {
-		s = p.NewScratch(tb)
+		s = p.NewScratch(tb, nil)
 	}
 	dim := p.Desc.Dim()
 	total := 0.0
@@ -146,7 +157,23 @@ func (p *Potential) RegionEnergy(tb *encoding.Tables, tab *feature.Table, vet en
 // HopEnergies computes the initial-state region energy and the energy of
 // each of the 8 candidate final states, the 1+N_f evaluation of Sec. 3.4.
 // Final states whose target site is not an atom (another vacancy) are
-// reported as NaN-free: valid[k] is false and final[k] is 0.
+// reported as NaN-free: valid[k] is false and final[k] is 0. rows is the
+// number of feature rows forwarded through the network heads. vet is only
+// read.
+//
+// The evaluation is incremental and bit-identical to nine RegionEnergy
+// passes. The initial state tallies every atom site's per-(element,
+// shell) neighbour counts, builds each row from its tally
+// (feature.Table.RowFromCounts), forwards the rows and keeps the per-site
+// outputs. Final state k moves one atom from the target to the origin, so
+// only the Tables.HopSites[k] atoms — whose tallies change by ±1 in the
+// mover's element block — and the mover itself are forwarded again; every
+// other site's initial output is reused. Three facts make the bits equal:
+// tallies are integers, so an adjusted tally equals a recounted one and
+// gives the same row; the block forward is row-independent
+// (ForwardBlockInto), so a row's output does not depend on its batch; and
+// the per-site outputs are added in RegionEnergy's order — element
+// ascending, site ascending, then rows·ERef.
 //
 // A non-finite region energy can only come from a corrupted network (a
 // bit-flipped weight) or scrambled features; it is trapped here with a
@@ -154,20 +181,153 @@ func (p *Potential) RegionEnergy(tb *encoding.Tables, tab *feature.Table, vet en
 // non-retryable failure instead of a silently poisoned trajectory. The
 // cost is one comparison per evaluated state, dwarfed by the MLP
 // forward pass that produced the value.
-func (p *Potential) HopEnergies(tb *encoding.Tables, tab *feature.Table, vet encoding.VET, s *Scratch) (initial float64, final [8]float64, valid [8]bool) {
-	initial = p.RegionEnergy(tb, tab, vet, s)
-	checkFiniteEnergy("initial", initial)
-	for k := 0; k < 8; k++ {
-		if !vet[tb.NN1Index[k]].IsAtom() {
+func (p *Potential) HopEnergies(tb *encoding.Tables, tab *feature.Table, vet encoding.VET, s *Scratch) (initial float64, final [8]float64, valid [8]bool, rows int) {
+	if s == nil {
+		s = p.NewScratch(tb, nil)
+	}
+	nc := len(s.cnt) / tb.NRegion // tallies per site: NEl × nDist
+	nDist := nc / p.Desc.NEl
+
+	// Tally every site that can own a row: the atoms, and the origin,
+	// where each final state puts its mover.
+	for i := 0; i < tb.NRegion; i++ {
+		if i != 0 && !vet[i].IsAtom() {
 			continue
 		}
-		tb.ApplyHop(vet, k)
-		final[k] = p.RegionEnergy(tb, tab, vet, s)
-		checkFiniteEnergy("final", final[k])
-		valid[k] = true
-		tb.ApplyHop(vet, k)
+		cnt := s.cnt[i*nc : (i+1)*nc]
+		for j := range cnt {
+			cnt[j] = 0
+		}
+		for _, nb := range tb.Neighbors(i) {
+			if sp := vet[nb.ID]; sp.IsAtom() {
+				cnt[int(sp)*nDist+int(nb.DistIndex)]++
+			}
+		}
 	}
-	return initial, final, valid
+
+	var elemRows [lattice.NumElements]int
+	for e := 0; e < lattice.NumElements; e++ {
+		n := 0
+		for i := 0; i < tb.NRegion; i++ {
+			if vet[i] == lattice.Species(e) {
+				s.stageRow(p, tab, n, i, nc)
+				n++
+			}
+		}
+		s.forward(p, e, n)
+		for r := 0; r < n; r++ {
+			s.siteE[s.rowSite[r]] = s.out.Data[r]
+			initial += s.out.Data[r]
+		}
+		if n > 0 {
+			initial += float64(n) * p.ERef[e]
+		}
+		elemRows[e] = n
+		rows += n
+	}
+	checkFiniteEnergy("initial", initial)
+
+	// The origin sees every 1NN target in the same shell.
+	nn1Shell := 0
+	for _, nb := range tb.Neighbors(0) {
+		if nb.ID == tb.NN1Index[0] {
+			nn1Shell = int(nb.DistIndex)
+		}
+	}
+	for k := 0; k < 8; k++ {
+		target := tb.NN1Index[k]
+		mover := vet[target]
+		if !mover.IsAtom() {
+			continue
+		}
+		mBase := int(mover) * nDist
+		copy(s.stateE, s.siteE)
+		for e := 0; e < lattice.NumElements; e++ {
+			n := 0
+			if lattice.Species(e) == mover {
+				// The mover at the origin: the origin's tally without
+				// the atom that left the target.
+				s.cnt[mBase+nn1Shell]--
+				s.stageRow(p, tab, n, 0, nc)
+				s.cnt[mBase+nn1Shell]++
+				n++
+			}
+			for _, h := range tb.HopSites[k] {
+				if vet[h.Site] != lattice.Species(e) {
+					continue
+				}
+				cnt := s.cnt[int(h.Site)*nc+mBase:]
+				if h.ShellOrigin >= 0 {
+					cnt[h.ShellOrigin]++
+				}
+				if h.ShellTarget >= 0 {
+					cnt[h.ShellTarget]--
+				}
+				s.stageRow(p, tab, n, int(h.Site), nc)
+				if h.ShellOrigin >= 0 {
+					cnt[h.ShellOrigin]--
+				}
+				if h.ShellTarget >= 0 {
+					cnt[h.ShellTarget]++
+				}
+				n++
+			}
+			s.forward(p, e, n)
+			for r := 0; r < n; r++ {
+				s.stateE[s.rowSite[r]] = s.out.Data[r]
+			}
+			rows += n
+		}
+		// RegionEnergy's sum over the final state: the origin now holds
+		// the mover and sorts first in its element, the target is empty.
+		total := 0.0
+		for e := 0; e < lattice.NumElements; e++ {
+			if lattice.Species(e) == mover {
+				total += s.stateE[0]
+			}
+			for i := 1; i < tb.NRegion; i++ {
+				if vet[i] == lattice.Species(e) && int32(i) != target {
+					total += s.stateE[i]
+				}
+			}
+			if elemRows[e] > 0 {
+				total += float64(elemRows[e]) * p.ERef[e]
+			}
+		}
+		checkFiniteEnergy("final", total)
+		final[k] = total
+		valid[k] = true
+	}
+	return initial, final, valid, rows
+}
+
+// stageRow builds row r of the batch in s.x from region site i's tally:
+// the raw features, normalised in place.
+func (s *Scratch) stageRow(p *Potential, tab *feature.Table, r, i, nc int) {
+	row := s.x.Row(r)
+	tab.RowFromCounts(s.cnt[i*nc:(i+1)*nc], row)
+	p.normalizeInto(row, row)
+	s.rowSite[r] = int32(i)
+}
+
+// forward runs the first n rows of s.x through element e's head into
+// s.out — the one place float64 and float32 evaluation differ.
+func (s *Scratch) forward(p *Potential, e, n int) {
+	if n == 0 {
+		return
+	}
+	dim := s.x.Cols
+	if s.q == nil {
+		p.Nets[e].ForwardBlockInto(s.x, s.out, 0, n, &s.blk)
+		return
+	}
+	for i, v := range s.x.Data[:n*dim] {
+		s.x32.Data[i] = float32(v)
+	}
+	s.q.Nets[e].ForwardBlockInto(s.x32, s.out32, 0, n, &s.blk32)
+	for r := 0; r < n; r++ {
+		s.out.Data[r] = float64(s.out32.Data[r])
+	}
 }
 
 // checkFiniteEnergy is the NNP hot-path tripwire.

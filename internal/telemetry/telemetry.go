@@ -39,8 +39,7 @@ const (
 	PhaseAudit      = "audit"      // physics invariant audits
 	PhaseEvalServe  = "evalserve"  // evaluation-service worker root
 	PhaseBatch      = "batch"      // one fused batch evaluation
-	PhaseFeature    = "feature"    // feature-matrix assembly
-	PhaseFusion     = "fusion"     // big-fusion kernel launches
+	PhaseFusion     = "fusion"     // the batch's hop kernels (features + network forward)
 )
 
 // Well-known metric families (the acceptance surface of /metrics).
