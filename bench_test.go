@@ -517,7 +517,7 @@ func BenchmarkCPEFeatureOperator(b *testing.B) {
 // BenchmarkHopEnergiesUncached / BenchmarkHopEnergiesCached measure the
 // same recurring dilute-alloy workload against the direct NNP evaluator
 // and against the shared evaluation service (content-addressed cache +
-// fused batcher). Results accumulate into BENCH_evalserve.json — hit
+// batcher). Results accumulate into BENCH_evalserve.json — hit
 // rate, ns/op, and the batch-width sweep — so a bench run leaves a
 // machine-readable report next to the human one.
 
@@ -613,8 +613,9 @@ func BenchmarkHopEnergiesCached(b *testing.B) {
 	recordEvalBench("hit_rate", hitRate)
 }
 
-// BenchmarkEvalBatchWidth sweeps the fused batch width: the wide-matrix
-// amortisation the batcher buys when many engines miss concurrently.
+// BenchmarkEvalBatchWidth sweeps the batch width: what spreading a
+// batch's systems over cores (each through the hop kernel with a pooled
+// scratch) buys when many engines miss concurrently.
 func BenchmarkEvalBatchWidth(b *testing.B) {
 	pot, tb, vets := evalBenchWorkload(64)
 	for _, width := range []int{1, 4, 16, 64} {

@@ -206,11 +206,20 @@ func New(a, rcut float64) *Tables {
 		}
 	}
 
+	// Hop sites: norm² → shell as a slice, −1 where no tabulated distance
+	// has that length or it lies beyond the cutoff.
+	shellOf := make([]int16, t.Norm2Max+1)
+	for n2 := range shellOf {
+		shellOf[n2] = -1
+	}
+	for n2, i := range distIdx {
+		shellOf[n2] = int16(i)
+	}
 	shell := func(n2 int) int16 {
-		if i, ok := distIdx[n2]; ok {
-			return int16(i)
+		if n2 > t.Norm2Max {
+			return -1
 		}
-		return -1
+		return shellOf[n2]
 	}
 	for k, target := range lattice.NN1 {
 		for j := 1; j < t.NRegion; j++ {

@@ -6,16 +6,17 @@
 // Requests are (1) deduplicated through a sharded LRU cache keyed on a
 // canonical content-address of the VET local environment — the paper's
 // vacancy cache (Sec. 3.2) generalized across vacancies and across
-// engines — and (2) on miss, coalesced by a batcher into wide per-element
-// matrices evaluated through the big-fusion operator (Sec. 3.5) on a
-// bounded worker pool with backpressure and graceful drain.
+// engines — and (2) on miss, coalesced by a batcher into batches that a
+// backend evaluates (NNP systems spread over cores, each through the
+// incremental hop kernel) on a bounded worker pool with backpressure and
+// graceful drain.
 //
 // The hard contract, inherited from the repo's trajectory tests: cached
 // and uncached runs must be bit-identical. Three mechanisms enforce it —
 // the cache stores the exact f64 outputs, every hit re-verifies the full
 // encoded environment (hash equality is never trusted alone), and the
-// fused f64 batch path reproduces the uncached float-addition sequence
-// exactly (see FusionBackend).
+// f64 NNP batch path runs the very kernel the uncached path runs (see
+// FusionBackend).
 package evalserve
 
 import (
@@ -310,7 +311,7 @@ func (s *Server) Evaluate(vet encoding.VET) (Result, error) {
 // telemetry, the request's resolution is recorded as a "serve" span in
 // the service's journal (cache hit, flight dedup, or queued miss), and
 // the fused batch that evaluates a queued miss hangs its own span
-// (batch fill, GEMM time, scatter) under it. An invalid context — or a
+// (batch width, evaluation time) under it. An invalid context — or a
 // service without telemetry — makes this exactly Evaluate.
 func (s *Server) EvaluateTraced(vet encoding.VET, tctx trace.Context) (Result, error) {
 	if s.closed.Load() {
@@ -479,7 +480,7 @@ func (s *Server) serve(batch []*request) {
 	}
 	// The fused batch joins the trace of the first traced request it
 	// serves — the lineage a cross-process tree needs to show where a
-	// queued miss actually spent its time (fill, GEMM, scatter).
+	// queued miss actually spent its time (queue wait, evaluation).
 	var bsp *trace.Span
 	for _, r := range pending {
 		if r.tctx.Valid() {
@@ -501,12 +502,15 @@ func (s *Server) serve(batch []*request) {
 		return
 	}
 	gemm := time.Since(gemmStart)
+	// The span is journalled before any submitter is released: a caller
+	// that flushes the journal on receiving its answer must find the
+	// batch its queue-wait event hangs under.
+	bsp.EndMsg("width=%d gemm=%.3fms", len(pending), float64(gemm.Microseconds())/1e3)
 	for i, r := range pending {
 		s.cache.Put(r.hash, r.env, results[i])
 		r.done <- response{res: results[i]}
 		s.completeFlight(r.hash, r.env, results[i], nil)
 	}
-	bsp.EndMsg("width=%d gemm=%.3fms", len(pending), float64(gemm.Microseconds())/1e3)
 
 	s.batches.Add(1)
 	s.batchedSystems.Add(int64(len(pending)))

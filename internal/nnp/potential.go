@@ -80,12 +80,14 @@ type Scratch struct {
 	x     Matrix    // per-element batch input (NRegion rows)
 
 	// Hop kernel state, valid for the duration of one HopEnergies call.
-	cnt     []uint16  // per-site (element, shell) neighbour tallies, NRegion × NEl·nDist
-	siteE   []float64 // per-site network output in the initial state
-	stateE  []float64 // the same, patched for the final state being summed
-	out     Matrix    // network outputs of the rows in x
-	rowSite []int32   // region site of each row in x
-	blk     BlockScratch
+	cnt      []uint16  // per-site (element, shell) neighbour tallies, NRegion × NEl·nDist
+	tally    []uint16  // one site's tally, adjusted for the hop being evaluated
+	nn1Shell int       // the shell in which the origin sees its 1NN sites
+	siteE    []float64 // per-site network output in the initial state
+	stateE   []float64 // the same, patched for the final state being summed
+	out      Matrix    // network outputs of the rows in x
+	rowSite  []int32   // region site of each row in x
+	blk      BlockScratch
 
 	// Single-precision row forwarder (nil heads: float64).
 	q     *Potential32
@@ -101,15 +103,22 @@ type Scratch struct {
 // float64 either way, and RegionEnergy always runs the float64 heads.
 func (p *Potential) NewScratch(tb *encoding.Tables, q *Potential32) *Scratch {
 	dim := p.Desc.Dim()
+	nc := p.Desc.NEl * len(tb.Distances)
 	s := &Scratch{
 		feats:   make([]float64, dim),
 		x:       NewMatrix(tb.NRegion, dim),
-		cnt:     make([]uint16, tb.NRegion*p.Desc.NEl*len(tb.Distances)),
+		cnt:     make([]uint16, tb.NRegion*nc),
+		tally:   make([]uint16, nc),
 		siteE:   make([]float64, tb.NRegion),
 		stateE:  make([]float64, tb.NRegion),
 		out:     NewMatrix(tb.NRegion, 1),
 		rowSite: make([]int32, tb.NRegion),
 		q:       q,
+	}
+	for _, nb := range tb.Neighbors(0) {
+		if nb.ID == tb.NN1Index[0] {
+			s.nn1Shell = int(nb.DistIndex)
+		}
 	}
 	if q != nil {
 		s.x32 = NewMatrix32(tb.NRegion, dim)
@@ -185,7 +194,7 @@ func (p *Potential) HopEnergies(tb *encoding.Tables, tab *feature.Table, vet enc
 	if s == nil {
 		s = p.NewScratch(tb, nil)
 	}
-	nc := len(s.cnt) / tb.NRegion // tallies per site: NEl × nDist
+	nc := len(s.tally) // tallies per site: NEl × nDist
 	nDist := nc / p.Desc.NEl
 
 	// Tally every site that can own a row: the atoms, and the origin,
@@ -210,7 +219,7 @@ func (p *Potential) HopEnergies(tb *encoding.Tables, tab *feature.Table, vet enc
 		n := 0
 		for i := 0; i < tb.NRegion; i++ {
 			if vet[i] == lattice.Species(e) {
-				s.stageRow(p, tab, n, i, nc)
+				s.stageRow(p, tab, n, i, s.cnt[i*nc:(i+1)*nc])
 				n++
 			}
 		}
@@ -227,13 +236,6 @@ func (p *Potential) HopEnergies(tb *encoding.Tables, tab *feature.Table, vet enc
 	}
 	checkFiniteEnergy("initial", initial)
 
-	// The origin sees every 1NN target in the same shell.
-	nn1Shell := 0
-	for _, nb := range tb.Neighbors(0) {
-		if nb.ID == tb.NN1Index[0] {
-			nn1Shell = int(nb.DistIndex)
-		}
-	}
 	for k := 0; k < 8; k++ {
 		target := tb.NN1Index[k]
 		mover := vet[target]
@@ -247,29 +249,23 @@ func (p *Potential) HopEnergies(tb *encoding.Tables, tab *feature.Table, vet enc
 			if lattice.Species(e) == mover {
 				// The mover at the origin: the origin's tally without
 				// the atom that left the target.
-				s.cnt[mBase+nn1Shell]--
-				s.stageRow(p, tab, n, 0, nc)
-				s.cnt[mBase+nn1Shell]++
+				cnt := s.hopTally(0, nc)
+				cnt[mBase+s.nn1Shell]--
+				s.stageRow(p, tab, n, 0, cnt)
 				n++
 			}
 			for _, h := range tb.HopSites[k] {
 				if vet[h.Site] != lattice.Species(e) {
 					continue
 				}
-				cnt := s.cnt[int(h.Site)*nc+mBase:]
+				cnt := s.hopTally(int(h.Site), nc)
 				if h.ShellOrigin >= 0 {
-					cnt[h.ShellOrigin]++
+					cnt[mBase+int(h.ShellOrigin)]++
 				}
 				if h.ShellTarget >= 0 {
-					cnt[h.ShellTarget]--
+					cnt[mBase+int(h.ShellTarget)]--
 				}
-				s.stageRow(p, tab, n, int(h.Site), nc)
-				if h.ShellOrigin >= 0 {
-					cnt[h.ShellOrigin]--
-				}
-				if h.ShellTarget >= 0 {
-					cnt[h.ShellTarget]++
-				}
+				s.stageRow(p, tab, n, int(h.Site), cnt)
 				n++
 			}
 			s.forward(p, e, n)
@@ -301,11 +297,18 @@ func (p *Potential) HopEnergies(tb *encoding.Tables, tab *feature.Table, vet enc
 	return initial, final, valid, rows
 }
 
-// stageRow builds row r of the batch in s.x from region site i's tally:
-// the raw features, normalised in place.
-func (s *Scratch) stageRow(p *Potential, tab *feature.Table, r, i, nc int) {
+// hopTally returns a copy of region site i's initial-state tally for a
+// final state to adjust; it is valid until the next call.
+func (s *Scratch) hopTally(i, nc int) []uint16 {
+	copy(s.tally, s.cnt[i*nc:(i+1)*nc])
+	return s.tally
+}
+
+// stageRow builds row r of the batch in s.x for region site i from its
+// tally: the raw features, normalised in place.
+func (s *Scratch) stageRow(p *Potential, tab *feature.Table, r, i int, cnt []uint16) {
 	row := s.x.Row(r)
-	tab.RowFromCounts(s.cnt[i*nc:(i+1)*nc], row)
+	tab.RowFromCounts(cnt, row)
 	p.normalizeInto(row, row)
 	s.rowSite[r] = int32(i)
 }
