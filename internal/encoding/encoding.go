@@ -185,10 +185,15 @@ func New(a, rcut float64) *Tables {
 		n2s = append(n2s, n2)
 	}
 	sort.Ints(n2s)
-	distIdx := make(map[int]uint16, len(n2s))
+	// shellOf maps a squared half-unit length to its index in Distances,
+	// −1 where no site pair within the cutoff has that length.
+	shellOf := make([]int16, t.Norm2Max+1)
+	for n2 := range shellOf {
+		shellOf[n2] = -1
+	}
 	for i, n2 := range n2s {
 		t.Distances = append(t.Distances, 0.5*a*math.Sqrt(float64(n2)))
-		distIdx[n2] = uint16(i)
+		shellOf[n2] = int16(i)
 	}
 
 	// NET: neighbours of every region site. By construction every
@@ -202,19 +207,11 @@ func New(a, rcut float64) *Tables {
 			if !ok {
 				panic(fmt.Sprintf("encoding: neighbour %v of region site %v missing from CET", n, v))
 			}
-			t.NET = append(t.NET, Neighbor{ID: id, DistIndex: distIdx[off.Norm2()]})
+			t.NET = append(t.NET, Neighbor{ID: id, DistIndex: uint16(shellOf[off.Norm2()])})
 		}
 	}
 
-	// Hop sites: norm² → shell as a slice, −1 where no tabulated distance
-	// has that length or it lies beyond the cutoff.
-	shellOf := make([]int16, t.Norm2Max+1)
-	for n2 := range shellOf {
-		shellOf[n2] = -1
-	}
-	for n2, i := range distIdx {
-		shellOf[n2] = int16(i)
-	}
+	// Hop sites: the shell of a separation, −1 beyond the cutoff.
 	shell := func(n2 int) int16 {
 		if n2 > t.Norm2Max {
 			return -1

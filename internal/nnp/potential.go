@@ -79,15 +79,16 @@ type Scratch struct {
 	feats []float64 // site feature vector (Dim)
 	x     Matrix    // per-element batch input (NRegion rows)
 
+	nn1Shell int // the shell in which the origin sees its 1NN sites
+
 	// Hop kernel state, valid for the duration of one HopEnergies call.
-	cnt      []uint16  // per-site (element, shell) neighbour tallies, NRegion × NEl·nDist
-	tally    []uint16  // one site's tally, adjusted for the hop being evaluated
-	nn1Shell int       // the shell in which the origin sees its 1NN sites
-	siteE    []float64 // per-site network output in the initial state
-	stateE   []float64 // the same, patched for the final state being summed
-	out      Matrix    // network outputs of the rows in x
-	rowSite  []int32   // region site of each row in x
-	blk      BlockScratch
+	cnt     []uint16  // per-site (element, shell) neighbour tallies, NRegion × NEl·nDist
+	tally   []uint16  // one site's tally, adjusted for the hop being evaluated
+	siteE   []float64 // per-site network output in the initial state
+	stateE  []float64 // the same, patched for the final state being summed
+	out     Matrix    // network outputs of the rows in x
+	rowSite []int32   // region site of each row in x
+	blk     BlockScratch
 
 	// Single-precision row forwarder (nil heads: float64).
 	q     *Potential32
