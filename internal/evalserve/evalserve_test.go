@@ -237,8 +237,8 @@ func TestFusionBackendF32Golden(t *testing.T) {
 		}
 		add(alone)
 	}
-	// Recorded at commit 1874b19 (materialised per-element matrices,
-	// fusion.RunBigFusionWideF32), go1.24 linux/amd64.
+	// Recorded at commit 1874b19 (per-element matrices materialised and
+	// quantised wholesale, one f32 launch per head), go1.24 linux/amd64.
 	const golden = uint64(0x734c639280599f09)
 	if got := h.Sum64(); got != golden {
 		t.Errorf("f32 result hash = %#x, golden %#x", got, golden)
