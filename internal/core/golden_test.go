@@ -110,6 +110,41 @@ func TestGoldenTrajectories(t *testing.T) {
 			hops:     goldenHopsNNPRanks,
 			sha:      goldenSHANNPRanks,
 		},
+		{
+			// Eight sublattice ranks, NNP direct: each rank owns a private
+			// evaluator.
+			name:     "nnp_ranks_2_2_2",
+			cfg:      Config{Cells: [3]int{12, 12, 12}, CuFraction: 0.05, VacancyFraction: 0.005, Temperature: 1000, Seed: 17, Ranks: [3]int{2, 2, 2}, TStop: 1e-10, Potential: NNP, Net: goldenNNP()},
+			duration: goldenNNPDurationRanks8,
+			hops:     goldenHopsNNPRanks8,
+			sha:      goldenSHANNPRanks8,
+		},
+		{
+			// The same deck with all eight ranks calling one shared
+			// evalserve.Server concurrently (cache, single-flight,
+			// FusionBackend): the direct literal, by the service's contract.
+			name:     "nnp_ranks_2_2_2_cached",
+			cfg:      Config{Cells: [3]int{12, 12, 12}, CuFraction: 0.05, VacancyFraction: 0.005, Temperature: 1000, Seed: 17, Ranks: [3]int{2, 2, 2}, TStop: 1e-10, Potential: NNP, Net: goldenNNP(), EvalCache: 1 << 12},
+			duration: goldenNNPDurationRanks8,
+			hops:     goldenHopsNNPRanks8,
+			sha:      goldenSHANNPRanks8,
+		},
+		{
+			// EAM on eight ranks, direct, and below through one shared
+			// Server over the ModelBackend pool.
+			name:     "eam_ranks_2_2_2",
+			cfg:      Config{Cells: [3]int{12, 12, 12}, CuFraction: 0.05, VacancyFraction: 0.005, Temperature: 1000, Seed: 18, Ranks: [3]int{2, 2, 2}, TStop: 1e-10},
+			duration: 6e-8,
+			hops:     goldenHopsEAMRanks8,
+			sha:      goldenSHAEAMRanks8,
+		},
+		{
+			name:     "eam_ranks_2_2_2_cached",
+			cfg:      Config{Cells: [3]int{12, 12, 12}, CuFraction: 0.05, VacancyFraction: 0.005, Temperature: 1000, Seed: 18, Ranks: [3]int{2, 2, 2}, TStop: 1e-10, EvalCache: 1 << 12},
+			duration: 6e-8,
+			hops:     goldenHopsEAMRanks8,
+			sha:      goldenSHAEAMRanks8,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,4 +196,15 @@ const (
 	goldenNNPDurationRanks      = 2e-9
 	goldenHopsNNPRanks          = 189
 	goldenSHANNPRanks           = "9833c0e84668590a8a64b484079868be4996a6e33c06d76212dff10e7a98dc5c"
+)
+
+// Recorded at commit 3686653 (the parent of the batcher's deletion: queue,
+// worker pool and width-w batches in front of the backends), go1.24
+// linux/amd64.
+const (
+	goldenNNPDurationRanks8 = 2e-9
+	goldenHopsNNPRanks8     = 303
+	goldenSHANNPRanks8      = "e978c046bb041c327db5afae4a873d51b652e4a8abbb52f1625b3892333059eb"
+	goldenHopsEAMRanks8     = 1533
+	goldenSHAEAMRanks8      = "b2eb1bb1e292b8f9e5e7641a39476973f86b0878fedb84ba127b438e04dcac6b"
 )
