@@ -516,10 +516,10 @@ func BenchmarkCPEFeatureOperator(b *testing.B) {
 //
 // BenchmarkHopEnergiesUncached / BenchmarkHopEnergiesCached measure the
 // same recurring dilute-alloy workload against the direct NNP evaluator
-// and against the shared evaluation service (content-addressed cache +
-// batcher). Results accumulate into BENCH_evalserve.json — hit
-// rate, ns/op, and the batch-width sweep — so a bench run leaves a
-// machine-readable report next to the human one.
+// and against the shared evaluation service (content-addressed cache
+// over the same kernel). Results accumulate into BENCH_evalserve.json —
+// hit rate and ns/op — so a bench run leaves a machine-readable report
+// next to the human one.
 
 var (
 	evalBenchMu     sync.Mutex
@@ -611,30 +611,6 @@ func BenchmarkHopEnergiesCached(b *testing.B) {
 	b.ReportMetric(100*hitRate, "%hit")
 	recordEvalBench("cached_ns_per_op", float64(b.Elapsed().Nanoseconds())/float64(b.N))
 	recordEvalBench("hit_rate", hitRate)
-}
-
-// BenchmarkEvalBatchWidth sweeps the batch width: what spreading a
-// batch's systems over cores (each through the hop kernel with a pooled
-// scratch) buys when many engines miss concurrently.
-func BenchmarkEvalBatchWidth(b *testing.B) {
-	pot, tb, vets := evalBenchWorkload(64)
-	for _, width := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
-			fb := evalserve.NewFusionBackend(pot, tb, evalserve.F64)
-			batch := make([]encoding.VET, width)
-			for i := range batch {
-				batch[i] = vets[i%len(vets)]
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fb.EvaluateBatch(batch)
-			}
-			b.StopTimer()
-			perSystem := float64(b.Elapsed().Nanoseconds()) / float64(b.N*width)
-			b.ReportMetric(perSystem, "ns/system")
-			recordEvalBench(fmt.Sprintf("batch_width_%d_ns_per_system", width), perSystem)
-		})
-	}
 }
 
 // BenchmarkAblationFastHopEnergies compares the exact full-resummation

@@ -155,7 +155,7 @@ func run(path string, quiet bool, stdout, stderr io.Writer, sig <-chan os.Signal
 	}
 
 	// Recovery may replace the simulation; close whichever is current on
-	// exit so the evaluation service's workers drain.
+	// exit so the evaluation service and fleet client are released.
 	defer func() { sup.Simulation().Close() }()
 
 	code := simulate(deck, cfg, sup, quiet, stdout, stderr, sig)

@@ -21,7 +21,7 @@
 // `event_log` deck key, tkmc-serve's -event-log and tkmc-ctl's
 // -event-log write): spans from every process nest into one tree —
 // controller job span, run/segment spans, per-request client eval spans
-// with their retry/failover legs, and serve/batch spans from each fleet
+// with their retry/failover legs, and serve/evaluate spans from each fleet
 // node — with orphan marks where a parent's journal was lost.
 package main
 

@@ -1,16 +1,16 @@
 // Command tkmc-serve exposes a shared evaluation service over TCP: one
-// potential, one content-addressed vacancy-system cache, one batching
-// worker pool — any number of KMC clients. Remote engines connect with
-// evalserve.Dial (which implements kmc.Model) and submit canonical
-// vacancy environments; identical environments from different clients
-// are answered from the same cache entry, and concurrent misses are
-// coalesced into wide fused batches.
+// potential, one content-addressed vacancy-system cache, one bound on
+// concurrent evaluations — any number of KMC clients. Remote engines
+// connect with evalserve.Dial (which implements kmc.Model) and submit
+// canonical vacancy environments; identical environments from different
+// clients are answered from the same cache entry, and concurrent misses
+// of one environment share a single evaluation.
 //
 // Usage:
 //
 //	tkmc-serve [-addr host:port] [-potential eam|bondcount|<nnp-file>]
 //	           [-lattice Å] [-cutoff Å]
-//	           [-cache N] [-shards N] [-batch N] [-workers N] [-f32]
+//	           [-cache N] [-shards N] [-f32]
 //	           [-fleet N] [-idle seconds]
 //	           [-telemetry host:port] [-event-log path]
 //
@@ -22,7 +22,7 @@
 // on exit, where `tkmc-analyze trace` can pick it up.
 //
 // -fleet N runs N independent serve nodes in one process — each with
-// its own listener, cache and worker pool — for testing and
+// its own listener, cache and evaluation slots — for testing and
 // single-machine fleets. Ports increment from -addr (with port 0 every
 // node gets its own kernel-picked port); each node prints its own
 // "listening on" banner. Clients shard across the nodes with
@@ -34,7 +34,7 @@
 //
 // The server prints its bound address on startup (use -addr 127.0.0.1:0
 // to let the kernel pick a port) and, on SIGINT/SIGTERM, drains the
-// worker pools and prints the final service counters.
+// in-flight evaluations and prints the final service counters.
 //
 // Exit codes:
 //
@@ -89,9 +89,7 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 	cutoff := fs.Float64("cutoff", units.CutoffStandard, "interaction cutoff (Å)")
 	cache := fs.Int("cache", 0, "cache capacity in entries (0 = default)")
 	shards := fs.Int("shards", 0, "cache shard count (0 = default)")
-	batch := fs.Int("batch", 0, "max systems per fused batch (0 = default)")
-	workers := fs.Int("workers", 0, "evaluation worker pool size (0 = default)")
-	f32 := fs.Bool("f32", false, "run fused NNP batches in f32 (not bit-identical to f64)")
+	f32 := fs.Bool("f32", false, "run NNP evaluations in f32 (not bit-identical to f64)")
 	fleetN := fs.Int("fleet", 1, "independent serve nodes in this process (ports increment from -addr)")
 	idleSecs := fs.Float64("idle", 0, "idle session reap timeout in seconds (0 = default, negative = never)")
 	drainSecs := fs.Float64("drain", 5, "seconds to let in-flight sessions finish on SIGTERM before force-closing")
@@ -120,8 +118,7 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 	}
 	tb := encoding.New(*latticeA, *cutoff)
 	opts := evalserve.Options{
-		Capacity: *cache, Shards: *shards, MaxBatch: *batch, Workers: *workers,
-		Telemetry: set,
+		Capacity: *cache, Shards: *shards, Telemetry: set,
 	}.WithDefaults()
 	be, err := buildBackend(*potName, tb, opts, *f32)
 	if err != nil {
@@ -158,7 +155,7 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 	}
 
 	// Each fleet node is fully independent — its own listener, cache and
-	// worker pool — so killing one (or the whole process holding several)
+	// evaluation slots — so killing one (or the whole process holding several)
 	// behaves exactly like losing real machines.
 	srvs := make([]*evalserve.Server, *fleetN)
 	fes := make([]*evalserve.Frontend, *fleetN)
@@ -188,8 +185,8 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 		fmt.Fprintf(stdout, "tkmc-serve: listening on %s (potential %s, a=%g Å, rcut=%g Å, N_all=%d)\n",
 			fes[i].Addr(), *potName, *latticeA, *cutoff, tb.NAll)
 	}
-	fmt.Fprintf(stdout, "tkmc-serve: cache %d entries × %d shards, batches ≤ %d on %d workers\n",
-		opts.Capacity, opts.Shards, opts.MaxBatch, opts.Workers)
+	fmt.Fprintf(stdout, "tkmc-serve: cache %d entries × %d shards, ≤ %d concurrent evaluations\n",
+		opts.Capacity, opts.Shards, opts.Workers)
 
 	<-sig
 	// Graceful drain: every node stops accepting at once (new connection

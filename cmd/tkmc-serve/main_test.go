@@ -80,7 +80,7 @@ func TestServeConcurrentClients(t *testing.T) {
 	go func() {
 		exit <- realMain([]string{
 			"-addr", "127.0.0.1:0", "-cutoff", "5.8",
-			"-cache", "256", "-batch", "8", "-workers", "2",
+			"-cache", "256",
 		}, out, errOut, sig)
 	}()
 	addr := waitForAddr(t, out)
@@ -161,6 +161,8 @@ func TestServeUsageErrors(t *testing.T) {
 	for name, args := range map[string][]string{
 		"missing nnp file": {"-potential", "/nonexistent/potential.tknnp"},
 		"unknown flag":     {"-definitely-not-a-flag"},
+		"deleted -batch":   {"-batch", "8"},
+		"deleted -workers": {"-workers", "2"},
 	} {
 		if code := realMain(args, io.Discard, io.Discard, nil); code != exitUsage {
 			t.Errorf("%s: exit code %d, want %d", name, code, exitUsage)

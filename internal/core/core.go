@@ -95,17 +95,15 @@ type Config struct {
 
 	// EvalCache, when positive, routes every energy evaluation through a
 	// shared evalserve.Server: a content-addressed cache of EvalCache
-	// entries over a batching backend (the big-fusion path for NNP, a
+	// entries over a backend (the incremental hop kernel for NNP, a
 	// model pool otherwise), shared by every rank of a parallel run. The
 	// default f64 service is bit-identical to direct evaluation, so
 	// trajectories are unchanged — only faster on recurring environments.
 	EvalCache int
-	// EvalShards, EvalBatch and EvalWorkers tune the service (zero takes
-	// the evalserve defaults).
-	EvalShards  int
-	EvalBatch   int
-	EvalWorkers int
-	// EvalF32 runs fused NNP batches in f32 — the real accelerator's
+	// EvalShards is the cache shard count (zero takes the evalserve
+	// default).
+	EvalShards int
+	// EvalF32 runs the service's NNP evaluations in f32 — the real accelerator's
 	// arithmetic, deterministic but NOT bit-identical to the f64 engine
 	// path. Only the local fusion backend has an f32 path, so New rejects
 	// it without EvalCache, for non-NNP potentials and for fleet runs.
@@ -334,8 +332,6 @@ func New(cfg Config) (*Simulation, error) {
 		opts := evalserve.Options{
 			Capacity:  cfg.EvalCache,
 			Shards:    cfg.EvalShards,
-			MaxBatch:  cfg.EvalBatch,
-			Workers:   cfg.EvalWorkers,
 			Telemetry: cfg.Telemetry,
 		}
 		opts = opts.WithDefaults()
@@ -480,8 +476,8 @@ func (s *Simulation) EvalStats() (st evalserve.Stats, ok bool) {
 	return s.evalSrv.Stats(), true
 }
 
-// Close releases background resources — the evaluation service's
-// worker pool, the fleet client, the SLO watchdog. It is idempotent
+// Close releases the run's resources — the evaluation service (closed
+// to new work), the fleet client, the SLO watchdog. It is idempotent
 // and safe without a service; a closed simulation must not Run again.
 func (s *Simulation) Close() {
 	s.slo.Close()

@@ -44,7 +44,7 @@ func checkpointBytes(t *testing.T, cfg Config, duration float64) []byte {
 }
 
 // TestEvalCacheBitIdentical is the subsystem's acceptance contract: a
-// dilute Fe–Cu run through the evaluation service (cache + batcher) must
+// dilute Fe–Cu run through the evaluation service (cache + backend) must
 // produce a byte-identical final checkpoint — same trajectory, same
 // clock, same RNG state — as the direct uncached run.
 func TestEvalCacheBitIdentical(t *testing.T) {
@@ -58,7 +58,6 @@ func TestEvalCacheBitIdentical(t *testing.T) {
 
 	cached := base
 	cached.EvalCache = 1 << 12
-	cached.EvalWorkers = 2
 	served := checkpointBytes(t, cached, duration)
 
 	if !bytes.Equal(plain, served) {
@@ -66,8 +65,8 @@ func TestEvalCacheBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEvalCacheBitIdenticalNNP repeats the contract on the fused NNP
-// batch path (the wide-matrix f64 big-fusion evaluation).
+// TestEvalCacheBitIdenticalNNP repeats the contract on the NNP path
+// (FusionBackend, f64).
 func TestEvalCacheBitIdenticalNNP(t *testing.T) {
 	desc := feature.Standard(units.CutoffStandard)
 	pot := nnp.NewPotential(desc, []int{desc.Dim(), 12, 1}, rng.New(9))

@@ -168,9 +168,7 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 		{telemetry.MetricCacheCollisions, st.Collisions},
 		{telemetry.MetricCacheEntries, int64(st.Entries)},
 		{telemetry.MetricEvalBatches, st.Batches},
-		{telemetry.MetricEvalBatchedSys, st.BatchedSystems},
 		{telemetry.MetricEvalDeduped, st.Deduped},
-		{telemetry.MetricEvalQueueHigh, st.QueueHighWater},
 	}
 	for _, c := range checks {
 		if got := metric(c.name); got != float64(c.want) {

@@ -3,11 +3,9 @@ package evalserve
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"tensorkmc/internal/encoding"
 	"tensorkmc/internal/feature"
-	"tensorkmc/internal/fusion"
 	"tensorkmc/internal/kmc"
 	"tensorkmc/internal/nnp"
 	"tensorkmc/internal/telemetry"
@@ -15,7 +13,7 @@ import (
 
 // Result is one vacancy system's complete hop-energy evaluation: the
 // exact f64 outputs of the 1+8 state evaluation (Sec. 3.4). It is what
-// the cache stores, what the batcher returns, and what the wire protocol
+// the cache stores, what a backend returns, and what the wire protocol
 // carries.
 type Result struct {
 	// Initial is the relaxed region energy of the current state; Final
@@ -27,51 +25,68 @@ type Result struct {
 	Valid   [8]bool
 }
 
-// Backend evaluates batches of vacancy systems. Implementations must be
-// safe for concurrent EvaluateBatch calls (the server runs a bounded
-// worker pool) and must produce, for every VET, outputs bit-identical to
-// a direct kmc.Model.HopEnergies evaluation of the same environment.
+// Backend evaluates vacancy systems. Implementations must be safe for
+// concurrent EvaluateBatch calls (the server runs up to Options.Workers
+// at once, each from the goroutine of the caller that missed) and must
+// produce, for every VET, outputs bit-identical to a direct
+// kmc.Model.HopEnergies evaluation of the same environment.
 type Backend interface {
 	Tables() *encoding.Tables
+	// EvaluateBatch is frozen in this shape because bench/ wraps it; the
+	// server always passes a one-element slice.
 	EvaluateBatch(vets []encoding.VET) []Result
 }
 
 // --- Generic model-pool backend ----------------------------------------
 
 // ModelBackend adapts any kmc.Model factory (EAM, bond-count, NNP) into a
-// Backend: each EvaluateBatch borrows one model from a fixed pool and
-// evaluates the systems sequentially. It brings the cache and the service
-// front-end to non-NNP potentials; spreading a batch over cores needs the
-// FusionBackend.
+// Backend: each EvaluateBatch borrows one model from a free list, building
+// one when the list is empty, so there are never more models than there
+// were concurrent callers. It brings the cache and the service front-end
+// to non-NNP potentials.
 type ModelBackend struct {
-	tb   *encoding.Tables
-	pool chan kmc.Model
+	tb      *encoding.Tables
+	factory func() kmc.Model
+
+	mu   sync.Mutex
+	idle []kmc.Model
 }
 
-// NewModelBackend builds a pool of `size` models (one per concurrent
-// EvaluateBatch caller; the server sizes it to its worker count).
+// NewModelBackend builds the first model here, for Tables(), and the rest
+// on first use, so a GOMAXPROCS-sized concurrency bound costs a many-core
+// host no setup time. size is the expected concurrency (the server's
+// Options.Workers) and only sizes the free list; the signature is frozen
+// because bench/ calls it.
 func NewModelBackend(factory func() kmc.Model, size int) *ModelBackend {
-	if size < 1 {
-		size = 1
-	}
-	mb := &ModelBackend{pool: make(chan kmc.Model, size)}
-	for i := 0; i < size; i++ {
-		m := factory()
-		if mb.tb == nil {
-			mb.tb = m.Tables()
-		}
-		mb.pool <- m
-	}
+	m := factory()
+	mb := &ModelBackend{tb: m.Tables(), factory: factory, idle: make([]kmc.Model, 0, max(size, 1))}
+	mb.idle = append(mb.idle, m)
 	return mb
 }
 
 // Tables returns the shared encoding tables.
 func (mb *ModelBackend) Tables() *encoding.Tables { return mb.tb }
 
+func (mb *ModelBackend) borrow() kmc.Model {
+	mb.mu.Lock()
+	if n := len(mb.idle); n > 0 {
+		m := mb.idle[n-1]
+		mb.idle = mb.idle[:n-1]
+		mb.mu.Unlock()
+		return m
+	}
+	mb.mu.Unlock()
+	return mb.factory()
+}
+
 // EvaluateBatch evaluates each system through one pooled model.
 func (mb *ModelBackend) EvaluateBatch(vets []encoding.VET) []Result {
-	m := <-mb.pool
-	defer func() { mb.pool <- m }()
+	m := mb.borrow()
+	defer func() {
+		mb.mu.Lock()
+		mb.idle = append(mb.idle, m)
+		mb.mu.Unlock()
+	}()
 	out := make([]Result, len(vets))
 	for i, vet := range vets {
 		out[i].Initial, out[i].Final, out[i].Valid = m.HopEnergies(vet)
@@ -97,33 +112,30 @@ const (
 	F32
 )
 
-// FusionStats counts the accelerator-side work of a FusionBackend.
+// FusionStats counts the work of a FusionBackend (both fields frozen:
+// bench/ derives fusion.rows_per_system from them).
 type FusionStats struct {
-	// Batches and Systems count EvaluateBatch calls and the systems they
-	// carried; Rows counts the feature rows actually forwarded through
-	// the network heads (1396 for a system with eight open directions at
-	// 6.5 Å, against 2268 for nine full region passes).
-	Batches int64
+	// Systems counts the vacancy systems evaluated; Rows the feature rows
+	// actually forwarded through the network heads (1396 for a system
+	// with eight open directions at 6.5 Å, against 2268 for nine full
+	// region passes).
 	Systems int64
 	Rows    int64
 }
 
-// FusionBackend evaluates batches of NNP vacancy systems: the systems of
-// a batch are spread over a goroutine pool and each runs through the
-// incremental hop kernel (nnp.Potential.HopEnergies) with a pooled
-// scratch, so a batch costs no allocation beyond its result slice. The
-// kernel is the one the direct path runs, so F64 results are
-// bit-identical to it for any batch width and worker count.
+// FusionBackend evaluates NNP vacancy systems through the incremental hop
+// kernel (nnp.Potential.HopEnergies) with a pooled scratch, so a call
+// costs no allocation beyond its result slice. The kernel is the one the
+// direct path runs, so F64 results are bit-identical to it however the
+// systems are grouped into calls.
 //
-// Concurrency: EvaluateBatch is safe for concurrent callers (the server
-// runs a bounded worker pool); VETs are only read, scratches are private
-// to a goroutine and only the stats are shared, under fb.mu. SetTelemetry
-// and SetWorkers must be called before the backend is shared.
+// Concurrency: EvaluateBatch is safe for concurrent callers; VETs are only
+// read, a scratch is private to its call and only the stats are shared,
+// under fb.mu. SetTelemetry must be called before the backend is shared.
 type FusionBackend struct {
-	pot     *nnp.Potential
-	tb      *encoding.Tables
-	tab     *feature.Table
-	workers int // goroutines per batch; 0 = GOMAXPROCS
+	pot *nnp.Potential
+	tb  *encoding.Tables
+	tab *feature.Table
 
 	mu    sync.Mutex
 	stats FusionStats
@@ -133,8 +145,7 @@ type FusionBackend struct {
 	fusionPh *telemetry.Phase // nil when telemetry is off
 }
 
-// NewFusionBackend binds a trained potential to tables. A batch is spread
-// over fusion.WideWorkers(0) goroutines by default; tune with SetWorkers.
+// NewFusionBackend binds a trained potential to tables.
 func NewFusionBackend(pot *nnp.Potential, tb *encoding.Tables, prec Precision) *FusionBackend {
 	fb := &FusionBackend{pot: pot, tb: tb, tab: feature.NewTable(pot.Desc, tb.Distances)}
 	var q *nnp.Potential32
@@ -145,33 +156,29 @@ func NewFusionBackend(pot *nnp.Potential, tb *encoding.Tables, prec Precision) *
 	return fb
 }
 
-// SetWorkers fixes the goroutine count a batch is spread over
-// (non-positive restores the GOMAXPROCS default). Worker count never
-// changes results — only wall time. Call before the backend is shared
-// across server workers.
-func (fb *FusionBackend) SetWorkers(n int) { fb.workers = n }
-
 // Tables returns the encoding tables.
 func (fb *FusionBackend) Tables() *encoding.Tables { return fb.tb }
 
-// SetTelemetry times every batch evaluation under evalserve/batch/fusion
-// so the run summary shows where accelerator batches spend their wall
-// time. Call before the backend is shared across workers.
+// SetTelemetry times every evaluation under evalserve/evaluate/fusion so
+// the run summary shows what the hop kernel costs inside the service.
+// Call before the backend is shared across callers.
 func (fb *FusionBackend) SetTelemetry(set *telemetry.Set) {
 	if set == nil {
 		return
 	}
-	fb.fusionPh = set.Trace().PhaseAt(telemetry.PhaseEvalServe, telemetry.PhaseBatch).Child(telemetry.PhaseFusion)
+	fb.fusionPh = set.Trace().PhaseAt(telemetry.PhaseEvalServe, telemetry.PhaseEvaluate).Child(telemetry.PhaseFusion)
 }
 
-// Stats snapshots the accelerator counters.
+// Stats snapshots the backend counters.
 func (fb *FusionBackend) Stats() FusionStats {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	return fb.stats
 }
 
-// EvaluateBatch runs the 1+8 evaluation of every system in the batch.
+// EvaluateBatch runs the 1+8 evaluation of every system, one after the
+// other on the caller's goroutine. A corruption panic from the kernel
+// propagates to the caller, where Server.evaluate turns it into an error.
 func (fb *FusionBackend) EvaluateBatch(vets []encoding.VET) []Result {
 	for _, vet := range vets {
 		if len(vet) != fb.tb.NAll {
@@ -179,65 +186,21 @@ func (fb *FusionBackend) EvaluateBatch(vets []encoding.VET) []Result {
 		}
 	}
 	out := make([]Result, len(vets))
-	var rows atomic.Int64
+	var rows int64
 	sw := fb.fusionPh.Start()
-	fb.forEachSystem(len(vets), func(s int, sc *nnp.Scratch) {
-		r := &out[s]
+	sc := fb.scratch.Get().(*nnp.Scratch)
+	for i, vet := range vets {
+		r := &out[i]
 		var n int
-		r.Initial, r.Final, r.Valid, n = fb.pot.HopEnergies(fb.tb, fb.tab, vets[s], sc)
-		rows.Add(int64(n))
-	})
+		r.Initial, r.Final, r.Valid, n = fb.pot.HopEnergies(fb.tb, fb.tab, vet, sc)
+		rows += int64(n)
+	}
+	fb.scratch.Put(sc)
 	sw.Stop()
 
 	fb.mu.Lock()
-	fb.stats.Batches++
 	fb.stats.Systems += int64(len(vets))
-	fb.stats.Rows += rows.Load()
+	fb.stats.Rows += rows
 	fb.mu.Unlock()
 	return out
-}
-
-// forEachSystem runs visit(s, scratch) for every system index in [0, n),
-// spread over up to fb.workers goroutines (inline when one suffices),
-// each with a scratch borrowed from the pool. Systems are independent, so
-// scheduling never affects results. A panic in a worker — the kernel's
-// corruption tripwire — stops the hand-out and is re-raised on the
-// caller's goroutine, where the server turns it into the submitters'
-// error.
-func (fb *FusionBackend) forEachSystem(n int, visit func(s int, sc *nnp.Scratch)) {
-	var cursor atomic.Int64
-	worker := func() {
-		sc := fb.scratch.Get().(*nnp.Scratch)
-		defer fb.scratch.Put(sc)
-		for s := int(cursor.Add(1)) - 1; s < n; s = int(cursor.Add(1)) - 1 {
-			visit(s, sc)
-		}
-	}
-	workers := fusion.WideWorkers(fb.workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		worker()
-		return
-	}
-	var wg sync.WaitGroup
-	var failed atomic.Pointer[any]
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					failed.CompareAndSwap(nil, &p)
-					cursor.Store(int64(n))
-				}
-			}()
-			worker()
-		}()
-	}
-	wg.Wait()
-	if p := failed.Load(); p != nil {
-		panic(*p)
-	}
 }

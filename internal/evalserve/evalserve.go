@@ -3,26 +3,29 @@
 // the wire protocol — submit vacancy systems and receive the exact 1+8
 // hop energies of Sec. 3.4.
 //
-// Requests are (1) deduplicated through a sharded LRU cache keyed on a
-// canonical content-address of the VET local environment — the paper's
-// vacancy cache (Sec. 3.2) generalized across vacancies and across
-// engines — and (2) on miss, coalesced by a batcher into batches that a
-// backend evaluates (NNP systems spread over cores, each through the
-// incremental hop kernel) on a bounded worker pool with backpressure and
-// graceful drain.
+// A request goes cache → flight → slot → backend. (1) A sharded LRU cache
+// keyed on a canonical content-address of the VET local environment — the
+// paper's vacancy cache (Sec. 3.2) generalized across vacancies and
+// across engines — answers what has been seen. (2) Concurrent misses of
+// one environment share a single flight: the first caller owns it, the
+// rest wait for its answer. (3) The owner takes one of Options.Workers
+// slots — the service's one concurrency bound and its backpressure — and
+// (4) evaluates its system through the backend on its own goroutine.
+// There is no queue, worker pool or batcher: on this hardware nothing
+// wins wide (DESIGN.md §10.3).
 //
 // The hard contract, inherited from the repo's trajectory tests: cached
 // and uncached runs must be bit-identical. Three mechanisms enforce it —
 // the cache stores the exact f64 outputs, every hit re-verifies the full
 // encoded environment (hash equality is never trusted alone), and the
-// f64 NNP batch path runs the very kernel the uncached path runs (see
+// f64 NNP backend runs the very kernel the uncached path runs (see
 // FusionBackend).
 package evalserve
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,47 +43,34 @@ type Options struct {
 	// Shards is the cache shard count (default 8, rounded up to a power
 	// of two).
 	Shards int
-	// MaxBatch bounds how many distinct systems one fused evaluation
-	// carries (default 64).
-	MaxBatch int
-	// Workers is the evaluation worker-pool size (default 2).
+	// Workers bounds how many backend evaluations run at once; further
+	// misses block until a slot frees — the service's backpressure
+	// (default runtime.GOMAXPROCS(0)). Frozen with WithDefaults: bench/
+	// sizes a model pool from it.
 	Workers int
-	// QueueDepth bounds the pending-miss queue; submitters block when it
-	// is full — the service's backpressure (default 4×MaxBatch).
-	QueueDepth int
 	// Telemetry, if non-nil, exports the service counters as registry
-	// metrics and times fused dispatches under the evalserve/batch span.
-	// The registry metrics are function-backed reads of the very same
-	// atomics and shard counters that Stats() snapshots, so /metrics and
-	// Stats() can never disagree about a value — they are one storage
+	// metrics and times backend evaluations under the evalserve/evaluate
+	// phase. The registry metrics are function-backed reads of the very
+	// same atomics and shard counters that Stats() snapshots, so /metrics
+	// and Stats() can never disagree about a value — they are one storage
 	// location rendered two ways.
 	Telemetry *telemetry.Set
 }
 
 // WithDefaults returns a copy with every zero field resolved to its
 // default — for callers that need the effective values (e.g. to size a
-// backend pool to the worker count).
+// backend pool to the concurrency bound).
 func (o Options) WithDefaults() Options {
-	o.applyDefaults()
-	return o
-}
-
-func (o *Options) applyDefaults() {
 	if o.Capacity <= 0 {
 		o.Capacity = 1 << 15
 	}
 	if o.Shards <= 0 {
 		o.Shards = 8
 	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
 	if o.Workers <= 0 {
-		o.Workers = 2
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4 * o.MaxBatch
-	}
+	return o
 }
 
 // Stats is a point-in-time account of the service.
@@ -89,20 +79,11 @@ type Stats struct {
 	// embedded aggregate sums them.
 	Shards []CacheStats
 	CacheStats
-	// Batches counts fused evaluations; BatchedSystems the distinct
-	// systems they carried; Deduped the requests answered by a
-	// batch-mate's evaluation; MaxBatchWidth the widest batch seen.
-	Batches        int64
-	BatchedSystems int64
-	Deduped        int64
-	MaxBatchWidth  int64
-	// QueueHighWater is the deepest the pending-miss queue has been.
-	QueueHighWater int64
-	// WidthHist is the batch-occupancy histogram: WidthHist[w] counts
-	// fused batches that evaluated exactly w distinct systems (w capped
-	// at MaxBatch; index 0 is unused). Σ_w WidthHist[w] == Batches and
-	// Σ_w w·WidthHist[w] == BatchedSystems.
-	WidthHist []int64
+	// Batches counts backend evaluations, one system each (the name is
+	// tkmc_eval_batches_total's); Deduped the requests answered by
+	// another caller's in-flight evaluation of the same environment.
+	Batches int64
+	Deduped int64
 }
 
 // HitRate returns the cache hit fraction (0 when idle).
@@ -113,66 +94,38 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Occupancy returns the mean distinct systems per fused batch.
+// Occupancy returns the systems per backend evaluation: 1 once anything
+// was evaluated. Frozen: bench/ reads it as evalserve.batch_occupancy_mean.
 func (s Stats) Occupancy() float64 {
 	if s.Batches == 0 {
 		return 0
 	}
-	return float64(s.BatchedSystems) / float64(s.Batches)
-}
-
-// OccupancyP50 returns the median batch width from the occupancy
-// histogram (0 when no batches have run): the smallest width w such that
-// at least half of all batches were no wider than w.
-func (s Stats) OccupancyP50() int64 {
-	if s.Batches == 0 || len(s.WidthHist) == 0 {
-		return 0
-	}
-	half := (s.Batches + 1) / 2
-	var seen int64
-	for w, n := range s.WidthHist {
-		seen += n
-		if seen >= half {
-			return int64(w)
-		}
-	}
-	return int64(len(s.WidthHist) - 1)
+	return 1
 }
 
 // String renders the one-line operations summary.
 func (s Stats) String() string {
-	return fmt.Sprintf("evalserve: %.1f%% hit rate (%d hits, %d misses, %d evictions), %d batches (occupancy mean %.1f p50 %d max %d), %d deduped, queue high-water %d",
-		100*s.HitRate(), s.Hits, s.Misses, s.Evictions,
-		s.Batches, s.Occupancy(), s.OccupancyP50(), s.MaxBatchWidth,
-		s.Deduped, s.QueueHighWater)
+	return fmt.Sprintf("evalserve: %.1f%% hit rate (%d hits, %d misses, %d evictions), %d evaluations, %d deduped",
+		100*s.HitRate(), s.Hits, s.Misses, s.Evictions, s.Batches, s.Deduped)
 }
 
-// response carries a request's outcome back to its submitter.
-type response struct {
-	res Result
-	err error
-}
-
-// request is one pending miss. tctx, when valid, carries the submitter's
-// distributed-trace context so the fused batch that resolves the request
-// can join its trace; enq is the submission time the batch span turns
-// into a queue-wait annotation.
-type request struct {
-	vet  encoding.VET
-	env  []byte
-	hash uint64
-	tctx trace.Context
-	enq  time.Time
-	done chan response
-}
-
-// flight tracks one environment's in-progress evaluation so concurrent
-// misses of the same environment coalesce onto a single backend call
-// instead of racing each other into the batcher.
+// flight is one environment's in-progress evaluation: concurrent misses
+// of the same environment wait on the first caller's backend call instead
+// of repeating it. The owner writes res and err, then closes done.
 type flight struct {
-	env     []byte
-	waiters []*request
+	env  []byte
+	done chan struct{}
+	res  Result
+	err  error
 }
+
+var (
+	errClosed = errors.New("evalserve: server closed")
+	// errAbandoned is what joiners see when the owner's backend call
+	// panicked past evaluate — a fleet-backed model's transport error,
+	// which the engine layers recover and retry.
+	errAbandoned = errors.New("evalserve: evaluation abandoned by a backend panic")
+)
 
 // Server is the evaluation service. It implements kmc.Model (Tables +
 // HopEnergies) and is safe for any number of concurrent callers, so a
@@ -182,52 +135,40 @@ type Server struct {
 	be    Backend
 	tb    *encoding.Tables
 	cache *Cache
-	opts  Options
 
-	reqCh  chan *request
-	mu     sync.RWMutex // closed-flag vs in-flight submissions
-	close  sync.Once
-	done   bool        // guarded by mu: no sends after close(reqCh)
-	closed atomic.Bool // fast-path refusal, checked before the cache
-	wg     sync.WaitGroup
+	slots    chan struct{} // one token per running backend evaluation
+	mu       sync.RWMutex  // orders inflight.Add against Close's Wait
+	closed   atomic.Bool
+	inflight sync.WaitGroup // misses being resolved
 
 	flightMu sync.Mutex
 	flights  map[uint64][]*flight
 
-	batches        atomic.Int64
-	batchedSystems atomic.Int64
-	deduped        atomic.Int64
-	maxBatchWidth  atomic.Int64
-	queueHighWater atomic.Int64
-	widthHist      []atomic.Int64 // index = min(batch width, MaxBatch)
+	batches atomic.Int64
+	deduped atomic.Int64
 
-	batchPh *telemetry.Phase   // nil when telemetry is off
+	evalPh  *telemetry.Phase   // nil when telemetry is off
 	journal *telemetry.Journal // span sink for traced requests; nil when telemetry is off
 }
 
-// New starts a service over the backend.
+// New builds a service over the backend. It starts no goroutine: every
+// evaluation runs on the goroutine of the caller that missed.
 func New(be Backend, opts Options) *Server {
-	opts.applyDefaults()
+	opts = opts.WithDefaults()
 	s := &Server{
-		be:        be,
-		tb:        be.Tables(),
-		cache:     NewCache(opts.Capacity, opts.Shards),
-		opts:      opts,
-		reqCh:     make(chan *request, opts.QueueDepth),
-		flights:   map[uint64][]*flight{},
-		widthHist: make([]atomic.Int64, opts.MaxBatch+1),
+		be:      be,
+		tb:      be.Tables(),
+		cache:   NewCache(opts.Capacity, opts.Shards),
+		slots:   make(chan struct{}, opts.Workers),
+		flights: map[uint64][]*flight{},
 	}
 	s.bindTelemetry(opts.Telemetry)
-	for i := 0; i < opts.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
 // bindTelemetry registers the service counters as function-backed
 // registry metrics reading the same atomics Stats() snapshots, wires
-// the batch-dispatch span, and hands the cache the flight recorder for
+// the evaluation phase, and hands the cache the flight recorder for
 // sampled eviction events.
 func (s *Server) bindTelemetry(set *telemetry.Set) {
 	if set == nil {
@@ -247,7 +188,7 @@ func (s *Server) bindTelemetry(set *telemetry.Set) {
 		"Evaluation cache lookups answered from a shard.",
 		agg(func(c CacheStats) int64 { return c.Hits }))
 	reg.CounterFunc(telemetry.MetricCacheMisses,
-		"Evaluation cache lookups that fell through to the batcher.",
+		"Evaluation cache lookups that fell through to an evaluation.",
 		agg(func(c CacheStats) int64 { return c.Misses }))
 	reg.CounterFunc(telemetry.MetricCacheEvictions,
 		"Evaluation cache entries displaced by the LRU policy.",
@@ -265,18 +206,12 @@ func (s *Server) bindTelemetry(set *telemetry.Set) {
 			return float64(total)
 		})
 	reg.CounterFunc(telemetry.MetricEvalBatches,
-		"Fused evaluation batches dispatched.",
+		"Backend evaluations run, one vacancy system each.",
 		s.batches.Load)
-	reg.CounterFunc(telemetry.MetricEvalBatchedSys,
-		"Distinct vacancy systems carried by fused batches.",
-		s.batchedSystems.Load)
 	reg.CounterFunc(telemetry.MetricEvalDeduped,
-		"Requests answered by a batch-mate's in-flight evaluation.",
+		"Requests answered by another caller's in-flight evaluation.",
 		s.deduped.Load)
-	reg.GaugeFunc(telemetry.MetricEvalQueueHigh,
-		"Deepest the pending-miss queue has been.",
-		func() float64 { return float64(s.queueHighWater.Load()) })
-	s.batchPh = set.Trace().PhaseAt(telemetry.PhaseEvalServe, telemetry.PhaseBatch)
+	s.evalPh = set.Trace().PhaseAt(telemetry.PhaseEvalServe, telemetry.PhaseEvaluate)
 	s.journal = set.Events()
 	s.cache.setJournal(set.Events())
 }
@@ -284,10 +219,11 @@ func (s *Server) bindTelemetry(set *telemetry.Set) {
 // Tables returns the shared encoding tables (kmc.Model interface).
 func (s *Server) Tables() *encoding.Tables { return s.tb }
 
-// HopEnergies resolves one vacancy system through the cache-then-batch
-// pipeline (kmc.Model interface). Corruption detected during evaluation
-// re-panics in the caller's goroutine as *fault.CorruptionError, exactly
-// like a direct model evaluation, so engine-layer recovery is unchanged.
+// HopEnergies resolves one vacancy system through the cache → flight →
+// slot → backend pipeline (kmc.Model interface). Corruption detected
+// during evaluation re-panics in the caller's goroutine as
+// *fault.CorruptionError, exactly like a direct model evaluation, so
+// engine-layer recovery is unchanged.
 func (s *Server) HopEnergies(vet encoding.VET) (initial float64, final [8]float64, valid [8]bool) {
 	res, err := s.Evaluate(vet)
 	if err != nil {
@@ -309,13 +245,13 @@ func (s *Server) Evaluate(vet encoding.VET) (Result, error) {
 // EvaluateTraced is Evaluate carrying a distributed-trace context — the
 // server leg of a cross-process trace. With a valid context and live
 // telemetry, the request's resolution is recorded as a "serve" span in
-// the service's journal (cache hit, flight dedup, or queued miss), and
-// the fused batch that evaluates a queued miss hangs its own span
-// (batch width, evaluation time) under it. An invalid context — or a
-// service without telemetry — makes this exactly Evaluate.
+// the service's journal (cache hit, flight dedup, or evaluated miss), and
+// an evaluated miss hangs its own "evaluate" span (slot wait, evaluation
+// time) under it. An invalid context — or a service without telemetry —
+// makes this exactly Evaluate.
 func (s *Server) EvaluateTraced(vet encoding.VET, tctx trace.Context) (Result, error) {
 	if s.closed.Load() {
-		return Result{}, errors.New("evalserve: server closed")
+		return Result{}, errClosed
 	}
 	sp := trace.Start(s.journal, tctx, "serve")
 	hash := s.tb.Fingerprint(vet)
@@ -323,61 +259,55 @@ func (s *Server) EvaluateTraced(vet encoding.VET, tctx trace.Context) (Result, e
 		sp.EndMsg("cache=hit")
 		return res, nil
 	}
-	req := &request{vet: vet, hash: hash, tctx: sp.Context(), done: make(chan response, 1)}
-	if s.joinFlight(req) {
-		// Another caller is already evaluating this exact environment;
-		// its completion answers us too.
-		resp := <-req.done
-		sp.EndMsg("cache=miss dedup=inflight")
-		return resp.res, resp.err
-	}
+	// A miss is work Close waits for, whether it ends up owning a flight
+	// or joining one.
 	s.mu.RLock()
-	if s.done {
+	if s.closed.Load() {
 		s.mu.RUnlock()
-		err := errors.New("evalserve: server closed")
-		s.completeFlight(req.hash, req.env, Result{}, err)
 		sp.EndMsg("error=closed")
-		return Result{}, err
+		return Result{}, errClosed
 	}
-	req.enq = time.Now()
-	s.reqCh <- req // blocks when the queue is full: backpressure
-	raiseMax(&s.queueHighWater, int64(len(s.reqCh)))
+	s.inflight.Add(1)
 	s.mu.RUnlock()
-	resp := <-req.done
-	sp.EndMsg("cache=miss")
-	return resp.res, resp.err
+	defer s.inflight.Done()
+
+	f, owner := s.joinFlight(hash, vet)
+	if owner {
+		s.resolve(f, hash, vet, sp.Context())
+		sp.EndMsg("cache=miss")
+	} else {
+		<-f.done
+		sp.EndMsg("cache=miss dedup=inflight")
+	}
+	return f.res, f.err
 }
 
-// joinFlight attaches the request to an in-progress evaluation of the
-// same environment if one exists; otherwise it registers a new flight
-// (owned by this request) and reports false. The request's canonical
-// environment encoding is computed here either way.
-func (s *Server) joinFlight(req *request) bool {
+// joinFlight returns the in-progress flight of the environment if one
+// exists; otherwise it registers a new one, owned by the caller, holding
+// the environment's canonical encoding.
+func (s *Server) joinFlight(hash uint64, vet encoding.VET) (f *flight, owner bool) {
 	s.flightMu.Lock()
 	defer s.flightMu.Unlock()
-	for _, f := range s.flights[req.hash] {
-		if encoding.MatchEnv(f.env, req.vet) {
-			f.waiters = append(f.waiters, req)
+	for _, f := range s.flights[hash] {
+		if encoding.MatchEnv(f.env, vet) {
 			s.deduped.Add(1)
-			return true
+			return f, false
 		}
 	}
-	req.env = s.tb.EncodeEnv(req.vet)
-	s.flights[req.hash] = append(s.flights[req.hash], &flight{env: req.env})
-	return false
+	f = &flight{env: s.tb.EncodeEnv(vet), done: make(chan struct{}), err: errAbandoned}
+	s.flights[hash] = append(s.flights[hash], f)
+	return f, true
 }
 
-// completeFlight deregisters an environment's flight and answers every
-// waiter that joined while it was pending. The cache entry must already
-// be in place (a miss arriving after deregistration re-evaluates, and the
-// batcher's second-chance lookup resolves it from the cache).
-func (s *Server) completeFlight(hash uint64, env []byte, res Result, err error) {
+// completeFlight deregisters the flight and releases everyone waiting on
+// it. On success the cache entry must already be in place: a miss
+// arriving after deregistration registers a new flight, and its owner's
+// second-chance lookup resolves it from the cache.
+func (s *Server) completeFlight(hash uint64, f *flight) {
 	s.flightMu.Lock()
 	bucket := s.flights[hash]
-	var waiters []*request
-	for i, f := range bucket {
-		if bytes.Equal(f.env, env) {
-			waiters = f.waiters
+	for i, g := range bucket {
+		if g == f {
 			bucket = append(bucket[:i], bucket[i+1:]...)
 			break
 		}
@@ -388,158 +318,50 @@ func (s *Server) completeFlight(hash uint64, env []byte, res Result, err error) 
 		s.flights[hash] = bucket
 	}
 	s.flightMu.Unlock()
-	for _, w := range waiters {
-		w.done <- response{res: res, err: err}
-	}
+	close(f.done)
 }
 
-// Close stops accepting work, drains every queued request and waits for
-// the workers to finish. It is idempotent.
-func (s *Server) Close() {
-	s.close.Do(func() {
-		s.closed.Store(true)
-		s.mu.Lock()
-		s.done = true
-		close(s.reqCh)
-		s.mu.Unlock()
-		s.wg.Wait()
-	})
-}
+// resolve is the flight owner's path: take one of the Workers slots,
+// re-check the cache, evaluate the system on this goroutine, store the
+// exact outputs and complete the flight (also when the backend panics
+// through, so joiners fail with errAbandoned instead of waiting forever).
+func (s *Server) resolve(f *flight, hash uint64, vet encoding.VET, tctx trace.Context) {
+	defer s.completeFlight(hash, f)
+	queued := time.Now()
+	s.slots <- struct{}{} // blocks while Workers evaluations run: backpressure
+	defer func() { <-s.slots }()
+	wait := time.Since(queued)
 
-// Stats snapshots the service counters.
-func (s *Server) Stats() Stats {
-	st := Stats{
-		Shards:         s.cache.Stats(),
-		Batches:        s.batches.Load(),
-		BatchedSystems: s.batchedSystems.Load(),
-		Deduped:        s.deduped.Load(),
-		MaxBatchWidth:  s.maxBatchWidth.Load(),
-		QueueHighWater: s.queueHighWater.Load(),
-		WidthHist:      make([]int64, len(s.widthHist)),
-	}
-	for w := range s.widthHist {
-		st.WidthHist[w] = s.widthHist[w].Load()
-	}
-	for _, sh := range st.Shards {
-		st.CacheStats.add(sh)
-	}
-	return st
-}
-
-// worker pulls pending misses, coalescing everything already waiting (up
-// to MaxBatch) into one fused evaluation. Width comes only from concurrent
-// demand — ranks and wire clients sharing the Server; a single synchronous
-// caller gets width-1 batches — correct, just unamortised.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for r := range s.reqCh {
-		batch := []*request{r}
-	fill:
-		for len(batch) < s.opts.MaxBatch {
-			select {
-			case r, ok := <-s.reqCh:
-				if !ok {
-					break fill // closed and drained; the outer range ends next
-				}
-				batch = append(batch, r)
-			default:
-				break fill
-			}
-		}
-		s.serve(batch)
-	}
-}
-
-// serve deduplicates a batch, re-checks the cache (another worker may
-// have filled an entry since the miss), evaluates the remaining distinct
-// systems in one backend call, stores the exact outputs, and fans results
-// out to every submitter.
-func (s *Server) serve(batch []*request) {
-	sw := s.batchPh.Start()
+	sw := s.evalPh.Start()
 	defer sw.Stop()
-	// Every queued request owns a distinct environment's flight (joiners
-	// never enqueue), so no intra-batch dedup is needed — only a
-	// second-chance cache check, since an entry may have landed between
-	// the caller's miss and this dispatch.
-	pending := batch[:0]
-	for _, r := range batch {
-		if res, ok := s.cache.peek(r.hash, r.vet); ok {
-			r.done <- response{res: res}
-			s.completeFlight(r.hash, r.env, res, nil)
-			continue
-		}
-		pending = append(pending, r)
-	}
-	if len(pending) == 0 {
+	// Second chance: an entry may have landed between the caller's miss
+	// and its flight registration.
+	if res, ok := s.cache.peek(hash, vet); ok {
+		f.res, f.err = res, nil
 		return
 	}
-
-	vets := make([]encoding.VET, len(pending))
-	for i, r := range pending {
-		vets[i] = r.vet
-	}
-	// The fused batch joins the trace of the first traced request it
-	// serves — the lineage a cross-process tree needs to show where a
-	// queued miss actually spent its time (queue wait, evaluation).
-	var bsp *trace.Span
-	for _, r := range pending {
-		if r.tctx.Valid() {
-			bsp = trace.Start(s.journal, r.tctx, "batch")
-			if !r.enq.IsZero() {
-				bsp.Event("queue-wait %.3fms", float64(time.Since(r.enq).Microseconds())/1e3)
-			}
-			break
-		}
-	}
-	gemmStart := time.Now()
-	results, err := s.evaluate(vets)
+	// The span — and the slot wait hanging under it — is journalled before
+	// the flight completes: a caller that flushes the journal on receiving
+	// its answer must find both.
+	esp := trace.Start(s.journal, tctx, "evaluate")
+	esp.Event("queue-wait %.3fms", float64(wait.Microseconds())/1e3)
+	start := time.Now()
+	res, err := s.evaluate(vet)
 	if err != nil {
-		bsp.EndMsg("error=%v", err)
-		for _, r := range pending {
-			r.done <- response{err: err}
-			s.completeFlight(r.hash, r.env, Result{}, err)
-		}
+		esp.EndMsg("error=%v", err)
+		f.err = err
 		return
 	}
-	gemm := time.Since(gemmStart)
-	// The span is journalled before any submitter is released: a caller
-	// that flushes the journal on receiving its answer must find the
-	// batch its queue-wait event hangs under.
-	bsp.EndMsg("width=%d gemm=%.3fms", len(pending), float64(gemm.Microseconds())/1e3)
-	for i, r := range pending {
-		s.cache.Put(r.hash, r.env, results[i])
-		r.done <- response{res: results[i]}
-		s.completeFlight(r.hash, r.env, results[i], nil)
-	}
-
+	esp.EndMsg("gemm=%.3fms", float64(time.Since(start).Microseconds())/1e3)
+	s.cache.Put(hash, f.env, res)
 	s.batches.Add(1)
-	s.batchedSystems.Add(int64(len(pending)))
-	w := len(pending)
-	if w >= len(s.widthHist) {
-		w = len(s.widthHist) - 1
-	}
-	s.widthHist[w].Add(1)
-	raiseMax(&s.maxBatchWidth, int64(len(pending)))
+	f.res, f.err = res, nil
 }
 
-// raiseMax lifts *m to at least v. A plain load-compare-store here would
-// race: two goroutines could each pass the compare and the smaller store
-// could land last, regressing the high-water mark. The CAS loop retries
-// until either our value is published or someone else published a larger
-// one.
-func raiseMax(m *atomic.Int64, v int64) {
-	for {
-		cur := m.Load()
-		if v <= cur || m.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// evaluate runs the backend, converting a corruption tripwire panic into
-// an error so a poisoned batch fails its submitters instead of killing
-// the worker pool.
-func (s *Server) evaluate(vets []encoding.VET) (results []Result, err error) {
+// evaluate runs the backend on one system, converting a corruption
+// tripwire panic into an error so a poisoned evaluation fails its callers
+// the same way on the wire and in process.
+func (s *Server) evaluate(vet encoding.VET) (res Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			if ce, ok := p.(*fault.CorruptionError); ok {
@@ -549,9 +371,32 @@ func (s *Server) evaluate(vets []encoding.VET) (results []Result, err error) {
 			panic(p)
 		}
 	}()
-	results = s.be.EvaluateBatch(vets)
-	if len(results) != len(vets) {
-		return nil, fmt.Errorf("evalserve: backend returned %d results for %d systems", len(results), len(vets))
+	results := s.be.EvaluateBatch([]encoding.VET{vet})
+	if len(results) != 1 {
+		return Result{}, fmt.Errorf("evalserve: backend returned %d results for 1 system", len(results))
 	}
-	return results, nil
+	return results[0], nil
+}
+
+// Close stops accepting work and waits for every miss being resolved —
+// running evaluations, callers queued for a slot, and their joiners — to
+// be answered. It is idempotent.
+func (s *Server) Close() {
+	s.mu.Lock()
+	s.closed.Store(true)
+	s.mu.Unlock()
+	s.inflight.Wait()
+}
+
+// Stats snapshots the service counters.
+func (s *Server) Stats() Stats {
+	st := Stats{
+		Shards:  s.cache.Stats(),
+		Batches: s.batches.Load(),
+		Deduped: s.deduped.Load(),
+	}
+	for _, sh := range st.Shards {
+		st.CacheStats.add(sh)
+	}
+	return st
 }

@@ -49,7 +49,7 @@ func smallPotential(seed uint64) (*nnp.Potential, *encoding.Tables) {
 }
 
 // waitFor polls cond for up to two seconds — for server-side state
-// (a queued request, a joined flight) that no caller is told about.
+// (a counted miss, a joined flight) that no caller is told about.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -62,19 +62,23 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// gatedBackend wraps a backend so a test can hold workers inside an
+// gatedBackend wraps a backend so a test can hold callers inside an
 // evaluation: entered reports each EvaluateBatch call's width, closing
-// release lets them all finish.
+// release lets them all finish, and peak is the most calls that were
+// ever inside at once.
 type gatedBackend struct {
 	inner   Backend
 	entered chan int
 	release chan struct{}
+
+	mu           sync.Mutex
+	inside, peak int
 }
 
 func newGatedBackend(inner Backend) *gatedBackend {
 	return &gatedBackend{
 		inner: inner,
-		// Never blocks a worker: no test here makes more than 16 calls.
+		// Never blocks a caller: no test here makes more than 16 calls.
 		entered: make(chan int, 16),
 		release: make(chan struct{}),
 	}
@@ -83,9 +87,24 @@ func newGatedBackend(inner Backend) *gatedBackend {
 func (g *gatedBackend) Tables() *encoding.Tables { return g.inner.Tables() }
 
 func (g *gatedBackend) EvaluateBatch(vets []encoding.VET) []Result {
+	g.mu.Lock()
+	g.inside++
+	g.peak = max(g.peak, g.inside)
+	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		g.inside--
+		g.mu.Unlock()
+	}()
 	g.entered <- len(vets)
 	<-g.release
 	return g.inner.EvaluateBatch(vets)
+}
+
+func (g *gatedBackend) peakInside() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.peak
 }
 
 // TestFusionBackendBitIdentical: the fused wide-matrix evaluation must be
@@ -113,7 +132,7 @@ func TestFusionBackendBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	// Concurrent callers (the server's worker pool) share the scratch
+	// Concurrent callers (the server's evaluation slots) share the scratch
 	// pool; every call must still see the direct evaluator's bits.
 	want := fb.EvaluateBatch(vets)
 	var wg sync.WaitGroup
@@ -132,7 +151,7 @@ func TestFusionBackendBitIdentical(t *testing.T) {
 	wg.Wait()
 
 	st := fb.Stats()
-	if st.Batches == 0 || st.Systems == 0 || st.Rows == 0 {
+	if st.Systems == 0 || st.Rows == 0 {
 		t.Fatalf("fusion stats not accumulated: %+v", st)
 	}
 	// One vacancy per environment, eight open directions: every system
@@ -245,32 +264,28 @@ func TestFusionBackendF32Golden(t *testing.T) {
 	}
 }
 
-// TestFusionBackendCorruptionReachesCaller: the kernel's tripwire fires on
-// whichever pool goroutine evaluates the poisoned system; the batch must
-// still fail on the caller's goroutine, as a *fault.CorruptionError the
-// server can turn into its submitters' error — not crash the process.
+// TestFusionBackendCorruptionReachesCaller: the kernel's tripwire fires
+// on the caller's goroutine as a *fault.CorruptionError, which the server
+// turns into its callers' error — not a crashed process.
 func TestFusionBackendCorruptionReachesCaller(t *testing.T) {
 	pot, tb := smallPotential(15)
 	pot.Nets[lattice.Fe].Layers[0].B[0] = math.NaN()
 	vets := sampleVETs(t, tb, 6, 16)
-	for _, workers := range []int{1, 3} {
-		fb := NewFusionBackend(pot, tb, F64)
-		fb.SetWorkers(workers)
-		func() {
-			defer func() {
-				if _, ok := recover().(*fault.CorruptionError); !ok {
-					t.Errorf("workers=%d: EvaluateBatch over a NaN head did not panic with *fault.CorruptionError", workers)
-				}
-			}()
-			fb.EvaluateBatch(vets)
+	fb := NewFusionBackend(pot, tb, F64)
+	func() {
+		defer func() {
+			if _, ok := recover().(*fault.CorruptionError); !ok {
+				t.Error("EvaluateBatch over a NaN head did not panic with *fault.CorruptionError")
+			}
 		}()
-		srv := New(fb, Options{Capacity: 16})
-		var ce *fault.CorruptionError
-		if _, err := srv.Evaluate(vets[0]); !errors.As(err, &ce) {
-			t.Errorf("workers=%d: served evaluation returned %v, want a corruption error", workers, err)
-		}
-		srv.Close()
+		fb.EvaluateBatch(vets)
+	}()
+	srv := New(fb, Options{Capacity: 16})
+	var ce *fault.CorruptionError
+	if _, err := srv.Evaluate(vets[0]); !errors.As(err, &ce) {
+		t.Errorf("served evaluation returned %v, want a corruption error", err)
 	}
+	srv.Close()
 }
 
 // TestFusionBackendNextToVacancy is the regression test for the direction
@@ -347,7 +362,7 @@ func TestFusionBackendNextToVacancy(t *testing.T) {
 	}
 }
 
-// TestServerMatchesDirectModel: the full cache-then-batch pipeline returns
+// TestServerMatchesDirectModel: the full cache-then-evaluate pipeline returns
 // bit-identical energies to the wrapped model, for both backends.
 func TestServerMatchesDirectModel(t *testing.T) {
 	tb := encoding.New(units.LatticeConstantFe, units.CutoffShort)
@@ -381,17 +396,15 @@ func TestServerMatchesDirectModel(t *testing.T) {
 	}
 }
 
-// TestServerConcurrentClients hammers one server from many goroutines
+// TestServerBoundsConcurrency hammers one server from many goroutines
 // sharing a small set of environments: every result must equal the direct
-// evaluation, duplicates must coalesce, and the counters must add up.
-// Concurrent demand is the service's only source of batch width, so the
-// test also pins that it produces some: the single worker is held inside
-// its first evaluation until every other environment is queued behind it,
-// which leaves its second batch no choice but to be wide.
-func TestServerConcurrentClients(t *testing.T) {
+// evaluation, duplicates must coalesce onto one flight, and never more
+// than Options.Workers calls may be inside the backend at once — pinned
+// by holding the first two evaluations until every client has missed.
+func TestServerBoundsConcurrency(t *testing.T) {
 	pot, tb := smallPotential(6)
 	gate := newGatedBackend(NewFusionBackend(pot, tb, F64))
-	srv := New(gate, Options{Capacity: 256, MaxBatch: 8, Workers: 1})
+	srv := New(gate, Options{Capacity: 256, Workers: 2})
 	defer srv.Close()
 	direct := nnp.NewLatticeEvaluator(pot, tb)
 	vets := sampleVETs(t, tb, 6, 7)
@@ -403,7 +416,6 @@ func TestServerConcurrentClients(t *testing.T) {
 	const clients = 8
 	const rounds = 40
 	var wg sync.WaitGroup
-	errs := make(chan string, clients)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -412,85 +424,83 @@ func TestServerConcurrentClients(t *testing.T) {
 				i := (c + r) % len(vets)
 				gi, gf, gv := srv.HopEnergies(vets[i])
 				if gi != want[i].Initial || gf != want[i].Final || gv != want[i].Valid {
-					errs <- "served energies diverged from direct evaluation"
+					t.Error("served energies diverged from direct evaluation")
 					return
 				}
 			}
 		}(c)
 	}
-	// Round 0 asks for every environment once (clients ≥ len(vets)): what
-	// is not in the held batch ends up in the queue.
-	held := <-gate.entered
-	waitFor(t, "every other environment to be queued", func() bool {
-		return len(srv.reqCh) == len(vets)-held
+	// Round 0 asks for every environment, two of them twice: two owners
+	// get the slots, four wait for one, two join a flight.
+	<-gate.entered
+	<-gate.entered
+	waitFor(t, "every client to miss and the duplicates to join", func() bool {
+		st := srv.Stats()
+		return st.Misses == clients && st.Deduped == clients-int64(len(vets))
 	})
+	if n := len(gate.entered); n != 0 {
+		t.Fatalf("%d more calls entered the backend while both slots were held", n)
+	}
 	close(gate.release)
 	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
+
 	st := srv.Stats()
 	if got := st.Hits + st.Misses; got != clients*rounds {
 		t.Fatalf("lookup count %d, want %d", got, clients*rounds)
 	}
-	if st.MaxBatchWidth < 2 {
-		t.Fatalf("widest batch %d: concurrent callers were not coalesced", st.MaxBatchWidth)
-	}
-	var n, rows int64
-	for w, c := range st.WidthHist {
-		n += c
-		rows += int64(w) * c
-	}
-	if n != st.Batches || rows != st.BatchedSystems {
-		t.Fatalf("width histogram inconsistent: Σ=%d batches=%d, Σw=%d systems=%d",
-			n, st.Batches, rows, st.BatchedSystems)
+	if peak := gate.peakInside(); peak != 2 {
+		t.Fatalf("%d calls inside the backend at once, want exactly Workers = 2", peak)
 	}
 	// Only len(vets) distinct environments exist, so at most that many
 	// evaluations were necessary beyond coalesced duplicates.
-	if st.BatchedSystems > int64(len(vets)) {
-		t.Fatalf("%d distinct evaluations for %d distinct environments", st.BatchedSystems, len(vets))
+	if st.Batches > int64(len(vets)) {
+		t.Fatalf("%d evaluations for %d distinct environments", st.Batches, len(vets))
 	}
 }
 
-// TestServerBackpressureBounded: with a tiny queue, a flood of concurrent
-// misses must block at the bound instead of queueing unboundedly.
+// TestServerBackpressureBounded: with one slot and its evaluation held,
+// further distinct misses block outside the backend, and all complete
+// once it is released.
 func TestServerBackpressureBounded(t *testing.T) {
 	pot, tb := smallPotential(8)
-	srv := New(NewFusionBackend(pot, tb, F64), Options{
-		Capacity: 1 << 12, MaxBatch: 4, Workers: 1, QueueDepth: 4,
-	})
+	gate := newGatedBackend(NewFusionBackend(pot, tb, F64))
+	srv := New(gate, Options{Capacity: 1 << 12, Workers: 1})
 	defer srv.Close()
-	vets := sampleVETs(t, tb, 48, 9)
+	vets := sampleVETs(t, tb, 12, 9)
 
 	var wg sync.WaitGroup
-	for c := 0; c < 12; c++ {
+	for _, vet := range vets {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
-			for i := c; i < len(vets); i += 12 {
-				srv.HopEnergies(vets[i])
+			if _, err := srv.Evaluate(vet); err != nil {
+				t.Error(err)
 			}
-		}(c)
+		}()
 	}
+	<-gate.entered
+	waitFor(t, "every caller to miss", func() bool { return srv.Stats().Misses == int64(len(vets)) })
+	if n := len(gate.entered); n != 0 {
+		t.Fatalf("%d more calls entered the backend while the only slot was held", n)
+	}
+	close(gate.release)
 	wg.Wait()
-	st := srv.Stats()
-	if st.QueueHighWater > 4 {
-		t.Fatalf("queue high-water %d exceeds the configured bound 4", st.QueueHighWater)
+	if peak := gate.peakInside(); peak != 1 {
+		t.Fatalf("%d calls inside the backend at once, want 1", peak)
 	}
-	if st.MaxBatchWidth > 4 {
-		t.Fatalf("batch width %d exceeds MaxBatch 4", st.MaxBatchWidth)
+	if st := srv.Stats(); st.Batches != int64(len(vets)) {
+		t.Fatalf("%d evaluations for %d distinct environments", st.Batches, len(vets))
 	}
 }
 
-// TestServerGracefulDrain: Close must complete everything already
-// accepted — the evaluation a worker is inside, a caller joined to that
-// flight, and the queue behind it — and later submissions must fail
-// cleanly rather than hang.
+// TestServerGracefulDrain: Close must wait for everything already
+// accepted — the evaluation a caller is inside, a caller joined to that
+// flight, and the callers waiting for the slot — and later submissions
+// must fail cleanly rather than hang.
 func TestServerGracefulDrain(t *testing.T) {
 	pot, tb := smallPotential(10)
 	gate := newGatedBackend(NewFusionBackend(pot, tb, F64))
-	srv := New(gate, Options{Workers: 1, QueueDepth: 64})
+	srv := New(gate, Options{Workers: 1})
 	vets := sampleVETs(t, tb, 8, 11)
 
 	var wg sync.WaitGroup
@@ -505,13 +515,14 @@ func TestServerGracefulDrain(t *testing.T) {
 		}()
 	}
 	submit(vets[0])
-	<-gate.entered  // the only worker is now held inside vets[0]
+	<-gate.entered  // the only slot is now held inside vets[0]
 	submit(vets[0]) // joins that flight
 	for _, vet := range vets[1:] {
-		submit(vet) // queues behind it
+		submit(vet) // waits for the slot
 	}
-	waitFor(t, "a joined caller and a full queue", func() bool {
-		return srv.Stats().Deduped == 1 && len(srv.reqCh) == len(vets)-1
+	waitFor(t, "a joined caller and the rest missing", func() bool {
+		st := srv.Stats()
+		return st.Deduped == 1 && st.Misses == int64(len(vets))+1
 	})
 
 	closed := make(chan struct{})
@@ -520,6 +531,11 @@ func TestServerGracefulDrain(t *testing.T) {
 		close(closed)
 	}()
 	waitFor(t, "Close to stop admissions", srv.closed.Load)
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an evaluation was still held")
+	default:
+	}
 	close(gate.release)
 	<-closed
 	wg.Wait()
@@ -528,9 +544,60 @@ func TestServerGracefulDrain(t *testing.T) {
 	if n := failed.Load(); n != 0 {
 		t.Fatalf("%d pre-close submissions failed", n)
 	}
-	if _, err := srv.Evaluate(vets[0]); err == nil {
-		t.Fatal("Evaluate after Close did not fail")
+	if _, err := srv.Evaluate(vets[0]); err == nil || err.Error() != "evalserve: server closed" {
+		t.Fatalf("Evaluate after Close returned %v, want server closed", err)
 	}
+}
+
+// panickyBackend panics with a non-corruption value once — the shape of a
+// fleet-backed model whose transport budget ran out — then works.
+type panickyBackend struct {
+	*gatedBackend
+	tripped atomic.Bool
+}
+
+func (p *panickyBackend) EvaluateBatch(vets []encoding.VET) []Result {
+	if p.tripped.CompareAndSwap(false, true) {
+		p.entered <- len(vets)
+		<-p.release
+		panic(&fault.TransportError{Op: "eval", Addr: "test", Err: errors.New("budget exhausted")})
+	}
+	return p.inner.EvaluateBatch(vets)
+}
+
+// TestServerBackendPanicReleasesFlight: a backend panic that is not a
+// corruption passes through on the owner's goroutine (where the engine
+// layers recover it), but must not strand the flight's joiners, its slot
+// or Close; a retry of the same environment evaluates afresh.
+func TestServerBackendPanicReleasesFlight(t *testing.T) {
+	pot, tb := smallPotential(17)
+	be := &panickyBackend{gatedBackend: newGatedBackend(NewFusionBackend(pot, tb, F64))}
+	srv := New(be, Options{Workers: 1})
+	vet := sampleVETs(t, tb, 1, 18)[0]
+
+	owner := make(chan any, 1)
+	go func() {
+		defer func() { owner <- recover() }()
+		srv.HopEnergies(vet)
+	}()
+	<-be.entered
+	joiner := make(chan error, 1)
+	go func() {
+		_, err := srv.Evaluate(vet)
+		joiner <- err
+	}()
+	waitFor(t, "the joiner", func() bool { return srv.Stats().Deduped == 1 })
+	close(be.release)
+	if _, ok := (<-owner).(*fault.TransportError); !ok {
+		t.Error("the backend's panic did not reach the owner unchanged")
+	}
+	if err := <-joiner; err != errAbandoned {
+		t.Errorf("joiner got %v, want errAbandoned", err)
+	}
+	if _, err := srv.Evaluate(vet); err != nil {
+		t.Errorf("retry after the panic: %v", err)
+	}
+	srv.Close()
 }
 
 // TestCacheEvictionAndCollision exercises the LRU bound and the
@@ -570,8 +637,8 @@ func TestCacheEvictionAndCollision(t *testing.T) {
 	}
 }
 
-// TestModelBackendMatchesNNP: the generic pool backend serves NNP too
-// (used when fusion batching is disabled), bit-identically.
+// TestModelBackendMatchesNNP: the generic pool backend serves NNP too,
+// bit-identically.
 func TestModelBackendMatchesNNP(t *testing.T) {
 	pot, tb := smallPotential(13)
 	mb := NewModelBackend(func() kmc.Model { return nnp.NewLatticeEvaluator(pot, tb) }, 2)
@@ -583,33 +650,5 @@ func TestModelBackendMatchesNNP(t *testing.T) {
 		if got[i].Initial != wi || got[i].Final != wf || got[i].Valid != wv {
 			t.Fatalf("system %d: pooled (%v) != direct (%v)", i, got[i].Initial, wi)
 		}
-	}
-}
-
-// TestOccupancyP50 checks the median-width readout against hand-built
-// histograms.
-func TestOccupancyP50(t *testing.T) {
-	cases := []struct {
-		hist []int64
-		want int64
-	}{
-		{hist: []int64{0, 10}, want: 1},                     // all width 1
-		{hist: []int64{0, 1, 0, 0, 9}, want: 4},             // one narrow straggler
-		{hist: []int64{0, 5, 5}, want: 1},                   // even split: lower median
-		{hist: []int64{0, 0, 0, 7}, want: 3},                // uniform width 3
-		{hist: []int64{0, 4, 0, 0, 0, 0, 0, 0, 3}, want: 1}, // narrow majority
-	}
-	for i, c := range cases {
-		var batches int64
-		for _, n := range c.hist {
-			batches += n
-		}
-		st := Stats{Batches: batches, WidthHist: c.hist}
-		if got := st.OccupancyP50(); got != c.want {
-			t.Errorf("case %d: p50 = %d, want %d", i, got, c.want)
-		}
-	}
-	if (Stats{}).OccupancyP50() != 0 {
-		t.Error("idle stats should report p50 = 0")
 	}
 }

@@ -159,7 +159,7 @@ func (o *FrontendOptions) applyDefaults() {
 
 // Frontend exposes a Server over TCP (or any net.Listener). Each accepted
 // connection is one independent client session; the shared Server behind
-// it is what makes cross-client deduplication and batching happen.
+// it is what makes cross-client caching and deduplication happen.
 type Frontend struct {
 	srv  *Server
 	ln   net.Listener
@@ -434,8 +434,9 @@ type DialConfig struct {
 // implements kmc.Model, so an engine can be pointed at a remote
 // evaluation service exactly as it would at an in-process potential. One
 // Client serializes its requests (the session is a simple request/reply
-// stream); open several Clients for concurrency — the server coalesces
-// and deduplicates across all of them.
+// stream); open several Clients for concurrency — the server shares one
+// cache across all of them and evaluates an environment several of them
+// miss at once only once.
 //
 // Any transport failure — including a deadline expiry — marks the
 // session broken: the request/reply framing can no longer be trusted,
@@ -596,7 +597,7 @@ func (c *Client) Evaluate(vet encoding.VET) (Result, error) {
 
 // EvaluateTraced is Evaluate carrying a distributed-trace context: a
 // valid context rides the eval frame, so the serving node's spans (cache
-// hit/miss, batch fill, GEMM time) join the caller's trace.
+// hit/miss, slot wait, evaluation time) join the caller's trace.
 func (c *Client) EvaluateTraced(vet encoding.VET, tctx trace.Context) (Result, error) {
 	if len(vet) != c.tb.NAll {
 		return Result{}, fmt.Errorf("evalserve: VET length %d, want %d", len(vet), c.tb.NAll)

@@ -162,8 +162,8 @@ func Parse(r io.Reader) (*Deck, error) {
 		d.Config.EvalFallback = true
 	}
 	if d.Config.EvalCache == 0 {
-		if d.Config.EvalShards != 0 || d.Config.EvalBatch != 0 || d.Config.EvalWorkers != 0 || d.Config.EvalF32 {
-			return nil, fmt.Errorf("input: 'eval_shards', 'eval_batch', 'eval_workers' and 'eval_f32' require 'eval_cache'")
+		if d.Config.EvalShards != 0 || d.Config.EvalF32 {
+			return nil, fmt.Errorf("input: 'eval_shards' and 'eval_f32' require 'eval_cache'")
 		}
 	}
 	if d.Config.SLO.P99 == 0 && d.Config.SLO.ErrorRate == 0 {
@@ -319,10 +319,6 @@ func (d *Deck) apply(key string, args []string) error {
 		d.evalFallbackSet = true
 	case "eval_shards":
 		return nonNegInt(args, &d.Config.EvalShards)
-	case "eval_batch":
-		return nonNegInt(args, &d.Config.EvalBatch)
-	case "eval_workers":
-		return nonNegInt(args, &d.Config.EvalWorkers)
 	case "eval_f32":
 		if len(args) != 1 {
 			return fmt.Errorf("eval_f32 wants 'on' or 'off'")

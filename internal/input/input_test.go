@@ -244,13 +244,13 @@ func TestRestartFinishFullState(t *testing.T) {
 
 func TestEvalServiceKeys(t *testing.T) {
 	deck := "cells 4 4 4\nduration 1e-8\n" +
-		"eval_cache 4096\neval_shards 4\neval_batch 16\neval_workers 3\neval_f32 on\n"
+		"eval_cache 4096\neval_shards 4\neval_f32 on\n"
 	d, err := Parse(strings.NewReader(deck))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := d.Config
-	if c.EvalCache != 4096 || c.EvalShards != 4 || c.EvalBatch != 16 || c.EvalWorkers != 3 || !c.EvalF32 {
+	if c.EvalCache != 4096 || c.EvalShards != 4 || !c.EvalF32 {
 		t.Fatalf("eval keys misparsed: %+v", c)
 	}
 
@@ -258,13 +258,13 @@ func TestEvalServiceKeys(t *testing.T) {
 	for name, bad := range map[string]struct{ deck, want string }{
 		"neg cache":        {"cells 4 4 4\nduration 1\neval_cache -1\n", "line 3"},
 		"bad f32":          {"cells 4 4 4\nduration 1\neval_cache 64\neval_f32 maybe\n", "eval_f32"},
-		"no value":         {"cells 4 4 4\nduration 1\neval_cache 64\neval_batch\n", "line 4"},
+		"no value":         {"cells 4 4 4\nduration 1\neval_cache 64\neval_shards\n", "line 4"},
 		"deleted key":      {"cells 4 4 4\nduration 1\neval_cache 64\neval_speculate 3\n", `unknown key "eval_speculate"`},
+		"deleted batch":    {"cells 4 4 4\nduration 1\neval_cache 64\neval_batch 16\n", `unknown key "eval_batch"`},
+		"deleted workers":  {"cells 4 4 4\nduration 1\neval_cache 64\neval_workers 3\n", `unknown key "eval_workers"`},
 		"orphan shards":    {"cells 4 4 4\nduration 1\neval_shards 4\n", "'eval_shards'"},
-		"orphan batch":     {"cells 4 4 4\nduration 1\neval_batch 16\n", "'eval_batch'"},
-		"orphan workers":   {"cells 4 4 4\nduration 1\neval_workers 3\n", "'eval_workers'"},
 		"orphan f32":       {"cells 4 4 4\nduration 1\npotential nnp w.nnp\neval_f32 on\n", "'eval_f32'"},
-		"cache off, tuned": {"cells 4 4 4\nduration 1\neval_cache 0\neval_workers 3\n", "require 'eval_cache'"},
+		"cache off, tuned": {"cells 4 4 4\nduration 1\neval_cache 0\neval_shards 4\n", "require 'eval_cache'"},
 	} {
 		if _, err := Parse(strings.NewReader(bad.deck)); err == nil {
 			t.Errorf("%s: expected error", name)

@@ -407,8 +407,8 @@ func (s *Supervisor) restoreFrom(ck *core.Checkpoint) error {
 		sim.Close()
 		return err
 	}
-	// The rejected simulation's background resources (the evaluation
-	// service's worker pool, when configured) die with it.
+	// The rejected simulation's resources (the evaluation service and
+	// fleet client, when configured) are released with it.
 	s.sim.Close()
 	s.sim = sim
 	return nil

@@ -21,9 +21,9 @@ package telemetry
 // threading node handles through constructors: core owns "run" and its
 // segment/checkpoint/analyze children, the engines hang their hot-path
 // phases under run/segment, and the evaluation service owns the
-// "evalserve" root (its workers run concurrently with engine spans, so
-// their time nests inside the engines' eval phase rather than adding
-// to the run tree).
+// "evalserve" root (evaluations of several callers overlap, so their
+// time nests inside the engines' eval phase rather than adding to the
+// run tree).
 const (
 	PhaseRun        = "run"        // one Simulation.Run call tree root
 	PhaseSegment    = "segment"    // one uninterrupted run chunk
@@ -37,9 +37,9 @@ const (
 	PhaseCheckpoint = "checkpoint" // crash-safe state persistence
 	PhaseAnalyze    = "analyze"    // cluster analysis
 	PhaseAudit      = "audit"      // physics invariant audits
-	PhaseEvalServe  = "evalserve"  // evaluation-service worker root
-	PhaseBatch      = "batch"      // one fused batch evaluation
-	PhaseFusion     = "fusion"     // the batch's hop kernels (features + network forward)
+	PhaseEvalServe  = "evalserve"  // evaluation-service root
+	PhaseEvaluate   = "evaluate"   // one backend evaluation of a missed system
+	PhaseFusion     = "fusion"     // its hop kernel (features + network forward)
 )
 
 // Well-known metric families (the acceptance surface of /metrics).
@@ -52,9 +52,7 @@ const (
 	MetricCacheCollisions  = "tkmc_eval_cache_collisions_total"
 	MetricCacheEntries     = "tkmc_eval_cache_entries"
 	MetricEvalBatches      = "tkmc_eval_batches_total"
-	MetricEvalBatchedSys   = "tkmc_eval_batched_systems_total"
 	MetricEvalDeduped      = "tkmc_eval_deduped_total"
-	MetricEvalQueueHigh    = "tkmc_eval_queue_high_water"
 	MetricFleetRetries     = "tkmc_fleet_retries_total"
 	MetricFleetFailovers   = "tkmc_fleet_failovers_total"
 	MetricFleetFallbacks   = "tkmc_fleet_fallbacks_total"

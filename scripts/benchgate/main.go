@@ -1,12 +1,9 @@
 // Command benchgate is the CI bench-smoke gate: it reads the
-// machine-readable bench reports (BENCH_evalserve.json from the
-// evaluation-service benchmarks, BENCH_traj.json from the
-// trajectory-recording bench) and fails if the corresponding machinery
-// has regressed to its degenerate states —
+// machine-readable bench reports (BENCH_traj.json from the
+// trajectory-recording bench, BENCH_trace.json from the tracing bench)
+// and fails if the corresponding machinery has regressed to its
+// degenerate states —
 //
-//   - a width-64 batch slower per system than width-1: the backend's
-//     fan-out of a batch's systems over pooled scratches has lost to its
-//     own overhead, i.e. batching actively hurts;
 //   - trajectory-recording overhead > 5%: the event log has fallen off
 //     the buffered fast path and is taxing every hop;
 //   - bytes per logged event outside (0, 512]: the wire encoding has
@@ -31,14 +28,7 @@ import (
 	"strings"
 )
 
-// Degenerate-state thresholds (see package comment). wideTolerance
-// absorbs shared-runner noise on the width comparison. Every system of a
-// batch runs the same incremental hop kernel whatever the width, so what
-// the comparison guards is the fan-out around it, not cache tiling: a
-// wide batch must at minimum not cost more per system than width-1
-// beyond the run-to-run variance band; a genuine regression (scratches no
-// longer pooled so every system allocates its buffers, workers
-// serialised on a shared lock) shows up as 1.5–2× and trips regardless.
+// Degenerate-state thresholds (see package comment).
 // maxRecordOverhead is the trajectory budget: recording rides the hot
 // hop path, so anything past a few percent means the buffered writer or
 // the varint encoding has structurally regressed. maxBytesPerEvent is a
@@ -47,10 +37,9 @@ import (
 // maxTraceOverhead is the distributed-tracing budget: a traced eval
 // request adds two ring records client-side and one server-side, a
 // fixed sub-µs tax that must stay ≤ 2% of the cache-miss request it
-// rides on (the batch-pipeline evaluation — the request that carries
-// the simulation's work).
+// rides on (the backend evaluation — the request that carries the
+// simulation's work).
 const (
-	wideTolerance     = 1.10
 	maxRecordOverhead = 0.05
 	maxBytesPerEvent  = 512.0
 	maxTraceOverhead  = 0.02
@@ -59,7 +48,7 @@ const (
 func main() {
 	paths := os.Args[1:]
 	if len(paths) == 0 {
-		paths = []string{"BENCH_evalserve.json", "BENCH_traj.json", "BENCH_trace.json"}
+		paths = []string{"BENCH_traj.json", "BENCH_trace.json"}
 	}
 	ok := true
 	for _, path := range paths {
@@ -77,7 +66,7 @@ func main() {
 		case hasKey(report, "trace_ns_per_request"):
 			ok = gateTrace(path, report) && ok
 		default:
-			ok = gateEvalserve(path, report) && ok
+			fail("%s: neither a trajectory nor a tracing report", path)
 		}
 	}
 	if !ok {
@@ -94,27 +83,6 @@ func need(report map[string]float64, missing *[]string, key string) float64 {
 		*missing = append(*missing, key)
 	}
 	return v
-}
-
-// gateEvalserve screens the batching report.
-func gateEvalserve(path string, report map[string]float64) bool {
-	var missing []string
-	w1 := need(report, &missing, "batch_width_1_ns_per_system")
-	w64 := need(report, &missing, "batch_width_64_ns_per_system")
-	if len(missing) > 0 {
-		fail("%s missing %s — run the evalserve benches first "+
-			"(go test -bench EvalBatchWidth -benchtime=1x .)",
-			path, strings.Join(missing, ", "))
-	}
-
-	if w64 >= wideTolerance*w1 {
-		fmt.Fprintf(os.Stderr, "FAIL: width-64 batched evaluation (%.0f ns/system) is slower than width-1 (%.0f ns/system) beyond the %.0f%% noise band\n",
-			w64, w1, 100*(wideTolerance-1))
-		return false
-	}
-	fmt.Printf("benchgate ok (%s): width-64 %.0f ns/system vs width-1 %.0f ns/system (%.2fx, tolerance %.2fx)\n",
-		path, w64, w1, w1/w64, wideTolerance)
-	return true
 }
 
 // gateTraj screens the trajectory-recording report.
