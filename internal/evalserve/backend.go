@@ -68,15 +68,16 @@ func NewModelBackend(factory func() kmc.Model, size int) *ModelBackend {
 func (mb *ModelBackend) Tables() *encoding.Tables { return mb.tb }
 
 func (mb *ModelBackend) borrow() kmc.Model {
+	var m kmc.Model
 	mb.mu.Lock()
 	if n := len(mb.idle); n > 0 {
-		m := mb.idle[n-1]
-		mb.idle = mb.idle[:n-1]
-		mb.mu.Unlock()
-		return m
+		m, mb.idle = mb.idle[n-1], mb.idle[:n-1]
 	}
 	mb.mu.Unlock()
-	return mb.factory()
+	if m == nil {
+		m = mb.factory()
+	}
+	return m
 }
 
 // EvaluateBatch evaluates each system through one pooled model.

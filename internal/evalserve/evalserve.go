@@ -113,6 +113,7 @@ func (s Stats) String() string {
 // of the same environment wait on the first caller's backend call instead
 // of repeating it. The owner writes res and err, then closes done.
 type flight struct {
+	hash uint64
 	env  []byte
 	done chan struct{}
 	res  Result
@@ -273,7 +274,7 @@ func (s *Server) EvaluateTraced(vet encoding.VET, tctx trace.Context) (Result, e
 
 	f, owner := s.joinFlight(hash, vet)
 	if owner {
-		s.resolve(f, hash, vet, sp.Context())
+		s.resolve(f, vet, sp.Context())
 		sp.EndMsg("cache=miss")
 	} else {
 		<-f.done
@@ -294,7 +295,7 @@ func (s *Server) joinFlight(hash uint64, vet encoding.VET) (f *flight, owner boo
 			return f, false
 		}
 	}
-	f = &flight{env: s.tb.EncodeEnv(vet), done: make(chan struct{}), err: errAbandoned}
+	f = &flight{hash: hash, env: s.tb.EncodeEnv(vet), done: make(chan struct{}), err: errAbandoned}
 	s.flights[hash] = append(s.flights[hash], f)
 	return f, true
 }
@@ -303,9 +304,9 @@ func (s *Server) joinFlight(hash uint64, vet encoding.VET) (f *flight, owner boo
 // it. On success the cache entry must already be in place: a miss
 // arriving after deregistration registers a new flight, and its owner's
 // second-chance lookup resolves it from the cache.
-func (s *Server) completeFlight(hash uint64, f *flight) {
+func (s *Server) completeFlight(f *flight) {
 	s.flightMu.Lock()
-	bucket := s.flights[hash]
+	bucket := s.flights[f.hash]
 	for i, g := range bucket {
 		if g == f {
 			bucket = append(bucket[:i], bucket[i+1:]...)
@@ -313,9 +314,9 @@ func (s *Server) completeFlight(hash uint64, f *flight) {
 		}
 	}
 	if len(bucket) == 0 {
-		delete(s.flights, hash)
+		delete(s.flights, f.hash)
 	} else {
-		s.flights[hash] = bucket
+		s.flights[f.hash] = bucket
 	}
 	s.flightMu.Unlock()
 	close(f.done)
@@ -325,8 +326,8 @@ func (s *Server) completeFlight(hash uint64, f *flight) {
 // re-check the cache, evaluate the system on this goroutine, store the
 // exact outputs and complete the flight (also when the backend panics
 // through, so joiners fail with errAbandoned instead of waiting forever).
-func (s *Server) resolve(f *flight, hash uint64, vet encoding.VET, tctx trace.Context) {
-	defer s.completeFlight(hash, f)
+func (s *Server) resolve(f *flight, vet encoding.VET, tctx trace.Context) {
+	defer s.completeFlight(f)
 	queued := time.Now()
 	s.slots <- struct{}{} // blocks while Workers evaluations run: backpressure
 	defer func() { <-s.slots }()
@@ -336,7 +337,7 @@ func (s *Server) resolve(f *flight, hash uint64, vet encoding.VET, tctx trace.Co
 	defer sw.Stop()
 	// Second chance: an entry may have landed between the caller's miss
 	// and its flight registration.
-	if res, ok := s.cache.peek(hash, vet); ok {
+	if res, ok := s.cache.peek(f.hash, vet); ok {
 		f.res, f.err = res, nil
 		return
 	}
@@ -353,7 +354,7 @@ func (s *Server) resolve(f *flight, hash uint64, vet encoding.VET, tctx trace.Co
 		return
 	}
 	esp.EndMsg("gemm=%.3fms", float64(time.Since(start).Microseconds())/1e3)
-	s.cache.Put(hash, f.env, res)
+	s.cache.Put(f.hash, f.env, res)
 	s.batches.Add(1)
 	f.res, f.err = res, nil
 }
