@@ -90,7 +90,8 @@ type Tables struct {
 	// Mirror[i] is the CET index of −CET[i]. The CET set is symmetric
 	// under inversion (New checks it), so a site that sits at offset c
 	// from a changed site sees that site at entry Mirror[i] of its own
-	// VET — what the vacancy-cache patch needs, without a map lookup.
+	// VET — what a vacancy-cache patch that walks the table around the
+	// changed site needs (Centres.Covering names the entry directly).
 	Mirror []int32
 
 	// HopSites[k] lists, site-ascending, the region sites other than the
@@ -103,7 +104,22 @@ type Tables struct {
 	// HopEnergies) walk this table.
 	HopSites [8][]HopSite
 
-	index map[lattice.Vec]int32
+	// Shift[k][i] is the CET index of CET[i] + NN1[k], −1 where that
+	// offset leaves the table; Fringe[k] lists, ascending, the entries
+	// where it does (151 of 1181 at 6.5 Å, the same count for every
+	// direction) and FringeCET[k] their offsets. A system whose vacancy
+	// hops by NN1[k] sees at entry i what it saw at Shift[k][i], so its VET
+	// is translated by one permuting copy (HopVET) and only the fringe is
+	// read from the lattice — the fourth tabulation, beside CET, NET and
+	// VET.
+	Shift     [8][]int32
+	Fringe    [8][]int32
+	FringeCET [8][]lattice.Vec
+
+	// grid holds the CET index of every offset of the cube
+	// |x|, |y|, |z| ≤ MaxExtent, −1 where the offset is no CET entry: the
+	// lookup behind IndexOf, and while New runs its scratch.
+	grid []int32
 }
 
 // New constructs the tables for lattice constant a (Å) and cutoff rcut
@@ -117,61 +133,79 @@ func New(a, rcut float64) *Tables {
 	ball := lattice.OffsetsWithin(t.Norm2Max)
 	t.NLocal = len(ball)
 
+	// Ball coordinates reach r; the region (balls around the centre and its
+	// 1NN sites) then reaches r+1 and the outer shell (balls around region
+	// sites) 2r+1.
+	r := 0
+	for _, off := range ball {
+		r = max(r, abs(off.X), abs(off.Y), abs(off.Z))
+	}
+	t.MaxExtent = 2*r + 1
+	side := 2*t.MaxExtent + 1
+	t.grid = make([]int32, side*side*side)
+	const absent, marked = -1, -2
+	for i := range t.grid {
+		t.grid[i] = absent
+	}
+	// mark appends v to set unless an earlier call already saw it.
+	mark := func(set []lattice.Vec, v lattice.Vec) []lattice.Vec {
+		if g := &t.grid[t.gridIndex(v)]; *g == absent {
+			*g = marked
+			return append(set, v)
+		}
+		return set
+	}
+
 	// The jumping region is the union of the cutoff balls around the
 	// centre and its eight 1NN sites (each ball includes its centre).
-	inRegion := map[lattice.Vec]bool{{}: true}
-	centers := append([]lattice.Vec{{}}, lattice.NN1[:]...)
-	for _, c := range centers {
-		inRegion[c] = true
+	var region, out []lattice.Vec
+	for _, c := range append([]lattice.Vec{{}}, lattice.NN1[:]...) {
+		region = mark(region, c)
 		for _, off := range ball {
-			inRegion[c.Add(off)] = true
+			region = mark(region, c.Add(off))
 		}
 	}
 	// Outer shell: neighbours of region sites that are not themselves
 	// in the region.
-	inOut := map[lattice.Vec]bool{}
-	for v := range inRegion {
+	for _, v := range region {
 		for _, off := range ball {
-			n := v.Add(off)
-			if !inRegion[n] {
-				inOut[n] = true
-			}
+			out = mark(out, v.Add(off))
 		}
 	}
 
-	region := sortedSites(inRegion)
-	out := sortedSites(inOut)
+	sortSites(region)
+	sortSites(out)
 	t.NRegion = len(region)
 	t.NOut = len(out)
 	t.NAll = t.NRegion + t.NOut
 	t.CET = append(region, out...)
-
-	t.index = make(map[lattice.Vec]int32, t.NAll)
 	for i, v := range t.CET {
-		t.index[v] = int32(i)
+		t.grid[t.gridIndex(v)] = int32(i)
 	}
 	if t.CET[0] != (lattice.Vec{}) {
 		panic("encoding: CET[0] is not the origin")
 	}
 	for k, nn := range lattice.NN1 {
-		t.NN1Index[k] = t.index[nn]
+		t.NN1Index[k], _ = t.IndexOf(nn)
 	}
 	t.Mirror = make([]int32, t.NAll)
 	for i, v := range t.CET {
-		m, ok := t.index[lattice.Vec{X: -v.X, Y: -v.Y, Z: -v.Z}]
+		m, ok := t.IndexOf(lattice.Vec{X: -v.X, Y: -v.Y, Z: -v.Z})
 		if !ok {
 			panic(fmt.Sprintf("encoding: CET not symmetric: %v has no mirror entry", v))
 		}
 		t.Mirror[i] = m
 	}
-	for _, v := range t.CET {
-		for _, c := range []int{v.X, v.Y, v.Z} {
-			if c < 0 {
-				c = -c
+	for k, nn := range lattice.NN1 {
+		t.Shift[k] = make([]int32, t.NAll)
+		for i, v := range t.CET {
+			j, ok := t.IndexOf(v.Add(nn))
+			if !ok {
+				j = -1
+				t.Fringe[k] = append(t.Fringe[k], int32(i))
+				t.FringeCET[k] = append(t.FringeCET[k], v)
 			}
-			if c > t.MaxExtent {
-				t.MaxExtent = c
-			}
+			t.Shift[k][i] = j
 		}
 	}
 
@@ -203,7 +237,7 @@ func New(a, rcut float64) *Tables {
 	for _, v := range t.CET[:t.NRegion] {
 		for _, off := range ball {
 			n := v.Add(off)
-			id, ok := t.index[n]
+			id, ok := t.IndexOf(n)
 			if !ok {
 				panic(fmt.Sprintf("encoding: neighbour %v of region site %v missing from CET", n, v))
 			}
@@ -232,15 +266,11 @@ func New(a, rcut float64) *Tables {
 	return t
 }
 
-// sortedSites orders sites by (|v|², X, Y, Z) so the table layout is
+// sortSites orders sites by (|v|², X, Y, Z) so the table layout is
 // deterministic; the origin (|v|² = 0) always sorts first.
-func sortedSites(set map[lattice.Vec]bool) []lattice.Vec {
-	out := make([]lattice.Vec, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+func sortSites(sites []lattice.Vec) {
+	sort.Slice(sites, func(i, j int) bool {
+		a, b := sites[i], sites[j]
 		if an, bn := a.Norm2(), b.Norm2(); an != bn {
 			return an < bn
 		}
@@ -252,7 +282,13 @@ func sortedSites(set map[lattice.Vec]bool) []lattice.Vec {
 		}
 		return a.Z < b.Z
 	})
-	return out
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // Neighbors returns the NET slice of region site i.
@@ -263,8 +299,19 @@ func (t *Tables) Neighbors(i int) []Neighbor {
 // IndexOf returns the CET index of the given relative coordinate and
 // whether it is part of the vacancy system.
 func (t *Tables) IndexOf(v lattice.Vec) (int32, bool) {
-	id, ok := t.index[v]
-	return id, ok
+	if abs(v.X) > t.MaxExtent || abs(v.Y) > t.MaxExtent || abs(v.Z) > t.MaxExtent {
+		return 0, false
+	}
+	if id := t.grid[t.gridIndex(v)]; id >= 0 {
+		return id, true
+	}
+	return 0, false
+}
+
+// gridIndex is the position in grid of an offset inside the MaxExtent cube.
+func (t *Tables) gridIndex(v lattice.Vec) int {
+	m, side := t.MaxExtent, 2*t.MaxExtent+1
+	return ((v.Z+m)*side+v.Y+m)*side + v.X + m
 }
 
 // VET is the vacancy encoding tabulation: the atom type of each CET entry
@@ -294,13 +341,30 @@ func (t *Tables) ApplyHop(vet VET, k int) {
 	vet[0], vet[j] = vet[j], vet[0]
 }
 
+// HopVET translates the VET of a vacancy that hops in direction k: src,
+// the system's VET before the hop, is brought up to date with the hop
+// (ApplyHop) and every entry of the table around the new centre that the
+// old table covers is copied into dst through Shift[k]. The entries
+// Fringe[k] of dst are left for the caller to read from the lattice. It is
+// exact only where a VET holds one image of each site: a periodic box no
+// wider than the table on some axis repeats the hopped pair elsewhere in
+// src, which ApplyHop does not see.
+func (t *Tables) HopVET(dst, src VET, k int) {
+	t.ApplyHop(src, k)
+	for i, j := range t.Shift[k] {
+		if j >= 0 {
+			dst[i] = src[j]
+		}
+	}
+}
+
 // MemoryBytes reports the shared-table footprint (CET + NET + distances +
-// mirror + hop sites): the memory every process pays once, regardless of
-// simulation size.
+// mirror + hop sites + shift, fringe and offset grid): the memory every
+// process pays once, regardless of simulation size.
 func (t *Tables) MemoryBytes() int {
-	n := len(t.CET)*3*8 + len(t.NET)*6 + len(t.Distances)*8 + len(t.Mirror)*4
-	for _, hs := range t.HopSites {
-		n += len(hs) * 8
+	n := len(t.CET)*3*8 + len(t.NET)*6 + len(t.Distances)*8 + len(t.Mirror)*4 + len(t.grid)*4
+	for k, hs := range t.HopSites {
+		n += len(hs)*8 + len(t.Shift[k])*4 + len(t.Fringe[k])*(4+3*8)
 	}
 	return n
 }

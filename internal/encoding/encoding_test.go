@@ -201,16 +201,32 @@ func TestFillVETAndApplyHop(t *testing.T) {
 	}
 }
 
+// TestIndexOf: the grid-backed IndexOf answers as the map it replaced —
+// on every CET offset and on 10⁴ random offsets that are no entry, inside
+// and outside the MaxExtent cube, valid displacements or not.
 func TestIndexOf(t *testing.T) {
-	tb := stdTables(t)
-	for i, v := range tb.CET {
-		got, ok := tb.IndexOf(v)
-		if !ok || got != int32(i) {
-			t.Fatalf("IndexOf(%v) = (%d,%v), want (%d,true)", v, got, ok, i)
+	for _, tb := range bothCutoffs(t) {
+		oracle := cetMap(tb)
+		for _, v := range tb.CET {
+			if got, ok := tb.IndexOf(v); !ok || got != oracle[v] {
+				t.Fatalf("IndexOf(%v) = (%d, %v), map says %d", v, got, ok, oracle[v])
+			}
 		}
-	}
-	if _, ok := tb.IndexOf(lattice.Vec{X: 100, Y: 100, Z: 100}); ok {
-		t.Fatal("IndexOf found a site far outside the system")
+		r := rng.New(41)
+		reach := tb.MaxExtent + 3
+		for n := 0; n < 10000; {
+			v := lattice.Vec{X: r.Intn(2*reach+1) - reach, Y: r.Intn(2*reach+1) - reach, Z: r.Intn(2*reach+1) - reach}
+			if _, member := oracle[v]; member {
+				continue
+			}
+			n++
+			if got, ok := tb.IndexOf(v); ok || got != 0 {
+				t.Fatalf("IndexOf(%v) = (%d, %v) for an offset outside the CET", v, got, ok)
+			}
+		}
+		if _, ok := tb.IndexOf(lattice.Vec{X: 100, Y: 100, Z: 100}); ok {
+			t.Fatal("IndexOf found a site far outside the system")
+		}
 	}
 }
 
@@ -295,22 +311,23 @@ func TestHopSites(t *testing.T) {
 	}
 }
 
+// TestMaxExtent: New derives MaxExtent from the ball before the CET exists
+// (the offset grid is sized by it); it must be exactly the largest
+// coordinate the CET then holds, not merely a bound.
 func TestMaxExtent(t *testing.T) {
-	tb := stdTables(t)
-	// Region reaches 1 + √20 ≈ 5.47 → 5-ish; outer shell adds another
-	// ball radius ≈ 4.47. MaxExtent must cover every CET coordinate.
-	for _, v := range tb.CET {
-		for _, c := range []int{v.X, v.Y, v.Z} {
-			if c < 0 {
-				c = -c
-			}
-			if c > tb.MaxExtent {
-				t.Fatalf("coordinate %d exceeds MaxExtent %d", c, tb.MaxExtent)
-			}
+	for _, tb := range bothCutoffs(t) {
+		largest := 0
+		for _, v := range tb.CET {
+			largest = max(largest, abs(v.X), abs(v.Y), abs(v.Z))
+		}
+		if tb.MaxExtent != largest {
+			t.Fatalf("MaxExtent = %d, largest CET coordinate %d", tb.MaxExtent, largest)
 		}
 	}
-	if tb.MaxExtent < 8 || tb.MaxExtent > 10 {
-		t.Fatalf("MaxExtent = %d, expected ≈9 for 6.5 Å cutoff", tb.MaxExtent)
+	// Region reaches 1 + √20 ≈ 5.47 → 5; the outer shell adds another
+	// ball radius ≈ 4.47.
+	if got := stdTables(t).MaxExtent; got != 9 {
+		t.Fatalf("MaxExtent = %d, want 9 for the 6.5 Å cutoff", got)
 	}
 }
 

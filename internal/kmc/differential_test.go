@@ -16,7 +16,9 @@ import (
 // equal a fresh generic FillVET. The box is Cu-rich, holds nine
 // vacancies and is 12 half-units wide under a 19-wide VET, so every
 // system wraps every face and one changed site patches several entries
-// of the same VET. The Stats literals were recorded at commit ac23b9f
+// of the same VET: the box the engine keeps the lattice walk for
+// (TestHopBookkeepingProperty is this test on boxes it translates on).
+// The Stats literals were recorded at commit ac23b9f
 // (before the division-free walk): refill, patch and refresh counts are
 // part of the ledger's exact-count contract and may not move.
 func TestEngineDifferential(t *testing.T) {
@@ -56,22 +58,26 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestEngineStepAllocatesNothing: a steady-state hop — refill walk, EAM
-// evaluation, selection, lattice swap, two invalidation walks — reuses
-// the engine's scratch and allocates nothing.
+// TestEngineStepAllocatesNothing: a steady-state hop — VET rebuild, EAM
+// evaluation, selection, lattice swap, two invalidations — reuses the
+// engine's scratch and allocates nothing, whether it walks the lattice
+// (the 8³ box is no wider than the table) or translates the VET and asks
+// the centre set (12³).
 func TestEngineStepAllocatesNothing(t *testing.T) {
 	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
 	model := eam.NewFastRegionEvaluator(eam.New(eam.Default()), tb)
-	box := lattice.NewBox(8, 8, 8, units.LatticeConstantFe)
-	lattice.FillRandomAlloy(box, 0.05, 0.004, rng.New(31))
-	e := NewEngine(box, model, units.ReactorTemperature, rng.New(32), Options{})
-	e.RunSteps(10) // first refreshes done, scratch warm
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, ok := e.Step(1e300); !ok {
-			t.Fatal("no event possible")
+	for _, cells := range []int{8, 12} {
+		box := lattice.NewBox(cells, cells, cells, units.LatticeConstantFe)
+		lattice.FillRandomAlloy(box, 0.05, 0.004, rng.New(31))
+		e := NewEngine(box, model, units.ReactorTemperature, rng.New(32), Options{})
+		e.RunSteps(10) // first refreshes done, scratch warm
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, ok := e.Step(1e300); !ok {
+				t.Fatal("no event possible")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%d³ cells: Engine.Step allocates %v objects per hop, want 0", cells, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Engine.Step allocates %v objects per hop, want 0", allocs)
 	}
 }

@@ -63,6 +63,10 @@ type system struct {
 	total  float64
 	filled bool // VET reflects the lattice
 	dirty  bool // rates need recomputation
+	// hopped is the direction of a hop this system made since vet was
+	// built (vet is then still the table around the old centre, which
+	// refresh translates), −1 if it made none.
+	hopped int8
 }
 
 // Event describes one executed vacancy hop.
@@ -119,7 +123,7 @@ func newProbes(set *telemetry.Set) probes {
 
 // Stats counts cache behaviour for the ablation benches.
 type Stats struct {
-	Refills   int64 // full VET rebuilds from the lattice
+	Refills   int64 // VET rebuilds for a new or moved centre, by translation or lattice walk
 	Patches   int64 // in-cache VET updates (no lattice access)
 	Refreshes int64 // propensity recomputations (model calls)
 }
@@ -134,9 +138,20 @@ type Engine struct {
 	opts  Options
 
 	systems []*system
-	slotOf  map[int]int // box site index of a vacancy centre → slot
+	centres *encoding.Centres // tracked vacancy centres → slot
 	tree    *SumTree
-	nbr     []int // scratch: box site index of centre+CET[i], one walk
+	nbr     []int            // scratch: box site index of centre+rel[i], one walk
+	cover   []encoding.Cover // scratch: the systems covering a changed site
+	spare   encoding.VET     // scratch: the buffer a hopper's VET is translated into
+
+	// walk makes hop bookkeeping walk the lattice — refill the hopper's
+	// whole VET, ask every site around a changed one for a tracked centre
+	// — instead of translating the VET and querying centres. It is set
+	// where translation is not exact (a box no wider than the table, see
+	// encoding.Centres.Aliased) or the cache is off, never by a tunable;
+	// walks counts the full-table walks made.
+	walk  bool
+	walks int64
 
 	time  float64
 	steps int64
@@ -155,19 +170,21 @@ func NewEngine(box *lattice.Box, model Model, temperatureK float64, r *rng.Strea
 			box.Nx, box.Ny, box.Nz, tb.MaxExtent))
 	}
 	e := &Engine{
-		box:    box,
-		model:  model,
-		tb:     tb,
-		temp:   temperatureK,
-		rnd:    r,
-		opts:   opts,
-		slotOf: make(map[int]int),
-		nbr:    make([]int, tb.NAll),
-		pr:     newProbes(opts.Telemetry),
+		box:     box,
+		model:   model,
+		tb:      tb,
+		temp:    temperatureK,
+		rnd:     r,
+		opts:    opts,
+		centres: newCentres(tb, box),
+		nbr:     make([]int, tb.NAll),
+		spare:   tb.NewVET(),
+		pr:      newProbes(opts.Telemetry),
 	}
+	e.walk = opts.DisableCache || e.centres.Aliased()
 	for _, v := range lattice.Vacancies(box) {
-		e.systems = append(e.systems, &system{center: v, vet: tb.NewVET(), dirty: true})
-		e.slotOf[box.Index(v)] = len(e.systems) - 1
+		e.systems = append(e.systems, &system{center: v, vet: tb.NewVET(), dirty: true, hopped: -1})
+		e.centres.Put(len(e.systems)-1, v)
 	}
 	n := len(e.systems)
 	if n == 0 {
@@ -175,6 +192,11 @@ func NewEngine(box *lattice.Box, model Model, temperatureK float64, r *rng.Strea
 	}
 	e.tree = NewSumTree(n)
 	return e
+}
+
+// newCentres returns an empty centre set spanning the whole box.
+func newCentres(tb *encoding.Tables, box *lattice.Box) *encoding.Centres {
+	return tb.NewCentres(box, lattice.Vec{}, lattice.Vec{X: 2 * box.Nx, Y: 2 * box.Ny, Z: 2 * box.Nz})
 }
 
 // Time returns the accumulated simulated time in seconds.
@@ -224,21 +246,20 @@ func (e *Engine) SetVacancyOrder(centers []lattice.Vec) error {
 		return fmt.Errorf("kmc: vacancy order has %d centres, engine tracks %d", len(centers), len(e.systems))
 	}
 	reordered := make([]*system, len(centers))
-	slotOf := make(map[int]int, len(centers))
+	centres := newCentres(e.tb, e.box)
 	for i, c := range centers {
-		idx := e.box.Index(c)
-		old, ok := e.slotOf[idx]
+		old, ok := e.centres.SlotAt(c)
 		if !ok {
 			return fmt.Errorf("kmc: vacancy order names %v, which is not a tracked vacancy", c)
 		}
-		if _, dup := slotOf[idx]; dup {
+		if _, dup := centres.SlotAt(c); dup {
 			return fmt.Errorf("kmc: vacancy order repeats centre %v", c)
 		}
 		reordered[i] = e.systems[old]
-		slotOf[idx] = i
+		centres.Put(i, c)
 	}
 	e.systems = reordered
-	e.slotOf = slotOf
+	e.centres = centres
 	// Any propensities computed under the old slot order live in the
 	// selection tree at stale indices; force a full refresh.
 	for _, s := range e.systems {
@@ -270,10 +291,23 @@ func (e *Engine) refresh(slot int) {
 	s := e.systems[slot]
 	if !s.filled {
 		sw := e.pr.encode.Start()
-		e.box.Neighbourhood(s.center, e.tb.CET, e.nbr)
 		types := e.box.Types()
-		for i, site := range e.nbr {
-			s.vet[i] = types[site]
+		if k := s.hopped; k >= 0 {
+			// The old VET, translated; only the fringe is read.
+			e.tb.HopVET(e.spare, s.vet, int(k))
+			s.vet, e.spare = e.spare, s.vet
+			s.hopped = -1
+			fringe := e.tb.Fringe[k]
+			e.box.Neighbourhood(s.center, e.tb.FringeCET[k], e.nbr[:len(fringe)])
+			for n, i := range fringe {
+				s.vet[i] = types[e.nbr[n]]
+			}
+		} else {
+			e.box.Neighbourhood(s.center, e.tb.CET, e.nbr)
+			e.walks++
+			for i, site := range e.nbr {
+				s.vet[i] = types[site]
+			}
 		}
 		sw.Stop()
 		s.filled = true
@@ -311,31 +345,47 @@ func (e *Engine) refreshAll() {
 
 // invalidate marks every cached system whose VET covers the changed site,
 // patching the cached entry in place (the vacancy-cache fast path: no
-// VET is rebuilt). skipSlot is the hopper, which is refilled separately.
-//
-// A system covers the site iff its centre lies at changed+c for some CET
-// offset c (the set is symmetric), and the site then sits at entry
-// Mirror[i] of that system's VET. Every tracked centre is a vacancy on
-// the lattice, so the species byte is read first and the slot map is
-// probed only at the few walked sites that hold one.
+// VET is rebuilt). skipSlot is the hopper, whose VET is rebuilt instead.
 func (e *Engine) invalidate(changed lattice.Vec, newSpecies lattice.Species, skipSlot int) {
+	if e.walk {
+		e.invalidateWalk(changed, newSpecies, skipSlot)
+		return
+	}
+	e.cover = e.centres.Covering(changed, e.cover)
+	for _, c := range e.cover {
+		if c.Slot != skipSlot {
+			e.patch(c.Slot, c.Entry, newSpecies)
+		}
+	}
+}
+
+// invalidateWalk is invalidate by a walk over the table around the changed
+// site. A system covers the site iff its centre lies at changed+c for some
+// CET offset c (the set is symmetric), and the site then sits at entry
+// Mirror[i] of that system's VET — once per periodic image the VET holds,
+// which is what a box no wider than the table needs. Every tracked centre
+// is a vacancy on the lattice, so the species byte is read first and the
+// centre set is asked only at the few walked sites that hold one.
+func (e *Engine) invalidateWalk(changed lattice.Vec, newSpecies lattice.Species, skipSlot int) {
 	e.box.Neighbourhood(changed, e.tb.CET, e.nbr)
+	e.walks++
 	types := e.box.Types()
 	for i, site := range e.nbr {
 		if types[site] != lattice.Vacancy {
 			continue
 		}
-		slot, ok := e.slotOf[site]
-		if !ok || slot == skipSlot {
-			continue
+		if slot, ok := e.centres.SlotAt(changed.Add(e.tb.CET[i])); ok && slot != skipSlot {
+			e.patch(slot, e.tb.Mirror[i], newSpecies)
 		}
-		s := e.systems[slot]
-		if !s.filled {
-			s.dirty = true
-			continue
-		}
-		s.vet[e.tb.Mirror[i]] = newSpecies
-		s.dirty = true
+	}
+}
+
+// patch records a changed site at one entry of a cached system's VET.
+func (e *Engine) patch(slot int, entry int32, newSpecies lattice.Species) {
+	s := e.systems[slot]
+	s.dirty = true
+	if s.filled {
+		s.vet[entry] = newSpecies
 		e.stats.Patches++
 	}
 }
@@ -411,11 +461,14 @@ func (e *Engine) Step(timeLimit float64) (Event, bool) {
 	e.box.Set(from, mover)
 	e.box.Set(to, lattice.Vacancy)
 
-	delete(e.slotOf, e.box.Index(from))
-	e.slotOf[e.box.Index(to)] = slot
+	e.centres.Drop(slot)
+	e.centres.Put(slot, to)
 	s.center = to
-	s.filled = false // centre moved: VET must be refilled
+	s.filled = false // centre moved: refresh rebuilds the VET
 	s.dirty = true
+	if !e.walk {
+		s.hopped = int8(k)
+	}
 
 	// Other cached systems see two occupancy changes.
 	e.invalidate(from, mover, slot)

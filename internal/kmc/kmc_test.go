@@ -172,7 +172,7 @@ func TestEngineVacancyTrackingMatchesBox(t *testing.T) {
 		t.Fatalf("box has %d vacancies, engine tracks %d", len(boxVacs), e.NumVacancies())
 	}
 	for _, v := range boxVacs {
-		if _, ok := e.slotOf[box.Index(v)]; !ok {
+		if slot, ok := e.centres.SlotAt(v); !ok || e.systems[slot].center != v {
 			t.Fatalf("vacancy at %v not tracked", v)
 		}
 	}

@@ -216,8 +216,9 @@ func (b *Box) Index(v Vec) int {
 // into idx[i], for every offset of rel. The centre (any periodic image)
 // is wrapped once; each offset then costs three additions and at most
 // three period corrections — no division, no per-site call. It is how
-// the engines rescan a vacancy system: rel is the CET, idx a scratch
-// buffer of the same length.
+// the serial engine reads a vacancy system from the lattice: rel is the
+// CET (or, after a hop, only the fringe of it that the translated table
+// lacks), idx a scratch buffer of the same length.
 //
 // Every offset must satisfy the bcc parity rule and be no longer than
 // the box period on any axis (kmc.NewEngine's size check guarantees that

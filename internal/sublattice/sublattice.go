@@ -75,7 +75,7 @@ type RankStats struct {
 	Hops      int64 // executed hops
 	Discarded int64 // events rejected by the t_stop window
 	Sent      int64 // site changes broadcast
-	Refills   int64 // VET rebuilds
+	Refills   int64 // VET rebuilds for a new or moved centre, by translation or lattice walk
 }
 
 // Result is the outcome of a parallel run.
@@ -205,9 +205,17 @@ type rankState struct {
 	dom    *lattice.Domain
 
 	systems []*vsys
-	slotOf  map[int]int // canonical global index of a tracked centre → slot
-	tracked []uint64    // one bit per global site, set iff slotOf has it
-	nbr     []int       // scratch: global index of site+CET[i], one walk
+	centres *encoding.Centres // tracked (local) centres → slot
+	cover   []encoding.Cover  // scratch: the systems covering a changed site
+	spare   encoding.VET      // scratch: the buffer a hopper's VET is translated into
+	// walk makes hop bookkeeping walk the lattice instead of translating
+	// VETs and querying centres: set where the global box is no wider than
+	// the table (encoding.Centres.Aliased), as in kmc.Engine.
+	walk bool
+
+	// Scratch of runSector: the slots in the active sector, and those of
+	// them with a nonzero propensity.
+	members, active []int
 
 	changes []SiteChange
 	stats   RankStats
@@ -231,17 +239,17 @@ func newRank(c *mpi.Comm, box *lattice.Box, cfg Config, model kmc.Model) *rankSt
 	dom := lattice.NewDomain(origin, lattice.Vec{X: sx, Y: sy, Z: sz}, tb.MaxExtent, box.A)
 
 	r := &rankState{
-		comm:    c,
-		cfg:     cfg,
-		tb:      tb,
-		model:   model,
-		rnd:     rng.New(cfg.Seed).Split(uint64(rank)),
-		global:  lattice.NewBoxGeometry(box.Nx, box.Ny, box.Nz, box.A),
-		dom:     dom,
-		slotOf:  make(map[int]int),
-		tracked: make([]uint64, (box.NumSites()+63)/64),
-		nbr:     make([]int, tb.NAll),
+		comm:   c,
+		cfg:    cfg,
+		tb:     tb,
+		model:  model,
+		rnd:    rng.New(cfg.Seed).Split(uint64(rank)),
+		global: lattice.NewBoxGeometry(box.Nx, box.Ny, box.Nz, box.A),
+		dom:    dom,
+		spare:  tb.NewVET(),
 	}
+	r.centres = tb.NewCentres(r.global, dom.Origin, dom.Size)
+	r.walk = r.centres.Aliased()
 	if set := cfg.Telemetry; set != nil {
 		seg := set.Trace().PhaseAt(telemetry.PhaseRun, telemetry.PhaseSegment)
 		r.hopCtr = set.Reg().Counter(telemetry.MetricStepTotal,
@@ -262,30 +270,18 @@ func newRank(c *mpi.Comm, box *lattice.Box, cfg Config, model kmc.Model) *rankSt
 	return r
 }
 
-// track and untrack keep slotOf and its tracked bitmap in step.
-func (r *rankState) track(center lattice.Vec, slot int) {
-	site := r.global.Index(center)
-	r.slotOf[site] = slot
-	r.tracked[site>>6] |= 1 << (site & 63)
-}
-
-func (r *rankState) untrack(center lattice.Vec) {
-	site := r.global.Index(center)
-	delete(r.slotOf, site)
-	r.tracked[site>>6] &^= 1 << (site & 63)
-}
-
 func (r *rankState) addSystem(center lattice.Vec) {
 	r.systems = append(r.systems, &vsys{center: center, vet: r.tb.NewVET(), dirty: true})
-	r.track(center, len(r.systems)-1)
+	r.centres.Put(len(r.systems)-1, center)
 }
 
 func (r *rankState) removeSystem(slot int) {
 	last := len(r.systems) - 1
-	r.untrack(r.systems[slot].center)
+	r.centres.Drop(slot)
 	if slot != last {
+		r.centres.Drop(last)
 		r.systems[slot] = r.systems[last]
-		r.track(r.systems[slot].center, slot)
+		r.centres.Put(slot, r.systems[slot].center)
 	}
 	r.systems = r.systems[:last]
 }
@@ -309,25 +305,35 @@ func (r *rankState) setAll(canon lattice.Vec, s lattice.Species) (found bool) {
 	return found
 }
 
-// patchSystems updates cached VETs that cover the changed canonical site:
-// kmc.Engine.invalidate over the same division-free walk and mirror
-// table. A rank holds no canonical species array to read first; the
-// tracked bitmap stands in for it, so the slot map is probed only at
-// centres. skipSlot excludes the hopper (refilled instead).
+// patchSystems updates cached VETs that cover the changed canonical site,
+// as kmc.Engine.invalidate does: through the centre set, or where the box
+// is no wider than the table by asking every site of the table around the
+// changed one for a tracked centre (a rank holds no canonical species
+// array to read first). skipSlot excludes the hopper (rebuilt instead).
 func (r *rankState) patchSystems(canon lattice.Vec, s lattice.Species, skipSlot int) {
-	r.global.Neighbourhood(canon, r.tb.CET, r.nbr)
-	for i, site := range r.nbr {
-		if r.tracked[site>>6]&(1<<(site&63)) == 0 {
-			continue
-		}
-		if slot := r.slotOf[site]; slot != skipSlot {
-			sys := r.systems[slot]
-			if sys.filled {
-				sys.vet[r.tb.Mirror[i]] = s
+	if r.walk {
+		for i, rel := range r.tb.CET {
+			if slot, ok := r.centres.SlotAt(canon.Add(rel)); ok && slot != skipSlot {
+				r.patch(slot, r.tb.Mirror[i], s)
 			}
-			sys.dirty = true
+		}
+		return
+	}
+	r.cover = r.centres.Covering(canon, r.cover)
+	for _, c := range r.cover {
+		if c.Slot != skipSlot {
+			r.patch(c.Slot, c.Entry, s)
 		}
 	}
+}
+
+// patch records a changed site at one entry of a cached system's VET.
+func (r *rankState) patch(slot int, entry int32, s lattice.Species) {
+	sys := r.systems[slot]
+	if sys.filled {
+		sys.vet[entry] = s
+	}
+	sys.dirty = true
 }
 
 // sectorOf returns the 2×2×2 sector octant (0–7) of a local-region site.
@@ -361,14 +367,24 @@ func (r *rankState) refresh(slot int) {
 // runSector evolves the active sector for the window (seconds).
 func (r *rankState) runSector(sector int, window float64) {
 	var clock float64
+	// Membership changes only when a hop carries its vacancy out of the
+	// sector; systems are neither adopted nor renumbered otherwise.
+	rescan := true
 	for {
-		// Active systems: local vacancies currently in this sector.
-		var active []int
-		var total float64
-		for slot, sys := range r.systems {
-			if r.sectorOf(sys.center) != sector {
-				continue
+		if rescan {
+			r.members = r.members[:0]
+			for slot, sys := range r.systems {
+				if r.sectorOf(sys.center) == sector {
+					r.members = append(r.members, slot)
+				}
 			}
+			rescan = false
+		}
+		// Active systems: local vacancies currently in this sector.
+		active := r.active[:0]
+		var total float64
+		for _, slot := range r.members {
+			sys := r.systems[slot]
 			if sys.dirty {
 				r.refresh(slot)
 			}
@@ -377,6 +393,7 @@ func (r *rankState) runSector(sector int, window float64) {
 				total += sys.total
 			}
 		}
+		r.active = active
 		if total <= 0 {
 			return
 		}
@@ -408,11 +425,13 @@ func (r *rankState) runSector(sector int, window float64) {
 				break
 			}
 		}
-		r.executeHop(slot, k)
+		rescan = !r.executeHop(slot, k) || r.sectorOf(sys.center) != sector
 	}
 }
 
-func (r *rankState) executeHop(slot int, k int) {
+// executeHop moves the vacancy of the given system one hop in direction k
+// and reports whether the system is still this rank's.
+func (r *rankState) executeHop(slot int, k int) (kept bool) {
 	sys := r.systems[slot]
 	from := sys.center
 	toRaw := from.Add(lattice.NN1[k])
@@ -433,18 +452,29 @@ func (r *rankState) executeHop(slot int, k int) {
 	// Other cached systems see two occupancy changes.
 	r.patchSystems(from, mover, slot)
 	r.patchSystems(toCanon, lattice.Vacancy, slot)
-	if r.dom.IsLocal(toCanon) {
-		// Stays ours: move the system.
-		r.untrack(from)
-		r.track(toCanon, slot)
-		sys.center = toCanon
-		sys.filled = false
-		sys.dirty = true
-	} else {
+	if !r.dom.IsLocal(toCanon) {
 		// Emigrated into a neighbour's territory: drop local ownership;
 		// the neighbour adopts it when the change arrives.
 		r.removeSystem(slot)
+		return false
 	}
+	// Stays ours: move the system and rebuild its VET now, so that it goes
+	// on being patched while other sectors run.
+	r.centres.Drop(slot)
+	r.centres.Put(slot, toCanon)
+	sys.center = toCanon
+	sys.dirty = true
+	if r.walk {
+		r.tb.FillVET(sys.vet, toCanon, r.dom.Get)
+	} else {
+		r.tb.HopVET(r.spare, sys.vet, k)
+		sys.vet, r.spare = r.spare, sys.vet
+		for _, i := range r.tb.Fringe[k] {
+			sys.vet[i] = r.dom.Get(toCanon.Add(r.tb.CET[i]))
+		}
+	}
+	r.stats.Refills++
+	return true
 }
 
 // exchange broadcasts accumulated changes and applies everyone else's.
@@ -485,7 +515,7 @@ func (r *rankState) apply(ch SiteChange) {
 			// A vacancy we owned was consumed remotely — cannot happen
 			// under the sector discipline for owned interiors, but a
 			// just-adopted vacancy may be re-announced; drop ownership.
-			if slot, ok := r.slotOf[r.global.Index(canon)]; ok {
+			if slot, ok := r.centres.SlotAt(canon); ok {
 				r.removeSystem(slot)
 			}
 		}

@@ -348,3 +348,110 @@ func TestLargerTStopFewerExchanges(t *testing.T) {
 		t.Fatalf("hop counts diverge: %d vs %d", hopsStrict, hopsLoose)
 	}
 }
+
+// hashModel prices a vacancy system by a hash of its whole VET (the kmc
+// package's bookkeeping tests use the same): any wrong byte in a cached
+// table changes the rates and with them the trajectory, at a fraction of
+// the cost of a potential.
+type hashModel struct{ tb *encoding.Tables }
+
+func (m hashModel) Tables() *encoding.Tables { return m.tb }
+
+func (m hashModel) HopEnergies(vet encoding.VET) (initial float64, final [8]float64, valid [8]bool) {
+	h := uint64(14695981039346656037) // FNV-1a
+	for _, s := range vet {
+		h = (h ^ uint64(s)) * 1099511628211
+	}
+	for k, j := range m.tb.NN1Index {
+		valid[k] = vet[j].IsAtom()
+		final[k] = 0.4*float64(h>>(8*k)&0xff)/255 - 0.2
+	}
+	return 0, final, valid
+}
+
+// runRanks is Run with the ranks kept, so a test can force them onto the
+// lattice walk and look into their caches afterwards.
+func runRanks(t *testing.T, box *lattice.Box, cfg Config, duration float64, walk bool) []*rankState {
+	t.Helper()
+	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
+	ranks := make([]*rankState, cfg.Ranks())
+	errs := make([]error, cfg.Ranks())
+	mpi.RunWorld(mpi.NewWorld(cfg.Ranks()), func(c *mpi.Comm) {
+		r := newRank(c, box, cfg, hashModel{tb})
+		r.walk = r.walk || walk
+		errs[c.Rank()] = r.run(duration)
+		ranks[c.Rank()] = r
+	})
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+	}
+	return ranks
+}
+
+// TestWalkOnlyDifferential runs a sweep beside one whose ranks are forced
+// onto the lattice walk (the path a global box no wider than the table
+// takes): every rank must end with the same counters, the same local and
+// ghost sites and the same systems in the same slots — the draws depend
+// on slot order — and in both every cached VET must equal a FillVET from
+// the rank's domain.
+func TestWalkOnlyDifferential(t *testing.T) {
+	cases := []struct {
+		cells      [3]int
+		px, py, pz int
+	}{
+		{cells: [3]int{20, 10, 12}, px: 2, py: 1, pz: 1},
+		{cells: [3]int{12, 12, 12}, px: 2, py: 2, pz: 2},
+	}
+	for _, tc := range cases {
+		box := lattice.NewBox(tc.cells[0], tc.cells[1], tc.cells[2], units.LatticeConstantFe)
+		lattice.FillRandomAlloy(box, 0.05, 0.01, rng.New(81))
+		cfg := Config{PX: tc.px, PY: tc.py, PZ: tc.pz, Temperature: 1000, TStop: 1e-10, Seed: 82}
+		translated := runRanks(t, box, cfg, 3e-9, false)
+		walked := runRanks(t, box, cfg, 3e-9, true)
+		var hops int64
+		for rank, a := range translated {
+			b := walked[rank]
+			if a.walk || !b.walk {
+				t.Fatalf("%v rank %d: walk = %v beside forced %v", tc, rank, a.walk, b.walk)
+			}
+			if a.stats != b.stats {
+				t.Fatalf("%v rank %d: stats %+v vs walk-only %+v", tc, rank, a.stats, b.stats)
+			}
+			hops += a.stats.Hops
+			for i, s := range a.dom.Types() {
+				if b.dom.Types()[i] != s {
+					t.Fatalf("%v rank %d: domain site %d holds %v vs walk-only %v", tc, rank, i, s, b.dom.Types()[i])
+				}
+			}
+			if len(a.systems) != len(b.systems) {
+				t.Fatalf("%v rank %d: %d systems vs walk-only %d", tc, rank, len(a.systems), len(b.systems))
+			}
+			fresh := a.tb.NewVET()
+			for slot, sa := range a.systems {
+				sb := b.systems[slot]
+				if sa.center != sb.center || sa.filled != sb.filled || sa.dirty != sb.dirty {
+					t.Fatalf("%v rank %d slot %d: %v filled=%v dirty=%v vs walk-only %v filled=%v dirty=%v",
+						tc, rank, slot, sa.center, sa.filled, sa.dirty, sb.center, sb.filled, sb.dirty)
+				}
+				if got, ok := a.centres.SlotAt(sa.center); !ok || got != slot {
+					t.Fatalf("%v rank %d slot %d: centre set says (%d, %v)", tc, rank, slot, got, ok)
+				}
+				if !sa.filled {
+					continue
+				}
+				a.tb.FillVET(fresh, sa.center, a.dom.Get)
+				for j := range fresh {
+					if sa.vet[j] != fresh[j] || sb.vet[j] != fresh[j] {
+						t.Fatalf("%v rank %d slot %d entry %d: cached %v, walk-only %v, domain %v",
+							tc, rank, slot, j, sa.vet[j], sb.vet[j], fresh[j])
+					}
+				}
+			}
+		}
+		if hops < 2000 {
+			t.Fatalf("%v: only %d hops", tc, hops)
+		}
+	}
+}

@@ -165,30 +165,40 @@ func TestChaosMatrix(t *testing.T) {
 
 // TestSupervisorSerialCleanMatchesUnsupervised: with a healthy fabric
 // the supervisor — including per-segment audits — must be invisible:
-// same trajectory as a plain run, empty recovery record.
+// same trajectory as a plain run, empty recovery record. The second box
+// is non-cubic and dense enough that vacancies sit in each other's
+// tables, so hops translate VETs and patch neighbours through the centre
+// set between audits.
 func TestSupervisorSerialCleanMatchesUnsupervised(t *testing.T) {
-	cfg := core.Config{Cells: [3]int{10, 10, 10}, CuFraction: 0.05, VacancyFraction: 0.002, Seed: 43}
-	const segment = 2e-8
-	ref := referenceRun(t, cfg, segment, 2)
+	for _, cfg := range []core.Config{
+		{Cells: [3]int{10, 10, 10}, CuFraction: 0.05, VacancyFraction: 0.002, Seed: 43},
+		{Cells: [3]int{10, 13, 16}, CuFraction: 0.3, VacancyFraction: 0.005, Temperature: 800, Seed: 44},
+	} {
+		const segment = 2e-8
+		ref := referenceRun(t, cfg, segment, 2)
 
-	sup, err := New(cfg, Config{MaxRetries: 2, Segment: segment, AuditEvery: 1, Sleep: noSleep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := sup.Run(2 * segment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := sup.Simulation()
-	if sim.Time() != ref.Time() || sim.Hops() != ref.Hops() || !sim.Box().Equal(ref.Box()) {
-		t.Fatal("supervised clean run diverged from the plain run")
-	}
-	rec := report.Recovery
-	if rec.Failures != 0 || rec.Replays != 0 || rec.Recovered() {
-		t.Fatalf("clean run reports recoveries: %+v", rec)
-	}
-	if rec.Audits != 2 {
-		t.Fatalf("AuditEvery=1 over 2 segments ran %d audits", rec.Audits)
+		sup, err := New(cfg, Config{MaxRetries: 2, Segment: segment, AuditEvery: 1, Sleep: noSleep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := sup.Run(2 * segment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := sup.Simulation()
+		if sim.Time() != ref.Time() || sim.Hops() != ref.Hops() || !sim.Box().Equal(ref.Box()) {
+			t.Fatalf("%v cells: supervised clean run diverged from the plain run", cfg.Cells)
+		}
+		rec := report.Recovery
+		if rec.Failures != 0 || rec.Replays != 0 || rec.Recovered() {
+			t.Fatalf("%v cells: clean run reports recoveries: %+v", cfg.Cells, rec)
+		}
+		if rec.Audits != 2 {
+			t.Fatalf("%v cells: AuditEvery=1 over 2 segments ran %d audits", cfg.Cells, rec.Audits)
+		}
+		if cfg.Temperature != 0 && sim.Hops() < 500 {
+			t.Fatalf("%v cells: only %d hops between the audits", cfg.Cells, sim.Hops())
+		}
 	}
 }
 

@@ -261,9 +261,12 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, `"`, `\"`)
 }
 
-// lookup returns (creating if needed) the series for (name, labels),
-// enforcing kind consistency.
-func (r *Registry) lookup(name, help string, kind Kind, labels []string) *series {
+// lookup finds (creating if needed) the series for (name, labels),
+// enforcing kind consistency, and runs attach on it under the registry
+// lock: callers on different goroutines that register the same series
+// must end up holding one instrument, so the instrument is created where
+// the series is.
+func (r *Registry) lookup(name, help string, kind Kind, labels []string, attach func(*series)) {
 	key := labelString(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -285,7 +288,7 @@ func (r *Registry) lookup(name, help string, kind Kind, labels []string) *series
 		f.series[key] = s
 		f.order = append(f.order, key)
 	}
-	return s
+	attach(s)
 }
 
 // Counter returns the counter for (name, labels), creating it on first
@@ -295,14 +298,17 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, KindCounter, labels)
-	if s.ctrFn != nil {
-		panic(fmt.Sprintf("telemetry: %q%s already registered as a function metric", name, s.labels))
-	}
-	if s.ctr == nil {
-		s.ctr = &Counter{}
-	}
-	return s.ctr
+	var c *Counter
+	r.lookup(name, help, KindCounter, labels, func(s *series) {
+		if s.ctrFn != nil {
+			panic(fmt.Sprintf("telemetry: %q%s already registered as a function metric", name, s.labels))
+		}
+		if s.ctr == nil {
+			s.ctr = &Counter{}
+		}
+		c = s.ctr
+	})
+	return c
 }
 
 // Gauge returns the gauge for (name, labels).
@@ -310,14 +316,17 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, KindGauge, labels)
-	if s.ggeFn != nil {
-		panic(fmt.Sprintf("telemetry: %q%s already registered as a function metric", name, s.labels))
-	}
-	if s.gge == nil {
-		s.gge = &Gauge{}
-	}
-	return s.gge
+	var g *Gauge
+	r.lookup(name, help, KindGauge, labels, func(s *series) {
+		if s.ggeFn != nil {
+			panic(fmt.Sprintf("telemetry: %q%s already registered as a function metric", name, s.labels))
+		}
+		if s.gge == nil {
+			s.gge = &Gauge{}
+		}
+		g = s.gge
+	})
+	return g
 }
 
 // Histogram returns the histogram for (name, labels) with the given
@@ -327,11 +336,14 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, KindHistogram, labels)
-	if s.hist == nil {
-		s.hist = newHistogram(bounds)
-	}
-	return s.hist
+	var h *Histogram
+	r.lookup(name, help, KindHistogram, labels, func(s *series) {
+		if s.hist == nil {
+			s.hist = newHistogram(bounds)
+		}
+		h = s.hist
+	})
+	return h
 }
 
 // CounterFunc registers a counter whose value is read from fn at
@@ -343,11 +355,12 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...str
 	if r == nil || fn == nil {
 		return
 	}
-	s := r.lookup(name, help, KindCounter, labels)
-	if s.ctr != nil {
-		panic(fmt.Sprintf("telemetry: %q%s already registered as a stored counter", name, s.labels))
-	}
-	s.ctrFn = fn
+	r.lookup(name, help, KindCounter, labels, func(s *series) {
+		if s.ctr != nil {
+			panic(fmt.Sprintf("telemetry: %q%s already registered as a stored counter", name, s.labels))
+		}
+		s.ctrFn = fn
+	})
 }
 
 // GaugeFunc registers a gauge read from fn at snapshot/render time.
@@ -355,11 +368,12 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 	if r == nil || fn == nil {
 		return
 	}
-	s := r.lookup(name, help, KindGauge, labels)
-	if s.gge != nil {
-		panic(fmt.Sprintf("telemetry: %q%s already registered as a stored gauge", name, s.labels))
-	}
-	s.ggeFn = fn
+	r.lookup(name, help, KindGauge, labels, func(s *series) {
+		if s.gge != nil {
+			panic(fmt.Sprintf("telemetry: %q%s already registered as a stored gauge", name, s.labels))
+		}
+		s.ggeFn = fn
+	})
 }
 
 // SeriesSnapshot is one series' value at snapshot time.

@@ -141,6 +141,56 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 }
 
+// TestRegistryFirstRegistrationRace is sublattice.newRank's pattern: every
+// rank goroutine registers the same series once, keeps the handle and
+// counts into it. All eight must hold one instrument — of each stored
+// kind — or increments land in instruments the registry does not export.
+// The window is the first registration only, so each round starts a fresh
+// registry and releases the goroutines together.
+func TestRegistryFirstRegistrationRace(t *testing.T) {
+	const goroutines, perGoroutine = 8, 100
+	for round := 0; round < 200; round++ {
+		r := NewRegistry()
+		var ctrs [goroutines]*Counter
+		var gges [goroutines]*Gauge
+		var hists [goroutines]*Histogram
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				ctrs[g] = r.Counter(MetricStepTotal, "")
+				gges[g] = r.Gauge("tkmc_race_gauge", "")
+				hists[g] = r.Histogram("tkmc_race_seconds", "", nil)
+				for i := 0; i < perGoroutine; i++ {
+					ctrs[g].Inc()
+					gges[g].Add(1)
+					hists[g].Observe(1e-6)
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for g := 1; g < goroutines; g++ {
+			if ctrs[g] != ctrs[0] || gges[g] != gges[0] || hists[g] != hists[0] {
+				t.Fatalf("round %d: goroutine %d holds a different instrument than goroutine 0", round, g)
+			}
+		}
+		const want = goroutines * perGoroutine
+		if v := r.Counter(MetricStepTotal, "").Value(); v != want {
+			t.Fatalf("round %d: counter exports %d of %d increments", round, v, want)
+		}
+		if v := r.Gauge("tkmc_race_gauge", "").Value(); v != want {
+			t.Fatalf("round %d: gauge exports %v of %d adds", round, v, want)
+		}
+		if n := r.Histogram("tkmc_race_seconds", "", nil).Snapshot().Count; n != want {
+			t.Fatalf("round %d: histogram exports %d of %d observations", round, n, want)
+		}
+	}
+}
+
 // TestWritePrometheusGolden pins the exact exposition text for a small
 // deterministic registry: HELP/TYPE headers, label rendering, cumulative
 // buckets, _sum/_count and the +Inf literal.
