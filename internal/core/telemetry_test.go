@@ -122,6 +122,41 @@ func TestSpanTreeCoversRun(t *testing.T) {
 	}
 }
 
+// TestStepSpansDisjoint: no span under run/segment/step is timed twice —
+// full VET fills under encode, model calls under eval, the hop and its
+// VET rebuild under apply — so the step's children sum to at most the
+// step's own time, and encode (the first fills at least) is among them.
+func TestStepSpansDisjoint(t *testing.T) {
+	set := telemetry.NewSet()
+	runToCheckpoint(t, telemetryTestConfig(t.TempDir(), set), 3e-8)
+	node := &telemetry.SpanNode{Children: set.Trace().Spans()}
+	for _, name := range []string{telemetry.PhaseRun, telemetry.PhaseSegment, telemetry.PhaseStep} {
+		var next *telemetry.SpanNode
+		for i := range node.Children {
+			if node.Children[i].Name == name {
+				next = &node.Children[i]
+			}
+		}
+		if next == nil {
+			t.Fatalf("no %s span under %q", name, node.Path)
+		}
+		node = next
+	}
+	if node.Count == 0 {
+		t.Fatal("no step spans recorded")
+	}
+	if cov := node.Coverage(); cov > 1 {
+		t.Fatalf("step children sum to %.4f of the step's %.6fs: a span is timed twice (%+v)", cov, node.Seconds, *node)
+	}
+	encode := false
+	for _, c := range node.Children {
+		encode = encode || (c.Name == telemetry.PhaseEncode && c.Count > 0)
+	}
+	if !encode {
+		t.Fatalf("no encode spans under step: %+v", *node)
+	}
+}
+
 // TestMetricsAgreeWithStats: the function-backed registry metrics and
 // the evaluation service's own Stats() read the same storage, so after
 // the run quiesces they must agree exactly.

@@ -1,0 +1,251 @@
+package kmc
+
+import (
+	"fmt"
+
+	"tensorkmc/internal/encoding"
+	"tensorkmc/internal/lattice"
+	"tensorkmc/internal/telemetry"
+)
+
+// Sites is the lattice a Cache reads vacancy systems from: *lattice.Box
+// for the serial engine, *lattice.Domain (local + ghost sites) for a
+// sublattice rank. Neighbourhood writes the storage index of centre+rel[i]
+// into idx[i]; Types is the species array those indices address. One
+// indirect call then serves a whole table or fringe, not one per site.
+type Sites interface {
+	Neighbourhood(centre lattice.Vec, rel []lattice.Vec, idx []int)
+	Types() []lattice.Species
+}
+
+// System is one cached vacancy system: the paper's vacancy-cache entry
+// (Sec. 3.2) holding the VET and the current hop propensities.
+type System struct {
+	Centre lattice.Vec // canonical
+	VET    encoding.VET
+	Rates  [8]float64
+	DeltaE [8]float64
+	Total  float64
+	Filled bool // VET reflects the lattice
+	Dirty  bool // rates need recomputation
+}
+
+// Direction returns the hop direction whose cumulative-rate interval holds
+// u·Total for a uniform draw u ∈ [0, 1): the second draw of an event.
+func (s *System) Direction(u float64) int {
+	target := u * s.Total
+	var acc float64
+	for k, r := range s.Rates {
+		acc += r
+		if target < acc {
+			return k
+		}
+	}
+	return 7
+}
+
+// Stats counts cache behaviour for the ablation benches.
+type Stats struct {
+	Refills   int64 // VET rebuilds for a new or moved centre, by translation or lattice walk
+	Patches   int64 // in-cache VET updates (no lattice access)
+	Refreshes int64 // propensity recomputations (model calls)
+}
+
+// Cache is the vacancy cache both engines run on: the slot table of
+// vacancy systems, the centre cell list that finds them, and the hop
+// bookkeeping that keeps every filled VET equal to the lattice. Selection
+// is the engine's own (a sum tree serially, a sector scan on a rank); the
+// cache only says which systems are dirty and what their rates are.
+//
+// The engine changes the lattice first and then tells the cache: Patch
+// for every changed site, Hop for the system that moved. A hop translates
+// the hopper's VET through Tables.HopVET and reads only the fringe; a
+// changed site is written into each covering VET at the entry
+// Centres.Covering names. Where the box is no wider than the table
+// (Centres.Aliased), a VET can hold two images of one site and both are
+// done by walking the whole table instead.
+type Cache struct {
+	Systems []*System
+	Stats   Stats
+
+	tb      *encoding.Tables
+	model   Model
+	temp    float64
+	sites   Sites
+	centres *encoding.Centres // tracked centres → slot
+
+	// walk makes hop bookkeeping walk the whole table — refill the hopper's
+	// VET, ask every site around a changed one for a tracked centre — and
+	// is set where translation is not exact (Centres.Aliased), never by a
+	// tunable; walks counts the full-table fills made.
+	walk  bool
+	walks int64
+
+	nbr   []int            // scratch: storage index of centre+rel[i], one table
+	cover []encoding.Cover // scratch: the systems covering a changed site
+	spare encoding.VET     // scratch: the buffer a hopper's VET is translated into
+
+	encode, eval *telemetry.Phase // full fills; model calls (nil: untimed)
+}
+
+// NewCache returns an empty cache over sites whose systems are tracked in
+// centres (empty, spanning the window the engine owns), priced by model
+// at the given temperature. encode and eval, if non-nil, time full VET
+// fills and model calls in Refresh.
+func NewCache(sites Sites, centres *encoding.Centres, model Model, temperatureK float64, encode, eval *telemetry.Phase) *Cache {
+	tb := model.Tables()
+	return &Cache{tb: tb, model: model, temp: temperatureK, sites: sites, centres: centres,
+		walk: centres.Aliased(), nbr: make([]int, tb.NAll), spare: tb.NewVET(), encode: encode, eval: eval}
+}
+
+// Add tracks a new vacancy system at centre in the next slot, unfilled.
+func (c *Cache) Add(centre lattice.Vec) {
+	c.Systems = append(c.Systems, &System{Centre: centre, VET: c.tb.NewVET(), Dirty: true})
+	c.centres.Put(len(c.Systems)-1, centre)
+}
+
+// Remove stops tracking the system in slot; the last system takes its slot.
+func (c *Cache) Remove(slot int) {
+	last := len(c.Systems) - 1
+	c.centres.Drop(slot)
+	if slot != last {
+		c.centres.Drop(last)
+		c.Systems[slot] = c.Systems[last]
+		c.centres.Put(slot, c.Systems[slot].Centre)
+	}
+	c.Systems = c.Systems[:last]
+}
+
+// SlotAt returns the slot of the system centred at site (any periodic
+// image), if there is one.
+func (c *Cache) SlotAt(site lattice.Vec) (int, bool) { return c.centres.SlotAt(site) }
+
+// Reorder puts the systems into the given slot order, which must name
+// every tracked centre once, and marks them all dirty.
+func (c *Cache) Reorder(order []lattice.Vec) error {
+	if len(order) != len(c.Systems) {
+		return fmt.Errorf("kmc: vacancy order has %d centres, engine tracks %d", len(order), len(c.Systems))
+	}
+	reordered := make([]*System, len(order))
+	seen := make([]bool, len(order))
+	for i, v := range order {
+		old, ok := c.centres.SlotAt(v)
+		if !ok {
+			return fmt.Errorf("kmc: vacancy order names %v, which is not a tracked vacancy", v)
+		}
+		if seen[old] {
+			return fmt.Errorf("kmc: vacancy order repeats centre %v", v)
+		}
+		seen[old] = true
+		reordered[i] = c.Systems[old]
+	}
+	for slot := range c.Systems {
+		c.centres.Drop(slot)
+	}
+	c.Systems = reordered
+	for slot, s := range c.Systems {
+		c.centres.Put(slot, s.Centre)
+		s.Dirty = true
+	}
+	return nil
+}
+
+// Stale marks every system unfilled and dirty, so that the next Refresh of
+// each reads its whole table from the lattice: the no-cache ablation.
+func (c *Cache) Stale() {
+	for _, s := range c.Systems {
+		s.Filled, s.Dirty = false, true
+	}
+}
+
+// Refresh recomputes the propensities of the system in slot, first
+// filling its VET from the lattice if it is unfilled.
+func (c *Cache) Refresh(slot int) {
+	s := c.Systems[slot]
+	if !s.Filled {
+		sw := c.encode.Start()
+		c.fill(s)
+		sw.Stop()
+		c.Stats.Refills++
+	}
+	sw := c.eval.Start()
+	initial, final, valid := c.model.HopEnergies(s.VET)
+	s.Rates, s.Total = Rates(s.VET, c.tb, initial, final, valid, c.temp)
+	sw.Stop()
+	for k := range s.DeltaE {
+		s.DeltaE[k] = 0
+		if valid[k] {
+			s.DeltaE[k] = final[k] - initial
+		}
+	}
+	s.Dirty = false
+	c.Stats.Refreshes++
+}
+
+// fill reads the whole table around the system's centre from the lattice.
+func (c *Cache) fill(s *System) {
+	c.sites.Neighbourhood(s.Centre, c.tb.CET, c.nbr)
+	types := c.sites.Types()
+	for i, site := range c.nbr {
+		s.VET[i] = types[site]
+	}
+	s.Filled = true
+	c.walks++
+}
+
+// Hop moves the system in slot, whose vacancy went by NN1[k] to the
+// canonical site to, and rebuilds its VET: translated, with only the
+// fringe read from the lattice, or filled whole on an aliased box.
+func (c *Cache) Hop(slot, k int, to lattice.Vec) {
+	s := c.Systems[slot]
+	c.centres.Drop(slot)
+	c.centres.Put(slot, to)
+	s.Centre = to
+	s.Dirty = true
+	c.Stats.Refills++
+	if c.walk || !s.Filled {
+		c.fill(s)
+		return
+	}
+	c.tb.HopVET(c.spare, s.VET, k)
+	s.VET, c.spare = c.spare, s.VET
+	fringe := c.tb.Fringe[k]
+	c.sites.Neighbourhood(to, c.tb.FringeCET[k], c.nbr[:len(fringe)])
+	types := c.sites.Types()
+	for n, i := range fringe {
+		s.VET[i] = types[c.nbr[n]]
+	}
+}
+
+// Patch records that the site (any periodic image) now holds species in
+// every system whose table covers it, except the one in slot skip (the
+// hopper, which Hop rebuilds; −1 for none). Such systems become dirty; a
+// filled VET is written in place.
+func (c *Cache) Patch(site lattice.Vec, species lattice.Species, skip int) {
+	if c.walk {
+		// A system covers the site iff its centre lies at site+CET[i] (the
+		// table is symmetric), and then holds it at entry Mirror[i] — once
+		// per periodic image it holds.
+		for i, rel := range c.tb.CET {
+			if slot, ok := c.centres.SlotAt(site.Add(rel)); ok && slot != skip {
+				c.patch(slot, c.tb.Mirror[i], species)
+			}
+		}
+		return
+	}
+	c.cover = c.centres.Covering(site, c.cover)
+	for _, cv := range c.cover {
+		if cv.Slot != skip {
+			c.patch(cv.Slot, cv.Entry, species)
+		}
+	}
+}
+
+func (c *Cache) patch(slot int, entry int32, species lattice.Species) {
+	s := c.Systems[slot]
+	s.Dirty = true
+	if s.Filled {
+		s.VET[entry] = species
+		c.Stats.Patches++
+	}
+}

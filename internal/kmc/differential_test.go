@@ -11,9 +11,9 @@ import (
 )
 
 // TestEngineDifferential checks the vacancy cache against the lattice
-// after every one of 2000 hops: each cached VET — the hopper's, rebuilt
-// by the refill walk, and every neighbour's, patched in place — must
-// equal a fresh generic FillVET. The box is Cu-rich, holds nine
+// after every one of 2000 hops: each cached VET — the hopper's, refilled
+// by a lattice walk at the hop, and every neighbour's, patched in place —
+// must equal a fresh generic FillVET. The box is Cu-rich, holds nine
 // vacancies and is 12 half-units wide under a 19-wide VET, so every
 // system wraps every face and one changed site patches several entries
 // of the same VET: the box the engine keeps the lattice walk for
@@ -39,15 +39,15 @@ func TestEngineDifferential(t *testing.T) {
 		// Bring every system up to date now; the next Step would do
 		// exactly this first, so the trajectory and counts are unchanged.
 		e.TotalRate()
-		for slot, s := range e.systems {
-			if !s.filled || s.dirty {
+		for slot, s := range e.cache.Systems {
+			if !s.Filled || s.Dirty {
 				t.Fatalf("hop %d: slot %d not refreshed", hop, slot)
 			}
-			tb.FillVET(fresh, s.center, box.Get)
+			tb.FillVET(fresh, s.Centre, box.Get)
 			for j := range fresh {
-				if s.vet[j] != fresh[j] {
+				if s.VET[j] != fresh[j] {
 					t.Fatalf("hop %d: cached VET of slot %d (centre %v) differs from the lattice at entry %d (%v vs %v)",
-						hop, slot, s.center, j, s.vet[j], fresh[j])
+						hop, slot, s.Centre, j, s.VET[j], fresh[j])
 				}
 			}
 		}

@@ -53,22 +53,6 @@ func Rates(vet encoding.VET, tb *encoding.Tables, initial float64, final [8]floa
 	return rates, total
 }
 
-// system is one cached vacancy system: the paper's vacancy-cache entry
-// (Sec. 3.2) holding the VET and the current hop propensities.
-type system struct {
-	center lattice.Vec
-	vet    encoding.VET
-	rates  [8]float64
-	deltaE [8]float64
-	total  float64
-	filled bool // VET reflects the lattice
-	dirty  bool // rates need recomputation
-	// hopped is the direction of a hop this system made since vet was
-	// built (vet is then still the table around the old centre, which
-	// refresh translates), −1 if it made none.
-	hopped int8
-}
-
 // Event describes one executed vacancy hop.
 type Event struct {
 	Slot      int
@@ -83,11 +67,8 @@ type Event struct {
 // configuration.
 type Options struct {
 	// DisableCache refills every VET and recomputes every propensity on
-	// each step — the no-vacancy-cache ablation.
+	// each step (Cache.Stale) — the no-vacancy-cache ablation.
 	DisableCache bool
-	// LinearSelection replaces the sum tree with a cumulative linear
-	// scan — the no-tree ablation.
-	LinearSelection bool
 	// Telemetry, if non-nil, hooks the engine into the run-wide
 	// telemetry: executed hops bump tkmc_step_total and the hot path is
 	// decomposed into step/select-hop/encode/eval/apply spans under
@@ -121,41 +102,17 @@ func newProbes(set *telemetry.Set) probes {
 	}
 }
 
-// Stats counts cache behaviour for the ablation benches.
-type Stats struct {
-	Refills   int64 // VET rebuilds for a new or moved centre, by translation or lattice walk
-	Patches   int64 // in-cache VET updates (no lattice access)
-	Refreshes int64 // propensity recomputations (model calls)
-}
-
-// Engine is the serial TensorKMC AKMC engine over a periodic box.
+// Engine is the serial TensorKMC AKMC engine over a periodic box: one
+// vacancy Cache spanning the box, and a sum tree over its slots.
 type Engine struct {
 	box   *lattice.Box
-	model Model
-	tb    *encoding.Tables
-	temp  float64
+	cache *Cache
+	tree  *SumTree
 	rnd   *rng.Stream
 	opts  Options
 
-	systems []*system
-	centres *encoding.Centres // tracked vacancy centres → slot
-	tree    *SumTree
-	nbr     []int            // scratch: box site index of centre+rel[i], one walk
-	cover   []encoding.Cover // scratch: the systems covering a changed site
-	spare   encoding.VET     // scratch: the buffer a hopper's VET is translated into
-
-	// walk makes hop bookkeeping walk the lattice — refill the hopper's
-	// whole VET, ask every site around a changed one for a tracked centre
-	// — instead of translating the VET and querying centres. It is set
-	// where translation is not exact (a box no wider than the table, see
-	// encoding.Centres.Aliased) or the cache is off, never by a tunable;
-	// walks counts the full-table walks made.
-	walk  bool
-	walks int64
-
 	time  float64
 	steps int64
-	stats Stats
 	pr    probes
 }
 
@@ -169,34 +126,16 @@ func NewEngine(box *lattice.Box, model Model, temperatureK float64, r *rng.Strea
 		panic(fmt.Sprintf("kmc: box %dx%dx%d too small for tables extent %d half-units",
 			box.Nx, box.Ny, box.Nz, tb.MaxExtent))
 	}
-	e := &Engine{
-		box:     box,
-		model:   model,
-		tb:      tb,
-		temp:    temperatureK,
-		rnd:     r,
-		opts:    opts,
-		centres: newCentres(tb, box),
-		nbr:     make([]int, tb.NAll),
-		spare:   tb.NewVET(),
-		pr:      newProbes(opts.Telemetry),
+	pr := newProbes(opts.Telemetry)
+	centres := tb.NewCentres(box, lattice.Vec{}, lattice.Vec{X: 2 * box.Nx, Y: 2 * box.Ny, Z: 2 * box.Nz})
+	e := &Engine{box: box, rnd: r, opts: opts, pr: pr,
+		cache: NewCache(box, centres, model, temperatureK, pr.encode, pr.eval)}
+	vacancies := lattice.Vacancies(box)
+	for _, v := range vacancies {
+		e.cache.Add(v)
 	}
-	e.walk = opts.DisableCache || e.centres.Aliased()
-	for _, v := range lattice.Vacancies(box) {
-		e.systems = append(e.systems, &system{center: v, vet: tb.NewVET(), dirty: true, hopped: -1})
-		e.centres.Put(len(e.systems)-1, v)
-	}
-	n := len(e.systems)
-	if n == 0 {
-		n = 1
-	}
-	e.tree = NewSumTree(n)
+	e.tree = NewSumTree(max(1, len(vacancies)))
 	return e
-}
-
-// newCentres returns an empty centre set spanning the whole box.
-func newCentres(tb *encoding.Tables, box *lattice.Box) *encoding.Centres {
-	return tb.NewCentres(box, lattice.Vec{}, lattice.Vec{X: 2 * box.Nx, Y: 2 * box.Ny, Z: 2 * box.Nz})
 }
 
 // Time returns the accumulated simulated time in seconds.
@@ -206,7 +145,7 @@ func (e *Engine) Time() float64 { return e.time }
 func (e *Engine) Steps() int64 { return e.steps }
 
 // Stats returns cache behaviour counters.
-func (e *Engine) Stats() Stats { return e.stats }
+func (e *Engine) Stats() Stats { return e.cache.Stats }
 
 // Box returns the underlying lattice.
 func (e *Engine) Box() *lattice.Box { return e.box }
@@ -227,9 +166,9 @@ func (e *Engine) Restore(t float64, steps int64) {
 // draws onto cumulative propensity ranges indexed by slot, so a resumed
 // engine must reproduce it exactly (see SetVacancyOrder).
 func (e *Engine) VacancyCenters() []lattice.Vec {
-	out := make([]lattice.Vec, len(e.systems))
-	for i, s := range e.systems {
-		out[i] = s.center
+	out := make([]lattice.Vec, len(e.cache.Systems))
+	for i, s := range e.cache.Systems {
+		out[i] = s.Centre
 	}
 	return out
 }
@@ -237,156 +176,34 @@ func (e *Engine) VacancyCenters() []lattice.Vec {
 // SetVacancyOrder reorders the tracked vacancy systems to match the
 // given slot order, typically one captured by VacancyCenters at
 // checkpoint time. It must be called on a fresh engine before any Step;
-// the centres must be exactly the engine's current vacancy set.
+// the centres must be exactly the engine's current vacancy set. Every
+// system is left dirty, so the next Step refreshes the whole tree.
 func (e *Engine) SetVacancyOrder(centers []lattice.Vec) error {
 	if e.steps != 0 {
 		return fmt.Errorf("kmc: SetVacancyOrder on an engine that has already stepped")
 	}
-	if len(centers) != len(e.systems) {
-		return fmt.Errorf("kmc: vacancy order has %d centres, engine tracks %d", len(centers), len(e.systems))
-	}
-	reordered := make([]*system, len(centers))
-	centres := newCentres(e.tb, e.box)
-	for i, c := range centers {
-		old, ok := e.centres.SlotAt(c)
-		if !ok {
-			return fmt.Errorf("kmc: vacancy order names %v, which is not a tracked vacancy", c)
-		}
-		if _, dup := centres.SlotAt(c); dup {
-			return fmt.Errorf("kmc: vacancy order repeats centre %v", c)
-		}
-		reordered[i] = e.systems[old]
-		centres.Put(i, c)
-	}
-	e.systems = reordered
-	e.centres = centres
-	// Any propensities computed under the old slot order live in the
-	// selection tree at stale indices; force a full refresh.
-	for _, s := range e.systems {
-		s.dirty = true
-	}
-	return nil
+	return e.cache.Reorder(centers)
 }
 
 // NumVacancies returns the number of tracked vacancies.
-func (e *Engine) NumVacancies() int { return len(e.systems) }
+func (e *Engine) NumVacancies() int { return len(e.cache.Systems) }
 
 // TotalRate returns the current summed propensity (refreshing any stale
 // systems first).
 func (e *Engine) TotalRate() float64 {
 	e.refreshAll()
-	if e.opts.LinearSelection {
-		var t float64
-		for _, s := range e.systems {
-			t += s.total
-		}
-		return t
-	}
 	return e.tree.Total()
 }
 
-// refresh recomputes one system's propensities (refilling its VET if
-// needed) and updates the selection structure.
-func (e *Engine) refresh(slot int) {
-	s := e.systems[slot]
-	if !s.filled {
-		sw := e.pr.encode.Start()
-		types := e.box.Types()
-		if k := s.hopped; k >= 0 {
-			// The old VET, translated; only the fringe is read.
-			e.tb.HopVET(e.spare, s.vet, int(k))
-			s.vet, e.spare = e.spare, s.vet
-			s.hopped = -1
-			fringe := e.tb.Fringe[k]
-			e.box.Neighbourhood(s.center, e.tb.FringeCET[k], e.nbr[:len(fringe)])
-			for n, i := range fringe {
-				s.vet[i] = types[e.nbr[n]]
-			}
-		} else {
-			e.box.Neighbourhood(s.center, e.tb.CET, e.nbr)
-			e.walks++
-			for i, site := range e.nbr {
-				s.vet[i] = types[site]
-			}
-		}
-		sw.Stop()
-		s.filled = true
-		e.stats.Refills++
-	}
-	sw := e.pr.eval.Start()
-	initial, final, valid := e.model.HopEnergies(s.vet)
-	var rates [8]float64
-	rates, s.total = Rates(s.vet, e.tb, initial, final, valid, e.temp)
-	sw.Stop()
-	s.rates = rates
-	for k := 0; k < 8; k++ {
-		if valid[k] {
-			s.deltaE[k] = final[k] - initial
-		} else {
-			s.deltaE[k] = 0
-		}
-	}
-	s.dirty = false
-	e.stats.Refreshes++
-	e.tree.Update(slot, s.total)
-}
-
 func (e *Engine) refreshAll() {
-	for slot, s := range e.systems {
-		if e.opts.DisableCache {
-			s.filled = false
-			s.dirty = true
-		}
-		if s.dirty {
-			e.refresh(slot)
-		}
+	if e.opts.DisableCache {
+		e.cache.Stale()
 	}
-}
-
-// invalidate marks every cached system whose VET covers the changed site,
-// patching the cached entry in place (the vacancy-cache fast path: no
-// VET is rebuilt). skipSlot is the hopper, whose VET is rebuilt instead.
-func (e *Engine) invalidate(changed lattice.Vec, newSpecies lattice.Species, skipSlot int) {
-	if e.walk {
-		e.invalidateWalk(changed, newSpecies, skipSlot)
-		return
-	}
-	e.cover = e.centres.Covering(changed, e.cover)
-	for _, c := range e.cover {
-		if c.Slot != skipSlot {
-			e.patch(c.Slot, c.Entry, newSpecies)
+	for slot, s := range e.cache.Systems {
+		if s.Dirty {
+			e.cache.Refresh(slot)
+			e.tree.Update(slot, s.Total)
 		}
-	}
-}
-
-// invalidateWalk is invalidate by a walk over the table around the changed
-// site. A system covers the site iff its centre lies at changed+c for some
-// CET offset c (the set is symmetric), and the site then sits at entry
-// Mirror[i] of that system's VET — once per periodic image the VET holds,
-// which is what a box no wider than the table needs. Every tracked centre
-// is a vacancy on the lattice, so the species byte is read first and the
-// centre set is asked only at the few walked sites that hold one.
-func (e *Engine) invalidateWalk(changed lattice.Vec, newSpecies lattice.Species, skipSlot int) {
-	e.box.Neighbourhood(changed, e.tb.CET, e.nbr)
-	e.walks++
-	types := e.box.Types()
-	for i, site := range e.nbr {
-		if types[site] != lattice.Vacancy {
-			continue
-		}
-		if slot, ok := e.centres.SlotAt(changed.Add(e.tb.CET[i])); ok && slot != skipSlot {
-			e.patch(slot, e.tb.Mirror[i], newSpecies)
-		}
-	}
-}
-
-// patch records a changed site at one entry of a cached system's VET.
-func (e *Engine) patch(slot int, entry int32, newSpecies lattice.Species) {
-	s := e.systems[slot]
-	s.dirty = true
-	if s.filled {
-		s.vet[entry] = newSpecies
-		e.stats.Patches++
 	}
 }
 
@@ -400,14 +217,7 @@ func (e *Engine) Step(timeLimit float64) (Event, bool) {
 	e.refreshAll()
 
 	selSW := e.pr.sel.Start()
-	var total float64
-	if e.opts.LinearSelection {
-		for _, s := range e.systems {
-			total += s.total
-		}
-	} else {
-		total = e.tree.Total()
-	}
+	total := e.tree.Total()
 	if total <= 0 {
 		selSW.Stop()
 		return Event{}, false
@@ -415,34 +225,9 @@ func (e *Engine) Step(timeLimit float64) (Event, bool) {
 
 	// Draw order is part of the trajectory contract shared with the
 	// baseline engine: (1) vacancy, (2) direction, (3) residence time.
-	var slot int
-	target := e.rnd.Float64() * total
-	if e.opts.LinearSelection {
-		slot = len(e.systems) - 1
-		var acc float64
-		for i, s := range e.systems {
-			acc += s.total
-			if target < acc {
-				slot = i
-				break
-			}
-		}
-	} else {
-		slot = e.tree.Select(target)
-	}
-	s := e.systems[slot]
-
-	k := 7
-	dirTarget := e.rnd.Float64() * s.total
-	var acc float64
-	for i := 0; i < 8; i++ {
-		acc += s.rates[i]
-		if dirTarget < acc {
-			k = i
-			break
-		}
-	}
-
+	slot := e.tree.Select(e.rnd.Float64() * total)
+	s := e.cache.Systems[slot]
+	k := s.Direction(e.rnd.Float64())
 	dt := e.rnd.ExpDeltaT(total)
 	selSW.Stop()
 	if e.time+dt > timeLimit {
@@ -452,7 +237,7 @@ func (e *Engine) Step(timeLimit float64) (Event, bool) {
 	e.time += dt
 
 	applySW := e.pr.applyPh.Start()
-	from := s.center
+	from := s.Centre
 	to := e.box.Wrap(from.Add(lattice.NN1[k]))
 	mover := e.box.Get(to)
 	if !mover.IsAtom() {
@@ -460,24 +245,16 @@ func (e *Engine) Step(timeLimit float64) (Event, bool) {
 	}
 	e.box.Set(from, mover)
 	e.box.Set(to, lattice.Vacancy)
-
-	e.centres.Drop(slot)
-	e.centres.Put(slot, to)
-	s.center = to
-	s.filled = false // centre moved: refresh rebuilds the VET
-	s.dirty = true
-	if !e.walk {
-		s.hopped = int8(k)
-	}
-
-	// Other cached systems see two occupancy changes.
-	e.invalidate(from, mover, slot)
-	e.invalidate(to, lattice.Vacancy, slot)
+	// Other cached systems see two occupancy changes; the hopper's own
+	// VET is rebuilt around its new centre.
+	e.cache.Patch(from, mover, slot)
+	e.cache.Patch(to, lattice.Vacancy, slot)
+	e.cache.Hop(slot, k, to)
 	applySW.Stop()
 
 	e.steps++
 	e.pr.steps.Inc()
-	return Event{Slot: slot, Direction: k, From: from, To: to, Mover: mover, DeltaE: s.deltaE[k], DeltaT: dt}, true
+	return Event{Slot: slot, Direction: k, From: from, To: to, Mover: mover, DeltaE: s.DeltaE[k], DeltaT: dt}, true
 }
 
 // RunUntil advances the clock to t (or until no events are possible) and

@@ -83,7 +83,7 @@ func (m hashModel) HopEnergies(vet encoding.VET) (initial float64, final [8]floa
 }
 
 // TestHopBookkeepingProperty: on boxes wide enough for translation (so no
-// hop walks the lattice), after every one of 2000 hops each cached VET —
+// hop fills a whole table), after every one of 2000 hops each cached VET —
 // the hopper's, translated through the shift table with its fringe read
 // from the lattice, and every neighbour's, patched through the centre set
 // — equals a fresh generic FillVET, and the centre set tracks exactly the
@@ -94,8 +94,8 @@ func TestHopBookkeepingProperty(t *testing.T) {
 		t.Run(hb.String(), func(t *testing.T) {
 			box := hb.build(tb)
 			e := NewEngine(box, hashModel{tb}, 1000, rng.New(hb.seed+100), Options{})
-			if e.walk || e.NumVacancies() != hb.vacancies {
-				t.Fatalf("walk = %v, %d vacancies tracked", e.walk, e.NumVacancies())
+			if e.cache.walk || e.NumVacancies() != hb.vacancies {
+				t.Fatalf("walk = %v, %d vacancies tracked", e.cache.walk, e.NumVacancies())
 			}
 			fresh := tb.NewVET()
 			for hop := 0; hop < 2000; hop++ {
@@ -103,30 +103,30 @@ func TestHopBookkeepingProperty(t *testing.T) {
 					t.Fatalf("no event possible at hop %d", hop)
 				}
 				e.TotalRate() // what the next Step does first
-				for slot, s := range e.systems {
-					if got, ok := e.centres.SlotAt(s.center); !ok || got != slot || box.Get(s.center) != lattice.Vacancy {
+				for slot, s := range e.cache.Systems {
+					if got, ok := e.cache.SlotAt(s.Centre); !ok || got != slot || box.Get(s.Centre) != lattice.Vacancy {
 						t.Fatalf("hop %d: slot %d centred at %v: centre set says (%d, %v), lattice holds %v",
-							hop, slot, s.center, got, ok, box.Get(s.center))
+							hop, slot, s.Centre, got, ok, box.Get(s.Centre))
 					}
-					tb.FillVET(fresh, s.center, box.Get)
+					tb.FillVET(fresh, s.Centre, box.Get)
 					for j := range fresh {
-						if s.vet[j] != fresh[j] {
+						if s.VET[j] != fresh[j] {
 							t.Fatalf("hop %d: cached VET of slot %d (centre %v) differs from the lattice at entry %d (%v vs %v)",
-								hop, slot, s.center, j, s.vet[j], fresh[j])
+								hop, slot, s.Centre, j, s.VET[j], fresh[j])
 						}
 					}
 				}
 			}
-			if want := int64(hb.vacancies); e.walks != want {
-				t.Fatalf("%d full-table walks, want the %d initial fills only", e.walks, want)
+			if want := int64(hb.vacancies); e.cache.walks != want {
+				t.Fatalf("%d full-table fills, want the %d initial ones only", e.cache.walks, want)
 			}
 		})
 	}
 }
 
-// TestWalkOnlyDifferential runs the engine beside one forced onto the
-// lattice walk (the path a box no wider than the table, or DisableCache,
-// takes) from the same box and seed: every event and the final Stats must
+// TestWalkOnlyDifferential runs the engine beside one whose cache is forced
+// onto the lattice walk (the path a box no wider than the table takes)
+// from the same box and seed: every event and the final Stats must
 // agree to the digit. The 8³ box is aliased, so there both engines walk;
 // the dense box is the ledger's 3e-3 deck.
 func TestWalkOnlyDifferential(t *testing.T) {
@@ -147,10 +147,10 @@ func TestWalkOnlyDifferential(t *testing.T) {
 			boxB := boxA.Clone()
 			a := NewEngine(boxA, hashModel{tb}, units.ReactorTemperature, rng.New(tc.hb.seed+100), Options{})
 			b := NewEngine(boxB, hashModel{tb}, units.ReactorTemperature, rng.New(tc.hb.seed+100), Options{})
-			if a.walk != tc.aliased {
-				t.Fatalf("engine chose walk = %v", a.walk)
+			if a.cache.walk != tc.aliased {
+				t.Fatalf("engine chose walk = %v", a.cache.walk)
 			}
-			b.walk = true
+			b.cache.walk = true
 			for hop := 0; hop < tc.hops; hop++ {
 				evA, okA := a.Step(1e300)
 				evB, okB := b.Step(1e300)
@@ -163,9 +163,9 @@ func TestWalkOnlyDifferential(t *testing.T) {
 			if a.Stats() != b.Stats() || a.Time() != b.Time() || !boxA.Equal(boxB) {
 				t.Fatalf("Stats %+v at t=%v vs walk-only %+v at t=%v", a.Stats(), a.Time(), b.Stats(), b.Time())
 			}
-			if !tc.aliased && (a.walks != int64(tc.hb.vacancies) || b.walks != int64(tc.hb.vacancies+3*tc.hops)) {
-				t.Fatalf("%d walks beside %d walk-only, want %d and %d",
-					a.walks, b.walks, tc.hb.vacancies, tc.hb.vacancies+3*tc.hops)
+			if !tc.aliased && (a.cache.walks != int64(tc.hb.vacancies) || b.cache.walks != int64(tc.hb.vacancies+tc.hops)) {
+				t.Fatalf("%d full-table fills beside %d walk-only, want %d and %d",
+					a.cache.walks, b.cache.walks, tc.hb.vacancies, tc.hb.vacancies+tc.hops)
 			}
 		})
 	}

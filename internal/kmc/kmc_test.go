@@ -94,19 +94,6 @@ func TestSumTreeMatchesLinearScan(t *testing.T) {
 	}
 }
 
-func TestSumTreeGrow(t *testing.T) {
-	tr := NewSumTree(2)
-	tr.Update(0, 5)
-	tr.Update(1, 7)
-	big := tr.Grow(10)
-	if big.Len() < 10 || big.Get(0) != 5 || big.Get(1) != 7 || big.Total() != 12 {
-		t.Fatal("Grow lost weights")
-	}
-	if tr.Grow(2) != tr {
-		t.Fatal("Grow should return receiver when capacity suffices")
-	}
-}
-
 func TestSumTreePanics(t *testing.T) {
 	tr := NewSumTree(4)
 	for name, fn := range map[string]func(){
@@ -172,7 +159,7 @@ func TestEngineVacancyTrackingMatchesBox(t *testing.T) {
 		t.Fatalf("box has %d vacancies, engine tracks %d", len(boxVacs), e.NumVacancies())
 	}
 	for _, v := range boxVacs {
-		if slot, ok := e.centres.SlotAt(v); !ok || e.systems[slot].center != v {
+		if slot, ok := e.cache.SlotAt(v); !ok || e.cache.Systems[slot].Centre != v {
 			t.Fatalf("vacancy at %v not tracked", v)
 		}
 	}
@@ -194,15 +181,15 @@ func TestEngineCacheConsistency(t *testing.T) {
 			continue
 		}
 		fresh := tb.NewVET()
-		for slot, s := range e.systems {
-			if !s.filled {
+		for slot, s := range e.cache.Systems {
+			if !s.Filled {
 				continue
 			}
-			tb.FillVET(fresh, s.center, box.Get)
+			tb.FillVET(fresh, s.Centre, box.Get)
 			for j := range fresh {
-				if s.vet[j] != fresh[j] {
+				if s.VET[j] != fresh[j] {
 					t.Fatalf("step %d: cached VET of slot %d stale at entry %d (%v vs %v)",
-						i, slot, j, s.vet[j], fresh[j])
+						i, slot, j, s.VET[j], fresh[j])
 				}
 			}
 		}
@@ -251,22 +238,6 @@ func TestEngineCacheAblationEquivalence(t *testing.T) {
 	if cached.Stats().Refills >= uncached.Stats().Refills {
 		t.Fatalf("cache did not reduce refills: %d vs %d",
 			cached.Stats().Refills, uncached.Stats().Refills)
-	}
-}
-
-// TestEngineLinearSelectionEquivalence: the sum tree and the linear scan
-// must choose identical events.
-func TestEngineLinearSelectionEquivalence(t *testing.T) {
-	boxA, modelA := testSetup(t, 10, 0.05, 0.003, 11)
-	boxB, modelB := testSetup(t, 10, 0.05, 0.003, 11)
-	tree := NewEngine(boxA, modelA, units.ReactorTemperature, rng.New(12), Options{})
-	linear := NewEngine(boxB, modelB, units.ReactorTemperature, rng.New(12), Options{LinearSelection: true})
-	for i := 0; i < 60; i++ {
-		evA, okA := tree.Step(1e300)
-		evB, okB := linear.Step(1e300)
-		if okA != okB || evA.Slot != evB.Slot || evA.Direction != evB.Direction {
-			t.Fatalf("selection strategies diverged at step %d", i)
-		}
 	}
 }
 

@@ -79,18 +79,3 @@ func (t *SumTree) Select(target float64) int {
 	}
 	return node - t.n
 }
-
-// Grow returns a tree with at least newN capacity containing the same
-// leaf weights (the receiver if it already fits).
-func (t *SumTree) Grow(newN int) *SumTree {
-	if newN <= t.n {
-		return t
-	}
-	nt := NewSumTree(newN)
-	for i := 0; i < t.n; i++ {
-		if w := t.Get(i); w != 0 {
-			nt.Update(i, w)
-		}
-	}
-	return nt
-}

@@ -173,6 +173,16 @@ func (d *Domain) Index(v Vec) int {
 	return d.nLocal + id - nloc
 }
 
+// Neighbourhood writes the storage index of centre+rel[i] into idx[i], for
+// every offset of rel: Box.Neighbourhood for a domain, where every such
+// site must lie in the extended region (Index panics otherwise) and idx
+// must be at least as long as rel.
+func (d *Domain) Neighbourhood(centre Vec, rel []Vec, idx []int) {
+	for i, r := range rel {
+		idx[i] = d.Index(centre.Add(r))
+	}
+}
+
 // Get returns the species at global site v (local or ghost).
 func (d *Domain) Get(v Vec) Species { return d.types[d.Index(v)] }
 

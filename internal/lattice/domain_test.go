@@ -63,7 +63,8 @@ func TestCountParityQuick(t *testing.T) {
 // TestDomainIndexMatchesPosID is the core Eq. (4) validation: the
 // closed-form direct index must agree with the explicit POS_ID table for
 // every site of the extended region, across several geometries including
-// negative origins.
+// negative origins — and Neighbourhood, asked for every such site as an
+// offset from the origin, must return Index's answer for each.
 func TestDomainIndexMatchesPosID(t *testing.T) {
 	geoms := []struct {
 		origin, size Vec
@@ -85,6 +86,7 @@ func TestDomainIndexMatchesPosID(t *testing.T) {
 		ref := NewPosIDIndexer(d)
 		seen := make([]bool, d.NumAll())
 		count := 0
+		var rel []Vec
 		lo := g.origin.Sub(Vec{g.ghost, g.ghost, g.ghost})
 		hi := g.origin.Add(g.size).Add(Vec{g.ghost, g.ghost, g.ghost})
 		for z := lo.Z; z < hi.Z; z++ {
@@ -107,11 +109,19 @@ func TestDomainIndexMatchesPosID(t *testing.T) {
 					}
 					seen[got] = true
 					count++
+					rel = append(rel, v.Sub(g.origin))
 				}
 			}
 		}
 		if count != d.NumAll() {
 			t.Fatalf("geom %+v: visited %d sites, NumAll = %d", g, count, d.NumAll())
+		}
+		idx := make([]int, len(rel))
+		d.Neighbourhood(g.origin, rel, idx)
+		for i, r := range rel {
+			if want := d.Index(g.origin.Add(r)); idx[i] != want {
+				t.Fatalf("geom %+v: Neighbourhood gives %d at offset %v, Index %d", g, idx[i], r, want)
+			}
 		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"time"
 
-	"tensorkmc/internal/encoding"
 	"tensorkmc/internal/fault"
 	"tensorkmc/internal/kmc"
 	"tensorkmc/internal/lattice"
@@ -154,6 +153,7 @@ func Run(box *lattice.Box, cfg Config, duration float64, factory func() kmc.Mode
 	out := &Result{Box: lattice.NewBox(box.Nx, box.Ny, box.Nz, box.A), Time: duration, Stats: make([]RankStats, nRanks)}
 	for i, r := range results {
 		out.Stats[i] = r.stats
+		out.Stats[i].Refills = r.cache.Stats.Refills
 		r.dom.ForEachLocal(func(v lattice.Vec, idx int) {
 			out.Box.Set(v, r.dom.Types()[idx])
 		})
@@ -184,34 +184,14 @@ func validate(box *lattice.Box, cfg Config, model kmc.Model) {
 	}
 }
 
-// vsys is one locally owned vacancy system.
-type vsys struct {
-	center lattice.Vec // raw == canonical (local region is canonical)
-	vet    encoding.VET
-	rates  [8]float64
-	total  float64
-	filled bool
-	dirty  bool
-}
-
 type rankState struct {
-	comm  *mpi.Comm
-	cfg   Config
-	tb    *encoding.Tables
-	model kmc.Model
-	rnd   *rng.Stream
+	comm *mpi.Comm
+	cfg  Config
+	rnd  *rng.Stream
 
 	global *lattice.Box // geometry only (canonical indexing/wrapping)
 	dom    *lattice.Domain
-
-	systems []*vsys
-	centres *encoding.Centres // tracked (local) centres → slot
-	cover   []encoding.Cover  // scratch: the systems covering a changed site
-	spare   encoding.VET      // scratch: the buffer a hopper's VET is translated into
-	// walk makes hop bookkeeping walk the lattice instead of translating
-	// VETs and querying centres: set where the global box is no wider than
-	// the table (encoding.Centres.Aliased), as in kmc.Engine.
-	walk bool
+	cache  *kmc.Cache // systems centred in the local region (raw == canonical)
 
 	// Scratch of runSector: the slots in the active sector, and those of
 	// them with a nonzero propensity.
@@ -241,15 +221,11 @@ func newRank(c *mpi.Comm, box *lattice.Box, cfg Config, model kmc.Model) *rankSt
 	r := &rankState{
 		comm:   c,
 		cfg:    cfg,
-		tb:     tb,
-		model:  model,
 		rnd:    rng.New(cfg.Seed).Split(uint64(rank)),
 		global: lattice.NewBoxGeometry(box.Nx, box.Ny, box.Nz, box.A),
 		dom:    dom,
-		spare:  tb.NewVET(),
 	}
-	r.centres = tb.NewCentres(r.global, dom.Origin, dom.Size)
-	r.walk = r.centres.Aliased()
+	r.cache = kmc.NewCache(dom, tb.NewCentres(r.global, dom.Origin, dom.Size), model, cfg.Temperature, nil, nil)
 	if set := cfg.Telemetry; set != nil {
 		seg := set.Trace().PhaseAt(telemetry.PhaseRun, telemetry.PhaseSegment)
 		r.hopCtr = set.Reg().Counter(telemetry.MetricStepTotal,
@@ -261,29 +237,13 @@ func newRank(c *mpi.Comm, box *lattice.Box, cfg Config, model kmc.Model) *rankSt
 	dom.ForEachLocal(func(v lattice.Vec, idx int) {
 		dom.Types()[idx] = box.Get(v)
 		if box.Get(v) == lattice.Vacancy {
-			r.addSystem(v)
+			r.cache.Add(v)
 		}
 	})
 	dom.ForEachGhost(func(v lattice.Vec, idx int) {
 		dom.Types()[idx] = box.Get(v)
 	})
 	return r
-}
-
-func (r *rankState) addSystem(center lattice.Vec) {
-	r.systems = append(r.systems, &vsys{center: center, vet: r.tb.NewVET(), dirty: true})
-	r.centres.Put(len(r.systems)-1, center)
-}
-
-func (r *rankState) removeSystem(slot int) {
-	last := len(r.systems) - 1
-	r.centres.Drop(slot)
-	if slot != last {
-		r.centres.Drop(last)
-		r.systems[slot] = r.systems[last]
-		r.centres.Put(slot, r.systems[slot].center)
-	}
-	r.systems = r.systems[:last]
 }
 
 // setAll updates every periodic image of the canonical site within the
@@ -305,37 +265,6 @@ func (r *rankState) setAll(canon lattice.Vec, s lattice.Species) (found bool) {
 	return found
 }
 
-// patchSystems updates cached VETs that cover the changed canonical site,
-// as kmc.Engine.invalidate does: through the centre set, or where the box
-// is no wider than the table by asking every site of the table around the
-// changed one for a tracked centre (a rank holds no canonical species
-// array to read first). skipSlot excludes the hopper (rebuilt instead).
-func (r *rankState) patchSystems(canon lattice.Vec, s lattice.Species, skipSlot int) {
-	if r.walk {
-		for i, rel := range r.tb.CET {
-			if slot, ok := r.centres.SlotAt(canon.Add(rel)); ok && slot != skipSlot {
-				r.patch(slot, r.tb.Mirror[i], s)
-			}
-		}
-		return
-	}
-	r.cover = r.centres.Covering(canon, r.cover)
-	for _, c := range r.cover {
-		if c.Slot != skipSlot {
-			r.patch(c.Slot, c.Entry, s)
-		}
-	}
-}
-
-// patch records a changed site at one entry of a cached system's VET.
-func (r *rankState) patch(slot int, entry int32, s lattice.Species) {
-	sys := r.systems[slot]
-	if sys.filled {
-		sys.vet[entry] = s
-	}
-	sys.dirty = true
-}
-
 // sectorOf returns the 2×2×2 sector octant (0–7) of a local-region site.
 func (r *rankState) sectorOf(v lattice.Vec) int {
 	rel := v.Sub(r.dom.Origin)
@@ -352,18 +281,6 @@ func (r *rankState) sectorOf(v lattice.Vec) int {
 	return s
 }
 
-func (r *rankState) refresh(slot int) {
-	sys := r.systems[slot]
-	if !sys.filled {
-		r.tb.FillVET(sys.vet, sys.center, r.dom.Get)
-		sys.filled = true
-		r.stats.Refills++
-	}
-	initial, final, valid := r.model.HopEnergies(sys.vet)
-	sys.rates, sys.total = kmc.Rates(sys.vet, r.tb, initial, final, valid, r.cfg.Temperature)
-	sys.dirty = false
-}
-
 // runSector evolves the active sector for the window (seconds).
 func (r *rankState) runSector(sector int, window float64) {
 	var clock float64
@@ -373,8 +290,8 @@ func (r *rankState) runSector(sector int, window float64) {
 	for {
 		if rescan {
 			r.members = r.members[:0]
-			for slot, sys := range r.systems {
-				if r.sectorOf(sys.center) == sector {
+			for slot, sys := range r.cache.Systems {
+				if r.sectorOf(sys.Centre) == sector {
 					r.members = append(r.members, slot)
 				}
 			}
@@ -384,13 +301,13 @@ func (r *rankState) runSector(sector int, window float64) {
 		active := r.active[:0]
 		var total float64
 		for _, slot := range r.members {
-			sys := r.systems[slot]
-			if sys.dirty {
-				r.refresh(slot)
+			sys := r.cache.Systems[slot]
+			if sys.Dirty {
+				r.cache.Refresh(slot)
 			}
-			if sys.total > 0 {
+			if sys.Total > 0 {
 				active = append(active, slot)
-				total += sys.total
+				total += sys.Total
 			}
 		}
 		r.active = active
@@ -408,32 +325,22 @@ func (r *rankState) runSector(sector int, window float64) {
 		slot := active[len(active)-1]
 		var acc float64
 		for _, s := range active {
-			acc += r.systems[s].total
+			acc += r.cache.Systems[s].Total
 			if target < acc {
 				slot = s
 				break
 			}
 		}
-		sys := r.systems[slot]
-		k := 7
-		dirTarget := r.rnd.Float64() * sys.total
-		acc = 0
-		for i := 0; i < 8; i++ {
-			acc += sys.rates[i]
-			if dirTarget < acc {
-				k = i
-				break
-			}
-		}
-		rescan = !r.executeHop(slot, k) || r.sectorOf(sys.center) != sector
+		sys := r.cache.Systems[slot]
+		k := sys.Direction(r.rnd.Float64())
+		rescan = !r.executeHop(slot, k) || r.sectorOf(sys.Centre) != sector
 	}
 }
 
 // executeHop moves the vacancy of the given system one hop in direction k
 // and reports whether the system is still this rank's.
 func (r *rankState) executeHop(slot int, k int) (kept bool) {
-	sys := r.systems[slot]
-	from := sys.center
+	from := r.cache.Systems[slot].Centre
 	toRaw := from.Add(lattice.NN1[k])
 	toCanon := r.global.Wrap(toRaw)
 	mover := r.dom.Get(toRaw)
@@ -450,30 +357,17 @@ func (r *rankState) executeHop(slot int, k int) (kept bool) {
 	r.hopCtr.Inc()
 
 	// Other cached systems see two occupancy changes.
-	r.patchSystems(from, mover, slot)
-	r.patchSystems(toCanon, lattice.Vacancy, slot)
+	r.cache.Patch(from, mover, slot)
+	r.cache.Patch(toCanon, lattice.Vacancy, slot)
 	if !r.dom.IsLocal(toCanon) {
 		// Emigrated into a neighbour's territory: drop local ownership;
 		// the neighbour adopts it when the change arrives.
-		r.removeSystem(slot)
+		r.cache.Remove(slot)
 		return false
 	}
-	// Stays ours: move the system and rebuild its VET now, so that it goes
-	// on being patched while other sectors run.
-	r.centres.Drop(slot)
-	r.centres.Put(slot, toCanon)
-	sys.center = toCanon
-	sys.dirty = true
-	if r.walk {
-		r.tb.FillVET(sys.vet, toCanon, r.dom.Get)
-	} else {
-		r.tb.HopVET(r.spare, sys.vet, k)
-		sys.vet, r.spare = r.spare, sys.vet
-		for _, i := range r.tb.Fringe[k] {
-			sys.vet[i] = r.dom.Get(toCanon.Add(r.tb.CET[i]))
-		}
-	}
-	r.stats.Refills++
+	// Stays ours: rebuild its VET now, so that it goes on being patched
+	// while other sectors run.
+	r.cache.Hop(slot, k, toCanon)
 	return true
 }
 
@@ -515,18 +409,18 @@ func (r *rankState) apply(ch SiteChange) {
 			// A vacancy we owned was consumed remotely — cannot happen
 			// under the sector discipline for owned interiors, but a
 			// just-adopted vacancy may be re-announced; drop ownership.
-			if slot, ok := r.centres.SlotAt(canon); ok {
-				r.removeSystem(slot)
+			if slot, ok := r.cache.SlotAt(canon); ok {
+				r.cache.Remove(slot)
 			}
 		}
 		r.setAll(canon, ch.New)
 		if ch.New == lattice.Vacancy {
-			r.addSystem(canon)
+			r.cache.Add(canon)
 		}
 	} else if !r.setAll(canon, ch.New) {
 		return // no image of the site falls in our extended region
 	}
-	r.patchSystems(canon, ch.New, -1)
+	r.cache.Patch(canon, ch.New, -1)
 }
 
 // run advances the simulation by duration seconds. It aborts cleanly

@@ -106,9 +106,9 @@ func TestGhostConsistency(t *testing.T) {
 			}
 		})
 		// Vacancy bookkeeping must match the lattice.
-		for _, sys := range r.systems {
-			if r.dom.Get(sys.center) != lattice.Vacancy {
-				t.Fatalf("rank %d tracks non-vacancy at %v", rankID, sys.center)
+		for _, sys := range r.cache.Systems {
+			if r.dom.Get(sys.Centre) != lattice.Vacancy {
+				t.Fatalf("rank %d tracks non-vacancy at %v", rankID, sys.Centre)
 			}
 		}
 	}
@@ -369,16 +369,14 @@ func (m hashModel) HopEnergies(vet encoding.VET) (initial float64, final [8]floa
 	return 0, final, valid
 }
 
-// runRanks is Run with the ranks kept, so a test can force them onto the
-// lattice walk and look into their caches afterwards.
-func runRanks(t *testing.T, box *lattice.Box, cfg Config, duration float64, walk bool) []*rankState {
+// runRanks is Run with the ranks kept, so a test can look into their
+// caches afterwards.
+func runRanks(t *testing.T, box *lattice.Box, cfg Config, duration float64, model kmc.Model) []*rankState {
 	t.Helper()
-	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
 	ranks := make([]*rankState, cfg.Ranks())
 	errs := make([]error, cfg.Ranks())
 	mpi.RunWorld(mpi.NewWorld(cfg.Ranks()), func(c *mpi.Comm) {
-		r := newRank(c, box, cfg, hashModel{tb})
-		r.walk = r.walk || walk
+		r := newRank(c, box, cfg, model)
 		errs[c.Rank()] = r.run(duration)
 		ranks[c.Rank()] = r
 	})
@@ -390,13 +388,15 @@ func runRanks(t *testing.T, box *lattice.Box, cfg Config, duration float64, walk
 	return ranks
 }
 
-// TestWalkOnlyDifferential runs a sweep beside one whose ranks are forced
-// onto the lattice walk (the path a global box no wider than the table
-// takes): every rank must end with the same counters, the same local and
-// ghost sites and the same systems in the same slots — the draws depend
-// on slot order — and in both every cached VET must equal a FillVET from
-// the rank's domain.
+// TestWalkOnlyDifferential checks the rank protocol around the shared
+// vacancy cache (whose translation is checked against the lattice walk,
+// over a domain, by kmc.TestCacheOnDomain): ranks kept after a sweep must
+// report the stats Run reports for the same sweep, hold in every local and
+// ghost site what Run's global box holds there, track exactly their local
+// vacancies, each in its own slot, and keep every filled VET equal to a
+// FillVET from the rank's domain.
 func TestWalkOnlyDifferential(t *testing.T) {
+	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
 	cases := []struct {
 		cells      [3]int
 		px, py, pz int
@@ -408,44 +408,45 @@ func TestWalkOnlyDifferential(t *testing.T) {
 		box := lattice.NewBox(tc.cells[0], tc.cells[1], tc.cells[2], units.LatticeConstantFe)
 		lattice.FillRandomAlloy(box, 0.05, 0.01, rng.New(81))
 		cfg := Config{PX: tc.px, PY: tc.py, PZ: tc.pz, Temperature: 1000, TStop: 1e-10, Seed: 82}
-		translated := runRanks(t, box, cfg, 3e-9, false)
-		walked := runRanks(t, box, cfg, 3e-9, true)
+		ranks := runRanks(t, box, cfg, 3e-9, hashModel{tb})
+		res := mustRun(t, box, cfg, 3e-9, func() kmc.Model { return hashModel{tb} })
 		var hops int64
-		for rank, a := range translated {
-			b := walked[rank]
-			if a.walk || !b.walk {
-				t.Fatalf("%v rank %d: walk = %v beside forced %v", tc, rank, a.walk, b.walk)
+		for rank, r := range ranks {
+			st := r.stats
+			st.Refills = r.cache.Stats.Refills
+			if st != res.Stats[rank] {
+				t.Fatalf("%v rank %d: stats %+v, Run says %+v", tc, rank, st, res.Stats[rank])
 			}
-			if a.stats != b.stats {
-				t.Fatalf("%v rank %d: stats %+v vs walk-only %+v", tc, rank, a.stats, b.stats)
-			}
-			hops += a.stats.Hops
-			for i, s := range a.dom.Types() {
-				if b.dom.Types()[i] != s {
-					t.Fatalf("%v rank %d: domain site %d holds %v vs walk-only %v", tc, rank, i, s, b.dom.Types()[i])
+			hops += st.Hops
+			vacancies := 0
+			r.dom.ForEachLocal(func(v lattice.Vec, idx int) {
+				if r.dom.Types()[idx] == lattice.Vacancy {
+					vacancies++
 				}
+			})
+			for _, each := range []func(func(lattice.Vec, int)){r.dom.ForEachLocal, r.dom.ForEachGhost} {
+				each(func(v lattice.Vec, idx int) {
+					if got, want := r.dom.Types()[idx], res.Box.Get(v); got != want {
+						t.Fatalf("%v rank %d: site %v holds %v, Run's box %v", tc, rank, v, got, want)
+					}
+				})
 			}
-			if len(a.systems) != len(b.systems) {
-				t.Fatalf("%v rank %d: %d systems vs walk-only %d", tc, rank, len(a.systems), len(b.systems))
+			if len(r.cache.Systems) != vacancies {
+				t.Fatalf("%v rank %d: %d systems for %d local vacancies", tc, rank, len(r.cache.Systems), vacancies)
 			}
-			fresh := a.tb.NewVET()
-			for slot, sa := range a.systems {
-				sb := b.systems[slot]
-				if sa.center != sb.center || sa.filled != sb.filled || sa.dirty != sb.dirty {
-					t.Fatalf("%v rank %d slot %d: %v filled=%v dirty=%v vs walk-only %v filled=%v dirty=%v",
-						tc, rank, slot, sa.center, sa.filled, sa.dirty, sb.center, sb.filled, sb.dirty)
+			fresh := tb.NewVET()
+			for slot, s := range r.cache.Systems {
+				if got, ok := r.cache.SlotAt(s.Centre); !ok || got != slot || !r.dom.IsLocal(s.Centre) || r.dom.Get(s.Centre) != lattice.Vacancy {
+					t.Fatalf("%v rank %d slot %d at %v: centre set says (%d, %v), domain holds %v",
+						tc, rank, slot, s.Centre, got, ok, r.dom.Get(s.Centre))
 				}
-				if got, ok := a.centres.SlotAt(sa.center); !ok || got != slot {
-					t.Fatalf("%v rank %d slot %d: centre set says (%d, %v)", tc, rank, slot, got, ok)
-				}
-				if !sa.filled {
+				if !s.Filled {
 					continue
 				}
-				a.tb.FillVET(fresh, sa.center, a.dom.Get)
+				tb.FillVET(fresh, s.Centre, r.dom.Get)
 				for j := range fresh {
-					if sa.vet[j] != fresh[j] || sb.vet[j] != fresh[j] {
-						t.Fatalf("%v rank %d slot %d entry %d: cached %v, walk-only %v, domain %v",
-							tc, rank, slot, j, sa.vet[j], sb.vet[j], fresh[j])
+					if s.VET[j] != fresh[j] {
+						t.Fatalf("%v rank %d slot %d entry %d: cached %v, domain %v", tc, rank, slot, j, s.VET[j], fresh[j])
 					}
 				}
 			}
