@@ -102,14 +102,15 @@ func TestExitCodeUsage(t *testing.T) {
 	}
 }
 
-// TestExitCodeRuntimeOnCorruption: a potential file poisoned with a NaN
-// weight trips the numerical tripwires at the first evaluation; the CLI
-// must report it as a runtime failure (exit 1), not hang or retry.
+// TestExitCodeRuntimeOnCorruption: a potential file whose parameters are
+// finite (so it loads) but whose region energy overflows trips the
+// numerical tripwires at the first evaluation; the CLI must report it as
+// a runtime failure (exit 1), not hang or retry.
 func TestExitCodeRuntimeOnCorruption(t *testing.T) {
 	dir := t.TempDir()
 	desc := feature.Standard(units.CutoffStandard)
 	pot := nnp.NewPotential(desc, []int{desc.Dim(), 8, 1}, rng.New(9))
-	pot.Nets[0].Layers[0].W.Data[0] = math.NaN()
+	poisonOverflow(pot)
 	potPath := filepath.Join(dir, "bad.nnp")
 	if err := pot.SaveFile(potPath); err != nil {
 		t.Fatal(err)
@@ -130,6 +131,15 @@ potential    nnp `+potPath+`
 	}
 	if !strings.Contains(out.String(), "unrecoverable") {
 		t.Fatalf("corruption not reported as unrecoverable:\n%s", out.String())
+	}
+}
+
+// poisonOverflow sets every element's output bias to the largest float64:
+// each site energy is then near MaxFloat64 and any region sum is +Inf.
+// nnp.Load accepts the file, since every parameter is finite.
+func poisonOverflow(pot *nnp.Potential) {
+	for _, net := range pot.Nets {
+		net.Layers[len(net.Layers)-1].B[0] = math.MaxFloat64
 	}
 }
 
@@ -205,7 +215,7 @@ func TestSummaryOnRuntimeFailure(t *testing.T) {
 	dir := t.TempDir()
 	desc := feature.Standard(units.CutoffStandard)
 	pot := nnp.NewPotential(desc, []int{desc.Dim(), 8, 1}, rng.New(9))
-	pot.Nets[0].Layers[0].W.Data[0] = math.NaN()
+	poisonOverflow(pot)
 	potPath := filepath.Join(dir, "bad.nnp")
 	if err := pot.SaveFile(potPath); err != nil {
 		t.Fatal(err)

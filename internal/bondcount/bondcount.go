@@ -141,13 +141,13 @@ func BoxEnergy(p Params, box *lattice.Box) float64 {
 		for _, d := range lattice.NN1 {
 			o := box.Get(v.Add(d))
 			if o.IsAtom() {
-				total += 0.5 * p.E1[s][o]
+				total += float64(0.5 * p.E1[s][o])
 			}
 		}
 		for _, d := range shell2 {
 			o := box.Get(v.Add(d))
 			if o.IsAtom() {
-				total += 0.5 * p.E2[s][o]
+				total += float64(0.5 * p.E2[s][o])
 			}
 		}
 	}

@@ -171,7 +171,7 @@ func meanGyrationRadius(box *lattice.Box, cuSites []lattice.Vec, u *unionFind) f
 		g.sx += x
 		g.sy += y
 		g.sz += z
-		g.sq += x*x + y*y + z*z
+		g.sq += float64(x*x) + float64(y*y) + float64(z*z)
 		g.n++
 	}
 	var sum float64
@@ -183,11 +183,11 @@ func meanGyrationRadius(box *lattice.Box, cuSites []lattice.Vec, u *unionFind) f
 		}
 		n := float64(g.n)
 		// Rg² = <r²> − <r>² in half-units², converted to Å.
-		rg2 := g.sq/n - (g.sx*g.sx+g.sy*g.sy+g.sz*g.sz)/(n*n)
+		rg2 := g.sq/n - (float64(g.sx*g.sx)+float64(g.sy*g.sy)+float64(g.sz*g.sz))/(n*n)
 		if rg2 < 0 {
 			rg2 = 0
 		}
-		sum += math.Sqrt(rg2) * halfUnit
+		sum += float64(math.Sqrt(rg2) * halfUnit)
 		count++
 	}
 	if count == 0 {

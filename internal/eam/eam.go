@@ -114,7 +114,7 @@ func (p *Potential) Pair(a, b lattice.Species, r float64) float64 {
 		return 0
 	}
 	e := math.Exp(-p.P.Alpha * (r - p.P.R0))
-	return p.P.Epsilon[a][b] * (e*e - 2*e) * p.fc(r)
+	return p.P.Epsilon[a][b] * (float64(e*e) - float64(2*e)) * p.fc(r)
 }
 
 // PairDeriv returns dφ_ab/dr.
@@ -123,9 +123,9 @@ func (p *Potential) PairDeriv(a, b lattice.Species, r float64) float64 {
 		return 0
 	}
 	e := math.Exp(-p.P.Alpha * (r - p.P.R0))
-	morse := e*e - 2*e
-	dmorse := -p.P.Alpha * (2*e*e - 2*e)
-	return p.P.Epsilon[a][b] * (dmorse*p.fc(r) + morse*p.fcDeriv(r))
+	morse := float64(e*e) - float64(2*e)
+	dmorse := -p.P.Alpha * (float64(2*e*e) - float64(2*e))
+	return p.P.Epsilon[a][b] * (float64(dmorse*p.fc(r)) + float64(morse*p.fcDeriv(r)))
 }
 
 // Density returns ψ_b(r), the electron-density contribution of an atom of
@@ -143,7 +143,7 @@ func (p *Potential) DensityDeriv(b lattice.Species, r float64) float64 {
 		return 0
 	}
 	e := p.P.C[b] * math.Exp(-p.P.Beta*(r-p.P.R0))
-	return e * (-p.P.Beta*p.fc(r) + p.fcDeriv(r))
+	return e * (float64(-p.P.Beta*p.fc(r)) + p.fcDeriv(r))
 }
 
 // Embed returns F(ρ) = −A√ρ.
@@ -204,11 +204,11 @@ func (p *Potential) StructureForces(pos [][3]float64, spec []lattice.Species, ce
 			continue
 		}
 		dEdr := p.PairDeriv(si, sj, pr.R) +
-			p.EmbedDeriv(rho[pr.I])*p.DensityDeriv(sj, pr.R) +
-			p.EmbedDeriv(rho[pr.J])*p.DensityDeriv(si, pr.R)
+			float64(p.EmbedDeriv(rho[pr.I])*p.DensityDeriv(sj, pr.R)) +
+			float64(p.EmbedDeriv(rho[pr.J])*p.DensityDeriv(si, pr.R))
 		for a := 0; a < 3; a++ {
-			forces[pr.I][a] -= dEdr * pr.Unit[a]
-			forces[pr.J][a] += dEdr * pr.Unit[a]
+			forces[pr.I][a] -= float64(dEdr * pr.Unit[a])
+			forces[pr.J][a] += float64(dEdr * pr.Unit[a])
 		}
 	}
 	return forces
@@ -262,7 +262,7 @@ func (e *RegionEvaluator) SiteEnergy(vet encoding.VET, i int) float64 {
 		return 0
 	}
 	ev, er := e.SiteEVER(vet, i)
-	return 0.5*ev + e.Pot.Embed(er)
+	return float64(0.5*ev) + e.Pot.Embed(er)
 }
 
 // SiteEVER returns the pair sum E_V and density E_R of region site i —

@@ -45,7 +45,7 @@ func (f *FastRegionEvaluator) HopEnergies(vet encoding.VET) (initial float64, fi
 			continue
 		}
 		f.ev[j], f.er[j] = f.SiteEVER(vet, j)
-		initial += 0.5*f.ev[j] + f.Pot.Embed(f.er[j])
+		initial += float64(0.5*f.ev[j]) + f.Pot.Embed(f.er[j])
 	}
 	// Pass 2: per final state, patch only what changes.
 	nd := f.nDist
@@ -82,7 +82,7 @@ func (f *FastRegionEvaluator) HopEnergies(vet encoding.VET) (initial float64, fi
 			if dEV == 0 && dER == 0 {
 				continue
 			}
-			e += 0.5*dEV + f.Pot.Embed(f.er[a.Site]+dER) - f.Pot.Embed(f.er[a.Site])
+			e += float64(0.5*dEV) + f.Pot.Embed(f.er[a.Site]+dER) - f.Pot.Embed(f.er[a.Site])
 		}
 		// The mover itself: its old energy (at the target site) is
 		// replaced by its energy at the origin, whose neighbourhood is
@@ -100,8 +100,8 @@ func (f *FastRegionEvaluator) HopEnergies(vet encoding.VET) (initial float64, fi
 			evM += f.pairTab[moverBase+int(o)*nd+int(nb.DistIndex)]
 			erM += f.densTab[int(o)*nd+int(nb.DistIndex)]
 		}
-		eMoverNew := 0.5*evM + f.Pot.Embed(erM)
-		eMoverOld := 0.5*f.ev[targetIdx] + f.Pot.Embed(f.er[targetIdx])
+		eMoverNew := float64(0.5*evM) + f.Pot.Embed(erM)
+		eMoverOld := float64(0.5*f.ev[targetIdx]) + f.Pot.Embed(f.er[targetIdx])
 		final[k] = e + eMoverNew - eMoverOld
 	}
 	return initial, final, valid

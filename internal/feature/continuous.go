@@ -64,7 +64,7 @@ func Pairs(pos [][3]float64, cell [3]float64, rcut float64) []PairTerm {
 				dx := pos[i][0] - pos[j][0] - s[0]
 				dy := pos[i][1] - pos[j][1] - s[1]
 				dz := pos[i][2] - pos[j][2] - s[2]
-				r2 := dx*dx + dy*dy + dz*dz
+				r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 				if r2 > r2cut || r2 == 0 {
 					continue
 				}
@@ -122,13 +122,13 @@ func (d *Descriptor) ComputeForces(pos [][3]float64, spec []lattice.Species, cel
 		// dE/dr for this bond: both endpoint feature vectors depend on r.
 		var dEdr float64
 		for c := 0; c < nd; c++ {
-			dEdr += featGrad[p.I][baseI+c] * der[c]
-			dEdr += featGrad[p.J][baseJ+c] * der[c]
+			dEdr += float64(featGrad[p.I][baseI+c] * der[c])
+			dEdr += float64(featGrad[p.J][baseJ+c] * der[c])
 		}
 		// r = |x_I − image(x_J)|, so ∂r/∂x_I = Unit and ∂r/∂x_J = −Unit.
 		for a := 0; a < 3; a++ {
-			forces[p.I][a] -= dEdr * p.Unit[a]
-			forces[p.J][a] += dEdr * p.Unit[a]
+			forces[p.I][a] -= float64(dEdr * p.Unit[a])
+			forces[p.J][a] += float64(dEdr * p.Unit[a])
 		}
 	}
 	return forces

@@ -36,7 +36,7 @@ type PQ struct{ P, Q float64 }
 func StandardPQ() []PQ {
 	out := make([]PQ, 32)
 	for i := range out {
-		out[i] = PQ{P: 4.2 - 0.1*float64(i), Q: 1.85 + 0.05*float64(i)}
+		out[i] = PQ{P: 4.2 - float64(0.1*float64(i)), Q: 1.85 + float64(0.05*float64(i))}
 	}
 	return out
 }
@@ -184,13 +184,13 @@ func (t *Table) RowFromCounts(cnt []uint16, out []float64) {
 			x := dst[:len(row)]
 			j := 0
 			for ; j+4 <= len(row); j += 4 {
-				x[j] += f * row[j]
-				x[j+1] += f * row[j+1]
-				x[j+2] += f * row[j+2]
-				x[j+3] += f * row[j+3]
+				x[j] += float64(f * row[j])
+				x[j+1] += float64(f * row[j+1])
+				x[j+2] += float64(f * row[j+2])
+				x[j+3] += float64(f * row[j+3])
 			}
 			for ; j < len(row); j++ {
-				x[j] += f * row[j]
+				x[j] += float64(f * row[j])
 			}
 		}
 	}

@@ -133,7 +133,7 @@ func runLayered(v Variant, net *nnp.Network, x nnp.Matrix, cg *sw.CoreGroup) nnp
 		flops := float64(2 * m * in * outW)
 		switch v {
 		case Base:
-			cg.Ct.ScalarFlops += flops * convIndexOverhead
+			cg.Ct.ScalarFlops += float64(flops * convIndexOverhead)
 		case Matmul:
 			cg.Ct.ScalarFlops += flops
 		case SIMD:

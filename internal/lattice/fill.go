@@ -13,8 +13,8 @@ import (
 // seed. cuFrac and vacFrac are atomic fractions in [0, 1).
 func FillRandomAlloy(b *Box, cuFrac, vacFrac float64, r *rng.Stream) (nCu, nVac int) {
 	n := b.NumSites()
-	nCu = int(cuFrac*float64(n) + 0.5)
-	nVac = int(vacFrac*float64(n) + 0.5)
+	nCu = int(float64(cuFrac*float64(n)) + 0.5)
+	nVac = int(float64(vacFrac*float64(n)) + 0.5)
 	if nCu+nVac > n {
 		panic(fmt.Sprintf("lattice: fractions too large (%d Cu + %d vac > %d sites)", nCu, nVac, n))
 	}

@@ -116,7 +116,7 @@ var NN1 = [8]Vec{
 // Norm2 ≤ the returned value lie within rcut.
 func HalfUnitsForCutoff(rcut, a float64) int {
 	h := 2 * rcut / a
-	return int(math.Floor(h*h + 1e-9))
+	return int(math.Floor(float64(h*h) + 1e-9))
 }
 
 // OffsetsWithin enumerates all nonzero valid offsets with squared

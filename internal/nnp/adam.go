@@ -48,16 +48,16 @@ func (a *Adam) Step(n *Network, grads []LayerGrad) {
 		gw := grads[l].W.Data
 		mw, vw := a.mW[l].Data, a.vW[l].Data
 		for i, g := range gw {
-			mw[i] = a.Beta1*mw[i] + (1-a.Beta1)*g
-			vw[i] = a.Beta2*vw[i] + (1-a.Beta2)*g*g
-			w[i] -= a.LR * ((mw[i]/c1)/(math.Sqrt(vw[i]/c2)+a.Epsilon) + a.WeightDecay*w[i])
+			mw[i] = float64(a.Beta1*mw[i]) + float64((1-a.Beta1)*g)
+			vw[i] = float64(a.Beta2*vw[i]) + float64((1-a.Beta2)*g*g)
+			w[i] -= float64(a.LR * ((mw[i]/c1)/(math.Sqrt(vw[i]/c2)+a.Epsilon) + float64(a.WeightDecay*w[i])))
 		}
 		b := n.Layers[l].B
 		gb := grads[l].B
 		mb, vb := a.mB[l], a.vB[l]
 		for i, g := range gb {
-			mb[i] = a.Beta1*mb[i] + (1-a.Beta1)*g
-			vb[i] = a.Beta2*vb[i] + (1-a.Beta2)*g*g
+			mb[i] = float64(a.Beta1*mb[i]) + float64((1-a.Beta1)*g)
+			vb[i] = float64(a.Beta2*vb[i]) + float64((1-a.Beta2)*g*g)
 			b[i] -= a.LR * (mb[i] / c1) / (math.Sqrt(vb[i]/c2) + a.Epsilon)
 		}
 	}

@@ -83,7 +83,7 @@ func (q *Network32) Forward(x Matrix32) Matrix32 {
 				}
 				br := l.w.Row(k)
 				for j := range br {
-					cr[j] += av * br[j]
+					cr[j] += float32(av * br[j])
 				}
 			}
 			for j := range cr {

@@ -1,7 +1,9 @@
 package nnp
 
-// Block-forward kernels: the allocation-free row-block inference paths
-// behind the wide-GEMM big-fusion operator (fusion.RunBigFusionWide).
+// Block-forward kernels: the allocation-free row-block inference paths.
+// Network.ForwardBlockInto is the hop kernel's forward pass
+// (Scratch.forward, under the direct path and both FusionBackend
+// precisions) and also serves fusion.RunBigFusionWide.
 //
 // Determinism contract: for every row, the accumulation over the input
 // dimension runs in ascending k order with the same zero-skip the MatMul
@@ -81,13 +83,32 @@ func (n *Network) ForwardBlockInto(x, out Matrix, lo, hi int, s *BlockScratch) {
 	_ = next
 }
 
-// gemmBlock computes dst = act(src·W + b) for a contiguous row block,
+// gemmBlock computes dst = act(src·W + b) for a contiguous row block. With
+// AVX2 (forward_amd64.s) the row quads of a layer whose width is a
+// multiple of four run in assembly; the leftover rows, narrower heads and
+// the bias/activation pass run gemmBlockGo's code. Every output bit equals
+// gemmBlockGo's, so which path runs is invisible.
+func gemmBlock(dst, src []float64, rows, inW, outW int, w, b []float64, relu bool) {
+	q := 0
+	if useAVX2 && outW%4 == 0 {
+		q = rows &^ 3
+	}
+	if q == 0 {
+		gemmBlockGo(dst, src, rows, inW, outW, w, b, relu)
+		return
+	}
+	gemmQuadsAVX2(dst[:q*outW], src[:q*inW], w[:inW*outW], q, inW, outW)
+	biasAct(dst[:q*outW], q, outW, b, relu)
+	gemmBlockGo(dst[q*outW:rows*outW], src[q*inW:rows*inW], rows-q, inW, outW, w, b, relu)
+}
+
+// gemmBlockGo is the pure-Go kernel and the oracle of the assembly one,
 // four rows at a time so each weight row is loaded once per quad. The
 // per-row float-operation sequence is exactly MatMulInto + AddBias(Relu):
 // zero-initialised accumulators, ascending-k accumulation with the
 // zero-skip, then bias, then the activation — rows never mix, so the
 // unrolling cannot perturb any output bit.
-func gemmBlock(dst, src []float64, rows, inW, outW int, w, b []float64, relu bool) {
+func gemmBlockGo(dst, src []float64, rows, inW, outW int, w, b []float64, relu bool) {
 	for i := range dst {
 		dst[i] = 0
 	}
@@ -112,35 +133,35 @@ func gemmBlock(dst, src []float64, rows, inW, outW int, w, b []float64, relu boo
 			if v0 != 0 && v1 != 0 && v2 != 0 && v3 != 0 {
 				x0, x1, x2, x3 := c0[:len(br)], c1[:len(br)], c2[:len(br)], c3[:len(br)]
 				for j, bv := range br {
-					x0[j] += v0 * bv
-					x1[j] += v1 * bv
-					x2[j] += v2 * bv
-					x3[j] += v3 * bv
+					x0[j] += float64(v0 * bv)
+					x1[j] += float64(v1 * bv)
+					x2[j] += float64(v2 * bv)
+					x3[j] += float64(v3 * bv)
 				}
 				continue
 			}
 			if v0 != 0 {
 				x := c0[:len(br)]
 				for j, bv := range br {
-					x[j] += v0 * bv
+					x[j] += float64(v0 * bv)
 				}
 			}
 			if v1 != 0 {
 				x := c1[:len(br)]
 				for j, bv := range br {
-					x[j] += v1 * bv
+					x[j] += float64(v1 * bv)
 				}
 			}
 			if v2 != 0 {
 				x := c2[:len(br)]
 				for j, bv := range br {
-					x[j] += v2 * bv
+					x[j] += float64(v2 * bv)
 				}
 			}
 			if v3 != 0 {
 				x := c3[:len(br)]
 				for j, bv := range br {
-					x[j] += v3 * bv
+					x[j] += float64(v3 * bv)
 				}
 			}
 		}
@@ -154,10 +175,16 @@ func gemmBlock(dst, src []float64, rows, inW, outW int, w, b []float64, relu boo
 			}
 			br := w[k*outW : (k+1)*outW]
 			for j, bv := range br {
-				cr[j] += av * bv
+				cr[j] += float64(av * bv)
 			}
 		}
 	}
+	biasAct(dst, rows, outW, b, relu)
+}
+
+// biasAct adds the bias to each of rows rows of dst, then applies ReLU if
+// relu is set.
+func biasAct(dst []float64, rows, outW int, b []float64, relu bool) {
 	if relu {
 		for r := 0; r < rows; r++ {
 			cr := dst[r*outW : (r+1)*outW]
@@ -261,7 +288,7 @@ func forwardRow32(cr, ar []float32, w Matrix32, b []float32, relu bool) {
 		}
 		br := w.Row(k)
 		for j, bv := range br {
-			cr[j] += av * bv
+			cr[j] += float32(av * bv)
 		}
 	}
 	for j := range cr {

@@ -2,6 +2,8 @@ package nnp
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"tensorkmc/internal/rng"
@@ -38,6 +40,10 @@ func FuzzLoadPotential(f *testing.F) {
 		mut[i] ^= 0x80
 		f.Add(mut)
 	}
+	// The last eight bytes are the final bias: a NaN there must be rejected.
+	nan := bytes.Clone(valid)
+	binary.LittleEndian.PutUint64(nan[len(nan)-8:], math.Float64bits(math.NaN()))
+	f.Add(nan)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Load(bytes.NewReader(data))
@@ -47,9 +53,20 @@ func FuzzLoadPotential(f *testing.F) {
 		if p.Desc == nil || p.Desc.Dim() <= 0 {
 			t.Fatal("accepted potential with invalid descriptor")
 		}
+		params := [][]float64{p.FeatMean, p.FeatStd, p.ERef[:]}
 		for e, net := range p.Nets {
 			if net == nil || len(net.Sizes) < 2 || net.Sizes[0] != p.Desc.Dim() {
 				t.Fatalf("accepted inconsistent network for element %d", e)
+			}
+			for _, l := range net.Layers {
+				params = append(params, l.W.Data, l.B)
+			}
+		}
+		for _, v := range params {
+			for _, x := range v {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("accepted non-finite parameter %v", x)
+				}
 			}
 		}
 		var out bytes.Buffer

@@ -206,7 +206,44 @@ func Load(r io.Reader) (*Potential, error) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("nnp: trailing garbage after potential payload")
 	}
+	if err := p.checkFinite(); err != nil {
+		return nil, err
+	}
 	return p, nil
+}
+
+// checkFinite rejects a NaN or ±Inf anywhere in the parameters, so a
+// corrupt file fails at load instead of at the first hop's
+// checkFiniteEnergy tripwire.
+func (p *Potential) checkFinite() error {
+	check := func(what string, v []float64) error {
+		for i, x := range v {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("nnp: non-finite %s[%d] = %v", what, i, x)
+			}
+		}
+		return nil
+	}
+	if err := check("feature mean", p.FeatMean); err != nil {
+		return err
+	}
+	if err := check("feature std", p.FeatStd); err != nil {
+		return err
+	}
+	if err := check("reference energy", p.ERef[:]); err != nil {
+		return err
+	}
+	for e, net := range p.Nets {
+		for l, layer := range net.Layers {
+			if err := check(fmt.Sprintf("element %d layer %d weight", e, l), layer.W.Data); err != nil {
+				return err
+			}
+			if err := check(fmt.Sprintf("element %d layer %d bias", e, l), layer.B); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // SaveFile writes the potential to path via a temp file and atomic

@@ -70,7 +70,7 @@ func MatMulInto(c, a, b Matrix) {
 			}
 			br := b.Row(k)
 			for j := range br {
-				cr[j] += av * br[j]
+				cr[j] += float64(av * br[j])
 			}
 		}
 	}
@@ -91,7 +91,7 @@ func MatMulATB(a, b Matrix) Matrix {
 			}
 			cr := c.Row(k)
 			for j, bv := range br {
-				cr[j] += av * bv
+				cr[j] += float64(av * bv)
 			}
 		}
 	}
@@ -111,7 +111,7 @@ func MatMulABT(a, b Matrix) Matrix {
 			br := b.Row(k)
 			var s float64
 			for j, av := range ar {
-				s += av * br[j]
+				s += float64(av * br[j])
 			}
 			cr[k] = s
 		}

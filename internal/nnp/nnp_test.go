@@ -3,6 +3,7 @@ package nnp
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"tensorkmc/internal/encoding"
@@ -415,6 +416,48 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(nil)); err == nil {
 		t.Fatal("Load accepted empty input")
+	}
+}
+
+// TestLoadRejectsNonFinite: a NaN or ±Inf in any parameter field fails
+// Load with an error naming the field, instead of loading cleanly and
+// panicking at the first hop.
+func TestLoadRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(p *Potential, v float64){
+		"weight":           func(p *Potential, v float64) { p.Nets[lattice.Cu].Layers[1].W.Data[3] = v },
+		"bias":             func(p *Potential, v float64) { p.Nets[lattice.Fe].Layers[0].B[2] = v },
+		"feature mean":     func(p *Potential, v float64) { p.FeatMean[5] = v },
+		"feature std":      func(p *Potential, v float64) { p.FeatStd[0] = v },
+		"reference energy": func(p *Potential, v float64) { p.ERef[lattice.Cu] = v },
+	}
+	fresh := func() *Potential {
+		pot, _, _ := stdPotential([]int{64, 8, 1}, 21)
+		pot.FeatMean = make([]float64, pot.Desc.Dim())
+		pot.FeatStd = make([]float64, pot.Desc.Dim())
+		for i := range pot.FeatStd {
+			pot.FeatStd[i] = 1
+		}
+		return pot
+	}
+	roundTrip := func(pot *Potential) error {
+		var buf bytes.Buffer
+		if err := pot.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf)
+		return err
+	}
+	if err := roundTrip(fresh()); err != nil {
+		t.Fatalf("clean potential rejected: %v", err)
+	}
+	for field, poison := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			pot := fresh()
+			poison(pot, v)
+			if err := roundTrip(pot); err == nil || !strings.Contains(err.Error(), field) {
+				t.Fatalf("%s = %v: Load error %v, want one naming the %s", field, v, err, field)
+			}
+		}
 	}
 }
 

@@ -159,7 +159,7 @@ func (p *Potential) RegionEnergy(tb *encoding.Tables, tab *feature.Table, vet en
 		for i := 0; i < rows; i++ {
 			total += out.Data[i]
 		}
-		total += float64(rows) * p.ERef[e]
+		total += float64(float64(rows) * p.ERef[e])
 	}
 	return total
 }
@@ -230,7 +230,7 @@ func (p *Potential) HopEnergies(tb *encoding.Tables, tab *feature.Table, vet enc
 			initial += s.out.Data[r]
 		}
 		if n > 0 {
-			initial += float64(n) * p.ERef[e]
+			initial += float64(float64(n) * p.ERef[e])
 		}
 		elemRows[e] = n
 		rows += n
@@ -288,7 +288,7 @@ func (p *Potential) HopEnergies(tb *encoding.Tables, tab *feature.Table, vet enc
 				}
 			}
 			if elemRows[e] > 0 {
-				total += float64(elemRows[e]) * p.ERef[e]
+				total += float64(float64(elemRows[e]) * p.ERef[e])
 			}
 		}
 		checkFiniteEnergy("final", total)

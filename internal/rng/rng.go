@@ -86,7 +86,9 @@ func (r *Stream) Uint64() uint64 {
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (r *Stream) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	// The division becomes a multiply by 2⁻⁵³; the conversion stops an
+	// inlined caller's `2*r.Float64() - 1` from fusing it into an FMA.
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Float64Open returns a uniform value in (0, 1); it never returns zero,
@@ -145,9 +147,9 @@ func mul128(a, b uint64) (hi, lo uint64) {
 // generating NNP training structures.
 func (r *Stream) NormFloat64() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}

@@ -151,7 +151,7 @@ func (c Counters) Intensity() float64 {
 // adds (weight broadcasts synchronise the row, Algorithm 1 line 19).
 func (c Counters) Time(a Arch, overlap bool) float64 {
 	compute := c.VectorFlops/(a.PeakFlops*a.VectorEff) + c.ScalarFlops/a.ScalarFlops
-	mem := c.MainBytes/a.MemBandwidth + c.DMAOps*a.DMALatency
+	mem := c.MainBytes/a.MemBandwidth + float64(c.DMAOps*a.DMALatency)
 	var t float64
 	if overlap {
 		t = max(compute, mem)

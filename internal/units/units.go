@@ -53,5 +53,5 @@ func ArrheniusRate(activationEV, temperatureK float64) float64 {
 // MigrationEnergy returns E_a of Eq. (2): the species reference barrier
 // plus half the total energy change of the hop.
 func MigrationEnergy(ea0, deltaE float64) float64 {
-	return ea0 + 0.5*deltaE
+	return ea0 + float64(0.5*deltaE)
 }
