@@ -1,17 +1,14 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 
-	"tensorkmc/internal/fault"
+	"tensorkmc/internal/frame"
 	"tensorkmc/internal/lattice"
 )
 
@@ -31,18 +28,11 @@ import (
 //	box     boxLen bytes                   a complete TKMCBOX1 blob
 //	crc     uint32                         IEEE CRC-32 of everything above
 //
-// A checkpoint must end exactly at the CRC trailer; trailing bytes are
+// It is an internal/frame sealed file: magic, body, CRC trailer. A
+// checkpoint must end exactly at the CRC trailer; trailing bytes are
 // rejected, and any corruption of the body fails the CRC check instead
 // of silently loading garbage state.
 const checkpointMagic = "TKMCBOX2"
-
-// maxBoxBlob bounds the embedded snapshot a header may demand before
-// any payload is read (the snapshot itself re-validates its own header).
-const maxBoxBlob = 1 << 29
-
-// maxCheckpointVacancies bounds the vacancy-order table. Real boxes are
-// dilute (the paper uses 8e-6 vacancy fraction), so this is generous.
-const maxCheckpointVacancies = 1 << 24
 
 // Checkpoint is the full resumable state of a Simulation.
 type Checkpoint struct {
@@ -69,18 +59,25 @@ type Checkpoint struct {
 
 // Save writes the checkpoint to w in TKMCBOX2 format.
 func (c *Checkpoint) Save(w io.Writer) error {
+	return frame.Seal(w, checkpointMagic, c.writeBody)
+}
+
+// SaveFile writes the checkpoint crash-safely: temp file, fsync, atomic
+// rename, with the previous checkpoint rotated to path+".bak" so an
+// injected or real failure mid-write always leaves a loadable last-good
+// state behind.
+func (c *Checkpoint) SaveFile(path string) error {
+	return frame.Save(path, checkpointMagic, c.writeBody)
+}
+
+// writeBody streams everything between the magic and the CRC trailer.
+func (c *Checkpoint) writeBody(w io.Writer) error {
 	if c.Box == nil {
 		return fmt.Errorf("core: checkpoint has no box")
 	}
 	var blob bytes.Buffer
 	if err := c.Box.Save(&blob); err != nil {
 		return fmt.Errorf("core: serialising box: %w", err)
-	}
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(w)
-	mw := io.MultiWriter(bw, crc)
-	if _, err := mw.Write([]byte(checkpointMagic)); err != nil {
-		return err
 	}
 	flags := uint8(0)
 	if c.HasRNG {
@@ -96,54 +93,42 @@ func (c *Checkpoint) Save(w io.Writer) error {
 	}
 	fields = append(fields, int64(blob.Len()))
 	for _, f := range fields {
-		if err := binary.Write(mw, binary.LittleEndian, f); err != nil {
+		if err := binary.Write(w, binary.LittleEndian, f); err != nil {
 			return err
 		}
 	}
-	if _, err := mw.Write(blob.Bytes()); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, crc.Sum32()); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// SaveFile writes the checkpoint crash-safely: temp file, fsync, atomic
-// rename, with the previous checkpoint rotated to path+".bak" so an
-// injected or real failure mid-write always leaves a loadable last-good
-// state behind.
-func (c *Checkpoint) SaveFile(path string) error {
-	return fault.WriteFileAtomic(path, true, c.Save)
+	_, err := w.Write(blob.Bytes())
+	return err
 }
 
 // LoadCheckpoint reads a TKMCBOX2 checkpoint. Legacy TKMCBOX1 box
 // snapshots are accepted and yield a box-only checkpoint (zero clock,
 // no RNG state), so pre-existing restart files keep working.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("core: reading checkpoint magic: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading checkpoint: %w", err)
 	}
-	if string(magic) == "TKMCBOX1" {
-		box, err := lattice.LoadBox(io.MultiReader(bytes.NewReader(magic), br))
+	return decodeCheckpoint(data)
+}
+
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
+	if bytes.HasPrefix(data, []byte("TKMCBOX1")) {
+		box, err := lattice.LoadBox(bytes.NewReader(data))
 		if err != nil {
 			return nil, fmt.Errorf("core: legacy snapshot: %w", err)
 		}
 		return &Checkpoint{Box: box}, nil
 	}
-	if string(magic) != checkpointMagic {
-		return nil, fmt.Errorf("core: bad checkpoint magic %q", magic)
+	body, err := frame.Unseal(data, checkpointMagic)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(magic)
-	tr := io.TeeReader(br, crc)
-
+	br := bytes.NewReader(body)
 	c := &Checkpoint{}
 	var flags uint8
 	for _, f := range []any{&c.Time, &c.Hops, &c.Segment, &flags} {
-		if err := binary.Read(tr, binary.LittleEndian, f); err != nil {
+		if err := binary.Read(br, binary.LittleEndian, f); err != nil {
 			return nil, fmt.Errorf("core: reading checkpoint header: %w", err)
 		}
 	}
@@ -152,52 +137,35 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}
 	if flags&1 != 0 {
 		c.HasRNG = true
-		for i := range c.RNG {
-			if err := binary.Read(tr, binary.LittleEndian, &c.RNG[i]); err != nil {
-				return nil, fmt.Errorf("core: reading RNG state: %w", err)
-			}
+		if err := binary.Read(br, binary.LittleEndian, &c.RNG); err != nil {
+			return nil, fmt.Errorf("core: reading RNG state: %w", err)
 		}
 	}
 	var nvac int64
-	if err := binary.Read(tr, binary.LittleEndian, &nvac); err != nil {
+	if err := binary.Read(br, binary.LittleEndian, &nvac); err != nil {
 		return nil, fmt.Errorf("core: reading vacancy count: %w", err)
 	}
-	if nvac < 0 || nvac > maxCheckpointVacancies {
+	// The whole image is in memory and CRC-checked, so the bytes left
+	// bound every count before anything is allocated from it.
+	if nvac < 0 || nvac > int64(br.Len())/24 {
 		return nil, fmt.Errorf("core: implausible vacancy count %d", nvac)
 	}
 	if nvac > 0 {
+		xyz := make([][3]int64, nvac)
+		if err := binary.Read(br, binary.LittleEndian, xyz); err != nil {
+			return nil, fmt.Errorf("core: reading vacancy order: %w", err)
+		}
 		c.Vacancies = make([]lattice.Vec, nvac)
-		for i := range c.Vacancies {
-			var xyz [3]int64
-			for j := range xyz {
-				if err := binary.Read(tr, binary.LittleEndian, &xyz[j]); err != nil {
-					return nil, fmt.Errorf("core: reading vacancy %d: %w", i, err)
-				}
-			}
-			c.Vacancies[i] = lattice.Vec{X: int(xyz[0]), Y: int(xyz[1]), Z: int(xyz[2])}
+		for i, v := range xyz {
+			c.Vacancies[i] = lattice.Vec{X: int(v[0]), Y: int(v[1]), Z: int(v[2])}
 		}
 	}
 	var boxLen int64
-	if err := binary.Read(tr, binary.LittleEndian, &boxLen); err != nil {
+	if err := binary.Read(br, binary.LittleEndian, &boxLen); err != nil {
 		return nil, fmt.Errorf("core: reading box length: %w", err)
 	}
-	if boxLen <= 0 || boxLen > maxBoxBlob {
-		return nil, fmt.Errorf("core: implausible box blob length %d", boxLen)
-	}
-	blob := make([]byte, boxLen)
-	if _, err := io.ReadFull(tr, blob); err != nil {
-		return nil, fmt.Errorf("core: reading box blob: %w", err)
-	}
-	var stored uint32
-	sum := crc.Sum32() // everything up to, not including, the trailer
-	if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-		return nil, fmt.Errorf("core: reading checksum: %w", err)
-	}
-	if stored != sum {
-		return nil, fmt.Errorf("core: checkpoint checksum mismatch: stored %#08x, computed %#08x", stored, sum)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("core: trailing garbage after checkpoint trailer")
+	if boxLen != int64(br.Len()) {
+		return nil, fmt.Errorf("core: box blob length %d does not match the %d bytes before the trailer", boxLen, br.Len())
 	}
 	if math.IsNaN(c.Time) || math.IsInf(c.Time, 0) || c.Time < 0 {
 		return nil, fmt.Errorf("core: implausible checkpoint clock %v", c.Time)
@@ -205,7 +173,7 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if c.Hops < 0 {
 		return nil, fmt.Errorf("core: negative checkpoint hop count %d", c.Hops)
 	}
-	box, err := lattice.LoadBox(bytes.NewReader(blob))
+	box, err := lattice.LoadBox(br)
 	if err != nil {
 		return nil, fmt.Errorf("core: embedded box: %w", err)
 	}
@@ -223,12 +191,11 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 
 // LoadCheckpointFile reads a checkpoint from a path.
 func LoadCheckpointFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return LoadCheckpoint(f)
+	return decodeCheckpoint(data)
 }
 
 // LoadCheckpointOrBackup reads the checkpoint at path, falling back to
@@ -236,18 +203,15 @@ func LoadCheckpointFile(path string) (*Checkpoint, error) {
 // missing, truncated or corrupt — the recovery path after a crash
 // mid-write. The error, when both fail, reports both causes.
 func LoadCheckpointOrBackup(path string) (*Checkpoint, error) {
-	c, err := LoadCheckpointFile(path)
-	if err == nil {
-		return c, nil
+	var c *Checkpoint
+	err := frame.Load(path, func(_ string, data []byte) (err error) {
+		c, err = decodeCheckpoint(data)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: loading checkpoint %s: %w", path, err)
 	}
-	bak, bakErr := LoadCheckpointFile(path + ".bak")
-	if bakErr == nil {
-		return bak, nil
-	}
-	if errors.Is(bakErr, os.ErrNotExist) {
-		return nil, fmt.Errorf("core: loading checkpoint %s: %w (no backup present)", path, err)
-	}
-	return nil, fmt.Errorf("core: loading checkpoint %s: %w (backup also failed: %v)", path, err, bakErr)
+	return c, nil
 }
 
 // Checkpoint captures the simulation's full resumable state.

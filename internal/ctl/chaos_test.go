@@ -325,7 +325,9 @@ func TestChaosPreemptionCrash(t *testing.T) {
 		t.Skip("subprocess chaos skipped in -short")
 	}
 	ctlBinary(t)
-	lowDeck := testDeck("chaos", "low", 31, 1e-7, 1e-8)
+	// A hundred segments: the victim must still be mid-run when the
+	// preemptor arrives, and ten segments can finish between two polls.
+	lowDeck := testDeck("chaos", "low", 31, 1e-6, 1e-8)
 	highDeck := testDeck("rush", "high", 32, 2e-8, 1e-8)
 	lowCk, lowRec := baselineCheckpoint(t, lowDeck)
 	highCk, highRec := baselineCheckpoint(t, highDeck)

@@ -1,6 +1,7 @@
 package ctl
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"tensorkmc/internal/frame"
 	"tensorkmc/internal/input"
 	"tensorkmc/internal/telemetry"
 	"tensorkmc/internal/telemetry/trace"
@@ -151,9 +153,7 @@ func Open(cfg Config) (*Plane, error) {
 	// appends would be assigned LSNs the replay filter below discards
 	// as already folded into the snapshot — silently losing
 	// acknowledged transitions on the restart after next.
-	if snap.LSN > w.lsn {
-		w.lsn = snap.LSN
-	}
+	w.lsn = max(w.lsn, snap.LSN)
 	p.nextSeq = snap.NextSeq
 	for _, rec := range snap.Jobs {
 		p.jobs[rec.ID] = &job{rec: rec, journal: telemetry.NewJournal(0)}
@@ -386,6 +386,12 @@ func (p *Plane) Submit(deckText string) (JobRecord, error) {
 	}
 	if _, err := p.wal.append(j.rec); err != nil {
 		p.nextSeq = seq // roll back: nothing durable, nothing admitted
+		if errors.Is(err, frame.ErrTooLarge) {
+			// JSON escapes <, > and & six bytes wide, so a deck under the
+			// HTTP size limit can still encode past the WAL's frame cap.
+			return JobRecord{}, &HTTPError{Status: http.StatusBadRequest, Code: "deck_too_large",
+				Detail: fmt.Sprintf("the job record exceeds the %d-byte WAL record limit once encoded", frame.MaxPayload)}
+		}
 		return JobRecord{}, fmt.Errorf("ctl: logging submission: %w", err)
 	}
 	p.jobs[j.rec.ID] = j

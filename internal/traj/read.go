@@ -3,11 +3,12 @@ package traj
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"strings"
+
+	"tensorkmc/internal/frame"
 )
 
 // Kind tags a decoded trajectory record.
@@ -106,35 +107,11 @@ type scanState struct {
 	time      float64
 }
 
-// nextFrame extracts the next CRC-valid frame payload from data,
-// returning the payload, the total frame length consumed and whether a
-// full valid frame was present. Anything short or CRC-failing is a torn
-// tail: the caller stops there.
-func nextFrame(data []byte) (payload []byte, n int64, ok bool) {
-	if len(data) < 4 {
-		return nil, 0, false
-	}
-	ln := binary.LittleEndian.Uint32(data)
-	if ln == 0 || ln > maxFramePayload {
-		return nil, 0, false
-	}
-	total := int64(4) + int64(ln) + 4
-	if int64(len(data)) < total {
-		return nil, 0, false
-	}
-	payload = data[4 : 4+ln]
-	crc := binary.LittleEndian.Uint32(data[4+ln:])
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, 0, false
-	}
-	return payload, total, true
-}
-
 // parseRecords decodes every record in one frame payload, validating
 // against and updating st. emit, if non-nil, receives each record after
 // the begin record. Errors here are hard: the frame's CRC already
 // proved the bytes are what the writer wrote.
-func parseRecords(payload []byte, st *scanState, emit func(Record) error) error {
+func parseRecords(payload []byte, st *scanState, emit func(Record)) error {
 	p := payload
 	for len(p) > 0 {
 		op := p[0]
@@ -259,9 +236,7 @@ func parseRecords(payload []byte, st *scanState, emit func(Record) error) error 
 			return fmt.Errorf("unknown opcode 0x%02x", op)
 		}
 		if emit != nil {
-			if err := emit(rec); err != nil {
-				return err
-			}
+			emit(rec)
 		}
 	}
 	return nil
@@ -276,34 +251,20 @@ func Decode(r io.Reader) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("traj: reading log: %w", err)
 	}
-	if len(data) < headerLen || string(data[:headerLen]) != Magic {
-		return nil, fmt.Errorf("traj: not a TKMCTRJ1 trajectory log")
-	}
-	lg := &Log{}
+	var recs []Record
+	emit := func(rec Record) { recs = append(recs, rec) }
 	st := &scanState{}
-	rest := data[headerLen:]
-	for {
-		payload, n, ok := nextFrame(rest)
-		if !ok {
-			lg.Truncated = len(rest) > 0
-			break
+	end, err := frame.Scan(data, Magic, func(payload []byte, _ int64) error {
+		if err := parseRecords(payload, st, emit); err != nil {
+			return fmt.Errorf("corrupt record in CRC-valid frame: %w", err)
 		}
-		err := parseRecords(payload, st, func(rec Record) error {
-			lg.Records = append(lg.Records, rec)
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("traj: corrupt record in CRC-valid frame: %w", err)
-		}
-		rest = rest[n:]
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("traj: %w", err)
 	}
-	lg.Begun = st.seenBegin
-	lg.Mode = st.mode
-	lg.StartHops = st.startHops
-	lg.StartTime = st.startTime
-	lg.Hops = st.hops
-	lg.Time = st.time
-	return lg, nil
+	return &Log{Mode: st.mode, StartHops: st.startHops, StartTime: st.startTime, Begun: st.seenBegin,
+		Records: recs, Truncated: end < int64(len(data)), Hops: st.hops, Time: st.time}, nil
 }
 
 // ReadLog decodes the trajectory log at path.

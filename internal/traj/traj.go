@@ -8,16 +8,12 @@
 // (a serial hop costs ~11 bytes: slot varint + direction folded into
 // the opcode + the raw Δt; positions are derived, never stored).
 //
-// The file format reuses the WAL framing discipline of internal/ctl:
-// an 8-byte magic followed by frames of
-//
-//	uint32 LE payload length | payload | uint32 LE CRC-32 (IEEE) of payload
-//
-// A frame's payload holds one or more records. A torn tail (short or
-// CRC-failing final frame, e.g. from a crash mid-write) is silently
-// truncated on open, exactly like the control-plane WAL; corruption
-// *inside* a CRC-valid frame is a hard error — it means the encoder
-// misbehaved, and the log refuses to extend a lie.
+// The file is an internal/frame log, framed exactly like the
+// control-plane WAL: an 8-byte magic, then CRC-32 frames whose payloads
+// hold one or more records each. A torn tail (short or CRC-failing final
+// frame, e.g. from a crash mid-write) is silently truncated on open;
+// corruption *inside* a CRC-valid frame is a hard error — it means the
+// encoder misbehaved, and the log refuses to extend a lie.
 //
 // Recording is trajectory-invisible: the recorder only observes events
 // the engines already executed, never touches an RNG stream, and
@@ -28,11 +24,10 @@ package traj
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"os"
 	"path/filepath"
 
+	"tensorkmc/internal/frame"
 	"tensorkmc/internal/telemetry"
 )
 
@@ -40,12 +35,8 @@ import (
 const Magic = "TKMCTRJ1"
 
 const (
-	headerLen = 8 // len(Magic)
+	headerLen = int64(len(Magic))
 
-	// maxFramePayload bounds a single frame; larger length prefixes are
-	// treated as a torn tail by the reader and are never produced by the
-	// recorder (it flushes well below this).
-	maxFramePayload = 4 << 20
 	// flushThreshold is the buffered-record size at which the recorder
 	// emits an intermediate (unsynced) frame.
 	flushThreshold = 64 << 10
@@ -118,7 +109,7 @@ type mark struct {
 // behind a durable checkpoint. It is not safe for concurrent use; the
 // serial engine and the parallel sweep committer are single-goroutine.
 type Recorder struct {
-	f    *os.File
+	log  *frame.Log
 	path string
 	mode Mode
 	// every is the snapshot cadence in events; 0 means only the initial
@@ -151,87 +142,32 @@ func Open(path string, mode Mode, snapshotEvery int) (*Recorder, error) {
 	if mode != ModeSerial && mode != ModeParallel {
 		return nil, fmt.Errorf("traj: invalid mode %d", mode)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("traj: opening log: %w", err)
-	}
-	r := &Recorder{f: f, path: path, mode: mode, every: snapshotEvery}
-	if err := r.scan(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return r, nil
-}
-
-// scan validates the header, indexes durable frames into marks, and
-// truncates any torn tail. A short or missing header is a fresh log.
-func (r *Recorder) scan() error {
-	info, err := r.f.Stat()
-	if err != nil {
-		return fmt.Errorf("traj: stat log: %w", err)
-	}
-	if info.Size() < headerLen {
-		// Fresh (or never-completed-header) log: stamp the magic.
-		if err := r.f.Truncate(0); err != nil {
-			return fmt.Errorf("traj: resetting log: %w", err)
-		}
-		if _, err := r.f.WriteAt([]byte(Magic), 0); err != nil {
-			return fmt.Errorf("traj: writing log header: %w", err)
-		}
-		if _, err := r.f.Seek(headerLen, 0); err != nil {
-			return err
-		}
-		r.marks = []mark{{off: headerLen}}
-		return nil
-	}
-	data := make([]byte, info.Size())
-	if _, err := r.f.ReadAt(data, 0); err != nil {
-		return fmt.Errorf("traj: reading log: %w", err)
-	}
-	if string(data[:headerLen]) != Magic {
-		return fmt.Errorf("traj: %s is not a TKMCTRJ1 trajectory log", r.path)
-	}
-	r.marks = []mark{{off: headerLen}}
+	r := &Recorder{path: path, mode: mode, every: snapshotEvery, marks: []mark{{off: headerLen}}}
 	st := &scanState{}
-	good := int64(headerLen)
-	for {
-		payload, n, ok := nextFrame(data[good:])
-		if !ok {
-			break
-		}
+	log, err := frame.Open(path, Magic, func(payload []byte, end int64) error {
 		if err := parseRecords(payload, st, nil); err != nil {
-			return fmt.Errorf("traj: %s: corrupt record in CRC-valid frame: %w", r.path, err)
+			return fmt.Errorf("corrupt record in CRC-valid frame: %w", err)
 		}
-		good += n
-		r.marks = append(r.marks, mark{off: good, hops: st.hops, time: st.time})
+		if st.mode != mode { // the begin record opens the first frame
+			return fmt.Errorf("a %v log, requested %v", st.mode, mode)
+		}
+		r.marks = append(r.marks, mark{off: end, hops: st.hops, time: st.time})
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("traj: %w", err)
 	}
+	r.log = log
 	if st.seenBegin {
-		if st.mode != r.mode {
-			return fmt.Errorf("traj: %s is a %v log, requested %v", r.path, st.mode, r.mode)
-		}
-		r.begun = true
-		r.hops = st.hops
-		r.time = st.time
+		r.begun, r.hops, r.time = true, st.hops, st.time
 		r.marks[0] = mark{off: headerLen, hops: st.startHops, time: st.startTime}
 	}
-	if good != info.Size() {
-		// Torn tail from a crash mid-write: drop it, WAL-style.
-		if err := r.f.Truncate(good); err != nil {
-			return fmt.Errorf("traj: truncating torn tail: %w", err)
-		}
-	}
-	if _, err := r.f.Seek(good, 0); err != nil {
-		return err
-	}
 	r.tail = len(r.marks) - 1
-	return nil
+	return r, nil
 }
 
 // Mode returns the log's mode.
 func (r *Recorder) Mode() Mode { return r.mode }
-
-// Path returns the log file path.
-func (r *Recorder) Path() string { return r.path }
 
 // Begun reports whether the log already holds a begin record (durable
 // or buffered) — i.e. whether a resuming run must Rollback rather than
@@ -431,14 +367,7 @@ func (r *Recorder) Stats() Stats {
 // Close flushes nothing (call Commit first for durability) and releases
 // the file handle. A recorder with only uncommitted buffered records
 // loses them, by design: they were never acknowledged.
-func (r *Recorder) Close() error {
-	if r.f == nil {
-		return nil
-	}
-	err := r.f.Close()
-	r.f = nil
-	return err
-}
+func (r *Recorder) Close() error { return r.log.Close() }
 
 // maybeFlush emits an intermediate unsynced frame when the buffer grows
 // past the flush threshold, bounding memory on long chunks.
@@ -459,50 +388,28 @@ func (r *Recorder) flush(sync bool) error {
 	if r.tail < len(r.marks)-1 {
 		// Lazy rollback: now that new records follow, discard the
 		// abandoned suffix for real.
-		off := r.marks[r.tail].off
-		if err := r.f.Truncate(off); err != nil {
+		if err := r.log.Truncate(r.marks[r.tail].off); err != nil {
 			r.err = fmt.Errorf("traj: truncating rolled-back tail: %w", err)
-			return r.err
-		}
-		if _, err := r.f.Seek(off, 0); err != nil {
-			r.err = err
 			return r.err
 		}
 		r.marks = r.marks[:r.tail+1]
 	}
-	if len(r.buf) == 0 {
-		if sync {
-			if err := r.f.Sync(); err != nil {
-				r.err = fmt.Errorf("traj: fsync: %w", err)
-				return r.err
-			}
+	if len(r.buf) > 0 {
+		end, err := r.log.Append(r.buf)
+		if err != nil {
+			r.err = fmt.Errorf("traj: writing frame: %w", err)
+			return r.err
 		}
-		return nil
-	}
-	frame := make([]byte, 0, len(r.buf)+8)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(r.buf)))
-	frame = append(frame, r.buf...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(r.buf))
-	if _, err := r.f.Write(frame); err != nil {
-		// Best effort rewind so a partial frame does not linger; the
-		// reader would truncate it anyway.
-		r.f.Truncate(r.marks[len(r.marks)-1].off)
-		r.err = fmt.Errorf("traj: writing frame: %w", err)
-		return r.err
+		r.marks = append(r.marks, mark{off: end, hops: r.hops, time: r.time})
+		r.tail = len(r.marks) - 1
+		r.buf = r.buf[:0]
 	}
 	if sync {
-		if err := r.f.Sync(); err != nil {
+		if err := r.log.Sync(); err != nil {
 			r.err = fmt.Errorf("traj: fsync: %w", err)
 			return r.err
 		}
 	}
-	r.marks = append(r.marks, mark{
-		off:  r.marks[len(r.marks)-1].off + int64(len(frame)),
-		hops: r.hops,
-		time: r.time,
-	})
-	r.tail = len(r.marks) - 1
-	r.buf = r.buf[:0]
 	return nil
 }
 

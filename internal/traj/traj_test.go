@@ -2,11 +2,11 @@ package traj
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"tensorkmc/internal/frame"
 )
 
 func openT(t *testing.T, path string, mode Mode, every int) *Recorder {
@@ -280,7 +280,7 @@ func TestCorruptFrameFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data = appendFrame(data, []byte{0xff, 0x01, 0x02})
+	data = frame.AppendFrame(data, []byte{0xff, 0x01, 0x02})
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -330,12 +330,4 @@ func TestDecodeRejectsNonLog(t *testing.T) {
 			t.Fatalf("decoded %q", data)
 		}
 	}
-}
-
-// appendFrame frames payload with the log's length+CRC discipline (test
-// helper for hand-built corruption).
-func appendFrame(data, payload []byte) []byte {
-	data = binary.LittleEndian.AppendUint32(data, uint32(len(payload)))
-	data = append(data, payload...)
-	return binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(payload))
 }

@@ -3,9 +3,10 @@
 // every fuzz target once per corpus entry) exercises the interesting
 // decode paths even on machines that have never run `go test -fuzz`.
 // The binary seeds — a real TKMCBOX2 checkpoint, a legacy TKMCBOX1
-// snapshot, correctly framed wire messages — cannot be hand-typed, so
-// they are built here with the same code that produces them in
-// production and serialised in the `go test fuzz v1` corpus format.
+// snapshot, CRC-framed logs and sealed files, correctly framed wire
+// messages — cannot be hand-typed, so they are built here with the same
+// code that produces them in production (internal/frame for every CRC)
+// and serialised in the `go test fuzz v1` corpus format.
 //
 // Usage (from the repo root):
 //
@@ -19,7 +20,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -27,6 +28,7 @@ import (
 
 	"tensorkmc/internal/core"
 	"tensorkmc/internal/encoding"
+	"tensorkmc/internal/frame"
 	"tensorkmc/internal/lattice"
 	"tensorkmc/internal/rng"
 	"tensorkmc/internal/traj"
@@ -72,7 +74,10 @@ func run() error {
 	if err := writeWireCorpus("internal/evalserve/testdata/fuzz/FuzzWireFrame"); err != nil {
 		return err
 	}
-	return writeTrajCorpus("internal/traj/testdata/fuzz/FuzzReadTrajLog")
+	if err := writeTrajCorpus("internal/traj/testdata/fuzz/FuzzReadTrajLog"); err != nil {
+		return err
+	}
+	return writeFrameCorpus("internal/frame/testdata/fuzz/FuzzCodec")
 }
 
 // writeSeed serialises one corpus entry in the `go test fuzz v1`
@@ -346,12 +351,7 @@ func writeTrajCorpus(dir string) error {
 
 	// A correctly CRC-framed frame holding an unknown opcode: the torn-
 	// tail repair must NOT swallow it — it is a hard decode error.
-	trajFrame := func(payload []byte) []byte {
-		out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-		out = append(out, payload...)
-		return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	}
-	badOpcode := append(bytes.Clone(serial), trajFrame([]byte{0xff})...)
+	badOpcode := frame.AppendFrame(bytes.Clone(serial), []byte{0xff})
 
 	bitflip := bytes.Clone(serial)
 	bitflip[len(bitflip)/2] ^= 0x10 // breaks that frame's CRC: torn tail
@@ -364,6 +364,52 @@ func writeTrajCorpus(dir string) error {
 		"bad-opcode":     badOpcode,
 		"magic-only":     bytes.Clone(serial[:8]),
 		"not-a-log":      []byte("definitely not a trajectory log"),
+	}
+	for name, data := range seeds {
+		if err := writeSeed(dir, name, "[]byte", data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeFrameCorpus builds seeds for the codec fuzz target with
+// internal/frame itself: a TKMCWAL1 log of job records, a TKMCSNAP
+// snapshot, and the hostile shapes — a torn tail, a bit flip, a zero
+// length prefix, a cut trailer.
+func writeFrameCorpus(dir string) error {
+	if err := freshDir(dir); err != nil {
+		return err
+	}
+	wal := []byte("TKMCWAL1")
+	for _, rec := range []string{
+		`{"lsn":1,"job":{"id":"job-000000","seq":0,"tenant":"alice","priority":2,"deck":"cells 4 4 4\nduration 1e-9\n# \u003c\u0026\u003e\n","state":"queued","duration":1e-9,"time":0,"hops":0}}`,
+		`{"lsn":2,"job":{"id":"job-000000","seq":0,"priority":1,"deck":"cells 4 4 4\n","state":"completed","duration":1e-9,"time":1e-9,"hops":33}}`,
+		`{"lsn":3,"job":{"id":"job-000001","seq":1,"priority":0,"deck":"","state":"failed","duration":0,"time":0,"hops":0,"error":"boom"}}`,
+	} {
+		wal = frame.AppendFrame(wal, []byte(rec))
+	}
+	state := `{"lsn":3,"next_seq":2,"jobs":[{"id":"job-000001","seq":1,"priority":0,"deck":"","state":"failed","duration":0,"time":0,"hops":0}]}`
+	var snap bytes.Buffer
+	err := frame.Seal(&snap, "TKMCSNAP", func(w io.Writer) error {
+		_, err := w.Write(append(binary.LittleEndian.AppendUint32(nil, uint32(len(state))), state...))
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	walFlip, snapFlip := bytes.Clone(wal), bytes.Clone(snap.Bytes())
+	walFlip[len(walFlip)/2] ^= 0x10 // breaks the middle record's CRC
+	snapFlip[20] ^= 0x01            // inside the JSON body: fails the trailer CRC
+
+	seeds := map[string][]byte{
+		"wal":             wal,
+		"wal-torn":        bytes.Clone(wal[:len(wal)-3]),
+		"wal-bitflip":     walFlip,
+		"wal-zero-length": append(bytes.Clone(wal), 0, 0, 0, 0, 0, 0, 0, 0),
+		"snapshot":        snap.Bytes(),
+		"snapshot-flip":   snapFlip,
+		"snapshot-short":  bytes.Clone(snap.Bytes()[:snap.Len()-2]),
 	}
 	for name, data := range seeds {
 		if err := writeSeed(dir, name, "[]byte", data); err != nil {
