@@ -102,6 +102,23 @@ func TestExitCodeUsage(t *testing.T) {
 	}
 }
 
+// TestExitCodeUsageOnSmallBox: a box narrower than the tables is a deck
+// error — exit 2 with one line on stderr — serial or parallel, not a
+// panic's stack trace.
+func TestExitCodeUsageOnSmallBox(t *testing.T) {
+	for _, extra := range []string{"", "ranks 2 1 1\n"} {
+		deckPath := writeDeck(t, t.TempDir(), "cells 4 4 4\nvacancy 0.01\nduration 1e-9\npotential eam\n"+extra)
+		var out, errOut bytes.Buffer
+		if code := realMain([]string{"-in", deckPath}, &out, &errOut, nil); code != exitUsage {
+			t.Fatalf("%q: exit %d, want %d\nstdout:\n%s\nstderr:\n%s", extra, code, exitUsage, out.String(), errOut.String())
+		}
+		msg := errOut.String()
+		if strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "too small") || strings.Contains(msg, "goroutine") {
+			t.Fatalf("%q: stderr is not a one-line box-size error:\n%s", extra, msg)
+		}
+	}
+}
+
 // TestExitCodeRuntimeOnCorruption: a potential file whose parameters are
 // finite (so it loads) but whose region energy overflows trips the
 // numerical tripwires at the first evaluation; the CLI must report it as

@@ -10,7 +10,7 @@
 //
 //	tkmc-serve [-addr host:port] [-potential eam|bondcount|<nnp-file>]
 //	           [-lattice Å] [-cutoff Å]
-//	           [-cache N] [-shards N] [-f32]
+//	           [-cache N]
 //	           [-fleet N] [-idle seconds]
 //	           [-telemetry host:port] [-event-log path]
 //
@@ -88,8 +88,6 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 	latticeA := fs.Float64("lattice", units.LatticeConstantFe, "lattice constant (Å)")
 	cutoff := fs.Float64("cutoff", units.CutoffStandard, "interaction cutoff (Å)")
 	cache := fs.Int("cache", 0, "cache capacity in entries (0 = default)")
-	shards := fs.Int("shards", 0, "cache shard count (0 = default)")
-	f32 := fs.Bool("f32", false, "run NNP evaluations in f32 (not bit-identical to f64)")
 	fleetN := fs.Int("fleet", 1, "independent serve nodes in this process (ports increment from -addr)")
 	idleSecs := fs.Float64("idle", 0, "idle session reap timeout in seconds (0 = default, negative = never)")
 	drainSecs := fs.Float64("drain", 5, "seconds to let in-flight sessions finish on SIGTERM before force-closing")
@@ -117,10 +115,8 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 		}()
 	}
 	tb := encoding.New(*latticeA, *cutoff)
-	opts := evalserve.Options{
-		Capacity: *cache, Shards: *shards, Telemetry: set,
-	}.WithDefaults()
-	be, err := buildBackend(*potName, tb, opts, *f32)
+	opts := evalserve.Options{Capacity: *cache, Telemetry: set}.WithDefaults()
+	be, err := buildBackend(*potName, tb, opts)
 	if err != nil {
 		fmt.Fprintln(stderr, "tkmc-serve:", err)
 		return exitUsage
@@ -162,7 +158,7 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 	for i := 0; i < *fleetN; i++ {
 		nodeBE := be
 		if i > 0 {
-			if nodeBE, err = buildBackend(*potName, tb, opts, *f32); err != nil {
+			if nodeBE, err = buildBackend(*potName, tb, opts); err != nil {
 				fmt.Fprintln(stderr, "tkmc-serve:", err)
 				return exitUsage
 			}
@@ -186,7 +182,7 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 			fes[i].Addr(), *potName, *latticeA, *cutoff, tb.NAll)
 	}
 	fmt.Fprintf(stdout, "tkmc-serve: cache %d entries × %d shards, ≤ %d concurrent evaluations\n",
-		opts.Capacity, opts.Shards, opts.Workers)
+		opts.Capacity, len(srvs[0].Stats().Shards), opts.Workers)
 
 	<-sig
 	// Graceful drain: every node stops accepting at once (new connection
@@ -235,7 +231,7 @@ func fleetAddr(addr string, i int) (string, error) {
 // buildBackend maps the -potential flag to an evaluation backend over
 // the given tables. Any name that is not a built-in potential is loaded
 // as a trained NNP file.
-func buildBackend(name string, tb *encoding.Tables, opts evalserve.Options, f32 bool) (evalserve.Backend, error) {
+func buildBackend(name string, tb *encoding.Tables, opts evalserve.Options) (evalserve.Backend, error) {
 	switch name {
 	case "eam":
 		params := eam.Default()
@@ -264,10 +260,6 @@ func buildBackend(name string, tb *encoding.Tables, opts evalserve.Options, f32 
 		if pot.Desc.Rcut > tb.Rcut+1e-9 {
 			return nil, fmt.Errorf("potential cutoff %g exceeds table cutoff %g", pot.Desc.Rcut, tb.Rcut)
 		}
-		prec := evalserve.F64
-		if f32 {
-			prec = evalserve.F32
-		}
-		return evalserve.NewFusionBackend(pot, tb, prec), nil
+		return evalserve.NewFusionBackend(pot, tb, evalserve.F64), nil
 	}
 }

@@ -163,6 +163,8 @@ func TestServeUsageErrors(t *testing.T) {
 		"unknown flag":     {"-definitely-not-a-flag"},
 		"deleted -batch":   {"-batch", "8"},
 		"deleted -workers": {"-workers", "2"},
+		"deleted -shards":  {"-shards", "4"},
+		"deleted -f32":     {"-f32"},
 	} {
 		if code := realMain(args, io.Discard, io.Discard, nil); code != exitUsage {
 			t.Errorf("%s: exit code %d, want %d", name, code, exitUsage)

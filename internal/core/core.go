@@ -97,17 +97,9 @@ type Config struct {
 	// shared evalserve.Server: a content-addressed cache of EvalCache
 	// entries over a backend (the incremental hop kernel for NNP, a
 	// model pool otherwise), shared by every rank of a parallel run. The
-	// default f64 service is bit-identical to direct evaluation, so
-	// trajectories are unchanged — only faster on recurring environments.
+	// service is bit-identical to direct evaluation, so trajectories are
+	// unchanged — only faster on recurring environments.
 	EvalCache int
-	// EvalShards is the cache shard count (zero takes the evalserve
-	// default).
-	EvalShards int
-	// EvalF32 runs the service's NNP evaluations in f32 — the real accelerator's
-	// arithmetic, deterministic but NOT bit-identical to the f64 engine
-	// path. Only the local fusion backend has an f32 path, so New rejects
-	// it without EvalCache, for non-NNP potentials and for fleet runs.
-	EvalF32 bool
 
 	// EvalFleet, when non-empty, routes every energy evaluation through
 	// a remote tkmc-serve fleet: a consistent-hash ring over the
@@ -255,8 +247,11 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.Potential == NNP && cfg.Net.Desc.Rcut > cfg.Cutoff+1e-9 {
 		return nil, fmt.Errorf("core: potential cutoff %v exceeds table cutoff %v", cfg.Net.Desc.Rcut, cfg.Cutoff)
 	}
-	if cfg.EvalF32 && (cfg.EvalCache <= 0 || cfg.Potential != NNP || len(cfg.EvalFleet) > 0) {
-		return nil, fmt.Errorf("core: EvalF32 (eval_f32) needs EvalCache and a locally evaluated NNP potential; it would run in f64 here")
+	if cfg.parallel() {
+		r := cfg.Ranks
+		if r[0] <= 0 || r[1] <= 0 || r[2] <= 0 || cfg.Cells[0]%r[0] != 0 || cfg.Cells[1]%r[1] != 0 || cfg.Cells[2]%r[2] != 0 {
+			return nil, fmt.Errorf("core: ranks %d %d %d do not divide cells %d %d %d", r[0], r[1], r[2], cfg.Cells[0], cfg.Cells[1], cfg.Cells[2])
+		}
 	}
 
 	s := &Simulation{Cfg: cfg}
@@ -287,6 +282,12 @@ func New(cfg Config) (*Simulation, error) {
 		s.segParent = s.traceRoot
 	}
 	s.Tables = encoding.New(cfg.LatticeConstant, cfg.Cutoff)
+	// The serial engine and the sublattice ghost layer both need the box
+	// at least as wide as a vacancy system on every axis.
+	if ext := s.Tables.MaxExtent; 2*min(cfg.Cells[0], cfg.Cells[1], cfg.Cells[2]) < ext {
+		return nil, fmt.Errorf("core: cells %d %d %d too small for a %g Å cutoff: every axis needs at least %d cells",
+			cfg.Cells[0], cfg.Cells[1], cfg.Cells[2], cfg.Cutoff, (ext+1)/2)
+	}
 	if cfg.InitialBox != nil {
 		s.box = cfg.InitialBox.Clone()
 	} else {
@@ -331,17 +332,12 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.EvalCache > 0 {
 		opts := evalserve.Options{
 			Capacity:  cfg.EvalCache,
-			Shards:    cfg.EvalShards,
 			Telemetry: cfg.Telemetry,
 		}
 		opts = opts.WithDefaults()
 		var be evalserve.Backend
 		if cfg.Potential == NNP && s.fleet == nil {
-			prec := evalserve.F64
-			if cfg.EvalF32 {
-				prec = evalserve.F32
-			}
-			fb := evalserve.NewFusionBackend(cfg.Net, s.Tables, prec)
+			fb := evalserve.NewFusionBackend(cfg.Net, s.Tables, evalserve.F64)
 			fb.SetTelemetry(cfg.Telemetry)
 			be = fb
 		} else {

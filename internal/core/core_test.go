@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"tensorkmc/internal/feature"
@@ -32,12 +33,42 @@ func TestNewValidation(t *testing.T) {
 		"zero cells":  {Cells: [3]int{0, 4, 4}},
 		"bad frac":    {Cells: [3]int{4, 4, 4}, CuFraction: 0.9, VacancyFraction: 0.2},
 		"nnp w/o net": {Cells: [3]int{10, 10, 10}, Potential: NNP},
-		"f32 on eam":  {Cells: [3]int{10, 10, 10}, EvalCache: 64, EvalF32: true},
+		"ranks 3":     {Cells: [3]int{10, 10, 10}, Ranks: [3]int{3, 1, 1}},
 	}
 	for name, cfg := range cases {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+}
+
+// TestNewRejectsBoxSmallerThanTables: a box narrower than a vacancy
+// system is a configuration error from New, serial or parallel — not a
+// panic in the engine or in the first parallel segment.
+func TestNewRejectsBoxSmallerThanTables(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"serial":      {Cells: [3]int{4, 4, 4}, VacancyFraction: 0.01, Seed: 1},
+		"ranks 2 1 1": {Cells: [3]int{4, 4, 4}, VacancyFraction: 0.01, Seed: 1, Ranks: [3]int{2, 1, 1}},
+		"one axis":    {Cells: [3]int{10, 4, 10}, VacancyFraction: 0.01, Seed: 1},
+	} {
+		sim, err := New(cfg)
+		if err == nil {
+			sim.Close()
+			t.Errorf("%s: New accepted cells %v at the 6.5 Å cutoff", name, cfg.Cells)
+		} else if !strings.Contains(err.Error(), "at least 5 cells") {
+			t.Errorf("%s: error %q does not name the smallest usable box", name, err)
+		}
+	}
+	// Five cells span the 9-half-unit table: the smallest box both engines accept.
+	for _, ranks := range [][3]int{{}, {5, 1, 1}} {
+		sim, err := New(Config{Cells: [3]int{5, 5, 5}, VacancyFraction: 0.01, Seed: 1, Ranks: ranks})
+		if err != nil {
+			t.Fatalf("ranks %v: %v", ranks, err)
+		}
+		if _, err := sim.Run(1e-9, nil); err != nil {
+			t.Fatalf("ranks %v: %v", ranks, err)
+		}
+		sim.Close()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -293,6 +294,30 @@ func TestRetryExhaustionIsTerminal(t *testing.T) {
 	final := waitJob(t, p, rec.ID, "failure", func(r JobRecord) bool { return r.State.Terminal() })
 	if final.State != StateFailed || final.Error == "" {
 		t.Fatalf("missing-potential job: %+v", final)
+	}
+}
+
+// TestSmallBoxJobFails: a deck whose box is narrower than the tables
+// parses, so it is admitted; its job must then end failed — serial or
+// parallel — while the controller goes on running the next job.
+func TestSmallBoxJobFails(t *testing.T) {
+	p := openTestPlane(t, Config{MaxRunning: 1})
+	for _, extra := range []string{"", "ranks 2 1 1\n"} {
+		rec, err := p.Submit("cells 4 4 4\nvacancy 0.01\nduration 1e-9\npotential eam\n" + extra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitJob(t, p, rec.ID, "failure", func(r JobRecord) bool { return r.State.Terminal() })
+		if final.State != StateFailed || !strings.Contains(final.Error, "too small") {
+			t.Fatalf("%q: small-box job ended %s (%q)", extra, final.State, final.Error)
+		}
+	}
+	rec, err := p.Submit(testDeck("a", "normal", 1, 1e-8, 1e-8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitJob(t, p, rec.ID, "completion", func(r JobRecord) bool { return r.State.Terminal() }); final.State != StateCompleted {
+		t.Fatalf("job after the failures ended %s (%s)", final.State, final.Error)
 	}
 }
 

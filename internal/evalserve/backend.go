@@ -97,21 +97,11 @@ func (mb *ModelBackend) EvaluateBatch(vets []encoding.VET) []Result {
 
 // --- Fusion-batched NNP backend ----------------------------------------
 
-// Precision selects the arithmetic of the fused evaluation.
+// Precision is frozen for bench/, which passes F64 to NewFusionBackend.
 type Precision int
 
-const (
-	// F64 forwards feature rows through the float64 heads — bit-identical
-	// to nnp.Potential.HopEnergies on the direct path (it is the same
-	// kernel), which is what the trajectory contract requires.
-	F64 Precision = iota
-	// F32 forwards them through heads quantised once at construction,
-	// with float32 accumulation: the arithmetic of the real SW26010-pro.
-	// Still deterministic, but NOT bit-identical to the f64 engine path:
-	// only opt in when a cached run is never compared against an
-	// uncached one.
-	F32
-)
+// F64, the only precision, is frozen for bench/.
+const F64 Precision = 0
 
 // FusionStats counts the work of a FusionBackend (both fields frozen:
 // bench/ derives fusion.rows_per_system from them).
@@ -127,7 +117,7 @@ type FusionStats struct {
 // FusionBackend evaluates NNP vacancy systems through the incremental hop
 // kernel (nnp.Potential.HopEnergies) with a pooled scratch, so a call
 // costs no allocation beyond its result slice. The kernel is the one the
-// direct path runs, so F64 results are bit-identical to it however the
+// direct path runs, so results are bit-identical to it however the
 // systems are grouped into calls.
 //
 // Concurrency: EvaluateBatch is safe for concurrent callers; VETs are only
@@ -146,14 +136,11 @@ type FusionBackend struct {
 	fusionPh *telemetry.Phase // nil when telemetry is off
 }
 
-// NewFusionBackend binds a trained potential to tables.
-func NewFusionBackend(pot *nnp.Potential, tb *encoding.Tables, prec Precision) *FusionBackend {
+// NewFusionBackend binds a trained potential to tables. The Precision
+// argument is always F64.
+func NewFusionBackend(pot *nnp.Potential, tb *encoding.Tables, _ Precision) *FusionBackend {
 	fb := &FusionBackend{pot: pot, tb: tb, tab: feature.NewTable(pot.Desc, tb.Distances)}
-	var q *nnp.Potential32
-	if prec == F32 {
-		q = pot.Quantize()
-	}
-	fb.scratch.New = func() any { return pot.NewScratch(tb, q) }
+	fb.scratch.New = func() any { return pot.NewScratch(tb) }
 	return fb
 }
 

@@ -55,6 +55,10 @@ type cacheShard struct {
 // churn visible without drowning the tail.
 const evictionSampleEvery = 256
 
+// cacheShards is the server cache's shard count. 1, 8 and 32 shards
+// measured in one band at eight concurrent callers (DESIGN.md §10.4).
+const cacheShards = 8
+
 // Cache is the sharded, content-addressed vacancy-system cache: the
 // paper's vacancy cache (Sec. 3.2) generalized across vacancies and
 // across engines. Keys are canonical VET content-addresses

@@ -38,11 +38,9 @@ import (
 
 // Options tune the service; zero values take the defaults.
 type Options struct {
-	// Capacity is the total cache size in entries (default 1<<15).
+	// Capacity is the total cache size in entries (default 1<<15), split
+	// evenly over cacheShards shards.
 	Capacity int
-	// Shards is the cache shard count (default 8, rounded up to a power
-	// of two).
-	Shards int
 	// Workers bounds how many backend evaluations run at once; further
 	// misses block until a slot frees — the service's backpressure
 	// (default runtime.GOMAXPROCS(0)). Frozen with WithDefaults: bench/
@@ -63,9 +61,6 @@ type Options struct {
 func (o Options) WithDefaults() Options {
 	if o.Capacity <= 0 {
 		o.Capacity = 1 << 15
-	}
-	if o.Shards <= 0 {
-		o.Shards = 8
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -159,7 +154,7 @@ func New(be Backend, opts Options) *Server {
 	s := &Server{
 		be:      be,
 		tb:      be.Tables(),
-		cache:   NewCache(opts.Capacity, opts.Shards),
+		cache:   NewCache(opts.Capacity, cacheShards),
 		slots:   make(chan struct{}, opts.Workers),
 		flights: map[uint64][]*flight{},
 	}

@@ -276,83 +276,3 @@ func runBigFusion(net *nnp.Network, x nnp.Matrix, cg *sw.CoreGroup) nnp.Matrix {
 	}
 	return out
 }
-
-// RunBigFusionF32 executes the big-fusion operator in single precision —
-// the arithmetic the real SW26010-pro uses (the paper quotes 76.64% of
-// *single-precision* peak and 4-byte elements throughout Fig. 9). The
-// result differs from the float64 path only by rounding; the test bounds
-// the deviation at the level the KMC rate code tolerates.
-func RunBigFusionF32(net *nnp.Network, x nnp.Matrix, arch sw.Arch) Result {
-	cg := sw.NewCoreGroup(arch)
-	q := net.Quantize()
-	m := x.Rows
-	inDim := net.InputDim()
-	const mBlock = 32
-	nCPE := cg.Arch.NumCPEs()
-
-	totalParamBytes := 0
-	maxW := 0
-	for _, l := range net.Layers {
-		totalParamBytes += (len(l.W.Data) + len(l.B)) * 4
-		if l.W.Cols > maxW {
-			maxW = l.W.Cols
-		}
-		if l.W.Rows > maxW {
-			maxW = l.W.Rows
-		}
-	}
-	perCPEShare := (totalParamBytes/len(net.Layers) + cg.Arch.CPERows - 1) / cg.Arch.CPERows
-	stateBuf := 2 * mBlock * maxW * 4
-	layerBuf := 0
-	for _, l := range net.Layers {
-		if b := (len(l.W.Data) + len(l.B)) * 4; b > layerBuf {
-			layerBuf = b
-		}
-	}
-	for c := 0; c < nCPE; c++ {
-		cg.LDMs[c].Alloc(perCPEShare + stateBuf + layerBuf)
-	}
-	for b := totalParamBytes; b > 0; b -= cg.Arch.DMABlock {
-		cg.DMAGet(0, min(b, cg.Arch.DMABlock))
-	}
-
-	out := nnp.NewMatrix(m, net.OutputDim())
-	xf := nnp.ToF32(x)
-	for start := 0; start < m; start += nCPE * mBlock {
-		for cpe := 0; cpe < nCPE; cpe++ {
-			lo := start + cpe*mBlock
-			if lo >= m {
-				break
-			}
-			hi := lo + mBlock
-			if hi > m {
-				hi = m
-			}
-			rows := hi - lo
-			cg.DMAGet(cpe, rows*inDim*4)
-			block := nnp.Matrix32{Rows: rows, Cols: inDim, Data: xf.Data[lo*inDim : hi*inDim]}
-			cur := q.Forward(block)
-			var flops float64
-			for _, l := range net.Layers {
-				flops += float64(2*rows*l.W.Rows*l.W.Cols) + float64(2*rows*l.W.Cols)
-			}
-			cg.Ct.VectorFlops += flops
-			cg.DMAPut(cpe, rows*net.OutputDim()*4)
-			for r := 0; r < rows; r++ {
-				for j := 0; j < net.OutputDim(); j++ {
-					out.Set(lo+r, j, float64(cur.Row(r)[j]))
-				}
-			}
-		}
-		for _, l := range net.Layers {
-			cg.RMARowBroadcast((len(l.W.Data) + len(l.B)) * 4)
-		}
-	}
-	res := Result{Out: out, Ct: cg.Ct, Seconds: cg.Ct.Time(arch, true)}
-	for _, l := range cg.LDMs {
-		if l.Peak() > res.PeakLDM {
-			res.PeakLDM = l.Peak()
-		}
-	}
-	return res
-}

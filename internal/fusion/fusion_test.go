@@ -152,28 +152,3 @@ func TestVariantString(t *testing.T) {
 		t.Fatal("empty variant names")
 	}
 }
-
-// TestBigFusionF32CloseToF64: the single-precision big-fusion operator
-// must agree with the double-precision reference to the level KMC hop
-// rates tolerate (sub-0.1 meV on normalised activations).
-func TestBigFusionF32CloseToF64(t *testing.T) {
-	net, x := paperNet(t)
-	arch := sw.SW26010Pro()
-	ref := Run(BigFusion, net, x, arch)
-	f32 := RunBigFusionF32(net, x, arch)
-	if f32.Out.Rows != ref.Out.Rows {
-		t.Fatal("shape mismatch")
-	}
-	for i := range ref.Out.Data {
-		if d := math.Abs(f32.Out.Data[i] - ref.Out.Data[i]); d > 1e-4*(1+math.Abs(ref.Out.Data[i])) {
-			t.Fatalf("sample %d: f32 %v vs f64 %v", i, f32.Out.Data[i], ref.Out.Data[i])
-		}
-	}
-	if f32.PeakLDM == 0 || f32.PeakLDM > 256<<10 {
-		t.Fatalf("f32 LDM accounting wrong: %d", f32.PeakLDM)
-	}
-	// Same traffic/flop profile as the f64 model.
-	if math.Abs(f32.Ct.MainBytes-ref.Ct.MainBytes) > 0.01*ref.Ct.MainBytes {
-		t.Fatalf("f32 traffic %v vs f64 %v", f32.Ct.MainBytes, ref.Ct.MainBytes)
-	}
-}

@@ -161,11 +161,6 @@ func Parse(r io.Reader) (*Deck, error) {
 		// whole fleet should slow a simulation down, not kill it.
 		d.Config.EvalFallback = true
 	}
-	if d.Config.EvalCache == 0 {
-		if d.Config.EvalShards != 0 || d.Config.EvalF32 {
-			return nil, fmt.Errorf("input: 'eval_shards' and 'eval_f32' require 'eval_cache'")
-		}
-	}
 	if d.Config.SLO.P99 == 0 && d.Config.SLO.ErrorRate == 0 {
 		if d.Config.SLO.Window > 0 || d.Config.SLO.Burn > 0 || d.Config.SLO.CaptureDir != "" {
 			return nil, fmt.Errorf("input: 'slo_window', 'slo_burn' and 'blackbox_dir' require an objective ('slo_p99' or 'slo_error_rate')")
@@ -305,49 +300,15 @@ func (d *Deck) apply(key string, args []string) error {
 		}
 		d.Config.EvalTimeout = time.Duration(secs * float64(time.Second))
 	case "eval_fallback":
-		if len(args) != 1 {
-			return fmt.Errorf("eval_fallback wants 'on' or 'off'")
-		}
-		switch strings.ToLower(args[0]) {
-		case "on", "true", "1":
-			d.Config.EvalFallback = true
-		case "off", "false", "0":
-			d.Config.EvalFallback = false
-		default:
-			return fmt.Errorf("invalid eval_fallback %q", args[0])
-		}
 		d.evalFallbackSet = true
-	case "eval_shards":
-		return nonNegInt(args, &d.Config.EvalShards)
-	case "eval_f32":
-		if len(args) != 1 {
-			return fmt.Errorf("eval_f32 wants 'on' or 'off'")
-		}
-		switch strings.ToLower(args[0]) {
-		case "on", "true", "1":
-			d.Config.EvalF32 = true
-		case "off", "false", "0":
-			d.Config.EvalF32 = false
-		default:
-			return fmt.Errorf("invalid eval_f32 %q", args[0])
-		}
+		return onOff(key, args, &d.Config.EvalFallback)
 	case "telemetry_addr":
 		if len(args) != 1 {
 			return fmt.Errorf("telemetry_addr wants host:port")
 		}
 		d.TelemetryAddr = args[0]
 	case "trace":
-		if len(args) != 1 {
-			return fmt.Errorf("trace wants 'on' or 'off'")
-		}
-		switch strings.ToLower(args[0]) {
-		case "on", "true", "1":
-			d.Config.Trace = true
-		case "off", "false", "0":
-			d.Config.Trace = false
-		default:
-			return fmt.Errorf("invalid trace %q", args[0])
-		}
+		return onOff(key, args, &d.Config.Trace)
 	case "slo_p99":
 		var secs float64
 		if err := float1(args, &secs); err != nil {
@@ -415,17 +376,7 @@ func (d *Deck) apply(key string, args []string) error {
 			return fmt.Errorf("ensemble_replicas %d exceeds the 4096 cap", d.EnsembleReplicas)
 		}
 	case "fork":
-		if len(args) != 1 {
-			return fmt.Errorf("fork wants 'on' or 'off'")
-		}
-		switch strings.ToLower(args[0]) {
-		case "on", "true", "1":
-			d.Fork = true
-		case "off", "false", "0":
-			d.Fork = false
-		default:
-			return fmt.Errorf("invalid fork %q", args[0])
-		}
+		return onOff(key, args, &d.Fork)
 	case "tenant":
 		if len(args) != 1 {
 			return fmt.Errorf("tenant wants one name")
@@ -520,6 +471,22 @@ func nonNegInt(args []string, dst *int) error {
 		return fmt.Errorf("invalid value %q", args[0])
 	}
 	*dst = v
+	return nil
+}
+
+// onOff parses a switch: on/true/1 or off/false/0, any case.
+func onOff(key string, args []string, dst *bool) error {
+	if len(args) != 1 {
+		return fmt.Errorf("%s wants 'on' or 'off'", key)
+	}
+	switch strings.ToLower(args[0]) {
+	case "on", "true", "1":
+		*dst = true
+	case "off", "false", "0":
+		*dst = false
+	default:
+		return fmt.Errorf("invalid %s %q", key, args[0])
+	}
 	return nil
 }
 

@@ -243,33 +243,50 @@ func TestRestartFinishFullState(t *testing.T) {
 }
 
 func TestEvalServiceKeys(t *testing.T) {
-	deck := "cells 4 4 4\nduration 1e-8\n" +
-		"eval_cache 4096\neval_shards 4\neval_f32 on\n"
-	d, err := Parse(strings.NewReader(deck))
+	d, err := Parse(strings.NewReader("cells 4 4 4\nduration 1e-8\neval_cache 4096\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := d.Config
-	if c.EvalCache != 4096 || c.EvalShards != 4 || !c.EvalF32 {
-		t.Fatalf("eval keys misparsed: %+v", c)
+	if d.Config.EvalCache != 4096 {
+		t.Fatalf("eval_cache misparsed: %+v", d.Config)
 	}
 
 	// Each bad deck's error must name the offending key.
 	for name, bad := range map[string]struct{ deck, want string }{
-		"neg cache":        {"cells 4 4 4\nduration 1\neval_cache -1\n", "line 3"},
-		"bad f32":          {"cells 4 4 4\nduration 1\neval_cache 64\neval_f32 maybe\n", "eval_f32"},
-		"no value":         {"cells 4 4 4\nduration 1\neval_cache 64\neval_shards\n", "line 4"},
-		"deleted key":      {"cells 4 4 4\nduration 1\neval_cache 64\neval_speculate 3\n", `unknown key "eval_speculate"`},
-		"deleted batch":    {"cells 4 4 4\nduration 1\neval_cache 64\neval_batch 16\n", `unknown key "eval_batch"`},
-		"deleted workers":  {"cells 4 4 4\nduration 1\neval_cache 64\neval_workers 3\n", `unknown key "eval_workers"`},
-		"orphan shards":    {"cells 4 4 4\nduration 1\neval_shards 4\n", "'eval_shards'"},
-		"orphan f32":       {"cells 4 4 4\nduration 1\npotential nnp w.nnp\neval_f32 on\n", "'eval_f32'"},
-		"cache off, tuned": {"cells 4 4 4\nduration 1\neval_cache 0\neval_shards 4\n", "require 'eval_cache'"},
+		"neg cache":       {"cells 4 4 4\nduration 1\neval_cache -1\n", "line 3"},
+		"no value":        {"cells 4 4 4\nduration 1\neval_cache\n", "line 3"},
+		"deleted key":     {"cells 4 4 4\nduration 1\neval_cache 64\neval_speculate 3\n", `unknown key "eval_speculate"`},
+		"deleted batch":   {"cells 4 4 4\nduration 1\neval_cache 64\neval_batch 16\n", `unknown key "eval_batch"`},
+		"deleted workers": {"cells 4 4 4\nduration 1\neval_cache 64\neval_workers 3\n", `unknown key "eval_workers"`},
+		"deleted f32":     {"cells 4 4 4\nduration 1\neval_cache 64\neval_f32 on\n", `unknown key "eval_f32"`},
+		"deleted shards":  {"cells 4 4 4\nduration 1\neval_cache 64\neval_shards 4\n", `unknown key "eval_shards"`},
 	} {
 		if _, err := Parse(strings.NewReader(bad.deck)); err == nil {
 			t.Errorf("%s: expected error", name)
 		} else if !strings.Contains(err.Error(), bad.want) {
 			t.Errorf("%s: error %q does not mention %q", name, err, bad.want)
+		}
+	}
+}
+
+// TestSwitchKeys: every on/off key takes the same six spellings, and a bad
+// or missing value is refused with an error that names the key.
+func TestSwitchKeys(t *testing.T) {
+	const head = "cells 4 4 4\nduration 1\neval_fleet a:1\nrestart prev.ck\n"
+	for _, key := range []string{"eval_fallback", "trace", "fork"} {
+		for val, want := range map[string]bool{"on": true, "TRUE": true, "1": true, "off": false, "False": false, "0": false} {
+			d, err := Parse(strings.NewReader(head + key + " " + val + "\n"))
+			if err != nil {
+				t.Fatalf("%s %s: %v", key, val, err)
+			}
+			if got := map[string]bool{"eval_fallback": d.Config.EvalFallback, "trace": d.Config.Trace, "fork": d.Fork}[key]; got != want {
+				t.Errorf("%s %s parsed as %v", key, val, got)
+			}
+		}
+		for _, bad := range []string{key + " maybe\n", key + "\n", key + " on off\n"} {
+			if _, err := Parse(strings.NewReader(head + bad)); err == nil || !strings.Contains(err.Error(), key) {
+				t.Errorf("%q: error %v does not name %s", bad, err, key)
+			}
 		}
 	}
 }

@@ -23,7 +23,7 @@ func NewLatticeEvaluator(pot *Potential, tb *encoding.Tables) *LatticeEvaluator 
 		Pot: pot,
 		Tb:  tb,
 		Tab: feature.NewTable(pot.Desc, tb.Distances),
-		s:   pot.NewScratch(tb, nil),
+		s:   pot.NewScratch(tb),
 	}
 }
 

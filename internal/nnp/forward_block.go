@@ -1,18 +1,17 @@
 package nnp
 
-// Block-forward kernels: the allocation-free row-block inference paths.
+// Block-forward kernel: the allocation-free row-block inference path.
 // Network.ForwardBlockInto is the hop kernel's forward pass
-// (Scratch.forward, under the direct path and both FusionBackend
-// precisions) and also serves fusion.RunBigFusionWide.
+// (Scratch.forward, under the direct path and FusionBackend) and also
+// serves fusion.RunBigFusionWide.
 //
 // Determinism contract: for every row, the accumulation over the input
 // dimension runs in ascending k order with the same zero-skip the MatMul
 // kernels use, followed by the same bias-then-activation sequence — so
-// each output row is bit-identical to Network.Forward / Network32.Forward
-// of the same row, regardless of block size or which goroutine computes
-// it. This row independence is what lets the fused batch path stack any
-// number of vacancy systems into one tall matrix without perturbing
-// trajectories.
+// each output row is bit-identical to Network.Forward of the same row,
+// regardless of block size or which goroutine computes it. This row
+// independence is what lets the fused batch path stack any number of
+// vacancy systems into one tall matrix without perturbing trajectories.
 
 // BlockScratch holds the reusable float64 activation buffers of one
 // block-forward worker. It is NOT safe for concurrent use: give each
@@ -203,99 +202,5 @@ func biasAct(dst []float64, rows, outW int, b []float64, relu bool) {
 				cr[j] += bv
 			}
 		}
-	}
-}
-
-// BlockScratch32 is the float32 counterpart of BlockScratch; same
-// single-goroutine ownership rule.
-type BlockScratch32 struct {
-	a, b []float32
-}
-
-func (s *BlockScratch32) ensure(n int) {
-	if cap(s.a) < n {
-		s.a = make([]float32, n)
-	}
-	if cap(s.b) < n {
-		s.b = make([]float32, n)
-	}
-	s.a = s.a[:n]
-	s.b = s.b[:n]
-}
-
-// maxLayerWidth returns the widest activation the quantised network
-// produces.
-func (q *Network32) maxLayerWidth() int {
-	w := q.Sizes[0]
-	for _, l := range q.layers {
-		if l.w.Cols > w {
-			w = l.w.Cols
-		}
-	}
-	return w
-}
-
-// ForwardBlockInto evaluates rows [lo, hi) of x through the quantised
-// network into the same rows of out, with float32 accumulation matching
-// Network32.Forward bit for bit (ascending-k order, zero-skip, bias then
-// ReLU). Concurrent calls on disjoint row ranges with private scratches
-// are race-free and schedule-independent.
-func (q *Network32) ForwardBlockInto(x, out Matrix32, lo, hi int, s *BlockScratch32) {
-	if x.Cols != q.Sizes[0] {
-		panic("nnp: f32 block forward input width mismatch")
-	}
-	if out.Cols != q.Sizes[len(q.Sizes)-1] {
-		panic("nnp: f32 block forward output width mismatch")
-	}
-	rows := hi - lo
-	if rows <= 0 {
-		return
-	}
-	s.ensure(rows * q.maxLayerWidth())
-	cur := x.Data[lo*x.Cols : hi*x.Cols]
-	curCols := x.Cols
-	buf, next := s.a, s.b
-	for li, l := range q.layers {
-		outW := l.w.Cols
-		last := li == len(q.layers)-1
-		for i := 0; i < rows; i++ {
-			ar := cur[i*curCols : (i+1)*curCols]
-			var cr []float32
-			if last {
-				cr = out.Row(lo + i)
-			} else {
-				cr = buf[i*outW : (i+1)*outW]
-			}
-			forwardRow32(cr, ar, l.w, l.b, l.relu)
-		}
-		if !last {
-			cur, curCols = buf[:rows*outW], outW
-			buf, next = next, buf
-		}
-	}
-	_ = next
-}
-
-// forwardRow32 mirrors forwardRow in single precision, reproducing the
-// Network32.Forward operation order exactly.
-func forwardRow32(cr, ar []float32, w Matrix32, b []float32, relu bool) {
-	for j := range cr {
-		cr[j] = 0
-	}
-	for k, av := range ar {
-		if av == 0 {
-			continue
-		}
-		br := w.Row(k)
-		for j, bv := range br {
-			cr[j] += float32(av * bv)
-		}
-	}
-	for j := range cr {
-		v := cr[j] + b[j]
-		if relu && v < 0 {
-			v = 0
-		}
-		cr[j] = v
 	}
 }

@@ -14,51 +14,16 @@ import (
 // ninePassHopEnergies is the reference the incremental kernel must equal
 // bit for bit: one full region pass for the initial state and one per open
 // direction, each on a VET with the hop applied — HopEnergies as it was
-// before it became incremental. With q nil a pass is RegionEnergy; with
-// quantised heads it is RegionEnergy's loop with the rows converted to
-// float32 and forwarded by Network32.Forward (what the fused F32 backend
-// has always computed).
-func ninePassHopEnergies(p *Potential, q *Potential32, tb *encoding.Tables, tab *feature.Table, vet encoding.VET) (initial float64, final [8]float64, valid [8]bool) {
+// before it became incremental, a RegionEnergy pass per state.
+func ninePassHopEnergies(p *Potential, tb *encoding.Tables, tab *feature.Table, vet encoding.VET) (initial float64, final [8]float64, valid [8]bool) {
 	vet = append(encoding.VET(nil), vet...)
-	pass := func() float64 {
-		if q == nil {
-			return p.RegionEnergy(tb, tab, vet, nil)
-		}
-		dim := p.Desc.Dim()
-		total := 0.0
-		for e := 0; e < lattice.NumElements; e++ {
-			var x Matrix32
-			x.Cols = dim
-			raw := make([]float64, dim)
-			for i := 0; i < tb.NRegion; i++ {
-				if vet[i] != lattice.Species(e) {
-					continue
-				}
-				feature.ComputeSite(tb, tab, vet, i, raw)
-				p.normalizeInto(raw, raw)
-				for _, v := range raw {
-					x.Data = append(x.Data, float32(v))
-				}
-				x.Rows++
-			}
-			if x.Rows == 0 {
-				continue
-			}
-			out := q.Nets[e].Forward(x)
-			for i := 0; i < x.Rows; i++ {
-				total += float64(out.Data[i])
-			}
-			total += float64(x.Rows) * p.ERef[e]
-		}
-		return total
-	}
-	initial = pass()
+	initial = p.RegionEnergy(tb, tab, vet, nil)
 	for k := 0; k < 8; k++ {
 		if !vet[tb.NN1Index[k]].IsAtom() {
 			continue
 		}
 		tb.ApplyHop(vet, k)
-		final[k] = pass()
+		final[k] = p.RegionEnergy(tb, tab, vet, nil)
 		valid[k] = true
 		tb.ApplyHop(vet, k)
 	}
@@ -144,56 +109,48 @@ func hopTestPotential(rcut float64, seed uint64) (*Potential, *encoding.Tables, 
 
 // TestHopEnergiesMatchesRegionPasses: the incremental kernel equals the
 // nine-pass reference in every bit — initial, final and valid — over the
-// generated corpus, at the standard and a short cutoff, with float64 and
-// with quantised heads, and leaves the caller's VET untouched. A system
-// with eight open directions and no other vacancy forwards
-// NRegion−1 + 8·(len(HopSites)+1) rows: 1396 at 6.5 Å, against 2268 for
-// nine full passes.
+// generated corpus, at the standard and a short cutoff, and leaves the
+// caller's VET untouched. A system with eight open directions and no
+// other vacancy forwards NRegion−1 + 8·(len(HopSites)+1) rows: 1396 at
+// 6.5 Å, against 2268 for nine full passes.
 func TestHopEnergiesMatchesRegionPasses(t *testing.T) {
 	for _, rcut := range []float64{units.CutoffStandard, units.CutoffShort} {
 		pot, tb, tab := hopTestPotential(rcut, 31)
-		q := pot.Quantize()
-		s64, s32 := pot.NewScratch(tb, nil), pot.NewScratch(tb, q)
+		s := pot.NewScratch(tb)
 		movers := map[lattice.Species]int{}
 		for n, vet := range hopCorpus(tb, 32) {
 			before := append(encoding.VET(nil), vet...)
-			for _, mode := range []struct {
-				name string
-				q    *Potential32
-				s    *Scratch
-			}{{"f64", nil, s64}, {"f32", q, s32}} {
-				wi, wf, wv := ninePassHopEnergies(pot, mode.q, tb, tab, vet)
-				gi, gf, gv, rows := pot.HopEnergies(tb, tab, vet, mode.s)
-				if math.Float64bits(gi) != math.Float64bits(wi) || gv != wv {
-					t.Fatalf("rcut %v env %d %s: initial %v valid %v, nine passes give %v %v", rcut, n, mode.name, gi, gv, wi, wv)
+			wi, wf, wv := ninePassHopEnergies(pot, tb, tab, vet)
+			gi, gf, gv, rows := pot.HopEnergies(tb, tab, vet, s)
+			if math.Float64bits(gi) != math.Float64bits(wi) || gv != wv {
+				t.Fatalf("rcut %v env %d: initial %v valid %v, nine passes give %v %v", rcut, n, gi, gv, wi, wv)
+			}
+			for k := 0; k < 8; k++ {
+				if math.Float64bits(gf[k]) != math.Float64bits(wf[k]) {
+					t.Fatalf("rcut %v env %d: final[%d] = %v, nine passes give %v", rcut, n, k, gf[k], wf[k])
 				}
-				for k := 0; k < 8; k++ {
-					if math.Float64bits(gf[k]) != math.Float64bits(wf[k]) {
-						t.Fatalf("rcut %v env %d %s: final[%d] = %v, nine passes give %v", rcut, n, mode.name, k, gf[k], wf[k])
-					}
+			}
+			atoms, open := 0, 0
+			for i := 0; i < tb.NRegion; i++ {
+				if vet[i].IsAtom() {
+					atoms++
 				}
-				atoms, open := 0, 0
-				for i := 0; i < tb.NRegion; i++ {
-					if vet[i].IsAtom() {
-						atoms++
-					}
+			}
+			for k := 0; k < 8; k++ {
+				if gv[k] {
+					open++
+					movers[vet[tb.NN1Index[k]]]++
 				}
-				for k := 0; k < 8; k++ {
-					if gv[k] {
-						open++
-						movers[vet[tb.NN1Index[k]]]++
-					}
+			}
+			if full := atoms == tb.NRegion-1 && open == 8; full {
+				if want := tb.NRegion - 1 + 8*(len(tb.HopSites[0])+1); rows != want {
+					t.Fatalf("rcut %v env %d: %d rows forwarded, want %d", rcut, n, rows, want)
 				}
-				if full := atoms == tb.NRegion-1 && open == 8; full {
-					if want := tb.NRegion - 1 + 8*(len(tb.HopSites[0])+1); rows != want {
-						t.Fatalf("rcut %v env %d %s: %d rows forwarded, want %d", rcut, n, mode.name, rows, want)
-					}
-					if rcut == units.CutoffStandard && rows != 1396 {
-						t.Fatalf("env %d: %d rows at 6.5 Å, want 1396", n, rows)
-					}
-				} else if rows >= 9*atoms {
-					t.Fatalf("rcut %v env %d %s: %d rows forwarded for %d atoms", rcut, n, mode.name, rows, atoms)
+				if rcut == units.CutoffStandard && rows != 1396 {
+					t.Fatalf("env %d: %d rows at 6.5 Å, want 1396", n, rows)
 				}
+			} else if rows >= 9*atoms {
+				t.Fatalf("rcut %v env %d: %d rows forwarded for %d atoms", rcut, n, rows, atoms)
 			}
 			for i := range vet {
 				if vet[i] != before[i] {

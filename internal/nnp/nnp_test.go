@@ -284,7 +284,7 @@ func TestHopSymmetryPureFe(t *testing.T) {
 		vet[i] = lattice.Fe
 	}
 	vet[0] = lattice.Vacancy
-	initial, final, valid, _ := pot.HopEnergies(tb, tab, vet, pot.NewScratch(tb, nil))
+	initial, final, valid, _ := pot.HopEnergies(tb, tab, vet, pot.NewScratch(tb))
 	for k := 0; k < 8; k++ {
 		if !valid[k] {
 			t.Fatalf("hop %d invalid in pure Fe", k)
@@ -303,7 +303,7 @@ func TestHopEnergiesMatchManualSwap(t *testing.T) {
 	box.Set(center, lattice.Vacancy)
 	vet := tb.NewVET()
 	tb.FillVET(vet, center, box.Get)
-	s := pot.NewScratch(tb, nil)
+	s := pot.NewScratch(tb)
 	initial, final, valid, _ := pot.HopEnergies(tb, tab, vet, s)
 	for k := 0; k < 8; k++ {
 		if !valid[k] {

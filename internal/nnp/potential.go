@@ -89,20 +89,10 @@ type Scratch struct {
 	out     Matrix    // network outputs of the rows in x
 	rowSite []int32   // region site of each row in x
 	blk     BlockScratch
-
-	// Single-precision row forwarder (nil heads: float64).
-	q     *Potential32
-	x32   Matrix32
-	out32 Matrix32
-	blk32 BlockScratch32
 }
 
-// NewScratch sizes a scratch for the given tables/potential pair. With a
-// non-nil q, HopEnergies forwards its rows through q's quantised heads in
-// float32 accumulation — the arithmetic of the SW26010-pro big-fusion
-// operator; tallies, features, normalisation and the energy sums stay
-// float64 either way, and RegionEnergy always runs the float64 heads.
-func (p *Potential) NewScratch(tb *encoding.Tables, q *Potential32) *Scratch {
+// NewScratch sizes a scratch for the given tables/potential pair.
+func (p *Potential) NewScratch(tb *encoding.Tables) *Scratch {
 	dim := p.Desc.Dim()
 	nc := p.Desc.NEl * len(tb.Distances)
 	s := &Scratch{
@@ -114,16 +104,11 @@ func (p *Potential) NewScratch(tb *encoding.Tables, q *Potential32) *Scratch {
 		stateE:  make([]float64, tb.NRegion),
 		out:     NewMatrix(tb.NRegion, 1),
 		rowSite: make([]int32, tb.NRegion),
-		q:       q,
 	}
 	for _, nb := range tb.Neighbors(0) {
 		if nb.ID == tb.NN1Index[0] {
 			s.nn1Shell = int(nb.DistIndex)
 		}
-	}
-	if q != nil {
-		s.x32 = NewMatrix32(tb.NRegion, dim)
-		s.out32 = NewMatrix32(tb.NRegion, 1)
 	}
 	return s
 }
@@ -137,7 +122,7 @@ func (p *Potential) NewScratch(tb *encoding.Tables, q *Potential32) *Scratch {
 // on CPEs.
 func (p *Potential) RegionEnergy(tb *encoding.Tables, tab *feature.Table, vet encoding.VET, s *Scratch) float64 {
 	if s == nil {
-		s = p.NewScratch(tb, nil)
+		s = p.NewScratch(tb)
 	}
 	dim := p.Desc.Dim()
 	total := 0.0
@@ -193,7 +178,7 @@ func (p *Potential) RegionEnergy(tb *encoding.Tables, tab *feature.Table, vet en
 // forward pass that produced the value.
 func (p *Potential) HopEnergies(tb *encoding.Tables, tab *feature.Table, vet encoding.VET, s *Scratch) (initial float64, final [8]float64, valid [8]bool, rows int) {
 	if s == nil {
-		s = p.NewScratch(tb, nil)
+		s = p.NewScratch(tb)
 	}
 	nc := len(s.tally) // tallies per site: NEl × nDist
 	nDist := nc / p.Desc.NEl
@@ -224,7 +209,7 @@ func (p *Potential) HopEnergies(tb *encoding.Tables, tab *feature.Table, vet enc
 				n++
 			}
 		}
-		s.forward(p, e, n)
+		p.Nets[e].ForwardBlockInto(s.x, s.out, 0, n, &s.blk)
 		for r := 0; r < n; r++ {
 			s.siteE[s.rowSite[r]] = s.out.Data[r]
 			initial += s.out.Data[r]
@@ -269,7 +254,7 @@ func (p *Potential) HopEnergies(tb *encoding.Tables, tab *feature.Table, vet enc
 				s.stageRow(p, tab, n, int(h.Site), cnt)
 				n++
 			}
-			s.forward(p, e, n)
+			p.Nets[e].ForwardBlockInto(s.x, s.out, 0, n, &s.blk)
 			for r := 0; r < n; r++ {
 				s.stateE[s.rowSite[r]] = s.out.Data[r]
 			}
@@ -312,26 +297,6 @@ func (s *Scratch) stageRow(p *Potential, tab *feature.Table, r, i int, cnt []uin
 	tab.RowFromCounts(cnt, row)
 	p.normalizeInto(row, row)
 	s.rowSite[r] = int32(i)
-}
-
-// forward runs the first n rows of s.x through element e's head into
-// s.out — the one place float64 and float32 evaluation differ.
-func (s *Scratch) forward(p *Potential, e, n int) {
-	if n == 0 {
-		return
-	}
-	dim := s.x.Cols
-	if s.q == nil {
-		p.Nets[e].ForwardBlockInto(s.x, s.out, 0, n, &s.blk)
-		return
-	}
-	for i, v := range s.x.Data[:n*dim] {
-		s.x32.Data[i] = float32(v)
-	}
-	s.q.Nets[e].ForwardBlockInto(s.x32, s.out32, 0, n, &s.blk32)
-	for r := 0; r < n; r++ {
-		s.out.Data[r] = float64(s.out32.Data[r])
-	}
 }
 
 // checkFiniteEnergy is the NNP hot-path tripwire.

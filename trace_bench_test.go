@@ -84,11 +84,12 @@ func BenchmarkTraceRequestOverhead(b *testing.B) {
 		cl.HopEnergies(vet)
 	}
 
-	// A second server with a cache too small for the workload: every
-	// request through it is a miss that runs the batch pipeline — the
-	// work-bearing request the gate's denominator wants.
+	// A second server with a cache too small for the workload (one entry
+	// per shard), cycled through every environment in turn: every request
+	// through it is a miss that runs the batch pipeline — the work-bearing
+	// request the gate's denominator wants.
 	missSrv := evalserve.New(evalserve.NewFusionBackend(pot, tb, evalserve.F64),
-		evalserve.Options{Capacity: 1, Shards: 1})
+		evalserve.Options{Capacity: 1})
 	missLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -128,13 +129,16 @@ func BenchmarkTraceRequestOverhead(b *testing.B) {
 		}
 		start = time.Now()
 		for j := 0; j < missReqsPerRound; j++ {
-			missCl.HopEnergies(vets[j%len(vets)])
+			missCl.HopEnergies(vets[(i*missReqsPerRound+j)%len(vets)])
 		}
 		if d := time.Since(start); d < minMiss {
 			minMiss = d
 		}
 	}
 	b.StopTimer()
+	if st := missSrv.Stats(); st.Hits != 0 {
+		b.Fatalf("the miss server answered %d requests from its cache", st.Hits)
+	}
 
 	// Client-side tax, timed directly: one eval span per request with a
 	// pick annotation, plus encoding the context for the wire — exactly
