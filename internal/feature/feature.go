@@ -121,6 +121,10 @@ func (t *Table) Row(i int) []float64 {
 	return t.vals[i*nd : (i+1)*nd]
 }
 
+// Values returns the whole table, one row of NDim channels per tabulated
+// distance, row-major. It is the table itself: callers must not modify it.
+func (t *Table) Values() []float64 { return t.vals }
+
 // Desc returns the descriptor the table was built from.
 func (t *Table) Desc() *Descriptor { return t.desc }
 

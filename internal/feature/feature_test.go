@@ -105,11 +105,15 @@ func TestTableMatchesEval(t *testing.T) {
 	for i, r := range tb.Distances {
 		d.Eval(r, row)
 		got := tab.Row(i)
+		flat := tab.Values()[i*d.NDim():]
 		for c := range row {
-			if got[c] != row[c] {
-				t.Fatalf("TABLE[%d][%d] = %v, Eval = %v", i, c, got[c], row[c])
+			if got[c] != row[c] || flat[c] != row[c] {
+				t.Fatalf("TABLE[%d][%d] = %v (Values %v), Eval = %v", i, c, got[c], flat[c], row[c])
 			}
 		}
+	}
+	if len(tab.Values()) != len(tb.Distances)*d.NDim() {
+		t.Fatalf("Values has %d entries, want %d", len(tab.Values()), len(tb.Distances)*d.NDim())
 	}
 	if tab.MemoryBytes() != 8*len(tb.Distances)*d.NDim() {
 		t.Fatal("MemoryBytes wrong")

@@ -84,12 +84,13 @@ func (n *Network) ForwardBlockInto(x, out Matrix, lo, hi int, s *BlockScratch) {
 
 // gemmBlock computes dst = act(src·W + b) for a contiguous row block. With
 // AVX2 (forward_amd64.s) the row quads of a layer whose width is a
-// multiple of four run in assembly; the leftover rows, narrower heads and
-// the bias/activation pass run gemmBlockGo's code. Every output bit equals
-// gemmBlockGo's, so which path runs is invisible.
+// multiple of four or 1 (the energy head) run in assembly, and so does
+// their bias/activation pass where the width is a multiple of four; the
+// leftover rows and other widths run gemmBlockGo's code. Every output bit
+// equals gemmBlockGo's, so which path runs is invisible.
 func gemmBlock(dst, src []float64, rows, inW, outW int, w, b []float64, relu bool) {
 	q := 0
-	if useAVX2 && outW%4 == 0 {
+	if useAVX2 && (outW%4 == 0 || outW == 1) {
 		q = rows &^ 3
 	}
 	if q == 0 {
@@ -178,12 +179,22 @@ func gemmBlockGo(dst, src []float64, rows, inW, outW int, w, b []float64, relu b
 			}
 		}
 	}
-	biasAct(dst, rows, outW, b, relu)
+	biasActGo(dst, rows, outW, b, relu)
 }
 
 // biasAct adds the bias to each of rows rows of dst, then applies ReLU if
-// relu is set.
+// relu is set: in assembly (biasActAVX2) where the width is a multiple of
+// four, else biasActGo, with the same bits either way.
 func biasAct(dst []float64, rows, outW int, b []float64, relu bool) {
+	if useAVX2 && outW%4 == 0 && rows > 0 {
+		biasActAVX2(dst[:rows*outW], b[:outW], rows, relu)
+		return
+	}
+	biasActGo(dst, rows, outW, b, relu)
+}
+
+// biasActGo is biasAct in pure Go and the oracle of biasActAVX2.
+func biasActGo(dst []float64, rows, outW int, b []float64, relu bool) {
 	if relu {
 		for r := 0; r < rows; r++ {
 			cr := dst[r*outW : (r+1)*outW]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"tensorkmc/internal/rng"
@@ -44,6 +45,15 @@ func FuzzLoadPotential(f *testing.F) {
 	nan := bytes.Clone(valid)
 	binary.LittleEndian.PutUint64(nan[len(nan)-8:], math.Float64bits(math.NaN()))
 	f.Add(nan)
+	// The stds follow the magic, the descriptor header (8 + 4 + 4 bytes),
+	// the (p,q) pairs, the normalisation flag and the means: a zero std
+	// there must be rejected.
+	zeroStd := bytes.Clone(valid)
+	binary.LittleEndian.PutUint64(zeroStd[8+16+16*len(desc.PQ)+1+8*desc.Dim():], 0)
+	if _, err := Load(bytes.NewReader(zeroStd)); err == nil || !strings.Contains(err.Error(), "feature std of channel 0") {
+		f.Fatalf("zero-std seed: Load error %v, want one naming channel 0", err)
+	}
+	f.Add(zeroStd)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Load(bytes.NewReader(data))
@@ -67,6 +77,11 @@ func FuzzLoadPotential(f *testing.F) {
 				if math.IsNaN(x) || math.IsInf(x, 0) {
 					t.Fatalf("accepted non-finite parameter %v", x)
 				}
+			}
+		}
+		for c, sd := range p.FeatStd {
+			if !(sd > 0) {
+				t.Fatalf("accepted feature std %v on channel %d", sd, c)
 			}
 		}
 		var out bytes.Buffer

@@ -1,6 +1,7 @@
 package nnp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -94,8 +95,13 @@ func hopCorpus(tb *encoding.Tables, seed uint64) []encoding.VET {
 // and reference energies, so every term of the per-atom energy is
 // exercised.
 func hopTestPotential(rcut float64, seed uint64) (*Potential, *encoding.Tables, *feature.Table) {
+	return hopTestPotentialPQ(rcut, feature.StandardPQ(), seed)
+}
+
+// hopTestPotentialPQ is hopTestPotential over the given (p, q) sets.
+func hopTestPotentialPQ(rcut float64, pq []feature.PQ, seed uint64) (*Potential, *encoding.Tables, *feature.Table) {
 	tb := encoding.New(units.LatticeConstantFe, rcut)
-	desc := feature.Standard(rcut)
+	desc := feature.NewDescriptor(pq, lattice.NumElements, rcut)
 	pot := NewPotential(desc, []int{desc.Dim(), 16, 8, 1}, rng.New(seed))
 	pot.ERef = [2]float64{-4.013, -3.54}
 	pot.FeatMean = make([]float64, desc.Dim())
@@ -110,24 +116,44 @@ func hopTestPotential(rcut float64, seed uint64) (*Potential, *encoding.Tables, 
 // TestHopEnergiesMatchesRegionPasses: the incremental kernel equals the
 // nine-pass reference in every bit — initial, final and valid — over the
 // generated corpus, at the standard and a short cutoff, and leaves the
-// caller's VET untouched. A system with eight open directions and no
-// other vacancy forwards NRegion−1 + 8·(len(HopSites)+1) rows: 1396 at
-// 6.5 Å, against 2268 for nine full passes.
+// caller's VET untouched. Both row-staging paths run: the AVX2 kernel
+// (where the host has it) for the 32-channel normalised potentials, the
+// pure-Go path for one without normalisation and one with 24 channels. A
+// system with eight open directions and no other vacancy forwards
+// NRegion−1 + 8·(len(HopSites)+1) rows, padding rows not counted: 1396
+// at 6.5 Å, against 2268 for nine full passes.
 func TestHopEnergiesMatchesRegionPasses(t *testing.T) {
-	for _, rcut := range []float64{units.CutoffStandard, units.CutoffShort} {
-		pot, tb, tab := hopTestPotential(rcut, 31)
+	cases := []struct {
+		name string
+		rcut float64
+		nPQ  int
+		norm bool
+	}{
+		{"standard", units.CutoffStandard, 32, true},
+		{"short cutoff", units.CutoffShort, 32, true},
+		{"no normalisation", units.CutoffStandard, 32, false},
+		{"24 channels", units.CutoffStandard, 24, true},
+	}
+	for _, c := range cases {
+		pot, tb, tab := hopTestPotentialPQ(c.rcut, feature.StandardPQ()[:c.nPQ], 31)
+		if !c.norm {
+			pot.FeatMean, pot.FeatStd = nil, nil
+		}
 		s := pot.NewScratch(tb)
 		movers := map[lattice.Species]int{}
 		for n, vet := range hopCorpus(tb, 32) {
 			before := append(encoding.VET(nil), vet...)
 			wi, wf, wv := ninePassHopEnergies(pot, tb, tab, vet)
 			gi, gf, gv, rows := pot.HopEnergies(tb, tab, vet, s)
+			if want := useAVX2 && c.norm && c.nPQ == stageChannels; s.simd != want {
+				t.Fatalf("%s: staged with the AVX2 kernel %v, want %v", c.name, s.simd, want)
+			}
 			if math.Float64bits(gi) != math.Float64bits(wi) || gv != wv {
-				t.Fatalf("rcut %v env %d: initial %v valid %v, nine passes give %v %v", rcut, n, gi, gv, wi, wv)
+				t.Fatalf("%s env %d: initial %v valid %v, nine passes give %v %v", c.name, n, gi, gv, wi, wv)
 			}
 			for k := 0; k < 8; k++ {
 				if math.Float64bits(gf[k]) != math.Float64bits(wf[k]) {
-					t.Fatalf("rcut %v env %d: final[%d] = %v, nine passes give %v", rcut, n, k, gf[k], wf[k])
+					t.Fatalf("%s env %d: final[%d] = %v, nine passes give %v", c.name, n, k, gf[k], wf[k])
 				}
 			}
 			atoms, open := 0, 0
@@ -144,17 +170,17 @@ func TestHopEnergiesMatchesRegionPasses(t *testing.T) {
 			}
 			if full := atoms == tb.NRegion-1 && open == 8; full {
 				if want := tb.NRegion - 1 + 8*(len(tb.HopSites[0])+1); rows != want {
-					t.Fatalf("rcut %v env %d: %d rows forwarded, want %d", rcut, n, rows, want)
+					t.Fatalf("%s env %d: %d rows forwarded, want %d", c.name, n, rows, want)
 				}
-				if rcut == units.CutoffStandard && rows != 1396 {
-					t.Fatalf("env %d: %d rows at 6.5 Å, want 1396", n, rows)
+				if c.rcut == units.CutoffStandard && rows != 1396 {
+					t.Fatalf("%s env %d: %d rows at 6.5 Å, want 1396", c.name, n, rows)
 				}
 			} else if rows >= 9*atoms {
-				t.Fatalf("rcut %v env %d: %d rows forwarded for %d atoms", rcut, n, rows, atoms)
+				t.Fatalf("%s env %d: %d rows forwarded for %d atoms", c.name, n, rows, atoms)
 			}
 			for i := range vet {
 				if vet[i] != before[i] {
-					t.Fatalf("rcut %v env %d: HopEnergies changed VET[%d]", rcut, n, i)
+					t.Fatalf("%s env %d: HopEnergies changed VET[%d]", c.name, n, i)
 				}
 			}
 		}
@@ -163,6 +189,42 @@ func TestHopEnergiesMatchesRegionPasses(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkHopEnergies times the hop kernel with the trained fixture
+// potential on random one-vacancy environments at 0 %, 1.34 % (every
+// ledger NNP deck) and 20 % Cu.
+func BenchmarkHopEnergies(b *testing.B) {
+	pot, err := LoadFile("../../bench/fixtures/fecu.pot")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tb := encoding.New(units.LatticeConstantFe, pot.Desc.Rcut)
+	tab := feature.NewTable(pot.Desc, tb.Distances)
+	for _, cu := range []float64{0, 0.0134, 0.2} {
+		b.Run(fmt.Sprintf("cu=%g", cu), func(b *testing.B) {
+			r := rng.New(35)
+			vets := make([]encoding.VET, 64)
+			for n := range vets {
+				vets[n] = tb.NewVET()
+				for i := range vets[n] {
+					vets[n][i] = lattice.Fe
+					if r.Float64() < cu {
+						vets[n][i] = lattice.Cu
+					}
+				}
+				vets[n][0] = lattice.Vacancy
+			}
+			s := pot.NewScratch(tb)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hopSink, _, _, _ = pot.HopEnergies(tb, tab, vets[i%len(vets)], s)
+			}
+		})
+	}
+}
+
+// hopSink keeps BenchmarkHopEnergies' calls from being optimised away.
+var hopSink float64
 
 // TestHopEnergiesAllocatesNothing: the evaluator's scratch covers the
 // whole kernel.

@@ -209,6 +209,14 @@ func Load(r io.Reader) (*Potential, error) {
 	if err := p.checkFinite(); err != nil {
 		return nil, err
 	}
+	// Normalisation divides by every std; training clamps a degenerate
+	// one to 1, so zero or negative can only mean corruption.
+	for c, sd := range p.FeatStd {
+		if !(sd > 0) {
+			return nil, fmt.Errorf("nnp: feature std of channel %d (element %d, (p,q) set %d) is %v, want > 0",
+				c, c/desc.NDim(), c%desc.NDim(), sd)
+		}
+	}
 	return p, nil
 }
 

@@ -461,6 +461,29 @@ func TestLoadRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsNonPositiveStd: a zero, negative or negative-zero feature
+// std fails Load with an error naming the channel, instead of loading
+// cleanly and tripping the first hop's CorruptionError.
+func TestLoadRejectsNonPositiveStd(t *testing.T) {
+	for _, v := range []float64{0, math.Copysign(0, -1), -1, -math.SmallestNonzeroFloat64} {
+		pot, _, _ := stdPotential([]int{64, 8, 1}, 22)
+		pot.FeatMean = make([]float64, pot.Desc.Dim())
+		pot.FeatStd = make([]float64, pot.Desc.Dim())
+		for i := range pot.FeatStd {
+			pot.FeatStd[i] = 1
+		}
+		pot.FeatStd[37] = v
+		var buf bytes.Buffer
+		if err := pot.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf)
+		if err == nil || !strings.Contains(err.Error(), "feature std of channel 37 (element 1, (p,q) set 5)") {
+			t.Fatalf("std %v: Load error %v, want one naming channel 37", v, err)
+		}
+	}
+}
+
 // TestStructureForcesMatchNumericalGradient validates the full
 // energy→force chain (network backprop through the descriptor) against
 // finite differences of StructureEnergy.

@@ -77,7 +77,7 @@ func (p *Potential) AtomEnergy(s lattice.Species, raw []float64) float64 {
 // goroutine.
 type Scratch struct {
 	feats []float64 // site feature vector (Dim)
-	x     Matrix    // per-element batch input (NRegion rows)
+	x     Matrix    // per-element batch input (NRegion rows, padded to a multiple of four)
 
 	nn1Shell int // the shell in which the origin sees its 1NN sites
 
@@ -88,8 +88,12 @@ type Scratch struct {
 	stateE  []float64 // the same, patched for the final state being summed
 	out     Matrix    // network outputs of the rows in x
 	rowSite []int32   // region site of each row in x
+	simd    bool      // stage rows with stageRowAVX2 (Potential.stageSIMD)
 	blk     BlockScratch
 }
+
+// quadRows rounds a row count up to whole four-row quads.
+func quadRows(n int) int { return (n + 3) &^ 3 }
 
 // NewScratch sizes a scratch for the given tables/potential pair.
 func (p *Potential) NewScratch(tb *encoding.Tables) *Scratch {
@@ -97,12 +101,12 @@ func (p *Potential) NewScratch(tb *encoding.Tables) *Scratch {
 	nc := p.Desc.NEl * len(tb.Distances)
 	s := &Scratch{
 		feats:   make([]float64, dim),
-		x:       NewMatrix(tb.NRegion, dim),
+		x:       NewMatrix(quadRows(tb.NRegion), dim),
 		cnt:     make([]uint16, tb.NRegion*nc),
 		tally:   make([]uint16, nc),
 		siteE:   make([]float64, tb.NRegion),
 		stateE:  make([]float64, tb.NRegion),
-		out:     NewMatrix(tb.NRegion, 1),
+		out:     NewMatrix(quadRows(tb.NRegion), 1),
 		rowSite: make([]int32, tb.NRegion),
 	}
 	for _, nb := range tb.Neighbors(0) {
@@ -170,6 +174,10 @@ func (p *Potential) RegionEnergy(tb *encoding.Tables, tab *feature.Table, vet en
 // the per-site outputs are added in RegionEnergy's order — element
 // ascending, site ascending, then rows·ERef.
 //
+// Every batch is forwarded padded to whole four-row quads, so the AVX2
+// kernels take all of it; the padding rows hold stale inputs, their
+// outputs are never read, and rows does not count them.
+//
 // A non-finite region energy can only come from a corrupted network (a
 // bit-flipped weight) or scrambled features; it is trapped here with a
 // typed *fault.CorruptionError panic so the supervisor sees a
@@ -182,6 +190,7 @@ func (p *Potential) HopEnergies(tb *encoding.Tables, tab *feature.Table, vet enc
 	}
 	nc := len(s.tally) // tallies per site: NEl × nDist
 	nDist := nc / p.Desc.NEl
+	s.simd = p.stageSIMD(tab, nc)
 
 	// Tally every site that can own a row: the atoms, and the origin,
 	// where each final state puts its mover.
@@ -209,7 +218,7 @@ func (p *Potential) HopEnergies(tb *encoding.Tables, tab *feature.Table, vet enc
 				n++
 			}
 		}
-		p.Nets[e].ForwardBlockInto(s.x, s.out, 0, n, &s.blk)
+		p.Nets[e].ForwardBlockInto(s.x, s.out, 0, quadRows(n), &s.blk)
 		for r := 0; r < n; r++ {
 			s.siteE[s.rowSite[r]] = s.out.Data[r]
 			initial += s.out.Data[r]
@@ -254,7 +263,7 @@ func (p *Potential) HopEnergies(tb *encoding.Tables, tab *feature.Table, vet enc
 				s.stageRow(p, tab, n, int(h.Site), cnt)
 				n++
 			}
-			p.Nets[e].ForwardBlockInto(s.x, s.out, 0, n, &s.blk)
+			p.Nets[e].ForwardBlockInto(s.x, s.out, 0, quadRows(n), &s.blk)
 			for r := 0; r < n; r++ {
 				s.stateE[s.rowSite[r]] = s.out.Data[r]
 			}
@@ -291,12 +300,39 @@ func (s *Scratch) hopTally(i, nc int) []uint16 {
 }
 
 // stageRow builds row r of the batch in s.x for region site i from its
-// tally: the raw features, normalised in place.
+// tally.
 func (s *Scratch) stageRow(p *Potential, tab *feature.Table, r, i int, cnt []uint16) {
-	row := s.x.Row(r)
+	p.stageInto(s.x.Row(r), tab, cnt, s.simd)
+	s.rowSite[r] = int32(i)
+}
+
+// stageInto writes the normalised feature row of a site whose tally is cnt
+// into row: RowFromCounts, then normalizeInto in place — the definition —
+// or, with simd, stageRowAVX2, which does both in one pass with the same
+// bits.
+func (p *Potential) stageInto(row []float64, tab *feature.Table, cnt []uint16, simd bool) {
+	if simd {
+		stageRowAVX2(row, cnt, tab.Values(), p.FeatMean, p.FeatStd)
+		return
+	}
 	tab.RowFromCounts(cnt, row)
 	p.normalizeInto(row, row)
-	s.rowSite[r] = int32(i)
+}
+
+// stageChannels is the element-block width stageRowAVX2 holds in eight YMM
+// registers: the paper's 32 (p, q) sets.
+const stageChannels = 32
+
+// stageSIMD reports whether stageInto may build p's rows from tab and
+// tallies of length nc with stageRowAVX2: the host has AVX2, p has a
+// normalisation, the table has 32 channels per element and every slice
+// the kernel reads without bounds checks is long enough.
+func (p *Potential) stageSIMD(tab *feature.Table, nc int) bool {
+	d := tab.Desc()
+	dim := p.Desc.Dim()
+	return useAVX2 && p.FeatMean != nil && d.NDim() == stageChannels && d.Dim() == dim &&
+		len(p.FeatMean) >= dim && len(p.FeatStd) >= dim &&
+		len(tab.Values()) > 0 && nc >= d.NEl*len(tab.Values())/stageChannels
 }
 
 // checkFiniteEnergy is the NNP hot-path tripwire.
