@@ -119,6 +119,31 @@ func TestExitCodeUsageOnSmallBox(t *testing.T) {
 	}
 }
 
+// TestExitCodeUsageOnBadPhysics: a deck that parses but carries a
+// physical parameter no run can use is a deck error — exit 2 with one
+// stderr line naming the key, not a panic's stack trace or a run at a
+// negative temperature.
+func TestExitCodeUsageOnBadPhysics(t *testing.T) {
+	for extra, key := range map[string]string{
+		"lattice -2.87\n":                 "lattice",
+		"cutoff -1\n":                     "cutoff",
+		"cutoff 5.8\n":                    "cutoff",
+		"cutoff 2.5\npotential bondcount": "cutoff",
+		"tstop -1\nranks 2 1 1\n":         "tstop",
+		"temperature -573\n":              "temperature",
+	} {
+		deckPath := writeDeck(t, t.TempDir(), "cells 10 10 10\ncu 0.05\nvacancy 0.002\nduration 2e-9\nseed 1\npotential eam\n"+extra)
+		var out, errOut bytes.Buffer
+		if code := realMain([]string{"-in", deckPath}, &out, &errOut, nil); code != exitUsage {
+			t.Fatalf("%q: exit %d, want %d\nstdout:\n%s\nstderr:\n%s", extra, code, exitUsage, out.String(), errOut.String())
+		}
+		msg := errOut.String()
+		if strings.Count(msg, "\n") != 1 || !strings.Contains(msg, key) || strings.Contains(msg, "goroutine") {
+			t.Fatalf("%q: stderr is not a one-line error naming %s:\n%s", extra, key, msg)
+		}
+	}
+}
+
 // TestExitCodeRuntimeOnCorruption: a potential file whose parameters are
 // finite (so it loads) but whose region energy overflows trips the
 // numerical tripwires at the first evaluation; the CLI must report it as

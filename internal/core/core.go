@@ -7,7 +7,7 @@ package core
 
 import (
 	"fmt"
-	"os"
+	"math"
 	"time"
 
 	"tensorkmc/internal/bondcount"
@@ -161,13 +161,6 @@ type Config struct {
 	// that existing trace instead of minting a fresh one — the hook that
 	// joins a job's segments to its controller-side lifecycle spans.
 	TraceParent string
-
-	// SLO, when any objective is set, watches the evaluation path (the
-	// latency and failure of every HopEnergies resolution) against the
-	// configured objectives and captures a black-box bundle — CPU/heap
-	// profiles, the flight-recorder window, metrics, offending trace
-	// IDs, fleet ring state — on a sustained burn.
-	SLO telemetry.SLOConfig
 }
 
 func (c *Config) applyDefaults() {
@@ -212,10 +205,9 @@ type Simulation struct {
 	// before the first hop runs.
 	runPh, segPh, ckptPh, analyzePh *telemetry.Phase
 
-	journal   *telemetry.Journal    // span sink, nil when telemetry is off
-	traceRoot trace.Context         // run-level trace context, zero when tracing is off
-	segParent trace.Context         // what segment spans nest under (the active run span)
-	slo       *telemetry.SLOMonitor // eval-path SLO watchdog, nil unless objectives set
+	journal   *telemetry.Journal // span sink, nil when telemetry is off
+	traceRoot trace.Context      // run-level trace context, zero when tracing is off
+	segParent trace.Context      // what segment spans nest under (the active run span)
 }
 
 // New builds a simulation: allocates and fills the box, constructs the
@@ -238,7 +230,22 @@ func New(cfg Config) (*Simulation, error) {
 			return nil, fmt.Errorf("core: Cells[%d] = %d", i, n)
 		}
 	}
-	if cfg.CuFraction < 0 || cfg.VacancyFraction < 0 || cfg.CuFraction+cfg.VacancyFraction >= 1 {
+	// After the defaults, so zero still means "default"; the comparisons
+	// are written so that NaN fails them.
+	for _, p := range []struct {
+		key string
+		v   float64
+	}{
+		{"lattice", cfg.LatticeConstant},
+		{"cutoff", cfg.Cutoff},
+		{"temperature", cfg.Temperature},
+		{"tstop", cfg.TStop},
+	} {
+		if !(p.v > 0) || math.IsInf(p.v, 1) {
+			return nil, fmt.Errorf("core: %s %v is not a positive finite number", p.key, p.v)
+		}
+	}
+	if !(cfg.CuFraction >= 0) || !(cfg.VacancyFraction >= 0) || !(cfg.CuFraction+cfg.VacancyFraction < 1) {
 		return nil, fmt.Errorf("core: invalid composition Cu=%v vac=%v", cfg.CuFraction, cfg.VacancyFraction)
 	}
 	if cfg.Potential == NNP && cfg.Net == nil {
@@ -298,10 +305,16 @@ func New(cfg Config) (*Simulation, error) {
 	switch cfg.Potential {
 	case EAM:
 		pot := eam.New(eam.Default())
+		if pot.P.RCut > cfg.Cutoff+1e-9 {
+			return nil, fmt.Errorf("core: cutoff %g Å is below the EAM potential's %g Å", cfg.Cutoff, pot.P.RCut)
+		}
 		s.mkMod = func() kmc.Model { return eam.NewFastRegionEvaluator(pot, s.Tables) }
 	case NNP:
 		s.mkMod = func() kmc.Model { return nnp.NewLatticeEvaluator(cfg.Net, s.Tables) }
 	case BondCount:
+		if len(s.Tables.Distances) < 2 {
+			return nil, fmt.Errorf("core: cutoff %g Å does not reach bondcount's 2NN shell at %g Å", cfg.Cutoff, cfg.LatticeConstant)
+		}
 		params := bondcount.FeCu()
 		s.mkMod = func() kmc.Model { return bondcount.NewEvaluator(params, s.Tables) }
 	default:
@@ -350,34 +363,6 @@ func New(cfg Config) (*Simulation, error) {
 		// Every rank (and the serial engine) shares the one service, so
 		// identical environments on different ranks hit the same entry.
 		s.mkMod = func() kmc.Model { return s.evalSrv }
-	}
-	if mon := telemetry.NewSLOMonitor(cfg.SLO, cfg.Telemetry); mon != nil {
-		s.slo = mon
-		if fleet := s.fleet; fleet != nil {
-			mon.SetExtra("ring.txt", func(f *os.File) error {
-				st := fleet.Stats()
-				if _, err := fmt.Fprintf(f, "retries=%d failovers=%d fallbacks=%d reconnects=%d\n",
-					st.Retries, st.Failovers, st.Fallbacks, st.Reconnects); err != nil {
-					return err
-				}
-				for _, addr := range fleet.Nodes() {
-					if _, err := fmt.Fprintf(f, "node %s up=%v\n", addr, st.NodeUp[addr]); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		}
-		// The monitor observes the outermost model — what the engines
-		// actually wait on — so cache hits, fleet legs and fallbacks all
-		// count toward the objective.
-		inner := s.mkMod
-		tid := ""
-		if s.traceRoot.Valid() {
-			tid = s.traceRoot.TraceID()
-		}
-		s.mkMod = func() kmc.Model { return &sloModel{inner: inner(), mon: mon, tid: tid} }
-		mon.Start()
 	}
 	s.model = s.mkMod()
 
@@ -473,38 +458,15 @@ func (s *Simulation) EvalStats() (st evalserve.Stats, ok bool) {
 }
 
 // Close releases the run's resources — the evaluation service (closed
-// to new work), the fleet client, the SLO watchdog. It is idempotent
-// and safe without a service; a closed simulation must not Run again.
+// to new work) and the fleet client. It is idempotent and safe without
+// a service; a closed simulation must not Run again.
 func (s *Simulation) Close() {
-	s.slo.Close()
 	if s.evalSrv != nil {
 		s.evalSrv.Close()
 	}
 	if s.fleet != nil {
 		s.fleet.Close()
 	}
-}
-
-// sloModel wraps the outermost evaluation model with SLO observation:
-// every HopEnergies resolution is timed and reported to the monitor,
-// with a typed-panic unwind (corruption, transport exhaustion)
-// counting as a failed request. Pure observation — results pass
-// through untouched, so trajectories are unchanged.
-type sloModel struct {
-	inner kmc.Model
-	mon   *telemetry.SLOMonitor
-	tid   string // run trace ID for offender attribution, "" untraced
-}
-
-func (m *sloModel) Tables() *encoding.Tables { return m.inner.Tables() }
-
-func (m *sloModel) HopEnergies(vet encoding.VET) (initial float64, final [8]float64, valid [8]bool) {
-	start := time.Now()
-	ok := false
-	defer func() { m.mon.Observe(time.Since(start), !ok, m.tid) }()
-	initial, final, valid = m.inner.HopEnergies(vet)
-	ok = true
-	return initial, final, valid
 }
 
 // TraceID returns the canonical 16-hex-char ID of the run's distributed
@@ -515,10 +477,6 @@ func (s *Simulation) TraceID() string {
 	}
 	return s.traceRoot.TraceID()
 }
-
-// SLO exposes the run's SLO monitor, nil unless objectives are
-// configured. Tests drive it deterministically through Tick.
-func (s *Simulation) SLO() *telemetry.SLOMonitor { return s.slo }
 
 // Fleet exposes the remote evaluation fleet client, nil when EvalFleet
 // is unset — callers use it for membership changes and health stats.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"tensorkmc/internal/kmc"
 	"tensorkmc/internal/nnp"
 	"tensorkmc/internal/rng"
+	"tensorkmc/internal/sublattice"
 	"tensorkmc/internal/units"
 )
 
@@ -17,7 +19,7 @@ func TestNewDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s.Cfg.LatticeConstant != units.LatticeConstantFe || s.Cfg.Temperature != units.ReactorTemperature ||
-		s.Cfg.Cutoff != units.CutoffStandard {
+		s.Cfg.Cutoff != units.CutoffStandard || s.Cfg.TStop != sublattice.DefaultTStop {
 		t.Fatalf("defaults not applied: %+v", s.Cfg)
 	}
 	if s.Tables.NLocal != 112 {
@@ -28,16 +30,47 @@ func TestNewDefaults(t *testing.T) {
 	}
 }
 
+// TestNewValidation: a configuration no run can use is an error from
+// New that names the offending value, NaN included — not a panic in the
+// tables, the potential or the first parallel segment, and not a run at
+// a negative temperature.
 func TestNewValidation(t *testing.T) {
-	cases := map[string]Config{
-		"zero cells":  {Cells: [3]int{0, 4, 4}},
-		"bad frac":    {Cells: [3]int{4, 4, 4}, CuFraction: 0.9, VacancyFraction: 0.2},
-		"nnp w/o net": {Cells: [3]int{10, 10, 10}, Potential: NNP},
-		"ranks 3":     {Cells: [3]int{10, 10, 10}, Ranks: [3]int{3, 1, 1}},
+	nan := math.NaN()
+	ok := Config{Cells: [3]int{10, 10, 10}, VacancyFraction: 0.002, Seed: 1}
+	with := func(edit func(*Config)) Config {
+		c := ok
+		edit(&c)
+		return c
 	}
-	for name, cfg := range cases {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("%s: expected error", name)
+	for name, tc := range map[string]struct {
+		cfg  Config
+		want string
+	}{
+		"zero cells":       {Config{Cells: [3]int{0, 4, 4}}, "Cells"},
+		"bad frac":         {Config{Cells: [3]int{4, 4, 4}, CuFraction: 0.9, VacancyFraction: 0.2}, "composition"},
+		"cu NaN":           {with(func(c *Config) { c.CuFraction = nan }), "composition"},
+		"nnp w/o net":      {with(func(c *Config) { c.Potential = NNP }), "Net"},
+		"ranks 3":          {with(func(c *Config) { c.Ranks = [3]int{3, 1, 1} }), "ranks"},
+		"lattice < 0":      {with(func(c *Config) { c.LatticeConstant = -2.87 }), "lattice"},
+		"lattice NaN":      {with(func(c *Config) { c.LatticeConstant = nan }), "lattice"},
+		"cutoff < 0":       {with(func(c *Config) { c.Cutoff = -1 }), "cutoff"},
+		"cutoff NaN":       {with(func(c *Config) { c.Cutoff = nan }), "cutoff"},
+		"cutoff < EAM's":   {with(func(c *Config) { c.Cutoff = 5.8 }), "EAM"},
+		"cutoff 1 EAM":     {with(func(c *Config) { c.Cutoff = 1 }), "EAM"},
+		"cutoff < 2NN":     {with(func(c *Config) { c.Cutoff, c.Potential = 2.5, BondCount }), "2NN"},
+		"cutoff 1 bond":    {with(func(c *Config) { c.Cutoff, c.Potential = 1, BondCount }), "2NN"},
+		"tstop < 0":        {with(func(c *Config) { c.TStop, c.Ranks = -1, [3]int{2, 1, 1} }), "tstop"},
+		"tstop NaN":        {with(func(c *Config) { c.TStop, c.Ranks = nan, [3]int{2, 1, 1} }), "tstop"},
+		"temperature < 0":  {with(func(c *Config) { c.Temperature = -573 }), "temperature"},
+		"temperature NaN":  {with(func(c *Config) { c.Temperature = nan }), "temperature"},
+		"temperature +Inf": {with(func(c *Config) { c.Temperature = math.Inf(1) }), "temperature"},
+	} {
+		sim, err := New(tc.cfg)
+		if err == nil {
+			sim.Close()
+			t.Errorf("%s: New accepted %+v", name, tc.cfg)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %s", name, err, tc.want)
 		}
 	}
 }

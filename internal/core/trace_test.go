@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"tensorkmc/internal/telemetry"
 	"tensorkmc/internal/telemetry/trace"
@@ -140,60 +139,5 @@ func TestTraceOffNoSpans(t *testing.T) {
 		if e.Type == trace.EventType {
 			t.Fatalf("untraced run recorded a span: %+v", e)
 		}
-	}
-}
-
-// TestSLOBurnEndToEnd: an impossible latency objective over a real run
-// must violate, burn, and capture a bundle via the monitor the
-// simulation owns — driven deterministically through Tick.
-func TestSLOBurnEndToEnd(t *testing.T) {
-	set := telemetry.NewSet()
-	dir := t.TempDir()
-	cfg := telemetryTestConfig(dir, set)
-	cfg.Trace = true
-	cfg.SLO = telemetry.SLOConfig{
-		P99:        time.Nanosecond, // no real evaluation is this fast
-		Burn:       1,
-		Window:     time.Hour, // ticker never fires; the test drives Tick
-		CaptureDir: dir,
-		Profile:    -1,
-	}
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	if sim.SLO() == nil {
-		t.Fatal("SLO objective configured but no monitor attached")
-	}
-	if _, err := sim.Run(1e-8, nil); err != nil {
-		t.Fatal(err)
-	}
-	violated, burned, bundle := sim.SLO().Tick()
-	if !violated || !burned || bundle == "" {
-		t.Fatalf("Tick after a run over a 1ns objective: violated=%v burned=%v bundle=%q", violated, burned, bundle)
-	}
-	// The offending trace ID — this run's — is in the bundle.
-	found := false
-	for _, e := range set.Events().Events() {
-		if e.Type == telemetry.CaptureEvent {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no %s event journalled for the capture", telemetry.CaptureEvent)
-	}
-}
-
-// TestSLOOffByDefault: no objectives, no monitor — and the sloModel
-// wrapper must not be in the model chain.
-func TestSLOOffByDefault(t *testing.T) {
-	sim, err := New(telemetryTestConfig(t.TempDir(), telemetry.NewSet()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	if sim.SLO() != nil {
-		t.Fatal("monitor attached without objectives")
 	}
 }

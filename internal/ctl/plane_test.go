@@ -321,6 +321,69 @@ func TestSmallBoxJobFails(t *testing.T) {
 	}
 }
 
+// TestPoisonDeckJobFails: a deck that parses but carries a physical
+// parameter no run can use is admitted; its job must end failed with an
+// error naming the key, and the controller must go on to run the next
+// job. A controller restarted on a WAL that says such a job is running
+// re-adopts it, fails it the same way and stays up.
+func TestPoisonDeckJobFails(t *testing.T) {
+	const head = "cells 10 10 10\ncu 0.05\nvacancy 0.002\nduration 1e-9\nseed 1\npotential eam\n"
+	poison := map[string]string{
+		"lattice -2.87\n":                   "lattice",
+		"cutoff -1\n":                       "cutoff",
+		"cutoff 5.8\n":                      "cutoff",
+		"cutoff 2.5\npotential bondcount\n": "cutoff",
+		"tstop -1\nranks 2 1 1\n":           "tstop",
+		"temperature -573\n":                "temperature",
+	}
+	p := openTestPlane(t, Config{MaxRunning: 1})
+	for extra, key := range poison {
+		rec, err := p.Submit(head + extra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitJob(t, p, rec.ID, "failure", func(r JobRecord) bool { return r.State.Terminal() })
+		if final.State != StateFailed || !strings.Contains(final.Error, key) {
+			t.Fatalf("%q: job ended %s (%q), want failed naming %s", extra, final.State, final.Error, key)
+		}
+	}
+	rec, err := p.Submit(testDeck("a", "normal", 1, 1e-8, 1e-8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitJob(t, p, rec.ID, "completion", func(r JobRecord) bool { return r.State.Terminal() }); final.State != StateCompleted {
+		t.Fatalf("job after the poison decks ended %s (%s)", final.State, final.Error)
+	}
+
+	dir := t.TempDir()
+	w, _, err := openWAL(filepath.Join(dir, "ctl.wal"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := JobRecord{ID: "job-000001", Seq: 1, State: StateRunning, Deck: head + "cutoff -1\n", Duration: 1e-9}
+	if _, err := w.append(running); err != nil {
+		t.Fatal(err)
+	}
+	w.close()
+	for restart := 0; restart < 2; restart++ {
+		p := openTestPlane(t, Config{Dir: dir})
+		final := waitJob(t, p, running.ID, "re-adopted failure", func(r JobRecord) bool { return r.State.Terminal() })
+		if final.State != StateFailed || !strings.Contains(final.Error, "cutoff") {
+			t.Fatalf("restart %d: re-adopted poison job ended %s (%q)", restart, final.State, final.Error)
+		}
+		next, err := p.Submit(testDeck("a", "normal", 2, 1e-9, 1e-9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done := waitJob(t, p, next.ID, "completion", func(r JobRecord) bool { return r.State.Terminal() }); done.State != StateCompleted {
+			t.Fatalf("restart %d: next job ended %s (%s)", restart, done.State, done.Error)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestDrainCheckpointsRunningJobs: Drain flips readiness, sheds new
 // submissions with 503, and parks the running job as preempted with its
 // checkpoint durable — indistinguishable from a crash recovery point.

@@ -161,11 +161,6 @@ func Parse(r io.Reader) (*Deck, error) {
 		// whole fleet should slow a simulation down, not kill it.
 		d.Config.EvalFallback = true
 	}
-	if d.Config.SLO.P99 == 0 && d.Config.SLO.ErrorRate == 0 {
-		if d.Config.SLO.Window > 0 || d.Config.SLO.Burn > 0 || d.Config.SLO.CaptureDir != "" {
-			return nil, fmt.Errorf("input: 'slo_window', 'slo_burn' and 'blackbox_dir' require an objective ('slo_p99' or 'slo_error_rate')")
-		}
-	}
 	return d, nil
 }
 
@@ -309,43 +304,6 @@ func (d *Deck) apply(key string, args []string) error {
 		d.TelemetryAddr = args[0]
 	case "trace":
 		return onOff(key, args, &d.Config.Trace)
-	case "slo_p99":
-		var secs float64
-		if err := float1(args, &secs); err != nil {
-			return err
-		}
-		if secs <= 0 {
-			return fmt.Errorf("slo_p99 wants a positive latency objective in seconds")
-		}
-		d.Config.SLO.P99 = time.Duration(secs * float64(time.Second))
-	case "slo_error_rate":
-		if err := float1(args, &d.Config.SLO.ErrorRate); err != nil {
-			return err
-		}
-		if d.Config.SLO.ErrorRate <= 0 || d.Config.SLO.ErrorRate >= 1 {
-			return fmt.Errorf("slo_error_rate wants a fraction in (0, 1)")
-		}
-	case "slo_window":
-		var secs float64
-		if err := float1(args, &secs); err != nil {
-			return err
-		}
-		if secs <= 0 {
-			return fmt.Errorf("slo_window wants a positive wall-clock interval in seconds")
-		}
-		d.Config.SLO.Window = time.Duration(secs * float64(time.Second))
-	case "slo_burn":
-		if err := nonNegInt(args, &d.Config.SLO.Burn); err != nil {
-			return err
-		}
-		if d.Config.SLO.Burn == 0 {
-			return fmt.Errorf("slo_burn wants a positive window count")
-		}
-	case "blackbox_dir":
-		if len(args) != 1 {
-			return fmt.Errorf("blackbox_dir wants a path")
-		}
-		d.Config.SLO.CaptureDir = args[0]
 	case "event_log":
 		if len(args) != 1 {
 			return fmt.Errorf("event_log wants a path")

@@ -260,6 +260,11 @@ func TestEvalServiceKeys(t *testing.T) {
 		"deleted workers": {"cells 4 4 4\nduration 1\neval_cache 64\neval_workers 3\n", `unknown key "eval_workers"`},
 		"deleted f32":     {"cells 4 4 4\nduration 1\neval_cache 64\neval_f32 on\n", `unknown key "eval_f32"`},
 		"deleted shards":  {"cells 4 4 4\nduration 1\neval_cache 64\neval_shards 4\n", `unknown key "eval_shards"`},
+		"deleted p99":     {"cells 4 4 4\nduration 1\nslo_p99 0.005\n", `unknown key "slo_p99"`},
+		"deleted rate":    {"cells 4 4 4\nduration 1\nslo_error_rate 0.01\n", `unknown key "slo_error_rate"`},
+		"deleted window":  {"cells 4 4 4\nduration 1\nslo_window 30\n", `unknown key "slo_window"`},
+		"deleted burn":    {"cells 4 4 4\nduration 1\nslo_burn 3\n", `unknown key "slo_burn"`},
+		"deleted capture": {"cells 4 4 4\nduration 1\nblackbox_dir bb\n", `unknown key "blackbox_dir"`},
 	} {
 		if _, err := Parse(strings.NewReader(bad.deck)); err == nil {
 			t.Errorf("%s: expected error", name)
@@ -347,18 +352,16 @@ func TestEvalFleetKeys(t *testing.T) {
 
 func TestObservabilityKeys(t *testing.T) {
 	deck := "cells 4 4 4\nduration 1e-8\n" +
-		"trace on\nslo_p99 0.005\nslo_error_rate 0.01\nslo_window 30\nslo_burn 3\nblackbox_dir /tmp/bb\n"
+		"trace on\ntelemetry_addr 127.0.0.1:0\nevent_log events.jsonl\n"
 	d, err := Parse(strings.NewReader(deck))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := d.Config
-	if !c.Trace {
+	if !d.Config.Trace {
 		t.Fatal("trace on misparsed")
 	}
-	if c.SLO.P99 != 5*time.Millisecond || c.SLO.ErrorRate != 0.01 ||
-		c.SLO.Window != 30*time.Second || c.SLO.Burn != 3 || c.SLO.CaptureDir != "/tmp/bb" {
-		t.Fatalf("slo keys misparsed: %+v", c.SLO)
+	if d.TelemetryAddr != "127.0.0.1:0" || d.EventLog != "events.jsonl" {
+		t.Fatalf("telemetry keys misparsed: addr=%q log=%q", d.TelemetryAddr, d.EventLog)
 	}
 
 	// trace off is the default and explicit off parses.
@@ -371,14 +374,9 @@ func TestObservabilityKeys(t *testing.T) {
 	}
 
 	for name, bad := range map[string]string{
-		"bad trace":         "cells 4 4 4\nduration 1\ntrace maybe\n",
-		"neg p99":           "cells 4 4 4\nduration 1\nslo_p99 -1\n",
-		"rate over 1":       "cells 4 4 4\nduration 1\nslo_error_rate 1.5\n",
-		"zero burn":         "cells 4 4 4\nduration 1\nslo_p99 1\nslo_burn 0\n",
-		"window sans slo":   "cells 4 4 4\nduration 1\nslo_window 30\n",
-		"burn sans slo":     "cells 4 4 4\nduration 1\nslo_burn 2\n",
-		"capture sans slo":  "cells 4 4 4\nduration 1\nblackbox_dir /tmp/x\n",
-		"blackbox no value": "cells 4 4 4\nduration 1\nslo_p99 1\nblackbox_dir\n",
+		"bad trace":    "cells 4 4 4\nduration 1\ntrace maybe\n",
+		"addr no host": "cells 4 4 4\nduration 1\ntelemetry_addr\n",
+		"log no path":  "cells 4 4 4\nduration 1\nevent_log\n",
 	} {
 		if _, err := Parse(strings.NewReader(bad)); err == nil {
 			t.Errorf("%s: expected error", name)

@@ -6,14 +6,14 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Tracer aggregates hot-path spans into a per-phase timing tree. It is
 // deliberately not an allocating per-span tracer: a KMC step fires
 // four spans and a run fires millions of steps, so each span is two
-// wall-clock reads and two atomic adds on a pre-resolved *Phase node.
+// wall-clock reads and one histogram observation (two atomic adds and a
+// CAS) on a pre-resolved *Phase node.
 // The tree (phase → children, each with total seconds and a count) is
 // what the end-of-run breakdown table and the coverage test read.
 //
@@ -28,9 +28,12 @@ type Tracer struct {
 	order []string
 }
 
-// NewTracer builds a tracer. reg, if non-nil, additionally receives
-// every phase's timings as a tkmc_phase_seconds histogram labelled
-// with the phase's full path.
+// NewTracer builds a tracer. Each phase keeps its time in one
+// histogram: with a non-nil reg that is the registry's
+// tkmc_phase_seconds series labelled with the phase's full path, with
+// nil an unregistered one. Seconds and Count read it, so two tracers on
+// one registry would share every phase's totals; production keeps one
+// tracer per registry (NewSet, and the control plane's per-job set).
 func NewTracer(reg *Registry) *Tracer {
 	return &Tracer{reg: reg, roots: map[string]*Phase{}}
 }
@@ -45,9 +48,7 @@ type Phase struct {
 	name string
 	path string
 
-	seconds atomic.Uint64 // float64 bits, CAS-accumulated
-	count   atomic.Int64
-	hist    *Histogram
+	hist *Histogram // the phase's only store of time and span count
 
 	mu       sync.Mutex
 	children map[string]*Phase
@@ -87,9 +88,13 @@ func (t *Tracer) PhaseAt(path ...string) *Phase {
 
 func (t *Tracer) newPhase(name, path string) *Phase {
 	p := &Phase{t: t, name: name, path: path, children: map[string]*Phase{}}
-	p.hist = t.reg.Histogram(MetricPhaseSeconds,
-		"Span durations per phase of the KMC step pipeline.",
-		DefTimeBuckets, "phase", path)
+	if t.reg != nil {
+		p.hist = t.reg.Histogram(MetricPhaseSeconds,
+			"Span durations per phase of the KMC step pipeline.",
+			DefTimeBuckets, "phase", path)
+	} else {
+		p.hist = newHistogram(DefTimeBuckets)
+	}
 	return p
 }
 
@@ -138,16 +143,7 @@ func (p *Phase) Observe(d time.Duration) {
 	if p == nil {
 		return
 	}
-	sec := d.Seconds()
-	for {
-		old := p.seconds.Load()
-		next := math.Float64bits(math.Float64frombits(old) + sec)
-		if p.seconds.CompareAndSwap(old, next) {
-			break
-		}
-	}
-	p.count.Add(1)
-	p.hist.Observe(sec)
+	p.hist.Observe(d.Seconds())
 }
 
 // Seconds returns the phase's accumulated span time.
@@ -155,7 +151,7 @@ func (p *Phase) Seconds() float64 {
 	if p == nil {
 		return 0
 	}
-	return math.Float64frombits(p.seconds.Load())
+	return math.Float64frombits(p.hist.sum.Load())
 }
 
 // Count returns the number of closed spans.
@@ -163,7 +159,7 @@ func (p *Phase) Count() int64 {
 	if p == nil {
 		return 0
 	}
-	return p.count.Load()
+	return p.hist.count.Load()
 }
 
 // SpanNode is one node of a timing-tree snapshot.

@@ -78,15 +78,7 @@ const (
 	MetricFedPulls         = "tkmc_federation_pulls_total"
 	MetricFedPullErrors    = "tkmc_federation_pull_errors_total"
 	MetricFedNodeUp        = "tkmc_federation_node_up"
-	MetricSLOWindows       = "tkmc_slo_windows_total"
-	MetricSLOViolations    = "tkmc_slo_violations_total"
-	MetricSLOBurns         = "tkmc_slo_burns_total"
-	MetricSLOCaptures      = "tkmc_slo_captures_total"
 )
-
-// CaptureEvent is the journal event type recorded when an SLO burn
-// triggers a black-box capture; its Msg names the bundle directory.
-const CaptureEvent = "blackbox-capture"
 
 // Set bundles one run's telemetry: the metric registry, the span
 // tracer and the flight-recorder journal. A nil *Set disables all
