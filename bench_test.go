@@ -5,10 +5,7 @@
 package tensorkmc_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
 	"testing"
 
 	"tensorkmc/internal/bondcount"
@@ -517,41 +514,7 @@ func BenchmarkCPEFeatureOperator(b *testing.B) {
 // BenchmarkHopEnergiesUncached / BenchmarkHopEnergiesCached measure the
 // same recurring dilute-alloy workload against the direct NNP evaluator
 // and against the shared evaluation service (content-addressed cache
-// over the same kernel). Results accumulate into BENCH_evalserve.json —
-// hit rate and ns/op — so a bench run leaves a machine-readable report
-// next to the human one.
-
-var (
-	evalBenchMu     sync.Mutex
-	evalBenchReport = map[string]any{}
-)
-
-// recordEvalBench merges one measurement into BENCH_evalserve.json.
-// The first write of a process folds in whatever report is already on
-// disk, so separate bench invocations accumulate instead of clobbering
-// each other's keys; every update rewrites the file, so whichever subset
-// of the benches ran still leaves a consistent report. The
-// cached/uncached speedup is derived once both sides are present.
-func recordEvalBench(key string, val any) {
-	evalBenchMu.Lock()
-	defer evalBenchMu.Unlock()
-	if len(evalBenchReport) == 0 {
-		if raw, err := os.ReadFile("BENCH_evalserve.json"); err == nil {
-			json.Unmarshal(raw, &evalBenchReport)
-		}
-	}
-	evalBenchReport[key] = val
-	cached, okC := evalBenchReport["cached_ns_per_op"].(float64)
-	uncached, okU := evalBenchReport["uncached_ns_per_op"].(float64)
-	if okC && okU && cached > 0 {
-		evalBenchReport["speedup"] = uncached / cached
-	}
-	js, err := json.MarshalIndent(evalBenchReport, "", "  ")
-	if err != nil {
-		return
-	}
-	os.WriteFile("BENCH_evalserve.json", append(js, '\n'), 0o644)
-}
+// over the same kernel).
 
 // evalBenchWorkload builds the shared fixture: a short-cutoff NNP and a
 // recurring set of vacancy environments from a dilute Fe–Cu box — the
@@ -583,8 +546,6 @@ func BenchmarkHopEnergiesUncached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev.HopEnergies(vets[i%len(vets)])
 	}
-	b.StopTimer()
-	recordEvalBench("uncached_ns_per_op", float64(b.Elapsed().Nanoseconds())/float64(b.N))
 }
 
 func BenchmarkHopEnergiesCached(b *testing.B) {
@@ -609,8 +570,6 @@ func BenchmarkHopEnergiesCached(b *testing.B) {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
 	b.ReportMetric(100*hitRate, "%hit")
-	recordEvalBench("cached_ns_per_op", float64(b.Elapsed().Nanoseconds())/float64(b.N))
-	recordEvalBench("hit_rate", hitRate)
 }
 
 // BenchmarkAblationFastHopEnergies compares the exact full-resummation

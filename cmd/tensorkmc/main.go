@@ -38,7 +38,6 @@ import (
 	"tensorkmc/internal/input"
 	"tensorkmc/internal/supervise"
 	"tensorkmc/internal/telemetry"
-	"tensorkmc/internal/telemetry/trace"
 	"tensorkmc/internal/traj"
 )
 
@@ -99,7 +98,7 @@ func run(path string, quiet bool, stdout, stderr io.Writer, sig <-chan os.Signal
 		// rebuild after a crash constructs a fresh Simulation from this
 		// same Config, and pinning the parent keeps every rebuild's spans
 		// in the one trace the banner printed.
-		cfg.TraceParent = trace.New().TraceID()
+		cfg.TraceParent = telemetry.NewTrace().TraceID()
 	}
 	if deck.EventLog != "" {
 		// Deferred before anything can fail or panic: the flight

@@ -37,7 +37,7 @@ import (
 	"tensorkmc/internal/diffusion"
 	"tensorkmc/internal/input"
 	"tensorkmc/internal/kmc"
-	"tensorkmc/internal/telemetry/trace"
+	"tensorkmc/internal/telemetry"
 )
 
 func main() {
@@ -90,18 +90,18 @@ func runTrace(w io.Writer, args []string) error {
 	if len(args) < 2 {
 		return fmt.Errorf("trace wants a trace ID and at least one journal file:\n       tkmc-analyze trace <trace-id> <journal.jsonl>...")
 	}
-	id, err := trace.ParseID(args[0])
+	id, err := telemetry.ParseID(args[0])
 	if err != nil {
 		return err
 	}
-	recs, err := trace.Collect(id, args[1:])
+	recs, err := telemetry.Collect(id, args[1:])
 	if err != nil {
 		return err
 	}
 	if len(recs) == 0 {
-		return fmt.Errorf("no spans for trace %s in %d journal file(s)", trace.ID(id), len(args)-1)
+		return fmt.Errorf("no spans for trace %s in %d journal file(s)", telemetry.ID(id), len(args)-1)
 	}
-	return trace.Assemble(id, recs).Write(w)
+	return telemetry.Assemble(id, recs).Write(w)
 }
 
 // runReplay implements the replay subcommand.

@@ -6,29 +6,28 @@ import (
 	"testing"
 
 	"tensorkmc/internal/telemetry"
-	"tensorkmc/internal/telemetry/trace"
 )
 
 // TestTraceSubcommand drives runTrace over two flushed process journals
 // and checks the rendered tree nests the cross-process span.
 func TestTraceSubcommand(t *testing.T) {
 	dir := t.TempDir()
-	engine := telemetry.NewJournal(16)
-	root := trace.New()
-	run := trace.Start(engine, root, "run")
-	seg := trace.Start(engine, run.Context(), "segment")
-	server := telemetry.NewJournal(16)
-	serve := trace.Start(server, seg.Context(), "serve cache=miss")
-	serve.End()
-	seg.End()
-	run.End()
+	engine := telemetry.NewSetOn(telemetry.NewJournal(16))
+	root := telemetry.NewTrace()
+	run := engine.Trace().Phase(telemetry.PhaseRun).StartUnder(root)
+	seg := engine.Trace().PhaseAt(telemetry.PhaseRun, telemetry.PhaseSegment).StartUnder(run.Context())
+	server := telemetry.NewSetOn(telemetry.NewJournal(16))
+	serve := server.Trace().PhaseAt(telemetry.PhaseEvalServe, telemetry.PhaseServe).StartUnder(seg.Context())
+	serve.EndMsg("cache=miss")
+	seg.EndMsg("")
+	run.EndMsg("")
 
 	enginePath := filepath.Join(dir, "engine.jsonl")
 	serverPath := filepath.Join(dir, "server.jsonl")
-	if err := engine.FlushFile(enginePath); err != nil {
+	if err := engine.Events().FlushFile(enginePath); err != nil {
 		t.Fatal(err)
 	}
-	if err := server.FlushFile(serverPath); err != nil {
+	if err := server.Events().FlushFile(serverPath); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,11 +52,10 @@ func TestTraceSubcommand(t *testing.T) {
 // the ID, malformed IDs and missing args are rejected up front.
 func TestTraceSubcommandErrors(t *testing.T) {
 	dir := t.TempDir()
-	jr := telemetry.NewJournal(4)
-	sp := trace.Start(jr, trace.New(), "lonely")
-	sp.End()
+	set := telemetry.NewSetOn(telemetry.NewJournal(4))
+	set.Trace().Phase("lonely").StartUnder(telemetry.NewTrace()).EndMsg("")
 	path := filepath.Join(dir, "j.jsonl")
-	if err := jr.FlushFile(path); err != nil {
+	if err := set.Events().FlushFile(path); err != nil {
 		t.Fatal(err)
 	}
 

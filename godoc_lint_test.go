@@ -1,6 +1,6 @@
 // TestExportedSymbolsDocumented is the documentation lint step of the
-// performance-critical packages: every exported symbol of
-// internal/fusion and internal/evalserve must carry a doc comment —
+// performance-critical packages: every exported symbol of the listed
+// packages must carry a doc comment —
 // these packages' contracts (concurrency safety, bit-identity) live in
 // their godoc, so an undocumented export is a broken contract, not a
 // style nit. CI runs this with the normal test suite.
@@ -23,6 +23,7 @@ var lintedPackages = []string{
 	"internal/evalserve",
 	"internal/traj",
 	"internal/ctl",
+	"internal/telemetry",
 }
 
 func TestExportedSymbolsDocumented(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tensorkmc/internal/telemetry"
-	"tensorkmc/internal/telemetry/trace"
 )
 
 // TestTraceBitIdenticalSerial: tracing mints IDs off the wall clock and
@@ -60,7 +59,7 @@ func TestTraceSpansInJournal(t *testing.T) {
 
 	var runEv, segEv *telemetry.Event
 	for _, e := range set.Events().Events() {
-		if e.Type != trace.EventType {
+		if e.Type != telemetry.SpanEventType {
 			continue
 		}
 		if e.Trace != id {
@@ -102,7 +101,7 @@ func TestTraceParentAdopted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range set.Events().Events() {
-		if e.Type == trace.EventType && e.Trace != "00000000feedbeef" {
+		if e.Type == telemetry.SpanEventType && e.Trace != "00000000feedbeef" {
 			t.Fatalf("span escaped the adopted trace: %+v", e)
 		}
 	}
@@ -136,7 +135,7 @@ func TestTraceOffNoSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range set.Events().Events() {
-		if e.Type == trace.EventType {
+		if e.Type == telemetry.SpanEventType {
 			t.Fatalf("untraced run recorded a span: %+v", e)
 		}
 	}

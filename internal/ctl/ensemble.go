@@ -14,7 +14,6 @@ import (
 	"tensorkmc/internal/kmc"
 	"tensorkmc/internal/rng"
 	"tensorkmc/internal/telemetry"
-	"tensorkmc/internal/telemetry/trace"
 	"tensorkmc/internal/traj"
 )
 
@@ -99,7 +98,7 @@ func (p *Plane) fanOutLocked(parent *job) error {
 		// a 4096-replica fan-in under one trace ID would be unreadable.
 		traceID := ""
 		if deck.Config.Trace {
-			traceID = trace.New().TraceID()
+			traceID = telemetry.NewTrace().TraceID()
 		}
 		child := &job{
 			rec: JobRecord{

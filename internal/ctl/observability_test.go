@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tensorkmc/internal/telemetry"
-	"tensorkmc/internal/telemetry/trace"
 )
 
 // clusterText renders the plane's cluster snapshot as Prometheus text.
@@ -46,7 +45,7 @@ func TestJobTraceMintedAndSpanned(t *testing.T) {
 
 	var jobSpan *telemetry.Event
 	for _, e := range set.Events().Events() {
-		if e.Type == trace.EventType && strings.HasPrefix(e.Msg, "job "+rec.ID) {
+		if e.Type == telemetry.SpanEventType && strings.HasPrefix(e.Msg, "job "+rec.ID) {
 			e := e
 			jobSpan = &e
 		}
@@ -75,7 +74,7 @@ func TestJobUntracedByDefault(t *testing.T) {
 	}
 	waitJob(t, p, rec.ID, "completion", func(r JobRecord) bool { return r.State.Terminal() })
 	for _, e := range set.Events().Events() {
-		if e.Type == trace.EventType {
+		if e.Type == telemetry.SpanEventType {
 			t.Fatalf("untraced job recorded a span: %+v", e)
 		}
 	}

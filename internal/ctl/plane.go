@@ -14,7 +14,6 @@ import (
 	"tensorkmc/internal/frame"
 	"tensorkmc/internal/input"
 	"tensorkmc/internal/telemetry"
-	"tensorkmc/internal/telemetry/trace"
 )
 
 // Config tunes the control plane. The zero value of every field takes a
@@ -368,7 +367,7 @@ func (p *Plane) Submit(deckText string) (JobRecord, error) {
 	// fleet's serve spans all join this one ID.
 	traceID := ""
 	if deck.Config.Trace {
-		traceID = trace.New().TraceID()
+		traceID = telemetry.NewTrace().TraceID()
 	}
 	j := &job{
 		rec: JobRecord{

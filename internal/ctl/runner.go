@@ -10,7 +10,6 @@ import (
 	"tensorkmc/internal/input"
 	"tensorkmc/internal/supervise"
 	"tensorkmc/internal/telemetry"
-	"tensorkmc/internal/telemetry/trace"
 	"tensorkmc/internal/traj"
 )
 
@@ -24,17 +23,16 @@ func (p *Plane) runJob(j *job) {
 	// The controller-side job span: its lifetime brackets everything the
 	// runner does, and the simulation's run/segment spans (rooted in the
 	// same trace via TraceParent) assemble underneath it.
-	var jsp *trace.Span
-	if j.rec.TraceID != "" {
-		if id, perr := trace.ParseID(j.rec.TraceID); perr == nil {
-			jsp = trace.Start(p.set.Events(), trace.Context{Trace: id}, "job "+j.rec.ID)
-		}
+	var root telemetry.Context
+	if id, perr := telemetry.ParseID(j.rec.TraceID); perr == nil {
+		root.Trace = id
 	}
+	jsp := p.set.Trace().Phase(telemetry.PhaseJob).StartUnder(root)
 	t, hops, err := p.executeJob(j)
 	if err != nil {
-		jsp.EndMsg("error=%v", err)
+		jsp.EndMsg("%s error=%v", j.rec.ID, err)
 	} else {
-		jsp.EndMsg("t=%.4g hops=%d", t, hops)
+		jsp.EndMsg("%s t=%.4g hops=%d", j.rec.ID, t, hops)
 	}
 
 	p.mu.Lock()
@@ -138,18 +136,13 @@ func (p *Plane) executeJob(j *job) (float64, int64, error) {
 		return 0, 0, err
 	}
 
-	// Each job gets a private telemetry set sharing the job's journal:
-	// per-job metrics stay isolated while the journal feeds the SSE
-	// observable stream.
-	cfg.Telemetry = &telemetry.Set{
-		Registry: telemetry.NewRegistry(),
-		Journal:  j.journal,
-	}
-	cfg.Telemetry.Tracer = telemetry.NewTracer(cfg.Telemetry.Registry)
-	// The journal's fill/drop counters join the job's registry (so a job
-	// overrunning its flight recorder is visible in cluster /metrics),
-	// and the registry itself is published for federation.
-	j.journal.BindMetrics(cfg.Telemetry.Registry)
+	// Each job gets a private telemetry set on the job's journal: per-job
+	// metrics stay isolated while the journal feeds the SSE observable
+	// stream and takes the run's spans. The journal's fill/drop counters
+	// join the job's registry (so a job overrunning its flight recorder
+	// is visible in cluster /metrics), and the registry itself is
+	// published for federation.
+	cfg.Telemetry = telemetry.NewSetOn(j.journal)
 	p.mu.Lock()
 	j.tele = cfg.Telemetry
 	p.mu.Unlock()

@@ -331,6 +331,26 @@ func TestMaxExtent(t *testing.T) {
 	}
 }
 
+// TestExtentMatchesTables: Extent, computed from (a, rcut) alone, is the
+// MaxExtent the built tables carry — and the largest coordinate in their
+// CET — across a sweep of lattice constants and cutoffs, including
+// cutoffs too short to reach any neighbour.
+func TestExtentMatchesTables(t *testing.T) {
+	for _, a := range []float64{2.0, 2.5, units.LatticeConstantFe, 3.3, 4.1} {
+		for rcut := 0.5; rcut <= 2.6*a; rcut += 0.23 {
+			tb := New(a, rcut)
+			largest := 0
+			for _, v := range tb.CET {
+				largest = max(largest, abs(v.X), abs(v.Y), abs(v.Z))
+			}
+			if got := Extent(a, rcut); got != tb.MaxExtent || got != max(largest, 1) {
+				t.Fatalf("a=%g rcut=%g: Extent = %d, tables' MaxExtent %d, largest CET coordinate %d",
+					a, rcut, got, tb.MaxExtent, largest)
+			}
+		}
+	}
+}
+
 func TestMemoryBytesPositiveAndSmall(t *testing.T) {
 	tb := stdTables(t)
 	mb := tb.MemoryBytes()

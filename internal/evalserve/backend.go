@@ -175,7 +175,7 @@ func (fb *FusionBackend) EvaluateBatch(vets []encoding.VET) []Result {
 	}
 	out := make([]Result, len(vets))
 	var rows int64
-	sw := fb.fusionPh.Start()
+	sp := fb.fusionPh.Start()
 	sc := fb.scratch.Get().(*nnp.Scratch)
 	for i, vet := range vets {
 		r := &out[i]
@@ -184,7 +184,7 @@ func (fb *FusionBackend) EvaluateBatch(vets []encoding.VET) []Result {
 		rows += int64(n)
 	}
 	fb.scratch.Put(sc)
-	sw.Stop()
+	sp.EndMsg("")
 
 	fb.mu.Lock()
 	fb.stats.Systems += int64(len(vets))

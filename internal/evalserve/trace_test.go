@@ -9,7 +9,6 @@ import (
 
 	"tensorkmc/internal/nnp"
 	"tensorkmc/internal/telemetry"
-	"tensorkmc/internal/telemetry/trace"
 	"tensorkmc/internal/units"
 )
 
@@ -38,14 +37,14 @@ func TestWireProtocolNegotiation(t *testing.T) {
 
 	// A traced request lands a serve span whose parent is the client's
 	// span.
-	ctx := trace.Context{Trace: 0xabc123, Span: 0xdef456}
+	ctx := telemetry.Context{Trace: 0xabc123, Span: 0xdef456}
 	if _, err := cl.EvaluateTraced(sampleVETs(t, tb, 1, 61)[0], ctx); err != nil {
 		t.Fatal(err)
 	}
 	var serveEv telemetry.Event
 	serves := 0
 	for _, e := range set.Events().Events() {
-		if e.Type == trace.EventType && strings.HasPrefix(e.Msg, "serve") {
+		if e.Type == telemetry.SpanEventType && strings.HasPrefix(e.Msg, "serve") {
 			serveEv = e
 			serves++
 		}
@@ -53,9 +52,9 @@ func TestWireProtocolNegotiation(t *testing.T) {
 	if serves != 1 {
 		t.Fatalf("traced request produced %d serve spans, want 1", serves)
 	}
-	if serveEv.Trace != trace.ID(ctx.Trace) || serveEv.Parent != trace.ID(ctx.Span) {
+	if serveEv.Trace != telemetry.ID(ctx.Trace) || serveEv.Parent != telemetry.ID(ctx.Span) {
 		t.Fatalf("serve span lineage = trace %s parent %s, want trace %s parent %s",
-			serveEv.Trace, serveEv.Parent, trace.ID(ctx.Trace), trace.ID(ctx.Span))
+			serveEv.Trace, serveEv.Parent, telemetry.ID(ctx.Trace), telemetry.ID(ctx.Span))
 	}
 
 	for _, c := range []struct {
@@ -126,7 +125,7 @@ func tracedFleet(t *testing.T, n int, seed uint64) ([]*Frontend, []*telemetry.Se
 
 // TestFleetTraceFailoverAssembled is the acceptance chaos check: one
 // traced request stream through a 3-node fleet, a node killed mid-
-// stream, then `trace.Collect` + `Assemble` over every process's
+// stream, then `telemetry.Collect` + `Assemble` over every process's
 // flushed journal must produce one tree holding the client's eval spans
 // with an explicit failover leg AND the surviving nodes' serve spans
 // nested under the eval spans that triggered them.
@@ -155,8 +154,8 @@ func TestFleetTraceFailoverAssembled(t *testing.T) {
 
 	// The "segment": one root context, one segment span, per-request eval
 	// spans underneath — exactly what core.runChunk sets up.
-	root := trace.New()
-	seg := trace.Start(clientSet.Events(), root, "segment")
+	root := telemetry.NewTrace()
+	seg := clientSet.Trace().PhaseAt(telemetry.PhaseRun, telemetry.PhaseSegment).StartUnder(root)
 	fc.SetTrace(seg.Context())
 
 	for _, vet := range vets {
@@ -166,8 +165,8 @@ func TestFleetTraceFailoverAssembled(t *testing.T) {
 	for _, vet := range vets {
 		fc.HopEnergies(vet)
 	}
-	fc.SetTrace(trace.Context{})
-	seg.End()
+	fc.SetTrace(telemetry.Context{})
+	seg.EndMsg("")
 
 	if fc.Stats().Failovers == 0 {
 		t.Fatal("kill produced no failovers — the chaos premise failed")
@@ -188,11 +187,11 @@ func TestFleetTraceFailoverAssembled(t *testing.T) {
 		paths = append(paths, p)
 	}
 
-	recs, err := trace.Collect(root.Trace, paths)
+	recs, err := telemetry.Collect(root.Trace, paths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := trace.Assemble(root.Trace, recs)
+	tree := telemetry.Assemble(root.Trace, recs)
 	if tree.Spans() < 3 {
 		t.Fatalf("assembled only %d spans", tree.Spans())
 	}
@@ -202,8 +201,8 @@ func TestFleetTraceFailoverAssembled(t *testing.T) {
 	// node shows up as the pick that preceded it under the same eval
 	// span, so assert an eval span carrying both.
 	var sawFailoverLeg, sawServeUnderEval bool
-	var walk func(n *trace.Node, underEval bool)
-	walk = func(n *trace.Node, underEval bool) {
+	var walk func(n *telemetry.Node, underEval bool)
+	walk = func(n *telemetry.Node, underEval bool) {
 		if strings.HasPrefix(n.Name, "eval") {
 			pickedVictim, failedOver := false, false
 			for _, c := range n.Children {
@@ -260,7 +259,7 @@ func TestFleetUntracedPaysNothing(t *testing.T) {
 	}
 	for _, set := range append(sets, clientSet) {
 		for _, e := range set.Events().Events() {
-			if e.Type == trace.EventType {
+			if e.Type == telemetry.SpanEventType {
 				t.Fatalf("untraced run recorded a span: %+v", e)
 			}
 		}

@@ -14,7 +14,7 @@ import (
 
 	"tensorkmc/internal/encoding"
 	"tensorkmc/internal/fault"
-	"tensorkmc/internal/telemetry/trace"
+	"tensorkmc/internal/telemetry"
 )
 
 // Wire protocol of the tkmc-serve front-end.
@@ -347,7 +347,7 @@ func (f *Frontend) handle(conn net.Conn) {
 
 	// Post-hello frames are bounded by the eval frame size (plus the
 	// trace context it may carry).
-	limit := 1 + trace.ContextSize + tb.NAll
+	limit := 1 + telemetry.ContextSize + tb.NAll
 	if limit < minFrame {
 		limit = minFrame
 	}
@@ -360,14 +360,14 @@ func (f *Frontend) handle(conn net.Conn) {
 		switch p[0] {
 		case opEval, opEval2:
 			body := p[1:]
-			var tctx trace.Context
+			var tctx telemetry.Context
 			if p[0] == opEval2 {
-				if len(body) < trace.ContextSize {
+				if len(body) < telemetry.ContextSize {
 					fail(errGeneric, "truncated trace context")
 					return
 				}
-				tctx = trace.Decode(body[:trace.ContextSize])
-				body = body[trace.ContextSize:]
+				tctx = telemetry.DecodeContext(body[:telemetry.ContextSize])
+				body = body[telemetry.ContextSize:]
 			}
 			if len(body) != tb.NAll {
 				fail(errGeneric, fmt.Sprintf("eval frame carries %d species, want %d", len(body), tb.NAll))
@@ -592,22 +592,22 @@ func (c *Client) roundTrip(op string, req []byte) ([]byte, error) {
 // the idempotency of the content-addressed protocol; corruption reported
 // by the server comes back as *fault.CorruptionError — not retryable.
 func (c *Client) Evaluate(vet encoding.VET) (Result, error) {
-	return c.EvaluateTraced(vet, trace.Context{})
+	return c.EvaluateTraced(vet, telemetry.Context{})
 }
 
 // EvaluateTraced is Evaluate carrying a distributed-trace context: a
 // valid context rides the eval frame, so the serving node's spans (cache
 // hit/miss, slot wait, evaluation time) join the caller's trace.
-func (c *Client) EvaluateTraced(vet encoding.VET, tctx trace.Context) (Result, error) {
+func (c *Client) EvaluateTraced(vet encoding.VET, tctx telemetry.Context) (Result, error) {
 	if len(vet) != c.tb.NAll {
 		return Result{}, fmt.Errorf("evalserve: VET length %d, want %d", len(vet), c.tb.NAll)
 	}
 	var req []byte
 	if tctx.Valid() {
-		req = make([]byte, 1+trace.ContextSize+c.tb.NAll)
+		req = make([]byte, 1+telemetry.ContextSize+c.tb.NAll)
 		req[0] = opEval2
 		tctx.Encode(req[1:])
-		copy(req[1+trace.ContextSize:], c.tb.EncodeEnv(vet))
+		copy(req[1+telemetry.ContextSize:], c.tb.EncodeEnv(vet))
 	} else {
 		req = make([]byte, 1+c.tb.NAll)
 		req[0] = opEval

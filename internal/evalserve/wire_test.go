@@ -17,7 +17,7 @@ import (
 	"tensorkmc/internal/encoding"
 	"tensorkmc/internal/fault"
 	"tensorkmc/internal/nnp"
-	"tensorkmc/internal/telemetry/trace"
+	"tensorkmc/internal/telemetry"
 	"tensorkmc/internal/units"
 )
 
@@ -303,7 +303,7 @@ func TestWireFrameEncoding(t *testing.T) {
 	if _, err := cl.Evaluate(vet); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.EvaluateTraced(vet, trace.Context{Trace: 0xfeedc0dedeadbeef, Span: 0x0123456789abcdef}); err != nil {
+	if _, err := cl.EvaluateTraced(vet, telemetry.Context{Trace: 0xfeedc0dedeadbeef, Span: 0x0123456789abcdef}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -163,15 +163,15 @@ func (c *Cache) Stale() {
 func (c *Cache) Refresh(slot int) {
 	s := c.Systems[slot]
 	if !s.Filled {
-		sw := c.encode.Start()
+		sp := c.encode.Start()
 		c.fill(s)
-		sw.Stop()
+		sp.EndMsg("")
 		c.Stats.Refills++
 	}
-	sw := c.eval.Start()
+	sp := c.eval.Start()
 	initial, final, valid := c.model.HopEnergies(s.VET)
 	s.Rates, s.Total = Rates(s.VET, c.tb, initial, final, valid, c.temp)
-	sw.Stop()
+	sp.EndMsg("")
 	for k := range s.DeltaE {
 		s.DeltaE[k] = 0
 		if valid[k] {

@@ -212,14 +212,14 @@ func (e *Engine) refreshAll() {
 // hop occurs, and ok is false. ok is also false when no events are
 // possible (zero total rate).
 func (e *Engine) Step(timeLimit float64) (Event, bool) {
-	stepSW := e.pr.step.Start()
-	defer stepSW.Stop()
+	stepSp := e.pr.step.Start()
+	defer stepSp.EndMsg("")
 	e.refreshAll()
 
-	selSW := e.pr.sel.Start()
+	selSp := e.pr.sel.Start()
 	total := e.tree.Total()
 	if total <= 0 {
-		selSW.Stop()
+		selSp.EndMsg("")
 		return Event{}, false
 	}
 
@@ -229,14 +229,14 @@ func (e *Engine) Step(timeLimit float64) (Event, bool) {
 	s := e.cache.Systems[slot]
 	k := s.Direction(e.rnd.Float64())
 	dt := e.rnd.ExpDeltaT(total)
-	selSW.Stop()
+	selSp.EndMsg("")
 	if e.time+dt > timeLimit {
 		e.time = timeLimit
 		return Event{}, false
 	}
 	e.time += dt
 
-	applySW := e.pr.applyPh.Start()
+	applySp := e.pr.applyPh.Start()
 	from := s.Centre
 	to := e.box.Wrap(from.Add(lattice.NN1[k]))
 	mover := e.box.Get(to)
@@ -250,7 +250,7 @@ func (e *Engine) Step(timeLimit float64) (Event, bool) {
 	e.cache.Patch(from, mover, slot)
 	e.cache.Patch(to, lattice.Vacancy, slot)
 	e.cache.Hop(slot, k, to)
-	applySW.Stop()
+	applySp.EndMsg("")
 
 	e.steps++
 	e.pr.steps.Inc()

@@ -268,3 +268,42 @@ func TestVecDistQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// offsetsWithinByShell is the shell-by-shell rescan OffsetsWithin once
+// was, kept as its oracle: for each n² in turn it scans the whole cube.
+func offsetsWithinByShell(norm2Max int) []Vec {
+	if norm2Max < 0 {
+		return nil
+	}
+	r := int(math.Sqrt(float64(norm2Max)))
+	var out []Vec
+	for n2 := 1; n2 <= norm2Max; n2++ {
+		for x := -r; x <= r; x++ {
+			for y := -r; y <= r; y++ {
+				for z := -r; z <= r; z++ {
+					v := Vec{x, y, z}
+					if v.Norm2() == n2 && v.IsOffset() {
+						out = append(out, v)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestOffsetsWithinMatchesShellScan: the one-pass enumeration returns
+// exactly the shell scan's offsets in exactly its order.
+func TestOffsetsWithinMatchesShellScan(t *testing.T) {
+	for n := -1; n <= 300; n++ {
+		got, want := OffsetsWithin(n), offsetsWithinByShell(n)
+		if len(got) != len(want) {
+			t.Fatalf("N=%d: %d offsets, want %d", n, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("N=%d: offset %d is %v, want %v", n, i, got[i], want[i])
+			}
+		}
+	}
+}

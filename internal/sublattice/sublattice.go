@@ -434,12 +434,12 @@ func (r *rankState) run(duration float64) error {
 			window = remaining
 		}
 		for sector := 0; sector < 8; sector++ {
-			sw := r.sectorPh.Start()
+			sp := r.sectorPh.Start()
 			r.runSector(sector, window)
-			sw.Stop()
-			sw = r.exchangePh.Start()
+			sp.EndMsg("")
+			sp = r.exchangePh.Start()
 			err := r.exchange()
-			sw.Stop()
+			sp.EndMsg("")
 			if err != nil {
 				return fmt.Errorf("sector %d exchange: %w", sector, err)
 			}

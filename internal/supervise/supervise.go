@@ -213,8 +213,8 @@ func (s *Supervisor) Recovery() *core.Recovery {
 // Audit runs the invariant auditor on demand: conservation and clock
 // against the baseline, then a from-scratch propensity sweep.
 func (s *Supervisor) Audit() error {
-	sw := s.tele.auditPh.Start()
-	defer sw.Stop()
+	sp := s.tele.auditPh.Start()
+	defer sp.EndMsg("")
 	s.rec.Audits++
 	s.tele.audits.Inc()
 	base := s.base

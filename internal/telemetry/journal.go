@@ -19,21 +19,24 @@ const DefaultJournalCapacity = 4096
 // time; Sim, when >= 0, is the simulated clock the subsystem reported.
 //
 // Trace, Span and Parent carry the distributed-trace context for span
-// events (16-hex-char IDs; see the telemetry/trace package): Trace
+// events (16-hex-char IDs; see Context and Span.EndMsg): Trace
 // names the trace the event belongs to, Span this event's own span and
 // Parent the span it nests under. Dur is a completed span's duration
 // in seconds. All four stay empty on ordinary events, so journals
 // without tracing serialise exactly as before.
 type Event struct {
-	Seq    uint64    `json:"seq"`
-	Wall   time.Time `json:"wall"`
-	Type   string    `json:"type"`
-	Msg    string    `json:"msg,omitempty"`
-	Sim    float64   `json:"sim,omitempty"`
-	Trace  string    `json:"trace,omitempty"`
-	Span   string    `json:"span,omitempty"`
-	Parent string    `json:"parent,omitempty"`
-	Dur    float64   `json:"dur,omitempty"`
+	// Seq numbers the journal's events from 1, Wall stamps the capture,
+	// Type classifies the event and Msg describes it.
+	Seq  uint64    `json:"seq"`
+	Wall time.Time `json:"wall"`
+	Type string    `json:"type"`
+	Msg  string    `json:"msg,omitempty"`
+	Sim  float64   `json:"sim,omitempty"` // the simulated clock; -1 when not reported
+	// Trace, Span, Parent and Dur are the span fields described above.
+	Trace  string  `json:"trace,omitempty"`
+	Span   string  `json:"span,omitempty"`
+	Parent string  `json:"parent,omitempty"`
+	Dur    float64 `json:"dur,omitempty"`
 }
 
 // Journal is the flight recorder: a bounded ring of structured events
@@ -77,19 +80,6 @@ func (j *Journal) bindMetrics(reg *Registry) {
 		return int64(j.dropped)
 	})
 }
-
-// BindMetrics exposes the journal's own accounting (events recorded,
-// events dropped by ring overflow) in the given registry — the hook for
-// journals built outside NewSet, e.g. the control plane's per-job
-// flight recorders, whose drop counts would otherwise be invisible at
-// /metrics. Nil journals and registries are no-ops.
-func (j *Journal) BindMetrics(reg *Registry) { j.bindMetrics(reg) }
-
-// RecordEvent appends a caller-assembled event — the hook the trace
-// package uses to emit span events carrying trace context. Seq and Wall
-// are assigned here; everything else is taken as given. Nil journals
-// drop it.
-func (j *Journal) RecordEvent(e Event) { j.record(e) }
 
 // Record appends one event of the given type with a formatted message.
 // Nil journals drop it.

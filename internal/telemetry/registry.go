@@ -14,12 +14,14 @@ import (
 // Kind is a metric family's type.
 type Kind int
 
+// The three family types, rendered as Prometheus TYPE lines.
 const (
 	KindCounter Kind = iota
 	KindGauge
 	KindHistogram
 )
 
+// String is the kind's Prometheus TYPE name.
 func (k Kind) String() string {
 	switch k {
 	case KindCounter:
@@ -378,6 +380,8 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 
 // SeriesSnapshot is one series' value at snapshot time.
 type SeriesSnapshot struct {
+	// Labels is the rendered label set (`{k="v",...}`, "" for none) and
+	// Value the counter or gauge reading.
 	Labels    string
 	Value     float64
 	Histogram *HistogramSnapshot // nil unless the family is a histogram
@@ -385,6 +389,8 @@ type SeriesSnapshot struct {
 
 // FamilySnapshot is one metric family at snapshot time.
 type FamilySnapshot struct {
+	// Name, Help and Kind are the family's identity as registered;
+	// Series holds its series in label order.
 	Name   string
 	Help   string
 	Kind   Kind
@@ -394,7 +400,7 @@ type FamilySnapshot struct {
 // Snapshot is a copy of the whole registry (see the Registry
 // consistency model for its guarantees).
 type Snapshot struct {
-	Families []FamilySnapshot
+	Families []FamilySnapshot // in name order
 }
 
 func (s *series) value() float64 {

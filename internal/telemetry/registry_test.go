@@ -79,7 +79,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	r.CounterFunc("f", "", func() int64 { return 1 })
 	var set *Set
 	set.Reg().Counter("a", "").Inc()
-	set.Trace().Phase("p").Start().Stop()
+	set.Trace().Phase("p").Start().EndMsg("")
 	set.Events().Record("t", "msg")
 }
 

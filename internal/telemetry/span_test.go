@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestPhaseGetOrCreate: the shared-path contract — two layers resolving
@@ -53,19 +54,30 @@ func closeTo(a, b float64) bool {
 	return d < 1e-9 && d > -1e-9
 }
 
-// TestStopwatch: the Start/Stop pair records a span; nil phases produce
-// a zero stopwatch whose Stop is a no-op.
-func TestStopwatch(t *testing.T) {
+// TestPhaseSpan: Start/EndMsg records a span; a nil phase opens a zero
+// span whose close is a no-op. The untraced span allocates nothing and
+// stays a pointer, a start time and one pointer wide.
+func TestPhaseSpan(t *testing.T) {
 	tr := NewTracer(nil)
 	p := tr.Phase("x")
-	sw := p.Start()
+	sp := p.Start()
 	time.Sleep(time.Millisecond)
-	sw.Stop()
+	sp.EndMsg("")
 	if p.Count() != 1 || p.Seconds() <= 0 {
-		t.Fatalf("stopwatch did not record: count=%d sec=%v", p.Count(), p.Seconds())
+		t.Fatalf("span did not record: count=%d sec=%v", p.Count(), p.Seconds())
 	}
 	var nilPh *Phase
-	nilPh.Start().Stop() // must not panic
+	nilPh.Start().EndMsg("") // must not panic
+	if allocs := testing.AllocsPerRun(100, func() { p.Start().EndMsg("") }); allocs != 0 {
+		t.Fatalf("untraced span allocates %v times", allocs)
+	}
+	if got, max := unsafe.Sizeof(Span{}), unsafe.Sizeof(struct {
+		p     *Phase
+		start time.Time
+		tr    *int
+	}{}); got > max {
+		t.Fatalf("Span is %d bytes, want at most %d", got, max)
+	}
 }
 
 // TestPhaseConcurrency: parallel ranks hammer the same node (run under

@@ -8,6 +8,13 @@
 // of structured events (retries, restores, cache evictions, stalled
 // ranks, audit violations) flushed as JSONL on exit or crash.
 //
+// Distributed tracing rides the same spans: a phase span opened under
+// a trace Context (Phase.StartUnder) also journals itself, and the
+// 16-byte context crosses process boundaries in the evalserve wire
+// protocol and in control-plane job records. Collect and Assemble
+// stitch the flushed journals of every process back into one span tree
+// (`tkmc-analyze trace`).
+//
 // Everything is nil-safe: a nil *Set, *Registry, *Counter, *Phase or
 // *Journal turns every operation into a no-op, so instrumented code
 // carries no conditionals and an uninstrumented run pays (almost)
@@ -23,7 +30,9 @@ package telemetry
 // phases under run/segment, and the evaluation service owns the
 // "evalserve" root (evaluations of several callers overlap, so their
 // time nests inside the engines' eval phase rather than adding to the
-// run tree).
+// run tree), the fleet client the "fleet" root and the control plane
+// the "job" root. A span journals under its phase's name, so these
+// names are also the journal's span vocabulary.
 const (
 	PhaseRun        = "run"        // one Simulation.Run call tree root
 	PhaseSegment    = "segment"    // one uninterrupted run chunk
@@ -38,8 +47,11 @@ const (
 	PhaseAnalyze    = "analyze"    // cluster analysis
 	PhaseAudit      = "audit"      // physics invariant audits
 	PhaseEvalServe  = "evalserve"  // evaluation-service root
+	PhaseServe      = "serve"      // one request: cache lookup, flight join or evaluation
 	PhaseEvaluate   = "evaluate"   // one backend evaluation of a missed system
 	PhaseFusion     = "fusion"     // its hop kernel (features + network forward)
+	PhaseFleet      = "fleet"      // fleet-client root; its eval child is one routed request
+	PhaseJob        = "job"        // one runner lifetime of a control-plane job
 )
 
 // Well-known metric families (the acceptance surface of /metrics).
@@ -84,22 +96,29 @@ const (
 // tracer and the flight-recorder journal. A nil *Set disables all
 // three.
 type Set struct {
+	// Registry holds the metrics, Tracer the phase tree (whose
+	// histograms live in Registry) and Journal the flight recorder the
+	// tracer's traced spans record into.
 	Registry *Registry
 	Tracer   *Tracer
 	Journal  *Journal
 }
 
-// NewSet builds a fully enabled telemetry set with the default journal
-// capacity.
-func NewSet() *Set {
+// NewSet builds a fully enabled telemetry set with a fresh journal of
+// the default capacity.
+func NewSet() *Set { return NewSetOn(NewJournal(0)) }
+
+// NewSetOn builds a fully enabled telemetry set around an existing
+// journal — e.g. a control-plane job's flight recorder, which outlives
+// the run. The tracer journals its traced spans there, and the
+// journal's own accounting (events recorded, events dropped by ring
+// overflow) joins the fresh registry.
+func NewSetOn(jr *Journal) *Set {
 	reg := NewRegistry()
-	s := &Set{
-		Registry: reg,
-		Tracer:   NewTracer(reg),
-		Journal:  NewJournal(0),
-	}
-	s.Journal.bindMetrics(reg)
-	return s
+	tr := NewTracer(reg)
+	tr.jr = jr
+	jr.bindMetrics(reg)
+	return &Set{Registry: reg, Tracer: tr, Journal: jr}
 }
 
 // Reg returns the registry (nil on a nil set).

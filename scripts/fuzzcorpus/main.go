@@ -50,7 +50,7 @@ const (
 	opError    = 0x7f
 )
 
-// traceContextSize mirrors trace.ContextSize: the 16-byte trace/span
+// traceContextSize mirrors telemetry.ContextSize: the 16-byte trace/span
 // prefix an opEval2 frame carries.
 const traceContextSize = 16
 

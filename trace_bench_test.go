@@ -1,47 +1,21 @@
 // Distributed-tracing overhead bench: a traced eval request adds span
-// bookkeeping on both sides of the wire (client eval span + pick
-// annotation + 16-byte context, server serve span), so its cost has a
-// budget — tracing must stay within 2% of an untraced request. The
+// bookkeeping on both sides of the wire (client fleet/eval span + pick
+// annotation + 16-byte context, server evalserve/serve span, each a
+// histogram observation plus a journal record), so its cost has a
+// budget — tracing must stay within 2% of a work-bearing request. The
 // paired measurement here writes BENCH_trace.json, which
 // scripts/benchgate turns into a CI gate.
 package tensorkmc_test
 
 import (
-	"encoding/json"
 	"net"
-	"os"
-	"sync"
 	"testing"
 	"time"
 
 	"tensorkmc/internal/evalserve"
 	"tensorkmc/internal/telemetry"
-	"tensorkmc/internal/telemetry/trace"
 	"tensorkmc/internal/units"
 )
-
-var (
-	traceBenchMu     sync.Mutex
-	traceBenchReport = map[string]any{}
-)
-
-// recordTraceBench merges one measurement into BENCH_trace.json, with
-// the same accumulate-don't-clobber discipline as recordEvalBench.
-func recordTraceBench(key string, val any) {
-	traceBenchMu.Lock()
-	defer traceBenchMu.Unlock()
-	if len(traceBenchReport) == 0 {
-		if raw, err := os.ReadFile("BENCH_trace.json"); err == nil {
-			json.Unmarshal(raw, &traceBenchReport)
-		}
-	}
-	traceBenchReport[key] = val
-	js, err := json.MarshalIndent(traceBenchReport, "", "  ")
-	if err != nil {
-		return
-	}
-	os.WriteFile("BENCH_trace.json", append(js, '\n'), 0o644)
-}
 
 // BenchmarkTraceRequestOverhead measures what tracing adds to one eval
 // request through the wire protocol.
@@ -102,7 +76,7 @@ func BenchmarkTraceRequestOverhead(b *testing.B) {
 	}
 	defer missCl.Close()
 
-	root := trace.New()
+	root := telemetry.NewTrace()
 	const reqsPerRound = 256
 	const missReqsPerRound = 4
 	minOff := time.Duration(1<<63 - 1)
@@ -117,7 +91,7 @@ func BenchmarkTraceRequestOverhead(b *testing.B) {
 		if d := time.Since(start); d < minOff {
 			minOff = d
 		}
-		tctx := trace.Context{Trace: root.Trace, Span: root.Span}
+		tctx := telemetry.Context{Trace: root.Trace, Span: root.Span}
 		start = time.Now()
 		for j := 0; j < reqsPerRound; j++ {
 			if _, err := cl.EvaluateTraced(vets[j%len(vets)], tctx); err != nil {
@@ -140,19 +114,21 @@ func BenchmarkTraceRequestOverhead(b *testing.B) {
 		b.Fatalf("the miss server answered %d requests from its cache", st.Hits)
 	}
 
-	// Client-side tax, timed directly: one eval span per request with a
-	// pick annotation, plus encoding the context for the wire — exactly
-	// what the fleet client adds when SetTrace is live.
-	jr := telemetry.NewJournal(512)
-	seg := trace.Start(jr, root, "segment")
+	// Client-side tax, timed directly: one fleet/eval span per request
+	// with a pick annotation, plus encoding the context for the wire —
+	// exactly what the fleet client adds when SetTrace is live.
+	tele := telemetry.NewSetOn(telemetry.NewJournal(512))
+	seg := tele.Trace().PhaseAt(telemetry.PhaseRun, telemetry.PhaseSegment).StartUnder(root)
+	evalPh := tele.Trace().PhaseAt(telemetry.PhaseFleet, telemetry.PhaseEval)
+	servePh := tele.Trace().PhaseAt(telemetry.PhaseEvalServe, telemetry.PhaseServe)
 	const micro = 1 << 16
-	var wire [trace.ContextSize]byte
+	var wire [telemetry.ContextSize]byte
 	start := time.Now()
 	for i := 0; i < micro; i++ {
-		sp := trace.Start(jr, seg.Context(), "eval")
+		sp := evalPh.StartUnder(seg.Context())
 		sp.Event("pick node=%s", "127.0.0.1:7077")
 		sp.Context().Encode(wire[:])
-		sp.End()
+		sp.EndMsg("")
 	}
 	clientNs := float64(time.Since(start).Nanoseconds()) / micro
 
@@ -160,12 +136,11 @@ func BenchmarkTraceRequestOverhead(b *testing.B) {
 	// request with a serve span.
 	start = time.Now()
 	for i := 0; i < micro; i++ {
-		c := trace.Decode(wire[:])
-		sp := trace.Start(jr, c, "serve")
+		sp := servePh.StartUnder(telemetry.DecodeContext(wire[:]))
 		sp.EndMsg("cache=%s", "hit")
 	}
 	serverNs := float64(time.Since(start).Nanoseconds()) / micro
-	seg.End()
+	seg.EndMsg("")
 
 	traceNs := clientNs + serverNs
 	offNs := float64(minOff.Nanoseconds()) / reqsPerRound
@@ -174,12 +149,12 @@ func BenchmarkTraceRequestOverhead(b *testing.B) {
 	overhead := traceNs / missNs
 	b.ReportMetric(100*overhead, "%overhead")
 	b.ReportMetric(traceNs, "trace-ns/req")
-	recordTraceBench("trace_overhead", overhead)
-	recordTraceBench("trace_ns_per_request", traceNs)
-	recordTraceBench("client_span_ns", clientNs)
-	recordTraceBench("server_span_ns", serverNs)
-	recordTraceBench("miss_ns_per_request", missNs)
-	recordTraceBench("trace_overhead_cached_request", traceNs/offNs)
-	recordTraceBench("untraced_ns_per_request", offNs)
-	recordTraceBench("traced_ns_per_request", onNs)
+	recordBench("BENCH_trace.json", "trace_overhead", overhead)
+	recordBench("BENCH_trace.json", "trace_ns_per_request", traceNs)
+	recordBench("BENCH_trace.json", "client_span_ns", clientNs)
+	recordBench("BENCH_trace.json", "server_span_ns", serverNs)
+	recordBench("BENCH_trace.json", "miss_ns_per_request", missNs)
+	recordBench("BENCH_trace.json", "trace_overhead_cached_request", traceNs/offNs)
+	recordBench("BENCH_trace.json", "untraced_ns_per_request", offNs)
+	recordBench("BENCH_trace.json", "traced_ns_per_request", onNs)
 }

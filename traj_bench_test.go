@@ -18,28 +18,32 @@ import (
 )
 
 var (
-	trajBenchMu     sync.Mutex
-	trajBenchReport = map[string]any{}
+	benchReportMu sync.Mutex
+	benchReports  = map[string]map[string]any{}
 )
 
-// recordTrajBench merges one measurement into BENCH_traj.json, with the
-// same accumulate-don't-clobber discipline as recordEvalBench: the
-// first write folds in whatever report is already on disk, and every
-// update rewrites the whole file.
-func recordTrajBench(key string, val any) {
-	trajBenchMu.Lock()
-	defer trajBenchMu.Unlock()
-	if len(trajBenchReport) == 0 {
-		if raw, err := os.ReadFile("BENCH_traj.json"); err == nil {
-			json.Unmarshal(raw, &trajBenchReport)
+// recordBench merges one measurement into the JSON report at path
+// (BENCH_traj.json, BENCH_trace.json). The first write of a process
+// folds in whatever report is already on disk, so separate bench
+// invocations accumulate instead of clobbering each other's keys, and
+// every update rewrites the whole file.
+func recordBench(path, key string, val any) {
+	benchReportMu.Lock()
+	defer benchReportMu.Unlock()
+	report := benchReports[path]
+	if report == nil {
+		report = map[string]any{}
+		if raw, err := os.ReadFile(path); err == nil {
+			json.Unmarshal(raw, &report)
 		}
+		benchReports[path] = report
 	}
-	trajBenchReport[key] = val
-	js, err := json.MarshalIndent(trajBenchReport, "", "  ")
+	report[key] = val
+	js, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return
 	}
-	os.WriteFile("BENCH_traj.json", append(js, '\n'), 0o644)
+	os.WriteFile(path, append(js, '\n'), 0o644)
 }
 
 // BenchmarkTrajRecordOverhead runs the same serial simulation twice per
@@ -167,10 +171,10 @@ func BenchmarkTrajRecordOverhead(b *testing.B) {
 	b.ReportMetric(100*overhead, "%overhead")
 	b.ReportMetric(hopRecordNs, "record-ns/hop")
 	b.ReportMetric(bytesPerEvent, "B/event")
-	recordTrajBench("record_overhead", overhead)
-	recordTrajBench("hop_record_ns", hopRecordNs)
-	recordTrajBench("bytes_per_event", bytesPerEvent)
-	recordTrajBench("record_on_ns_per_hop", onNs)
-	recordTrajBench("record_off_ns_per_hop", offNs)
-	recordTrajBench("hops", float64(hops))
+	recordBench("BENCH_traj.json", "record_overhead", overhead)
+	recordBench("BENCH_traj.json", "hop_record_ns", hopRecordNs)
+	recordBench("BENCH_traj.json", "bytes_per_event", bytesPerEvent)
+	recordBench("BENCH_traj.json", "record_on_ns_per_hop", onNs)
+	recordBench("BENCH_traj.json", "record_off_ns_per_hop", offNs)
+	recordBench("BENCH_traj.json", "hops", float64(hops))
 }
