@@ -236,7 +236,7 @@ func (s *Simulation) RunToHop(duration float64, target int64) error {
 				}
 			}
 		} else {
-			if err := s.runChunk(chunk, nil); err != nil {
+			if err := s.runChunk(chunk, nil, s.traceRoot); err != nil {
 				return err
 			}
 			if s.Hops() > target {
