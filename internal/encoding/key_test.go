@@ -1,6 +1,10 @@
 package encoding_test
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"tensorkmc/internal/eam"
@@ -16,6 +20,16 @@ func testTables(t *testing.T) *encoding.Tables {
 	return encoding.New(units.LatticeConstantFe, units.CutoffShort)
 }
 
+// pack returns the VET's packed key, failing the test on a refusal.
+func pack(t *testing.T, tb *encoding.Tables, vet encoding.VET) []byte {
+	t.Helper()
+	key, err := tb.PackEnv(nil, vet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
 func fillVET(t *testing.T, tb *encoding.Tables, seed uint64, center lattice.Vec) (encoding.VET, *lattice.Box) {
 	t.Helper()
 	box := lattice.NewBox(12, 12, 12, units.LatticeConstantFe)
@@ -28,13 +42,17 @@ func fillVET(t *testing.T, tb *encoding.Tables, seed uint64, center lattice.Vec)
 
 // TestKeyRoundTrip: encoding a VET and decoding it back must reproduce the
 // exact environment, and therefore the exact hop energies — the property
-// the evaluation cache's bit-identity contract rests on.
+// the evaluation cache's bit-identity contract rests on. Decoding refuses
+// a byte above Vacancy by site.
 func TestKeyRoundTrip(t *testing.T) {
 	tb := testTables(t)
 	vet, _ := fillVET(t, tb, 1, lattice.Vec{X: 12, Y: 12, Z: 12})
 
 	env := tb.EncodeEnv(vet)
-	back := tb.DecodeEnv(env)
+	back, err := tb.DecodeEnv(env)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(back) != len(vet) {
 		t.Fatalf("round-trip length %d, want %d", len(back), len(vet))
 	}
@@ -46,8 +64,12 @@ func TestKeyRoundTrip(t *testing.T) {
 	if tb.Fingerprint(back) != tb.Fingerprint(vet) {
 		t.Fatal("round-trip changed the fingerprint")
 	}
-	if !encoding.MatchEnv(env, back) {
-		t.Fatal("round-trip env does not match itself")
+	if !bytes.Equal(pack(t, tb, back), pack(t, tb, vet)) {
+		t.Fatal("round-trip changed the packed key")
+	}
+	env[7] = 3
+	if _, err := tb.DecodeEnv(env); err == nil || !strings.Contains(err.Error(), "site 7 ") {
+		t.Fatalf("decoding species byte 3 at site 7: %v", err)
 	}
 
 	// Same environment ⇒ bit-identical energies through the model.
@@ -69,6 +91,7 @@ func TestKeyLikeAtomExchangeInvariance(t *testing.T) {
 	tb := testTables(t)
 	vet, _ := fillVET(t, tb, 2, lattice.Vec{X: 12, Y: 12, Z: 12})
 	base := tb.Fingerprint(vet)
+	baseKey := pack(t, tb, vet)
 
 	// Find two distinct Fe sites and two sites of differing species.
 	feA, feB, fe, cu := -1, -1, -1, -1
@@ -99,14 +122,17 @@ func TestKeyLikeAtomExchangeInvariance(t *testing.T) {
 	if tb.Fingerprint(vet) != base {
 		t.Fatal("like-atom exchange changed the fingerprint")
 	}
-	if !encoding.MatchEnv(tb.EncodeEnv(vet), vet) {
-		t.Fatal("like-atom exchange broke env matching")
+	if !bytes.Equal(pack(t, tb, vet), baseKey) {
+		t.Fatal("like-atom exchange changed the packed key")
 	}
 
 	// Exchanging unlike atoms is a different environment.
 	vet[fe], vet[cu] = vet[cu], vet[fe]
 	if tb.Fingerprint(vet) == base {
 		t.Fatal("unlike-atom exchange did not change the fingerprint")
+	}
+	if bytes.Equal(pack(t, tb, vet), baseKey) {
+		t.Fatal("unlike-atom exchange did not change the packed key")
 	}
 }
 
@@ -127,8 +153,8 @@ func TestKeyCrossVacancyDedup(t *testing.T) {
 	if tb.Fingerprint(vetA) != tb.Fingerprint(vetB) {
 		t.Fatal("identical environments at different centres fingerprint differently")
 	}
-	if !encoding.MatchEnv(tb.EncodeEnv(vetA), vetB) {
-		t.Fatal("identical environments at different centres do not env-match")
+	if !bytes.Equal(pack(t, tb, vetA), pack(t, tb, vetB)) {
+		t.Fatal("identical environments at different centres pack differently")
 	}
 }
 
@@ -149,10 +175,9 @@ func TestKeyNearCollisionCompare(t *testing.T) {
 		}
 	}
 
-	envA := tb.EncodeEnv(vetA)
 	// Suppose vetB's fingerprint collided with vetA's and the lookup
-	// landed on vetA's entry: the stored environment must veto the hit.
-	if encoding.MatchEnv(envA, vetB) {
+	// landed on vetA's entry: the stored key must veto the hit.
+	if bytes.Equal(pack(t, tb, vetA), pack(t, tb, vetB)) {
 		t.Fatal("compare-on-hit accepted a differing environment")
 	}
 	// And the fingerprints do differ here, as they should for a
@@ -160,4 +185,77 @@ func TestKeyNearCollisionCompare(t *testing.T) {
 	if tb.Fingerprint(vetA) == tb.Fingerprint(vetB) {
 		t.Fatal("single-site change produced an actual hash collision")
 	}
+}
+
+// packTables are the two geometries the pack tests cover: 6.5 Å, where
+// NAll = 1181 = 4·295 + 1 leaves the last site alone in the last byte,
+// and the short cutoff.
+var packTables = sync.OnceValue(func() []*encoding.Tables {
+	return []*encoding.Tables{
+		encoding.New(units.LatticeConstantFe, units.CutoffStandard),
+		encoding.New(units.LatticeConstantFe, units.CutoffShort),
+	}
+})
+
+// checkPacked asserts that key is vet packed at four sites per byte,
+// least-significant first, by unpacking every site: the key determines
+// the VET, so two VETs pack equal only when they are equal.
+func checkPacked(t *testing.T, vet encoding.VET, key []byte) {
+	t.Helper()
+	if want := (len(vet) + 3) / 4; len(key) != want {
+		t.Fatalf("packed %d sites into %d bytes, want %d", len(vet), len(key), want)
+	}
+	for i, s := range vet {
+		if got := lattice.Species(key[i/4] >> (2 * (i % 4)) & 3); got != s {
+			t.Fatalf("site %d unpacks to %v, want %v", i, got, s)
+		}
+	}
+	// Bits past the last site are zero, so equal VETs give equal keys.
+	if n := len(vet) % 4; n != 0 && key[len(key)-1]>>(2*n) != 0 {
+		t.Fatalf("last byte %#x carries bits past site %d", key[len(key)-1], len(vet)-1)
+	}
+}
+
+// FuzzPackEnv: for any VET, at 6.5 Å and at the short cutoff, the packed
+// key is ⌈NAll/4⌉ bytes, unpacks to the VET and is the same packed into
+// a dirty reused buffer; changing one site, the last included, changes
+// the key; a byte above Vacancy at any site is refused by site.
+func FuzzPackEnv(f *testing.F) {
+	if n := packTables()[0].NAll; n != 1181 {
+		f.Fatalf("NAll = %d at 6.5 Å, want 1181", n)
+	}
+	f.Add([]byte{}, uint16(0), byte(0))
+	f.Add([]byte{0, 1, 2}, uint16(1180), byte(1))
+	f.Add([]byte{2, 2, 2, 2, 2, 2, 2, 2, 1}, uint16(7), byte(3))
+	f.Add(bytes.Repeat([]byte{1, 0, 0, 2}, 300), uint16(1176), byte(0xfc))
+
+	f.Fuzz(func(t *testing.T, raw []byte, at uint16, b byte) {
+		for _, tb := range packTables() {
+			vet := tb.NewVET()
+			for i := range vet {
+				if len(raw) > 0 {
+					vet[i] = lattice.Species(raw[i%len(raw)] % 3)
+				}
+			}
+			key := pack(t, tb, vet)
+			checkPacked(t, vet, key)
+			dirty := bytes.Repeat([]byte{0xff}, len(key))
+			if again, err := tb.PackEnv(dirty[:0], vet); err != nil || !bytes.Equal(again, key) || &again[0] != &dirty[0] {
+				t.Fatalf("NAll %d: packing into a reused buffer gave %x, %v", tb.NAll, again, err)
+			}
+
+			for _, site := range []int{int(at) % tb.NAll, tb.NAll - 1} {
+				other := append(encoding.VET(nil), vet...)
+				other[site] = (other[site] + 1 + lattice.Species(b%2)) % 3
+				if bytes.Equal(pack(t, tb, other), key) {
+					t.Fatalf("NAll %d: VETs differing at site %d pack equal", tb.NAll, site)
+				}
+				other[site] = lattice.Species(3 + b%253)
+				_, err := tb.PackEnv(nil, other)
+				if want := fmt.Sprintf("site %d ", site); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("NAll %d: species %d at site %d: refusal %v does not name %q", tb.NAll, other[site], site, err, want)
+				}
+			}
+		}
+	})
 }

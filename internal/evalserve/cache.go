@@ -5,7 +5,6 @@ import (
 	"container/list"
 	"sync"
 
-	"tensorkmc/internal/encoding"
 	"tensorkmc/internal/telemetry"
 )
 
@@ -27,11 +26,12 @@ func (s *CacheStats) add(o CacheStats) {
 	s.Entries += o.Entries
 }
 
-// entry is one cached vacancy system: the full canonical environment (the
-// collision check) and the exact f64 evaluation outputs.
+// entry is one cached vacancy system: its packed environment
+// (encoding.PackEnv, the collision check) and the exact f64 evaluation
+// outputs.
 type entry struct {
 	hash uint64
-	env  []byte
+	key  []byte
 	res  Result
 	elem *list.Element
 }
@@ -61,10 +61,11 @@ const cacheShards = 8
 
 // Cache is the sharded, content-addressed vacancy-system cache: the
 // paper's vacancy cache (Sec. 3.2) generalized across vacancies and
-// across engines. Keys are canonical VET content-addresses
-// (encoding.Fingerprint); every hit re-verifies the full environment so a
-// hash collision can never substitute a wrong energy (the bit-identity
-// contract).
+// across engines. Entries are filed under the VET's fingerprint
+// (encoding.Fingerprint) and hold its packed environment
+// (encoding.PackEnv, four sites per byte); every hit compares the whole
+// packed environment so a hash collision can never substitute a wrong
+// energy (the bit-identity contract).
 type Cache struct {
 	shards []*cacheShard
 	mask   uint64
@@ -102,26 +103,27 @@ func (c *Cache) shardFor(hash uint64) *cacheShard {
 	return c.shards[(hash>>48)&c.mask]
 }
 
-// Get returns the cached result for the vacancy system, verifying the
-// stored environment byte-for-byte before trusting the hash.
-func (c *Cache) Get(hash uint64, vet encoding.VET) (Result, bool) {
-	return c.lookup(hash, vet, true)
+// Get returns the cached result for the vacancy system whose fingerprint
+// is hash and whose packed environment is key, comparing the stored key
+// byte-for-byte before trusting the hash. It keeps no reference to key.
+func (c *Cache) Get(hash uint64, key []byte) (Result, bool) {
+	return c.lookup(hash, key, true)
 }
 
 // peek is Get without hit/miss accounting — the server's second-chance
 // check uses it so one client request never counts as two lookups.
 // Collisions are still counted (they are a property of the store, not of
 // request traffic).
-func (c *Cache) peek(hash uint64, vet encoding.VET) (Result, bool) {
-	return c.lookup(hash, vet, false)
+func (c *Cache) peek(hash uint64, key []byte) (Result, bool) {
+	return c.lookup(hash, key, false)
 }
 
-func (c *Cache) lookup(hash uint64, vet encoding.VET, record bool) (Result, bool) {
+func (c *Cache) lookup(hash uint64, key []byte, record bool) (Result, bool) {
 	s := c.shardFor(hash)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range s.buckets[hash] {
-		if encoding.MatchEnv(e.env, vet) {
+		if bytes.Equal(e.key, key) {
 			s.lru.MoveToFront(e.elem)
 			if record {
 				s.stats.Hits++
@@ -136,21 +138,22 @@ func (c *Cache) lookup(hash uint64, vet encoding.VET, record bool) (Result, bool
 	return Result{}, false
 }
 
-// Put inserts an evaluated system. env must be the canonical encoding of
-// the evaluated VET; res the exact f64 outputs. Re-inserting an existing
-// environment refreshes its recency and overwrites the entry.
-func (c *Cache) Put(hash uint64, env []byte, res Result) {
+// Put inserts an evaluated system. key must be the packed environment of
+// the evaluated VET, and the cache keeps it: the caller must not modify
+// it afterwards; res holds the exact f64 outputs. Re-inserting an
+// existing environment refreshes its recency and overwrites the entry.
+func (c *Cache) Put(hash uint64, key []byte, res Result) {
 	s := c.shardFor(hash)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range s.buckets[hash] {
-		if bytes.Equal(e.env, env) {
+		if bytes.Equal(e.key, key) {
 			e.res = res
 			s.lru.MoveToFront(e.elem)
 			return
 		}
 	}
-	e := &entry{hash: hash, env: env, res: res}
+	e := &entry{hash: hash, key: key, res: res}
 	e.elem = s.lru.PushFront(e)
 	s.buckets[hash] = append(s.buckets[hash], e)
 	for s.lru.Len() > s.cap {

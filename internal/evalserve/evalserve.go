@@ -4,7 +4,7 @@
 // hop energies of Sec. 3.4.
 //
 // A request goes cache → flight → slot → backend. (1) A sharded LRU cache
-// keyed on a canonical content-address of the VET local environment — the
+// keyed on the VET local environment packed at four sites per byte — the
 // paper's vacancy cache (Sec. 3.2) generalized across vacancies and
 // across engines — answers what has been seen. (2) Concurrent misses of
 // one environment share a single flight: the first caller owns it, the
@@ -17,12 +17,13 @@
 // The hard contract, inherited from the repo's trajectory tests: cached
 // and uncached runs must be bit-identical. Three mechanisms enforce it —
 // the cache stores the exact f64 outputs, every hit re-verifies the full
-// encoded environment (hash equality is never trusted alone), and the
+// packed environment (hash equality is never trusted alone), and the
 // f64 NNP backend runs the very kernel the uncached path runs (see
 // FusionBackend).
 package evalserve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -106,14 +107,20 @@ func (s Stats) String() string {
 
 // flight is one environment's in-progress evaluation: concurrent misses
 // of the same environment wait on the first caller's backend call instead
-// of repeating it. The owner writes res and err, then closes done.
+// of repeating it; key is the environment's packed form, which becomes
+// the cache entry's. The owner writes res and err, then closes done.
 type flight struct {
 	hash uint64
-	env  []byte
+	key  []byte
 	done chan struct{}
 	res  Result
 	err  error
 }
+
+// keyBuf is the size of the stack buffer a request packs its key into:
+// room for 2,048 sites, against 1,181 at 6.5 Å. A larger table's key
+// moves to the heap.
+const keyBuf = 512
 
 var (
 	errClosed = errors.New("evalserve: server closed")
@@ -248,8 +255,16 @@ func (s *Server) EvaluateTraced(vet encoding.VET, tctx telemetry.Context) (Resul
 		return Result{}, errClosed
 	}
 	sp := s.servePh.StartUnder(tctx)
+	// The request's packed key, on this goroutine's stack at the usual
+	// cutoffs, serves the hit check, the flight match and the miss's Put.
+	var buf [keyBuf]byte
+	key, err := s.tb.PackEnv(buf[:0], vet)
+	if err != nil {
+		sp.EndMsg("error=%v", err)
+		return Result{}, err
+	}
 	hash := s.tb.Fingerprint(vet)
-	if res, ok := s.cache.Get(hash, vet); ok {
+	if res, ok := s.cache.Get(hash, key); ok {
 		sp.EndMsg("cache=hit")
 		return res, nil
 	}
@@ -265,7 +280,7 @@ func (s *Server) EvaluateTraced(vet encoding.VET, tctx telemetry.Context) (Resul
 	s.mu.RUnlock()
 	defer s.inflight.Done()
 
-	f, owner := s.joinFlight(hash, vet)
+	f, owner := s.joinFlight(hash, key)
 	if owner {
 		s.resolve(f, vet, sp.Context())
 		sp.EndMsg("cache=miss")
@@ -278,17 +293,17 @@ func (s *Server) EvaluateTraced(vet encoding.VET, tctx telemetry.Context) (Resul
 
 // joinFlight returns the in-progress flight of the environment if one
 // exists; otherwise it registers a new one, owned by the caller, holding
-// the environment's canonical encoding.
-func (s *Server) joinFlight(hash uint64, vet encoding.VET) (f *flight, owner bool) {
+// a copy of the environment's packed key.
+func (s *Server) joinFlight(hash uint64, key []byte) (f *flight, owner bool) {
 	s.flightMu.Lock()
 	defer s.flightMu.Unlock()
 	for _, f := range s.flights[hash] {
-		if encoding.MatchEnv(f.env, vet) {
+		if bytes.Equal(f.key, key) {
 			s.deduped.Add(1)
 			return f, false
 		}
 	}
-	f = &flight{hash: hash, env: s.tb.EncodeEnv(vet), done: make(chan struct{}), err: errAbandoned}
+	f = &flight{hash: hash, key: bytes.Clone(key), done: make(chan struct{}), err: errAbandoned}
 	s.flights[hash] = append(s.flights[hash], f)
 	return f, true
 }
@@ -335,7 +350,7 @@ func (s *Server) resolve(f *flight, vet encoding.VET, tctx telemetry.Context) {
 	sp.Event("queue-wait %.3fms", float64(wait.Microseconds())/1e3)
 	// Second chance: an entry may have landed between the caller's miss
 	// and its flight registration.
-	if res, ok := s.cache.peek(f.hash, vet); ok {
+	if res, ok := s.cache.peek(f.hash, f.key); ok {
 		sp.EndMsg("cache=hit")
 		f.res, f.err = res, nil
 		return
@@ -347,7 +362,7 @@ func (s *Server) resolve(f *flight, vet encoding.VET, tctx telemetry.Context) {
 		return
 	}
 	sp.EndMsg("")
-	s.cache.Put(f.hash, f.env, res)
+	s.cache.Put(f.hash, f.key, res)
 	s.batches.Add(1)
 	f.res, f.err = res, nil
 }

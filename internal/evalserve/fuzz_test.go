@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tensorkmc/internal/encoding"
 	"tensorkmc/internal/units"
 )
 
@@ -69,6 +70,11 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})                // empty frame
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}) // oversized length prefix
 	f.Add([]byte{4, 0, 0, 0, 1})             // truncated payload
+	// A handshake, then an eval whose site 5 holds 3, above Vacancy: the
+	// session must refuse it by site and evaluate nothing.
+	badEval := make([]byte, 1+encoding.New(units.LatticeConstantFe, units.CutoffShort).NAll)
+	badEval[0], badEval[1+5] = opEval, 3
+	f.Add(append(frameBytes(hello2Payload(wireVersion)), frameBytes(badEval)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Raw frame reader at both session limits.

@@ -373,7 +373,12 @@ func (f *Frontend) handle(conn net.Conn) {
 				fail(errGeneric, fmt.Sprintf("eval frame carries %d species, want %d", len(body), tb.NAll))
 				return
 			}
-			res, err := f.srv.EvaluateTraced(tb.DecodeEnv(body), tctx)
+			vet, err := tb.DecodeEnv(body)
+			if err != nil {
+				fail(errGeneric, err.Error())
+				return
+			}
+			res, err := f.srv.EvaluateTraced(vet, tctx)
 			if err != nil {
 				kind := byte(errGeneric)
 				var ce *fault.CorruptionError
@@ -602,16 +607,18 @@ func (c *Client) EvaluateTraced(vet encoding.VET, tctx telemetry.Context) (Resul
 	if len(vet) != c.tb.NAll {
 		return Result{}, fmt.Errorf("evalserve: VET length %d, want %d", len(vet), c.tb.NAll)
 	}
-	var req []byte
+	op, body := byte(opEval), 1
 	if tctx.Valid() {
-		req = make([]byte, 1+telemetry.ContextSize+c.tb.NAll)
-		req[0] = opEval2
+		op, body = opEval2, 1+telemetry.ContextSize
+	}
+	req := make([]byte, body+c.tb.NAll)
+	req[0] = op
+	if tctx.Valid() {
 		tctx.Encode(req[1:])
-		copy(req[1+telemetry.ContextSize:], c.tb.EncodeEnv(vet))
-	} else {
-		req = make([]byte, 1+c.tb.NAll)
-		req[0] = opEval
-		copy(req[1:], c.tb.EncodeEnv(vet))
+	}
+	// One byte per site, EncodeEnv's form, written straight into the frame.
+	for i, s := range vet {
+		req[body+i] = byte(s)
 	}
 
 	c.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -213,6 +214,60 @@ func TestWireRejectsEvalBeforeHello(t *testing.T) {
 	}
 	if p[0] != opError {
 		t.Fatalf("pre-hello request answered with opcode %#x", p[0])
+	}
+}
+
+// TestWireRejectsOutOfRangeSpecies: an eval frame with a byte above
+// Vacancy at a site is answered with an error frame naming the site and
+// ends the session; nothing is evaluated, looked up or cached.
+func TestWireRejectsOutOfRangeSpecies(t *testing.T) {
+	tb := encoding.New(units.LatticeConstantFe, units.CutoffShort)
+	srv := New(goldenBackend{tb: tb}, Options{Capacity: 8})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := Serve(srv, ln)
+	defer func() { fe.Close(); srv.Close() }()
+
+	for _, bad := range []struct {
+		site int
+		b    byte
+	}{{17, 3}, {0, 0xff}, {tb.NAll - 1, 4}} {
+		conn, err := net.Dial("tcp", fe.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := writeFrame(conn, hello2Payload(wireVersion)); err != nil {
+			t.Fatal(err)
+		}
+		if p, err := readFrame(conn, minFrame); err != nil || p[0] != opHelloOK2 {
+			t.Fatalf("handshake: %v %x", err, p)
+		}
+		eval := make([]byte, 1+tb.NAll)
+		eval[0] = opEval
+		eval[1+bad.site] = bad.b
+		if err := writeFrame(conn, eval); err != nil {
+			t.Fatal(err)
+		}
+		p, err := readFrame(conn, maxStatsFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p[0] != opError {
+			t.Fatalf("species byte %d at site %d answered with opcode %#x", bad.b, bad.site, p[0])
+		}
+		if want := fmt.Sprintf("site %d ", bad.site); !strings.Contains(string(p[2:]), want) {
+			t.Fatalf("refusal %q does not name %q", p[2:], want)
+		}
+		if _, err := readFrame(conn, maxStatsFrame); err == nil {
+			t.Fatal("session stayed open after the refusal")
+		}
+		conn.Close()
+	}
+	if st := srv.Stats(); st.Hits+st.Misses+st.Batches+int64(st.Entries) != 0 {
+		t.Fatalf("refused frames reached the server: %s", st)
 	}
 }
 
