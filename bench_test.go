@@ -1,16 +1,15 @@
-// Benchmarks mapping to the paper's evaluation section, one per table and
-// figure (see DESIGN.md's per-experiment index), plus ablation benches
-// for the design choices. `go test -bench=. -benchmem` runs them all;
-// cmd/tkmc-bench regenerates the full tables/curves these benches time.
+// Kernel and ablation benchmarks: the feature and NNP kernels, the
+// design-choice ablations DESIGN.md lists, and the hop-energy path with
+// and without the evaluation cache. `go test -bench=. -benchmem` runs them
+// all and writes no file. The paper's tables and figures are rendered by
+// cmd/tkmc-bench and pinned by the internal/experiments tests; run-level
+// throughput is the bench/ ledger's.
 package tensorkmc_test
 
 import (
 	"fmt"
 	"testing"
 
-	"tensorkmc/internal/bondcount"
-	"tensorkmc/internal/cluster"
-	"tensorkmc/internal/dataset"
 	"tensorkmc/internal/eam"
 	"tensorkmc/internal/encoding"
 	"tensorkmc/internal/evalserve"
@@ -18,198 +17,12 @@ import (
 	"tensorkmc/internal/fusion"
 	"tensorkmc/internal/kmc"
 	"tensorkmc/internal/lattice"
-	"tensorkmc/internal/memmodel"
 	"tensorkmc/internal/nnp"
-	"tensorkmc/internal/openkmc"
-	"tensorkmc/internal/perfmodel"
 	"tensorkmc/internal/rng"
-	"tensorkmc/internal/roofline"
 	"tensorkmc/internal/sublattice"
 	"tensorkmc/internal/sw"
-	"tensorkmc/internal/train"
 	"tensorkmc/internal/units"
 )
-
-// --- Fig. 7: NNP training ----------------------------------------------
-
-// BenchmarkFig07TrainNNP times one full (small) training run of the
-// Fig. 7 pipeline: feature precomputation, energy+force epochs, Adam.
-func BenchmarkFig07TrainNNP(b *testing.B) {
-	oracle := eam.New(eam.Default())
-	structs := dataset.Generate(24, oracle, dataset.DefaultConfig(), rng.New(1))
-	desc := feature.Standard(units.CutoffStandard)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := train.Fit(structs, desc, train.Options{
-			Sizes: []int{64, 16, 1}, Epochs: 10, BatchStructures: 8,
-			LR: 1e-3, ForceWeight: 0.3, Seed: 2,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Fig. 8: engine equivalence -------------------------------------------
-
-// BenchmarkFig08Validation times paired steps of the two engines whose
-// trajectory equality is the Fig. 8 validation (also a tkmc-bench
-// experiment and the openkmc test suite's equivalence test).
-func BenchmarkFig08Validation(b *testing.B) {
-	pot := eam.New(eam.Default())
-	boxA := lattice.NewBox(12, 12, 12, units.LatticeConstantFe)
-	lattice.FillRandomAlloy(boxA, 0.04, 0.001, rng.New(3))
-	boxB := boxA.Clone()
-	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
-	tkmc := kmc.NewEngine(boxA, eam.NewRegionEvaluator(pot, tb), units.ReactorTemperature, rng.New(4), kmc.Options{})
-	base := openkmc.NewEngine(boxB, pot, units.CutoffStandard, units.ReactorTemperature, rng.New(4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		evA, okA := tkmc.Step(1e300)
-		evB, okB := base.Step(1e300)
-		if okA != okB || evA.To != evB.To {
-			b.Fatal("engines diverged")
-		}
-	}
-}
-
-// --- Fig. 9: roofline ----------------------------------------------------
-
-// BenchmarkFig09Roofline times the roofline analysis plus one real
-// big-fusion execution and reports the headline intensities.
-func BenchmarkFig09Roofline(b *testing.B) {
-	arch := sw.SW26010Pro()
-	net := nnp.NewNetwork(nnp.StandardSizes, rng.New(1))
-	const m = 32 * 16 * 16
-	x := nnp.NewMatrix(m, 64)
-	var intensity float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = roofline.LayerPoints(arch, net, m)
-		p := roofline.BigFusionPoint(arch, net, m)
-		res := fusion.Run(fusion.BigFusion, net, x, arch)
-		intensity = res.Ct.Intensity()
-		_ = p
-	}
-	b.ReportMetric(intensity, "flop/B")
-	b.ReportMetric(arch.MachineBalance(), "balance")
-}
-
-// --- Fig. 10: operator ladder ------------------------------------------------
-
-// BenchmarkFig10OperatorLadder runs each rung of the optimisation ladder
-// (real numerics on the simulated CG) and reports the modelled Sunway
-// time as a custom metric.
-func BenchmarkFig10OperatorLadder(b *testing.B) {
-	arch := sw.SW26010Pro()
-	net := nnp.NewNetwork(nnp.StandardSizes, rng.New(1))
-	const m = 2048
-	x := nnp.NewMatrix(m, 64)
-	r := rng.New(2)
-	for i := range x.Data {
-		x.Data[i] = r.NormFloat64()
-	}
-	for _, v := range fusion.Variants {
-		b.Run(v.String(), func(b *testing.B) {
-			var modelled float64
-			for i := 0; i < b.N; i++ {
-				res := fusion.Run(v, net, x, arch)
-				modelled = res.Seconds
-			}
-			b.ReportMetric(modelled*1e6, "model-µs")
-		})
-	}
-}
-
-// --- Fig. 11: serial comparison -------------------------------------------
-
-// BenchmarkFig11Serial evaluates the per-step model for each platform and
-// reports the modelled per-step time.
-func BenchmarkFig11Serial(b *testing.B) {
-	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
-	net := nnp.NewNetwork(nnp.StandardSizes, rng.New(1))
-	for _, p := range []perfmodel.Platform{perfmodel.X86, perfmodel.SW, perfmodel.SWOpt} {
-		b.Run(p.String(), func(b *testing.B) {
-			var total float64
-			for i := 0; i < b.N; i++ {
-				total = perfmodel.SerialStep(p, tb, net).Total()
-			}
-			b.ReportMetric(total*1e3, "model-ms/step")
-		})
-	}
-}
-
-// --- Table 1: memory ------------------------------------------------------------
-
-// BenchmarkTable1Memory evaluates the memory model and reports the
-// per-atom figures of both layouts.
-func BenchmarkTable1Memory(b *testing.B) {
-	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
-	var open, tensor float64
-	for i := 0; i < b.N; i++ {
-		_ = memmodel.Table1(tb)
-		open, tensor = memmodel.PerAtomBytes(tb, 8e-6)
-	}
-	b.ReportMetric(open, "open-B/atom")
-	b.ReportMetric(tensor, "tkmc-B/atom")
-}
-
-// --- Figs. 12/13: scaling -------------------------------------------------------
-
-func scalingParams() perfmodel.ScalingParams {
-	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
-	net := nnp.NewNetwork(nnp.StandardSizes, rng.New(1))
-	return perfmodel.DefaultScalingParams(perfmodel.SerialStep(perfmodel.SWOpt, tb, net).Total())
-}
-
-// BenchmarkFig12StrongScaling runs the strong-scaling sweep simulator and
-// reports the terminal efficiency.
-func BenchmarkFig12StrongScaling(b *testing.B) {
-	p := scalingParams()
-	var eff float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts := p.PaperStrongScaling()
-		eff = pts[len(pts)-1].Efficiency
-	}
-	b.ReportMetric(eff*100, "%eff@24.96Mcores")
-}
-
-// BenchmarkFig13WeakScaling runs the weak-scaling sweep simulator and
-// reports the terminal efficiency at 54 trillion atoms.
-func BenchmarkFig13WeakScaling(b *testing.B) {
-	p := scalingParams()
-	var eff float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts := p.PaperWeakScaling()
-		eff = pts[len(pts)-1].Efficiency
-	}
-	b.ReportMetric(eff*100, "%eff@54Tatoms")
-}
-
-// --- Fig. 14: application --------------------------------------------------------
-
-// BenchmarkFig14Precipitation measures real KMC throughput on the
-// application configuration (short cutoff, supersaturated alloy).
-func BenchmarkFig14Precipitation(b *testing.B) {
-	box := lattice.NewBox(12, 12, 12, units.LatticeConstantFe)
-	lattice.FillRandomAlloy(box, 0.04, 0.0012, rng.New(12))
-	tb := encoding.New(units.LatticeConstantFe, units.CutoffShort)
-	params := eam.Default()
-	params.RCut = units.CutoffShort
-	params.RIn = 4.6
-	eng := kmc.NewEngine(box, eam.NewRegionEvaluator(eam.New(params), tb), units.ReactorTemperature, rng.New(13), kmc.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := eng.Step(1e300); !ok {
-			b.Fatal("engine exhausted")
-		}
-	}
-	b.StopTimer()
-	a := cluster.Analyze(box, 2)
-	b.ReportMetric(float64(a.MaxSize), "maxCluster")
-}
 
 // --- Kernel benches -------------------------------------------------------------
 
@@ -250,57 +63,6 @@ func BenchmarkNNPRegionEnergy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ev.RegionEnergy(vet)
-	}
-}
-
-// BenchmarkKMCStepEAM and BenchmarkKMCStepNNP measure end-to-end KMC step
-// throughput for both potentials.
-func BenchmarkKMCStepEAM(b *testing.B) {
-	box := lattice.NewBox(14, 14, 14, units.LatticeConstantFe)
-	lattice.FillRandomAlloy(box, 0.02, 0.001, rng.New(7))
-	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
-	eng := kmc.NewEngine(box, eam.NewRegionEvaluator(eam.New(eam.Default()), tb), units.ReactorTemperature, rng.New(8), kmc.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := eng.Step(1e300); !ok {
-			b.Fatal("exhausted")
-		}
-	}
-}
-
-func BenchmarkKMCStepNNP(b *testing.B) {
-	box := lattice.NewBox(14, 14, 14, units.LatticeConstantFe)
-	lattice.FillRandomAlloy(box, 0.02, 0.001, rng.New(9))
-	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
-	desc := feature.Standard(units.CutoffStandard)
-	pot := nnp.NewPotential(desc, []int{64, 32, 16, 1}, rng.New(10))
-	eng := kmc.NewEngine(box, nnp.NewLatticeEvaluator(pot, tb), units.ReactorTemperature, rng.New(11), kmc.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := eng.Step(1e300); !ok {
-			b.Fatal("exhausted")
-		}
-	}
-}
-
-// BenchmarkParallelSublattice measures the multi-rank engine end to end
-// (wall time per simulated quantum on 4 goroutine ranks).
-func BenchmarkParallelSublattice(b *testing.B) {
-	mkBox := func() *lattice.Box {
-		box := lattice.NewBox(16, 16, 16, units.LatticeConstantFe)
-		lattice.FillRandomAlloy(box, 0.02, 0.0005, rng.New(12))
-		return box
-	}
-	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
-	pot := eam.New(eam.Default())
-	factory := func() kmc.Model { return eam.NewRegionEvaluator(pot, tb) }
-	cfg := sublattice.Config{PX: 2, PY: 2, PZ: 1, Temperature: units.ReactorTemperature, TStop: 2e-8, Seed: 13}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		box := mkBox()
-		b.StartTimer()
-		_, _ = sublattice.Run(box, cfg, 4e-8, factory)
 	}
 }
 
@@ -437,39 +199,6 @@ func BenchmarkAblationTstop(b *testing.B) {
 				lattice.FillRandomAlloy(box, 0.02, 0.001, rng.New(19))
 				b.StartTimer()
 				_, _ = sublattice.Run(box, cfg, 8e-8, factory)
-			}
-		})
-	}
-}
-
-// BenchmarkModelComparison quantifies the fidelity/speed trade-off the
-// paper's introduction frames: the tabulated bond-count model (the
-// pre-NNP "first approach") vs the EAM potential vs the full NNP, all
-// driving the same engine.
-func BenchmarkModelComparison(b *testing.B) {
-	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
-	desc := feature.Standard(units.CutoffStandard)
-	models := []struct {
-		name string
-		mk   func() kmc.Model
-	}{
-		{"bondcount", func() kmc.Model { return bondcount.NewEvaluator(bondcount.FeCu(), tb) }},
-		{"eam", func() kmc.Model { return eam.NewRegionEvaluator(eam.New(eam.Default()), tb) }},
-		{"nnp", func() kmc.Model {
-			pot := nnp.NewPotential(desc, nnp.StandardSizes, rng.New(20))
-			return nnp.NewLatticeEvaluator(pot, tb)
-		}},
-	}
-	for _, m := range models {
-		b.Run(m.name, func(b *testing.B) {
-			box := lattice.NewBox(12, 12, 12, units.LatticeConstantFe)
-			lattice.FillRandomAlloy(box, 0.02, 0.002, rng.New(21))
-			eng := kmc.NewEngine(box, m.mk(), units.ReactorTemperature, rng.New(22), kmc.Options{})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := eng.Step(1e300); !ok {
-					b.Fatal("exhausted")
-				}
 			}
 		})
 	}

@@ -14,7 +14,9 @@ import (
 // Benchmark or Fuzz function in the repository. go test runs a pattern
 // that matches nothing as a pass, so a renamed or deleted test would
 // otherwise drop out of its CI contract without a sound. NONE is the
-// conventional run-nothing pattern and is exempt.
+// conventional run-nothing pattern and is exempt. Every ./path a go
+// build, run or test command names must exist too, so a deleted package
+// with a stale CI line fails here rather than only in CI.
 func TestCIPatternsResolve(t *testing.T) {
 	ci, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
@@ -27,10 +29,20 @@ func TestCIPatternsResolve(t *testing.T) {
 		"fuzz":  {"Fuzz"},
 	}
 	flag := regexp.MustCompile(`\s-(run|bench|fuzz)[= ](?:'([^']*)'|"([^"]*)"|([^\s'"]+))`)
+	goCmd := regexp.MustCompile(`\bgo (build|run|test) `)
+	pkgPath := regexp.MustCompile(`\s(\./[^\s'"]*)`)
 	var matches [][]string
 	for _, line := range strings.Split(string(ci), "\n") {
 		if strings.Contains(line, "go test ") {
 			matches = append(matches, flag.FindAllStringSubmatch(line, -1)...)
+		}
+		if !goCmd.MatchString(line) {
+			continue
+		}
+		for _, m := range pkgPath.FindAllStringSubmatch(line, -1) {
+			if _, err := os.Stat(strings.TrimSuffix(m[1], "/...")); err != nil {
+				t.Errorf("CI names %s, which is not in the repository: %v", m[1], err)
+			}
 		}
 	}
 	if len(matches) == 0 {

@@ -125,12 +125,12 @@ func TestExitCodeUsageOnSmallBox(t *testing.T) {
 // negative temperature.
 func TestExitCodeUsageOnBadPhysics(t *testing.T) {
 	for extra, key := range map[string]string{
-		"lattice -2.87\n":                 "lattice",
-		"cutoff -1\n":                     "cutoff",
-		"cutoff 5.8\n":                    "cutoff",
-		"cutoff 2.5\npotential bondcount": "cutoff",
-		"tstop -1\nranks 2 1 1\n":         "tstop",
-		"temperature -573\n":              "temperature",
+		"lattice -2.87\n":         "lattice",
+		"cutoff -1\n":             "cutoff",
+		"cutoff 5.8\n":            "cutoff",
+		"cutoff 2.5\n":            "cutoff",
+		"tstop -1\nranks 2 1 1\n": "tstop",
+		"temperature -573\n":      "temperature",
 	} {
 		deckPath := writeDeck(t, t.TempDir(), "cells 10 10 10\ncu 0.05\nvacancy 0.002\nduration 2e-9\nseed 1\npotential eam\n"+extra)
 		var out, errOut bytes.Buffer

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	tkmc-serve [-addr host:port] [-potential eam|bondcount|<nnp-file>]
+//	tkmc-serve [-addr host:port] [-potential eam|<nnp-file>]
 //	           [-lattice Å] [-cutoff Å]
 //	           [-cache N]
 //	           [-fleet N] [-idle seconds]
@@ -55,7 +55,6 @@ import (
 	"syscall"
 	"time"
 
-	"tensorkmc/internal/bondcount"
 	"tensorkmc/internal/eam"
 	"tensorkmc/internal/encoding"
 	"tensorkmc/internal/evalserve"
@@ -84,7 +83,7 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 	fs := flag.NewFlagSet("tkmc-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:7865", "TCP listen address")
-	potName := fs.String("potential", "eam", "'eam', 'bondcount', or a trained NNP file path")
+	potName := fs.String("potential", "eam", "'eam' or a trained NNP file path")
 	latticeA := fs.Float64("lattice", units.LatticeConstantFe, "lattice constant (Å)")
 	cutoff := fs.Float64("cutoff", units.CutoffStandard, "interaction cutoff (Å)")
 	cache := fs.Int("cache", 0, "cache capacity in entries (0 = default)")
@@ -246,11 +245,6 @@ func buildBackend(name string, tb *encoding.Tables, opts evalserve.Options) (eva
 		pot := eam.New(params)
 		return evalserve.NewModelBackend(func() kmc.Model {
 			return eam.NewFastRegionEvaluator(pot, tb)
-		}, opts.Workers), nil
-	case "bondcount":
-		params := bondcount.FeCu()
-		return evalserve.NewModelBackend(func() kmc.Model {
-			return bondcount.NewEvaluator(params, tb)
 		}, opts.Workers), nil
 	default:
 		pot, err := nnp.LoadFile(name)

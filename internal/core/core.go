@@ -10,7 +10,6 @@ import (
 	"math"
 	"time"
 
-	"tensorkmc/internal/bondcount"
 	"tensorkmc/internal/cluster"
 	"tensorkmc/internal/eam"
 	"tensorkmc/internal/encoding"
@@ -37,10 +36,6 @@ const (
 	// NNP uses a neural network potential (a *nnp.Potential must be
 	// supplied, e.g. loaded from a file trained by cmd/tkmc-train).
 	NNP
-	// BondCount uses the classic tabulated pair-interaction model — the
-	// pre-NNP AKMC parameterisation the paper's introduction contrasts
-	// against (fast, but with simplified microkinetics).
-	BondCount
 )
 
 // Config describes a simulation. Zero values take the paper's defaults
@@ -309,12 +304,6 @@ func New(cfg Config) (*Simulation, error) {
 		s.mkMod = func() kmc.Model { return eam.NewFastRegionEvaluator(pot, s.Tables) }
 	case NNP:
 		s.mkMod = func() kmc.Model { return nnp.NewLatticeEvaluator(cfg.Net, s.Tables) }
-	case BondCount:
-		if len(s.Tables.Distances) < 2 {
-			return nil, fmt.Errorf("core: cutoff %g Å does not reach bondcount's 2NN shell at %g Å", cfg.Cutoff, cfg.LatticeConstant)
-		}
-		params := bondcount.FeCu()
-		s.mkMod = func() kmc.Model { return bondcount.NewEvaluator(params, s.Tables) }
 	default:
 		return nil, fmt.Errorf("core: unknown potential kind %d", cfg.Potential)
 	}

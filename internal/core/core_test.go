@@ -58,8 +58,6 @@ func TestNewValidation(t *testing.T) {
 		"cutoff NaN":       {with(func(c *Config) { c.Cutoff = nan }), "cutoff"},
 		"cutoff < EAM's":   {with(func(c *Config) { c.Cutoff = 5.8 }), "EAM"},
 		"cutoff 1 EAM":     {with(func(c *Config) { c.Cutoff = 1 }), "EAM"},
-		"cutoff < 2NN":     {with(func(c *Config) { c.Cutoff, c.Potential = 2.5, BondCount }), "2NN"},
-		"cutoff 1 bond":    {with(func(c *Config) { c.Cutoff, c.Potential = 1, BondCount }), "2NN"},
 		"tstop < 0":        {with(func(c *Config) { c.TStop, c.Ranks = -1, [3]int{2, 1, 1} }), "tstop"},
 		"tstop NaN":        {with(func(c *Config) { c.TStop, c.Ranks = nan, [3]int{2, 1, 1} }), "tstop"},
 		"temperature < 0":  {with(func(c *Config) { c.Temperature = -573 }), "temperature"},

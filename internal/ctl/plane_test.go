@@ -329,12 +329,12 @@ func TestSmallBoxJobFails(t *testing.T) {
 func TestPoisonDeckJobFails(t *testing.T) {
 	const head = "cells 10 10 10\ncu 0.05\nvacancy 0.002\nduration 1e-9\nseed 1\npotential eam\n"
 	poison := map[string]string{
-		"lattice -2.87\n":                   "lattice",
-		"cutoff -1\n":                       "cutoff",
-		"cutoff 5.8\n":                      "cutoff",
-		"cutoff 2.5\npotential bondcount\n": "cutoff",
-		"tstop -1\nranks 2 1 1\n":           "tstop",
-		"temperature -573\n":                "temperature",
+		"lattice -2.87\n":         "lattice",
+		"cutoff -1\n":             "cutoff",
+		"cutoff 5.8\n":            "cutoff",
+		"cutoff 2.5\n":            "cutoff",
+		"tstop -1\nranks 2 1 1\n": "tstop",
+		"temperature -573\n":      "temperature",
 	}
 	p := openTestPlane(t, Config{MaxRunning: 1})
 	for extra, key := range poison {

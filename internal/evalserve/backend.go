@@ -39,7 +39,7 @@ type Backend interface {
 
 // --- Generic model-pool backend ----------------------------------------
 
-// ModelBackend adapts any kmc.Model factory (EAM, bond-count, NNP) into a
+// ModelBackend adapts any kmc.Model factory (EAM or NNP) into a
 // Backend: each EvaluateBatch borrows one model from a free list, building
 // one when the list is empty, so there are never more models than there
 // were concurrent callers. It brings the cache and the service front-end

@@ -352,13 +352,14 @@ func (d *Deck) apply(key string, args []string) error {
 		}
 	case "potential":
 		if len(args) < 1 {
-			return fmt.Errorf("potential wants 'eam', 'bondcount' or 'nnp <file>'")
+			return fmt.Errorf("potential wants 'eam' or 'nnp <file>'")
 		}
 		switch strings.ToLower(args[0]) {
 		case "eam":
+			if len(args) != 1 {
+				return fmt.Errorf("potential eam takes no argument")
+			}
 			d.Config.Potential = core.EAM
-		case "bondcount":
-			d.Config.Potential = core.BondCount
 		case "nnp":
 			d.Config.Potential = core.NNP
 			if len(args) != 2 {

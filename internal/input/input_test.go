@@ -78,6 +78,8 @@ func TestParseErrors(t *testing.T) {
 		"bad seed":         "cells 4 4 4\nduration 1\nseed -3\n",
 		"bad potential":    "cells 4 4 4\nduration 1\npotential lda\n",
 		"nnp no file":      "cells 4 4 4\nduration 1\npotential nnp\n",
+		"eam with file":    "cells 4 4 4\nduration 1\npotential eam fecu.pot\n",
+		"bondcount":        "cells 4 4 4\nduration 1\npotential bondcount\n",
 		"neg snapshots":    "cells 4 4 4\nduration 1\nsnapshots -1\n",
 	}
 	for name, deck := range cases {
@@ -174,16 +176,6 @@ func TestRestartFinishLoadsBox(t *testing.T) {
 	}
 	if cfg.InitialBox == nil || !cfg.InitialBox.Equal(box) {
 		t.Fatal("Finish did not load the restart box")
-	}
-}
-
-func TestBondcountPotentialKey(t *testing.T) {
-	d, err := Parse(strings.NewReader("cells 4 4 4\nduration 1\npotential bondcount\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Config.Potential != core.BondCount {
-		t.Fatal("bondcount potential not parsed")
 	}
 }
 

@@ -328,19 +328,35 @@ func TestStartWallOrdering(t *testing.T) {
 	}
 }
 
-// BenchmarkSpanRecord is the client-side per-request tracing tax: one
+// tracedRequest returns the client-side per-request tracing tax: one
 // eval span with a pick annotation and a wire-context encode, against a
 // live ring journal — what the fleet client adds per traced request.
-func BenchmarkSpanRecord(b *testing.B) {
+func tracedRequest() func() {
 	tr := NewSetOn(NewJournal(512)).Tracer
 	seg := tr.PhaseAt("run", "segment").StartUnder(NewTrace())
 	eval := tr.PhaseAt("fleet", "eval")
 	var wire [ContextSize]byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		sp := eval.StartUnder(seg.Context())
 		sp.Event("pick node=%s", "10.0.0.1:7077")
 		sp.Context().Encode(wire[:])
 		sp.EndMsg("")
+	}
+}
+
+func BenchmarkSpanRecord(b *testing.B) {
+	req := tracedRequest()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req()
+	}
+}
+
+// TestSpanRecordAllocs bounds the traced-request tax BenchmarkSpanRecord
+// times: the journalled span, its event and its end record stay on the
+// flight recorder's ring, at no more than 8 allocations per request.
+func TestSpanRecordAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(1000, tracedRequest()); allocs > 8 {
+		t.Fatalf("a traced request allocates %v times, want at most 8", allocs)
 	}
 }

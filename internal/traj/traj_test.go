@@ -76,6 +76,61 @@ func TestRoundTripSerial(t *testing.T) {
 	}
 }
 
+// TestHopRecordBuffered: Recorder.Hop rides the engine's hot path, so it
+// allocates nothing and writes nothing until flushThreshold (64 KiB) of
+// records are buffered. The log then grows by one frame of at least that
+// size at a time, and every hop reads back.
+func TestHopRecordBuffered(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.tkmctrj")
+	r := openT(t, path, ModeSerial, 0)
+	if err := r.Begin(0, 0); err != nil {
+		t.Fatalf("Begin: %v", err)
+	}
+	size := func() int64 {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	const hops = 22000
+	last, flushes := size(), 0
+	if last != headerLen {
+		t.Fatalf("fresh log holds %d B, want the %d-byte header", last, headerLen)
+	}
+	for i := 0; i < hops; i++ {
+		r.Hop(i%64, i%8, 1e-9)
+		grown := size() - last
+		last += grown
+		switch {
+		case grown == 0 && len(r.buf) >= flushThreshold:
+			t.Fatalf("hop %d: %d B buffered and nothing written", i, len(r.buf))
+		case grown != 0 && (grown < flushThreshold || len(r.buf) != 0):
+			t.Fatalf("hop %d: log grew by %d B with %d B still buffered, want one frame of at least %d B", i, grown, len(r.buf), flushThreshold)
+		case grown != 0:
+			flushes++
+		}
+	}
+	if flushes < 3 {
+		t.Fatalf("%d hops flushed %d frames, want at least 3", hops, flushes)
+	}
+
+	i := 0
+	if allocs := testing.AllocsPerRun(hops, func() { r.Hop(i%64, i%8, 1e-9); i++ }); allocs != 0 {
+		t.Fatalf("Recorder.Hop allocates %v times per hop, want 0", allocs)
+	}
+	if err := r.Commit(r.hops, r.time); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	lg, err := ReadLog(path)
+	if err != nil {
+		t.Fatalf("ReadLog: %v", err)
+	}
+	if want := int64(hops + i); lg.Hops != want || len(lg.Records) != hops+i {
+		t.Fatalf("log reads back %d hops in %d records, want %d", lg.Hops, len(lg.Records), want)
+	}
+}
+
 func TestReopenAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.tkmctrj")
 	r := openT(t, path, ModeSerial, 0)

@@ -12,7 +12,7 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-pkgs=(nnp feature eam cluster fusion lattice kmc encoding rng units bondcount sw)
+pkgs=(nnp feature eam cluster fusion lattice kmc encoding rng units sw)
 # Scalar FMADD/FMSUB/FNMADD/FNMSUB[DS] (all three), arm64 VFMLA/VFMLS,
 # s390x VFMA/VFMS/WFMADB/WFMSDB, ppc64 VSX XSMADD…/XVMADD….
 fused='\s(FN?M(ADD|SUB)[A-Z]*|VFML[AS]|[VW]FN?M[AS](DB|SB)?|X[SV]N?M(ADD|SUB)[A-Z]*)\s'

@@ -49,9 +49,8 @@ type (
 
 // Potential kinds for Config.Potential.
 const (
-	EAM       = core.EAM
-	NNP       = core.NNP
-	BondCount = core.BondCount
+	EAM = core.EAM
+	NNP = core.NNP
 )
 
 // Physical defaults from the paper.

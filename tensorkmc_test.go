@@ -107,21 +107,3 @@ func TestDiffusionTrackerAPI(t *testing.T) {
 		t.Fatal("non-positive diffusivity")
 	}
 }
-
-// TestBondCountPotentialAPI runs the tabulated-model path end to end.
-func TestBondCountPotentialAPI(t *testing.T) {
-	sim, err := tensorkmc.New(tensorkmc.Config{
-		Cells: [3]int{10, 10, 10}, CuFraction: 0.03, VacancyFraction: 0.002,
-		Seed: 9, Potential: tensorkmc.BondCount,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sim.Run(2e-8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Hops == 0 {
-		t.Fatal("bond-count model produced no dynamics")
-	}
-}
