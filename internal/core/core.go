@@ -431,10 +431,6 @@ func (s *Simulation) trajCommit() error {
 // Box returns the current lattice (the evolved state after runs).
 func (s *Simulation) Box() *lattice.Box { return s.box }
 
-// EvalServer exposes the shared evaluation service, nil when EvalCache
-// is off — the tkmc-serve TCP front-end attaches to it.
-func (s *Simulation) EvalServer() *evalserve.Server { return s.evalSrv }
-
 // EvalStats snapshots the evaluation-service counters; ok reports
 // whether the service is enabled.
 func (s *Simulation) EvalStats() (st evalserve.Stats, ok bool) {

@@ -8,15 +8,15 @@ import (
 )
 
 // Chaos is a fault interposer for a World: under test control it drops,
-// duplicates and delays point-to-point messages and stalls whole ranks,
+// duplicates and delays the messages a gather sends and stalls whole ranks,
 // reproducing in-process the failure modes a 27.5M-core fabric exhibits
 // statistically. All decisions draw from a seeded stream, so a chaos
 // schedule is reproducible.
 //
 // Install with World.SetChaos before the ranks start. The zero
 // probabilities mean "never"; a stalled rank swallows every message it
-// would send or receive and refuses to arrive at barriers (peers detect
-// it via BarrierTimeout/AllGatherTimeout).
+// would send or receive and never enters another gather (peers detect
+// it when AllGather's deadline expires).
 type Chaos struct {
 	mu      sync.Mutex
 	rnd     *rng.Stream
@@ -82,8 +82,8 @@ func (c *Chaos) WithDelay(p float64, d time.Duration) *Chaos {
 	return c
 }
 
-// StallRank marks a rank dead: its messages vanish and it never arrives
-// at another barrier.
+// StallRank marks a rank dead: its messages vanish and it never enters
+// another gather.
 func (c *Chaos) StallRank(r int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

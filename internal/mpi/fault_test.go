@@ -2,73 +2,17 @@ package mpi
 
 import (
 	"errors"
-	"strings"
-	"sync"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tensorkmc/internal/telemetry"
 )
 
-func TestRecvTimeoutDelivers(t *testing.T) {
-	Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 3, "payload")
-		} else {
-			v, err := c.RecvTimeout(0, 3, time.Second)
-			if err != nil {
-				t.Errorf("RecvTimeout: %v", err)
-			} else if v.(string) != "payload" {
-				t.Errorf("got %v", v)
-			}
-		}
-	})
-}
-
-func TestRecvTimeoutExpires(t *testing.T) {
-	Run(2, func(c *Comm) {
-		if c.Rank() != 1 {
-			return // rank 0 never sends
-		}
-		_, err := c.RecvTimeout(0, 3, 20*time.Millisecond)
-		if !errors.Is(err, ErrTimeout) {
-			t.Errorf("want ErrTimeout, got %v", err)
-		}
-		if err == nil || !strings.Contains(err.Error(), "rank 0") {
-			t.Errorf("timeout error does not name the awaited rank: %v", err)
-		}
-	})
-}
-
-func TestRecvTimeoutTagMismatchErrors(t *testing.T) {
-	Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 1, "x")
-		} else {
-			_, err := c.RecvTimeout(0, 2, time.Second)
-			if err == nil || !strings.Contains(err.Error(), "expected tag") {
-				t.Errorf("tag mismatch not reported: %v", err)
-			}
-		}
-	})
-}
-
-func TestTrySendFullBuffer(t *testing.T) {
-	w := NewWorld(2)
-	c := w.Comm(0)
-	var err error
-	for i := 0; i < 100; i++ {
-		if err = c.TrySend(1, 1, i); err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, ErrFull) {
-		t.Fatalf("TrySend never reported a full buffer: %v", err)
-	}
-}
-
 // TestBarrierTimeoutNamesStalledRank is the core deadlock diagnostic:
-// one rank never arrives, the others must fail with a StallError naming
-// it instead of hanging.
+// one rank never enters the gather, and every rank, the stalled one
+// included, must fail with a StallError naming it instead of hanging.
 func TestBarrierTimeoutNamesStalledRank(t *testing.T) {
 	w := NewWorld(4)
 	chaos := NewChaos(1)
@@ -76,9 +20,9 @@ func TestBarrierTimeoutNamesStalledRank(t *testing.T) {
 	w.SetChaos(chaos)
 	var failures int32
 	RunWorld(w, func(c *Comm) {
-		err := c.BarrierTimeout(50 * time.Millisecond)
+		_, err := c.AllGather(c.Rank(), 50*time.Millisecond)
 		if err == nil {
-			t.Errorf("rank %d: barrier succeeded despite stalled rank", c.Rank())
+			t.Errorf("rank %d: gather succeeded despite stalled rank", c.Rank())
 			return
 		}
 		atomic.AddInt32(&failures, 1)
@@ -98,7 +42,7 @@ func TestBarrierTimeoutNamesStalledRank(t *testing.T) {
 		t.Fatalf("%d ranks saw the stall, want all 4 (including the stalled one)", failures)
 	}
 	if w.Err() == nil {
-		t.Fatal("world not latched broken after barrier timeout")
+		t.Fatal("world not latched broken after gather timeout")
 	}
 }
 
@@ -108,10 +52,10 @@ func TestBrokenWorldFailsFast(t *testing.T) {
 	chaos.StallRank(1)
 	w.SetChaos(chaos)
 	RunWorld(w, func(c *Comm) {
-		_ = c.BarrierTimeout(20 * time.Millisecond)
+		_, _ = c.AllGather(c.Rank(), 20*time.Millisecond)
 		// Any later collective must fail immediately, not hang for d.
 		start := time.Now()
-		if _, err := c.AllGatherTimeout(c.Rank(), time.Minute); err == nil {
+		if _, err := c.AllGather(c.Rank(), time.Minute); err == nil {
 			t.Errorf("rank %d: collective succeeded on a broken world", c.Rank())
 		}
 		if time.Since(start) > 5*time.Second {
@@ -122,108 +66,78 @@ func TestBrokenWorldFailsFast(t *testing.T) {
 
 func TestAllGatherTimeoutHealthyWorld(t *testing.T) {
 	Run(3, func(c *Comm) {
-		got, err := c.AllGatherTimeout(c.Rank()*7, time.Second)
+		got, err := c.AllGather(c.Rank()*7, time.Second)
 		if err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
 		for r, v := range got {
 			if v.(int) != r*7 {
-				t.Errorf("AllGatherTimeout[%d] = %v", r, v)
+				t.Errorf("AllGather[%d] = %v", r, v)
 			}
 		}
 	})
 }
 
+// fabricCounts reads rank r's tkmc_mpi_{sends,recvs,timeouts}_total.
+func fabricCounts(reg *telemetry.Registry, r int) (sends, recvs, timeouts int64) {
+	label := strconv.Itoa(r)
+	return reg.Counter(telemetry.MetricMPISends, "", "rank", label).Value(),
+		reg.Counter(telemetry.MetricMPIRecvs, "", "rank", label).Value(),
+		reg.Counter(telemetry.MetricMPITimeouts, "", "rank", label).Value()
+}
+
+// queued counts the messages left on the world's channels.
+func queued(w *World) int64 {
+	var n int64
+	for _, row := range w.chans {
+		for _, ch := range row {
+			n += int64(len(ch))
+		}
+	}
+	return n
+}
+
+// TestChaosDropsAndDuplicates runs one gather per world on a shared
+// interposer and accounts, world by world, for every fault it reports:
+// each payload either arrives (counted once) or is dropped, a gather
+// fails exactly when something was dropped, and every second copy of a
+// duplicated payload is discarded, so it is still on the wire when the
+// gather is over.
 func TestChaosDropsAndDuplicates(t *testing.T) {
-	const n = 2000
-	w := NewWorld(2)
-	chaos := NewChaos(42).WithDrop(0.25)
-	w.SetChaos(chaos)
-	var received int64
-	RunWorld(w, func(c *Comm) {
-		if c.Rank() == 0 {
-			for i := 0; i < n; i++ {
-				c.Send(1, 1, i)
-			}
-		} else {
-			// Drain until the channel stays quiet: any end-marker message
-			// could itself be dropped by the chaos under test.
-			for {
-				if _, err := c.RecvTimeout(0, 1, 100*time.Millisecond); err != nil {
-					break
-				}
-				atomic.AddInt64(&received, 1)
-			}
-		}
-	})
-	st := chaos.Stats()
-	if st.Dropped == 0 {
-		t.Fatal("chaos dropped nothing at 25% drop probability")
-	}
-	if received+st.Dropped != n {
-		t.Fatalf("received %d + dropped %d != sent %d", received, st.Dropped, n)
-	}
+	const n, worlds = 3, 16
+	chaos := NewChaos(42).WithDrop(0.1).WithDuplicate(0.3)
+	var dropped, duplicated int64
+	for i := 0; i < worlds; i++ {
+		before := chaos.Stats()
+		w := NewWorld(n)
+		w.SetChaos(chaos)
+		reg := telemetry.NewRegistry()
+		w.SetTelemetry(reg, nil)
+		RunWorld(w, func(c *Comm) { _, _ = c.AllGather(c.Rank(), 50*time.Millisecond) })
+		after := chaos.Stats()
+		drops := after.Dropped - before.Dropped
+		dups := after.Duplicated - before.Duplicated
+		dropped += drops
+		duplicated += dups
 
-	// Duplication: every message delivered at least once, some twice.
-	w2 := NewWorld(2)
-	chaos2 := NewChaos(7).WithDuplicate(0.5)
-	w2.SetChaos(chaos2)
-	var got int64
-	RunWorld(w2, func(c *Comm) {
-		if c.Rank() == 0 {
-			for i := 0; i < 100; i++ {
-				c.Send(1, 1, i)
-			}
-		} else {
-			deadline := time.Now().Add(2 * time.Second)
-			for time.Now().Before(deadline) {
-				if _, err := c.RecvTimeout(0, 1, 50*time.Millisecond); err != nil {
-					break
-				}
-				atomic.AddInt64(&got, 1)
-			}
+		var recvs int64
+		for r := 0; r < n; r++ {
+			_, rv, _ := fabricCounts(reg, r)
+			recvs += rv
 		}
-	})
-	if got <= 100 {
-		t.Fatalf("duplication injected but only %d messages arrived for 100 sent", got)
-	}
-	if chaos2.Stats().Duplicated == 0 {
-		t.Fatal("duplication counter is zero")
-	}
-}
-
-func TestChaosDelayViolatesFIFO(t *testing.T) {
-	w := NewWorld(2)
-	w.SetChaos(NewChaos(3).WithDelay(0.5, 30*time.Millisecond))
-	var mu sync.Mutex
-	var order []int
-	RunWorld(w, func(c *Comm) {
-		if c.Rank() == 0 {
-			for i := 0; i < 40; i++ {
-				c.Send(1, 1, i)
-			}
-		} else {
-			for i := 0; i < 40; i++ {
-				v, err := c.RecvTimeout(0, 1, time.Second)
-				if err != nil {
-					t.Errorf("delayed message lost: %v", err)
-					return
-				}
-				mu.Lock()
-				order = append(order, v.(int))
-				mu.Unlock()
-			}
+		if recvs+drops != n*(n-1) {
+			t.Errorf("world %d: %d received + %d dropped != %d sent", i, recvs, drops, n*(n-1))
 		}
-	})
-	reordered := false
-	for i := 1; i < len(order); i++ {
-		if order[i] < order[i-1] {
-			reordered = true
+		if failed := w.Err() != nil; failed != (drops > 0) {
+			t.Errorf("world %d: gather failed = %v with %d drops", i, failed, drops)
+		}
+		if left := queued(w); left != dups {
+			t.Errorf("world %d: %d copies left on the wire, %d duplicated", i, left, dups)
 		}
 	}
-	if !reordered {
-		t.Log("delay injection produced no reordering this run (probabilistic); counters:", len(order))
+	if dropped == 0 || duplicated == 0 {
+		t.Fatalf("chaos injected %d drops and %d duplicates, want both", dropped, duplicated)
 	}
 }
 
@@ -236,7 +150,7 @@ func TestAllGatherDedupsDuplicates(t *testing.T) {
 	w.SetChaos(chaos)
 	RunWorld(w, func(c *Comm) {
 		for round := 0; round < 20; round++ {
-			got, err := c.AllGatherTimeout(c.Rank()*100+round, time.Second)
+			got, err := c.AllGather(c.Rank()*100+round, time.Second)
 			if err != nil {
 				t.Errorf("rank %d round %d: %v", c.Rank(), round, err)
 				return
@@ -254,7 +168,7 @@ func TestAllGatherDedupsDuplicates(t *testing.T) {
 	}
 }
 
-// TestAllGatherDelayWithinTimeout: delayed (FIFO-violating) messages must
+// TestAllGatherDelayReordered: delayed (FIFO-violating) messages must
 // be reordered back into the collectives they belong to, keeping every
 // round correct as long as the delay stays under the timeout.
 func TestAllGatherDelayReordered(t *testing.T) {
@@ -263,7 +177,7 @@ func TestAllGatherDelayReordered(t *testing.T) {
 	w.SetChaos(chaos)
 	RunWorld(w, func(c *Comm) {
 		for round := 0; round < 15; round++ {
-			got, err := c.AllGatherTimeout([2]int{c.Rank(), round}, 5*time.Second)
+			got, err := c.AllGather([2]int{c.Rank(), round}, 5*time.Second)
 			if err != nil {
 				t.Errorf("rank %d round %d: %v", c.Rank(), round, err)
 				return
@@ -281,16 +195,17 @@ func TestAllGatherDelayReordered(t *testing.T) {
 	}
 }
 
-// TestAllGatherDupDelayCombo drives many rounds under simultaneous
-// duplication and delay — the combination PR 2 left uncovered — and
-// requires every round to stay correct on every rank.
-func TestAllGatherDupDelayCombo(t *testing.T) {
+// dupDelayRounds drives 25 gathers with deadline d on four ranks under
+// simultaneous duplication and delay, and requires every round to stay
+// correct on every rank.
+func dupDelayRounds(t *testing.T, seed uint64, d time.Duration) {
+	t.Helper()
 	w := NewWorld(4)
-	chaos := NewChaos(17).WithDuplicate(0.4).WithDelay(0.3, 5*time.Millisecond)
+	chaos := NewChaos(seed).WithDuplicate(0.4).WithDelay(0.3, 5*time.Millisecond)
 	w.SetChaos(chaos)
 	RunWorld(w, func(c *Comm) {
 		for round := 0; round < 25; round++ {
-			got, err := c.AllGatherTimeout(c.Rank()<<16|round, 5*time.Second)
+			got, err := c.AllGather(c.Rank()<<16|round, d)
 			if err != nil {
 				t.Errorf("rank %d round %d: %v", c.Rank(), round, err)
 				return
@@ -309,6 +224,15 @@ func TestAllGatherDupDelayCombo(t *testing.T) {
 	}
 }
 
+// TestAllGatherDupDelayCombo runs the duplication-plus-delay rounds with
+// a deadline.
+func TestAllGatherDupDelayCombo(t *testing.T) { dupDelayRounds(t, 17, 5*time.Second) }
+
+// TestAllGatherBlockingUnderDupDelay runs the same rounds on the
+// blocking path (d = 0), the one every sweep without an exchange
+// timeout takes.
+func TestAllGatherBlockingUnderDupDelay(t *testing.T) { dupDelayRounds(t, 37, 0) }
+
 // TestAllGatherDropBreaksWorld: a dropped collective payload must
 // surface within the timeout as a StallError naming the silent rank,
 // and latch the world broken.
@@ -317,7 +241,7 @@ func TestAllGatherDropBreaksWorld(t *testing.T) {
 	w.SetChaos(NewChaos(19).WithDrop(1.0))
 	var stalls int32
 	RunWorld(w, func(c *Comm) {
-		_, err := c.AllGatherTimeout(c.Rank(), 50*time.Millisecond)
+		_, err := c.AllGather(c.Rank(), 50*time.Millisecond)
 		if err == nil {
 			t.Errorf("rank %d: gather succeeded with all payloads dropped", c.Rank())
 			return
@@ -347,7 +271,7 @@ func TestAllGatherDelayBeyondTimeout(t *testing.T) {
 	w := NewWorld(2)
 	w.SetChaos(NewChaos(23).WithDelay(1.0, 500*time.Millisecond))
 	RunWorld(w, func(c *Comm) {
-		_, err := c.AllGatherTimeout(c.Rank(), 40*time.Millisecond)
+		_, err := c.AllGather(c.Rank(), 40*time.Millisecond)
 		if err == nil {
 			t.Errorf("rank %d: gather beat a 500ms delay with a 40ms timeout", c.Rank())
 			return
@@ -359,106 +283,87 @@ func TestAllGatherDelayBeyondTimeout(t *testing.T) {
 }
 
 // TestChaosBudgetExhausts: a budgeted interposer must stop injecting
-// after its allotment, so a previously failing collective succeeds on
-// retry — the property supervisor convergence rests on.
+// after its allotment. Two worlds share one interposer, the supervisor's
+// rebuild shape: the first world's gather loses both payloads and
+// fails, the rebuilt world's gather succeeds.
 func TestChaosBudgetExhausts(t *testing.T) {
 	chaos := NewChaos(29).WithDrop(1.0).WithBudget(2)
-	w := NewWorld(2)
-	w.SetChaos(chaos)
-	var delivered int64
-	RunWorld(w, func(c *Comm) {
-		if c.Rank() == 0 {
-			for i := 0; i < 10; i++ {
-				c.Send(1, 1, i)
-			}
-		} else {
-			for {
-				if _, err := c.RecvTimeout(0, 1, 100*time.Millisecond); err != nil {
-					return
-				}
-				atomic.AddInt64(&delivered, 1)
-			}
-		}
-	})
+	gather := func() *World {
+		w := NewWorld(2)
+		w.SetChaos(chaos)
+		RunWorld(w, func(c *Comm) { _, _ = c.AllGather(c.Rank(), 50*time.Millisecond) })
+		return w
+	}
+	if err := gather().Err(); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("first world: want a gather timeout, got %v", err)
+	}
+	if err := gather().Err(); err != nil {
+		t.Fatalf("rebuilt world failed after the budget ran out: %v", err)
+	}
 	if st := chaos.Stats(); st.Dropped != 2 {
 		t.Fatalf("budget of 2 dropped %d messages", st.Dropped)
 	}
-	if delivered != 8 {
-		t.Fatalf("delivered %d of 10 messages with 2 budgeted drops", delivered)
-	}
 }
 
-// TestRecvTimeoutUnderDupDelay: the raw point-to-point path has no
-// dedup (that is the collective layer's job), so duplication doubles
-// deliveries and delay holds them back — but RecvTimeout must never
-// lose a message that was actually sent, nor hang.
-func TestRecvTimeoutUnderDupDelay(t *testing.T) {
-	const n = 50
-	w := NewWorld(2)
-	chaos := NewChaos(31).WithDuplicate(1.0).WithDelay(0.5, 10*time.Millisecond)
-	w.SetChaos(chaos)
-	var received int64
-	RunWorld(w, func(c *Comm) {
-		if c.Rank() == 0 {
-			for i := 0; i < n; i++ {
-				c.Send(1, 4, i)
-			}
-		} else {
-			for {
-				if _, err := c.RecvTimeout(0, 4, 200*time.Millisecond); err != nil {
-					if !errors.Is(err, ErrTimeout) {
-						t.Errorf("unexpected receive failure: %v", err)
-					}
+// TestFabricCounters pins the per-rank fabric counters: every payload
+// a rank puts on the wire is accepted exactly once by its peer, also
+// when delay reorders it into the stash, and a stalled rank costs each
+// waiting peer one timeout and the journal one mpi-stall event.
+func TestFabricCounters(t *testing.T) {
+	const n, rounds = 3, 30
+	balanced := func(name string, chaos *Chaos) {
+		w := NewWorld(n)
+		if chaos != nil {
+			w.SetChaos(chaos)
+		}
+		reg := telemetry.NewRegistry()
+		w.SetTelemetry(reg, nil)
+		RunWorld(w, func(c *Comm) {
+			for round := 0; round < rounds; round++ {
+				if _, err := c.AllGather(round, 5*time.Second); err != nil {
+					t.Errorf("%s: rank %d round %d: %v", name, c.Rank(), round, err)
 					return
 				}
-				atomic.AddInt64(&received, 1)
+			}
+		})
+		for r := 0; r < n; r++ {
+			sends, recvs, timeouts := fabricCounts(reg, r)
+			if want := int64((n - 1) * rounds); sends != want || recvs != want || timeouts != 0 {
+				t.Errorf("%s: rank %d sends/recvs/timeouts = %d/%d/%d, want %d/%d/0",
+					name, r, sends, recvs, timeouts, want, want)
 			}
 		}
-	})
-	if received != 2*n {
-		t.Fatalf("received %d messages, want %d (every one duplicated)", received, 2*n)
 	}
-}
+	balanced("clean", nil)
+	delayed := NewChaos(3).WithDelay(0.5, 10*time.Millisecond)
+	balanced("delayed", delayed)
+	if delayed.Stats().Delayed == 0 {
+		t.Fatal("no delays were injected")
+	}
 
-func TestWatchdogReportsStalledRecv(t *testing.T) {
-	w := NewWorld(2)
-	var mu sync.Mutex
-	var reports []string
-	stop := w.Watch(10*time.Millisecond, 20*time.Millisecond, func(r string) {
-		mu.Lock()
-		reports = append(reports, r)
-		mu.Unlock()
-	})
-	defer stop()
-	RunWorld(w, func(c *Comm) {
-		if c.Rank() == 1 {
-			// Stall in a receive that rank 0 only satisfies after the
-			// watchdog has had time to observe the stall.
-			v, err := c.RecvTimeout(0, 9, time.Second)
-			if err != nil || v.(string) != "late" {
-				t.Errorf("rank 1: %v %v", v, err)
-			}
-		} else {
-			time.Sleep(150 * time.Millisecond)
-			c.Send(1, 9, "late")
+	w := NewWorld(n)
+	chaos := NewChaos(5)
+	chaos.StallRank(2)
+	w.SetChaos(chaos)
+	reg, journal := telemetry.NewRegistry(), telemetry.NewJournal(0)
+	w.SetTelemetry(reg, journal)
+	RunWorld(w, func(c *Comm) { _, _ = c.AllGather(c.Rank(), 50*time.Millisecond) })
+	for r := 0; r < n; r++ {
+		want := int64(1)
+		if r == 2 {
+			want = 0
 		}
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(reports) == 0 {
-		t.Fatal("watchdog never fired")
+		if _, _, timeouts := fabricCounts(reg, r); timeouts != want {
+			t.Errorf("stalled: rank %d timeouts = %d, want %d", r, timeouts, want)
+		}
 	}
-	if !strings.Contains(reports[0], "rank 1") || !strings.Contains(reports[0], "rank 0") {
-		t.Fatalf("report does not say who is stalled on whom: %q", reports[0])
+	var stalls int
+	for _, e := range journal.Events() {
+		if e.Type == "mpi-stall" {
+			stalls++
+		}
 	}
-}
-
-func TestStallsEmptyWhenIdle(t *testing.T) {
-	w := NewWorld(3)
-	if s := w.Stalls(0); len(s) != 0 {
-		t.Fatalf("idle world reports stalls: %v", s)
-	}
-	if r := w.StallReport(0); r != "" {
-		t.Fatalf("idle world report: %q", r)
+	if stalls != 1 {
+		t.Fatalf("journal holds %d mpi-stall events, want 1", stalls)
 	}
 }

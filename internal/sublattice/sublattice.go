@@ -376,15 +376,9 @@ func (r *rankState) executeHop(slot int, k int) (kept bool) {
 // stalled ranks) instead of blocking forever on a dead peer.
 func (r *rankState) exchange() error {
 	payload := append([]SiteChange(nil), r.changes...)
-	var all []any
-	if r.cfg.ExchangeTimeout > 0 {
-		var err error
-		all, err = r.comm.AllGatherTimeout(payload, r.cfg.ExchangeTimeout)
-		if err != nil {
-			return err
-		}
-	} else {
-		all = r.comm.AllGather(payload)
+	all, err := r.comm.AllGather(payload, r.cfg.ExchangeTimeout)
+	if err != nil {
+		return err
 	}
 	r.changes = r.changes[:0]
 	for from, payload := range all {
