@@ -86,12 +86,13 @@ func TestServeConcurrentClients(t *testing.T) {
 	addr := waitForAddr(t, out)
 
 	// Reference results through one sequential client.
-	ref, err := evalserve.Dial(addr, units.LatticeConstantFe, 5.8)
+	tb := encoding.New(units.LatticeConstantFe, 5.8)
+	ref, err := evalserve.Dial(addr, tb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	vets := sampleVETs(ref.Tables(), 10, 31)
+	vets := sampleVETs(tb, 10, 31)
 	want := make([]evalserve.Result, len(vets))
 	for i, vet := range vets {
 		if want[i], err = ref.Evaluate(vet); err != nil {
@@ -107,7 +108,7 @@ func TestServeConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := evalserve.Dial(addr, units.LatticeConstantFe, 5.8)
+			cl, err := evalserve.Dial(addr, tb)
 			if err != nil {
 				errs <- err
 				return
@@ -205,7 +206,7 @@ func TestServeTelemetryEndpoint(t *testing.T) {
 	addr := waitForAddr(t, out)
 	teleAddr := waitForTelemetryAddr(t, out)
 
-	cl, err := evalserve.Dial(addr, units.LatticeConstantFe, 5.8)
+	cl, err := evalserve.Dial(addr, encoding.New(units.LatticeConstantFe, 5.8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,15 +362,15 @@ func TestServeFleetDrain(t *testing.T) {
 	}
 
 	// One live session per node, all held open across the drain.
+	tb := encoding.New(units.LatticeConstantFe, 3.0)
 	clients := make([]*evalserve.Client, len(addrs))
 	for i, addr := range addrs {
-		cl, err := evalserve.Dial(addr, units.LatticeConstantFe, 3.0)
+		cl, err := evalserve.Dial(addr, tb)
 		if err != nil {
 			t.Fatal(err)
 		}
 		clients[i] = cl
 	}
-	tb := encoding.New(units.LatticeConstantFe, 3.0)
 	vets := sampleVETs(tb, 2, 91)
 	want := make([]float64, len(clients))
 	for i, cl := range clients {
@@ -386,7 +387,7 @@ func TestServeFleetDrain(t *testing.T) {
 	refused := false
 	deadline = time.Now().Add(10 * time.Second)
 	for !refused && time.Now().Before(deadline) {
-		cl, err := evalserve.Dial(addrs[0], units.LatticeConstantFe, 3.0)
+		cl, err := evalserve.Dial(addrs[0], tb)
 		if err != nil {
 			refused = true
 			break

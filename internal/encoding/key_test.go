@@ -3,6 +3,7 @@ package encoding_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -40,16 +41,16 @@ func fillVET(t *testing.T, tb *encoding.Tables, seed uint64, center lattice.Vec)
 	return vet, box
 }
 
-// TestKeyRoundTrip: encoding a VET and decoding it back must reproduce the
-// exact environment, and therefore the exact hop energies — the property
-// the evaluation cache's bit-identity contract rests on. Decoding refuses
-// a byte above Vacancy by site.
+// TestKeyRoundTrip: packing a VET and unpacking it back must reproduce
+// the exact environment, and therefore the exact hop energies — the
+// property the evaluation cache's bit-identity contract rests on.
+// Unpacking refuses a slot holding 3 by site.
 func TestKeyRoundTrip(t *testing.T) {
 	tb := testTables(t)
 	vet, _ := fillVET(t, tb, 1, lattice.Vec{X: 12, Y: 12, Z: 12})
 
-	env := tb.EncodeEnv(vet)
-	back, err := tb.DecodeEnv(env)
+	key := pack(t, tb, vet)
+	back, err := tb.UnpackEnv(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,15 +62,12 @@ func TestKeyRoundTrip(t *testing.T) {
 			t.Fatalf("round-trip species mismatch at CET %d: %v != %v", i, back[i], vet[i])
 		}
 	}
-	if tb.Fingerprint(back) != tb.Fingerprint(vet) {
-		t.Fatal("round-trip changed the fingerprint")
+	if tb.Fingerprint(back) != tb.Fingerprint(vet) || tb.Fingerprint(vet) != encoding.KeyHash(key) {
+		t.Fatal("round-trip changed the fingerprint, or it is not the packed key's hash")
 	}
-	if !bytes.Equal(pack(t, tb, back), pack(t, tb, vet)) {
-		t.Fatal("round-trip changed the packed key")
-	}
-	env[7] = 3
-	if _, err := tb.DecodeEnv(env); err == nil || !strings.Contains(err.Error(), "site 7 ") {
-		t.Fatalf("decoding species byte 3 at site 7: %v", err)
+	key[1] |= 3 << 6 // site 7
+	if _, err := tb.UnpackEnv(key); err == nil || !strings.Contains(err.Error(), "site 7 ") {
+		t.Fatalf("unpacking a 3 at site 7: %v", err)
 	}
 
 	// Same environment ⇒ bit-identical energies through the model.
@@ -181,7 +179,7 @@ func TestKeyNearCollisionCompare(t *testing.T) {
 		t.Fatal("compare-on-hit accepted a differing environment")
 	}
 	// And the fingerprints do differ here, as they should for a
-	// single-site change (FNV-1a mixes every byte).
+	// single-site change (KeyHash mixes every word).
 	if tb.Fingerprint(vetA) == tb.Fingerprint(vetB) {
 		t.Fatal("single-site change produced an actual hash collision")
 	}
@@ -258,4 +256,81 @@ func FuzzPackEnv(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzUnpackEnv: at 6.5 Å and at the short cutoff, UnpackEnv inverts
+// PackEnv, and it refuses exactly the keys no VET packs to — a wrong
+// length, a slot holding 3, or a set bit past the last site — which a
+// site-by-site oracle decides here independently.
+func FuzzUnpackEnv(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x12, 0x00, 0x01})
+	f.Add([]byte{0xff})
+	f.Add(bytes.Repeat([]byte{0xaa, 0x55, 0x24}, 100))
+	f.Add(append(bytes.Repeat([]byte{0}, 295), 0x04))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, tb := range packTables() {
+			vet := tb.NewVET()
+			key := make([]byte, tb.KeyLen())
+			if len(raw) > 0 {
+				for i := range vet {
+					vet[i] = lattice.Species(raw[i%len(raw)] % 3)
+				}
+				for i := range key {
+					key[i] = raw[i%len(raw)]
+				}
+			}
+			back, err := tb.UnpackEnv(pack(t, tb, vet))
+			if err != nil || !slices.Equal(back, vet) {
+				t.Fatalf("NAll %d: UnpackEnv(PackEnv(v)) = %v, %v", tb.NAll, back, err)
+			}
+
+			valid := true
+			for i := 0; i < 4*len(key); i++ {
+				slot := key[i/4] >> (2 * (i % 4)) & 3
+				if (i < tb.NAll && slot == 3) || (i >= tb.NAll && slot != 0) {
+					valid = false
+				}
+			}
+			got, err := tb.UnpackEnv(key)
+			if (err == nil) != valid {
+				t.Fatalf("NAll %d: key %x: UnpackEnv error %v, oracle says valid = %v", tb.NAll, key, err, valid)
+			}
+			if valid && !bytes.Equal(pack(t, tb, got), key) {
+				t.Fatalf("NAll %d: key %x unpacks to a VET that packs to another key", tb.NAll, key)
+			}
+			for _, bad := range [][]byte{key[:len(key)-1], append(slices.Clone(key), 0)} {
+				if _, err := tb.UnpackEnv(bad); err == nil {
+					t.Fatalf("NAll %d: a %d-byte key was accepted", tb.NAll, len(bad))
+				}
+			}
+		}
+	})
+}
+
+// TestKeyHashShardSpread: KeyHash's top bits pick a cache shard, so
+// 4,096 random dilute-alloy environments (1.34 % Cu, the paper's
+// Fe-Cu) must fill 16 shards by KeyHash>>48 within ±25 % of uniform.
+func TestKeyHashShardSpread(t *testing.T) {
+	tb := packTables()[0]
+	const systems, shards = 4096, 16
+	r := rng.New(9)
+	var counts [shards]int
+	vet := tb.NewVET()
+	for n := 0; n < systems; n++ {
+		vet[0] = lattice.Vacancy
+		for i := 1; i < len(vet); i++ {
+			vet[i] = lattice.Fe
+			if r.Float64() < 0.0134 {
+				vet[i] = lattice.Cu
+			}
+		}
+		counts[encoding.KeyHash(pack(t, tb, vet))>>48%shards]++
+	}
+	for s, c := range counts {
+		if want := systems / shards; c < want*3/4 || c > want*5/4 {
+			t.Errorf("shard %d holds %d of %d systems, want %d ± 25%%", s, c, systems, want)
+		}
+	}
 }

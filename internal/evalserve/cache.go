@@ -61,9 +61,9 @@ const cacheShards = 8
 
 // Cache is the sharded, content-addressed vacancy-system cache: the
 // paper's vacancy cache (Sec. 3.2) generalized across vacancies and
-// across engines. Entries are filed under the VET's fingerprint
-// (encoding.Fingerprint) and hold its packed environment
-// (encoding.PackEnv, four sites per byte); every hit compares the whole
+// across engines. Entries are filed under the hash of the VET's packed
+// environment (encoding.KeyHash of encoding.PackEnv's four sites per
+// byte) and hold that packed environment; every hit compares the whole
 // packed environment so a hash collision can never substitute a wrong
 // energy (the bit-identity contract).
 type Cache struct {
@@ -103,8 +103,8 @@ func (c *Cache) shardFor(hash uint64) *cacheShard {
 	return c.shards[(hash>>48)&c.mask]
 }
 
-// Get returns the cached result for the vacancy system whose fingerprint
-// is hash and whose packed environment is key, comparing the stored key
+// Get returns the cached result for the vacancy system whose packed
+// environment is key and hash its encoding.KeyHash, comparing the stored key
 // byte-for-byte before trusting the hash. It keeps no reference to key.
 func (c *Cache) Get(hash uint64, key []byte) (Result, bool) {
 	return c.lookup(hash, key, true)

@@ -40,8 +40,14 @@ func sampleVETs(t testing.TB, tb *encoding.Tables, n int, seed uint64) []encodin
 	return out
 }
 
+// shortTables are the short-cutoff tables every test server and client
+// shares, as the processes of one run share theirs.
+var shortTables = sync.OnceValue(func() *encoding.Tables {
+	return encoding.New(units.LatticeConstantFe, units.CutoffShort)
+})
+
 func smallPotential(seed uint64) (*nnp.Potential, *encoding.Tables) {
-	tb := encoding.New(units.LatticeConstantFe, units.CutoffShort)
+	tb := shortTables()
 	desc := feature.Standard(units.CutoffShort)
 	pot := nnp.NewPotential(desc, []int{desc.Dim(), 16, 8, 1}, rng.New(seed))
 	return pot, tb

@@ -8,8 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"tensorkmc/internal/encoding"
-	"tensorkmc/internal/units"
+	"tensorkmc/internal/telemetry"
 )
 
 // frameBytes wraps a payload in the length-prefixed wire framing.
@@ -49,40 +48,51 @@ func fuzzServerAddr(t testing.TB) string {
 // error (or a reaped connection), never a crash.
 func FuzzWireFrame(f *testing.F) {
 	// Valid frames of every opcode, so mutation starts near the format:
-	// the 18-byte hello (trailing version byte; 0, 1 and 0xff probe the
-	// refuse and clamp paths), the retired 17-byte version-1 hello the
-	// server must refuse, the 6-byte acknowledgement, and evals with and
-	// without the 16-byte trace context prefix.
-	for _, ver := range []byte{wireVersion, 0, 1, 0xff} {
+	// the 18-byte hello (trailing version byte; 0, 1, 2 and 0xff probe
+	// the refuse and clamp paths), the retired 17-byte version-1 hello the
+	// server must refuse, the 6-byte acknowledgement, and eval frames —
+	// trace context, then packed key — untraced, traced and torn.
+	for _, ver := range []byte{wireVersion, 0, 1, 2, 0xff} {
 		f.Add(frameBytes(hello2Payload(ver)))
 	}
 	f.Add(frameBytes(legacyHelloPayload()))
 	f.Add(frameBytes([]byte{opStats}))
-	f.Add(frameBytes(resultFrame(Result{Initial: 1.5, Valid: [8]bool{true}})))
+	f.Add(frameBytes(appendResult(nil, Result{Initial: 1.5, Valid: [8]bool{true}})))
 	f.Add(frameBytes(errorFrame(errGeneric, "boom")))
 	f.Add(frameBytes(errorFrame(errCorruption, "tripwire")))
-	f.Add(frameBytes(append([]byte{opEval}, bytes.Repeat([]byte{1}, 32)...)))
+	f.Add(frameBytes([]byte{opError})) // no kind byte: an error without a message, not a panic
+	tb := shortTables()
+	eval := make([]byte, evalFrameLen(tb))
+	eval[0], eval[1+telemetry.ContextSize] = opEval, 0x12 // vacancy, Fe, Cu, Fe
+	traced := bytes.Clone(eval)
+	telemetry.Context{Trace: 0xfeedc0dedeadbeef, Span: 0x0123456789abcdef}.Encode(traced[1:])
+	f.Add(frameBytes(eval))
+	f.Add(frameBytes(traced))
+	f.Add(frameBytes(traced[:1+telemetry.ContextSize/2])) // torn inside the trace context
 	f.Add(frameBytes([]byte{opHelloOK2, 0, 0, 0, 0, wireVersion}))
 	f.Add(frameBytes([]byte{opHelloOK2, 0, 0, 0, 0, 0xff}))
-	f.Add(frameBytes(append([]byte{opEval2}, bytes.Repeat([]byte{1}, 16+32)...)))
-	f.Add(frameBytes(append([]byte{opEval2}, 1, 2, 3))) // truncated trace context
 	f.Add(append(frameBytes(hello2Payload(wireVersion)), frameBytes([]byte{opStats})...))
+	f.Add(append(frameBytes(hello2Payload(wireVersion)), frameBytes(traced)...))
 	f.Add([]byte{0, 0, 0, 0})                // empty frame
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}) // oversized length prefix
 	f.Add([]byte{4, 0, 0, 0, 1})             // truncated payload
 	// A handshake, then an eval whose site 5 holds 3, above Vacancy: the
 	// session must refuse it by site and evaluate nothing.
-	badEval := make([]byte, 1+encoding.New(units.LatticeConstantFe, units.CutoffShort).NAll)
-	badEval[0], badEval[1+5] = opEval, 3
+	badEval := bytes.Clone(eval)
+	badEval[1+telemetry.ContextSize+1] = 3 << 2
 	f.Add(append(frameBytes(hello2Payload(wireVersion)), frameBytes(badEval)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Raw frame reader at both session limits.
-		if p, err := readFrame(bytes.NewReader(data), minFrame); err == nil && len(p) > minFrame {
+		if p, err := readFrame(bytes.NewReader(data), nil, minFrame); err == nil && len(p) > minFrame {
 			t.Fatalf("readFrame returned %d bytes past its %d limit", len(p), minFrame)
 		}
-		if p, err := readFrame(bytes.NewReader(data), maxStatsFrame); err == nil && len(p) > maxStatsFrame {
+		if p, err := readFrame(bytes.NewReader(data), nil, maxStatsFrame); err == nil && len(p) > maxStatsFrame {
 			t.Fatalf("readFrame returned %d bytes past its %d limit", len(p), maxStatsFrame)
+		}
+		// Into a reused buffer, as a session reads: the bound still holds.
+		if p, err := readFrame(bytes.NewReader(data), make([]byte, 8), maxReplyFrame); err == nil && len(p) > maxReplyFrame {
+			t.Fatalf("readFrame returned %d bytes past its %d limit", len(p), maxReplyFrame)
 		}
 		// Result decoder.
 		decodeResult(data)
@@ -113,7 +123,7 @@ func FuzzWireFrame(f *testing.F) {
 		cc, sc := net.Pipe()
 		go func() {
 			sc.SetDeadline(time.Now().Add(2 * time.Second))
-			readFrame(sc, minFrame) // consume the client's hello
+			readFrame(sc, nil, minFrame) // consume the client's hello
 			sc.Write(data)
 			sc.Close()
 		}()
@@ -121,7 +131,7 @@ func FuzzWireFrame(f *testing.F) {
 			Timeout: time.Second,
 			Dialer:  func(string) (net.Conn, error) { return cc, nil },
 		}
-		if cl, err := dc.Dial("pipe", units.LatticeConstantFe, units.CutoffShort); err == nil {
+		if cl, err := dc.Dial("pipe", shortTables()); err == nil {
 			cl.Close()
 		}
 		sc.Close()

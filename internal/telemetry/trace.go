@@ -21,7 +21,7 @@ const SpanEventType = "span"
 // Trace is the invalid context — tracing off. Span may be zero in a
 // root context (a trace with no spans yet). It is minted per run (or
 // taken from a control-plane job record), carried across process
-// boundaries in the evalserve wire protocol's eval2 frames, and handed
+// boundaries in the evalserve wire protocol's eval frames, and handed
 // to Phase.StartUnder so the span it opens journals itself.
 //
 // Minting only reads the wall clock and a process-local counter; it
