@@ -1,6 +1,7 @@
 package evalserve
 
 import (
+	"fmt"
 	"testing"
 
 	"tensorkmc/internal/rng"
@@ -29,8 +30,15 @@ func TestRingDeterministic(t *testing.T) {
 	}
 }
 
-// TestRingBalance: ownership over a random key population must be
-// roughly even — no node may own more than twice the fair share.
+// TestRingBalance: ownership must be roughly even. Over 20,000 random
+// keys on a four-node ring no node may own more than twice, or less than
+// half, its fair share. On the addresses a fleet really has — loopback
+// ports a digit or two apart — over 200 seeded 3-node rings the largest
+// owner never holds half the key space and the smallest never a fifth
+// (a third is fair; measured: largest 41.4 %, smallest 21.9 %). With the
+// labels hashed by plain FNV-1a, which leaves "addr#1" and "addr#2"
+// close on the circle, the median ring's largest owner held 52 % and the
+// smallest of one ring 1.1 %.
 func TestRingBalance(t *testing.T) {
 	nodes := []string{"a:1", "b:2", "c:3", "d:4"}
 	ring := NewRing(nodes, 0)
@@ -44,6 +52,30 @@ func TestRingBalance(t *testing.T) {
 	for _, n := range nodes {
 		if c := counts[n]; c > 2*fair || c < fair/2 {
 			t.Fatalf("node %s owns %d of %d keys (fair share %d)", n, c, keys, fair)
+		}
+	}
+
+	for trial := 0; trial < 200; trial++ {
+		seen := map[string]bool{}
+		var addrs []string
+		for len(addrs) < 3 {
+			a := fmt.Sprintf("127.0.0.1:%d", 32768+r.Uint64()%28000)
+			if !seen[a] {
+				seen[a] = true
+				addrs = append(addrs, a)
+			}
+		}
+		ring := NewRing(addrs, 0)
+		share := make([]float64, ring.Len())
+		n := len(ring.points)
+		for k, p := range ring.points {
+			// A point owns the arc back to its predecessor (wrapping).
+			share[p.node] += float64(p.hash-ring.points[(k+n-1)%n].hash) / (1 << 64)
+		}
+		for i, s := range share {
+			if s >= 0.5 || s <= 0.2 {
+				t.Fatalf("ring %v: %s owns %.1f %% of the key space", addrs, ring.Node(i), 100*s)
+			}
 		}
 	}
 }
