@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -69,6 +71,12 @@ func sampleVETs(tb *encoding.Tables, n int, seed uint64) []encoding.VET {
 	return out
 }
 
+// dialNode opens a one-address fleet to addr: no retries and no
+// fallback, so a request fails exactly when the node does.
+func dialNode(addr string, tb *encoding.Tables) (*evalserve.FleetClient, error) {
+	return evalserve.DialFleetTables([]string{addr}, tb, evalserve.FleetOptions{Retries: -1})
+}
+
 // TestServeConcurrentClients boots the real command on an ephemeral
 // port, hammers it with 8 concurrent TCP clients, and shuts it down
 // with a signal — the CLI acceptance path end to end.
@@ -87,7 +95,7 @@ func TestServeConcurrentClients(t *testing.T) {
 
 	// Reference results through one sequential client.
 	tb := encoding.New(units.LatticeConstantFe, 5.8)
-	ref, err := evalserve.Dial(addr, tb)
+	ref, err := dialNode(addr, tb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +116,7 @@ func TestServeConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := evalserve.Dial(addr, tb)
+			cl, err := dialNode(addr, tb)
 			if err != nil {
 				errs <- err
 				return
@@ -134,14 +142,6 @@ func TestServeConcurrentClients(t *testing.T) {
 		t.Fatalf("client failed: %v", err)
 	}
 
-	st, err := ref.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Hits + st.Misses; got != int64(len(vets)+clients*rounds) {
-		t.Fatalf("lookup count %d, want %d", got, len(vets)+clients*rounds)
-	}
-
 	sig <- os.Interrupt
 	select {
 	case code := <-exit:
@@ -151,8 +151,15 @@ func TestServeConcurrentClients(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not shut down on signal")
 	}
-	if !strings.Contains(out.String(), "evalserve:") {
+	// The node's exit report counts every lookup the clients made.
+	m := regexp.MustCompile(`\((\d+) hits, (\d+) misses`).FindStringSubmatch(out.String())
+	if m == nil {
 		t.Fatalf("shutdown did not print service stats; output:\n%s", out.String())
+	}
+	hits, _ := strconv.Atoi(m[1])
+	misses, _ := strconv.Atoi(m[2])
+	if got := hits + misses; got != len(vets)+clients*rounds {
+		t.Fatalf("lookup count %d, want %d", got, len(vets)+clients*rounds)
 	}
 }
 
@@ -206,7 +213,7 @@ func TestServeTelemetryEndpoint(t *testing.T) {
 	addr := waitForAddr(t, out)
 	teleAddr := waitForTelemetryAddr(t, out)
 
-	cl, err := evalserve.Dial(addr, encoding.New(units.LatticeConstantFe, 5.8))
+	cl, err := dialNode(addr, encoding.New(units.LatticeConstantFe, 5.8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,9 +370,9 @@ func TestServeFleetDrain(t *testing.T) {
 
 	// One live session per node, all held open across the drain.
 	tb := encoding.New(units.LatticeConstantFe, 3.0)
-	clients := make([]*evalserve.Client, len(addrs))
+	clients := make([]*evalserve.FleetClient, len(addrs))
 	for i, addr := range addrs {
-		cl, err := evalserve.Dial(addr, tb)
+		cl, err := dialNode(addr, tb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +394,7 @@ func TestServeFleetDrain(t *testing.T) {
 	refused := false
 	deadline = time.Now().Add(10 * time.Second)
 	for !refused && time.Now().Before(deadline) {
-		cl, err := evalserve.Dial(addrs[0], tb)
+		cl, err := dialNode(addrs[0], tb)
 		if err != nil {
 			refused = true
 			break

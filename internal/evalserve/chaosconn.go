@@ -111,8 +111,8 @@ func (c *ConnChaos) Wrap(conn net.Conn) net.Conn {
 }
 
 // Dialer wraps a dial function so every connection it opens carries the
-// schedule; nil wraps plain TCP. Plug the result into DialConfig.Dialer
-// or FleetOptions.Dialer.
+// schedule; nil wraps plain TCP. Plug the result into
+// FleetOptions.Dialer.
 func (c *ConnChaos) Dialer(dial func(addr string) (net.Conn, error)) func(addr string) (net.Conn, error) {
 	if dial == nil {
 		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }

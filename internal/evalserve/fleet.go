@@ -29,18 +29,8 @@ type FleetOptions struct {
 	// content-addressed and replies are exact-f64 deterministic, so the
 	// protocol is idempotent.
 	Retries int
-	// BackoffBase and BackoffMax shape the exponential backoff between
-	// retry attempts (defaults 5ms and 250ms). The actual sleep for
-	// attempt n is drawn uniformly from [d/2, d) with d = min(Base<<n,
-	// Max) — jitter from a stream seeded by Seed, never the wall clock
-	// (the supervise discipline).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Seed drives the backoff jitter stream.
 	Seed uint64
-	// VNodes is the consistent-hash ring's virtual-point count per node
-	// (default DefaultVNodes).
-	VNodes int
 	// ProbeEvery re-probes a down node after every Nth request that
 	// would have routed to it (default 64): the node's recovery is
 	// detected by traffic, not by a wall-clock timer, so tests and
@@ -74,15 +64,6 @@ func (o *FleetOptions) applyDefaults() {
 	if o.Retries < 0 {
 		o.Retries = 0
 	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 5 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 250 * time.Millisecond
-	}
-	if o.VNodes <= 0 {
-		o.VNodes = DefaultVNodes
-	}
 	if o.ProbeEvery <= 0 {
 		o.ProbeEvery = 64
 	}
@@ -90,6 +71,15 @@ func (o *FleetOptions) applyDefaults() {
 		o.Sleep = time.Sleep
 	}
 }
+
+// The exponential backoff between retry attempts: the sleep before
+// retry n is drawn uniformly from [d/2, d) with d = min(backoffBase<<n,
+// backoffMax) — jitter from a stream seeded by FleetOptions.Seed, never
+// the wall clock (the supervise discipline).
+const (
+	backoffBase = 5 * time.Millisecond
+	backoffMax  = 250 * time.Millisecond
+)
 
 // FleetStats is a point-in-time account of a FleetClient's fault
 // handling.
@@ -108,7 +98,7 @@ type FleetStats struct {
 }
 
 // fleetNode is one serve node's connection state. Its mutex serialises
-// requests to the node (each Client is a request/reply session) and
+// requests to the node (a session is one request/reply stream) and
 // guards the down/probe bookkeeping.
 type fleetNode struct {
 	addr string
@@ -117,8 +107,8 @@ type fleetNode struct {
 	pick, served string
 
 	mu     sync.Mutex
-	cl     *Client // nil when not connected
-	dialed bool    // a connection has succeeded at least once
+	cl     *session // nil when not connected
+	dialed bool     // a connection has succeeded at least once
 	down   bool
 	skips  int64 // requests skipped since marked down
 
@@ -137,17 +127,20 @@ type fleetNode struct {
 // environment, retries, failover and degradation can never change a
 // trajectory, only its wall-clock speed.
 //
+// The node set and the ring are fixed when the client is dialled; a
+// fleet of one address is how a client talks to one node.
+//
 // A FleetClient is safe for concurrent use: requests to one node
 // serialise on that node's session, requests to different nodes
 // proceed in parallel.
 type FleetClient struct {
-	tb   *encoding.Tables
-	opts FleetOptions
-
-	mu    sync.Mutex // ring swaps, membership, jitter stream
+	tb    *encoding.Tables
+	opts  FleetOptions
 	ring  *Ring
-	nodes map[string]*fleetNode
-	rnd   *rng.Stream
+	nodes []*fleetNode // indexed by ring position (Ring.Node)
+
+	mu  sync.Mutex // guards the jitter stream
+	rnd *rng.Stream
 
 	retries    atomic.Int64
 	failovers  atomic.Int64
@@ -173,15 +166,16 @@ func DialFleetTables(addrs []string, tb *encoding.Tables, opts FleetOptions) (*F
 		return nil, errors.New("evalserve: fleet needs at least one node or a fallback model")
 	}
 	fc := &FleetClient{
-		tb:    tb,
-		opts:  opts,
-		ring:  NewRing(addrs, opts.VNodes),
-		nodes: map[string]*fleetNode{},
-		rnd:   rng.New(opts.Seed ^ 0xf1ee7),
+		tb:   tb,
+		opts: opts,
+		ring: NewRing(addrs, DefaultVNodes),
+		rnd:  rng.New(opts.Seed ^ 0xf1ee7),
 	}
 	fc.evalPh = opts.Telemetry.Trace().PhaseAt(telemetry.PhaseFleet, telemetry.PhaseEval)
-	for _, addr := range fc.ring.Nodes() {
-		fc.nodes[addr] = newFleetNode(addr)
+	fc.nodes = make([]*fleetNode, fc.ring.Len())
+	for i := range fc.nodes {
+		addr := fc.ring.Node(i)
+		fc.nodes[i] = &fleetNode{addr: addr, pick: "pick node=" + addr, served: "node=" + addr}
 	}
 	anyUp := false
 	for _, n := range fc.nodes {
@@ -201,10 +195,6 @@ func DialFleetTables(addrs []string, tb *encoding.Tables, opts FleetOptions) (*F
 // Frozen: bench/ dials its traced repetition's fleet with it.
 func DialFleet(addrs []string, a, rcut float64, opts FleetOptions) (*FleetClient, error) {
 	return DialFleetTables(addrs, encoding.New(a, rcut), opts)
-}
-
-func newFleetNode(addr string) *fleetNode {
-	return &fleetNode{addr: addr, pick: "pick node=" + addr, served: "node=" + addr}
 }
 
 // bindTelemetry exports the fleet counters and per-node health gauges
@@ -228,25 +218,15 @@ func (fc *FleetClient) bindTelemetry() {
 		"Successful re-dials of a previously connected fleet node.",
 		fc.reconnects.Load)
 	for _, n := range fc.nodes {
-		fc.bindNodeGauge(n)
+		reg.GaugeFunc(telemetry.MetricFleetNodeUp,
+			"Fleet node health: 1 when the last interaction succeeded, 0 while down.",
+			func() float64 {
+				if n.up.Load() {
+					return 1
+				}
+				return 0
+			}, "node", n.addr)
 	}
-}
-
-// bindNodeGauge registers one node's up/down gauge (no-op without
-// telemetry).
-func (fc *FleetClient) bindNodeGauge(n *fleetNode) {
-	set := fc.opts.Telemetry
-	if set == nil {
-		return
-	}
-	set.Reg().GaugeFunc(telemetry.MetricFleetNodeUp,
-		"Fleet node health: 1 when the last interaction succeeded, 0 while down.",
-		func() float64 {
-			if n.up.Load() {
-				return 1
-			}
-			return 0
-		}, "node", n.addr)
 }
 
 // probe dials a node once outside any request and records its health.
@@ -270,12 +250,12 @@ func (fc *FleetClient) probe(n *fleetNode) error {
 }
 
 // dialNode opens one wire session to the node (n.mu held by caller).
-func (fc *FleetClient) dialNode(n *fleetNode) (*Client, error) {
+func (fc *FleetClient) dialNode(n *fleetNode) (*session, error) {
 	timeout := fc.opts.Timeout
 	if timeout < 0 {
 		timeout = 0
 	}
-	return DialConfig{Timeout: timeout, Dialer: fc.opts.Dialer}.Dial(n.addr, fc.tb)
+	return dial(n.addr, fc.tb, timeout, fc.opts.Dialer)
 }
 
 // Tables returns the tables the fleet client was dialled with (kmc.Model).
@@ -283,8 +263,6 @@ func (fc *FleetClient) Tables() *encoding.Tables { return fc.tb }
 
 // Close ends every node session. The client must not be used after.
 func (fc *FleetClient) Close() error {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
 	for _, n := range fc.nodes {
 		n.mu.Lock()
 		if n.cl != nil {
@@ -294,58 +272,6 @@ func (fc *FleetClient) Close() error {
 		n.mu.Unlock()
 	}
 	return nil
-}
-
-// AddNode folds a new serve node into the ring (join). Requests start
-// routing to it immediately; its cache warms from the traffic the ring
-// reassigns to it. Adding an existing member is a no-op.
-func (fc *FleetClient) AddNode(addr string) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	if _, ok := fc.nodes[addr]; ok {
-		return
-	}
-	n := newFleetNode(addr)
-	fc.nodes[addr] = n
-	members := make([]string, 0, len(fc.nodes))
-	for a := range fc.nodes {
-		members = append(members, a)
-	}
-	fc.ring = NewRing(members, fc.opts.VNodes)
-	fc.bindNodeGauge(n)
-}
-
-// RemoveNode takes a serve node out of the ring (leave), closing its
-// session. Keys it owned remap to their next replicas; removing a
-// non-member is a no-op.
-func (fc *FleetClient) RemoveNode(addr string) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	n, ok := fc.nodes[addr]
-	if !ok {
-		return
-	}
-	delete(fc.nodes, addr)
-	members := make([]string, 0, len(fc.nodes))
-	for a := range fc.nodes {
-		members = append(members, a)
-	}
-	fc.ring = NewRing(members, fc.opts.VNodes)
-	n.mu.Lock()
-	if n.cl != nil {
-		n.cl.Close()
-		n.cl = nil
-	}
-	n.down = true
-	n.up.Store(false)
-	n.mu.Unlock()
-}
-
-// Nodes returns the current member addresses in canonical order.
-func (fc *FleetClient) Nodes() []string {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.ring.Nodes()
 }
 
 // SetTrace installs the ambient distributed-trace context under which
@@ -379,12 +305,10 @@ func (fc *FleetClient) Stats() FleetStats {
 		Failovers:  fc.failovers.Load(),
 		Fallbacks:  fc.fallbacks.Load(),
 		Reconnects: fc.reconnects.Load(),
-		NodeUp:     map[string]bool{},
+		NodeUp:     make(map[string]bool, len(fc.nodes)),
 	}
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	for addr, n := range fc.nodes {
-		st.NodeUp[addr] = n.up.Load()
+	for _, n := range fc.nodes {
+		st.NodeUp[n.addr] = n.up.Load()
 	}
 	return st
 }
@@ -406,21 +330,13 @@ func (fc *FleetClient) Evaluate(vet encoding.VET) (Result, error) {
 		sp.EndMsg("error=corruption")
 		return Result{}, corruptVET(err)
 	}
-	fc.mu.Lock()
-	ring := fc.ring
-	fc.mu.Unlock()
 	var ob [8]int // the replica order, on the stack for up to 8 nodes
-	order := ring.Order(encoding.KeyHash(key), ob[:0])
+	order := fc.ring.Order(encoding.KeyHash(key), ob[:0])
 
 	var lastErr error
 	tried := 0
 	for i, idx := range order {
-		fc.mu.Lock()
-		n, ok := fc.nodes[ring.Node(idx)]
-		fc.mu.Unlock()
-		if !ok {
-			continue // concurrently removed
-		}
+		n := fc.nodes[idx]
 		res, err, attempted := fc.tryNode(n, key, sp)
 		if !attempted {
 			continue // down and not due for a probe
@@ -501,7 +417,7 @@ func (fc *FleetClient) tryNode(n *fleetNode, key []byte, sp telemetry.Span) (res
 			n.cl = cl
 			n.dialed = true
 		}
-		res, rerr := n.cl.evaluateKey(key, sp.Context())
+		res, rerr := n.cl.eval(key, sp.Context())
 		if rerr == nil {
 			n.down = false
 			n.skips = 0
@@ -525,15 +441,14 @@ func (fc *FleetClient) tryNode(n *fleetNode, key []byte, sp telemetry.Span) (res
 }
 
 // backoff returns the jittered exponential delay for the given 0-based
-// retry index: uniform in [d/2, d) with d = min(Base<<n, Max), jitter
-// from the seeded stream.
+// retry index.
 func (fc *FleetClient) backoff(nth int) time.Duration {
-	d := fc.opts.BackoffBase
-	for i := 0; i < nth && d < fc.opts.BackoffMax; i++ {
+	d := backoffBase
+	for i := 0; i < nth && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > fc.opts.BackoffMax {
-		d = fc.opts.BackoffMax
+	if d > backoffMax {
+		d = backoffMax
 	}
 	half := d / 2
 	fc.mu.Lock()
@@ -565,7 +480,22 @@ func evalLocal(m kmc.Model, vet encoding.VET) (res Result, err error) {
 func (fc *FleetClient) HopEnergies(vet encoding.VET) (initial float64, final [8]float64, valid [8]bool) {
 	res, err := fc.Evaluate(vet)
 	if err != nil {
-		panic(asEnginePanic(err, "fleet"))
+		panic(asEnginePanic(err))
 	}
 	return res.Initial, res.Final, res.Valid
+}
+
+// asEnginePanic shapes an evaluation error for the engine recovery
+// layers: corruption stays corruption, anything else becomes a typed
+// transport failure.
+func asEnginePanic(err error) error {
+	var ce *fault.CorruptionError
+	if errors.As(err, &ce) {
+		return ce
+	}
+	var te *fault.TransportError
+	if errors.As(err, &te) {
+		return te
+	}
+	return &fault.TransportError{Op: "eval", Addr: "fleet", Err: err}
 }

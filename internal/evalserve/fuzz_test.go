@@ -56,7 +56,7 @@ func FuzzWireFrame(f *testing.F) {
 		f.Add(frameBytes(hello2Payload(ver)))
 	}
 	f.Add(frameBytes(legacyHelloPayload()))
-	f.Add(frameBytes([]byte{opStats}))
+	f.Add(frameBytes([]byte{opRetiredStats}))
 	f.Add(frameBytes(appendResult(nil, Result{Initial: 1.5, Valid: [8]bool{true}})))
 	f.Add(frameBytes(errorFrame(errGeneric, "boom")))
 	f.Add(frameBytes(errorFrame(errCorruption, "tripwire")))
@@ -71,7 +71,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(frameBytes(traced[:1+telemetry.ContextSize/2])) // torn inside the trace context
 	f.Add(frameBytes([]byte{opHelloOK2, 0, 0, 0, 0, wireVersion}))
 	f.Add(frameBytes([]byte{opHelloOK2, 0, 0, 0, 0, 0xff}))
-	f.Add(append(frameBytes(hello2Payload(wireVersion)), frameBytes([]byte{opStats})...))
+	f.Add(append(frameBytes(hello2Payload(wireVersion)), frameBytes([]byte{opRetiredStats})...))
 	f.Add(append(frameBytes(hello2Payload(wireVersion)), frameBytes(traced)...))
 	f.Add([]byte{0, 0, 0, 0})                // empty frame
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}) // oversized length prefix
@@ -87,8 +87,8 @@ func FuzzWireFrame(f *testing.F) {
 		if p, err := readFrame(bytes.NewReader(data), nil, minFrame); err == nil && len(p) > minFrame {
 			t.Fatalf("readFrame returned %d bytes past its %d limit", len(p), minFrame)
 		}
-		if p, err := readFrame(bytes.NewReader(data), nil, maxStatsFrame); err == nil && len(p) > maxStatsFrame {
-			t.Fatalf("readFrame returned %d bytes past its %d limit", len(p), maxStatsFrame)
+		if p, err := readFrame(bytes.NewReader(data), nil, len(eval)); err == nil && len(p) > len(eval) {
+			t.Fatalf("readFrame returned %d bytes past its %d limit", len(p), len(eval))
 		}
 		// Into a reused buffer, as a session reads: the bound still holds.
 		if p, err := readFrame(bytes.NewReader(data), make([]byte, 8), maxReplyFrame); err == nil && len(p) > maxReplyFrame {
@@ -118,7 +118,7 @@ func FuzzWireFrame(f *testing.F) {
 		conn.Close()
 
 		// Client handshake decode: a fake server answers the hello with
-		// the fuzz bytes verbatim. Dial must return an error or a client,
+		// the fuzz bytes verbatim. dial must return an error or a session,
 		// never panic.
 		cc, sc := net.Pipe()
 		go func() {
@@ -127,11 +127,7 @@ func FuzzWireFrame(f *testing.F) {
 			sc.Write(data)
 			sc.Close()
 		}()
-		dc := DialConfig{
-			Timeout: time.Second,
-			Dialer:  func(string) (net.Conn, error) { return cc, nil },
-		}
-		if cl, err := dc.Dial("pipe", shortTables()); err == nil {
+		if cl, err := dial("pipe", tb, time.Second, func(string) (net.Conn, error) { return cc, nil }); err == nil {
 			cl.Close()
 		}
 		sc.Close()

@@ -3,7 +3,6 @@ package evalserve
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -36,11 +35,9 @@ import (
 // and result frames through buffers they allocate once.
 const (
 	opHello    = 0x01 // retired version-1 hello (f64 a, f64 rcut); refused by name
-	opStats    = 0x03 // client → server: empty
 	opHello2   = 0x04 // client → server: f64 a, f64 rcut, u8 max protocol version
 	opEval     = 0x06 // client → server: 16-byte trace context, packed key
 	opResult   = 0x82 // server → client: f64 initial, 8×f64 final, u8 valid mask
-	opStatsOK  = 0x83 // server → client: JSON Stats
 	opHelloOK2 = 0x84 // server → client: u32 NAll, u8 session protocol version
 	opError    = 0x7f // server → client: u8 kind, message bytes
 )
@@ -50,7 +47,9 @@ const (
 // more is answered at wireVersion; one offering less (or the version-1
 // hello, which had no version byte) is refused with an error frame that
 // names the minimum. Version 2 sent one byte per site (opcodes 0x02 and
-// 0x05, untraced and traced); version 3 sends the packed key.
+// 0x05, untraced and traced); version 3 sends the packed key. Opcode
+// 0x03, a JSON stats request, is retired too: a session refuses it as an
+// unknown opcode.
 const wireVersion = 3
 
 // opError kinds.
@@ -63,14 +62,11 @@ const (
 // eval frame (evalFrameLen).
 const minFrame = 64
 
-// maxReplyFrame bounds every reply a client reads but the stats JSON:
-// a result is 74 bytes and every error the server writes fits well under
-// this, so a corrupt length prefix cannot make a session grow its reply
-// buffer past it.
+// maxReplyFrame bounds every reply a client reads: a result is 74
+// bytes and every error the server writes fits well under this, so a
+// corrupt length prefix cannot make a session grow its reply buffer past
+// it.
 const maxReplyFrame = 4 << 10
-
-// maxStatsFrame bounds the stats JSON a client will accept.
-const maxStatsFrame = 1 << 20
 
 // resultLen is the payload size of a result frame.
 const resultLen = 1 + 8 + 8*8 + 1
@@ -176,18 +172,15 @@ type FrontendOptions struct {
 	// before the server reaps the connection (default 2m; negative
 	// disables reaping).
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each reply write, so a client that stops
-	// reading cannot wedge a handler on a full socket buffer (default
-	// 30s; negative disables).
-	WriteTimeout time.Duration
 }
+
+// writeTimeout bounds each reply write, so a client that stops reading
+// cannot wedge a handler on a full socket buffer.
+const writeTimeout = 30 * time.Second
 
 func (o *FrontendOptions) applyDefaults() {
 	if o.IdleTimeout == 0 {
 		o.IdleTimeout = 2 * time.Minute
-	}
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = 30 * time.Second
 	}
 }
 
@@ -329,9 +322,7 @@ func (f *Frontend) handle(conn net.Conn) {
 		}
 	}
 	armWrite := func() {
-		if f.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(f.opts.WriteTimeout))
-		}
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	}
 
 	fail := func(kind byte, msg string) {
@@ -419,19 +410,6 @@ func (f *Frontend) handle(conn net.Conn) {
 			if err := writeFrame(w, appendResult(reply[:0], res)); err != nil {
 				return
 			}
-		case opStats:
-			js, err := json.Marshal(f.srv.Stats())
-			if err != nil {
-				fail(errGeneric, err.Error())
-				return
-			}
-			out := make([]byte, 1+len(js))
-			out[0] = opStatsOK
-			copy(out[1:], js)
-			armWrite()
-			if err := writeFrame(w, out); err != nil {
-				return
-			}
 		default:
 			fail(errGeneric, fmt.Sprintf("unknown opcode %#x", p[0]))
 			return
@@ -444,107 +422,80 @@ func (f *Frontend) handle(conn net.Conn) {
 
 // --- Client side --------------------------------------------------------
 
-// DialConfig tunes a wire client beyond the required tables. The zero
-// value reproduces the pre-fleet behaviour: plain net.Dial, no
-// deadlines.
-type DialConfig struct {
-	// Timeout bounds every wire interaction — the dial, the hello
-	// exchange, and each later request/reply round trip. On expiry the
-	// request fails with a *fault.TransportError and the session is
-	// marked broken (a late reply would desynchronise the
-	// request/reply stream). Zero means no deadline.
-	Timeout time.Duration
-	// Dialer replaces the TCP dial — the hook through which tests
-	// interpose ConnChaos faults. Nil means net.Dial("tcp", addr).
-	Dialer func(addr string) (net.Conn, error)
-}
-
-// Client is a wire-protocol connection to a tkmc-serve front-end. It
-// implements kmc.Model, so an engine can be pointed at a remote
-// evaluation service exactly as it would at an in-process potential. One
-// Client serializes its requests (the session is a simple request/reply
-// stream); open several Clients for concurrency — the server shares one
-// cache across all of them and evaluates an environment several of them
-// miss at once only once.
+// session is one wire-protocol connection to a tkmc-serve front-end: the
+// hello, then a request/reply stream of eval and result frames. A
+// fleetNode owns it and uses it only under its mutex, which serialises
+// the stream.
 //
 // Any transport failure — including a deadline expiry — marks the
 // session broken: the request/reply framing can no longer be trusted,
-// so every later call fails fast with a *fault.TransportError and the
-// owner must redial (the FleetClient does this automatically).
-type Client struct {
-	mu      sync.Mutex
+// so every later request fails fast with a *fault.TransportError and the
+// owner must redial.
+type session struct {
 	conn    net.Conn
 	r       *bufio.Reader
 	w       *bufio.Writer
-	tb      *encoding.Tables
 	addr    string
 	timeout time.Duration
 	broken  bool
 
 	// req is the session's eval frame — opcode, trace context, packed
-	// key — rewritten in place per request; reply is
-	// the buffer every eval reply is read into, grown at most to
-	// maxReplyFrame.
+	// key — rewritten in place per request; reply is the buffer every
+	// reply is read into, grown at most to maxReplyFrame.
 	req, reply []byte
 }
 
-// Dial connects to a front-end and performs the hello handshake for the
+// dial connects to a front-end and performs the hello handshake for the
 // caller's tables, whose lattice constant and cutoff the hello carries.
-// The Client keeps and shares tb — the handshake guarantees it matches
-// the server's tables.
-func Dial(addr string, tb *encoding.Tables) (*Client, error) {
-	return DialConfig{}.Dial(addr, tb)
-}
-
-// Dial connects with the config's deadlines and dialer. Transport
-// failures — including the handshake timing out — return a
+// timeout bounds the dial, the hello and each later round trip (zero
+// means no deadline); dialer replaces the TCP dial when non-nil.
+// Transport failures — including the handshake timing out — return a
 // *fault.TransportError; a refusal by the server (geometry mismatch,
 // protocol version too old) returns a plain (non-retryable) error.
-func (dc DialConfig) Dial(addr string, tb *encoding.Tables) (*Client, error) {
+func dial(addr string, tb *encoding.Tables, timeout time.Duration, dialer func(string) (net.Conn, error)) (*session, error) {
 	var conn net.Conn
 	var err error
 	switch {
-	case dc.Dialer != nil:
-		conn, err = dc.Dialer(addr)
-	case dc.Timeout > 0:
-		conn, err = net.DialTimeout("tcp", addr, dc.Timeout)
+	case dialer != nil:
+		conn, err = dialer(addr)
+	case timeout > 0:
+		conn, err = net.DialTimeout("tcp", addr, timeout)
 	default:
 		conn, err = net.Dial("tcp", addr)
 	}
 	if err != nil {
 		return nil, &fault.TransportError{Op: "dial", Addr: addr, Err: err}
 	}
-	c := &Client{
+	s := &session{
 		conn:    conn,
 		r:       bufio.NewReader(conn),
 		w:       bufio.NewWriter(conn),
-		tb:      tb,
 		addr:    addr,
-		timeout: dc.Timeout,
+		timeout: timeout,
 		req:     make([]byte, evalFrameLen(tb)),
 		reply:   make([]byte, 0, resultLen),
 	}
-	c.req[0] = opEval
-	c.arm()
+	s.req[0] = opEval
+	s.arm()
 	hello := make([]byte, 18)
 	hello[0] = opHello2
 	binary.LittleEndian.PutUint64(hello[1:], math.Float64bits(tb.A))
 	binary.LittleEndian.PutUint64(hello[9:], math.Float64bits(tb.Rcut))
 	hello[17] = wireVersion
-	if err := writeFrame(c.w, hello); err != nil {
+	if err := writeFrame(s.w, hello); err != nil {
 		conn.Close()
 		return nil, &fault.TransportError{Op: "hello", Addr: addr, Err: err}
 	}
-	if err := c.w.Flush(); err != nil {
+	if err := s.w.Flush(); err != nil {
 		conn.Close()
 		return nil, &fault.TransportError{Op: "hello", Addr: addr, Err: err}
 	}
-	p, err := readFrame(c.r, nil, maxReplyFrame)
+	p, err := readFrame(s.r, nil, maxReplyFrame)
 	if err != nil {
 		conn.Close()
 		return nil, &fault.TransportError{Op: "hello", Addr: addr, Err: err}
 	}
-	c.disarm()
+	s.disarm()
 	if p[0] == opError {
 		conn.Close()
 		return nil, fmt.Errorf("evalserve: server refused hello: %s", errorMsg(p))
@@ -559,111 +510,69 @@ func (dc DialConfig) Dial(addr string, tb *encoding.Tables) (*Client, error) {
 		return nil, &fault.TransportError{Op: "hello", Addr: addr,
 			Err: fmt.Errorf("evalserve: server negotiated unusable protocol version %d", p[5])}
 	}
-	if n := int(binary.LittleEndian.Uint32(p[1:])); n != c.tb.NAll {
+	if n := int(binary.LittleEndian.Uint32(p[1:])); n != tb.NAll {
 		conn.Close()
-		return nil, fmt.Errorf("evalserve: server NAll %d != local %d", n, c.tb.NAll)
+		return nil, fmt.Errorf("evalserve: server NAll %d != local %d", n, tb.NAll)
 	}
-	return c, nil
+	return s, nil
 }
 
 // arm sets the connection deadline for one wire interaction (no-op
-// without a configured timeout).
-func (c *Client) arm() {
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout))
+// without a timeout).
+func (s *session) arm() {
+	if s.timeout > 0 {
+		s.conn.SetDeadline(time.Now().Add(s.timeout))
 	}
 }
 
 // disarm clears the interaction deadline.
-func (c *Client) disarm() {
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Time{})
+func (s *session) disarm() {
+	if s.timeout > 0 {
+		s.conn.SetDeadline(time.Time{})
 	}
 }
 
-// fail marks the session broken and wraps the failure (mu held).
-func (c *Client) fail(op string, err error) *fault.TransportError {
-	c.broken = true
-	c.conn.Close()
-	return &fault.TransportError{Op: op, Addr: c.addr, Err: err}
+// fail marks the session broken and wraps the failure.
+func (s *session) fail(err error) *fault.TransportError {
+	s.broken = true
+	s.conn.Close()
+	return &fault.TransportError{Op: "eval", Addr: s.addr, Err: err}
 }
-
-// Tables returns the tables the Client was dialled with (kmc.Model).
-func (c *Client) Tables() *encoding.Tables { return c.tb }
-
-// Addr returns the remote endpoint this session was dialed to.
-func (c *Client) Addr() string { return c.addr }
 
 // Close ends the session.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.broken = true
-	return c.conn.Close()
+func (s *session) Close() error {
+	s.broken = true
+	return s.conn.Close()
 }
 
-// roundTrip sends one request payload and reads the reply payload into
-// buf's storage under limit, arming the per-request deadline and converting every
-// transport failure into a session-breaking typed error (mu held by
-// caller).
-func (c *Client) roundTrip(op string, payload, buf []byte, limit int) ([]byte, error) {
-	if c.broken {
-		return nil, &fault.TransportError{Op: op, Addr: c.addr,
+// eval sends one packed key (encoding.PackEnv's output) under tctx in
+// the session's eval frame and reads the reply into the session's reply
+// buffer: a warm request allocates nothing. Transport failures
+// (connection loss, deadline expiry, truncated, oversized or malformed
+// frames) come back as *fault.TransportError and break the session —
+// retryable, by the idempotency of the content-addressed protocol;
+// corruption reported by the server comes back as
+// *fault.CorruptionError, which is not.
+func (s *session) eval(key []byte, tctx telemetry.Context) (Result, error) {
+	if s.broken {
+		return Result{}, &fault.TransportError{Op: "eval", Addr: s.addr,
 			Err: errors.New("evalserve: session broken by an earlier transport failure")}
 	}
-	c.arm()
-	defer c.disarm()
-	if err := writeFrame(c.w, payload); err != nil {
-		return nil, c.fail(op, err)
+	tctx.Encode(s.req[1:])
+	copy(s.req[1+telemetry.ContextSize:], key)
+	s.arm()
+	defer s.disarm()
+	if err := writeFrame(s.w, s.req); err != nil {
+		return Result{}, s.fail(err)
 	}
-	if err := c.w.Flush(); err != nil {
-		return nil, c.fail(op, err)
+	if err := s.w.Flush(); err != nil {
+		return Result{}, s.fail(err)
 	}
-	p, err := readFrame(c.r, buf, limit)
+	p, err := readFrame(s.r, s.reply, maxReplyFrame)
 	if err != nil {
-		return nil, c.fail(op, err)
+		return Result{}, s.fail(err)
 	}
-	return p, nil
-}
-
-// Evaluate submits one vacancy system and returns the exact f64 result.
-// Transport failures (connection loss, deadline expiry, truncated or
-// malformed frames) come back as *fault.TransportError — retryable, by
-// the idempotency of the content-addressed protocol; corruption reported
-// by the server, or a VET that does not pack (a species above Vacancy),
-// comes back as *fault.CorruptionError — not retryable.
-func (c *Client) Evaluate(vet encoding.VET) (Result, error) {
-	return c.EvaluateTraced(vet, telemetry.Context{})
-}
-
-// EvaluateTraced is Evaluate carrying a distributed-trace context: a
-// valid context rides the eval frame, so the serving node's spans (cache
-// hit/miss, slot wait, evaluation time) join the caller's trace.
-func (c *Client) EvaluateTraced(vet encoding.VET, tctx telemetry.Context) (Result, error) {
-	if len(vet) != c.tb.NAll {
-		return Result{}, fmt.Errorf("evalserve: VET length %d, want %d", len(vet), c.tb.NAll)
-	}
-	var buf [encoding.KeyStack]byte
-	key, err := c.tb.PackEnv(buf[:0], vet)
-	if err != nil {
-		return Result{}, corruptVET(err)
-	}
-	return c.evaluateKey(key, tctx)
-}
-
-// evaluateKey sends a packed key (encoding.PackEnv's output) in the
-// session's eval frame and reads the reply into the session's reply
-// buffer: a warm request allocates nothing.
-func (c *Client) evaluateKey(key []byte, tctx telemetry.Context) (Result, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tctx.Encode(c.req[1:])
-	copy(c.req[1+telemetry.ContextSize:], key)
-	p, err := c.roundTrip("eval", c.req, c.reply, maxReplyFrame)
-	if err != nil {
-		return Result{}, err
-	}
-	c.reply = p
+	s.reply = p
 	if p[0] == opError {
 		if len(p) >= 2 && p[1] == errCorruption {
 			return Result{}, &fault.CorruptionError{Subsystem: "evalserve", Detail: errorMsg(p)}
@@ -675,57 +584,7 @@ func (c *Client) evaluateKey(key []byte, tctx telemetry.Context) (Result, error)
 		// A garbled result frame is a transport-integrity failure (e.g.
 		// chaos truncation), not a server decision: break the session so
 		// the owner redials instead of trusting a desynced stream.
-		return Result{}, c.fail("eval", err)
+		return Result{}, s.fail(err)
 	}
 	return res, nil
-}
-
-// HopEnergies implements kmc.Model over the wire. Corruption reported by
-// the server re-panics as *fault.CorruptionError, preserving engine-layer
-// recovery; every other failure — transport loss, deadline expiry, a
-// server-side refusal — panics as *fault.TransportError, which the
-// engine layers convert into a typed, retryable error for the
-// supervisor (instead of the opaque panic this path used to raise).
-func (c *Client) HopEnergies(vet encoding.VET) (initial float64, final [8]float64, valid [8]bool) {
-	res, err := c.Evaluate(vet)
-	if err != nil {
-		panic(asEnginePanic(err, c.addr))
-	}
-	return res.Initial, res.Final, res.Valid
-}
-
-// asEnginePanic shapes an evaluation error for the engine recovery
-// layers: corruption stays corruption, anything else becomes a typed
-// transport failure.
-func asEnginePanic(err error, addr string) error {
-	var ce *fault.CorruptionError
-	if errors.As(err, &ce) {
-		return ce
-	}
-	var te *fault.TransportError
-	if errors.As(err, &te) {
-		return te
-	}
-	return &fault.TransportError{Op: "eval", Addr: addr, Err: err}
-}
-
-// ServerStats fetches the service counters over the wire.
-func (c *Client) ServerStats() (Stats, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, err := c.roundTrip("stats", []byte{opStats}, nil, maxStatsFrame)
-	if err != nil {
-		return Stats{}, err
-	}
-	if p[0] == opError {
-		return Stats{}, fmt.Errorf("evalserve: server error: %s", errorMsg(p))
-	}
-	if p[0] != opStatsOK {
-		return Stats{}, c.fail("stats", errors.New("evalserve: malformed stats reply"))
-	}
-	var st Stats
-	if err := json.Unmarshal(p[1:], &st); err != nil {
-		return Stats{}, err
-	}
-	return st, nil
 }

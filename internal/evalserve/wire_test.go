@@ -59,6 +59,31 @@ func sendFrame(conn io.Writer, payload []byte) error {
 	return w.Flush()
 }
 
+// opRetiredStats is the opcode of the retired JSON stats request. A
+// session refuses it: before the hello as a missing hello, after it as
+// an unknown opcode.
+const opRetiredStats = 0x03
+
+// dialTest opens a session to addr for tb with a 5 s deadline.
+func dialTest(t *testing.T, addr string, tb *encoding.Tables) *session {
+	t.Helper()
+	s, err := dial(addr, tb, 5*time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// evalVET packs vet for tb and sends it over s.
+func evalVET(s *session, tb *encoding.Tables, vet encoding.VET, tctx telemetry.Context) (Result, error) {
+	key, err := tb.PackEnv(nil, vet)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.eval(key, tctx)
+}
+
 // legacyHelloPayload is the retired 17-byte version-1 hello: the same
 // geometry, no version byte.
 func legacyHelloPayload() []byte {
@@ -71,30 +96,25 @@ func legacyHelloPayload() []byte {
 // direct evaluation, and the handshake must reconstruct matching tables.
 func TestWireRoundTrip(t *testing.T) {
 	fe, pot := startFrontend(t, Options{Capacity: 128}, 20)
-	cl, err := Dial(fe.Addr().String(), shortTables())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	tb := shortTables()
+	cl := dialTest(t, fe.Addr().String(), tb)
 
-	tb := cl.Tables()
 	direct := nnp.NewLatticeEvaluator(pot, tb)
 	vets := sampleVETs(t, tb, 6, 21)
 	for pass := 0; pass < 2; pass++ {
 		for i, vet := range vets {
-			gi, gf, gv := cl.HopEnergies(vet)
+			got, err := evalVET(cl, tb, vet, telemetry.Context{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			wi, wf, wv := direct.HopEnergies(vet)
-			if gi != wi || gf != wf || gv != wv {
-				t.Fatalf("pass %d system %d: wire (%v) != direct (%v)", pass, i, gi, wi)
+			if got.Initial != wi || got.Final != wf || got.Valid != wv {
+				t.Fatalf("pass %d system %d: wire (%v) != direct (%v)", pass, i, got.Initial, wi)
 			}
 		}
 	}
-	st, err := cl.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("wire stats did not round-trip: %+v", st)
+	if st := fe.srv.Stats(); st.Hits == 0 || st.Misses == 0 {
+		t.Fatalf("server saw no hits or no misses: %+v", st)
 	}
 }
 
@@ -104,14 +124,9 @@ func TestWireRoundTrip(t *testing.T) {
 func TestWireConcurrentClients(t *testing.T) {
 	fe, pot := startFrontend(t, Options{Capacity: 256, Workers: 2}, 22)
 
-	// One handshake builds the shared tables; the workload is a small
-	// environment set so the clients overlap heavily.
-	probe, err := Dial(fe.Addr().String(), shortTables())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer probe.Close()
-	tb := probe.Tables()
+	// The workload is a small environment set so the clients overlap
+	// heavily.
+	tb := shortTables()
 	direct := nnp.NewLatticeEvaluator(pot, tb)
 	vets := sampleVETs(t, tb, 10, 23)
 	want := make([]Result, len(vets))
@@ -127,7 +142,7 @@ func TestWireConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := Dial(fe.Addr().String(), shortTables())
+			cl, err := dial(fe.Addr().String(), tb, 5*time.Second, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -135,7 +150,7 @@ func TestWireConcurrentClients(t *testing.T) {
 			defer cl.Close()
 			for r := 0; r < rounds; r++ {
 				i := (c + r) % len(vets)
-				res, err := cl.Evaluate(vets[i])
+				res, err := evalVET(cl, tb, vets[i], telemetry.Context{})
 				if err != nil {
 					errs <- err
 					return
@@ -153,10 +168,7 @@ func TestWireConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := probe.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := fe.srv.Stats()
 	if got := st.Hits + st.Misses; got != clients*rounds {
 		t.Fatalf("lookup count %d, want %d", got, clients*rounds)
 	}
@@ -175,7 +187,7 @@ func (*wireMismatchError) Error() string { return "wire energies diverged from d
 // must be refused during the handshake.
 func TestWireRejectsGeometryMismatch(t *testing.T) {
 	fe, _ := startFrontend(t, Options{}, 24)
-	if _, err := Dial(fe.Addr().String(), encoding.New(units.LatticeConstantFe*1.01, units.CutoffShort)); err == nil {
+	if _, err := dial(fe.Addr().String(), encoding.New(units.LatticeConstantFe*1.01, units.CutoffShort), 5*time.Second, nil); err == nil {
 		t.Fatal("mismatched geometry accepted")
 	} else if !strings.Contains(err.Error(), "geometry mismatch") {
 		t.Fatalf("unexpected refusal: %v", err)
@@ -213,11 +225,11 @@ func TestWireRejectsEvalBeforeHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// A well-formed stats request, sent before hello.
-	if err := sendFrame(conn, []byte{opStats}); err != nil {
+	// A one-byte request, sent before hello.
+	if err := sendFrame(conn, []byte{opRetiredStats}); err != nil {
 		t.Fatal(err)
 	}
-	p, err := readFrame(conn, nil, maxStatsFrame)
+	p, err := readFrame(conn, nil, maxReplyFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +242,10 @@ func TestWireRejectsEvalBeforeHello(t *testing.T) {
 // VET packs to — a 2-bit slot holding 3, a set bit past the last site,
 // or a key one byte short — is answered with an error frame naming the
 // fault (the site, for a slot) and ends the session; a key one byte long
-// makes the frame oversized, which ends the session unanswered. Nothing
-// is evaluated, looked up or cached.
+// makes the frame oversized, which ends the session unanswered. The
+// retired stats opcode 0x03 after the hello draws an error frame naming
+// the unknown opcode and ends the session too. Nothing is evaluated,
+// looked up or cached.
 func TestWireRejectsOutOfRangeSpecies(t *testing.T) {
 	tb := shortTables()
 	if tb.NAll%4 == 0 {
@@ -245,21 +259,28 @@ func TestWireRejectsOutOfRangeSpecies(t *testing.T) {
 	fe := Serve(srv, ln)
 	defer func() { fe.Close(); srv.Close() }()
 
-	slot := func(site int) func([]byte) []byte {
-		return func(key []byte) []byte { key[site/4] |= 3 << (2 * (site % 4)); return key }
+	// evalWith is an eval frame carrying the zero key after mut.
+	evalWith := func(mut func(key []byte) []byte) []byte {
+		eval := make([]byte, 1+telemetry.ContextSize, evalFrameLen(tb)+1)
+		eval[0] = opEval
+		return append(eval, mut(make([]byte, tb.KeyLen()))...)
+	}
+	slot := func(site int) []byte {
+		return evalWith(func(key []byte) []byte { key[site/4] |= 3 << (2 * (site % 4)); return key })
 	}
 	last := tb.NAll - 1
 	for _, bad := range []struct {
-		name string
-		mut  func(key []byte) []byte
-		want string
+		name  string
+		frame []byte
+		want  string
 	}{
 		{"3 at site 17", slot(17), "site 17 "},
 		{"3 at site 0", slot(0), "site 0 "},
 		{"3 at the last site", slot(last), fmt.Sprintf("site %d ", last)},
-		{"padding bit", func(key []byte) []byte { key[len(key)-1] |= 0x80; return key }, fmt.Sprintf("past site %d", last)},
-		{"short key", func(key []byte) []byte { return key[:len(key)-1] }, "want"},
-		{"long key", func(key []byte) []byte { return append(key, 0) }, ""},
+		{"padding bit", evalWith(func(key []byte) []byte { key[len(key)-1] |= 0x80; return key }), fmt.Sprintf("past site %d", last)},
+		{"short key", evalWith(func(key []byte) []byte { return key[:len(key)-1] }), "want"},
+		{"long key", evalWith(func(key []byte) []byte { return append(key, 0) }), ""},
+		{"retired stats opcode", []byte{opRetiredStats}, "unknown opcode 0x3"},
 	} {
 		conn, err := net.Dial("tcp", fe.Addr().String())
 		if err != nil {
@@ -272,13 +293,10 @@ func TestWireRejectsOutOfRangeSpecies(t *testing.T) {
 		if p, err := readFrame(conn, nil, minFrame); err != nil || p[0] != opHelloOK2 {
 			t.Fatalf("handshake: %v %x", err, p)
 		}
-		eval := make([]byte, 1+telemetry.ContextSize, evalFrameLen(tb)+1)
-		eval[0] = opEval
-		eval = append(eval[:1+telemetry.ContextSize], bad.mut(make([]byte, tb.KeyLen()))...)
-		if err := sendFrame(conn, eval); err != nil {
+		if err := sendFrame(conn, bad.frame); err != nil {
 			t.Fatal(err)
 		}
-		p, err := readFrame(conn, nil, maxStatsFrame)
+		p, err := readFrame(conn, nil, maxReplyFrame)
 		if bad.want == "" {
 			if err == nil {
 				t.Fatalf("%s: answered %x, want the session dropped", bad.name, p)
@@ -295,7 +313,7 @@ func TestWireRejectsOutOfRangeSpecies(t *testing.T) {
 		if !strings.Contains(string(p[2:]), bad.want) {
 			t.Fatalf("%s: refusal %q does not name %q", bad.name, p[2:], bad.want)
 		}
-		if _, err := readFrame(conn, nil, maxStatsFrame); err == nil {
+		if _, err := readFrame(conn, nil, maxReplyFrame); err == nil {
 			t.Fatalf("%s: session stayed open after the refusal", bad.name)
 		}
 		conn.Close()
@@ -322,21 +340,20 @@ func TestWireShortErrorFrame(t *testing.T) {
 		io.Copy(io.Discard, sc)
 	}()
 	defer sc.Close()
-	dc := DialConfig{Timeout: 5 * time.Second, Dialer: func(string) (net.Conn, error) { return cc, nil }}
-	cl, err := dc.Dial("pipe", tb)
+	cl, err := dial("pipe", tb, 5*time.Second, func(string) (net.Conn, error) { return cc, nil })
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 	defer cl.Close()
-	if _, err := cl.Evaluate(sampleVETs(t, tb, 1, 64)[0]); err == nil || !strings.Contains(err.Error(), "server error") {
+	if _, err := evalVET(cl, tb, sampleVETs(t, tb, 1, 64)[0], telemetry.Context{}); err == nil || !strings.Contains(err.Error(), "server error") {
 		t.Fatalf("1-byte error frame: %v, want a server error", err)
 	}
 }
 
-// TestWireReplyBound: an eval reply is read under maxReplyFrame, not the
-// stats bound, so a server that answers an eval with a 1 MiB length
-// prefix breaks the session with a typed transport error instead of
-// growing the session's reply buffer to match.
+// TestWireReplyBound: an eval reply is read under maxReplyFrame, so a
+// server that answers an eval with a 1 MiB length prefix breaks the
+// session with a typed transport error instead of growing the session's
+// reply buffer to match.
 func TestWireReplyBound(t *testing.T) {
 	tb := shortTables()
 	cc, sc := net.Pipe()
@@ -351,15 +368,14 @@ func TestWireReplyBound(t *testing.T) {
 		io.Copy(io.Discard, sc)
 	}()
 	defer sc.Close()
-	dc := DialConfig{Timeout: 5 * time.Second, Dialer: func(string) (net.Conn, error) { return cc, nil }}
-	cl, err := dc.Dial("pipe", tb)
+	cl, err := dial("pipe", tb, 5*time.Second, func(string) (net.Conn, error) { return cc, nil })
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 	defer cl.Close()
 
 	vet := sampleVETs(t, tb, 1, 63)[0]
-	_, err = cl.Evaluate(vet)
+	_, err = evalVET(cl, tb, vet, telemetry.Context{})
 	var te *fault.TransportError
 	if !errors.As(err, &te) || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("1 MiB eval reply: %v, want a transport error naming the limit", err)
@@ -367,7 +383,7 @@ func TestWireReplyBound(t *testing.T) {
 	if cap(cl.reply) > maxReplyFrame {
 		t.Fatalf("reply buffer grew to %d bytes", cap(cl.reply))
 	}
-	if _, err := cl.Evaluate(vet); !errors.As(err, &te) {
+	if _, err := evalVET(cl, tb, vet, telemetry.Context{}); !errors.As(err, &te) {
 		t.Fatalf("request after the oversized reply: %v, want the broken session's transport error", err)
 	}
 }
@@ -408,7 +424,7 @@ func (c *recConn) Read(p []byte) (int, error) {
 }
 
 // TestWireFrameEncoding pins the wire format to literal bytes: what the
-// Client and Frontend.handle put on a socket for every frame of a session
+// client session and Frontend.handle put on a socket for every frame of a session
 // (length prefix included), and what the result and error encoders
 // produce. A refactor that moves one byte fails here. The geometry
 // (a = 2.87, rcut = 1.5: the vacancy and its eight first neighbours,
@@ -445,21 +461,20 @@ func TestWireFrameEncoding(t *testing.T) {
 
 	// One recorded session: hello, an untraced eval, a traced eval.
 	var rec *recConn
-	dc := DialConfig{Dialer: func(addr string) (net.Conn, error) {
+	cl, err := dial(fe.Addr().String(), tb, 0, func(addr string) (net.Conn, error) {
 		conn, err := net.Dial("tcp", addr)
 		rec = &recConn{Conn: conn}
 		return rec, err
-	}}
-	cl, err := dc.Dial(fe.Addr().String(), tb)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	vet := encoding.VET{2, 0, 1, 0, 0, 0, 0, 0, 1} // vacancy, then Fe/Cu neighbours
-	if _, err := cl.Evaluate(vet); err != nil {
+	if _, err := evalVET(cl, tb, vet, telemetry.Context{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.EvaluateTraced(vet, telemetry.Context{Trace: 0xfeedc0dedeadbeef, Span: 0x0123456789abcdef}); err != nil {
+	if _, err := evalVET(cl, tb, vet, telemetry.Context{Trace: 0xfeedc0dedeadbeef, Span: 0x0123456789abcdef}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -471,7 +486,7 @@ func TestWireFrameEncoding(t *testing.T) {
 	}
 	defer raw.Close()
 	raw.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := sendFrame(raw, []byte{opStats}); err != nil {
+	if err := sendFrame(raw, []byte{opRetiredStats}); err != nil {
 		t.Fatal(err)
 	}
 	refusal, err := io.ReadAll(raw) // the server closes after refusing
@@ -520,16 +535,12 @@ func TestWireIdleReap(t *testing.T) {
 	fe := ServeOptions(srv, ln, FrontendOptions{IdleTimeout: 50 * time.Millisecond})
 	t.Cleanup(func() { fe.Close(); srv.Close() })
 
-	cl, err := Dial(ln.Addr().String(), shortTables())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := dialTest(t, ln.Addr().String(), tb)
 	// Go silent: the server must close the session within its idle
 	// budget, which the next request observes as a transport error.
 	time.Sleep(300 * time.Millisecond)
-	vets := sampleVETs(t, cl.Tables(), 1, 61)
-	if _, err := cl.Evaluate(vets[0]); err == nil {
+	vets := sampleVETs(t, tb, 1, 61)
+	if _, err := evalVET(cl, tb, vets[0], telemetry.Context{}); err == nil {
 		t.Fatal("request on a reaped session succeeded")
 	} else {
 		var te *fault.TransportError
@@ -555,19 +566,15 @@ func TestWireClientTimeout(t *testing.T) {
 		w.Flush()
 		io.Copy(io.Discard, sc) // swallow the request, never reply
 	}()
-	dc := DialConfig{
-		Timeout: 100 * time.Millisecond,
-		Dialer:  func(string) (net.Conn, error) { return cc, nil },
-	}
-	cl, err := dc.Dial("pipe", shortTables())
+	cl, err := dial("pipe", tb, 100*time.Millisecond, func(string) (net.Conn, error) { return cc, nil })
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 	defer cl.Close()
 
-	vets := sampleVETs(t, cl.Tables(), 1, 62)
+	vets := sampleVETs(t, tb, 1, 62)
 	start := time.Now()
-	_, err = cl.Evaluate(vets[0])
+	_, err = evalVET(cl, tb, vets[0], telemetry.Context{})
 	if err == nil {
 		t.Fatal("request against a silent server succeeded")
 	}
@@ -580,7 +587,7 @@ func TestWireClientTimeout(t *testing.T) {
 	}
 	// The session is broken: the next call must fail fast, not hang.
 	start = time.Now()
-	if _, err := cl.Evaluate(vets[0]); err == nil {
+	if _, err := evalVET(cl, tb, vets[0], telemetry.Context{}); err == nil {
 		t.Fatal("request on a broken session succeeded")
 	}
 	if d := time.Since(start); d > 50*time.Millisecond {

@@ -40,7 +40,7 @@ import (
 // duplicating them here is safe).
 const (
 	opHello    = 0x01 // retired version-1 hello: a server must refuse it
-	opStats    = 0x03
+	opStats    = 0x03 // retired JSON stats request: a server must refuse it
 	opHello2   = 0x04
 	opEval2    = 0x05 // retired version-2 eval (a byte per site): a server must refuse it
 	opEval     = 0x06
