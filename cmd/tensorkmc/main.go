@@ -111,7 +111,7 @@ func run(path string, quiet bool, stdout, stderr io.Writer, sig <-chan os.Signal
 		}()
 	}
 	if deck.TelemetryAddr != "" {
-		srv, err := telemetry.Serve(deck.TelemetryAddr, set)
+		srv, err := telemetry.Serve(deck.TelemetryAddr, telemetry.Handler(set, nil))
 		if err != nil {
 			fmt.Fprintln(stderr, "tensorkmc:", err)
 			return exitUsage
@@ -138,7 +138,6 @@ func run(path string, quiet bool, stdout, stderr io.Writer, sig <-chan os.Signal
 	sup, err := supervise.New(cfg, supervise.Config{
 		MaxRetries: deck.MaxRetries,
 		AuditEvery: deck.AuditEvery,
-		Seed:       cfg.Seed,
 		OnFailure: func(f supervise.Failure) {
 			if f.Backoff > 0 {
 				fmt.Fprintf(stderr, "tensorkmc: segment %d attempt %d failed: %v (retrying in %v)\n",
@@ -198,16 +197,15 @@ func simulate(deck *input.Deck, cfg core.Config, sup *supervise.Supervisor, quie
 		if interrupted(sig) {
 			return shutdown(sup, deck, stdout, stderr)
 		}
-		rep, err := sup.Run(segment)
-		if err != nil {
+		if err := sup.RunTo(sim.Time() + segment); err != nil {
 			fmt.Fprintln(stderr, "tensorkmc:", err)
 			return exitRuntime
 		}
 		sim = sup.Simulation() // recovery may have rebuilt it
 		if !quiet || i == snapshots {
-			a := rep.Analysis
+			a := sim.Analyze()
 			fmt.Fprintf(stdout, "t=%.4g s  hops=%d  isolatedCu=%d  clusters=%d  maxCluster=%d  density=%.3g /m^3\n",
-				sim.Time(), rep.Hops, a.Isolated, a.Clusters, a.MaxSize, a.NumberDensity)
+				sim.Time(), sim.Hops(), a.Isolated, a.Clusters, a.MaxSize, a.NumberDensity)
 		}
 		if deck.DumpFile != "" {
 			if err := dumpXYZ(sim, deck.DumpFile, i); err != nil {

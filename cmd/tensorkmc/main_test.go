@@ -10,8 +10,10 @@ import (
 
 	"tensorkmc/internal/core"
 	"tensorkmc/internal/feature"
+	"tensorkmc/internal/input"
 	"tensorkmc/internal/nnp"
 	"tensorkmc/internal/rng"
+	"tensorkmc/internal/telemetry"
 	"tensorkmc/internal/units"
 )
 
@@ -307,5 +309,74 @@ potential    eam
 	}
 	if !strings.Contains(out.String(), "per-phase timing:") {
 		t.Fatalf("no timing table on interrupt:\n%s", out.String())
+	}
+}
+
+// TestSegmentSchedulePinned: the CLI advances one supervised segment of
+// duration/snapshots per snapshot, and core.Run slices each segment at
+// checkpoint_every. The final checkpoint therefore byte-equals a plain
+// simulation with the same checkpoint settings driven by three
+// Run(duration/3) calls. The interval 7e-9 does not divide the 1e-8
+// segment, so every segment ends on a short chunk.
+func TestSegmentSchedulePinned(t *testing.T) {
+	for _, extra := range []string{"", "ranks 2 1 1\n"} {
+		dir := t.TempDir()
+		ckpt := filepath.Join(dir, "cli.ck")
+		body := "cells 10 10 10\ncu 0.05\nvacancy 0.002\nduration 3e-8\nseed 17\npotential eam\n" +
+			"snapshots 3\ncheckpoint_every 7e-9\n" + extra
+		deckPath := writeDeck(t, dir, body+"checkpoint "+ckpt+"\n")
+		var out bytes.Buffer
+		if code := realMain([]string{"-in", deckPath, "-quiet"}, &out, &out, nil); code != exitClean {
+			t.Fatalf("%q: exit %d, output:\n%s", extra, code, out.String())
+		}
+
+		deck, err := input.Parse(strings.NewReader(body + "checkpoint " + filepath.Join(dir, "ref.ck") + "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := deck.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := ref.Run(deck.Duration/3, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref.Close()
+		got, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(cfg.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%q: CLI checkpoint (%d bytes) differs from three Run(D/3) calls (%d bytes)", extra, len(got), len(want))
+		}
+	}
+}
+
+// TestQuietRunScansClustersOnce: with -quiet only the final snapshot
+// line is printed, and it is the only Cu cluster scan of the run.
+func TestQuietRunScansClustersOnce(t *testing.T) {
+	deckPath := writeDeck(t, t.TempDir(), "cells 10 10 10\ncu 0.05\nvacancy 0.002\nduration 3e-8\nseed 19\npotential eam\nsnapshots 3\n")
+	var out bytes.Buffer
+	if code := realMain([]string{"-in", deckPath, "-quiet"}, &out, &out, nil); code != exitClean {
+		t.Fatalf("exit %d, output:\n%s", code, out.String())
+	}
+	scans := ""
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == telemetry.PhaseAnalyze {
+			scans = f[1]
+		}
+	}
+	if scans != "1" {
+		t.Fatalf("3 quiet snapshots ran %q cluster scans, want 1:\n%s", scans, out.String())
 	}
 }

@@ -126,7 +126,7 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 	}
 	defer plane.Close()
 
-	srv, err := telemetry.ServeHandler(*addr, ctl.APIHandler(plane))
+	srv, err := telemetry.Serve(*addr, ctl.APIHandler(plane))
 	if err != nil {
 		fmt.Fprintln(stderr, "tkmc-ctl:", err)
 		return exitRuntime

@@ -130,12 +130,12 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 	// clients to a node that is letting its attached simulations finish.
 	var draining atomic.Bool
 	if set != nil {
-		tsrv, err := telemetry.ServeReady(*teleAddr, set, func() (bool, string) {
+		tsrv, err := telemetry.Serve(*teleAddr, telemetry.Handler(set, func() (bool, string) {
 			if draining.Load() {
 				return false, "draining"
 			}
 			return true, ""
-		})
+		}))
 		if err != nil {
 			fmt.Fprintln(stderr, "tkmc-serve:", err)
 			return exitRuntime

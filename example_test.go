@@ -22,7 +22,7 @@ func ExampleNew() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("Cu atoms:", report.Analysis.NumCu)
+	fmt.Println("Cu atoms:", sim.Analyze().NumCu)
 	fmt.Println("hops executed > 0:", report.Hops > 0)
 	// Output:
 	// Cu atoms: 40

@@ -47,7 +47,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		a = rep.Analysis
+		a = sim.Analyze()
 		fmt.Printf("%12.3g %10d %12d %10d %9d %14.3g\n",
 			sim.Time(), rep.Hops, a.Isolated, a.Clusters, a.MaxSize, a.NumberDensity)
 	}

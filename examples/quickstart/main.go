@@ -37,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	after := report.Analysis
+	after := sim.Analyze()
 	fmt.Printf("after %.3g s (%d hops): %d isolated, %d clusters, largest %d\n",
 		sim.Time(), report.Hops, after.Isolated, after.Clusters, after.MaxSize)
 }

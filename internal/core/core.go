@@ -461,10 +461,6 @@ func (s *Simulation) TraceID() string {
 	return s.traceRoot.TraceID()
 }
 
-// Fleet exposes the remote evaluation fleet client, nil when EvalFleet
-// is unset — callers use it for membership changes and health stats.
-func (s *Simulation) Fleet() *evalserve.FleetClient { return s.fleet }
-
 // Model returns the configured energy model, exposed so the physics
 // invariant auditor can recompute propensities from scratch.
 func (s *Simulation) Model() kmc.Model { return s.model }
@@ -494,54 +490,11 @@ func (s *Simulation) EngineStats() kmc.Stats {
 	return kmc.Stats{}
 }
 
-// Report summarises a run segment.
+// Report summarises a run segment. Run does not analyse clusters;
+// callers that want the Cu cluster state call Analyze.
 type Report struct {
 	Duration float64
 	Hops     int64
-	// Analysis is the Cu cluster state at the end of the segment.
-	Analysis cluster.Analysis
-	// Recovery is the supervisor's fault-handling account when the run
-	// was driven by internal/supervise; nil on unsupervised runs.
-	Recovery *Recovery
-}
-
-// Recovery is the typed account of what a supervisor did to keep a run
-// alive: the failures it saw, the segments it replayed, and the time it
-// lost doing so. It is surfaced through Report so callers (and the CLI's
-// exit status) can distinguish a clean run from a recovered one.
-type Recovery struct {
-	// Failures counts failed segment attempts (including audit failures).
-	Failures int
-	// Replays counts segments re-run after a restore.
-	Replays int
-	// ShadowRestores counts restores from the in-memory shadow
-	// checkpoint; DiskRestores counts fallbacks to the on-disk
-	// TKMCBOX2/.bak last-good state.
-	ShadowRestores int
-	DiskRestores   int
-	// Audits counts invariant-auditor passes (periodic, post-recovery
-	// and on-demand).
-	Audits int
-	// BackoffTotal is the wall-clock time spent backing off between
-	// retries; ReplayedTime is the simulated seconds that had to be
-	// re-run after restores.
-	BackoffTotal time.Duration
-	ReplayedTime float64
-	// FailureLog records the failures seen, oldest first (bounded).
-	FailureLog []string
-}
-
-// Recovered reports whether any segment had to be replayed.
-func (r *Recovery) Recovered() bool { return r != nil && r.Replays > 0 }
-
-// Summary renders a one-line human-readable account for logs and the
-// CLI exit banner; it returns "" for a nil or uneventful record.
-func (r *Recovery) Summary() string {
-	if r == nil || (r.Failures == 0 && r.Audits == 0) {
-		return ""
-	}
-	return fmt.Sprintf("recovery: %d failures, %d replays (%d shadow + %d disk restores), %d audits, %.3gs simulated time replayed, %v backoff",
-		r.Failures, r.Replays, r.ShadowRestores, r.DiskRestores, r.Audits, r.ReplayedTime, r.BackoffTotal)
 }
 
 // Run advances the simulation by duration seconds (serial or parallel
@@ -554,51 +507,59 @@ func (s *Simulation) Run(duration float64, observer func(ev kmc.Event)) (Report,
 	}
 	runSp := s.runPh.StartUnder(s.traceRoot)
 	defer runSp.EndMsg("duration=%.6g", duration)
-	if s.Cfg.CheckpointPath != "" {
-		// Slice the run into checkpoint intervals, persisting crash-safe
-		// state after each. The slicing itself is part of the trajectory
-		// (a serial Step consumes draws even for clipped events), so it
-		// is derived deterministically from the configuration: the same
-		// deck resumes the same trajectory.
-		remaining := duration
-		for remaining > 0 {
-			chunk := remaining
-			if s.Cfg.CheckpointEvery > 0 && s.Cfg.CheckpointEvery < chunk {
-				chunk = s.Cfg.CheckpointEvery
-			}
-			if err := s.runChunk(chunk, observer, runSp.Context()); err != nil {
-				return Report{}, err
-			}
-			if err := s.trajCommit(); err != nil {
-				return Report{}, err
-			}
-			ckptSp := s.ckptPh.Start()
-			err := s.SaveCheckpoint(s.Cfg.CheckpointPath)
-			ckptSp.EndMsg("")
-			if err != nil {
-				return Report{}, fmt.Errorf("core: writing checkpoint: %w", err)
-			}
-			remaining -= chunk
-			// Swallow float dust from repeated subtraction so the last
-			// interval does not spawn a zero-length chunk (and a
-			// duplicate checkpoint) for a few ulps of residue.
-			if remaining <= duration*1e-12 {
-				remaining = 0
-			}
-		}
-	} else {
-		if err := s.runChunk(duration, observer, runSp.Context()); err != nil {
-			return Report{}, err
+	err := s.eachChunk(duration, func(chunk float64) error {
+		if err := s.runChunk(chunk, observer, runSp.Context()); err != nil {
+			return err
 		}
 		if err := s.trajCommit(); err != nil {
-			return Report{}, err
+			return err
+		}
+		if s.Cfg.CheckpointPath == "" {
+			return nil
+		}
+		ckptSp := s.ckptPh.Start()
+		err := s.SaveCheckpoint(s.Cfg.CheckpointPath)
+		ckptSp.EndMsg("")
+		if err != nil {
+			return fmt.Errorf("core: writing checkpoint: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return Report{}, err
+	}
+	return Report{Duration: duration, Hops: s.Hops()}, nil
+}
+
+// eachChunk slices duration into the run's checkpoint intervals and
+// calls step on each in turn, stopping at the first error. With a
+// checkpoint path the intervals are CheckpointEvery seconds long (the
+// last one shorter); otherwise the whole duration is one interval. The
+// slicing is part of the trajectory (a serial Step consumes draws even
+// for clipped events), so it is derived from the configuration alone:
+// the same deck resumes the same trajectory.
+func (s *Simulation) eachChunk(duration float64, step func(chunk float64) error) error {
+	every := 0.0
+	if s.Cfg.CheckpointPath != "" {
+		every = s.Cfg.CheckpointEvery
+	}
+	for remaining := duration; remaining > 0; {
+		chunk := remaining
+		if every > 0 && every < chunk {
+			chunk = every
+		}
+		if err := step(chunk); err != nil {
+			return err
+		}
+		remaining -= chunk
+		// Swallow float dust from repeated subtraction so the last
+		// interval does not spawn a zero-length chunk (and a duplicate
+		// checkpoint) for a few ulps of residue.
+		if remaining <= duration*1e-12 {
+			remaining = 0
 		}
 	}
-	return Report{
-		Duration: duration,
-		Hops:     s.Hops(),
-		Analysis: s.Analyze(),
-	}, nil
+	return nil
 }
 
 // runChunk advances the simulation by one uninterrupted interval, its

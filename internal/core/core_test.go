@@ -145,7 +145,7 @@ func TestSerialRun(t *testing.T) {
 	if int64(events) != s.Hops() || rep.Hops != s.Hops() {
 		t.Fatalf("observer saw %d events, engine reports %d", events, s.Hops())
 	}
-	if rep.Analysis.NumCu == 0 {
+	if s.Analyze().NumCu == 0 {
 		t.Fatal("analysis missing Cu")
 	}
 	// A second segment continues the same trajectory.

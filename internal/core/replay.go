@@ -222,11 +222,9 @@ func (s *Simulation) RunToHop(duration float64, target int64) error {
 	if s.Hops() > target {
 		return fmt.Errorf("core: already past hop %d (at %d)", target, s.Hops())
 	}
-	remaining := duration
-	for remaining > 0 && s.Hops() < target {
-		chunk := remaining
-		if s.Cfg.CheckpointPath != "" && s.Cfg.CheckpointEvery > 0 && s.Cfg.CheckpointEvery < chunk {
-			chunk = s.Cfg.CheckpointEvery
+	err := s.eachChunk(duration, func(chunk float64) error {
+		if s.Hops() >= target {
+			return nil
 		}
 		if s.engine != nil {
 			limit := s.engine.Time() + chunk
@@ -235,18 +233,18 @@ func (s *Simulation) RunToHop(duration float64, target int64) error {
 					break
 				}
 			}
-		} else {
-			if err := s.runChunk(chunk, nil, s.traceRoot); err != nil {
-				return err
-			}
-			if s.Hops() > target {
-				return fmt.Errorf("core: chunk overshot hop %d (at %d); target is not a chunk boundary", target, s.Hops())
-			}
+			return nil
 		}
-		remaining -= chunk
-		if remaining <= duration*1e-12 {
-			remaining = 0
+		if err := s.runChunk(chunk, nil, s.traceRoot); err != nil {
+			return err
 		}
+		if s.Hops() > target {
+			return fmt.Errorf("core: chunk overshot hop %d (at %d); target is not a chunk boundary", target, s.Hops())
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if s.Hops() != target {
 		return fmt.Errorf("core: run ended at hop %d, before target %d", s.Hops(), target)

@@ -29,7 +29,7 @@ const maxDeckBytes = 1 << 20
 // confirming liveness.
 func APIHandler(p *Plane) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/", telemetry.HandlerReady(p.Telemetry(), p.Ready))
+	mux.Handle("/", telemetry.Handler(p.Telemetry(), p.Ready))
 
 	// The controller's /metrics is the cluster view: its own registry
 	// plus every running job (job label) and every federated fleet node

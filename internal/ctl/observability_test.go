@@ -90,7 +90,7 @@ func TestClusterMetricsFederation(t *testing.T) {
 	// served over the real /metrics.json endpoint.
 	nodeSet := telemetry.NewSet()
 	nodeSet.Reg().Counter(telemetry.MetricEvalBatches, "eval requests").Add(42)
-	srv, err := telemetry.Serve("127.0.0.1:0", nodeSet)
+	srv, err := telemetry.Serve("127.0.0.1:0", telemetry.Handler(nodeSet, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,7 +184,6 @@ func (p *Plane) executeJob(j *job) (float64, int64, error) {
 	sup, err := supervise.New(cfg, supervise.Config{
 		MaxRetries: deck.MaxRetries,
 		AuditEvery: deck.AuditEvery,
-		Seed:       cfg.Seed,
 		Control: core.JobControl{
 			Stop: j.stop,
 			OnSegment: func(pr core.JobProgress) {

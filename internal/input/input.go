@@ -216,24 +216,11 @@ func (d *Deck) apply(key string, args []string) error {
 		}
 		d.Config.Seed = v
 	case "snapshots":
-		if len(args) != 1 {
-			return fmt.Errorf("snapshots wants one value")
-		}
-		v, err := strconv.Atoi(args[0])
-		if err != nil || v < 0 {
-			return fmt.Errorf("invalid snapshots %q", args[0])
-		}
-		d.Snapshots = v
+		return nonNegInt(key, args, &d.Snapshots)
 	case "dump":
-		if len(args) != 1 {
-			return fmt.Errorf("dump wants a path")
-		}
-		d.DumpFile = args[0]
+		return word(key, args, &d.DumpFile)
 	case "checkpoint":
-		if len(args) != 1 {
-			return fmt.Errorf("checkpoint wants a path")
-		}
-		d.CheckpointFile = args[0]
+		return word(key, args, &d.CheckpointFile)
 	case "checkpoint_every":
 		if err := float1(args, &d.CheckpointEvery); err != nil {
 			return err
@@ -242,41 +229,20 @@ func (d *Deck) apply(key string, args []string) error {
 			return fmt.Errorf("checkpoint_every wants a positive interval in seconds")
 		}
 	case "max_retries":
-		if len(args) != 1 {
-			return fmt.Errorf("max_retries wants one value")
-		}
-		v, err := strconv.Atoi(args[0])
-		if err != nil || v < 0 {
-			return fmt.Errorf("invalid max_retries %q", args[0])
-		}
-		d.MaxRetries = v
+		return nonNegInt(key, args, &d.MaxRetries)
 	case "audit_every":
-		if len(args) != 1 {
-			return fmt.Errorf("audit_every wants one value")
-		}
-		v, err := strconv.Atoi(args[0])
-		if err != nil || v < 0 {
-			return fmt.Errorf("invalid audit_every %q", args[0])
-		}
-		d.AuditEvery = v
+		return nonNegInt(key, args, &d.AuditEvery)
 	case "exchange_timeout":
-		var secs float64
-		if err := float1(args, &secs); err != nil {
-			return err
-		}
-		if secs <= 0 {
-			return fmt.Errorf("exchange_timeout wants a positive wall-clock interval in seconds")
-		}
-		d.Config.ExchangeTimeout = time.Duration(secs * float64(time.Second))
+		return seconds(key, args, &d.Config.ExchangeTimeout)
 	case "eval_cache":
-		return nonNegInt(args, &d.Config.EvalCache)
+		return nonNegInt(key, args, &d.Config.EvalCache)
 	case "eval_fleet":
 		if len(args) < 1 {
 			return fmt.Errorf("eval_fleet wants one or more host:port addresses")
 		}
 		d.Config.EvalFleet = append([]string(nil), args...)
 	case "eval_retry":
-		if err := nonNegInt(args, &d.Config.EvalRetry); err != nil {
+		if err := nonNegInt(key, args, &d.Config.EvalRetry); err != nil {
 			return err
 		}
 		if d.Config.EvalRetry == 0 {
@@ -286,48 +252,29 @@ func (d *Deck) apply(key string, args []string) error {
 			d.Config.EvalRetry = -1
 		}
 	case "eval_timeout":
-		var secs float64
-		if err := float1(args, &secs); err != nil {
-			return err
-		}
-		if secs <= 0 {
-			return fmt.Errorf("eval_timeout wants a positive wall-clock interval in seconds")
-		}
-		d.Config.EvalTimeout = time.Duration(secs * float64(time.Second))
+		return seconds(key, args, &d.Config.EvalTimeout)
 	case "eval_fallback":
 		d.evalFallbackSet = true
 		return onOff(key, args, &d.Config.EvalFallback)
 	case "telemetry_addr":
-		if len(args) != 1 {
-			return fmt.Errorf("telemetry_addr wants host:port")
-		}
-		d.TelemetryAddr = args[0]
+		return word(key, args, &d.TelemetryAddr)
 	case "trace":
 		return onOff(key, args, &d.Config.Trace)
 	case "event_log":
-		if len(args) != 1 {
-			return fmt.Errorf("event_log wants a path")
-		}
-		d.EventLog = args[0]
+		return word(key, args, &d.EventLog)
 	case "restart":
-		if len(args) != 1 {
-			return fmt.Errorf("restart wants a path")
-		}
-		d.RestartFile = args[0]
+		return word(key, args, &d.RestartFile)
 	case "traj_log":
-		if len(args) != 1 {
-			return fmt.Errorf("traj_log wants a path")
-		}
-		d.TrajLog = args[0]
+		return word(key, args, &d.TrajLog)
 	case "traj_snapshot_every":
-		if err := nonNegInt(args, &d.TrajSnapshotEvery); err != nil {
+		if err := nonNegInt(key, args, &d.TrajSnapshotEvery); err != nil {
 			return err
 		}
 		if d.TrajSnapshotEvery == 0 {
 			return fmt.Errorf("traj_snapshot_every wants a positive event count")
 		}
 	case "ensemble_replicas":
-		if err := nonNegInt(args, &d.EnsembleReplicas); err != nil {
+		if err := nonNegInt(key, args, &d.EnsembleReplicas); err != nil {
 			return err
 		}
 		if d.EnsembleReplicas > 4096 {
@@ -336,10 +283,7 @@ func (d *Deck) apply(key string, args []string) error {
 	case "fork":
 		return onOff(key, args, &d.Fork)
 	case "tenant":
-		if len(args) != 1 {
-			return fmt.Errorf("tenant wants one name")
-		}
-		d.Tenant = args[0]
+		return word(key, args, &d.Tenant)
 	case "priority":
 		if len(args) != 1 {
 			return fmt.Errorf("priority wants 'low', 'normal' or 'high'")
@@ -421,15 +365,37 @@ func ints(args []string, n int) ([]int, error) {
 	return out, nil
 }
 
-func nonNegInt(args []string, dst *int) error {
+func nonNegInt(key string, args []string, dst *int) error {
 	if len(args) != 1 {
-		return fmt.Errorf("want one integer, got %d", len(args))
+		return fmt.Errorf("%s wants one integer, got %d", key, len(args))
 	}
 	v, err := strconv.Atoi(args[0])
 	if err != nil || v < 0 {
-		return fmt.Errorf("invalid value %q", args[0])
+		return fmt.Errorf("invalid %s %q", key, args[0])
 	}
 	*dst = v
+	return nil
+}
+
+// word parses a key that takes one word: a path, an address or a name.
+func word(key string, args []string, dst *string) error {
+	if len(args) != 1 {
+		return fmt.Errorf("%s wants one value, got %d", key, len(args))
+	}
+	*dst = args[0]
+	return nil
+}
+
+// seconds parses a positive wall-clock interval given in seconds.
+func seconds(key string, args []string, dst *time.Duration) error {
+	var secs float64
+	if err := float1(args, &secs); err != nil {
+		return fmt.Errorf("%s: %w", key, err)
+	}
+	if secs <= 0 {
+		return fmt.Errorf("%s wants a positive wall-clock interval in seconds", key)
+	}
+	*dst = time.Duration(secs * float64(time.Second))
 	return nil
 }
 

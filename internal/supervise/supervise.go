@@ -54,24 +54,10 @@ type Config struct {
 	// MaxRetries bounds the replays per segment; 0 fails on the first
 	// error (but still classifies it).
 	MaxRetries int
-	// Segment is the supervised quantum in simulated seconds: Run
-	// slices its duration into segments of this length, committing a
-	// fresh shadow checkpoint after each. 0 treats each Run call as one
-	// segment.
-	Segment float64
 	// AuditEvery runs the invariant auditor after every Nth successful
 	// segment; 0 disables periodic audits (recovery-path audits always
 	// run). Off means zero overhead in the segment loop.
 	AuditEvery int
-	// BackoffBase and BackoffMax shape the exponential backoff
-	// (defaults 10ms and 2s). The actual sleep for attempt n is drawn
-	// uniformly from [d/2, d) with d = min(Base<<n, Max) — jitter from
-	// a stream seeded by Seed, not the wall clock.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Seed drives the backoff jitter stream (mixed with the simulation
-	// seed, so the zero value is fine).
-	Seed uint64
 	// Sleep, if non-nil, replaces time.Sleep for the backoff waits —
 	// tests inject a no-op to keep chaos runs fast.
 	Sleep func(time.Duration)
@@ -85,6 +71,55 @@ type Config struct {
 	// returns an error wrapping core.ErrJobStopped), and OnSegment
 	// observes every committed segment. The zero value never stops.
 	Control core.JobControl
+}
+
+// The retry backoff for 0-based retry n is drawn uniformly from
+// [d/2, d) with d = min(backoffBase<<n, backoffMax), from a jitter
+// stream seeded by the simulation seed, not the wall clock: concurrent
+// jobs with different seeds retry out of step, and a rerun of one job
+// sleeps the same schedule.
+const (
+	backoffBase = 10 * time.Millisecond
+	backoffMax  = 2 * time.Second
+)
+
+// Recovery is the typed account of what a supervisor did to keep a run
+// alive: the failures it saw, the segments it replayed, and the time it
+// lost doing so. Callers (and the CLI's exit status) read it from
+// Supervisor.Recovery to distinguish a clean run from a recovered one.
+type Recovery struct {
+	// Failures counts failed segment attempts (including audit failures).
+	Failures int
+	// Replays counts segments re-run after a restore.
+	Replays int
+	// ShadowRestores counts restores from the in-memory shadow
+	// checkpoint; DiskRestores counts fallbacks to the on-disk
+	// TKMCBOX2/.bak last-good state.
+	ShadowRestores int
+	DiskRestores   int
+	// Audits counts invariant-auditor passes (periodic, post-recovery
+	// and on-demand).
+	Audits int
+	// BackoffTotal is the wall-clock time spent backing off between
+	// retries; ReplayedTime is the simulated seconds that had to be
+	// re-run after restores.
+	BackoffTotal time.Duration
+	ReplayedTime float64
+	// FailureLog records the failures seen, oldest first (bounded).
+	FailureLog []string
+}
+
+// Recovered reports whether any segment had to be replayed.
+func (r *Recovery) Recovered() bool { return r != nil && r.Replays > 0 }
+
+// Summary renders a one-line human-readable account for logs and the
+// CLI exit banner; it returns "" for a nil or uneventful record.
+func (r *Recovery) Summary() string {
+	if r == nil || (r.Failures == 0 && r.Audits == 0) {
+		return ""
+	}
+	return fmt.Sprintf("recovery: %d failures, %d replays (%d shadow + %d disk restores), %d audits, %.3gs simulated time replayed, %v backoff",
+		r.Failures, r.Replays, r.ShadowRestores, r.DiskRestores, r.Audits, r.ReplayedTime, r.BackoffTotal)
 }
 
 // ExhaustedError is returned when a segment keeps failing after
@@ -125,14 +160,14 @@ type Supervisor struct {
 	shadow   *core.Checkpoint // last known-good full state, in memory
 	base     audit.Baseline   // conserved quantities + initial clock
 	lastTime float64          // clock at the last committed segment
-	segIndex int              // 1-based segment counter across Run calls
+	segIndex int              // 1-based segment counter across RunTo calls
 	rnd      *rng.Stream      // backoff jitter
-	rec      core.Recovery
+	rec      Recovery
 	tele     probes
 }
 
 // probes are the supervisor's telemetry handles; the zero value (all
-// nil) is a valid no-op. The counters mirror the core.Recovery fields
+// nil) is a valid no-op. The counters mirror the Recovery fields
 // rather than exposing them directly because rec is plain ints mutated
 // by the supervisor goroutine — a function-backed metric read from the
 // HTTP scraper would race. The atomic mirrors are bumped at the same
@@ -171,12 +206,6 @@ func New(simCfg core.Config, cfg Config) (*Supervisor, error) {
 	if cfg.MaxRetries < 0 {
 		return nil, fmt.Errorf("supervise: negative MaxRetries")
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 10 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 2 * time.Second
-	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
@@ -188,7 +217,7 @@ func New(simCfg core.Config, cfg Config) (*Supervisor, error) {
 		cfg:    cfg,
 		simCfg: simCfg,
 		sim:    sim,
-		rnd:    rng.New(cfg.Seed ^ simCfg.Seed ^ 0x5e1f4ea11c0de),
+		rnd:    rng.New(simCfg.Seed ^ 0x5e1f4ea11c0de),
 		tele:   newProbes(simCfg.Telemetry),
 	}
 	s.shadow = sim.Checkpoint()
@@ -204,7 +233,7 @@ func (s *Supervisor) Simulation() *core.Simulation { return s.sim }
 func (s *Supervisor) Shadow() *core.Checkpoint { return s.shadow }
 
 // Recovery returns a snapshot of the fault-handling account so far.
-func (s *Supervisor) Recovery() *core.Recovery {
+func (s *Supervisor) Recovery() *Recovery {
 	rec := s.rec
 	rec.FailureLog = append([]string(nil), s.rec.FailureLog...)
 	return &rec
@@ -225,46 +254,12 @@ func (s *Supervisor) Audit() error {
 	return audit.Propensities(s.sim.Box(), s.sim.Model(), s.sim.Cfg.Temperature)
 }
 
-// Run advances the simulation by duration seconds under supervision and
-// returns a report whose Recovery field accounts for every failure,
-// restore and replay. On an unrecoverable or retry-exhausted failure it
-// returns the typed error; the report still carries the recovery
-// account for diagnostics.
-func (s *Supervisor) Run(duration float64) (core.Report, error) {
-	if duration < 0 {
-		return core.Report{Recovery: s.Recovery()}, fmt.Errorf("supervise: negative duration")
-	}
-	remaining := duration
-	for remaining > 0 {
-		if s.cfg.Control.Stopped() {
-			return core.Report{Recovery: s.Recovery()}, s.stopped()
-		}
-		chunk := remaining
-		if s.cfg.Segment > 0 && s.cfg.Segment < chunk {
-			chunk = s.cfg.Segment
-		}
-		if err := s.runSegment(s.lastTime + chunk); err != nil {
-			return core.Report{Recovery: s.Recovery()}, err
-		}
-		remaining -= chunk
-		if remaining <= duration*1e-12 {
-			remaining = 0
-		}
-	}
-	return core.Report{
-		Duration: duration,
-		Hops:     s.sim.Hops(),
-		Analysis: s.sim.Analyze(),
-		Recovery: s.Recovery(),
-	}, nil
-}
-
 // RunTo advances the simulation to the absolute clock target as one
 // supervised segment (with the usual restore-and-replay on failure).
-// It is the control plane's entry point: computing boundaries from
-// absolute targets — never from chained durations — is what lets a
-// preempted or crash-restored job recompute the identical segment
-// schedule and reproduce the uninterrupted trajectory bit for bit.
+// It is the only way a supervised run advances. Computing boundaries
+// from absolute targets is what lets a preempted or crash-restored
+// control-plane job recompute the identical segment schedule and
+// reproduce the uninterrupted trajectory bit for bit.
 // A target at or before the current clock commits nothing and returns
 // nil. A stop signal pending at entry returns before running.
 func (s *Supervisor) RunTo(target float64) error {
@@ -419,14 +414,14 @@ func (s *Supervisor) restoreFrom(ck *core.Checkpoint) error {
 }
 
 // backoff returns the jittered exponential delay for the given 0-based
-// retry index: uniform in [d/2, d) with d = min(Base<<n, Max).
+// retry index: uniform in [d/2, d) with d = min(backoffBase<<n, backoffMax).
 func (s *Supervisor) backoff(n int) time.Duration {
-	d := s.cfg.BackoffBase
-	for i := 0; i < n && d < s.cfg.BackoffMax; i++ {
+	d := backoffBase
+	for i := 0; i < n && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > s.cfg.BackoffMax {
-		d = s.cfg.BackoffMax
+	if d > backoffMax {
+		d = backoffMax
 	}
 	half := d / 2
 	return half + time.Duration(s.rnd.Float64()*float64(half))

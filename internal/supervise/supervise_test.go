@@ -3,6 +3,7 @@ package supervise
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"tensorkmc/internal/mpi"
 	"tensorkmc/internal/nnp"
 	"tensorkmc/internal/rng"
+	"tensorkmc/internal/telemetry"
 	"tensorkmc/internal/units"
 )
 
@@ -28,7 +30,7 @@ func parallelConfig(seed uint64) core.Config {
 }
 
 // referenceRun computes the unperturbed trajectory with the same
-// segmentation the supervisor uses (segment boundaries are part of the
+// segmentation runSegments drives (segment boundaries are part of the
 // trajectory contract).
 func referenceRun(t *testing.T, cfg core.Config, segment float64, n int) *core.Simulation {
 	t.Helper()
@@ -43,6 +45,18 @@ func referenceRun(t *testing.T, cfg core.Config, segment float64, n int) *core.S
 		}
 	}
 	return ref
+}
+
+// runSegments advances the supervised run by n segments, each a RunTo
+// the committed clock plus segment — the same float sums as the chained
+// ref.Run(segment) of referenceRun.
+func runSegments(sup *Supervisor, segment float64, n int) error {
+	for i := 0; i < n; i++ {
+		if err := sup.RunTo(sup.Simulation().Time() + segment); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestChaosMatrix is the headline acceptance test: a supervised
@@ -123,7 +137,7 @@ func TestChaosMatrix(t *testing.T) {
 
 			chaos := tc.chaos()
 			simCfg.Chaos = chaos
-			cfg := Config{MaxRetries: 4, Segment: segment, Sleep: noSleep, BackoffBase: time.Millisecond}
+			cfg := Config{MaxRetries: 4, Sleep: noSleep}
 			if tc.onFailure != nil {
 				cfg.OnFailure = tc.onFailure(chaos)
 			}
@@ -131,9 +145,8 @@ func TestChaosMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			report, err := sup.Run(segment * segments)
-			if err != nil {
-				t.Fatalf("supervised run failed: %v\nlog: %v", err, report.Recovery.FailureLog)
+			if err := runSegments(sup, segment, segments); err != nil {
+				t.Fatalf("supervised run failed: %v\nlog: %v", err, sup.Recovery().FailureLog)
 			}
 
 			sim := sup.Simulation()
@@ -143,10 +156,7 @@ func TestChaosMatrix(t *testing.T) {
 			if !sim.Box().Equal(ref.Box()) {
 				t.Fatal("supervised trajectory diverged from the unperturbed reference")
 			}
-			rec := report.Recovery
-			if rec == nil {
-				t.Fatal("supervised report has no recovery account")
-			}
+			rec := sup.Recovery()
 			if tc.mustReplay {
 				if !rec.Recovered() || rec.Failures == 0 || rec.ShadowRestores == 0 {
 					t.Fatalf("injected fault left no recovery trace: %+v", rec)
@@ -177,19 +187,18 @@ func TestSupervisorSerialCleanMatchesUnsupervised(t *testing.T) {
 		const segment = 2e-8
 		ref := referenceRun(t, cfg, segment, 2)
 
-		sup, err := New(cfg, Config{MaxRetries: 2, Segment: segment, AuditEvery: 1, Sleep: noSleep})
+		sup, err := New(cfg, Config{MaxRetries: 2, AuditEvery: 1, Sleep: noSleep})
 		if err != nil {
 			t.Fatal(err)
 		}
-		report, err := sup.Run(2 * segment)
-		if err != nil {
+		if err := runSegments(sup, segment, 2); err != nil {
 			t.Fatal(err)
 		}
 		sim := sup.Simulation()
 		if sim.Time() != ref.Time() || sim.Hops() != ref.Hops() || !sim.Box().Equal(ref.Box()) {
 			t.Fatalf("%v cells: supervised clean run diverged from the plain run", cfg.Cells)
 		}
-		rec := report.Recovery
+		rec := sup.Recovery()
 		if rec.Failures != 0 || rec.Replays != 0 || rec.Recovered() {
 			t.Fatalf("%v cells: clean run reports recoveries: %+v", cfg.Cells, rec)
 		}
@@ -204,23 +213,22 @@ func TestSupervisorSerialCleanMatchesUnsupervised(t *testing.T) {
 
 // TestSupervisorExhaustsRetriesFailsFast: a permanently lossy fabric
 // must end in a typed ExhaustedError after exactly MaxRetries replays —
-// quickly, never a hang — with the jittered backoff schedule inside its
-// configured bounds and strictly growing.
+// quickly, never a hang — with the jittered backoff schedule inside the
+// backoffBase/backoffMax bounds and strictly growing.
 func TestSupervisorExhaustsRetriesFailsFast(t *testing.T) {
 	simCfg := parallelConfig(47)
 	simCfg.Chaos = mpi.NewChaos(107).WithDrop(1)
 
 	var sleeps []time.Duration
-	base := 8 * time.Millisecond
 	cfg := Config{
-		MaxRetries: 2, BackoffBase: base, BackoffMax: 64 * time.Millisecond,
-		Sleep: func(d time.Duration) { sleeps = append(sleeps, d) },
+		MaxRetries: 2,
+		Sleep:      func(d time.Duration) { sleeps = append(sleeps, d) },
 	}
 	sup, err := New(simCfg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := sup.Run(5e-8)
+	err = sup.RunTo(5e-8)
 	if err == nil {
 		t.Fatal("permanently lossy fabric did not fail")
 	}
@@ -235,22 +243,95 @@ func TestSupervisorExhaustsRetriesFailsFast(t *testing.T) {
 	if !errors.As(err, &stall) {
 		t.Fatalf("exhaustion does not carry the underlying stall diagnostic: %v", err)
 	}
-	rec := report.Recovery
+	rec := sup.Recovery()
 	if rec.Replays != 2 || rec.Failures != 3 {
 		t.Fatalf("recovery account inconsistent with 3 attempts: %+v", rec)
 	}
 	if len(sleeps) != 2 {
 		t.Fatalf("want 2 backoff sleeps, got %v", sleeps)
 	}
+	checkJitterWindows(t, sleeps)
+	if sleeps[1] <= sleeps[0] {
+		t.Fatalf("backoff not growing: %v", sleeps)
+	}
+}
+
+// checkJitterWindows fails unless retry i slept inside [d/2, d) with
+// d = backoffBase<<i.
+func checkJitterWindows(t *testing.T, sleeps []time.Duration) {
+	t.Helper()
 	for i, d := range sleeps {
-		lo := (base << i) / 2
-		hi := base << i
+		lo := (backoffBase << i) / 2
+		hi := backoffBase << i
 		if d < lo || d >= hi {
 			t.Fatalf("sleep %d = %v outside jitter window [%v, %v)", i, d, lo, hi)
 		}
 	}
-	if sleeps[1] <= sleeps[0] {
-		t.Fatalf("backoff not growing: %v", sleeps)
+}
+
+// TestSupervisorBackoffFollowsSeed: the backoff jitter is drawn from the
+// simulation seed, so two jobs with different seeds failing together
+// retry out of step, while a rerun of one job sleeps the same schedule.
+func TestSupervisorBackoffFollowsSeed(t *testing.T) {
+	sleepsFor := func(seed uint64) []time.Duration {
+		simCfg := parallelConfig(seed)
+		simCfg.ExchangeTimeout = 50 * time.Millisecond
+		simCfg.Chaos = mpi.NewChaos(108).WithDrop(1)
+		var sleeps []time.Duration
+		sup, err := New(simCfg, Config{
+			MaxRetries: 3,
+			Sleep:      func(d time.Duration) { sleeps = append(sleeps, d) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sup.Simulation().Close()
+		var ex *ExhaustedError
+		if err := sup.RunTo(5e-8); !errors.As(err, &ex) {
+			t.Fatalf("seed %d: want *ExhaustedError, got %v", seed, err)
+		}
+		if len(sleeps) != 3 {
+			t.Fatalf("seed %d: want 3 backoff sleeps, got %v", seed, sleeps)
+		}
+		checkJitterWindows(t, sleeps)
+		return sleeps
+	}
+	a, b, again := sleepsFor(71), sleepsFor(72), sleepsFor(71)
+	if slices.Equal(a, b) {
+		t.Fatalf("seeds 71 and 72 drew the same backoff schedule %v", a)
+	}
+	if !slices.Equal(a, again) {
+		t.Fatalf("seed 71 drew %v, then %v", a, again)
+	}
+}
+
+// TestSupervisorOneClusterScanPerSegment: a committed segment scans the
+// box for Cu clusters once, for the OnSegment progress feed; the run
+// inside the segment does not scan.
+func TestSupervisorOneClusterScanPerSegment(t *testing.T) {
+	set := telemetry.NewSet()
+	cfg := core.Config{Cells: [3]int{10, 10, 10}, CuFraction: 0.05, VacancyFraction: 0.002, Seed: 73, Telemetry: set}
+	var progress []core.JobProgress
+	sup, err := New(cfg, Config{Control: core.JobControl{
+		OnSegment: func(p core.JobProgress) { progress = append(progress, p) },
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runSegments(sup, 1e-8, 3); err != nil {
+		t.Fatal(err)
+	}
+	if n := set.Trace().PhaseAt(telemetry.PhaseRun, telemetry.PhaseAnalyze).Count(); n != 3 {
+		t.Fatalf("3 segments ran %d cluster scans, want 3", n)
+	}
+	if len(progress) != 3 {
+		t.Fatalf("OnSegment saw %d segments, want 3", len(progress))
+	}
+	sim := sup.Simulation()
+	a, last := sim.Analyze(), progress[2]
+	if last.Time != sim.Time() || last.Hops != sim.Hops() || last.Isolated != a.Isolated ||
+		last.Clusters != a.Clusters || last.MaxCluster != a.MaxSize {
+		t.Fatalf("last progress %+v does not match the final state (t=%v hops=%d %+v)", last, sim.Time(), sim.Hops(), a)
 	}
 }
 
@@ -272,13 +353,13 @@ func TestSupervisorCorruptionUnrecoverable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := sup.Run(1e-8)
+	err = sup.RunTo(1e-8)
 	var un *UnrecoverableError
 	if !errors.As(err, &un) {
 		t.Fatalf("want *UnrecoverableError, got %v", err)
 	}
-	if report.Recovery.Replays != 0 {
-		t.Fatalf("supervisor burned %d replays on deterministic corruption", report.Recovery.Replays)
+	if rec := sup.Recovery(); rec.Replays != 0 {
+		t.Fatalf("supervisor burned %d replays on deterministic corruption", rec.Replays)
 	}
 }
 
@@ -292,20 +373,19 @@ func TestSupervisorAuditHealsStateDrift(t *testing.T) {
 	const segment = 2e-8
 	ref := referenceRun(t, cfg, segment, 2)
 
-	sup, err := New(cfg, Config{MaxRetries: 2, Segment: segment, AuditEvery: 1, Sleep: noSleep, BackoffBase: time.Millisecond})
+	sup, err := New(cfg, Config{MaxRetries: 2, AuditEvery: 1, Sleep: noSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sup.Run(segment); err != nil {
+	if err := runSegments(sup, segment, 1); err != nil {
 		t.Fatal(err)
 	}
 	corruptFirstFe(t, sup.Simulation().Box())
 
-	report, err := sup.Run(segment)
-	if err != nil {
+	if err := runSegments(sup, segment, 1); err != nil {
 		t.Fatalf("supervisor failed to heal state drift: %v", err)
 	}
-	rec := report.Recovery
+	rec := sup.Recovery()
 	if rec.ShadowRestores == 0 || !rec.Recovered() {
 		t.Fatalf("drift healed without a shadow restore? %+v", rec)
 	}
@@ -324,11 +404,11 @@ func TestSupervisorDiskFallback(t *testing.T) {
 	ref := referenceRun(t, cfg, segment, 2)
 
 	cfg.CheckpointPath = t.TempDir() + "/ck.tkmc"
-	sup, err := New(cfg, Config{MaxRetries: 2, Segment: segment, AuditEvery: 1, Sleep: noSleep, BackoffBase: time.Millisecond})
+	sup, err := New(cfg, Config{MaxRetries: 2, AuditEvery: 1, Sleep: noSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sup.Run(segment); err != nil {
+	if err := runSegments(sup, segment, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Poison both the live state and the shadow: only the disk
@@ -336,11 +416,10 @@ func TestSupervisorDiskFallback(t *testing.T) {
 	corruptFirstFe(t, sup.Simulation().Box())
 	corruptFirstFe(t, sup.Shadow().Box)
 
-	report, err := sup.Run(segment)
-	if err != nil {
-		t.Fatalf("disk fallback failed: %v\nlog: %v", err, report.Recovery.FailureLog)
+	if err := runSegments(sup, segment, 1); err != nil {
+		t.Fatalf("disk fallback failed: %v\nlog: %v", err, sup.Recovery().FailureLog)
 	}
-	rec := report.Recovery
+	rec := sup.Recovery()
 	if rec.DiskRestores == 0 {
 		t.Fatalf("recovery did not use the disk checkpoint: %+v", rec)
 	}
@@ -367,7 +446,7 @@ func TestSupervisorNoRecoverableState(t *testing.T) {
 	}
 	corruptFirstFe(t, sup.Simulation().Box())
 	corruptFirstFe(t, sup.Shadow().Box)
-	_, err = sup.Run(1e-8)
+	err = sup.RunTo(1e-8)
 	var un *UnrecoverableError
 	if !errors.As(err, &un) {
 		t.Fatalf("want *UnrecoverableError, got %v", err)

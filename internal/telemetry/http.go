@@ -26,16 +26,9 @@ type Readiness func() (ready bool, detail string)
 //	/events         flight-recorder ring as JSONL, oldest first
 //	/debug/pprof/*  the standard Go profiler endpoints
 //
-// It is exported separately from Serve so tests (and embedders with
-// their own servers) can mount it without opening a port. Handler is
-// always ready; servers with a drain path use HandlerReady.
-func Handler(s *Set) http.Handler {
-	return HandlerReady(s, nil)
-}
-
-// HandlerReady is Handler with an explicit readiness probe backing
-// /readyz (nil means always ready).
-func HandlerReady(s *Set, ready Readiness) http.Handler {
+// ready backs /readyz; nil means always ready. It is exported
+// separately from Serve so embedders with their own mux can mount it.
+func Handler(s *Set, ready Readiness) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -112,22 +105,10 @@ type HTTPServer struct {
 	closeErr  error
 }
 
-// Serve opens the opt-in telemetry endpoint on addr (e.g.
-// "127.0.0.1:9090"; use port 0 to let the kernel pick) and serves the
-// Handler mux in the background until Close.
-func Serve(addr string, s *Set) (*HTTPServer, error) {
-	return ServeHandler(addr, Handler(s))
-}
-
-// ServeReady is Serve with a readiness probe behind /readyz — the hook
-// a draining server flips to 503 while it checkpoints in-flight work.
-func ServeReady(addr string, s *Set, ready Readiness) (*HTTPServer, error) {
-	return ServeHandler(addr, HandlerReady(s, ready))
-}
-
-// ServeHandler serves an arbitrary handler (typically Handler or a mux
-// wrapping it) with the telemetry server's lifecycle management.
-func ServeHandler(addr string, handler http.Handler) (*HTTPServer, error) {
+// Serve opens an HTTP endpoint on addr (e.g. "127.0.0.1:9090"; use
+// port 0 to let the kernel pick) and serves handler — typically Handler
+// or a mux wrapping it — in the background until Close.
+func Serve(addr string, handler http.Handler) (*HTTPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)

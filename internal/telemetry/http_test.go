@@ -23,7 +23,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		small.Record("evt", "n=%d", i)
 	}
 
-	srv, err := Serve("127.0.0.1:0", s)
+	srv, err := Serve("127.0.0.1:0", Handler(s, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,11 +52,10 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sim.Run(1e-9, nil)
-	if err != nil {
+	if _, err := sim.Run(1e-9, nil); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Analysis.NumCu == 0 {
+	if sim.Analyze().NumCu == 0 {
 		t.Fatal("analysis empty")
 	}
 }
