@@ -258,7 +258,9 @@ func New(cfg Config) (*Simulation, error) {
 		s.runPh = set.Trace().Phase(telemetry.PhaseRun)
 		s.segPh = s.runPh.Child(telemetry.PhaseSegment)
 		s.ckptPh = s.runPh.Child(telemetry.PhaseCheckpoint)
-		s.analyzePh = s.runPh.Child(telemetry.PhaseAnalyze)
+		// Analyze runs between runs (a snapshot line, a supervisor's
+		// progress feed), never inside one: its phase is a root.
+		s.analyzePh = set.Trace().Phase(telemetry.PhaseAnalyze)
 		// Register the step counter eagerly so the family is scrapable
 		// (at zero) before the first hop — parallel ranks only create
 		// their handles once a sweep starts.

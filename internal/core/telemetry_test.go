@@ -122,6 +122,40 @@ func TestSpanTreeCoversRun(t *testing.T) {
 	}
 }
 
+// TestPhaseChildrenWithinParent: after a traced run and cluster scans
+// made outside it, the children of every phase together took no longer
+// than the phase itself, so no row of the phase table lists time that
+// its parent row does not contain.
+func TestPhaseChildrenWithinParent(t *testing.T) {
+	set := telemetry.NewSet()
+	cfg := telemetryTestConfig(t.TempDir(), set)
+	cfg.EvalCache = 0
+	cfg.Trace = true
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	if _, err := sim.Run(1e-8, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		sim.Analyze()
+	}
+	var check func(n telemetry.SpanNode)
+	check = func(n telemetry.SpanNode) {
+		if c := n.ChildSeconds(); c > n.Seconds {
+			t.Errorf("phase %s: children took %.6fs, the phase %.6fs", n.Path, c, n.Seconds)
+		}
+		for _, c := range n.Children {
+			check(c)
+		}
+	}
+	for _, r := range set.Trace().Spans() {
+		check(r)
+	}
+}
+
 // TestStepSpansDisjoint: no span under run/segment/step is timed twice —
 // full VET fills under encode, model calls under eval, the hop and its
 // VET rebuild under apply — so the step's children sum to at most the

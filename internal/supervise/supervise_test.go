@@ -321,7 +321,7 @@ func TestSupervisorOneClusterScanPerSegment(t *testing.T) {
 	if err := runSegments(sup, 1e-8, 3); err != nil {
 		t.Fatal(err)
 	}
-	if n := set.Trace().PhaseAt(telemetry.PhaseRun, telemetry.PhaseAnalyze).Count(); n != 3 {
+	if n := set.Trace().Phase(telemetry.PhaseAnalyze).Count(); n != 3 {
 		t.Fatalf("3 segments ran %d cluster scans, want 3", n)
 	}
 	if len(progress) != 3 {
