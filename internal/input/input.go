@@ -181,38 +181,38 @@ func ParseFile(path string) (*Deck, error) {
 func (d *Deck) apply(key string, args []string) error {
 	switch key {
 	case "cells":
-		v, err := ints(args, 3)
+		v, err := ints(key, args, 3)
 		if err != nil {
 			return err
 		}
 		d.Config.Cells = [3]int{v[0], v[1], v[2]}
 	case "ranks":
-		v, err := ints(args, 3)
+		v, err := ints(key, args, 3)
 		if err != nil {
 			return err
 		}
 		d.Config.Ranks = [3]int{v[0], v[1], v[2]}
 	case "lattice":
-		return float1(args, &d.Config.LatticeConstant)
+		return float1(key, args, &d.Config.LatticeConstant)
 	case "cu":
-		return float1(args, &d.Config.CuFraction)
+		return float1(key, args, &d.Config.CuFraction)
 	case "vacancy":
-		return float1(args, &d.Config.VacancyFraction)
+		return float1(key, args, &d.Config.VacancyFraction)
 	case "temperature":
-		return float1(args, &d.Config.Temperature)
+		return float1(key, args, &d.Config.Temperature)
 	case "cutoff":
-		return float1(args, &d.Config.Cutoff)
+		return float1(key, args, &d.Config.Cutoff)
 	case "tstop":
-		return float1(args, &d.Config.TStop)
+		return float1(key, args, &d.Config.TStop)
 	case "duration":
-		return float1(args, &d.Duration)
+		return float1(key, args, &d.Duration)
 	case "seed":
 		if len(args) != 1 {
 			return fmt.Errorf("seed wants one value")
 		}
 		v, err := strconv.ParseUint(args[0], 10, 64)
 		if err != nil {
-			return err
+			return fmt.Errorf("invalid seed %q", args[0])
 		}
 		d.Config.Seed = v
 	case "snapshots":
@@ -222,7 +222,7 @@ func (d *Deck) apply(key string, args []string) error {
 	case "checkpoint":
 		return word(key, args, &d.CheckpointFile)
 	case "checkpoint_every":
-		if err := float1(args, &d.CheckpointEvery); err != nil {
+		if err := float1(key, args, &d.CheckpointEvery); err != nil {
 			return err
 		}
 		if d.CheckpointEvery <= 0 {
@@ -350,15 +350,15 @@ func (d *Deck) Finish() (core.Config, error) {
 	return cfg, nil
 }
 
-func ints(args []string, n int) ([]int, error) {
+func ints(key string, args []string, n int) ([]int, error) {
 	if len(args) != n {
-		return nil, fmt.Errorf("want %d integers, got %d", n, len(args))
+		return nil, fmt.Errorf("%s wants %d integers, got %d", key, n, len(args))
 	}
 	out := make([]int, n)
 	for i, a := range args {
 		v, err := strconv.Atoi(a)
 		if err != nil {
-			return nil, fmt.Errorf("invalid integer %q", a)
+			return nil, fmt.Errorf("invalid %s %q", key, a)
 		}
 		out[i] = v
 	}
@@ -389,8 +389,8 @@ func word(key string, args []string, dst *string) error {
 // seconds parses a positive wall-clock interval given in seconds.
 func seconds(key string, args []string, dst *time.Duration) error {
 	var secs float64
-	if err := float1(args, &secs); err != nil {
-		return fmt.Errorf("%s: %w", key, err)
+	if err := float1(key, args, &secs); err != nil {
+		return err
 	}
 	if secs <= 0 {
 		return fmt.Errorf("%s wants a positive wall-clock interval in seconds", key)
@@ -415,13 +415,13 @@ func onOff(key string, args []string, dst *bool) error {
 	return nil
 }
 
-func float1(args []string, dst *float64) error {
+func float1(key string, args []string, dst *float64) error {
 	if len(args) != 1 {
-		return fmt.Errorf("want one number, got %d", len(args))
+		return fmt.Errorf("%s wants one number, got %d", key, len(args))
 	}
 	v, err := strconv.ParseFloat(args[0], 64)
 	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("invalid number %q", args[0])
+		return fmt.Errorf("invalid %s %q", key, args[0])
 	}
 	*dst = v
 	return nil

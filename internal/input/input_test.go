@@ -68,23 +68,32 @@ func TestParseMinimal(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"unknown key":      "cells 4 4 4\nduration 1\nbogus 1\n",
-		"missing cells":    "duration 1\n",
-		"missing duration": "cells 4 4 4\n",
-		"bad cells":        "cells 4 x 4\nduration 1\n",
-		"short cells":      "cells 4 4\nduration 1\n",
-		"bad float":        "cells 4 4 4\nduration abc\n",
-		"bad seed":         "cells 4 4 4\nduration 1\nseed -3\n",
-		"bad potential":    "cells 4 4 4\nduration 1\npotential lda\n",
-		"nnp no file":      "cells 4 4 4\nduration 1\npotential nnp\n",
-		"eam with file":    "cells 4 4 4\nduration 1\npotential eam fecu.pot\n",
-		"bondcount":        "cells 4 4 4\nduration 1\npotential bondcount\n",
-		"neg snapshots":    "cells 4 4 4\nduration 1\nsnapshots -1\n",
+	// want is a word the message must hold: the key at fault.
+	cases := map[string]struct{ deck, want string }{
+		"unknown key":      {"cells 4 4 4\nduration 1\nbogus 1\n", "bogus"},
+		"missing cells":    {"duration 1\n", "cells"},
+		"missing duration": {"cells 4 4 4\n", "duration"},
+		"bad cells":        {"cells 4 x 4\nduration 1\n", "cells"},
+		"short cells":      {"cells 4 4\nduration 1\n", "cells"},
+		"bad ranks":        {"cells 4 4 4\nduration 1\nranks 2 1 y\n", "ranks"},
+		"bad float":        {"cells 4 4 4\nduration abc\n", "duration"},
+		"two floats":       {"cells 4 4 4\nduration 1\ncu 0.1 0.2\n", "cu"},
+		"bad tstop":        {"cells 4 4 4\nduration 1\ntstop NaN\n", "tstop"},
+		"bad interval":     {"cells 4 4 4\nduration 1\ncheckpoint_every soon\n", "checkpoint_every"},
+		"bad timeout":      {"cells 4 4 4\nduration 1\nexchange_timeout x\n", "exchange_timeout"},
+		"bad seed":         {"cells 4 4 4\nduration 1\nseed -3\n", "seed"},
+		"bad potential":    {"cells 4 4 4\nduration 1\npotential lda\n", "potential"},
+		"nnp no file":      {"cells 4 4 4\nduration 1\npotential nnp\n", "nnp"},
+		"eam with file":    {"cells 4 4 4\nduration 1\npotential eam fecu.pot\n", "eam"},
+		"bondcount":        {"cells 4 4 4\nduration 1\npotential bondcount\n", "bondcount"},
+		"neg snapshots":    {"cells 4 4 4\nduration 1\nsnapshots -1\n", "snapshots"},
 	}
-	for name, deck := range cases {
-		if _, err := Parse(strings.NewReader(deck)); err == nil {
+	for name, tc := range cases {
+		_, err := Parse(strings.NewReader(tc.deck))
+		if err == nil {
 			t.Errorf("%s: expected error", name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", name, err, tc.want)
 		}
 	}
 }
