@@ -2,6 +2,8 @@ package kmc
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"tensorkmc/internal/encoding"
 	"tensorkmc/internal/lattice"
@@ -84,6 +86,9 @@ type Cache struct {
 	nbr   []int            // scratch: storage index of centre+rel[i], one table
 	cover []encoding.Cover // scratch: the systems covering a changed site
 	spare encoding.VET     // scratch: the buffer a hopper's VET is translated into
+	one   [1]int           // scratch: Refresh's batch of one
+	out   []hopEnergies    // scratch: RefreshBatch's model outputs
+	batch batch            // scratch: RefreshBatch's work shared with helpers
 
 	encode, eval *telemetry.Phase // full fills; model calls (nil: untimed)
 }
@@ -91,7 +96,7 @@ type Cache struct {
 // NewCache returns an empty cache over sites whose systems are tracked in
 // centres (empty, spanning the window the engine owns), priced by model
 // at the given temperature. encode and eval, if non-nil, time full VET
-// fills and model calls in Refresh.
+// fills and each batch's model calls in RefreshBatch.
 func NewCache(sites Sites, centres *encoding.Centres, model Model, temperatureK float64, encode, eval *telemetry.Phase) *Cache {
 	tb := model.Tables()
 	return &Cache{tb: tb, model: model, temp: temperatureK, sites: sites, centres: centres,
@@ -159,27 +164,136 @@ func (c *Cache) Stale() {
 }
 
 // Refresh recomputes the propensities of the system in slot, first
-// filling its VET from the lattice if it is unfilled.
+// filling its VET from the lattice if it is unfilled: a batch of one.
 func (c *Cache) Refresh(slot int) {
-	s := c.Systems[slot]
-	if !s.Filled {
-		sp := c.encode.Start()
-		c.fill(s)
-		sp.EndMsg("")
-		c.Stats.Refills++
-	}
-	sp := c.eval.Start()
-	initial, final, valid := c.model.HopEnergies(s.VET)
-	s.Rates, s.Total = Rates(s.VET, c.tb, initial, final, valid, c.temp)
-	sp.EndMsg("")
-	for k := range s.DeltaE {
-		s.DeltaE[k] = 0
-		if valid[k] {
-			s.DeltaE[k] = final[k] - initial
+	c.one[0] = slot
+	c.RefreshBatch(c.one[:], nil)
+}
+
+// RefreshBatch recomputes the propensities of the systems in slots, which
+// must be distinct. Unfilled VETs are filled first, one after another:
+// fill uses the cache's one neighbour scratch. The 1+8 hop energies of the
+// batch are then evaluated by the cache's own model on the calling
+// goroutine and by each helper model on a goroutine of its own — the
+// paper's CPEs beside their MPE. Every model is a pure function of one
+// VET and every system's energies are written by exactly one goroutine,
+// so the helpers change no bit. The rates, Dirty flags and Stats are
+// committed afterwards in slot order on the calling goroutine.
+//
+// The helpers run at the same time as the cache's model and each other,
+// so each must be a model of its own or one safe for concurrent calls
+// (an evalserve.Server, a fleet client). A panic in any model is
+// re-raised on the calling goroutine once every helper has stopped: the
+// one from the earliest slot.
+func (c *Cache) RefreshBatch(slots []int, helpers []Model) {
+	for _, slot := range slots {
+		if s := c.Systems[slot]; !s.Filled {
+			sp := c.encode.Start()
+			c.fill(s)
+			sp.EndMsg("")
+			c.Stats.Refills++
 		}
 	}
-	s.Dirty = false
-	c.Stats.Refreshes++
+	sp := c.eval.Start()
+	if cap(c.out) < len(slots) {
+		c.out = make([]hopEnergies, len(slots))
+	}
+	out := c.out[:len(slots)]
+	if len(helpers) == 0 || len(slots) < 2 {
+		for i, slot := range slots {
+			out[i].eval(c.model, c.Systems[slot].VET)
+		}
+	} else {
+		c.evaluate(slots, helpers[:min(len(helpers), len(slots)-1)])
+	}
+	for i, slot := range slots {
+		s, e := c.Systems[slot], &out[i]
+		s.Rates, s.Total = Rates(s.VET, c.tb, e.initial, e.final, e.valid, c.temp)
+		for k := range s.DeltaE {
+			s.DeltaE[k] = 0
+			if e.valid[k] {
+				s.DeltaE[k] = e.final[k] - e.initial
+			}
+		}
+		s.Dirty = false
+	}
+	sp.EndMsg("")
+	c.Stats.Refreshes += int64(len(slots))
+}
+
+// hopEnergies is one system's model output between evaluation and commit.
+type hopEnergies struct {
+	initial float64
+	final   [8]float64
+	valid   [8]bool
+}
+
+func (e *hopEnergies) eval(m Model, vet encoding.VET) {
+	e.initial, e.final, e.valid = m.HopEnergies(vet)
+}
+
+// batch is the state a RefreshBatch shares with its helpers, kept in the
+// cache so that a batch allocates nothing but its goroutines.
+type batch struct {
+	slots []int
+	next  atomic.Int64 // index of the next unclaimed system
+	wg    sync.WaitGroup
+	fails []failure // per worker: the panic it stopped on, if any
+}
+
+type failure struct {
+	at int // index of the system being evaluated
+	p  any
+}
+
+// evaluate fills c.out[i] for slots[i] with the cache's own model and the
+// helpers working together, each taking the next unclaimed system.
+func (c *Cache) evaluate(slots []int, helpers []Model) {
+	b := &c.batch
+	b.slots = slots
+	b.next.Store(0)
+	if cap(b.fails) <= len(helpers) {
+		b.fails = make([]failure, len(helpers)+1)
+	}
+	b.fails = b.fails[:len(helpers)+1]
+	b.wg.Add(len(helpers))
+	for h, m := range helpers {
+		go c.help(m, h+1)
+	}
+	c.work(c.model, 0)
+	b.wg.Wait()
+	// Systems are claimed in slot order, so every system before the
+	// earliest failed one was evaluated: the serial path's first panic.
+	first := failure{at: len(slots)}
+	for _, f := range b.fails {
+		if f.p != nil && f.at < first.at {
+			first = f
+		}
+	}
+	clear(b.fails) // ready for the next batch; holds no panic value
+	if first.p != nil {
+		panic(first.p)
+	}
+}
+
+func (c *Cache) help(m Model, worker int) {
+	defer c.batch.wg.Done()
+	c.work(m, worker)
+}
+
+// work evaluates systems with m until none is left. If m panics, work
+// stops and records the panic and the system it struck.
+func (c *Cache) work(m Model, worker int) {
+	b := &c.batch
+	at := 0
+	defer func() {
+		if p := recover(); p != nil {
+			b.fails[worker] = failure{at: at, p: p}
+		}
+	}()
+	for at = int(b.next.Add(1) - 1); at < len(b.slots); at = int(b.next.Add(1) - 1) {
+		c.out[at].eval(m, c.Systems[b.slots[at]].VET)
+	}
 }
 
 // fill reads the whole table around the system's centre from the lattice.

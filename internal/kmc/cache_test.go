@@ -1,8 +1,11 @@
 package kmc
 
 import (
+	"errors"
+	"math"
 	"testing"
 
+	"tensorkmc/internal/eam"
 	"tensorkmc/internal/encoding"
 	"tensorkmc/internal/lattice"
 	"tensorkmc/internal/rng"
@@ -166,5 +169,116 @@ func TestCacheOnDomain(t *testing.T) {
 	}
 	if left == 0 || adopted == 0 || a.Stats.Patches == 0 {
 		t.Fatalf("%d hops left the region, %d vacancies adopted, %d patches: an operation went untested", left, adopted, a.Stats.Patches)
+	}
+}
+
+// TestRefreshBatchMatchesRefresh: refreshing a batch of systems with 0, 1
+// or 3 helper models leaves every system's rates, ΔE and total equal, bit
+// for bit, to refreshing the same systems one at a time, and counts the
+// same Stats. The box is dense in vacancies, once aliased by the table
+// (8³) and once not (12³), and the batch mixes filled and unfilled
+// systems; their old propensities are poisoned first, so a system the
+// batch skipped cannot pass.
+func TestRefreshBatchMatchesRefresh(t *testing.T) {
+	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
+	pot := eam.New(eam.Default())
+	model := func() Model { return eam.NewFastRegionEvaluator(pot, tb) }
+	for _, cells := range []int{8, 12} {
+		box := lattice.NewBox(cells, cells, cells, units.LatticeConstantFe)
+		lattice.FillRandomAlloy(box, 0.2, 0.02, rng.New(uint64(cells)))
+		// prepared returns a refreshed cache over the box and the batch:
+		// two systems of every three, the first of them unfilled.
+		prepared := func() (*Cache, []int) {
+			c := NewCache(box, tb.NewCentres(box, lattice.Vec{}, lattice.Vec{X: 2 * cells, Y: 2 * cells, Z: 2 * cells}),
+				model(), units.ReactorTemperature, nil, nil)
+			for _, v := range lattice.Vacancies(box) {
+				c.Add(v)
+			}
+			for slot := range c.Systems {
+				c.Refresh(slot)
+			}
+			var batch []int
+			for slot, s := range c.Systems {
+				switch slot % 3 {
+				case 0:
+					s.Filled = false
+				case 1:
+				default:
+					continue
+				}
+				s.Dirty, s.Total = true, -1
+				for k := range s.Rates {
+					s.Rates[k], s.DeltaE[k] = -1, -1
+				}
+				batch = append(batch, slot)
+			}
+			return c, batch
+		}
+		ref, batch := prepared()
+		for _, slot := range batch {
+			ref.Refresh(slot)
+		}
+		if ref.walk != (cells == 8) || len(batch) < 8 {
+			t.Fatalf("%d³ cells: aliased = %v, batch of %d", cells, ref.walk, len(batch))
+		}
+		for _, n := range []int{0, 1, 3} {
+			c, batch := prepared()
+			helpers := make([]Model, n)
+			for i := range helpers {
+				helpers[i] = model()
+			}
+			c.RefreshBatch(batch, helpers)
+			if c.Stats != ref.Stats {
+				t.Fatalf("%d³ cells, %d helpers: Stats %+v, one at a time %+v", cells, n, c.Stats, ref.Stats)
+			}
+			for slot, s := range c.Systems {
+				r := ref.Systems[slot]
+				same := s.Dirty == r.Dirty && s.Filled == r.Filled && math.Float64bits(s.Total) == math.Float64bits(r.Total)
+				for k := range s.Rates {
+					same = same && math.Float64bits(s.Rates[k]) == math.Float64bits(r.Rates[k]) &&
+						math.Float64bits(s.DeltaE[k]) == math.Float64bits(r.DeltaE[k])
+				}
+				if !same {
+					t.Fatalf("%d³ cells, %d helpers, slot %d: %+v, one at a time %+v", cells, n, slot, *s, *r)
+				}
+			}
+		}
+	}
+}
+
+// panicModel panics with its value on every call.
+type panicModel struct {
+	Model
+	v any
+}
+
+func (m panicModel) HopEnergies(encoding.VET) (float64, [8]float64, [8]bool) { panic(m.v) }
+
+// TestRefreshBatchRaisesModelPanic: a model's panic, raised on a helper's
+// goroutine or the caller's, reaches the caller of RefreshBatch, and
+// leaves the systems dirty.
+func TestRefreshBatchRaisesModelPanic(t *testing.T) {
+	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
+	box := lattice.NewBox(10, 10, 10, units.LatticeConstantFe)
+	lattice.FillRandomAlloy(box, 0.1, 0.02, rng.New(5))
+	failed := errors.New("model failed")
+	bad := panicModel{hashModel{tb}, failed}
+	c := NewCache(box, tb.NewCentres(box, lattice.Vec{}, lattice.Vec{X: 20, Y: 20, Z: 20}), bad, 1000, nil, nil)
+	for _, v := range lattice.Vacancies(box) {
+		c.Add(v)
+	}
+	slots := []int{0, 1, 2, 3, 4, 5}
+	func() {
+		defer func() {
+			if p := recover(); p != failed {
+				t.Fatalf("RefreshBatch raised %v, want %v", p, failed)
+			}
+		}()
+		c.RefreshBatch(slots, []Model{bad, bad})
+	}()
+	for _, slot := range slots {
+		if !c.Systems[slot].Dirty {
+			t.Fatalf("slot %d is clean after a failed batch", slot)
+		}
 	}
 }

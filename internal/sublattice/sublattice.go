@@ -17,6 +17,8 @@ package sublattice
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"tensorkmc/internal/fault"
@@ -90,7 +92,9 @@ type Result struct {
 // Run executes a parallel AKMC simulation of `duration` seconds over the
 // given global box (which is not modified; the evolved lattice is
 // returned in the Result). factory must return a fresh kmc.Model per
-// call — one per rank.
+// call: one per rank, and the helpers of a shared pool that evaluate a
+// rank's dirty vacancy systems beside it (at most GOMAXPROCS of them,
+// made on first use).
 //
 // With Config.ExchangeTimeout set, a rank that stalls (dies, hangs, or
 // is held by the Chaos interposer) makes Run return an error naming the
@@ -100,7 +104,10 @@ func Run(box *lattice.Box, cfg Config, duration float64, factory func() kmc.Mode
 	if cfg.TStop == 0 {
 		cfg.TStop = DefaultTStop
 	}
-	validate(box, cfg, factory())
+	model := factory()
+	validate(box, cfg, model)
+	// The model validate read is the pool's first helper.
+	pool := &helperPool{factory: factory, idle: []kmc.Model{model}, made: 1, max: runtime.GOMAXPROCS(0)}
 	nRanks := cfg.Ranks()
 	results := make([]*rankState, nRanks)
 	errs := make([]error, nRanks)
@@ -131,7 +138,7 @@ func Run(box *lattice.Box, cfg Config, duration float64, factory func() kmc.Mode
 				}
 			}
 		}()
-		r := newRank(c, box, cfg, factory())
+		r := newRank(c, box, cfg, factory(), pool)
 		errs[c.Rank()] = r.run(duration)
 		results[c.Rank()] = r
 	})
@@ -193,9 +200,12 @@ type rankState struct {
 	dom    *lattice.Domain
 	cache  *kmc.Cache // systems centred in the local region (raw == canonical)
 
-	// Scratch of runSector: the slots in the active sector, and those of
-	// them with a nonzero propensity.
-	members, active []int
+	// Scratch of runSector: the slots in the active sector, those of them
+	// that are dirty, and those with a nonzero propensity; the helpers
+	// lent for one batch.
+	members, dirty, active []int
+	pool                   *helperPool
+	helpers                []kmc.Model
 
 	changes []SiteChange
 	stats   RankStats
@@ -208,7 +218,7 @@ type rankState struct {
 	exchangePh *telemetry.Phase
 }
 
-func newRank(c *mpi.Comm, box *lattice.Box, cfg Config, model kmc.Model) *rankState {
+func newRank(c *mpi.Comm, box *lattice.Box, cfg Config, model kmc.Model, pool *helperPool) *rankState {
 	tb := model.Tables()
 	rank := c.Rank()
 	px := rank % cfg.PX
@@ -224,6 +234,7 @@ func newRank(c *mpi.Comm, box *lattice.Box, cfg Config, model kmc.Model) *rankSt
 		rnd:    rng.New(cfg.Seed).Split(uint64(rank)),
 		global: lattice.NewBoxGeometry(box.Nx, box.Ny, box.Nz, box.A),
 		dom:    dom,
+		pool:   pool,
 	}
 	r.cache = kmc.NewCache(dom, tb.NewCentres(r.global, dom.Origin, dom.Size), model, cfg.Temperature, nil, nil)
 	if set := cfg.Telemetry; set != nil {
@@ -297,15 +308,18 @@ func (r *rankState) runSector(sector int, window float64) {
 			}
 			rescan = false
 		}
+		r.dirty = r.dirty[:0]
+		for _, slot := range r.members {
+			if r.cache.Systems[slot].Dirty {
+				r.dirty = append(r.dirty, slot)
+			}
+		}
+		r.refresh(r.dirty)
 		// Active systems: local vacancies currently in this sector.
 		active := r.active[:0]
 		var total float64
 		for _, slot := range r.members {
-			sys := r.cache.Systems[slot]
-			if sys.Dirty {
-				r.cache.Refresh(slot)
-			}
-			if sys.Total > 0 {
+			if sys := r.cache.Systems[slot]; sys.Total > 0 {
 				active = append(active, slot)
 				total += sys.Total
 			}
@@ -335,6 +349,54 @@ func (r *rankState) runSector(sector int, window float64) {
 		k := sys.Direction(r.rnd.Float64())
 		rescan = !r.executeHop(slot, k) || r.sectorOf(sys.Centre) != sector
 	}
+}
+
+// refresh recomputes the dirty systems in slots as one batch, with as
+// many helpers as the pool can lend; a batch of one runs inline.
+func (r *rankState) refresh(slots []int) {
+	if len(slots) > 1 {
+		r.helpers = r.pool.borrow(r.helpers[:0], len(slots)-1)
+	}
+	r.cache.RefreshBatch(slots, r.helpers)
+	r.pool.giveBack(r.helpers)
+	r.helpers = r.helpers[:0]
+}
+
+// helperPool lends the ranks of one Run the models that evaluate a batch
+// beside a rank's own: the paper's CPEs under each MPE. It holds at most
+// max models, made by factory on first use; a rank that finds none idle
+// evaluates with fewer.
+type helperPool struct {
+	mu        sync.Mutex
+	factory   func() kmc.Model
+	idle      []kmc.Model
+	made, max int
+}
+
+// borrow appends up to n models to dst: idle ones first, then new ones
+// while the pool is under its bound.
+func (p *helperPool) borrow(dst []kmc.Model, n int) []kmc.Model {
+	p.mu.Lock()
+	k := min(n, len(p.idle))
+	dst = append(dst, p.idle[len(p.idle)-k:]...)
+	p.idle = p.idle[:len(p.idle)-k]
+	fresh := min(n-k, p.max-p.made)
+	p.made += fresh
+	p.mu.Unlock()
+	for ; fresh > 0; fresh-- {
+		dst = append(dst, p.factory())
+	}
+	return dst
+}
+
+// giveBack returns borrowed models to the pool.
+func (p *helperPool) giveBack(ms []kmc.Model) {
+	if len(ms) == 0 {
+		return
+	}
+	p.mu.Lock()
+	p.idle = append(p.idle, ms...)
+	p.mu.Unlock()
 }
 
 // executeHop moves the vacancy of the given system one hop in direction k

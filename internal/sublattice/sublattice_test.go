@@ -3,14 +3,19 @@ package sublattice
 import (
 	"errors"
 	"math"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tensorkmc/internal/eam"
 	"tensorkmc/internal/encoding"
+	"tensorkmc/internal/feature"
 	"tensorkmc/internal/kmc"
 	"tensorkmc/internal/lattice"
 	"tensorkmc/internal/mpi"
+	"tensorkmc/internal/nnp"
 	"tensorkmc/internal/rng"
 	"tensorkmc/internal/units"
 )
@@ -83,10 +88,11 @@ func TestGhostConsistency(t *testing.T) {
 	box := alloyBox(16, 0.05, 0.002, 5)
 	cfg := Config{PX: 2, PY: 2, PZ: 1, Temperature: units.ReactorTemperature, TStop: 2e-8, Seed: 6}
 	factory := eamFactory()
+	pool := &helperPool{factory: factory, max: 2}
 	nRanks := cfg.Ranks()
 	ranks := make([]*rankState, nRanks)
 	mpi.Run(nRanks, func(c *mpi.Comm) {
-		r := newRank(c, box, cfg, factory())
+		r := newRank(c, box, cfg, factory(), pool)
 		if err := r.run(1e-7); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 		}
@@ -375,8 +381,9 @@ func runRanks(t *testing.T, box *lattice.Box, cfg Config, duration float64, mode
 	t.Helper()
 	ranks := make([]*rankState, cfg.Ranks())
 	errs := make([]error, cfg.Ranks())
+	pool := &helperPool{factory: func() kmc.Model { return model }, max: 2}
 	mpi.RunWorld(mpi.NewWorld(cfg.Ranks()), func(c *mpi.Comm) {
-		r := newRank(c, box, cfg, model)
+		r := newRank(c, box, cfg, model, pool)
 		errs[c.Rank()] = r.run(duration)
 		ranks[c.Rank()] = r
 	})
@@ -453,6 +460,83 @@ func TestWalkOnlyDifferential(t *testing.T) {
 		}
 		if hops < 2000 {
 			t.Fatalf("%v: only %d hops", tc, hops)
+		}
+	}
+}
+
+// countedModel counts the HopEnergies calls made on it.
+type countedModel struct {
+	kmc.Model
+	calls *atomic.Int64
+}
+
+func (m countedModel) HopEnergies(vet encoding.VET) (float64, [8]float64, [8]bool) {
+	m.calls.Add(1)
+	return m.Model.HopEnergies(vet)
+}
+
+// TestHelperCountInvariant: Run returns the same box, byte for byte, and
+// the same rank counters whatever number of helper models the pool may
+// hold — GOMAXPROCS 1, 2 and 4 — on an EAM and an NNP deck over 2 and 8
+// ranks. The first model the factory makes is the one Run validates with
+// and then only lends, so its calls show that helpers ran.
+func TestHelperCountInvariant(t *testing.T) {
+	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
+	eamPot := eam.New(eam.Default())
+	desc := feature.Standard(units.CutoffStandard)
+	nnPot := nnp.NewPotential(desc, []int{desc.Dim(), 8, 1}, rng.New(9))
+	decks := []struct {
+		name     string
+		model    func() kmc.Model
+		duration float64
+	}{
+		{"eam", func() kmc.Model { return eam.NewFastRegionEvaluator(eamPot, tb) }, 5e-10},
+		{"nnp", func() kmc.Model { return nnp.NewLatticeEvaluator(nnPot, tb) }, 1e-10},
+	}
+	for _, deck := range decks {
+		// How many systems the lent-only model evaluated, over every run
+		// of the deck: with one core, a rank may finish a batch before
+		// its helper starts.
+		var helperCalls atomic.Int64
+		for _, grid := range [][3]int{{2, 1, 1}, {2, 2, 2}} {
+			box := alloyBox(12, 0.1, 0.04, 61)
+			cfg := Config{PX: grid[0], PY: grid[1], PZ: grid[2], Temperature: 1000, TStop: 1e-10, Seed: 62}
+			var ref *Result
+			for _, procs := range []int{1, 2, 4} {
+				var made atomic.Int64
+				factory := func() kmc.Model {
+					if made.Add(1) == 1 {
+						return countedModel{deck.model(), &helperCalls}
+					}
+					return deck.model()
+				}
+				prev := runtime.GOMAXPROCS(procs)
+				res, err := Run(box, cfg, deck.duration, factory)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = res
+					var hops int64
+					for _, st := range res.Stats {
+						hops += st.Hops
+					}
+					if hops < 50 {
+						t.Fatalf("%s %v: only %d hops", deck.name, grid, hops)
+					}
+					continue
+				}
+				if !slices.Equal(res.Box.Types(), ref.Box.Types()) {
+					t.Fatalf("%s %v: GOMAXPROCS %d evolved a different box than GOMAXPROCS 1", deck.name, grid, procs)
+				}
+				if !slices.Equal(res.Stats, ref.Stats) {
+					t.Fatalf("%s %v: GOMAXPROCS %d rank stats %+v, GOMAXPROCS 1 %+v", deck.name, grid, procs, res.Stats, ref.Stats)
+				}
+			}
+		}
+		if helperCalls.Load() == 0 {
+			t.Fatalf("%s: no helper evaluated a system", deck.name)
 		}
 	}
 }
