@@ -15,7 +15,6 @@
 package sublattice
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -99,7 +98,9 @@ type Result struct {
 // With Config.ExchangeTimeout set, a rank that stalls (dies, hangs, or
 // is held by the Chaos interposer) makes Run return an error naming the
 // stalled ranks instead of hanging; the global box is then unmodified
-// and the caller can resume from its last-good checkpoint.
+// and the caller can resume from its last-good checkpoint. A rank that
+// stops on a corruption or transport error aborts the sweep, timeout or
+// not: Run returns that error, naming the rank.
 func Run(box *lattice.Box, cfg Config, duration float64, factory func() kmc.Model) (*Result, error) {
 	if cfg.TStop == 0 {
 		cfg.TStop = DefaultTStop
@@ -118,21 +119,25 @@ func Run(box *lattice.Box, cfg Config, duration float64, factory func() kmc.Mode
 	if cfg.Telemetry != nil {
 		w.SetTelemetry(cfg.Telemetry.Reg(), cfg.Telemetry.Events())
 	}
+	// raised[r] is the typed error rank r stopped on; errs[r] what its
+	// sweep returned.
+	raised := make([]error, nRanks)
 	mpi.RunWorld(w, func(c *mpi.Comm) {
 		// A corruption tripwire (NaN propensity, non-finite energy) fires
 		// as a typed panic deep in the rate kernel; convert it into this
 		// rank's error so the sweep aborts with the diagnostic instead of
-		// crashing the process. Peers blocked on this rank's exchange are
-		// released by their ExchangeTimeout.
+		// crashing the process, and abort the world with it so that peers
+		// blocked on this rank's exchange return instead of waiting for it.
 		defer func() {
 			if p := recover(); p != nil {
-				switch e := p.(type) {
-				case *fault.CorruptionError:
-					errs[c.Rank()] = e
-				case *fault.TransportError:
-					// Remote evaluation failed past its retry budget:
-					// retryable — the supervisor replays the segment.
-					errs[c.Rank()] = e
+				switch p.(type) {
+				case *fault.CorruptionError, *fault.TransportError:
+					// A transport error is remote evaluation failed past
+					// its retry budget: retryable — the supervisor
+					// replays the segment.
+					err := p.(error)
+					raised[c.Rank()] = err
+					w.Abort(err)
 				default:
 					panic(p)
 				}
@@ -142,18 +147,20 @@ func Run(box *lattice.Box, cfg Config, duration float64, factory func() kmc.Mode
 		errs[c.Rank()] = r.run(duration)
 		results[c.Rank()] = r
 	})
-	// A corrupted rank makes its peers stall out too; report the
-	// corruption, not the secondary timeouts, so the supervisor can
-	// classify the failure as non-retryable.
-	for rank, err := range errs {
-		var ce *fault.CorruptionError
-		if errors.As(err, &ce) {
+	// A rank's typed error reaches its peers as their exchange error, and
+	// a peer may stall out first; report the rank that raised it, a
+	// corruption before anything else, so the supervisor can classify the
+	// failure as non-retryable.
+	for rank, err := range raised {
+		if _, ok := err.(*fault.CorruptionError); ok {
 			return nil, fmt.Errorf("sublattice: sweep aborted on rank %d: %w", rank, err)
 		}
 	}
-	for rank, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sublattice: sweep aborted on rank %d: %w", rank, err)
+	for _, list := range [][]error{raised, errs} {
+		for rank, err := range list {
+			if err != nil {
+				return nil, fmt.Errorf("sublattice: sweep aborted on rank %d: %w", rank, err)
+			}
 		}
 	}
 

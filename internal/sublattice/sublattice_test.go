@@ -11,6 +11,7 @@ import (
 
 	"tensorkmc/internal/eam"
 	"tensorkmc/internal/encoding"
+	"tensorkmc/internal/fault"
 	"tensorkmc/internal/feature"
 	"tensorkmc/internal/kmc"
 	"tensorkmc/internal/lattice"
@@ -311,6 +312,61 @@ func TestStalledRankAbortsWithDiagnostic(t *testing.T) {
 	}
 	if fe1, cu1, vac1 := box.Count(); fe1 != fe0 || cu1 != cu0 || vac1 != vac0 {
 		t.Fatal("aborted sweep modified the input box")
+	}
+}
+
+// failingModel panics with fail on the shared call count's n-th
+// HopEnergies, whichever rank or helper makes it.
+type failingModel struct {
+	kmc.Model
+	calls *atomic.Int64
+	n     int64
+	fail  error
+}
+
+func (m failingModel) HopEnergies(vet encoding.VET) (float64, [8]float64, [8]bool) {
+	if m.calls.Add(1) == m.n {
+		panic(m.fail)
+	}
+	return m.Model.HopEnergies(vet)
+}
+
+// TestRankFailureReleasesPeers: a rank that stops on a corruption or a
+// transport error in a run without an exchange timeout must not leave its
+// peers waiting in the exchange for ever. Run returns the rank's typed
+// error, and the input box is untouched. The guard turns a hang into a
+// failure.
+func TestRankFailureReleasesPeers(t *testing.T) {
+	for _, fail := range []error{
+		&fault.CorruptionError{Subsystem: "test", Detail: "injected"},
+		&fault.TransportError{Op: "eval", Addr: "test", Err: errors.New("injected")},
+	} {
+		box := alloyBox(16, 0.03, 0.001, 41)
+		before := slices.Clone(box.Types())
+		cfg := Config{PX: 2, PY: 2, PZ: 1, Temperature: units.ReactorTemperature, TStop: 2e-8, Seed: 42}
+		var calls atomic.Int64
+		eamModel := eamFactory()
+		factory := func() kmc.Model { return failingModel{eamModel(), &calls, 40, fail} }
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(box, cfg, 1e-7, factory)
+			done <- err
+		}()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("%T: Run still waiting 2 min after a rank failed (%d model calls)", fail, calls.Load())
+		}
+		if calls.Load() < 40 {
+			t.Fatalf("%T: the run made %d model calls, the fault needs 40", fail, calls.Load())
+		}
+		if err == nil || !errors.Is(err, fail) {
+			t.Fatalf("%T: Run returned %v, want the rank's error", fail, err)
+		}
+		if !slices.Equal(box.Types(), before) {
+			t.Fatalf("%T: aborted sweep modified the input box", fail)
+		}
 	}
 }
 
