@@ -20,7 +20,9 @@ import (
 // where E_shell is the total energy with the vacancy in that shell. This
 // only holds if rates satisfy detailed balance, the residence-time clock
 // is correct, and the cached region energetics are exact — a full-stack
-// equilibrium test.
+// equilibrium test. Hops are priced by eam.FastRegionEvaluator, the
+// evaluator every EAM run uses; the eam tests hold it to the nine-pass
+// RegionEvaluator.
 func TestBoltzmannOccupancy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equilibrium sampling is slow")
@@ -75,7 +77,7 @@ func TestBoltzmannOccupancy(t *testing.T) {
 		}
 	}
 
-	model := eam.NewRegionEvaluator(pot, tb)
+	model := eam.NewFastRegionEvaluator(pot, tb)
 	eng := NewEngine(box, model, temp, rng.New(77), Options{})
 
 	// Accumulate residence time per shell. The vacancy's residence in
