@@ -2,7 +2,7 @@
 // potential, one content-addressed vacancy-system cache, one bound on
 // concurrent evaluations — any number of KMC clients. Remote engines
 // connect through the tensorkmc `eval_fleet` deck key, or in Go with
-// evalserve.DialFleetTables (which implements kmc.Model; a fleet of one
+// evalserve.DialFleet (which implements kmc.Model; a fleet of one
 // address talks to one node), and submit canonical vacancy environments;
 // identical environments from different clients are answered from the
 // same cache entry, and concurrent misses of one environment share a
@@ -28,7 +28,7 @@
 // single-machine fleets. Ports increment from -addr (with port 0 every
 // node gets its own kernel-picked port); each node prints its own
 // "listening on" banner. Clients shard across the nodes with
-// evalserve.DialFleetTables or the tensorkmc `eval_fleet` deck key.
+// evalserve.DialFleet or the tensorkmc `eval_fleet` deck key.
 //
 // -idle bounds how long a client session may sit silent before the
 // server reaps the connection (0 = the 2-minute default, negative =

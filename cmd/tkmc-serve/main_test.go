@@ -74,7 +74,7 @@ func sampleVETs(tb *encoding.Tables, n int, seed uint64) []encoding.VET {
 // dialNode opens a one-address fleet to addr: no retries and no
 // fallback, so a request fails exactly when the node does.
 func dialNode(addr string, tb *encoding.Tables) (*evalserve.FleetClient, error) {
-	return evalserve.DialFleetTables([]string{addr}, tb, evalserve.FleetOptions{Retries: -1})
+	return evalserve.DialFleet([]string{addr}, tb.A, tb.Rcut, evalserve.FleetOptions{Retries: -1})
 }
 
 // TestServeConcurrentClients boots the real command on an ephemeral

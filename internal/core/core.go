@@ -322,7 +322,7 @@ func New(cfg Config) (*Simulation, error) {
 			// fallback answer is indistinguishable from a served one.
 			fopts.Fallback = s.mkMod()
 		}
-		fleet, err := evalserve.DialFleetTables(cfg.EvalFleet, s.Tables, fopts)
+		fleet, err := evalserve.DialFleet(cfg.EvalFleet, cfg.LatticeConstant, cfg.Cutoff, fopts)
 		if err != nil {
 			return nil, fmt.Errorf("core: dialing evaluation fleet: %w", err)
 		}

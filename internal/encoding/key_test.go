@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"tensorkmc/internal/eam"
@@ -188,12 +187,12 @@ func TestKeyNearCollisionCompare(t *testing.T) {
 // packTables are the two geometries the pack tests cover: 6.5 Å, where
 // NAll = 1181 = 4·295 + 1 leaves the last site alone in the last byte,
 // and the short cutoff.
-var packTables = sync.OnceValue(func() []*encoding.Tables {
+func packTables() []*encoding.Tables {
 	return []*encoding.Tables{
 		encoding.New(units.LatticeConstantFe, units.CutoffStandard),
 		encoding.New(units.LatticeConstantFe, units.CutoffShort),
 	}
-})
+}
 
 // checkPacked asserts that key is vet packed at four sites per byte,
 // least-significant first, by unpacking every site: the key determines

@@ -42,9 +42,9 @@ func sampleVETs(t testing.TB, tb *encoding.Tables, n int, seed uint64) []encodin
 
 // shortTables are the short-cutoff tables every test server and client
 // shares, as the processes of one run share theirs.
-var shortTables = sync.OnceValue(func() *encoding.Tables {
+func shortTables() *encoding.Tables {
 	return encoding.New(units.LatticeConstantFe, units.CutoffShort)
-})
+}
 
 func smallPotential(seed uint64) (*nnp.Potential, *encoding.Tables) {
 	tb := shortTables()

@@ -154,19 +154,20 @@ type FleetClient struct {
 	traceCtx atomic.Pointer[telemetry.Context]
 }
 
-// DialFleetTables builds a fleet client over the given node addresses
-// for the caller's tables, which it keeps and every node session shares,
-// and probes each node once. Unreachable nodes are marked down (to be
-// re-probed by traffic), not fatal; it only fails when every node is
-// unreachable and no Fallback is configured — the one configuration in
-// which the client could never answer a request.
-func DialFleetTables(addrs []string, tb *encoding.Tables, opts FleetOptions) (*FleetClient, error) {
+// DialFleet builds a fleet client over the given node addresses for the
+// process's shared tables of a and rcut (encoding.New), which every node
+// session uses, and probes each node once. Unreachable nodes are marked
+// down (to be re-probed by traffic), not fatal; it only fails when every
+// node is unreachable and no Fallback is configured — the one
+// configuration in which the client could never answer a request.
+// Frozen: bench/ dials its traced repetition's fleet with it.
+func DialFleet(addrs []string, a, rcut float64, opts FleetOptions) (*FleetClient, error) {
 	opts.applyDefaults()
 	if len(addrs) == 0 && opts.Fallback == nil {
 		return nil, errors.New("evalserve: fleet needs at least one node or a fallback model")
 	}
 	fc := &FleetClient{
-		tb:   tb,
+		tb:   encoding.New(a, rcut),
 		opts: opts,
 		ring: NewRing(addrs, DefaultVNodes),
 		rnd:  rng.New(opts.Seed ^ 0xf1ee7),
@@ -189,12 +190,6 @@ func DialFleetTables(addrs []string, tb *encoding.Tables, opts FleetOptions) (*F
 	}
 	fc.bindTelemetry()
 	return fc, nil
-}
-
-// DialFleet is DialFleetTables over tables it builds for a and rcut.
-// Frozen: bench/ dials its traced repetition's fleet with it.
-func DialFleet(addrs []string, a, rcut float64, opts FleetOptions) (*FleetClient, error) {
-	return DialFleetTables(addrs, encoding.New(a, rcut), opts)
 }
 
 // bindTelemetry exports the fleet counters and per-node health gauges

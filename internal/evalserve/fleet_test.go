@@ -332,7 +332,7 @@ func TestFleetRefusesCorruptVET(t *testing.T) {
 		dials.Add(1)
 		return net.Dial("tcp", addr)
 	}
-	fc, err := DialFleetTables(addrs, tb, opts)
+	fc, err := DialFleet(addrs, tb.A, tb.Rcut, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestFleetRefusesCorruptVET(t *testing.T) {
 // together — costs at most 2 allocations and 128 bytes.
 func TestFleetHitAllocs(t *testing.T) {
 	_, addrs, _ := startFleet(t, 2, 49)
-	fc, err := DialFleetTables(addrs, shortTables(), quietFleet())
+	fc, err := DialFleet(addrs, units.LatticeConstantFe, units.CutoffShort, quietFleet())
 	if err != nil {
 		t.Fatal(err)
 	}
