@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tensorkmc/internal/core"
+	"tensorkmc/internal/fault"
 	"tensorkmc/internal/lattice"
 	"tensorkmc/internal/rng"
 	"tensorkmc/internal/traj"
@@ -21,7 +22,7 @@ func TestAnalyzeSnapshot(t *testing.T) {
 	box.Set(lattice.Vec{X: 4, Y: 4, Z: 4}, lattice.Cu)
 	box.Set(lattice.Vec{X: 5, Y: 5, Z: 5}, lattice.Cu)
 	snap := filepath.Join(dir, "state.box")
-	if err := box.SaveFile(snap); err != nil {
+	if err := fault.WriteFileAtomic(snap, false, box.Save); err != nil {
 		t.Fatal(err)
 	}
 

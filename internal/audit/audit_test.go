@@ -36,7 +36,7 @@ func TestCheckCatchesSpeciesDrift(t *testing.T) {
 	base := Capture(box, 0)
 	for i := 0; i < box.NumSites(); i++ {
 		if box.GetIndex(i) == lattice.Fe {
-			box.SetIndex(i, lattice.Cu)
+			box.Types()[i] = lattice.Cu
 			break
 		}
 	}
@@ -58,7 +58,7 @@ func TestCheckCatchesVacancyDrift(t *testing.T) {
 	base := Capture(box, 0)
 	for i := 0; i < box.NumSites(); i++ {
 		if box.GetIndex(i) == lattice.Vacancy {
-			box.SetIndex(i, lattice.Fe)
+			box.Types()[i] = lattice.Fe
 			break
 		}
 	}

@@ -129,7 +129,7 @@ func TestAnalyzeInvariantUnderRandomVacancies(t *testing.T) {
 	for changed < 30 {
 		i := r.Intn(box.NumSites())
 		if box.GetIndex(i) == lattice.Fe {
-			box.SetIndex(i, lattice.Vacancy)
+			box.Types()[i] = lattice.Vacancy
 			changed++
 		}
 	}

@@ -306,6 +306,7 @@ func TestCheckpointEveryWritesDuringRun(t *testing.T) {
 // checkpoint loadable — both the primary (never replaced) and after a
 // hypothetical rename crash, the .bak.
 func TestCrashMidWriteLeavesLastGood(t *testing.T) {
+	errInjected := errors.New("injected write error")
 	path := filepath.Join(t.TempDir(), "ck.tkmc")
 	good := &Checkpoint{Box: testBox(t), Time: 7e-8, Hops: 123}
 	if err := good.SaveFile(path); err != nil {
@@ -313,9 +314,17 @@ func TestCrashMidWriteLeavesLastGood(t *testing.T) {
 	}
 	next := &Checkpoint{Box: testBox(t), Time: 9e-8, Hops: 456}
 	err := fault.WriteFileAtomic(path, true, func(w io.Writer) error {
-		return next.Save(&fault.Writer{W: w, Limit: 64, Err: fault.ErrInjected})
+		// The first 64 bytes reach the file, then the write fails.
+		var buf bytes.Buffer
+		if err := next.Save(&buf); err != nil {
+			return err
+		}
+		if _, err := w.Write(buf.Bytes()[:64]); err != nil {
+			return err
+		}
+		return errInjected
 	})
-	if !errors.Is(err, fault.ErrInjected) {
+	if !errors.Is(err, errInjected) {
 		t.Fatalf("want injected failure, got %v", err)
 	}
 	got, err := LoadCheckpointOrBackup(path)

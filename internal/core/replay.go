@@ -211,43 +211,3 @@ func pickSnapshot(lg *traj.Log, logPath string, target int64, fromStart bool) (*
 	}
 	return ck, best + 1, nil
 }
-
-// RunToHop advances the simulation exactly like Run — the same
-// checkpoint-interval chunk slicing, which is part of the trajectory —
-// but stops immediately after the target hop and writes no checkpoints.
-// It is the fresh-run comparator for replay determinism: a replayed
-// checkpoint must byte-match a fresh run stopped here. On parallel runs
-// the target must land on a chunk boundary.
-func (s *Simulation) RunToHop(duration float64, target int64) error {
-	if s.Hops() > target {
-		return fmt.Errorf("core: already past hop %d (at %d)", target, s.Hops())
-	}
-	err := s.eachChunk(duration, func(chunk float64) error {
-		if s.Hops() >= target {
-			return nil
-		}
-		if s.engine != nil {
-			limit := s.engine.Time() + chunk
-			for s.engine.Time() < limit && s.engine.Steps() < target {
-				if _, ok := s.engine.Step(limit); !ok {
-					break
-				}
-			}
-			return nil
-		}
-		if err := s.runChunk(chunk, nil, s.traceRoot); err != nil {
-			return err
-		}
-		if s.Hops() > target {
-			return fmt.Errorf("core: chunk overshot hop %d (at %d); target is not a chunk boundary", target, s.Hops())
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if s.Hops() != target {
-		return fmt.Errorf("core: run ended at hop %d, before target %d", s.Hops(), target)
-	}
-	return nil
-}

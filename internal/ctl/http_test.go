@@ -215,3 +215,10 @@ func TestAPIEventStream(t *testing.T) {
 		t.Fatalf("unknown stream: %d", resp.StatusCode)
 	}
 }
+
+// Draining reports whether the controller has begun its drain.
+func (p *Plane) Draining() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.draining
+}

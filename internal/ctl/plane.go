@@ -620,13 +620,6 @@ func (p *Plane) Drain(timeout time.Duration) error {
 	return nil
 }
 
-// Draining reports whether the controller has begun its drain.
-func (p *Plane) Draining() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.draining
-}
-
 // Ready is the /readyz probe: not ready once draining begins.
 func (p *Plane) Ready() (bool, string) {
 	p.mu.Lock()

@@ -116,16 +116,6 @@ func (t *Tracker) CorrelationFactor(a float64) float64 {
 	return t.MSD(a) / (perVac * stepSq)
 }
 
-// Reset zeroes the accumulated displacements, hop counts and clock
-// (segment averaging for single-walker statistics).
-func (t *Tracker) Reset() {
-	for i := range t.disp {
-		t.disp[i] = [3]int{}
-		t.hops[i] = 0
-	}
-	t.time = 0
-}
-
 // TheoreticalPureFe returns the analytic vacancy diffusion coefficient in
 // pure Fe for the single-direction hop rate Γ_hop (1/s) and lattice
 // constant a (Å): D = Γ_hop·a².
@@ -184,9 +174,6 @@ func (t *SoluteTracker) Moves() int64 {
 	}
 	return n
 }
-
-// Time returns the accumulated simulated time.
-func (t *SoluteTracker) Time() float64 { return t.time }
 
 // MSD returns the tagged atoms' mean squared displacement in Ų.
 func (t *SoluteTracker) MSD(a float64) float64 {

@@ -197,3 +197,13 @@ func TestSoluteTrackerFollowsCu(t *testing.T) {
 		t.Fatalf("Cu diffusivity %v not ≪ vacancy diffusivity %v", dCu, dVac)
 	}
 }
+
+// Reset zeroes the accumulated displacements, hop counts and clock
+// (segment averaging for single-walker statistics).
+func (t *Tracker) Reset() {
+	for i := range t.disp {
+		t.disp[i] = [3]int{}
+		t.hops[i] = 0
+	}
+	t.time = 0
+}

@@ -298,7 +298,7 @@ func TestFastEvaluatorMatchesExact(t *testing.T) {
 			i := r.Intn(box.NumSites())
 			center = box.SiteAt(i)
 			if box.GetIndex(i).IsAtom() {
-				box.SetIndex(i, lattice.Vacancy)
+				box.Types()[i] = lattice.Vacancy
 				break
 			}
 		}

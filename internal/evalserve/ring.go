@@ -105,13 +105,3 @@ func (r *Ring) Order(hash uint64, dst []int) []int {
 
 // Node returns the address at index i (as used by Order).
 func (r *Ring) Node(i int) string { return r.nodes[i] }
-
-// Owner returns the address owning the given key hash ("" on an empty
-// ring) — the single-lookup convenience over Order.
-func (r *Ring) Owner(hash uint64) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= hash })
-	return r.nodes[r.points[start%len(r.points)].node]
-}

@@ -2,6 +2,7 @@ package evalserve
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"tensorkmc/internal/rng"
@@ -143,4 +144,14 @@ func TestRingEmpty(t *testing.T) {
 	if got := one.Order(42, nil); len(got) != 1 || one.Node(got[0]) != "solo:1" {
 		t.Fatalf("single-node ring order %v", got)
 	}
+}
+
+// Owner returns the address owning the given key hash ("" on an empty
+// ring): the first node of Order, found by one search.
+func (r *Ring) Owner(hash uint64) string {
+	if len(r.points) == 0 {
+		return ""
+	}
+	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= hash })
+	return r.nodes[r.points[start%len(r.points)].node]
 }

@@ -13,16 +13,11 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 )
-
-// ErrInjected is the sentinel error produced by the fault-injection
-// writers in this package. Tests match it with errors.Is.
-var ErrInjected = errors.New("fault: injected write error")
 
 // CorruptionError reports silent numerical corruption caught by a
 // tripwire in a hot path: a NaN or infinite energy out of the potential,
@@ -123,39 +118,4 @@ func syncDir(dir string) {
 	}
 	defer d.Close()
 	_ = d.Sync()
-}
-
-// Writer is an io.Writer that passes bytes through to W until Limit
-// bytes have been written, then fails with Err (ErrInjected if nil).
-// The failing write is partial: bytes up to the limit still reach W,
-// simulating a crash that truncates mid-record.
-type Writer struct {
-	W     io.Writer
-	Limit int
-	Err   error
-
-	written int
-}
-
-// Write implements io.Writer with the injected failure.
-func (fw *Writer) Write(p []byte) (int, error) {
-	failErr := fw.Err
-	if failErr == nil {
-		failErr = ErrInjected
-	}
-	remaining := fw.Limit - fw.written
-	if remaining <= 0 {
-		return 0, failErr
-	}
-	if len(p) <= remaining {
-		n, err := fw.W.Write(p)
-		fw.written += n
-		return n, err
-	}
-	n, err := fw.W.Write(p[:remaining])
-	fw.written += n
-	if err != nil {
-		return n, err
-	}
-	return n, failErr
 }

@@ -74,9 +74,6 @@ func (d *Descriptor) NDim() int { return len(d.PQ) }
 // Dim returns the full per-atom feature dimension N_dim × N_el.
 func (d *Descriptor) Dim() int { return len(d.PQ) * d.NEl }
 
-// Channel returns the feature index of (neighbour element, pq index).
-func (d *Descriptor) Channel(el, pq int) int { return el*len(d.PQ) + pq }
-
 // Eval writes exp(−(r/p)^q) for every (p, q) into out (length NDim).
 func (d *Descriptor) Eval(r float64, out []float64) {
 	for i, s := range d.PQ {
@@ -113,12 +110,6 @@ func NewTable(d *Descriptor, distances []float64) *Table {
 		copy(t.vals[i*d.NDim():], row)
 	}
 	return t
-}
-
-// Row returns the tabulated channel values for distance index i.
-func (t *Table) Row(i int) []float64 {
-	nd := t.desc.NDim()
-	return t.vals[i*nd : (i+1)*nd]
 }
 
 // Values returns the whole table, one row of NDim channels per tabulated

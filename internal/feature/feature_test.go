@@ -419,3 +419,12 @@ func TestPairsSymmetricInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Channel returns the feature index of (neighbour element, pq index).
+func (d *Descriptor) Channel(el, pq int) int { return el*len(d.PQ) + pq }
+
+// Row returns the tabulated channel values for distance index i.
+func (t *Table) Row(i int) []float64 {
+	nd := t.desc.NDim()
+	return t.vals[i*nd : (i+1)*nd]
+}

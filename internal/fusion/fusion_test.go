@@ -91,13 +91,13 @@ func TestBigFusionTrafficCollapse(t *testing.T) {
 	if ratio := layered.Ct.MainBytes / big.Ct.MainBytes; ratio < 20 {
 		t.Fatalf("traffic reduction %.1f×, want ≳25× (paper: 56 MB → 2 MB)", ratio)
 	}
-	// Intensity crosses the machine balance.
-	if big.Ct.Intensity() < arch.MachineBalance() {
+	// Intensity (FLOP per main-memory byte) crosses the machine balance.
+	if in := (big.Ct.VectorFlops + big.Ct.ScalarFlops) / big.Ct.MainBytes; in < arch.MachineBalance() {
 		t.Fatalf("big-fusion intensity %.1f below machine balance %.1f — still memory-bound",
-			big.Ct.Intensity(), arch.MachineBalance())
+			in, arch.MachineBalance())
 	}
-	if layered.Ct.Intensity() > arch.MachineBalance() {
-		t.Fatalf("layered intensity %.1f unexpectedly compute-bound", layered.Ct.Intensity())
+	if in := (layered.Ct.VectorFlops + layered.Ct.ScalarFlops) / layered.Ct.MainBytes; in > arch.MachineBalance() {
+		t.Fatalf("layered intensity %.1f unexpectedly compute-bound", in)
 	}
 }
 

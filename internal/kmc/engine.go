@@ -147,9 +147,6 @@ func (e *Engine) Steps() int64 { return e.steps }
 // Stats returns cache behaviour counters.
 func (e *Engine) Stats() Stats { return e.cache.Stats }
 
-// Box returns the underlying lattice.
-func (e *Engine) Box() *lattice.Box { return e.box }
-
 // RNG returns the engine's random stream, exposed so checkpoints can
 // capture and restore its state for bit-exact resume.
 func (e *Engine) RNG() *rng.Stream { return e.rnd }
@@ -183,16 +180,6 @@ func (e *Engine) SetVacancyOrder(centers []lattice.Vec) error {
 		return fmt.Errorf("kmc: SetVacancyOrder on an engine that has already stepped")
 	}
 	return e.cache.Reorder(centers)
-}
-
-// NumVacancies returns the number of tracked vacancies.
-func (e *Engine) NumVacancies() int { return len(e.cache.Systems) }
-
-// TotalRate returns the current summed propensity (refreshing any stale
-// systems first).
-func (e *Engine) TotalRate() float64 {
-	e.refreshAll()
-	return e.tree.Total()
 }
 
 func (e *Engine) refreshAll() {
@@ -255,19 +242,6 @@ func (e *Engine) Step(timeLimit float64) (Event, bool) {
 	e.steps++
 	e.pr.steps.Inc()
 	return Event{Slot: slot, Direction: k, From: from, To: to, Mover: mover, DeltaE: s.DeltaE[k], DeltaT: dt}, true
-}
-
-// RunUntil advances the clock to t (or until no events are possible) and
-// returns the number of executed hops.
-func (e *Engine) RunUntil(t float64) int {
-	n := 0
-	for e.time < t {
-		if _, ok := e.Step(t); !ok {
-			break
-		}
-		n++
-	}
-	return n
 }
 
 // RunSteps executes up to n hops with no time limit and returns the

@@ -33,7 +33,7 @@ func (hb hopBox) build(tb *encoding.Tables) *lattice.Box {
 		box.Set(v, lattice.Vacancy)
 	}
 	for _, _, vac := box.Count(); vac < hb.vacancies; _, _, vac = box.Count() {
-		box.SetIndex(r.Intn(box.NumSites()), lattice.Vacancy)
+		box.Types()[r.Intn(box.NumSites())] = lattice.Vacancy
 	}
 	return box
 }

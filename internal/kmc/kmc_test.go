@@ -16,8 +16,8 @@ import (
 
 func TestSumTreeBasics(t *testing.T) {
 	tr := NewSumTree(5)
-	if tr.Len() != 8 {
-		t.Fatalf("capacity = %d, want 8", tr.Len())
+	if tr.n != 8 {
+		t.Fatalf("capacity = %d, want 8", tr.n)
 	}
 	tr.Update(0, 1)
 	tr.Update(2, 3)
@@ -25,8 +25,8 @@ func TestSumTreeBasics(t *testing.T) {
 	if tr.Total() != 6 {
 		t.Fatalf("Total = %v, want 6", tr.Total())
 	}
-	if tr.Get(2) != 3 {
-		t.Fatalf("Get(2) = %v, want 3", tr.Get(2))
+	if got := tr.weight[tr.n+2]; got != 3 {
+		t.Fatalf("leaf 2 = %v, want 3", got)
 	}
 	cases := []struct {
 		target float64

@@ -31,9 +31,6 @@ func NewSumTree(n int) *SumTree {
 	return &SumTree{n: cap, weight: make([]float64, 2*cap)}
 }
 
-// Len returns the leaf capacity.
-func (t *SumTree) Len() int { return t.n }
-
 // Update sets leaf i to w and fixes ancestor sums.
 func (t *SumTree) Update(i int, w float64) {
 	if i < 0 || i >= t.n {
@@ -49,9 +46,6 @@ func (t *SumTree) Update(i int, w float64) {
 		t.weight[node] = t.weight[2*node] + t.weight[2*node+1]
 	}
 }
-
-// Get returns the weight of leaf i.
-func (t *SumTree) Get(i int) float64 { return t.weight[t.n+i] }
 
 // Total returns the sum of all leaf weights.
 func (t *SumTree) Total() float64 { return t.weight[1] }

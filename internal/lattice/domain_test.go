@@ -10,7 +10,7 @@ func TestDomainCounts(t *testing.T) {
 	if d.NumLocal() != 2*4*4*4 {
 		t.Fatalf("NumLocal = %d, want 128", d.NumLocal())
 	}
-	if d.NumGhost() != 0 || d.NumAll() != d.NumLocal() {
+	if d.nAll != d.NumLocal() {
 		t.Fatal("ghostless domain should have no ghost sites")
 	}
 }
@@ -20,11 +20,11 @@ func TestDomainGhostCounts(t *testing.T) {
 	// Extended region is 18³ half-units; sites are half of all cells
 	// when dimensions are even: 18³/2 = 2916... (parity classes).
 	want := sitesInCuboid(-5, 13, -5, 13, -5, 13)
-	if d.NumAll() != want {
-		t.Fatalf("NumAll = %d, want %d", d.NumAll(), want)
+	if d.nAll != want {
+		t.Fatalf("nAll = %d, want %d", d.nAll, want)
 	}
-	if d.NumGhost() != want-128 {
-		t.Fatalf("NumGhost = %d, want %d", d.NumGhost(), want-128)
+	if ghosts := d.nAll - d.nLocal; ghosts != want-128 {
+		t.Fatalf("ghost sites = %d, want %d", ghosts, want-128)
 	}
 }
 
@@ -84,7 +84,7 @@ func TestDomainIndexMatchesPosID(t *testing.T) {
 	for _, g := range geoms {
 		d := NewDomain(g.origin, g.size, g.ghost, 2.87)
 		ref := NewPosIDIndexer(d)
-		seen := make([]bool, d.NumAll())
+		seen := make([]bool, d.nAll)
 		count := 0
 		var rel []Vec
 		lo := g.origin.Sub(Vec{g.ghost, g.ghost, g.ghost})
@@ -101,7 +101,7 @@ func TestDomainIndexMatchesPosID(t *testing.T) {
 					if got != want {
 						t.Fatalf("geom %+v: Index(%v) = %d, POS_ID says %d", g, v, got, want)
 					}
-					if got < 0 || got >= d.NumAll() || seen[got] {
+					if got < 0 || got >= d.nAll || seen[got] {
 						t.Fatalf("geom %+v: index %d invalid or duplicated at %v", g, got, v)
 					}
 					if d.IsLocal(v) != (got < d.NumLocal()) {
@@ -113,8 +113,8 @@ func TestDomainIndexMatchesPosID(t *testing.T) {
 				}
 			}
 		}
-		if count != d.NumAll() {
-			t.Fatalf("geom %+v: visited %d sites, NumAll = %d", g, count, d.NumAll())
+		if count != d.nAll {
+			t.Fatalf("geom %+v: visited %d sites, NumAll = %d", g, count, d.nAll)
 		}
 		idx := make([]int, len(rel))
 		d.Neighbourhood(g.origin, rel, idx)
@@ -161,13 +161,13 @@ func TestDomainForEachGhost(t *testing.T) {
 		if d.IsLocal(v) {
 			t.Fatalf("ForEachGhost yielded local %v", v)
 		}
-		if idx < d.NumLocal() || idx >= d.NumAll() || seen[idx] {
+		if idx < d.NumLocal() || idx >= d.nAll || seen[idx] {
 			t.Fatalf("ghost index %d out of range or duplicated", idx)
 		}
 		seen[idx] = true
 	})
-	if len(seen) != d.NumGhost() {
-		t.Fatalf("ForEachGhost visited %d sites, want %d", len(seen), d.NumGhost())
+	if len(seen) != d.nAll-d.nLocal {
+		t.Fatalf("ForEachGhost visited %d sites, want %d", len(seen), d.nAll-d.nLocal)
 	}
 }
 
@@ -210,7 +210,7 @@ func TestDomainIndexQuick(t *testing.T) {
 		ghost := int(g) % 6
 		d := NewDomain(origin, size, ghost, 2.87)
 		ref := NewPosIDIndexer(d)
-		seen := make([]bool, d.NumAll())
+		seen := make([]bool, d.nAll)
 		lo := origin.Sub(Vec{X: ghost, Y: ghost, Z: ghost})
 		hi := origin.Add(size).Add(Vec{X: ghost, Y: ghost, Z: ghost})
 		for z := lo.Z; z < hi.Z; z++ {
@@ -221,7 +221,7 @@ func TestDomainIndexQuick(t *testing.T) {
 						continue
 					}
 					idx := d.Index(v)
-					if idx != ref.Index(v) || idx < 0 || idx >= d.NumAll() || seen[idx] {
+					if idx != ref.Index(v) || idx < 0 || idx >= d.nAll || seen[idx] {
 						return false
 					}
 					if d.IsLocal(v) != (idx < d.NumLocal()) {

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-
-	"tensorkmc/internal/fault"
 )
 
 // Binary snapshot format ("TKMCBOX1"): the box geometry plus the raw
@@ -92,22 +89,6 @@ func LoadBox(r io.Reader) (*Box, error) {
 		return nil, fmt.Errorf("lattice: trailing garbage after %d-site payload", len(raw))
 	}
 	return box, nil
-}
-
-// SaveFile and LoadBoxFile are path-based conveniences. SaveFile writes
-// via a temp file and atomic rename so a crash mid-write can never
-// truncate an existing good snapshot.
-func (b *Box) SaveFile(path string) error {
-	return fault.WriteFileAtomic(path, false, b.Save)
-}
-
-func LoadBoxFile(path string) (*Box, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadBox(f)
 }
 
 // WriteXYZ exports the box in extended-XYZ format (readable by OVITO and

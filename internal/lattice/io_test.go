@@ -2,10 +2,12 @@ package lattice
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"tensorkmc/internal/fault"
 	"tensorkmc/internal/rng"
 )
 
@@ -32,18 +34,20 @@ func TestBoxSaveLoadFile(t *testing.T) {
 	b := NewBox(4, 4, 4, 2.87)
 	FillRandomAlloy(b, 0.2, 0.0, rng.New(2))
 	path := filepath.Join(t.TempDir(), "snap.box")
-	if err := b.SaveFile(path); err != nil {
+	if err := fault.WriteFileAtomic(path, false, b.Save); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadBoxFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	loaded, err := LoadBox(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !b.Equal(loaded) {
 		t.Fatal("file round trip lost state")
-	}
-	if _, err := LoadBoxFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("expected error for missing file")
 	}
 }
 

@@ -285,10 +285,14 @@ func (b *Box) Get(v Vec) Species { return b.types[b.Index(v)] }
 // Set assigns the species at site v.
 func (b *Box) Set(v Vec, s Species) { b.types[b.Index(v)] = s }
 
-// GetIndex and SetIndex access sites by storage index directly.
-func (b *Box) GetIndex(i int) Species    { return b.types[i] }
-func (b *Box) SetIndex(i int, s Species) { b.types[i] = s }
-func (b *Box) Types() []Species          { return b.types }
+// GetIndex accesses a site by storage index directly.
+func (b *Box) GetIndex(i int) Species { return b.types[i] }
+
+// Types is the species array itself, in storage order.
+func (b *Box) Types() []Species { return b.types }
+
+// PositionOf returns the Cartesian position in Å of storage index i at
+// lattice constant a.
 func (b *Box) PositionOf(i int, a float64) [3]float64 {
 	v := b.SiteAt(i)
 	return [3]float64{0.5 * a * float64(v.X), 0.5 * a * float64(v.Y), 0.5 * a * float64(v.Z)}

@@ -189,7 +189,7 @@ func TestBoxCloneEqual(t *testing.T) {
 	if !b.Equal(c) {
 		t.Fatal("clone not equal to original")
 	}
-	c.SetIndex(0, Vacancy)
+	c.Types()[0] = Vacancy
 	if b.Equal(c) && b.GetIndex(0) != Vacancy {
 		t.Fatal("clone aliases original storage")
 	}

@@ -99,7 +99,7 @@ func TestAbortReleasesWaitingRanks(t *testing.T) {
 }
 
 func TestAllGatherTimeoutHealthyWorld(t *testing.T) {
-	Run(3, func(c *Comm) {
+	RunWorld(NewWorld(3), func(c *Comm) {
 		got, err := c.AllGather(c.Rank()*7, time.Second)
 		if err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)

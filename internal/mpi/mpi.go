@@ -122,9 +122,6 @@ func (w *World) Abort(err error) {
 	w.mu.Unlock()
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
 // SetChaos installs a fault interposer (nil removes it). Install before
 // the ranks start communicating.
 func (w *World) SetChaos(c *Chaos) { w.chaos = c }
@@ -198,9 +195,6 @@ type Comm struct {
 
 // Rank returns this endpoint's rank.
 func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the world size.
-func (c *Comm) Size() int { return c.world.size }
 
 // send puts one message on the from→to channel, through the Chaos
 // interposer when one is installed. It blocks only if the destination
@@ -406,14 +400,10 @@ func (c *Comm) gatherSweep(from, seq int, out []any, got []bool) bool {
 	}
 }
 
-// Run launches fn on every rank of a fresh world and waits for all to
-// finish. Panics in any rank are re-raised on the caller.
-func Run(n int, fn func(c *Comm)) {
-	RunWorld(NewWorld(n), fn)
-}
-
-// RunWorld is Run over a caller-constructed world, so chaos interposers
-// and telemetry can be installed before the ranks start.
+// RunWorld launches fn on every rank of w and waits for all to finish.
+// Panics in any rank are re-raised on the caller. The caller constructs
+// the world, so chaos interposers and telemetry can be installed before
+// the ranks start.
 func RunWorld(w *World, fn func(c *Comm)) {
 	var wg sync.WaitGroup
 	panics := make([]any, w.size)

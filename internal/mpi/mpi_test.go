@@ -3,7 +3,7 @@ package mpi
 import "testing"
 
 func TestAllGather(t *testing.T) {
-	Run(4, func(c *Comm) {
+	RunWorld(NewWorld(4), func(c *Comm) {
 		got, err := c.AllGather(c.Rank()*10, 0)
 		if err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
@@ -18,7 +18,7 @@ func TestAllGather(t *testing.T) {
 }
 
 func TestAllGatherRepeated(t *testing.T) {
-	Run(3, func(c *Comm) {
+	RunWorld(NewWorld(3), func(c *Comm) {
 		for round := 0; round < 10; round++ {
 			got, err := c.AllGather(c.Rank()+round*100, 0)
 			if err != nil {
@@ -40,7 +40,7 @@ func TestRunPropagatesPanic(t *testing.T) {
 			t.Fatal("Run swallowed a rank panic")
 		}
 	}()
-	Run(1, func(c *Comm) { panic("boom") })
+	RunWorld(NewWorld(1), func(c *Comm) { panic("boom") })
 }
 
 func TestWorldValidation(t *testing.T) {

@@ -26,12 +26,6 @@ func NewMatrix(rows, cols int) Matrix {
 // Row returns a view of row i.
 func (m Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// At returns element (i, j).
-func (m Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Clone returns a deep copy.
 func (m Matrix) Clone() Matrix {
 	c := NewMatrix(m.Rows, m.Cols)

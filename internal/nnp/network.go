@@ -60,15 +60,6 @@ func (n *Network) InputDim() int { return n.Sizes[0] }
 // OutputDim returns the output width (1 for an energy head).
 func (n *Network) OutputDim() int { return n.Sizes[len(n.Sizes)-1] }
 
-// NumParams returns the total number of trainable parameters.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, l := range n.Layers {
-		total += len(l.W.Data) + len(l.B)
-	}
-	return total
-}
-
 // FlopsPerSample returns the multiply-add count (×2) of one forward pass
 // per input row, the quantity the roofline analysis of Fig. 9 counts.
 func (n *Network) FlopsPerSample() int {
@@ -230,13 +221,4 @@ func (n *Network) DoubleBackward(tape *Tape, preacts []Matrix, u Matrix) []Layer
 		v = next
 	}
 	return grads
-}
-
-// Clone returns a deep copy of the network.
-func (n *Network) Clone() *Network {
-	c := &Network{Sizes: append([]int(nil), n.Sizes...)}
-	for _, l := range n.Layers {
-		c.Layers = append(c.Layers, Layer{W: l.W.Clone(), B: append([]float64(nil), l.B...), Relu: l.Relu})
-	}
-	return c
 }

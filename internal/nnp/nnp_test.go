@@ -239,15 +239,6 @@ func TestAdamConvergesOnToyRegression(t *testing.T) {
 	}
 }
 
-func TestNetworkClone(t *testing.T) {
-	n := NewNetwork([]int{2, 3, 1}, rng.New(9))
-	c := n.Clone()
-	c.Layers[0].W.Data[0] += 1
-	if n.Layers[0].W.Data[0] == c.Layers[0].W.Data[0] {
-		t.Fatal("clone shares weight storage")
-	}
-}
-
 func stdPotential(sizes []int, seed uint64) (*Potential, *encoding.Tables, *feature.Table) {
 	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
 	desc := feature.Standard(units.CutoffStandard)
@@ -647,4 +638,19 @@ func TestAdamWeightDecayShrinksWeights(t *testing.T) {
 	if after >= before {
 		t.Fatalf("weight decay did not shrink weights: %v -> %v", before, after)
 	}
+}
+
+// At returns element (i, j).
+func (m Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+
+// Set assigns element (i, j).
+func (m Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+
+// NumParams returns the total number of trainable parameters.
+func (n *Network) NumParams() int {
+	total := 0
+	for _, l := range n.Layers {
+		total += len(l.W.Data) + len(l.B)
+	}
+	return total
 }

@@ -270,12 +270,6 @@ func (e *Engine) refreshRates() {
 	}
 }
 
-// Time, Steps, Box and NumVacancies mirror the TensorKMC engine API.
-func (e *Engine) Time() float64     { return e.time }
-func (e *Engine) Steps() int64      { return e.steps }
-func (e *Engine) Box() *lattice.Box { return e.box }
-func (e *Engine) NumVacancies() int { return len(e.vacs) }
-
 // Step executes one KMC event with the same draw order as the TensorKMC
 // engine: (1) vacancy, (2) direction, (3) residence time. Semantics of
 // the time limit match kmc.Engine.Step.
@@ -329,30 +323,6 @@ func (e *Engine) Step(timeLimit float64) (kmc.Event, bool) {
 	}
 	e.steps++
 	return kmc.Event{Slot: slot, Direction: k, From: from, To: to, Mover: mover, DeltaT: dt}, true
-}
-
-// RunUntil advances the clock to t and returns executed hops.
-func (e *Engine) RunUntil(t float64) int {
-	n := 0
-	for e.time < t {
-		if _, ok := e.Step(t); !ok {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// RunSteps executes up to n hops with no time limit.
-func (e *Engine) RunSteps(n int) int {
-	done := 0
-	for i := 0; i < n; i++ {
-		if _, ok := e.Step(1e300); !ok {
-			break
-		}
-		done++
-	}
-	return done
 }
 
 // MemoryBreakdown itemises the cache-all arrays in bytes, the Table 1

@@ -28,10 +28,10 @@ func TestChildSeedGolden(t *testing.T) {
 		0x22696cb133141aa9,
 		0x008d9574f35be808,
 	}
-	r := Derive(42, 0)
+	r := New(ChildSeed(42, 0))
 	for i, want := range wantDraws {
 		if got := r.Uint64(); got != want {
-			t.Errorf("Derive(42, 0) draw %d = %#016x, want %#016x", i, got, want)
+			t.Errorf("New(ChildSeed(42, 0)) draw %d = %#016x, want %#016x", i, got, want)
 		}
 	}
 }
@@ -47,9 +47,9 @@ func TestChildSeedIsPure(t *testing.T) {
 	}
 	r := New(99)
 	before := r.State()
-	_ = Derive(99, 0)
+	_ = New(ChildSeed(99, 0))
 	if r.State() != before {
-		t.Fatal("Derive perturbed an existing stream")
+		t.Fatal("a child stream perturbed an existing stream")
 	}
 }
 
@@ -67,7 +67,7 @@ func TestDerivedStreamsDisjoint(t *testing.T) {
 			t.Fatalf("duplicate child seed %#x at id %d", seed, id)
 		}
 		seeds[seed] = true
-		r := Derive(1234, id)
+		r := New(seed)
 		for d := 0; d < draws; d++ {
 			v := r.Uint64()
 			if prev, dup := seen[v]; dup {

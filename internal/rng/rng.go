@@ -178,12 +178,6 @@ func ChildSeed(parent, id uint64) uint64 {
 	return z ^ splitMix64(&st)
 }
 
-// Derive returns the child stream id of a parent seed, New(ChildSeed).
-// The golden-value tests pin its outputs across platforms.
-func Derive(parent, id uint64) *Stream {
-	return New(ChildSeed(parent, id))
-}
-
 // Perm fills dst with a uniformly random permutation of [0, len(dst)).
 func (r *Stream) Perm(dst []int) {
 	for i := range dst {
@@ -193,32 +187,4 @@ func (r *Stream) Perm(dst []int) {
 		j := r.Intn(i + 1)
 		dst[i], dst[j] = dst[j], dst[i]
 	}
-}
-
-// Choose returns an index in [0, len(weights)) sampled in proportion to
-// the non-negative weights, consuming exactly one uniform variate. It
-// returns -1 if the total weight is not positive.
-func (r *Stream) Choose(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 {
-		return -1
-	}
-	target := r.Float64() * total
-	var acc float64
-	for i, w := range weights {
-		acc += w
-		if target < acc {
-			return i
-		}
-	}
-	// Floating-point slack: fall back to the last positive weight.
-	for i := len(weights) - 1; i >= 0; i-- {
-		if weights[i] > 0 {
-			return i
-		}
-	}
-	return -1
 }

@@ -175,40 +175,6 @@ func TestPerm(t *testing.T) {
 	}
 }
 
-func TestChooseProportions(t *testing.T) {
-	s := New(31)
-	weights := []float64{1, 2, 3, 4}
-	counts := make([]int, 4)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		idx := s.Choose(weights)
-		if idx < 0 || idx >= 4 {
-			t.Fatalf("Choose returned %d", idx)
-		}
-		counts[idx]++
-	}
-	for i, c := range counts {
-		want := weights[i] / 10
-		got := float64(c) / n
-		if math.Abs(got-want) > 0.01 {
-			t.Fatalf("Choose bucket %d frequency %v, want ~%v", i, got, want)
-		}
-	}
-}
-
-func TestChooseEdgeCases(t *testing.T) {
-	s := New(33)
-	if got := s.Choose(nil); got != -1 {
-		t.Fatalf("Choose(nil) = %d, want -1", got)
-	}
-	if got := s.Choose([]float64{0, 0}); got != -1 {
-		t.Fatalf("Choose(zeros) = %d, want -1", got)
-	}
-	if got := s.Choose([]float64{0, 5, 0}); got != 1 {
-		t.Fatalf("Choose single positive = %d, want 1", got)
-	}
-}
-
 func TestMul128AgainstBig(t *testing.T) {
 	f := func(a, b uint64) bool {
 		hi, lo := mul128(a, b)
@@ -225,32 +191,6 @@ func TestMul128AgainstBig(t *testing.T) {
 		cross2 := aLo*bHi + (cross1 & 0xffffffff)
 		wantHi := aHi*bHi + (cross1 >> 32) + (cross2 >> 32)
 		return hi == wantHi
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChooseMatchesWeightsProperty(t *testing.T) {
-	// Property: Choose never returns an index with zero weight.
-	f := func(seed uint64, raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		weights := make([]float64, len(raw))
-		anyPositive := false
-		for i, v := range raw {
-			weights[i] = float64(v)
-			if v > 0 {
-				anyPositive = true
-			}
-		}
-		s := New(seed)
-		idx := s.Choose(weights)
-		if !anyPositive {
-			return idx == -1
-		}
-		return idx >= 0 && idx < len(weights) && weights[idx] > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

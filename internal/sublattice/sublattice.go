@@ -511,17 +511,3 @@ func (r *rankState) run(duration float64) error {
 	}
 	return nil
 }
-
-// SuggestTStop returns a synchronisation quantum targeting the given
-// number of expected hops per vacancy per sector window. The paper's
-// strict default (2×10⁻⁸ s at 573 K) corresponds to roughly two hops per
-// vacancy per window; Sec. 4.4 notes that practical runs can raise
-// t_stop "to some larger values to significantly reduce communication" —
-// at the cost of a larger semirigorous approximation error. hopRate is
-// the per-vacancy total propensity (≈8·Γ_hop in dilute systems).
-func SuggestTStop(hopRate float64, hopsPerWindow float64) float64 {
-	if hopRate <= 0 || hopsPerWindow <= 0 {
-		panic("sublattice: non-positive rate or target")
-	}
-	return hopsPerWindow / hopRate
-}

@@ -229,9 +229,6 @@ func New(simCfg core.Config, cfg Config) (*Supervisor, error) {
 // Simulation exposes the supervised simulation (replaced on recovery).
 func (s *Supervisor) Simulation() *core.Simulation { return s.sim }
 
-// Shadow exposes the current in-memory recovery point.
-func (s *Supervisor) Shadow() *core.Checkpoint { return s.shadow }
-
 // Recovery returns a snapshot of the fault-handling account so far.
 func (s *Supervisor) Recovery() *Recovery {
 	rec := s.rec

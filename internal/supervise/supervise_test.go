@@ -414,7 +414,7 @@ func TestSupervisorDiskFallback(t *testing.T) {
 	// Poison both the live state and the shadow: only the disk
 	// checkpoint written at the end of segment 1 is left to trust.
 	corruptFirstFe(t, sup.Simulation().Box())
-	corruptFirstFe(t, sup.Shadow().Box)
+	corruptFirstFe(t, sup.shadow.Box)
 
 	if err := runSegments(sup, segment, 1); err != nil {
 		t.Fatalf("disk fallback failed: %v\nlog: %v", err, sup.Recovery().FailureLog)
@@ -445,7 +445,7 @@ func TestSupervisorNoRecoverableState(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptFirstFe(t, sup.Simulation().Box())
-	corruptFirstFe(t, sup.Shadow().Box)
+	corruptFirstFe(t, sup.shadow.Box)
 	err = sup.RunTo(1e-8)
 	var un *UnrecoverableError
 	if !errors.As(err, &un) {
@@ -479,7 +479,7 @@ func corruptFirstFe(t *testing.T, box *lattice.Box) {
 	t.Helper()
 	for i := 0; i < box.NumSites(); i++ {
 		if box.GetIndex(i) == lattice.Fe {
-			box.SetIndex(i, lattice.Cu)
+			box.Types()[i] = lattice.Cu
 			return
 		}
 	}

@@ -124,26 +124,6 @@ type Counters struct {
 	RMABytes    float64 // CPE-to-CPE traffic
 }
 
-// Add accumulates other into c.
-func (c *Counters) Add(other Counters) {
-	c.VectorFlops += other.VectorFlops
-	c.ScalarFlops += other.ScalarFlops
-	c.MainBytes += other.MainBytes
-	c.DMAOps += other.DMAOps
-	c.RMABytes += other.RMABytes
-}
-
-// Flops returns total floating-point work.
-func (c Counters) Flops() float64 { return c.VectorFlops + c.ScalarFlops }
-
-// Intensity returns arithmetic intensity in FLOP/byte of main memory.
-func (c Counters) Intensity() float64 {
-	if c.MainBytes == 0 {
-		return 0
-	}
-	return c.Flops() / c.MainBytes
-}
-
 // Time estimates execution time on arch. When overlap is true (the
 // asynchronous double-buffered DMA flow of Fig. 6e/6f), compute and the
 // whole memory phase (transfer + transaction latencies) overlap and the
@@ -201,8 +181,7 @@ func (l *LDM) Free(n int) {
 	}
 }
 
-// Used and Peak report current and high-water usage.
-func (l *LDM) Used() int { return l.used }
+// Peak reports the high-water usage.
 func (l *LDM) Peak() int { return l.peak }
 
 // CoreGroup is the simulated CG: an LDM per CPE plus shared counters.
@@ -220,9 +199,6 @@ func NewCoreGroup(a Arch) *CoreGroup {
 	}
 	return cg
 }
-
-// Reset clears the counters (LDM peaks are kept for inspection).
-func (cg *CoreGroup) Reset() { cg.Ct = Counters{} }
 
 // DMAGet models one DMA read of n bytes from main memory into a CPE LDM.
 func (cg *CoreGroup) DMAGet(cpe, n int) {

@@ -73,11 +73,9 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 			// Same (name, labels) from every writer: get-or-create must
 			// hand all of them the one shared instrument.
 			c := reg.Counter("concurrent_total", "shared counter")
-			g := reg.Gauge("concurrent_gauge", "shared gauge")
 			h := reg.Histogram("concurrent_hist", "shared histogram", []float64{0.25, 0.5, 0.75})
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
-				g.Set(float64(i))
 				h.Observe(float64(i%4) * 0.25)
 			}
 		}(w)

@@ -58,39 +58,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomic float64 value that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds v (CAS loop; safe for concurrent adders).
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // DefTimeBuckets are the default histogram bounds for phase timings, in
 // seconds: log-spaced from 1 µs (one cached hop-energy lookup) to 10 s
 // (a whole run segment).
@@ -196,7 +163,6 @@ func (s *HistogramSnapshot) Merge(o HistogramSnapshot) error {
 type series struct {
 	labels string // canonical rendered label set, "" for none
 	ctr    *Counter
-	gge    *Gauge
 	hist   *Histogram
 	ctrFn  func() int64
 	ggeFn  func() float64
@@ -313,24 +279,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	return c
 }
 
-// Gauge returns the gauge for (name, labels).
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	var g *Gauge
-	r.lookup(name, help, KindGauge, labels, func(s *series) {
-		if s.ggeFn != nil {
-			panic(fmt.Sprintf("telemetry: %q%s already registered as a function metric", name, s.labels))
-		}
-		if s.gge == nil {
-			s.gge = &Gauge{}
-		}
-		g = s.gge
-	})
-	return g
-}
-
 // Histogram returns the histogram for (name, labels) with the given
 // bucket upper bounds (DefTimeBuckets when nil). Bounds are fixed by
 // the first registration.
@@ -371,9 +319,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 		return
 	}
 	r.lookup(name, help, KindGauge, labels, func(s *series) {
-		if s.gge != nil {
-			panic(fmt.Sprintf("telemetry: %q%s already registered as a stored gauge", name, s.labels))
-		}
 		s.ggeFn = fn
 	})
 }
@@ -411,8 +356,6 @@ func (s *series) value() float64 {
 		return s.ggeFn()
 	case s.ctr != nil:
 		return float64(s.ctr.Value())
-	case s.gge != nil:
-		return s.gge.Value()
 	}
 	return 0
 }

@@ -64,19 +64,14 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter value")
 	}
-	var g *Gauge
-	g.Set(3)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge value")
-	}
 	var h *Histogram
 	h.Observe(1)
 	var r *Registry
-	if r.Counter("x", "") != nil || r.Gauge("y", "") != nil || r.Histogram("z", "", nil) != nil {
+	if r.Counter("x", "") != nil || r.Histogram("z", "", nil) != nil {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
 	r.CounterFunc("f", "", func() int64 { return 1 })
+	r.GaugeFunc("g", "", func() float64 { return 1 })
 	var set *Set
 	set.Reg().Counter("a", "").Inc()
 	set.Trace().Phase("p").Start().EndMsg("")
@@ -103,7 +98,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 			t.Fatal("kind mismatch must panic")
 		}
 	}()
-	r.Gauge("tkmc_test_total", "")
+	r.GaugeFunc("tkmc_test_total", "", func() float64 { return 0 })
 }
 
 // TestRegistryConcurrency hammers creation, mutation and snapshotting
@@ -118,7 +113,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				r.Counter("tkmc_conc_total", "").Inc()
-				r.Gauge("tkmc_conc_gauge", "").Add(1)
 				r.Histogram("tkmc_conc_seconds", "", nil).Observe(float64(i) * 1e-6)
 				r.Counter("tkmc_conc_labeled_total", "", "g", string(rune('a'+g))).Inc()
 				if i%100 == 0 {
@@ -132,9 +126,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	wg.Wait()
 	if v := r.Counter("tkmc_conc_total", "").Value(); v != 8000 {
 		t.Fatalf("counter lost increments: %d", v)
-	}
-	if v := r.Gauge("tkmc_conc_gauge", "").Value(); v != 8000 {
-		t.Fatalf("gauge CAS lost adds: %v", v)
 	}
 	if n := r.Histogram("tkmc_conc_seconds", "", nil).Snapshot().Count; n != 8000 {
 		t.Fatalf("histogram lost observations: %d", n)
@@ -152,7 +143,6 @@ func TestRegistryFirstRegistrationRace(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		r := NewRegistry()
 		var ctrs [goroutines]*Counter
-		var gges [goroutines]*Gauge
 		var hists [goroutines]*Histogram
 		start := make(chan struct{})
 		var wg sync.WaitGroup
@@ -162,11 +152,9 @@ func TestRegistryFirstRegistrationRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				ctrs[g] = r.Counter(MetricStepTotal, "")
-				gges[g] = r.Gauge("tkmc_race_gauge", "")
 				hists[g] = r.Histogram("tkmc_race_seconds", "", nil)
 				for i := 0; i < perGoroutine; i++ {
 					ctrs[g].Inc()
-					gges[g].Add(1)
 					hists[g].Observe(1e-6)
 				}
 			}(g)
@@ -174,16 +162,13 @@ func TestRegistryFirstRegistrationRace(t *testing.T) {
 		close(start)
 		wg.Wait()
 		for g := 1; g < goroutines; g++ {
-			if ctrs[g] != ctrs[0] || gges[g] != gges[0] || hists[g] != hists[0] {
+			if ctrs[g] != ctrs[0] || hists[g] != hists[0] {
 				t.Fatalf("round %d: goroutine %d holds a different instrument than goroutine 0", round, g)
 			}
 		}
 		const want = goroutines * perGoroutine
 		if v := r.Counter(MetricStepTotal, "").Value(); v != want {
 			t.Fatalf("round %d: counter exports %d of %d increments", round, v, want)
-		}
-		if v := r.Gauge("tkmc_race_gauge", "").Value(); v != want {
-			t.Fatalf("round %d: gauge exports %v of %d adds", round, v, want)
 		}
 		if n := r.Histogram("tkmc_race_seconds", "", nil).Snapshot().Count; n != want {
 			t.Fatalf("round %d: histogram exports %d of %d observations", round, n, want)
@@ -199,7 +184,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Counter("tkmc_hops_total", "Executed hops.").Add(42)
 	r.Counter("tkmc_sends_total", "Messages sent.", "rank", "0").Add(3)
 	r.Counter("tkmc_sends_total", "Messages sent.", "rank", "1").Add(4)
-	r.Gauge("tkmc_entries", "Resident entries.").Set(17.5)
+	r.GaugeFunc("tkmc_entries", "Resident entries.", func() float64 { return 17.5 })
 	h := r.Histogram("tkmc_lat_seconds", "Latencies.", []float64{0.001, 0.1}, "phase", "eval")
 	h.Observe(0.0005)
 	h.Observe(0.05)

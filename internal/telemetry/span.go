@@ -252,26 +252,6 @@ type SpanNode struct {
 	Children []SpanNode `json:"children,omitempty"`
 }
 
-// ChildSeconds sums the direct children's totals.
-func (n SpanNode) ChildSeconds() float64 {
-	var s float64
-	for _, c := range n.Children {
-		s += c.Seconds
-	}
-	return s
-}
-
-// Coverage reports which fraction of this node's time its direct
-// children account for (1 for a leaf with no time unaccounted, 0 for
-// an idle node). It is the self-check that the instrumentation sees
-// where a run's time actually goes.
-func (n SpanNode) Coverage() float64 {
-	if n.Seconds <= 0 {
-		return 0
-	}
-	return n.ChildSeconds() / n.Seconds
-}
-
 func (p *Phase) snapshot() SpanNode {
 	n := SpanNode{Name: p.name, Path: p.path, Count: p.Count(), Seconds: p.Seconds()}
 	p.mu.Lock()

@@ -44,8 +44,8 @@ func TestPhaseAccumulation(t *testing.T) {
 	if got, want := n.Children[0].Seconds, 0.07; !closeTo(got, want) {
 		t.Fatalf("child seconds %v, want %v", got, want)
 	}
-	if cov := n.Coverage(); !closeTo(cov, 0.7) {
-		t.Fatalf("coverage %v, want 0.7", cov)
+	if got, want := n.Seconds, 0.1; !closeTo(got, want) {
+		t.Fatalf("root seconds %v, want %v", got, want)
 	}
 }
 

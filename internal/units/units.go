@@ -29,9 +29,8 @@ const (
 	EA0Fe = 0.65
 	EA0Cu = 0.56
 
-	// RoomTemperature and ReactorTemperature (573 K thermal aging) are
-	// the temperatures used in the paper's runs.
-	RoomTemperature    = 300.0
+	// ReactorTemperature (573 K thermal aging) is the temperature of the
+	// paper's runs.
 	ReactorTemperature = 573.0
 )
 
