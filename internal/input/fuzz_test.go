@@ -38,6 +38,8 @@ exchange_timeout 30
 	f.Add("checkpoint_every 1\nduration 1\ncells 1 1 1\n")
 	f.Add("max_retries -2\ncells 1 1 1\nduration 1\n")
 	f.Add("exchange_timeout 0\ncells 1 1 1\nduration 1\n")
+	f.Add("cells 4 4 4\nduration 1\ntemperature 0\n") // rejected: zero is not a temperature
+	f.Add("cells 4 4 4\nduration 1\ntstop -0\n")      // rejected: nor is negative zero a quantum
 	f.Add("cells 10 10 10 # inline comment\nduration 1e-8\r\n")
 	f.Add("CELLS 2 2 2\nDuration 1\n") // keys are case-insensitive
 	f.Add("cells\n")
@@ -56,6 +58,9 @@ exchange_timeout 30
 		}
 		if d.MaxRetries < 0 || d.AuditEvery < 0 || d.Snapshots < 0 {
 			t.Fatalf("accepted negative knobs: retries=%d audit=%d snapshots=%d", d.MaxRetries, d.AuditEvery, d.Snapshots)
+		}
+		if c := d.Config; c.LatticeConstant < 0 || c.Temperature < 0 || c.Cutoff < 0 || c.TStop < 0 {
+			t.Fatalf("accepted a negative lattice, temperature, cutoff or tstop: %v %v %v %v", c.LatticeConstant, c.Temperature, c.Cutoff, c.TStop)
 		}
 		if d.Config.ExchangeTimeout < 0 {
 			t.Fatalf("accepted negative exchange timeout %v", d.Config.ExchangeTimeout)

@@ -193,17 +193,17 @@ func (d *Deck) apply(key string, args []string) error {
 		}
 		d.Config.Ranks = [3]int{v[0], v[1], v[2]}
 	case "lattice":
-		return float1(key, args, &d.Config.LatticeConstant)
+		return positive(key, args, &d.Config.LatticeConstant)
 	case "cu":
 		return float1(key, args, &d.Config.CuFraction)
 	case "vacancy":
 		return float1(key, args, &d.Config.VacancyFraction)
 	case "temperature":
-		return float1(key, args, &d.Config.Temperature)
+		return positive(key, args, &d.Config.Temperature)
 	case "cutoff":
-		return float1(key, args, &d.Config.Cutoff)
+		return positive(key, args, &d.Config.Cutoff)
 	case "tstop":
-		return float1(key, args, &d.Config.TStop)
+		return positive(key, args, &d.Config.TStop)
 	case "duration":
 		return float1(key, args, &d.Duration)
 	case "seed":
@@ -422,6 +422,21 @@ func float1(key string, args []string, dst *float64) error {
 	v, err := strconv.ParseFloat(args[0], 64)
 	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return fmt.Errorf("invalid %s %q", key, args[0])
+	}
+	*dst = v
+	return nil
+}
+
+// positive parses one number that must be above zero. The deck has no
+// way to ask for a default but leaving the key out, so a zero is refused
+// rather than read as "use the default" the way core.Config reads it.
+func positive(key string, args []string, dst *float64) error {
+	var v float64
+	if err := float1(key, args, &v); err != nil {
+		return err
+	}
+	if v <= 0 {
+		return fmt.Errorf("%s must be positive, got %s", key, args[0])
 	}
 	*dst = v
 	return nil
