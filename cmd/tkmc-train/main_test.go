@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -50,5 +51,17 @@ func TestTrainRunValidation(t *testing.T) {
 	}
 	if err := run(10, 5, 5, 5, 1e-3, 0, 0, "bad", 1, "x"); err == nil {
 		t.Fatal("bad sizes should error")
+	}
+	// A NaN learning rate or a zero layer width is an error, not a
+	// written file of NaN weights or a panic.
+	out := filepath.Join(t.TempDir(), "p.pot")
+	if err := run(10, 5, 1, 5, math.NaN(), 0, 0, "64,8,1", 1, out); err == nil {
+		t.Fatal("NaN learning rate should error")
+	}
+	if err := run(10, 5, 1, 5, 1e-3, 0, 0, "64,0,1", 1, out); err == nil {
+		t.Fatal("zero layer width should error")
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("a refused run left %s behind (stat error %v)", out, err)
 	}
 }

@@ -123,10 +123,10 @@ func generateOne(oracle Oracle, cfg Config, r *rng.Stream) Structure {
 		s.Spec = append(s.Spec[:i], s.Spec[i+1:]...)
 	}
 	// Thermal displacements at a per-structure amplitude.
-	amp := cfg.DisplacementMin + (cfg.Displacement-cfg.DisplacementMin)*r.Float64()
+	amp := cfg.DisplacementMin + float64((cfg.Displacement-cfg.DisplacementMin)*r.Float64())
 	for i := range s.Pos {
 		for ax := 0; ax < 3; ax++ {
-			s.Pos[i][ax] += amp * r.NormFloat64()
+			s.Pos[i][ax] += float64(amp * r.NormFloat64())
 		}
 	}
 	s.Energy = oracle.StructureEnergy(s.Pos, s.Spec, s.Cell)
@@ -178,7 +178,7 @@ func RMSE(pred, ref []float64) float64 {
 	var s float64
 	for i := range pred {
 		d := pred[i] - ref[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(pred)))
 }
@@ -200,9 +200,9 @@ func R2(pred, ref []float64) float64 {
 	var ssRes, ssTot float64
 	for i := range ref {
 		d := pred[i] - ref[i]
-		ssRes += d * d
+		ssRes += float64(d * d)
 		t := ref[i] - mean
-		ssTot += t * t
+		ssTot += float64(t * t)
 	}
 	if ssTot == 0 {
 		if ssRes == 0 {

@@ -120,10 +120,10 @@ func dmaTransfer(cg *sw.CoreGroup, bytes int) {
 }
 
 // runLayered implements the three unfused rungs: per layer a matmul pass,
-// a bias pass and a ReLU pass, each streaming through main memory.
+// a bias pass and a ReLU pass, each streaming through main memory. The
+// rungs differ only in cost; the output is net.Forward's.
 func runLayered(v Variant, net *nnp.Network, x nnp.Matrix, cg *sw.CoreGroup) nnp.Matrix {
 	m := x.Rows
-	cur := x
 	for _, layer := range net.Layers {
 		in, outW := layer.W.Rows, layer.W.Cols
 		// Matmul pass: read input and weights, write output.
@@ -139,7 +139,6 @@ func runLayered(v Variant, net *nnp.Network, x nnp.Matrix, cg *sw.CoreGroup) nnp
 		case SIMD:
 			cg.Ct.VectorFlops += flops
 		}
-		next := nnp.MatMul(cur, layer.W)
 		// Bias pass: read + write the activation map.
 		dmaTransfer(cg, 2*m*outW*4)
 		// ReLU pass: read + write again.
@@ -150,36 +149,22 @@ func runLayered(v Variant, net *nnp.Network, x nnp.Matrix, cg *sw.CoreGroup) nnp
 		} else {
 			cg.Ct.ScalarFlops += passFlops
 		}
-		if layer.Relu {
-			nnp.AddBiasRelu(next, layer.B)
-		} else {
-			nnp.AddBias(next, layer.B)
-		}
-		cur = next
 	}
-	return cur
+	return net.Forward(x)
 }
 
 // runFused implements the per-layer fused kernel: one read of the input,
 // one write of the output, bias and ReLU in registers.
 func runFused(net *nnp.Network, x nnp.Matrix, cg *sw.CoreGroup) nnp.Matrix {
 	m := x.Rows
-	cur := x
 	for _, layer := range net.Layers {
 		in, outW := layer.W.Rows, layer.W.Cols
 		dmaTransfer(cg, m*in*4)
 		dmaTransfer(cg, (in*outW+outW)*4)
 		dmaTransfer(cg, m*outW*4)
 		cg.Ct.VectorFlops += float64(2*m*in*outW) + float64(2*m*outW)
-		next := nnp.MatMul(cur, layer.W)
-		if layer.Relu {
-			nnp.AddBiasRelu(next, layer.B)
-		} else {
-			nnp.AddBias(next, layer.B)
-		}
-		cur = next
 	}
-	return cur
+	return net.Forward(x)
 }
 
 // runBigFusion implements Algorithm 1 functionally: the batch is divided
@@ -232,6 +217,7 @@ func runBigFusion(net *nnp.Network, x nnp.Matrix, cg *sw.CoreGroup) nnp.Matrix {
 
 	out := nnp.NewMatrix(m, net.OutputDim())
 	inDim := net.InputDim()
+	var s nnp.BlockScratch
 	iterations := 0
 	for start := 0; start < m; start += nCPE * mBlock {
 		iterations++
@@ -245,24 +231,15 @@ func runBigFusion(net *nnp.Network, x nnp.Matrix, cg *sw.CoreGroup) nnp.Matrix {
 				hi = m
 			}
 			rows := hi - lo
-			// Fetch this block's input (the only input read).
+			// Fetch this block's input (the only input read), carry it
+			// through every layer and put back the final output (the only
+			// output write).
 			cg.DMAGet(cpe, rows*inDim*4)
-			block := nnp.Matrix{Rows: rows, Cols: inDim, Data: x.Data[lo*inDim : hi*inDim]}
-			cur := block
+			net.ForwardBlockInto(x, out, lo, hi, &s)
 			for _, layer := range net.Layers {
-				cur = nnp.MatMul(cur, layer.W)
-				if layer.Relu {
-					nnp.AddBiasRelu(cur, layer.B)
-				} else {
-					nnp.AddBias(cur, layer.B)
-				}
 				cg.Ct.VectorFlops += float64(2*rows*layer.W.Rows*layer.W.Cols) + float64(2*rows*layer.W.Cols)
 			}
-			// Put back the final output (the only output write).
 			cg.DMAPut(cpe, rows*net.OutputDim()*4)
-			for r := 0; r < rows; r++ {
-				copy(out.Row(lo+r), cur.Row(r))
-			}
 		}
 		// Per iteration, each layer's owning column broadcasts its
 		// parameters along the rows (Fig. 6f).

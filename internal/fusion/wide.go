@@ -19,7 +19,7 @@ import (
 //
 // Determinism contract: every output row depends only on its own input
 // row and runs the exact float-operation sequence of the serial path
-// (ascending-k accumulation with the MatMul zero-skip, then bias, then
+// (ascending-k accumulation with the GEMM's zero-skip, then bias, then
 // activation — see nnp.ForwardBlockInto). Tiling and worker scheduling
 // only change WHICH goroutine computes a row, never the operations in
 // it, so the output is bit-identical to Run(BigFusion, ...) for any

@@ -9,7 +9,7 @@ import (
 )
 
 // wideTestInput builds an m×dim input with a realistic mix of signs and
-// exact zeros (post-ReLU activations are sparse, and the MatMul zero-skip
+// exact zeros (post-ReLU activations are sparse, and the GEMM's zero-skip
 // is part of the bit-identity contract the wide kernel must reproduce).
 func wideTestInput(m, dim int, seed uint64) nnp.Matrix {
 	x := nnp.NewMatrix(m, dim)
@@ -57,11 +57,12 @@ func TestWideBitIdenticalF64(t *testing.T) {
 	}
 }
 
-// TestWideMatchesNetworkForward anchors the block forward to the reference
-// the trajectory contract really cares about: Network.Forward, which
-// nnp.Potential.RegionEnergy runs. The incremental hop kernel forwards its
-// rows through ForwardBlockInto and is bit-identical to RegionEnergy
-// passes only because of this row-for-row equality.
+// TestWideMatchesNetworkForward: a row forwarded alone through
+// Network.Forward, which nnp.Potential.RegionEnergy runs, equals the same
+// row inside a tiled, multi-worker block, where the AVX2 quads compute it.
+// The incremental hop kernel is bit-identical to RegionEnergy passes only
+// because of this row independence; the GEMM itself is checked against a
+// triple loop in nnp's TestGemmBlockMatchesTripleLoop.
 func TestWideMatchesNetworkForward(t *testing.T) {
 	net := nnp.NewNetwork([]int{24, 40, 1}, rng.New(7))
 	x := wideTestInput(2*WideRowBlock+5, 24, 13)

@@ -2,16 +2,18 @@ package nnp
 
 // Block-forward kernel: the allocation-free row-block inference path.
 // Network.ForwardBlockInto is the hop kernel's forward pass
-// (Scratch.forward, under the direct path and FusionBackend) and also
-// serves fusion.RunBigFusionWide.
+// (Scratch.forward, under the direct path and FusionBackend), and it
+// serves Network.Forward, the Fig. 10 ladder and fusion.RunBigFusionWide.
+// gemmBlock is the module's one matrix product: training runs on it too.
 //
 // Determinism contract: for every row, the accumulation over the input
-// dimension runs in ascending k order with the same zero-skip the MatMul
-// kernels use, followed by the same bias-then-activation sequence — so
-// each output row is bit-identical to Network.Forward of the same row,
-// regardless of block size or which goroutine computes it. This row
-// independence is what lets the fused batch path stack any number of
-// vacancy systems into one tall matrix without perturbing trajectories.
+// dimension runs in ascending k order from +0 with a zero-skip, followed by
+// the bias, then the activation — so each output row is bit-identical to
+// Network.Forward of the same row, regardless of block size or which
+// goroutine computes it. This row independence is what lets the fused
+// batch path stack any number of vacancy systems into one tall matrix
+// without perturbing trajectories. Its independent reference is the
+// triple loop of TestGemmBlockMatchesTripleLoop.
 
 // BlockScratch holds the reusable float64 activation buffers of one
 // block-forward worker. It is NOT safe for concurrent use: give each
@@ -104,7 +106,7 @@ func gemmBlock(dst, src []float64, rows, inW, outW int, w, b []float64, relu boo
 
 // gemmBlockGo is the pure-Go kernel and the oracle of the assembly one,
 // four rows at a time so each weight row is loaded once per quad. The
-// per-row float-operation sequence is exactly MatMulInto + AddBias(Relu):
+// per-row float-operation sequence is that of a plain row loop:
 // zero-initialised accumulators, ascending-k accumulation with the
 // zero-skip, then bias, then the activation — rows never mix, so the
 // unrolling cannot perturb any output bit.

@@ -302,6 +302,82 @@ func FuzzStageRow(f *testing.F) {
 	f.Fuzz(checkStageRow)
 }
 
+// tripleLoop is the reference GEMM, independent of gemmBlock: for each
+// output element, the products summed in ascending k from +0 with no
+// zero-skip, then the bias, then ReLU as `if v < 0 { v = 0 }`. It is the
+// multi-row form of noSkip in TestZeroSkipObservableOnlyViaNonFiniteWeights.
+func tripleLoop(src []float64, rows, inW, outW int, w, b []float64, relu bool) []float64 {
+	out := make([]float64, rows*outW)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < outW; j++ {
+			var s float64
+			for k := 0; k < inW; k++ {
+				s += float64(src[i*inW+k] * w[k*outW+j])
+			}
+			s += b[j]
+			if relu && s < 0 {
+				s = 0
+			}
+			out[i*outW+j] = s
+		}
+	}
+	return out
+}
+
+// TestGemmBlockMatchesTripleLoop is the GEMM's independent leg:
+// gemmBlockGo, the oracle of the assembly kernels, and gemmBlock, whichever
+// path the host runs, equal tripleLoop in every output bit on finite data
+// (where the zero-skip is unobservable), with ±0 and subnormal inputs, at
+// every kernel width and at row counts with and without leftover rows.
+// A hand-computed product anchors the reference itself.
+func TestGemmBlockMatchesTripleLoop(t *testing.T) {
+	a := []float64{1, 2, 3, 4, 5, 6}
+	b := []float64{7, 8, 9, 10, 11, 12}
+	for i, v := range tripleLoop(a, 2, 3, 2, b, []float64{0, 0}, false) {
+		if want := []float64{58, 64, 139, 154}[i]; v != want {
+			t.Fatalf("tripleLoop[%d] = %v, want %v", i, v, want)
+		}
+	}
+	r := rng.New(11)
+	value := func() float64 {
+		switch r.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return []float64{math.SmallestNonzeroFloat64, -0x1p-1030, 0x1p-1022}[r.Intn(3)]
+		}
+		return r.NormFloat64()
+	}
+	for _, outW := range []int{1, 3, 4, 7, 8, 16, 32} {
+		for _, rows := range []int{1, 2, 3, 4, 5, 8, 11, 37} {
+			for _, inW := range []int{1, 5, 16, 64} {
+				src, w, bias := make([]float64, rows*inW), make([]float64, inW*outW), make([]float64, outW)
+				for _, v := range [][]float64{src, w, bias} {
+					for i := range v {
+						v[i] = value()
+					}
+				}
+				relu := r.Intn(2) == 0
+				want := tripleLoop(src, rows, inW, outW, w, bias, relu)
+				for name, gemm := range map[string]func(dst, src []float64, rows, inW, outW int, w, b []float64, relu bool){
+					"gemmBlockGo": gemmBlockGo, "gemmBlock": gemmBlock,
+				} {
+					got := make([]float64, rows*outW)
+					gemm(got, src, rows, inW, outW, w, bias, relu)
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s (rows %d, inW %d, outW %d, relu %v): out[%d][%d] = %#x, triple loop %#x",
+								name, rows, inW, outW, relu, i/outW, i%outW, math.Float64bits(got[i]), math.Float64bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestZeroSkipObservableOnlyViaNonFiniteWeights pins what the zero-skip
 // in the forward kernels means. Accumulators start at +0 and a finite
 // product of a zero input is ±0, so adding it never changes an

@@ -23,8 +23,18 @@ import (
 //	per element: nSizes int32, sizes..., per layer: W data, B data
 const potentialMagic = "TKMCPOT1"
 
-// Save writes the potential to w.
+// Save writes the potential to w. It refuses, before writing a byte, a
+// potential that Load would refuse, so no writer leaves a file a deck
+// cannot use.
 func (p *Potential) Save(w io.Writer) error {
+	if err := p.checkParams(); err != nil {
+		return err
+	}
+	return p.encode(w)
+}
+
+// encode writes the potential to w without checking its parameters.
+func (p *Potential) encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(potentialMagic); err != nil {
 		return err
@@ -206,24 +216,16 @@ func Load(r io.Reader) (*Potential, error) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("nnp: trailing garbage after potential payload")
 	}
-	if err := p.checkFinite(); err != nil {
+	if err := p.checkParams(); err != nil {
 		return nil, err
-	}
-	// Normalisation divides by every std; training clamps a degenerate
-	// one to 1, so zero or negative can only mean corruption.
-	for c, sd := range p.FeatStd {
-		if !(sd > 0) {
-			return nil, fmt.Errorf("nnp: feature std of channel %d (element %d, (p,q) set %d) is %v, want > 0",
-				c, c/desc.NDim(), c%desc.NDim(), sd)
-		}
 	}
 	return p, nil
 }
 
-// checkFinite rejects a NaN or ±Inf anywhere in the parameters, so a
+// checkParams rejects a NaN or ±Inf anywhere in the parameters, so a
 // corrupt file fails at load instead of at the first hop's
-// checkFiniteEnergy tripwire.
-func (p *Potential) checkFinite() error {
+// checkFiniteEnergy tripwire, and a feature std at or below zero.
+func (p *Potential) checkParams() error {
 	check := func(what string, v []float64) error {
 		for i, x := range v {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -249,6 +251,14 @@ func (p *Potential) checkFinite() error {
 			if err := check(fmt.Sprintf("element %d layer %d bias", e, l), layer.B); err != nil {
 				return err
 			}
+		}
+	}
+	// Normalisation divides by every std; training clamps a degenerate
+	// one to 1, so zero or negative can only mean corruption.
+	for c, sd := range p.FeatStd {
+		if !(sd > 0) {
+			return fmt.Errorf("nnp: feature std of channel %d (element %d, (p,q) set %d) is %v, want > 0",
+				c, c/p.Desc.NDim(), c%p.Desc.NDim(), sd)
 		}
 	}
 	return nil

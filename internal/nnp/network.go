@@ -70,21 +70,12 @@ func (n *Network) FlopsPerSample() int {
 	return f
 }
 
-// Forward evaluates the network on a batch (rows = samples).
+// Forward evaluates the network on a batch (rows = samples): the block
+// forward over all rows, so every output bit is the hop kernel's.
 func (n *Network) Forward(x Matrix) Matrix {
-	if x.Cols != n.InputDim() {
-		panic(fmt.Sprintf("nnp: forward input width %d, want %d", x.Cols, n.InputDim()))
-	}
-	cur := x
-	for _, l := range n.Layers {
-		cur = MatMul(cur, l.W)
-		if l.Relu {
-			AddBiasRelu(cur, l.B)
-		} else {
-			AddBias(cur, l.B)
-		}
-	}
-	return cur
+	out := NewMatrix(x.Rows, n.OutputDim())
+	n.ForwardBlockInto(x, out, 0, x.Rows, &BlockScratch{})
+	return out
 }
 
 // Tape stores the intermediate activations of a forward pass needed by
@@ -93,7 +84,8 @@ type Tape struct {
 	acts []Matrix
 }
 
-// ForwardTape evaluates the network, recording activations.
+// ForwardTape evaluates the network, recording activations. Each layer
+// runs gemmBlock, so the output equals Forward's in every bit.
 func (n *Network) ForwardTape(x Matrix) (Matrix, *Tape) {
 	if x.Cols != n.InputDim() {
 		panic("nnp: forward input width mismatch")
@@ -102,12 +94,9 @@ func (n *Network) ForwardTape(x Matrix) (Matrix, *Tape) {
 	tape.acts = append(tape.acts, x)
 	cur := x
 	for _, l := range n.Layers {
-		cur = MatMul(cur, l.W)
-		if l.Relu {
-			AddBiasRelu(cur, l.B)
-		} else {
-			AddBias(cur, l.B)
-		}
+		next := NewMatrix(x.Rows, l.W.Cols)
+		gemmBlock(next.Data, cur.Data, x.Rows, l.W.Rows, l.W.Cols, l.W.Data, l.B, l.Relu)
+		cur = next
 		tape.acts = append(tape.acts, cur)
 	}
 	return cur, tape
@@ -124,24 +113,13 @@ type LayerGrad struct {
 // parameter gradients.
 func (n *Network) Backward(tape *Tape, outGrad Matrix) (Matrix, []LayerGrad) {
 	grads := make([]LayerGrad, len(n.Layers))
-	delta := outGrad
+	delta := outGrad.Clone() // gated in place; the caller's stays intact
 	for l := len(n.Layers) - 1; l >= 0; l-- {
 		layer := n.Layers[l]
-		out := tape.acts[l+1]
-		in := tape.acts[l]
 		if layer.Relu {
-			// ReLU gate: zero the gradient wherever the activation
-			// clipped. Mutating a clone keeps the caller's outGrad
-			// intact.
-			gated := delta.Clone()
-			for i := range gated.Data {
-				if out.Data[i] <= 0 {
-					gated.Data[i] = 0
-				}
-			}
-			delta = gated
+			gateRelu(delta, tape.acts[l+1])
 		}
-		g := LayerGrad{W: MatMulATB(in, delta), B: make([]float64, len(layer.B))}
+		g := LayerGrad{W: product(tape.acts[l].transpose(), delta), B: make([]float64, len(layer.B))}
 		for i := 0; i < delta.Rows; i++ {
 			r := delta.Row(i)
 			for j, v := range r {
@@ -149,11 +127,7 @@ func (n *Network) Backward(tape *Tape, outGrad Matrix) (Matrix, []LayerGrad) {
 			}
 		}
 		grads[l] = g
-		if l > 0 {
-			delta = MatMulABT(delta, layer.W)
-		} else {
-			delta = MatMulABT(delta, layer.W) // input gradient
-		}
+		delta = product(delta, layer.W.transpose())
 	}
 	return delta, grads
 }
@@ -175,17 +149,10 @@ func (n *Network) EnergyGradients(tape *Tape) (inGrad Matrix, preacts []Matrix) 
 	for l := len(n.Layers) - 1; l >= 0; l-- {
 		layer := n.Layers[l]
 		if layer.Relu {
-			out := tape.acts[l+1]
-			gated := delta.Clone()
-			for i := range gated.Data {
-				if out.Data[i] <= 0 {
-					gated.Data[i] = 0
-				}
-			}
-			delta = gated
+			gateRelu(delta, tape.acts[l+1])
 		}
 		preacts[l] = delta
-		delta = MatMulABT(delta, layer.W)
+		delta = product(delta, layer.W.transpose())
 	}
 	return delta, preacts
 }
@@ -205,20 +172,24 @@ func (n *Network) DoubleBackward(tape *Tape, preacts []Matrix, u Matrix) []Layer
 	grads := make([]LayerGrad, len(n.Layers))
 	v := u
 	for l, layer := range n.Layers {
-		grads[l] = LayerGrad{W: MatMulATB(v, preacts[l]), B: make([]float64, len(layer.B))}
+		grads[l] = LayerGrad{W: product(v.transpose(), preacts[l]), B: make([]float64, len(layer.B))}
 		if l == len(n.Layers)-1 {
 			break
 		}
-		next := MatMul(v, layer.W)
+		v = product(v, layer.W)
 		if layer.Relu {
-			out := tape.acts[l+1]
-			for i := range next.Data {
-				if out.Data[i] <= 0 {
-					next.Data[i] = 0
-				}
-			}
+			gateRelu(v, tape.acts[l+1])
 		}
-		v = next
 	}
 	return grads
+}
+
+// gateRelu zeroes, in place, every entry of g where the layer output out
+// was clipped: a ReLU passes no gradient there.
+func gateRelu(g, out Matrix) {
+	for i := range g.Data {
+		if out.Data[i] <= 0 {
+			g.Data[i] = 0
+		}
+	}
 }

@@ -2,7 +2,10 @@ package nnp
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -13,79 +16,79 @@ import (
 	"tensorkmc/internal/units"
 )
 
-func TestMatMulSmall(t *testing.T) {
-	a := Matrix{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
-	b := Matrix{Rows: 3, Cols: 2, Data: []float64{7, 8, 9, 10, 11, 12}}
-	c := MatMul(a, b)
-	want := []float64{58, 64, 139, 154}
-	for i, v := range want {
-		if c.Data[i] != v {
-			t.Fatalf("MatMul[%d] = %v, want %v", i, c.Data[i], v)
-		}
-	}
-}
-
-func TestMatMulVariantsAgree(t *testing.T) {
+// TestTransposedProductsMatchLoops: the two products backpropagation
+// forms through an explicit transpose, Xᵀ·δ (weight gradients) and δ·Wᵀ
+// (input gradients), equal in every bit a plain loop that sums the
+// products in ascending order over the batch index and over the shared
+// index. The shapes run the AVX2 quads (widths that are multiples of four,
+// or 1) and the pure-Go rows; a third of the entries are ±0 so the
+// zero-skip runs.
+func TestTransposedProductsMatchLoops(t *testing.T) {
 	r := rng.New(1)
-	a := NewMatrix(5, 7)
-	b := NewMatrix(5, 4)
-	for i := range a.Data {
-		a.Data[i] = r.NormFloat64()
+	fill := func(m Matrix) Matrix {
+		for i := range m.Data {
+			switch r.Intn(6) {
+			case 0:
+				m.Data[i] = 0
+			case 1:
+				m.Data[i] = math.Copysign(0, -1)
+			default:
+				m.Data[i] = r.NormFloat64()
+			}
+		}
+		return m
 	}
-	for i := range b.Data {
-		b.Data[i] = r.NormFloat64()
-	}
-	// ATB: (7x5)·(5x4) = Aᵀ·B.
-	atb := MatMulATB(a, b)
-	at := NewMatrix(7, 5)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 7; j++ {
-			at.Set(j, i, a.At(i, j))
+	same := func(what string, got Matrix, want func(i, j int) float64) {
+		t.Helper()
+		for i := 0; i < got.Rows; i++ {
+			for j := 0; j < got.Cols; j++ {
+				if g, w := got.Data[i*got.Cols+j], want(i, j); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s %dx%d [%d][%d] = %#x, loop %#x", what, got.Rows, got.Cols, i, j, math.Float64bits(g), math.Float64bits(w))
+				}
+			}
 		}
 	}
-	ref := MatMul(at, b)
-	for i := range ref.Data {
-		if math.Abs(atb.Data[i]-ref.Data[i]) > 1e-12 {
-			t.Fatal("MatMulATB disagrees with explicit transpose")
-		}
-	}
-	// ABT: A(5x7)·Bᵀ where B2 is (4x7).
-	b2 := NewMatrix(4, 7)
-	for i := range b2.Data {
-		b2.Data[i] = r.NormFloat64()
-	}
-	abt := MatMulABT(a, b2)
-	b2t := NewMatrix(7, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 7; j++ {
-			b2t.Set(j, i, b2.At(i, j))
-		}
-	}
-	ref2 := MatMul(a, b2t)
-	for i := range ref2.Data {
-		if math.Abs(abt.Data[i]-ref2.Data[i]) > 1e-12 {
-			t.Fatal("MatMulABT disagrees with explicit transpose")
-		}
+	for _, sh := range [][3]int{{5, 7, 4}, {9, 8, 1}, {13, 16, 12}, {6, 3, 5}, {1, 4, 8}} {
+		batch, in, out := sh[0], sh[1], sh[2]
+		x, delta := fill(NewMatrix(batch, in)), fill(NewMatrix(batch, out))
+		same("Xᵀ·δ", product(x.transpose(), delta), func(k, j int) float64 {
+			var s float64
+			for i := 0; i < batch; i++ {
+				s += float64(x.At(i, k) * delta.At(i, j))
+			}
+			return s
+		})
+		w := fill(NewMatrix(in, out))
+		same("δ·Wᵀ", product(delta, w.transpose()), func(i, k int) float64 {
+			var s float64
+			for j := 0; j < out; j++ {
+				s += float64(delta.At(i, j) * w.At(k, j))
+			}
+			return s
+		})
 	}
 }
 
-func TestMatMulShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shape mismatch did not panic")
-		}
-	}()
-	MatMul(NewMatrix(2, 3), NewMatrix(4, 2))
-}
-
-func TestAddBiasRelu(t *testing.T) {
-	m := Matrix{Rows: 2, Cols: 2, Data: []float64{-1, 2, 0.5, -3}}
-	AddBiasRelu(m, []float64{0.5, 1})
-	want := []float64{0, 3, 1, 0}
-	for i, v := range want {
-		if m.Data[i] != v {
-			t.Fatalf("AddBiasRelu[%d] = %v, want %v", i, m.Data[i], v)
-		}
+// TestShapePanics: a product of mismatched shapes, a forward pass of the
+// wrong input width and a co-gradient of the wrong shape panic instead of
+// reading past a row.
+func TestShapePanics(t *testing.T) {
+	n := NewNetwork([]int{3, 4, 1}, rng.New(2))
+	_, tape := n.ForwardTape(NewMatrix(2, 3))
+	for name, f := range map[string]func(){
+		"product":        func() { product(NewMatrix(2, 3), NewMatrix(4, 2)) },
+		"Forward":        func() { n.Forward(NewMatrix(2, 5)) },
+		"ForwardTape":    func() { n.ForwardTape(NewMatrix(2, 5)) },
+		"DoubleBackward": func() { n.DoubleBackward(tape, nil, NewMatrix(3, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: shape mismatch did not panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 
@@ -412,7 +415,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 // TestLoadRejectsNonFinite: a NaN or ±Inf in any parameter field fails
 // Load with an error naming the field, instead of loading cleanly and
-// panicking at the first hop.
+// panicking at the first hop. The files are written by encode, since
+// Save refuses them.
 func TestLoadRejectsNonFinite(t *testing.T) {
 	fields := map[string]func(p *Potential, v float64){
 		"weight":           func(p *Potential, v float64) { p.Nets[lattice.Cu].Layers[1].W.Data[3] = v },
@@ -432,7 +436,7 @@ func TestLoadRejectsNonFinite(t *testing.T) {
 	}
 	roundTrip := func(pot *Potential) error {
 		var buf bytes.Buffer
-		if err := pot.Save(&buf); err != nil {
+		if err := pot.encode(&buf); err != nil {
 			t.Fatal(err)
 		}
 		_, err := Load(&buf)
@@ -452,9 +456,33 @@ func TestLoadRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestSaveRejectsNonFinite: Save refuses a potential that Load would
+// refuse, so no writer leaves a file a deck cannot use. A NaN weight is
+// named in the error, nothing reaches the writer, and SaveFile leaves no
+// file behind.
+func TestSaveRejectsNonFinite(t *testing.T) {
+	pot, _, _ := stdPotential([]int{64, 8, 1}, 23)
+	pot.Nets[lattice.Fe].Layers[0].W.Data[0] = math.NaN()
+	var buf bytes.Buffer
+	if err := pot.Save(&buf); err == nil || !strings.Contains(err.Error(), "element 0 layer 0 weight[0]") {
+		t.Fatalf("Save error %v, want one naming element 0 layer 0 weight[0]", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("Save wrote %d bytes of a refused potential", buf.Len())
+	}
+	path := filepath.Join(t.TempDir(), "nan.pot")
+	if err := pot.SaveFile(path); err == nil {
+		t.Fatal("SaveFile accepted a NaN weight")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("SaveFile left %s behind (stat error %v)", path, err)
+	}
+}
+
 // TestLoadRejectsNonPositiveStd: a zero, negative or negative-zero feature
 // std fails Load with an error naming the channel, instead of loading
-// cleanly and tripping the first hop's CorruptionError.
+// cleanly and tripping the first hop's CorruptionError. Save refuses such
+// a potential, so encode writes the file.
 func TestLoadRejectsNonPositiveStd(t *testing.T) {
 	for _, v := range []float64{0, math.Copysign(0, -1), -1, -math.SmallestNonzeroFloat64} {
 		pot, _, _ := stdPotential([]int{64, 8, 1}, 22)
@@ -464,8 +492,11 @@ func TestLoadRejectsNonPositiveStd(t *testing.T) {
 			pot.FeatStd[i] = 1
 		}
 		pot.FeatStd[37] = v
+		if err := pot.Save(io.Discard); err == nil {
+			t.Fatalf("std %v: Save accepted it", v)
+		}
 		var buf bytes.Buffer
-		if err := pot.Save(&buf); err != nil {
+		if err := pot.encode(&buf); err != nil {
 			t.Fatal(err)
 		}
 		_, err := Load(&buf)

@@ -111,7 +111,7 @@ func (dt *derivTable) row(r float64, out []float64) {
 	lo := dt.rows[b*dt.nd : (b+1)*dt.nd]
 	hi := dt.rows[(b+1)*dt.nd : (b+2)*dt.nd]
 	for c := 0; c < dt.nd; c++ {
-		out[c] = lo[c] + frac*(hi[c]-lo[c])
+		out[c] = lo[c] + float64(frac*(hi[c]-lo[c]))
 	}
 }
 
@@ -123,11 +123,8 @@ func Fit(structs []dataset.Structure, desc *feature.Descriptor, opt Options) (*n
 	if opt.Sizes == nil {
 		opt.Sizes = nnp.StandardSizes
 	}
-	if opt.Epochs <= 0 || opt.BatchStructures <= 0 || opt.LR <= 0 {
-		return nil, fmt.Errorf("train: invalid options %+v", opt)
-	}
-	if opt.ForceWeight < 0 {
-		return nil, fmt.Errorf("train: negative force weight")
+	if err := opt.validate(desc.Dim()); err != nil {
+		return nil, err
 	}
 	r := rng.New(opt.Seed)
 	pot := nnp.NewPotential(desc, opt.Sizes, r)
@@ -166,7 +163,7 @@ func Fit(structs []dataset.Structure, desc *feature.Descriptor, opt Options) (*n
 	for epoch := 0; epoch < opt.Epochs; epoch++ {
 		if opt.CosineDecay {
 			frac := float64(epoch) / float64(opt.Epochs)
-			lr := opt.LR * (0.1 + 0.45*(1+math.Cos(math.Pi*frac)))
+			lr := opt.LR * (0.1 + float64(0.45*(1+math.Cos(math.Pi*frac))))
 			for e := range opts {
 				opts[e].LR = lr
 			}
@@ -190,19 +187,52 @@ func Fit(structs []dataset.Structure, desc *feature.Descriptor, opt Options) (*n
 	return pot, nil
 }
 
+// validate refuses options Fit cannot train with, naming the bad value,
+// before any network is built: the nnp constructors panic on a bad size,
+// and a non-finite rate or weight trains a potential Load refuses. NaN
+// fails every ordered comparison, so each test is written to fail on it.
+func (opt Options) validate(dim int) error {
+	switch {
+	case opt.Epochs <= 0:
+		return fmt.Errorf("train: %d epochs, want > 0", opt.Epochs)
+	case opt.BatchStructures <= 0:
+		return fmt.Errorf("train: %d structures per batch, want > 0", opt.BatchStructures)
+	case !(opt.LR > 0) || math.IsInf(opt.LR, 1):
+		return fmt.Errorf("train: learning rate %v, want finite and > 0", opt.LR)
+	case !(opt.WeightDecay >= 0) || math.IsInf(opt.WeightDecay, 1):
+		return fmt.Errorf("train: weight decay %v, want finite and >= 0", opt.WeightDecay)
+	case !(opt.ForceWeight >= 0) || math.IsInf(opt.ForceWeight, 1):
+		return fmt.Errorf("train: force weight %v, want finite and >= 0", opt.ForceWeight)
+	case len(opt.Sizes) < 2:
+		return fmt.Errorf("train: layer sizes %v, want at least an input and an output", opt.Sizes)
+	}
+	for _, s := range opt.Sizes {
+		if s <= 0 {
+			return fmt.Errorf("train: layer size %d in %v, want > 0", s, opt.Sizes)
+		}
+	}
+	if opt.Sizes[0] != dim {
+		return fmt.Errorf("train: input size %d, want the descriptor dimension %d", opt.Sizes[0], dim)
+	}
+	if out := opt.Sizes[len(opt.Sizes)-1]; out != 1 {
+		return fmt.Errorf("train: output size %d, want one output (the atomic energy)", out)
+	}
+	return nil
+}
+
 // fitReferences solves the 2×2 normal equations of E ≈ n_Fe·x + n_Cu·y.
 func fitReferences(structs []dataset.Structure) (eFe, eCu float64) {
 	var a11, a12, a22, b1, b2 float64
 	for i := range structs {
 		n := structs[i].CountElements()
 		nf, nc := float64(n[lattice.Fe]), float64(n[lattice.Cu])
-		a11 += nf * nf
-		a12 += nf * nc
-		a22 += nc * nc
-		b1 += nf * structs[i].Energy
-		b2 += nc * structs[i].Energy
+		a11 += float64(nf * nf)
+		a12 += float64(nf * nc)
+		a22 += float64(nc * nc)
+		b1 += float64(nf * structs[i].Energy)
+		b2 += float64(nc * structs[i].Energy)
 	}
-	det := a11*a22 - a12*a12
+	det := float64(a11*a22) - float64(a12*a12)
 	if math.Abs(det) < 1e-12 {
 		// Degenerate (e.g. single-element dataset): fall back to mean
 		// per-atom energy for both elements.
@@ -216,7 +246,7 @@ func fitReferences(structs []dataset.Structure) (eFe, eCu float64) {
 		}
 		return e / n, e / n
 	}
-	return (b1*a22 - b2*a12) / det, (a11*b2 - a12*b1) / det
+	return (float64(b1*a22) - float64(b2*a12)) / det, (float64(a11*b2) - float64(a12*b1)) / det
 }
 
 func precompute(structs []dataset.Structure, desc *feature.Descriptor, eref [lattice.NumElements]float64, withPairs bool) *precomputed {
@@ -229,8 +259,8 @@ func precompute(structs []dataset.Structure, desc *feature.Descriptor, eref [lat
 		feats := desc.ComputeStructure(s.Pos, s.Spec, s.Cell)
 		pre.feats = append(pre.feats, feats...)
 		n := s.CountElements()
-		pre.target = append(pre.target,
-			s.Energy-float64(n[lattice.Fe])*eref[lattice.Fe]-float64(n[lattice.Cu])*eref[lattice.Cu])
+		nFe, nCu := float64(n[lattice.Fe]), float64(n[lattice.Cu])
+		pre.target = append(pre.target, s.Energy-float64(nFe*eref[lattice.Fe])-float64(nCu*eref[lattice.Cu]))
 		if withPairs {
 			pre.pairs = append(pre.pairs, desc.Pairs(s.Pos, s.Cell))
 		}
@@ -259,7 +289,7 @@ func channelStats(feats [][]float64, dim int) (mean, std []float64) {
 	for _, f := range feats {
 		for c, v := range f {
 			d := v - mean[c]
-			std[c] += d * d
+			std[c] += float64(d * d)
 		}
 	}
 	for c := range std {
@@ -420,11 +450,11 @@ func (tr *trainer) accumulateForceCograds(batch []int) {
 			gJ := tr.gRaw[off+p.J]
 			var dEdr float64
 			for c := 0; c < nd; c++ {
-				dEdr += gI[baseI+c]*der[c] + gJ[baseJ+c]*der[c]
+				dEdr += float64(gI[baseI+c]*der[c]) + float64(gJ[baseJ+c]*der[c])
 			}
 			for ax := 0; ax < 3; ax++ {
-				forces[p.I][ax] -= dEdr * p.Unit[ax]
-				forces[p.J][ax] += dEdr * p.Unit[ax]
+				forces[p.I][ax] -= float64(dEdr * p.Unit[ax])
+				forces[p.J][ax] += float64(dEdr * p.Unit[ax])
 			}
 		}
 		// Co-gradients: ∂loss/∂dEdr per pair, pushed onto both atoms'
@@ -438,15 +468,15 @@ func (tr *trainer) accumulateForceCograds(batch []int) {
 			for ax := 0; ax < 3; ax++ {
 				dI := forces[p.I][ax] - s.Forces[p.I][ax]
 				dJ := forces[p.J][ax] - s.Forces[p.J][ax]
-				dLddEdr += 2 * scale * (dJ - dI) * p.Unit[ax]
+				dLddEdr += float64(2 * scale * (dJ - dI) * p.Unit[ax])
 			}
 			baseI := int(s.Spec[p.J]) * nd
 			baseJ := int(s.Spec[p.I]) * nd
 			uI := tr.uRaw[off+p.I]
 			uJ := tr.uRaw[off+p.J]
 			for c := 0; c < nd; c++ {
-				uI[baseI+c] += dLddEdr * der[c]
-				uJ[baseJ+c] += dLddEdr * der[c]
+				uI[baseI+c] += float64(dLddEdr * der[c])
+				uJ[baseJ+c] += float64(dLddEdr * der[c])
 			}
 		}
 	}
