@@ -40,39 +40,62 @@ import (
 	"tensorkmc/internal/telemetry"
 )
 
-func main() {
-	if len(os.Args) > 1 && len(os.Args[1]) > 0 && os.Args[1][0] != '-' {
-		switch os.Args[1] {
+func main() { os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// realMain is the testable entry point. It returns the exit status: 0
+// done, 1 runtime failure, 2 usage error.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 && len(args[0]) > 0 && args[0][0] != '-' {
+		var err error
+		switch args[0] {
 		case "replay":
-			if err := runReplay(os.Stdout, os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "tkmc-analyze:", err)
-				os.Exit(1)
-			}
+			err = runReplay(stdout, args[1:])
 		case "trace":
-			if err := runTrace(os.Stdout, os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "tkmc-analyze:", err)
-				os.Exit(1)
-			}
+			err = runTrace(stdout, args[1:])
 		default:
-			fmt.Fprintf(os.Stderr, "tkmc-analyze: unknown subcommand %q\n", os.Args[1])
-			usage(os.Stderr)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "tkmc-analyze: unknown subcommand %q\n", args[0])
+			usage(stderr)
+			return 2
 		}
-		return
+		if err != nil {
+			fmt.Fprintln(stderr, "tkmc-analyze:", err)
+			return 1
+		}
+		return 0
 	}
-	boxPath := flag.String("box", "", "box snapshot path (required)")
-	shells := flag.Int("shells", 2, "cluster adjacency: 1 = 1NN, 2 = 1NN+2NN")
-	xyz := flag.String("xyz", "", "write an extended-XYZ export here")
-	fullXYZ := flag.Bool("full-xyz", false, "export all atoms, not just solutes/vacancies")
-	flag.Parse()
+	fs := flag.NewFlagSet("tkmc-analyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	boxPath := fs.String("box", "", "box snapshot path (required)")
+	shells := fs.Int("shells", 2, "cluster adjacency: 1 = 1NN, 2 = 1NN+2NN")
+	xyz := fs.String("xyz", "", "write an extended-XYZ export here")
+	fullXYZ := fs.Bool("full-xyz", false, "export all atoms, not just solutes/vacancies")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *boxPath == "" {
-		usage(os.Stderr)
-		os.Exit(2)
+		usage(stderr)
+		return 2
 	}
-	if err := run(os.Stdout, *boxPath, *shells, *xyz, *fullXYZ); err != nil {
-		fmt.Fprintln(os.Stderr, "tkmc-analyze:", err)
-		os.Exit(1)
+	if err := checkShells(*shells); err != nil {
+		fmt.Fprintln(stderr, "tkmc-analyze:", err)
+		return 2
 	}
+	if err := run(stdout, *boxPath, *shells, *xyz, *fullXYZ); err != nil {
+		fmt.Fprintln(stderr, "tkmc-analyze:", err)
+		return 1
+	}
+	return 0
+}
+
+// checkShells refuses a cluster adjacency cluster.Analyze does not
+// define, before any input is read.
+func checkShells(n int) error {
+	if n != 1 && n != 2 {
+		return fmt.Errorf("-shells wants 1 (1NN) or 2 (1NN+2NN), got %d", n)
+	}
+	return nil
 }
 
 // usage lists every invocation form, so a typo'd subcommand tells the
@@ -115,6 +138,9 @@ func runReplay(w io.Writer, args []string) error {
 	fs.Parse(args)
 	if *logPath == "" || *toHop < 0 {
 		return fmt.Errorf("replay needs -log <trajectory> and -to-hop N")
+	}
+	if err := checkShells(*shells); err != nil {
+		return err
 	}
 
 	var ck *core.Checkpoint

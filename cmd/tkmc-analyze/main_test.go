@@ -109,3 +109,35 @@ func TestReplaySubcommand(t *testing.T) {
 		t.Fatal("replay past the end of the log succeeded")
 	}
 }
+
+// TestShellsRefusedBeforeWork: a -shells value cluster.Analyze does not
+// define is refused, naming the flag, before any input is read. The box
+// form exits 2 with nothing on stdout; the replay form fails before it
+// opens the log.
+func TestShellsRefusedBeforeWork(t *testing.T) {
+	dir := t.TempDir()
+	box := lattice.NewBox(6, 6, 6, 2.87)
+	lattice.FillRandomAlloy(box, 0.05, 0.002, rng.New(1))
+	snap := filepath.Join(dir, "state.box")
+	if err := fault.WriteFileAtomic(snap, false, box.Save); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []string{"0", "3", "-1"} {
+		var stdout, stderr strings.Builder
+		if code := realMain([]string{"-box", snap, "-shells", n}, &stdout, &stderr); code != 2 {
+			t.Errorf("-box -shells %s: exit %d, want 2", n, code)
+		}
+		if stdout.Len() != 0 || !strings.Contains(stderr.String(), "-shells") {
+			t.Errorf("-box -shells %s: stdout %q, stderr %q", n, stdout.String(), stderr.String())
+		}
+		err := runReplay(&strings.Builder{}, []string{"-log", filepath.Join(dir, "absent.tkmctrj"), "-to-hop", "1", "-shells", n})
+		if err == nil || !strings.Contains(err.Error(), "-shells") {
+			t.Errorf("replay -shells %s: err = %v", n, err)
+		}
+	}
+	var stdout strings.Builder
+	if code := realMain([]string{"-box", snap, "-shells", "1"}, &stdout, &strings.Builder{}); code != 0 ||
+		!strings.Contains(stdout.String(), "clusters (1NN adjacency)") {
+		t.Fatalf("-shells 1: exit %d, output %q", code, stdout.String())
+	}
+}

@@ -12,7 +12,6 @@
 //	         [-max-running N] [-max-queued N]
 //	         [-tenant-running N] [-tenant-queued N]
 //	         [-snapshot-every N] [-drain-timeout seconds]
-//	         [-fleet-metrics host:port]... [-federate-every seconds]
 //	         [-event-log path]
 //
 // API (on -addr):
@@ -23,7 +22,6 @@
 //	DELETE /jobs/{id}        cancel at the next segment boundary
 //	GET    /jobs/{id}/events live SSE stream of the job's flight recorder
 //	GET    /metrics          cluster view: controller + running jobs (job label)
-//	                         + federated fleet nodes (node label)
 //	GET    /healthz          liveness (always 200 while the process runs)
 //	GET    /readyz           readiness (503 once draining)
 //
@@ -43,9 +41,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -58,17 +56,6 @@ const (
 	exitRuntime = 1
 	exitUsage   = 2
 )
-
-// sliceFlag collects a repeatable string flag.
-type sliceFlag []string
-
-func (s *sliceFlag) String() string { return strings.Join(*s, ",") }
-
-// Set appends one occurrence.
-func (s *sliceFlag) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
 
 func main() {
 	sig := make(chan os.Signal, 1)
@@ -89,15 +76,19 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 	tenantQueued := fs.Int("tenant-queued", 0, "per-tenant in-flight quota before 429 shedding (0 = max-queued)")
 	snapshotEvery := fs.Int("snapshot-every", 0, "WAL records between snapshot compactions (0 = default 64)")
 	drainSecs := fs.Float64("drain-timeout", 60, "max seconds to wait for running jobs to checkpoint on drain")
-	var fleetMetrics sliceFlag
-	fs.Var(&fleetMetrics, "fleet-metrics", "fleet node telemetry endpoint to federate into cluster /metrics (host:port or URL; repeatable)")
-	federateSecs := fs.Float64("federate-every", 0, "seconds between federation pulls (0 = default 15)")
 	eventLog := fs.String("event-log", "", "flush the controller's flight-recorder journal (including job trace spans) as JSONL to this path on exit")
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
 	if *dataDir == "" {
 		fmt.Fprintln(stderr, "tkmc-ctl: -data is required")
+		return exitUsage
+	}
+	// A NaN, non-positive or overflowing timeout would report "drain
+	// timed out" at once, while jobs are still checkpointing.
+	drainTimeout := *drainSecs * float64(time.Second)
+	if !(drainTimeout > 0 && drainTimeout < math.MaxInt64) {
+		fmt.Fprintf(stderr, "tkmc-ctl: -drain-timeout wants a finite number of seconds above zero, got %v\n", *drainSecs)
 		return exitUsage
 	}
 
@@ -117,8 +108,6 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 		TenantQueued:  *tenantQueued,
 		SnapshotEvery: *snapshotEvery,
 		Telemetry:     set,
-		FleetNodes:    fleetMetrics,
-		FederateEvery: time.Duration(*federateSecs * float64(time.Second)),
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "tkmc-ctl:", err)
@@ -148,7 +137,7 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 
 	<-sig
 	fmt.Fprintln(stdout, "tkmc-ctl: draining (running jobs checkpoint at their next segment boundary)")
-	if err := plane.Drain(time.Duration(*drainSecs * float64(time.Second))); err != nil {
+	if err := plane.Drain(time.Duration(drainTimeout)); err != nil {
 		fmt.Fprintln(stderr, "tkmc-ctl:", err)
 		return exitRuntime
 	}

@@ -124,3 +124,23 @@ checkpoint_every 1e-8
 		t.Fatalf("WAL missing after drain: %v", err)
 	}
 }
+
+// TestDrainTimeoutRefused: a drain timeout that is not a finite number
+// of seconds above zero, or that overflows a time.Duration, is a usage
+// error before the state directory is touched. A drain would otherwise
+// report a timeout at once while jobs are still checkpointing.
+func TestDrainTimeoutRefused(t *testing.T) {
+	for _, v := range []string{"NaN", "Inf", "0", "-5", "1e300"} {
+		dir := filepath.Join(t.TempDir(), "data")
+		sig := make(chan os.Signal, 1)
+		sig <- syscall.SIGTERM
+		var out bytes.Buffer
+		code := realMain([]string{"-addr", "127.0.0.1:0", "-data", dir, "-drain-timeout", v}, &out, &out, sig)
+		if code != exitUsage || !strings.Contains(out.String(), "-drain-timeout") {
+			t.Errorf("-drain-timeout %s: exit %d, output %q", v, code, out.String())
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("-drain-timeout %s: state directory touched (%v)", v, err)
+		}
+	}
+}

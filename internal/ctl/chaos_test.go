@@ -22,8 +22,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"tensorkmc/internal/core"
 )
 
 var (
@@ -241,7 +239,7 @@ func baselineCheckpoint(t *testing.T, deck string) ([]byte, JobRecord) {
 	if final.State != StateCompleted {
 		t.Fatalf("baseline: %s (%s)", final.State, final.Error)
 	}
-	ck, err := os.ReadFile(core.JobCheckpointPath(p.JobDir(rec.ID)))
+	ck, err := os.ReadFile(jobCheckpointPath(p.JobDir(rec.ID)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,7 +199,7 @@ func (p *Plane) finalizeEnsemble(parentID string) {
 			continue
 		}
 		res.Completed++
-		ck, err := core.LoadCheckpointOrBackup(core.JobCheckpointPath(p.JobDir(c.id)))
+		ck, err := core.LoadCheckpointOrBackup(jobCheckpointPath(p.JobDir(c.id)))
 		if err != nil {
 			p.set.Events().Record("ensemble-stats-failed", "replica %s: %v", c.id, err)
 			continue

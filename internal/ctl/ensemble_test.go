@@ -163,7 +163,7 @@ func TestEnsembleForkDiverges(t *testing.T) {
 		if lg.StartHops != forkHops {
 			t.Fatalf("replica %d log starts at hop %d, fork was at %d", i, lg.StartHops, forkHops)
 		}
-		cks[i-1], err = os.ReadFile(core.JobCheckpointPath(p.JobDir(c.ID)))
+		cks[i-1], err = os.ReadFile(jobCheckpointPath(p.JobDir(c.ID)))
 		if err != nil {
 			t.Fatal(err)
 		}

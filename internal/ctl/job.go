@@ -152,7 +152,7 @@ type job struct {
 	done    chan struct{} // closed when the runner has fully exited
 	journal *telemetry.Journal
 	// tele is the running job's private telemetry set, published by the
-	// runner for the cluster /metrics federation (nil while not running).
+	// runner for the cluster /metrics view (nil while not running).
 	tele *telemetry.Set
 
 	// finalizing guards ensemble aggregation: every child's exit kicks

@@ -2,11 +2,14 @@ package ctl
 
 import (
 	"bytes"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"tensorkmc/internal/cluster"
+	"tensorkmc/internal/core"
 	"tensorkmc/internal/telemetry"
 )
 
@@ -80,38 +83,12 @@ func TestJobUntracedByDefault(t *testing.T) {
 	}
 }
 
-// TestClusterMetricsFederation is the acceptance check for the cluster
-// /metrics view: fleet-node series arrive node-labelled (with the up
-// gauge), a running job's private registry arrives job-labelled, and
-// both leave the view when the node dies (gauge to 0, stale counters
-// kept) or the job completes.
-func TestClusterMetricsFederation(t *testing.T) {
-	// A fake fleet node: a telemetry set with one recognizable counter,
-	// served over the real /metrics.json endpoint.
-	nodeSet := telemetry.NewSet()
-	nodeSet.Reg().Counter(telemetry.MetricEvalBatches, "eval requests").Add(42)
-	srv, err := telemetry.Serve("127.0.0.1:0", telemetry.Handler(nodeSet, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	node := srv.Addr()
-
-	p := openTestPlane(t, Config{
-		Telemetry:     telemetry.NewSet(),
-		FleetNodes:    []string{node},
-		FederateEvery: time.Hour, // the test drives pulls explicitly
-	})
-	p.PullOnce()
-
-	out := clusterText(t, p)
-	nodeSeries := telemetry.MetricEvalBatches + `{node="` + node + `"} 42`
-	if !strings.Contains(out, nodeSeries) {
-		t.Fatalf("cluster metrics missing node-labelled series %q:\n%s", nodeSeries, out)
-	}
-	if !strings.Contains(out, telemetry.MetricFedNodeUp+`{node="`+node+`"} 1`) {
-		t.Fatalf("node-up gauge not 1 for a live node:\n%s", out)
-	}
+// TestClusterMetricsJobLabels is the acceptance check for the cluster
+// /metrics view: it holds the controller's own series, a running job's
+// private registry arrives job-labelled, and it leaves the view when the
+// job completes.
+func TestClusterMetricsJobLabels(t *testing.T) {
+	p := openTestPlane(t, Config{Telemetry: telemetry.NewSet()})
 
 	// A running job joins the view job-labelled. The deck runs long
 	// enough (many segments) for the poll below to catch it mid-flight.
@@ -130,23 +107,55 @@ func TestClusterMetricsFederation(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-
-	// Node dies: stale counters stay (cumulative; stale beats absent)
-	// but the up gauge drops.
-	srv.Close()
-	p.PullOnce()
-	out = clusterText(t, p)
-	if !strings.Contains(out, nodeSeries) {
-		t.Fatalf("dead node's last snapshot evicted instead of kept stale:\n%s", out)
-	}
-	if !strings.Contains(out, telemetry.MetricFedNodeUp+`{node="`+node+`"} 0`) {
-		t.Fatalf("node-up gauge not 0 for a dead node:\n%s", out)
+	if out := clusterText(t, p); !strings.Contains(out, telemetry.MetricCtlSubmitted+" 1") {
+		t.Fatalf("cluster metrics missing the controller's own series:\n%s", out)
 	}
 
 	// Job completes: its private registry leaves the cluster view.
 	waitJob(t, p, rec.ID, "completion", func(r JobRecord) bool { return r.State.Terminal() })
 	if out := clusterText(t, p); strings.Contains(out, jobLabel) {
-		t.Fatalf("completed job still federated:\n%s", out)
+		t.Fatalf("completed job still in the cluster view:\n%s", out)
+	}
+}
+
+// TestJobObservablePerSegment: a job of N committed segments journals N
+// observable events and runs N cluster scans, one per segment, and the
+// last event carries the final state's observables.
+func TestJobObservablePerSegment(t *testing.T) {
+	p := openTestPlane(t, Config{})
+	const segments = 5
+	j := &job{
+		rec:     JobRecord{ID: "job-direct", Deck: testDeck("alice", "normal", 12, segments*1e-8, 1e-8)},
+		journal: telemetry.NewJournal(0),
+		stop:    make(chan struct{}),
+	}
+	tEnd, hops, err := p.executeJob(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := j.tele.Trace().Phase(telemetry.PhaseAnalyze).Count(); n != segments {
+		t.Fatalf("%d segments ran %d cluster scans, want %d", segments, n, segments)
+	}
+	var obs []telemetry.Event
+	for _, e := range j.journal.Events() {
+		if e.Type == "observable" {
+			obs = append(obs, e)
+		}
+	}
+	if len(obs) != segments {
+		t.Fatalf("%d segments journalled %d observable events, want %d", segments, len(obs), segments)
+	}
+	ck, err := core.LoadCheckpointFile(jobCheckpointPath(p.JobDir(j.rec.ID)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Hops != hops || ck.Time != tEnd {
+		t.Fatalf("final checkpoint at t=%v hops=%d, run ended at t=%v hops=%d", ck.Time, ck.Hops, tEnd, hops)
+	}
+	a := cluster.Analyze(ck.Box, 2)
+	want := fmt.Sprintf(`{"hops":%d,"isolated":%d,"clusters":%d,"max_cluster":%d}`, hops, a.Isolated, a.Clusters, a.MaxSize)
+	if last := obs[segments-1]; last.Sim != tEnd || last.Msg != want {
+		t.Fatalf("last observable at t=%v %s, want t=%v %s", last.Sim, last.Msg, tEnd, want)
 	}
 }
 

@@ -40,14 +40,6 @@ type Config struct {
 	// Telemetry, if non-nil, receives the controller's tkmc_ctl_*
 	// metrics and its flight-recorder events; nil builds a private set.
 	Telemetry *telemetry.Set
-	// FleetNodes lists the telemetry endpoints of the evaluation fleet
-	// ("host:port" or full base URLs). The controller pulls each node's
-	// /metrics.json every FederateEvery and folds the results — plus
-	// every running job's private registry — into the cluster-level
-	// /metrics it serves, labelled by node and job.
-	FleetNodes []string
-	// FederateEvery is the federation pull interval (default 15s).
-	FederateEvery time.Duration
 }
 
 func (c *Config) applyDefaults() {
@@ -102,17 +94,6 @@ type Plane struct {
 	preemptions *telemetry.Counter
 	shed429     *telemetry.Counter
 	shed503     *telemetry.Counter
-
-	// Federation state: the last snapshot pulled from each fleet node
-	// (already node-labelled) and its reachability. Guarded by fedMu —
-	// not p.mu — so a slow node pull never blocks the scheduler.
-	fedMu         sync.Mutex
-	fedSnaps      map[string]telemetry.Snapshot
-	fedUp         map[string]bool
-	fedStop       chan struct{}
-	fedWG         sync.WaitGroup
-	fedPulls      *telemetry.Counter
-	fedPullErrors *telemetry.Counter
 }
 
 // Open recovers (or initialises) a controller from its state directory:
@@ -131,11 +112,7 @@ func Open(cfg Config) (*Plane, error) {
 	if set == nil {
 		set = telemetry.NewSet()
 	}
-	p := &Plane{
-		cfg: cfg, set: set, jobs: map[string]*job{},
-		fedSnaps: map[string]telemetry.Snapshot{},
-		fedUp:    map[string]bool{},
-	}
+	p := &Plane{cfg: cfg, set: set, jobs: map[string]*job{}}
 
 	snap, _, err := loadSnapshot(p.snapPath())
 	if err != nil {
@@ -210,9 +187,6 @@ func Open(cfg Config) (*Plane, error) {
 	}
 
 	p.bindMetrics()
-	if len(cfg.FleetNodes) > 0 {
-		p.startFederation()
-	}
 	p.mu.Lock()
 	p.schedule()
 	p.mu.Unlock()
@@ -243,24 +217,6 @@ func (p *Plane) bindMetrics() {
 		"Submissions shed by admission control, by status code.", "code", "429")
 	p.shed503 = reg.Counter(telemetry.MetricCtlShed,
 		"Submissions shed by admission control, by status code.", "code", "503")
-	if len(p.cfg.FleetNodes) > 0 {
-		p.fedPulls = reg.Counter(telemetry.MetricFedPulls,
-			"Federation pulls of fleet-node metric snapshots.")
-		p.fedPullErrors = reg.Counter(telemetry.MetricFedPullErrors,
-			"Failed federation pulls (node unreachable or malformed snapshot).")
-		for _, node := range p.cfg.FleetNodes {
-			node := node
-			reg.GaugeFunc(telemetry.MetricFedNodeUp,
-				"Whether the last federation pull from this fleet node succeeded.", func() float64 {
-					p.fedMu.Lock()
-					defer p.fedMu.Unlock()
-					if p.fedUp[node] {
-						return 1
-					}
-					return 0
-				}, "node", node)
-		}
-	}
 	for _, st := range States {
 		st := st
 		reg.GaugeFunc(telemetry.MetricCtlJobs, "Jobs by lifecycle state.", func() float64 {
@@ -639,10 +595,6 @@ func (p *Plane) Close() error {
 		return nil
 	}
 	p.closed = true
-	if p.fedStop != nil {
-		close(p.fedStop)
-		p.fedStop = nil
-	}
 	var waits []chan struct{}
 	for _, j := range p.jobs {
 		if j.rec.State == StateRunning {
@@ -654,7 +606,6 @@ func (p *Plane) Close() error {
 		}
 	}
 	p.mu.Unlock()
-	p.fedWG.Wait()
 	for _, done := range waits {
 		<-done
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"tensorkmc/internal/core"
 	"tensorkmc/internal/telemetry"
 )
 
@@ -93,7 +92,7 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	if final.Time <= 0 || final.Hops <= 0 {
 		t.Fatalf("no recorded progress: %+v", final)
 	}
-	ck := core.JobCheckpointPath(p.JobDir(rec.ID))
+	ck := jobCheckpointPath(p.JobDir(rec.ID))
 	if _, err := os.Stat(ck); err != nil {
 		t.Fatalf("job checkpoint missing: %v", err)
 	}
@@ -136,7 +135,7 @@ func TestQuotaPriorityScenario(t *testing.T) {
 	if baseFinal.State != StateCompleted {
 		t.Fatalf("baseline: %s (%s)", baseFinal.State, baseFinal.Error)
 	}
-	baseCk, err := os.ReadFile(core.JobCheckpointPath(base.JobDir(baseRec.ID)))
+	baseCk, err := os.ReadFile(jobCheckpointPath(base.JobDir(baseRec.ID)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +194,7 @@ func TestQuotaPriorityScenario(t *testing.T) {
 	if lowFinal.State != StateCompleted {
 		t.Fatalf("resumed low job: %s (%s)", lowFinal.State, lowFinal.Error)
 	}
-	gotCk, err := os.ReadFile(core.JobCheckpointPath(p.JobDir(low.ID)))
+	gotCk, err := os.ReadFile(jobCheckpointPath(p.JobDir(low.ID)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +451,7 @@ func TestDrainCheckpointsRunningJobs(t *testing.T) {
 	if drained.State != StatePreempted {
 		t.Fatalf("drained job state %s", drained.State)
 	}
-	if _, err := os.Stat(core.JobCheckpointPath(p.JobDir(rec.ID))); err != nil {
+	if _, err := os.Stat(jobCheckpointPath(p.JobDir(rec.ID))); err != nil {
 		t.Fatalf("drained job has no checkpoint: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package input
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzParseDeck throws arbitrary deck text at the parser: it must never
@@ -44,6 +45,10 @@ exchange_timeout 30
 	f.Add("CELLS 2 2 2\nDuration 1\n") // keys are case-insensitive
 	f.Add("cells\n")
 	f.Add(strings.Repeat("a", 300))
+	// Rejected: 1e-10 s truncates to 0 ns, and 9.3e9 s overflows a
+	// time.Duration; either would read as "no timeout".
+	f.Add("exchange_timeout 1e-10\ncells 1 1 1\nduration 1\n")
+	f.Add("eval_fleet 127.0.0.1:1\neval_timeout 9.3e9\ncells 1 1 1\nduration 1\n")
 
 	f.Fuzz(func(t *testing.T, text string) {
 		d, err := Parse(strings.NewReader(text))
@@ -62,8 +67,21 @@ exchange_timeout 30
 		if c := d.Config; c.LatticeConstant < 0 || c.Temperature < 0 || c.Cutoff < 0 || c.TStop < 0 {
 			t.Fatalf("accepted a negative lattice, temperature, cutoff or tstop: %v %v %v %v", c.LatticeConstant, c.Temperature, c.Cutoff, c.TStop)
 		}
-		if d.Config.ExchangeTimeout < 0 {
-			t.Fatalf("accepted negative exchange timeout %v", d.Config.ExchangeTimeout)
+		// A timeout is 0 only when its key is absent: a value that
+		// truncated to 0 or overflowed would read as "no timeout".
+		present := map[string]bool{}
+		for _, line := range strings.Split(text, "\n") {
+			line, _, _ = strings.Cut(line, "#")
+			if f := strings.Fields(line); len(f) > 0 {
+				present[strings.ToLower(f[0])] = true
+			}
+		}
+		for key, v := range map[string]time.Duration{
+			"exchange_timeout": d.Config.ExchangeTimeout, "eval_timeout": d.Config.EvalTimeout,
+		} {
+			if v < 0 || (v == 0) == present[key] {
+				t.Fatalf("accepted %s = %v: want 0 with the key absent, at least 1 ns with it present", key, v)
+			}
 		}
 		if d.CheckpointEvery > 0 && d.CheckpointFile == "" {
 			t.Fatal("accepted checkpoint_every without checkpoint")

@@ -386,16 +386,19 @@ func word(key string, args []string, dst *string) error {
 	return nil
 }
 
-// seconds parses a positive wall-clock interval given in seconds.
+// seconds parses a positive wall-clock interval given in seconds. It
+// must come to at least 1 ns and fit a time.Duration: a zero or an
+// overflowed Duration would read as "no timeout" downstream.
 func seconds(key string, args []string, dst *time.Duration) error {
 	var secs float64
 	if err := float1(key, args, &secs); err != nil {
 		return err
 	}
-	if secs <= 0 {
-		return fmt.Errorf("%s wants a positive wall-clock interval in seconds", key)
+	ns := secs * float64(time.Second)
+	if !(ns >= 1 && ns < math.MaxInt64) {
+		return fmt.Errorf("%s wants a wall-clock interval from 1e-9 to %.4g seconds", key, math.MaxInt64/float64(time.Second))
 	}
-	*dst = time.Duration(secs * float64(time.Second))
+	*dst = time.Duration(ns)
 	return nil
 }
 

@@ -94,6 +94,12 @@ func TestParseErrors(t *testing.T) {
 		"zero tstop":       {"cells 4 4 4\nduration 1\ntstop 0\n", "tstop"},
 		"neg temperature":  {"cells 4 4 4\nduration 1\ntemperature -5\n", "temperature"},
 		"neg lattice":      {"cells 4 4 4\nduration 1\nlattice -2.87\n", "lattice"},
+		"zero timeout":     {"cells 4 4 4\nduration 1\nexchange_timeout 0\n", "exchange_timeout"},
+		"sub-ns timeout":   {"cells 4 4 4\nduration 1\nexchange_timeout 1e-10\n", "exchange_timeout"},
+		"huge timeout":     {"cells 4 4 4\nduration 1\nexchange_timeout 1e10\n", "exchange_timeout"},
+		"overflow timeout": {"cells 4 4 4\nduration 1\nexchange_timeout 9.3e9\n", "exchange_timeout"},
+		"sub-ns eval":      {"cells 4 4 4\nduration 1\neval_timeout 1e-10\n", "eval_timeout"},
+		"huge eval":        {"cells 4 4 4\nduration 1\neval_timeout 1e10\n", "eval_timeout"},
 	}
 	for name, tc := range cases {
 		_, err := Parse(strings.NewReader(tc.deck))

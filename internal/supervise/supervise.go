@@ -66,11 +66,6 @@ type Config struct {
 	// the failure — e.g. folding a replacement node into the fabric by
 	// reviving a chaos-stalled rank.
 	OnFailure func(Failure)
-	// Control carries the control plane's stop/resume hooks: Stop is
-	// polled at segment boundaries (a firing stop checkpoints and
-	// returns an error wrapping core.ErrJobStopped), and OnSegment
-	// observes every committed segment. The zero value never stops.
-	Control core.JobControl
 }
 
 // The retry backoff for 0-based retry n is drawn uniformly from
@@ -258,22 +253,12 @@ func (s *Supervisor) Audit() error {
 // control-plane job recompute the identical segment schedule and
 // reproduce the uninterrupted trajectory bit for bit.
 // A target at or before the current clock commits nothing and returns
-// nil. A stop signal pending at entry returns before running.
+// nil.
 func (s *Supervisor) RunTo(target float64) error {
-	if s.cfg.Control.Stopped() {
-		return s.stopped()
-	}
 	if target <= s.lastTime {
 		return nil
 	}
 	return s.runSegment(target)
-}
-
-// stopped builds the typed clean-interruption error.
-func (s *Supervisor) stopped() error {
-	s.tele.journal.RecordSim("job-stopped", s.sim.Time(),
-		"stop signal honoured at segment boundary (segment %d committed)", s.segIndex)
-	return fmt.Errorf("supervise: %w", core.ErrJobStopped)
 }
 
 // runSegment advances the simulation to the absolute clock target,
@@ -291,13 +276,6 @@ func (s *Supervisor) runSegment(target float64) error {
 		if err == nil {
 			s.shadow = s.sim.Checkpoint()
 			s.lastTime = s.sim.Time()
-			if on := s.cfg.Control.OnSegment; on != nil {
-				a := s.sim.Analyze()
-				on(core.JobProgress{
-					Time: s.lastTime, Hops: s.sim.Hops(),
-					Isolated: a.Isolated, Clusters: a.Clusters, MaxCluster: a.MaxSize,
-				})
-			}
 			return nil
 		}
 

@@ -305,33 +305,24 @@ func TestSupervisorBackoffFollowsSeed(t *testing.T) {
 	}
 }
 
-// TestSupervisorOneClusterScanPerSegment: a committed segment scans the
-// box for Cu clusters once, for the OnSegment progress feed; the run
-// inside the segment does not scan.
-func TestSupervisorOneClusterScanPerSegment(t *testing.T) {
+// TestSupervisorSegmentRunsNoClusterScan: a committed segment scans
+// the box for Cu clusters nowhere — neither inside the run nor at the
+// commit. The observables feed belongs to whoever drives RunTo.
+func TestSupervisorSegmentRunsNoClusterScan(t *testing.T) {
 	set := telemetry.NewSet()
 	cfg := core.Config{Cells: [3]int{10, 10, 10}, CuFraction: 0.05, VacancyFraction: 0.002, Seed: 73, Telemetry: set}
-	var progress []core.JobProgress
-	sup, err := New(cfg, Config{Control: core.JobControl{
-		OnSegment: func(p core.JobProgress) { progress = append(progress, p) },
-	}})
+	sup, err := New(cfg, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := runSegments(sup, 1e-8, 3); err != nil {
 		t.Fatal(err)
 	}
-	if n := set.Trace().Phase(telemetry.PhaseAnalyze).Count(); n != 3 {
-		t.Fatalf("3 segments ran %d cluster scans, want 3", n)
+	if sup.Simulation().Hops() == 0 {
+		t.Fatal("3 segments executed no hop")
 	}
-	if len(progress) != 3 {
-		t.Fatalf("OnSegment saw %d segments, want 3", len(progress))
-	}
-	sim := sup.Simulation()
-	a, last := sim.Analyze(), progress[2]
-	if last.Time != sim.Time() || last.Hops != sim.Hops() || last.Isolated != a.Isolated ||
-		last.Clusters != a.Clusters || last.MaxCluster != a.MaxSize {
-		t.Fatalf("last progress %+v does not match the final state (t=%v hops=%d %+v)", last, sim.Time(), sim.Hops(), a)
+	if n := set.Trace().Phase(telemetry.PhaseAnalyze).Count(); n != 0 {
+		t.Fatalf("3 segments ran %d cluster scans, want 0", n)
 	}
 }
 

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -69,30 +68,6 @@ func Handler(s *Set, ready Readiness) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// FetchSnapshot pulls a registry snapshot from another process's
-// telemetry endpoint (its /metrics.json route). It is the federation
-// pull primitive: the control plane calls it against every fleet node
-// and merges the results into the cluster view.
-func FetchSnapshot(url string, timeout time.Duration) (Snapshot, error) {
-	cl := &http.Client{Timeout: timeout}
-	resp, err := cl.Get(url)
-	if err != nil {
-		return Snapshot{}, fmt.Errorf("telemetry: fetch %s: %w", url, err)
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return Snapshot{}, fmt.Errorf("telemetry: fetch %s: status %s", url, resp.Status)
-	}
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return Snapshot{}, fmt.Errorf("telemetry: fetch %s: decode: %w", url, err)
-	}
-	return snap, nil
 }
 
 // HTTPServer is a running telemetry endpoint.

@@ -428,10 +428,9 @@ func (s *Snapshot) Merge(o Snapshot) error {
 }
 
 // AddLabel prepends key="value" to every series in the snapshot. It is
-// the federation relabelling step: a node's snapshot gets its node
-// label (and a job's its job label) at pull time, so identically named
-// series from different origins stay distinct when merged into the
-// cluster view.
+// the relabelling step of a multi-origin view: each running job's
+// snapshot gets its job label, so identically named series from
+// different origins stay distinct when merged into the cluster view.
 func (s *Snapshot) AddLabel(key, value string) {
 	rendered := key + `="` + escapeLabel(value) + `"`
 	for fi := range s.Families {
@@ -450,8 +449,8 @@ func (s *Snapshot) AddLabel(key, value string) {
 // Sort orders families by name and each family's series by label set.
 // Merge appends unknown families and series in encounter order, so a
 // multi-origin merge is order-sensitive in its layout (never in its
-// values); sorting afterwards makes the federated snapshot
-// deterministic no matter which node answered first.
+// values); sorting afterwards makes the merged snapshot
+// deterministic whatever order the origins were merged in.
 func (s *Snapshot) Sort() {
 	sort.SliceStable(s.Families, func(i, j int) bool {
 		return s.Families[i].Name < s.Families[j].Name

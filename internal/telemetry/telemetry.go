@@ -87,9 +87,6 @@ const (
 	MetricCtlWALFsyncs     = "tkmc_ctl_wal_fsyncs_total"
 	MetricCtlWALSnapshots  = "tkmc_ctl_wal_snapshots_total"
 	MetricCtlWALFsyncSecs  = "tkmc_ctl_wal_fsync_seconds"
-	MetricFedPulls         = "tkmc_federation_pulls_total"
-	MetricFedPullErrors    = "tkmc_federation_pull_errors_total"
-	MetricFedNodeUp        = "tkmc_federation_node_up"
 )
 
 // Set bundles one run's telemetry: the metric registry, the span
