@@ -418,7 +418,7 @@ func TestStalledRankRecoveryFromCheckpoint(t *testing.T) {
 	}
 
 	// Rank 1 dies; the next segment must abort with a diagnostic.
-	chaos := mpi.NewChaos(5)
+	chaos := mpi.NewChaos()
 	chaos.StallRank(1)
 	s1.Cfg.Chaos = chaos
 	s1.Cfg.ExchangeTimeout = 100 * time.Millisecond

@@ -115,8 +115,8 @@ type Config struct {
 	// the sweep aborts with a diagnostic naming the stalled ranks
 	// instead of hanging. Zero means wait forever.
 	ExchangeTimeout time.Duration
-	// Chaos, if non-nil, is a fault interposer for the parallel
-	// message fabric (testing only).
+	// Chaos, if non-nil, holds ranks of the parallel rank fabric dead
+	// (testing only).
 	Chaos *mpi.Chaos
 
 	// Traj, if non-nil, records the run into an event-sourced TKMCTRJ1
@@ -132,7 +132,7 @@ type Config struct {
 	// Telemetry, if non-nil, instruments the whole stack: the engines
 	// bump tkmc_step_total and decompose the hot path into phase spans,
 	// the evaluation service exports its cache/batch counters, the
-	// message fabric counts per-rank traffic, and run/segment/checkpoint
+	// rank fabric counts per-rank traffic, and run/segment/checkpoint
 	// /analyze timings land in the span tree. Telemetry only reads the
 	// wall clock and bumps atomic counters — it never touches RNG
 	// streams or simulation state — so trajectories and checkpoints are
@@ -243,9 +243,11 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.Potential == NNP && cfg.Net.Desc.Rcut > cfg.Cutoff+1e-9 {
 		return nil, fmt.Errorf("core: potential cutoff %v exceeds table cutoff %v", cfg.Net.Desc.Rcut, cfg.Cutoff)
 	}
-	if cfg.parallel() {
-		r := cfg.Ranks
-		if r[0] <= 0 || r[1] <= 0 || r[2] <= 0 || cfg.Cells[0]%r[0] != 0 || cfg.Cells[1]%r[1] != 0 || cfg.Cells[2]%r[2] != 0 {
+	if r := cfg.Ranks; r != ([3]int{}) {
+		if r[0] <= 0 || r[1] <= 0 || r[2] <= 0 {
+			return nil, fmt.Errorf("core: ranks %d %d %d: every axis must be at least 1", r[0], r[1], r[2])
+		}
+		if cfg.Cells[0]%r[0] != 0 || cfg.Cells[1]%r[1] != 0 || cfg.Cells[2]%r[2] != 0 {
 			return nil, fmt.Errorf("core: ranks %d %d %d do not divide cells %d %d %d", r[0], r[1], r[2], cfg.Cells[0], cfg.Cells[1], cfg.Cells[2])
 		}
 	}

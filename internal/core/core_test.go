@@ -52,6 +52,9 @@ func TestNewValidation(t *testing.T) {
 		"cu NaN":           {with(func(c *Config) { c.CuFraction = nan }), "composition"},
 		"nnp w/o net":      {with(func(c *Config) { c.Potential = NNP }), "Net"},
 		"ranks 3":          {with(func(c *Config) { c.Ranks = [3]int{3, 1, 1} }), "ranks"},
+		"ranks 0 2 2":      {with(func(c *Config) { c.Ranks = [3]int{0, 2, 2} }), "ranks"},
+		"ranks -1 -1 1":    {with(func(c *Config) { c.Ranks = [3]int{-1, -1, 1} }), "ranks"},
+		"ranks 1 1 0":      {with(func(c *Config) { c.Ranks = [3]int{1, 1, 0} }), "ranks"},
 		"lattice < 0":      {with(func(c *Config) { c.LatticeConstant = -2.87 }), "lattice"},
 		"lattice NaN":      {with(func(c *Config) { c.LatticeConstant = nan }), "lattice"},
 		"cutoff < 0":       {with(func(c *Config) { c.Cutoff = -1 }), "cutoff"},

@@ -191,6 +191,9 @@ func (d *Deck) apply(key string, args []string) error {
 		if err != nil {
 			return err
 		}
+		if min(v[0], v[1], v[2]) <= 0 {
+			return fmt.Errorf("ranks must be positive on every axis, got %s", strings.Join(args, " "))
+		}
 		d.Config.Ranks = [3]int{v[0], v[1], v[2]}
 	case "lattice":
 		return positive(key, args, &d.Config.LatticeConstant)

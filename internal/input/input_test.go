@@ -77,6 +77,8 @@ func TestParseErrors(t *testing.T) {
 		"bad cells":        {"cells 4 x 4\nduration 1\n", "cells"},
 		"short cells":      {"cells 4 4\nduration 1\n", "cells"},
 		"bad ranks":        {"cells 4 4 4\nduration 1\nranks 2 1 y\n", "ranks"},
+		"zero ranks":       {"cells 4 4 4\nduration 1\nranks 0 2 2\n", "ranks"},
+		"neg ranks":        {"cells 4 4 4\nduration 1\nranks -1 -1 1\n", "ranks"},
 		"bad float":        {"cells 4 4 4\nduration abc\n", "duration"},
 		"two floats":       {"cells 4 4 4\nduration 1\ncu 0.1 0.2\n", "cu"},
 		"bad tstop":        {"cells 4 4 4\nduration 1\ntstop NaN\n", "tstop"},

@@ -1,17 +1,17 @@
-// Package mpi is the message-passing fabric of the parallel AKMC
-// engine: a fixed-size world of ranks (goroutines) joined by buffered
-// channels, and the one collective the Shim–Amar sublattice sweep needs
-// from it, AllGather — after each sector window every rank learns every
-// other rank's site changes. It stands in for the paper's swmpi
-// exchange, scaled to a single shared-memory process.
+// Package mpi is the rank fabric of the parallel AKMC engine: a
+// fixed-size world of ranks (goroutines of one process) and the one
+// collective the Shim–Amar sublattice sweep needs from it, AllGather —
+// after each sector window every rank learns every other rank's site
+// changes. It stands in for the paper's swmpi exchange, scaled to a
+// single shared-memory process, where the collective is a rendezvous
+// under one mutex rather than messages on a wire.
 //
 // At the paper's 27.5M-core scale, rank failure is routine rather than
 // exceptional, so the fabric is fault-aware: a gather with a deadline
 // that expires latches the whole world into a broken state whose error
-// names the ranks whose payloads never arrived (the deadlock
-// diagnostic), a rank that cannot go on breaks it with its own error
-// (Abort), and a Chaos interposer injects message drops,
-// duplications, delays and rank stalls under test control.
+// names the ranks that never arrived (the deadlock diagnostic), a rank
+// that cannot go on breaks it with its own error (Abort), and a Chaos
+// fixture holds chosen ranks dead under test control.
 package mpi
 
 import (
@@ -44,63 +44,51 @@ func (e *StallError) Error() string {
 // Unwrap lets errors.Is(err, ErrTimeout) match.
 func (e *StallError) Unwrap() error { return ErrTimeout }
 
-// message is one payload in flight, tagged with the sequence number of
-// the gather it belongs to.
-type message struct {
-	seq  int
-	data any
+// gather is one generation of the all-gather rendezvous: each rank puts
+// its payload into its own slot, and the last to arrive closes done,
+// after which slots is the published, read-only result.
+type gather struct {
+	slots   []any
+	put     []bool
+	arrived int
+	done    chan struct{}
+}
+
+func newGather(n int) *gather {
+	return &gather{slots: make([]any, n), put: make([]bool, n), done: make(chan struct{})}
 }
 
 // World is a communicator over n ranks. Create it once, then hand each
 // goroutine its Comm via Comm(rank).
 type World struct {
-	size  int
-	chans [][]chan message // chans[from][to]
+	size int
 
 	mu       sync.Mutex
 	broken   error         // latched on the first timed-out collective or Abort
 	brokenCh chan struct{} // closed when broken latches (wakes every waiter)
-
-	// Per-rank all-gather protocol state. Each slot is touched only by
-	// its owning rank's goroutine, so no lock is needed beyond the seq
-	// allocation under mu.
-	gatherSeq     []int       // next collective sequence number, per rank
-	gatherPending [][]message // stashed future-seq messages, [me*size+from]
+	gen      *gather       // the generation ranks are arriving at
 
 	chaos *Chaos
 
 	// Per-rank fabric counters (nil-safe no-ops when telemetry is off):
-	// sends[r] counts messages rank r put on the wire, recvs[r] counts
-	// payloads rank r accepted into a gather, timeouts[r] counts
-	// deadline expiries rank r experienced while waiting on peers.
+	// sends[r] counts the payloads rank r handed to its peers, recvs[r]
+	// the peer payloads it took out of a completed gather, timeouts[r]
+	// the gathers it left without a result because peers never arrived.
 	sends, recvs, timeouts []*telemetry.Counter
 	journal                *telemetry.Journal
 }
 
-// NewWorld creates a world of n ranks with buffered channels.
+// NewWorld creates a world of n ranks.
 func NewWorld(n int) *World {
 	if n <= 0 {
 		panic(fmt.Sprintf("mpi: invalid world size %d", n))
 	}
-	w := &World{
-		size:          n,
-		brokenCh:      make(chan struct{}),
-		gatherSeq:     make([]int, n),
-		gatherPending: make([][]message, n*n),
-	}
-	w.chans = make([][]chan message, n)
-	for i := range w.chans {
-		w.chans[i] = make([]chan message, n)
-		for j := range w.chans[i] {
-			w.chans[i][j] = make(chan message, 64)
-		}
-	}
-	return w
+	return &World{size: n, brokenCh: make(chan struct{}), gen: newGather(n)}
 }
 
 // breakWorldLocked latches the world broken with err (first error wins)
-// and wakes everything waiting on it: stalled ranks and gather receives
-// alike. The journal records the break as an event of type typ:
+// and wakes everything waiting on it: stalled ranks and gathering
+// ranks alike. The journal records the break as an event of type typ:
 // mpi-stall for a timed-out collective, mpi-abort for a rank that gave
 // up. Must be called with w.mu held. It returns the latched error.
 func (w *World) breakWorldLocked(typ string, err error) error {
@@ -122,8 +110,8 @@ func (w *World) Abort(err error) {
 	w.mu.Unlock()
 }
 
-// SetChaos installs a fault interposer (nil removes it). Install before
-// the ranks start communicating.
+// SetChaos installs a dead-rank fixture (nil removes it). Install before
+// the ranks start gathering.
 func (w *World) SetChaos(c *Chaos) { w.chaos = c }
 
 // SetTelemetry exports the fabric's per-rank send/recv/timeout counters
@@ -141,31 +129,19 @@ func (w *World) SetTelemetry(reg *telemetry.Registry, j *telemetry.Journal) {
 	for r := 0; r < w.size; r++ {
 		label := strconv.Itoa(r)
 		w.sends[r] = reg.Counter(telemetry.MetricMPISends,
-			"Messages each rank put on the fabric.", "rank", label)
+			"Payloads each rank handed to its peers.", "rank", label)
 		w.recvs[r] = reg.Counter(telemetry.MetricMPIRecvs,
-			"Messages each rank accepted from the fabric.", "rank", label)
+			"Peer payloads each rank received from completed gathers.", "rank", label)
 		w.timeouts[r] = reg.Counter(telemetry.MetricMPITimeouts,
-			"Deadline expiries each rank experienced waiting on peers.", "rank", label)
+			"Gathers each rank left without a result because peers never arrived.", "rank", label)
 	}
 }
 
-// countSend / countRecv / countTimeout bump the per-rank fabric
-// counters; all are no-ops until SetTelemetry installs them.
-func (w *World) countSend(rank int) {
-	if w.sends != nil {
-		w.sends[rank].Inc()
-	}
-}
-
-func (w *World) countRecv(rank int) {
-	if w.recvs != nil {
-		w.recvs[rank].Inc()
-	}
-}
-
-func (w *World) countTimeout(rank int) {
-	if w.timeouts != nil {
-		w.timeouts[rank].Inc()
+// count adds n to rank's entry of one of the fabric counters; it is a
+// no-op until SetTelemetry installs them.
+func count(cs []*telemetry.Counter, rank int, n int64) {
+	if cs != nil {
+		cs[rank].Add(n)
 	}
 }
 
@@ -196,56 +172,21 @@ type Comm struct {
 // Rank returns this endpoint's rank.
 func (c *Comm) Rank() int { return c.rank }
 
-// send puts one message on the from→to channel, through the Chaos
-// interposer when one is installed. It blocks only if the destination
-// queue is full (64 in-flight messages).
-func (w *World) send(from, to int, m message) {
-	copies := 1
-	if ch := w.chaos; ch != nil {
-		drop, dup, delay := ch.onSend(from, to)
-		if drop {
-			return // silently lost, like the network it simulates
-		}
-		if dup {
-			copies = 2
-		}
-		if delay > 0 {
-			dst := w.chans[from][to]
-			n := copies
-			time.AfterFunc(delay, func() {
-				for i := 0; i < n; i++ {
-					dst <- m
-				}
-			})
-			w.countSend(from)
-			return
-		}
-	}
-	for i := 0; i < copies; i++ {
-		w.chans[from][to] <- m
-	}
-	w.countSend(from)
-}
-
 // AllGather collects one value from every rank; the returned slice is
-// indexed by rank and identical on all ranks. It must be called by all
-// ranks collectively. It runs over the channel fabric — every rank
-// sends its payload to every peer, tagged with a per-rank gather
-// sequence number — so the Chaos interposer's message faults exercise
-// it exactly as they would a real interconnect:
+// indexed by rank and is the same slice on every rank, so callers must
+// treat it as read-only. It must be called by all ranks collectively.
+// It is a rendezvous in shared memory: each rank puts its payload into
+// its own slot of the current generation, and the last to arrive
+// publishes the slots and opens the next generation. The ranks are
+// goroutines of one process, so no payload can be lost, duplicated or
+// reordered on the way; the one fault left is a rank that never comes.
 //
-//   - duplicated messages are detected by their stale sequence number
-//     and discarded, never delivered twice;
-//   - delayed messages that overtake a later gather are stashed and
-//     consumed by the gather they belong to, restoring order;
-//   - dropped messages surface as a *StallError after d naming the
-//     ranks whose payloads never arrived, which breaks the world so
-//     every rank fails fast instead of hanging.
-//
-// A non-positive d blocks forever (modulo another rank breaking the
-// world, by its own timeout or by Abort). Completion still synchronises
-// the ranks: no rank returns before every rank has entered the gather
-// and its payload arrived.
+// A rank still waiting after d breaks the world with a *StallError
+// naming the ranks that have not put a payload into this generation,
+// so every rank fails fast instead of hanging. A non-positive d blocks
+// forever (modulo another rank breaking the world, by its own timeout
+// or by Abort). No rank returns a result before every rank has entered
+// the gather.
 func (c *Comm) AllGather(v any, d time.Duration) ([]any, error) {
 	w := c.world
 	w.mu.Lock()
@@ -262,147 +203,49 @@ func (c *Comm) AllGather(v any, d time.Duration) ([]any, error) {
 		<-w.brokenCh
 		return nil, w.Err()
 	}
-	seq := w.gatherSeq[c.rank]
-	w.gatherSeq[c.rank]++
+	g := w.gen
+	g.slots[c.rank], g.put[c.rank] = v, true
+	g.arrived++
+	peers := int64(w.size - 1)
+	count(w.sends, c.rank, peers)
+	if g.arrived == w.size {
+		w.gen = newGather(w.size)
+		close(g.done)
+	}
 	w.mu.Unlock()
 
-	for to := 0; to < w.size; to++ {
-		if to != c.rank {
-			w.send(c.rank, to, message{seq: seq, data: v})
-		}
-	}
-
-	var deadline time.Time
+	var expired <-chan time.Time
 	if d > 0 {
-		deadline = time.Now().Add(d)
+		t := time.NewTimer(d)
+		defer t.Stop()
+		expired = t.C
 	}
-	out := make([]any, w.size)
-	got := make([]bool, w.size)
-	out[c.rank], got[c.rank] = v, true
-	for from := 0; from < w.size; from++ {
-		if got[from] {
-			continue
-		}
-		if c.gatherFrom(from, seq, out, got, deadline) {
-			continue
-		}
-		// Timed out waiting on `from`. Messages from later peers may
-		// already be buffered; sweep them up non-blockingly so the
-		// diagnostic names only the ranks that truly never delivered.
-		for p := 0; p < w.size; p++ {
-			if !got[p] {
-				c.gatherSweep(p, seq, out, got)
-			}
-		}
-		var missing []int
-		for p, ok := range got {
-			if !ok {
-				missing = append(missing, p)
-			}
-		}
-		if len(missing) == 0 {
-			continue // the sweep found everything after all
-		}
-		w.countTimeout(c.rank)
-		w.mu.Lock()
-		err := w.breakWorldLocked("mpi-stall", &StallError{Timeout: d, Missing: missing, Waiting: []int{c.rank}})
-		w.mu.Unlock()
-		return nil, err
+	select {
+	case <-g.done:
+	case <-w.brokenCh:
+	case <-expired:
 	}
-	return out, nil
-}
-
-// gatherFrom blocks until peer `from`'s payload for gather `seq` is
-// available (from the pending stash or the wire), recording it in
-// out/got. It returns false on deadline expiry and propagates a broken
-// world by reporting the peer as not delivered.
-func (c *Comm) gatherFrom(from, seq int, out []any, got []bool, deadline time.Time) bool {
-	w := c.world
-	if c.gatherSweep(from, seq, out, got) {
-		return true
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if g.arrived == w.size {
+		count(w.recvs, c.rank, peers)
+		return g.slots, nil
 	}
-	src := w.chans[from][c.rank]
-	for {
-		var m message
-		if deadline.IsZero() {
-			select {
-			case m = <-src:
-			case <-w.brokenCh:
-				return false
-			}
+	count(w.timeouts, c.rank, 1)
+	var missing, waiting []int
+	for r, ok := range g.put {
+		if ok {
+			waiting = append(waiting, r)
 		} else {
-			remaining := time.Until(deadline)
-			if remaining <= 0 {
-				return false
-			}
-			timer := time.NewTimer(remaining)
-			select {
-			case m = <-src:
-				timer.Stop()
-			case <-w.brokenCh:
-				timer.Stop()
-				return false
-			case <-timer.C:
-				return false
-			}
-		}
-		if c.gatherAccept(from, seq, m, out, got) {
-			return true
+			missing = append(missing, r)
 		}
 	}
-}
-
-// gatherAccept files one message from peer `from` during gather `seq`:
-// the awaited payload completes the peer's slot and is the one place a
-// receive is counted; stale sequences and second copies (duplicates or
-// long-delayed stragglers) are discarded; and future sequences — a peer
-// already in its next gather whose earlier message was delayed past
-// ours — are stashed for the gather they belong to.
-func (c *Comm) gatherAccept(from, seq int, m message, out []any, got []bool) bool {
-	switch {
-	case m.seq == seq && !got[from]:
-		out[from], got[from] = m.data, true
-		c.world.countRecv(c.rank)
-		return true
-	case m.seq <= seq:
-		return false // stale duplicate or straggler: drop
-	default:
-		w := c.world
-		slot := c.rank*w.size + from
-		w.gatherPending[slot] = append(w.gatherPending[slot], m)
-		return false
-	}
-}
-
-// gatherSweep drains peer `from`'s stash and any buffered channel
-// messages without blocking, filing each through gatherAccept. It
-// reports whether the awaited payload was found.
-func (c *Comm) gatherSweep(from, seq int, out []any, got []bool) bool {
-	w := c.world
-	slot := c.rank*w.size + from
-	pending := w.gatherPending[slot]
-	w.gatherPending[slot] = pending[:0]
-	for _, m := range pending {
-		c.gatherAccept(from, seq, m, out, got)
-	}
-	if got[from] {
-		return true
-	}
-	for {
-		select {
-		case m := <-w.chans[from][c.rank]:
-			if c.gatherAccept(from, seq, m, out, got) {
-				return true
-			}
-		default:
-			return false
-		}
-	}
+	return nil, w.breakWorldLocked("mpi-stall", &StallError{Timeout: d, Missing: missing, Waiting: waiting})
 }
 
 // RunWorld launches fn on every rank of w and waits for all to finish.
 // Panics in any rank are re-raised on the caller. The caller constructs
-// the world, so chaos interposers and telemetry can be installed before
+// the world, so the chaos fixture and telemetry can be installed before
 // the ranks start.
 func RunWorld(w *World, fn func(c *Comm)) {
 	var wg sync.WaitGroup

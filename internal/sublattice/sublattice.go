@@ -49,13 +49,13 @@ type Config struct {
 	// whole sweep abort with an error naming the stalled ranks, so the
 	// caller can recover from the last-good checkpoint.
 	ExchangeTimeout time.Duration
-	// Chaos, if non-nil, is installed on the run's message fabric to
-	// inject faults under test control.
+	// Chaos, if non-nil, is installed on the run's rank fabric to hold
+	// ranks dead under test control.
 	Chaos *mpi.Chaos
 	// Telemetry, if non-nil, instruments the sweep: rank hops bump
 	// tkmc_step_total, sector-window KMC and sector exchanges get
 	// run/segment/{sector,exchange} spans (summed over ranks, so their
-	// totals are rank-seconds), and the message fabric exports per-rank
+	// totals are rank-seconds), and the rank fabric exports per-rank
 	// send/recv/timeout counters. Purely observational: the trajectory
 	// is bit-identical with telemetry on or off.
 	Telemetry *telemetry.Set
@@ -96,7 +96,7 @@ type Result struct {
 // made on first use).
 //
 // With Config.ExchangeTimeout set, a rank that stalls (dies, hangs, or
-// is held by the Chaos interposer) makes Run return an error naming the
+// is held dead by the Chaos fixture) makes Run return an error naming the
 // stalled ranks instead of hanging; the global box is then unmodified
 // and the caller can resume from its last-good checkpoint. A rank that
 // stops on a corruption or transport error aborts the sweep, timeout or
@@ -444,6 +444,9 @@ func (r *rankState) executeHop(slot int, k int) (kept bool) {
 // With an ExchangeTimeout configured it returns an error (naming the
 // stalled ranks) instead of blocking forever on a dead peer.
 func (r *rankState) exchange() error {
+	// Peers read the payload after the gather returns, while r.changes
+	// is reused for the next window, so it goes out as a copy; the
+	// gathered slice is shared by every rank and only read here.
 	payload := append([]SiteChange(nil), r.changes...)
 	all, err := r.comm.AllGather(payload, r.cfg.ExchangeTimeout)
 	if err != nil {

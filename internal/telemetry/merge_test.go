@@ -169,24 +169,44 @@ func TestMergeShuffledOrderings(t *testing.T) {
 	}
 }
 
-// TestMergeSameOriginSums pins that merging two snapshots with the SAME
-// label set sums values instead of duplicating series — the semantics a
-// rolled-up view relies on when two origins legitimately share every
-// label.
-func TestMergeSameOriginSums(t *testing.T) {
+// TestMergeRefusesDuplicateSeries: origins are labelled apart before
+// they merge, so a series both snapshots hold under the same labels is
+// refused, never summed or listed twice, and so is a family merged in
+// under another kind.
+func TestMergeRefusesDuplicateSeries(t *testing.T) {
 	a := buildNodeSnapshot("x", 7, []float64{0.05})
-	b := buildNodeSnapshot("x", 11, []float64{0.005, 0.05})
-	if err := a.Merge(b); err != nil {
+	if err := a.Merge(buildNodeSnapshot("x", 11, []float64{0.005, 0.05})); err == nil ||
+		!strings.Contains(err.Error(), `tkmc_eval_requests_total{node="x"}`) {
+		t.Fatalf("merging a duplicate series returned %v, want an error naming it", err)
+	}
+	gauge := NewRegistry()
+	gauge.GaugeFunc("tkmc_eval_requests_total", "requests", func() float64 { return 1 })
+	if err := a.Merge(gauge.Snapshot()); err == nil {
+		t.Fatal("merging a counter family as a gauge succeeded")
+	}
+}
+
+// TestMergeIntoSharedFamily: a series merged into a family s already
+// holds lands there even when families new to s were appended first.
+func TestMergeIntoSharedFamily(t *testing.T) {
+	own := NewRegistry()
+	own.Counter("tkmc_shared_total", "shared").Inc()
+	s := own.Snapshot()
+	job := NewRegistry()
+	job.Counter("tkmc_job_only_total", "new to s").Inc()
+	job.Counter("tkmc_shared_total", "shared").Add(2)
+	o := job.Snapshot()
+	o.AddLabel("job", "j1")
+	if err := s.Merge(o); err != nil {
 		t.Fatal(err)
 	}
+	s.Sort()
 	var sb strings.Builder
-	a.WritePrometheus(&sb)
-	out := sb.String()
-	if !strings.Contains(out, `tkmc_eval_requests_total{node="x"} 18`) {
-		t.Errorf("summed requests series missing:\n%s", out)
-	}
-	if !strings.Contains(out, `tkmc_eval_latency_seconds_count{node="x"} 3`) {
-		t.Errorf("summed histogram count missing:\n%s", out)
+	s.WritePrometheus(&sb)
+	for _, want := range []string{"tkmc_shared_total 1", `tkmc_shared_total{job="j1"} 2`, `tkmc_job_only_total{job="j1"} 1`} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("merged snapshot lacks %q:\n%s", want, sb.String())
+		}
 	}
 }
 

@@ -132,33 +132,6 @@ type HistogramSnapshot struct {
 	Count  int64
 }
 
-// Merge accumulates o into s. The bucket layouts must match; merging
-// is how per-rank or per-process snapshots combine into a run-wide
-// view.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) error {
-	if len(s.Bounds) == 0 {
-		*s = o
-		return nil
-	}
-	if len(o.Bounds) == 0 {
-		return nil
-	}
-	if len(o.Bounds) != len(s.Bounds) {
-		return fmt.Errorf("telemetry: merging histograms with %d vs %d buckets", len(o.Bounds), len(s.Bounds))
-	}
-	for i, b := range o.Bounds {
-		if b != s.Bounds[i] {
-			return fmt.Errorf("telemetry: merging histograms with different bounds (%g vs %g)", b, s.Bounds[i])
-		}
-	}
-	for i := range o.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Sum += o.Sum
-	s.Count += o.Count
-	return nil
-}
-
 // series is one labelled instance of a metric family.
 type series struct {
 	labels string // canonical rendered label set, "" for none
@@ -388,41 +361,34 @@ func (r *Registry) Snapshot() Snapshot {
 	return out
 }
 
-// Merge accumulates o into s: matching (family, labels) series are
-// summed (histograms bucket-wise), unknown ones appended. It is how
-// multi-process or per-rank registries roll up into one report.
+// Merge adds o's families and series to s. Each origin is labelled
+// apart before it is merged (see AddLabel), so no series may be in both:
+// a series of o whose family and labels s already holds is an error, as
+// is a family o exports with another kind. On an error s keeps the
+// families merged before the clash.
 func (s *Snapshot) Merge(o Snapshot) error {
-	byName := map[string]*FamilySnapshot{}
-	for i := range s.Families {
-		byName[s.Families[i].Name] = &s.Families[i]
+	byName := map[string]int{}
+	for i, f := range s.Families {
+		byName[f.Name] = i
 	}
 	for _, of := range o.Families {
-		f := byName[of.Name]
-		if f == nil {
+		i, ok := byName[of.Name]
+		if !ok {
 			s.Families = append(s.Families, of)
 			continue
 		}
+		f := &s.Families[i]
 		if f.Kind != of.Kind {
 			return fmt.Errorf("telemetry: merging %q as %s into %s", of.Name, of.Kind, f.Kind)
 		}
-		bySeries := map[string]*SeriesSnapshot{}
-		for i := range f.Series {
-			bySeries[f.Series[i].Labels] = &f.Series[i]
-		}
 		for _, os := range of.Series {
-			ss := bySeries[os.Labels]
-			if ss == nil {
-				f.Series = append(f.Series, os)
-				continue
-			}
-			ss.Value += os.Value
-			if ss.Histogram != nil && os.Histogram != nil {
-				if err := ss.Histogram.Merge(*os.Histogram); err != nil {
-					return fmt.Errorf("%s%s: %w", of.Name, os.Labels, err)
+			for _, ss := range f.Series {
+				if ss.Labels == os.Labels {
+					return fmt.Errorf("telemetry: series %s%s is in both snapshots", of.Name, os.Labels)
 				}
-				ss.Value = ss.Histogram.Sum
 			}
 		}
+		f.Series = append(f.Series, of.Series...)
 	}
 	return nil
 }

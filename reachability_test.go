@@ -23,17 +23,12 @@ import (
 // reason. The list may only shrink: TestExportsHaveCallers fails on an
 // entry that gains a non-test caller or no longer exists.
 var testOnlyExports = map[string]string{
-	// The message-fabric chaos interposer: other packages' tests install
-	// it through the exported core.Config.Chaos and sublattice.Config.Chaos
-	// fields. It stays until one chaos package serves both transports.
-	"mpi.NewChaos":            "fault fixture: supervise TestChaosMatrix, sublattice TestStalledRankAbortsWithDiagnostic, core TestStalledRankRecoveryFromCheckpoint",
-	"mpi.Chaos.WithBudget":    "fault fixture: supervise TestChaosMatrix",
-	"mpi.Chaos.WithDrop":      "fault fixture: supervise TestChaosMatrix, TestSupervisorExhaustsRetriesFailsFast, TestSupervisorBackoffFollowsSeed",
-	"mpi.Chaos.WithDuplicate": "fault fixture: supervise TestChaosMatrix",
-	"mpi.Chaos.WithDelay":     "fault fixture: supervise TestChaosMatrix",
-	"mpi.Chaos.StallRank":     "fault fixture: supervise TestChaosMatrix, sublattice TestStalledRankAbortsWithDiagnostic, core TestStalledRankRecoveryFromCheckpoint",
-	"mpi.Chaos.Revive":        "fault fixture: supervise TestChaosMatrix (dead-rank)",
-	"mpi.Chaos.Stats":         "fault fixture: supervise TestChaosMatrix logs the injected faults",
+	// The dead-rank fixture: other packages' tests install it through
+	// the exported core.Config.Chaos and sublattice.Config.Chaos fields.
+	// It stays until one chaos package serves both transports.
+	"mpi.NewChaos":        "fault fixture: supervise TestChaosMatrix, sublattice TestStalledRankAbortsWithDiagnostic, core TestStalledRankRecoveryFromCheckpoint",
+	"mpi.Chaos.StallRank": "fault fixture: supervise TestChaosMatrix, sublattice TestStalledRankAbortsWithDiagnostic, core TestStalledRankRecoveryFromCheckpoint",
+	"mpi.Chaos.Revive":    "fault fixture: supervise TestChaosMatrix",
 
 	// Paper baselines that the root bench_test.go ablations time.
 	"fusion.NewFeatureOperator":        "Fig. 10 baseline, the unfused CPE feature operator: BenchmarkCPEFeatureOperator",
