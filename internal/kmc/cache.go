@@ -50,7 +50,8 @@ func (s *System) Direction(u float64) int {
 type Stats struct {
 	Refills   int64 // VET rebuilds for a new or moved centre, by translation or lattice walk
 	Patches   int64 // in-cache VET updates (no lattice access)
-	Refreshes int64 // propensity recomputations (model calls)
+	Refreshes int64 // propensity recomputations priced by the model (model calls)
+	MemoHits  int64 // propensity recomputations whose energies the memo held (no model call)
 }
 
 // Cache is the vacancy cache both engines run on: the slot table of
@@ -88,15 +89,18 @@ type Cache struct {
 	spare encoding.VET     // scratch: the buffer a hopper's VET is translated into
 	one   [1]int           // scratch: Refresh's batch of one
 	out   []hopEnergies    // scratch: RefreshBatch's model outputs
+	keys  []uint64         // scratch: RefreshBatch's memo hash of each system
 	batch batch            // scratch: RefreshBatch's work shared with helpers
 
-	encode, eval *telemetry.Phase // full fills; model calls (nil: untimed)
+	memo memo // the last memoSize VETs the model priced, and its answers
+
+	encode, eval *telemetry.Phase // full fills; memo lookups and model calls (nil: untimed)
 }
 
 // NewCache returns an empty cache over sites whose systems are tracked in
 // centres (empty, spanning the window the engine owns), priced by model
 // at the given temperature. encode and eval, if non-nil, time full VET
-// fills and each batch's model calls in RefreshBatch.
+// fills and each batch's memo lookups and model calls in RefreshBatch.
 func NewCache(sites Sites, centres *encoding.Centres, model Model, temperatureK float64, encode, eval *telemetry.Phase) *Cache {
 	tb := model.Tables()
 	return &Cache{tb: tb, model: model, temp: temperatureK, sites: sites, centres: centres,
@@ -155,12 +159,14 @@ func (c *Cache) Reorder(order []lattice.Vec) error {
 	return nil
 }
 
-// Stale marks every system unfilled and dirty, so that the next Refresh of
-// each reads its whole table from the lattice: the no-cache ablation.
+// Stale marks every system unfilled and dirty and empties the memo, so
+// that the next Refresh of each reads its whole table from the lattice and
+// asks the model: the no-cache ablation.
 func (c *Cache) Stale() {
 	for _, s := range c.Systems {
 		s.Filled, s.Dirty = false, true
 	}
+	c.memo.reset()
 }
 
 // Refresh recomputes the propensities of the system in slot, first
@@ -172,13 +178,17 @@ func (c *Cache) Refresh(slot int) {
 
 // RefreshBatch recomputes the propensities of the systems in slots, which
 // must be distinct. Unfilled VETs are filled first, one after another:
-// fill uses the cache's one neighbour scratch. The 1+8 hop energies of the
-// batch are then evaluated by the cache's own model on the calling
-// goroutine and by each helper model on a goroutine of its own — the
-// paper's CPEs beside their MPE. Every model is a pure function of one
-// VET and every system's energies are written by exactly one goroutine,
-// so the helpers change no bit. The rates, Dirty flags and Stats are
-// committed afterwards in slot order on the calling goroutine.
+// fill uses the cache's one neighbour scratch. Each VET is then looked up
+// in the memo on the calling goroutine; a hit takes the energies the model
+// returned for the same VET, bit for bit. The 1+8 hop energies of the
+// misses are evaluated by the cache's own model on the calling goroutine
+// and by each helper model on a goroutine of its own — the paper's CPEs
+// beside their MPE. Every model is a pure function of one VET and every
+// system's energies are written by exactly one goroutine, so neither the
+// memo nor the helpers change a bit. The rates, Dirty flags and Stats are
+// committed afterwards in slot order on the calling goroutine, and the
+// misses enter the memo in slot order, so which systems hit depends on
+// the calls made and never on the helpers.
 //
 // The helpers run at the same time as the cache's model and each other,
 // so each must be a model of its own or one safe for concurrent calls
@@ -197,14 +207,23 @@ func (c *Cache) RefreshBatch(slots []int, helpers []Model) {
 	sp := c.eval.Start()
 	if cap(c.out) < len(slots) {
 		c.out = make([]hopEnergies, len(slots))
+		c.keys = make([]uint64, len(slots))
+		c.batch.todo = make([]int, 0, len(slots))
 	}
-	out := c.out[:len(slots)]
-	if len(helpers) == 0 || len(slots) < 2 {
-		for i, slot := range slots {
-			out[i].eval(c.model, c.Systems[slot].VET)
+	out, keys, todo := c.out[:len(slots)], c.keys[:len(slots)], c.batch.todo[:0]
+	for i, slot := range slots {
+		vet := c.Systems[slot].VET
+		keys[i] = memoHash(vet)
+		if !c.memo.get(keys[i], vet, &out[i]) {
+			todo = append(todo, i)
+		}
+	}
+	if len(helpers) == 0 || len(todo) < 2 {
+		for _, i := range todo {
+			out[i].eval(c.model, c.Systems[slots[i]].VET)
 		}
 	} else {
-		c.evaluate(slots, helpers[:min(len(helpers), len(slots)-1)])
+		c.evaluate(slots, todo, helpers[:min(len(helpers), len(todo)-1)])
 	}
 	for i, slot := range slots {
 		s, e := c.Systems[slot], &out[i]
@@ -217,8 +236,12 @@ func (c *Cache) RefreshBatch(slots []int, helpers []Model) {
 		}
 		s.Dirty = false
 	}
+	for _, i := range todo {
+		c.memo.put(keys[i], c.Systems[slots[i]].VET, &out[i])
+	}
 	sp.EndMsg("")
-	c.Stats.Refreshes += int64(len(slots))
+	c.Stats.Refreshes += int64(len(todo))
+	c.Stats.MemoHits += int64(len(slots) - len(todo))
 }
 
 // hopEnergies is one system's model output between evaluation and commit.
@@ -236,21 +259,23 @@ func (e *hopEnergies) eval(m Model, vet encoding.VET) {
 // cache so that a batch allocates nothing but its goroutines.
 type batch struct {
 	slots []int
-	next  atomic.Int64 // index of the next unclaimed system
+	todo  []int        // the positions in slots the model evaluates, ascending
+	next  atomic.Int64 // index into todo of the next unclaimed system
 	wg    sync.WaitGroup
 	fails []failure // per worker: the panic it stopped on, if any
 }
 
 type failure struct {
-	at int // index of the system being evaluated
+	at int // index into todo of the system being evaluated
 	p  any
 }
 
-// evaluate fills c.out[i] for slots[i] with the cache's own model and the
-// helpers working together, each taking the next unclaimed system.
-func (c *Cache) evaluate(slots []int, helpers []Model) {
+// evaluate fills c.out[i] for slots[i], for each position i in todo, with
+// the cache's own model and the helpers working together, each taking the
+// next unclaimed system.
+func (c *Cache) evaluate(slots, todo []int, helpers []Model) {
 	b := &c.batch
-	b.slots = slots
+	b.slots, b.todo = slots, todo
 	b.next.Store(0)
 	if cap(b.fails) <= len(helpers) {
 		b.fails = make([]failure, len(helpers)+1)
@@ -264,7 +289,7 @@ func (c *Cache) evaluate(slots []int, helpers []Model) {
 	b.wg.Wait()
 	// Systems are claimed in slot order, so every system before the
 	// earliest failed one was evaluated: the serial path's first panic.
-	first := failure{at: len(slots)}
+	first := failure{at: len(todo)}
 	for _, f := range b.fails {
 		if f.p != nil && f.at < first.at {
 			first = f
@@ -291,10 +316,91 @@ func (c *Cache) work(m Model, worker int) {
 			b.fails[worker] = failure{at: at, p: p}
 		}
 	}()
-	for at = int(b.next.Add(1) - 1); at < len(b.slots); at = int(b.next.Add(1) - 1) {
-		c.out[at].eval(m, c.Systems[b.slots[at]].VET)
+	for at = int(b.next.Add(1) - 1); at < len(b.todo); at = int(b.next.Add(1) - 1) {
+		i := b.todo[at]
+		c.out[i].eval(m, c.Systems[b.slots[i]].VET)
 	}
 }
+
+// memoSize is the number of VETs a cache's memo holds: the window in which
+// the dilute decks revisit a state (ROADMAP item 16's census).
+const memoSize = 64
+
+// memo is a cache's exact record of the last memoSize VETs its model
+// priced and what the model returned for each, replaced first in, first
+// out. Every model is a pure function of one VET, so an entry whose VET
+// equals a system's — compared whole, never by hash alone — holds the
+// energies the model would return for that system, bit for bit. The zero
+// memo is empty; its storage is allocated once, whole, by the first put,
+// so that building a cache does not pay for it and no later step
+// allocates.
+type memo struct {
+	hash []uint64      // memoHash of each entry's VET
+	out  []hopEnergies // the model's answer for each entry's VET
+	vets encoding.VET  // entry j's VET at [j·NAll, (j+1)·NAll)
+	n    int           // entries held
+	next int           // the entry the next put replaces
+}
+
+// memoEntryBytes is the fixed part of one memo entry beside its VET: the
+// hash and the 1+8 energies and 8 validity flags.
+const memoEntryBytes = 8 + 8 + 8*8 + 8
+
+// MemoBytes returns the size in bytes of one cache's memo under the given
+// tables once it holds anything: memoSize VETs of NAll species, each with
+// its hash and model answer.
+func MemoBytes(tb *encoding.Tables) int { return memoSize * (tb.NAll + memoEntryBytes) }
+
+// memoHash hashes a VET's own bytes, eight sites per step: FNV-1a over
+// little-endian 64-bit words, a short last word zero-extended. Each step
+// is a bijection of the running hash, so two VETs that differ within one
+// word never collide. It allocates nothing.
+func memoHash(vet encoding.VET) uint64 {
+	h := uint64(14695981039346656037)
+	for ; len(vet) >= 8; vet = vet[8:] {
+		h ^= uint64(vet[0]) | uint64(vet[1])<<8 | uint64(vet[2])<<16 | uint64(vet[3])<<24 |
+			uint64(vet[4])<<32 | uint64(vet[5])<<40 | uint64(vet[6])<<48 | uint64(vet[7])<<56
+		h *= 1099511628211
+	}
+	if len(vet) > 0 {
+		var w uint64
+		for i, s := range vet {
+			w |= uint64(s) << (8 * i)
+		}
+		h ^= w
+		h *= 1099511628211
+	}
+	return h
+}
+
+// get copies into e the model's answer for vet, whose memoHash is h, and
+// reports whether the memo held one.
+func (m *memo) get(h uint64, vet encoding.VET, e *hopEnergies) bool {
+	n := len(vet)
+	for j, hj := range m.hash[:m.n] {
+		if hj == h && string(m.vets[j*n:(j+1)*n]) == string(vet) {
+			*e = m.out[j]
+			return true
+		}
+	}
+	return false
+}
+
+// put records e as the model's answer for vet, whose memoHash is h, in
+// place of the oldest entry once the memo is full.
+func (m *memo) put(h uint64, vet encoding.VET, e *hopEnergies) {
+	if m.vets == nil {
+		m.hash, m.out, m.vets = make([]uint64, memoSize), make([]hopEnergies, memoSize), make(encoding.VET, memoSize*len(vet))
+	}
+	j, n := m.next, len(vet)
+	m.hash[j], m.out[j] = h, *e
+	copy(m.vets[j*n:(j+1)*n], vet)
+	m.next = (j + 1) % memoSize
+	m.n = max(m.n, j+1)
+}
+
+// reset forgets every entry.
+func (m *memo) reset() { m.n, m.next = 0, 0 }
 
 // fill reads the whole table around the system's centre from the lattice.
 func (c *Cache) fill(s *System) {

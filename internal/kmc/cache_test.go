@@ -175,10 +175,13 @@ func TestCacheOnDomain(t *testing.T) {
 // TestRefreshBatchMatchesRefresh: refreshing a batch of systems with 0, 1
 // or 3 helper models leaves every system's rates, ΔE and total equal, bit
 // for bit, to refreshing the same systems one at a time, and counts the
-// same Stats. The box is dense in vacancies, once aliased by the table
-// (8³) and once not (12³), and the batch mixes filled and unfilled
-// systems; their old propensities are poisoned first, so a system the
-// batch skipped cannot pass.
+// same refills and refreshes — model calls plus memo hits. A batch looks
+// every system up before it inserts any miss, so its split between the
+// two may differ from one at a time, but not with the helper count. The
+// box is dense in vacancies, once aliased by the table (8³) and once not
+// (12³), and the batch mixes filled and unfilled systems; their old
+// propensities are poisoned first, so a system the batch skipped cannot
+// pass.
 func TestRefreshBatchMatchesRefresh(t *testing.T) {
 	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
 	pot := eam.New(eam.Default())
@@ -221,6 +224,7 @@ func TestRefreshBatchMatchesRefresh(t *testing.T) {
 		if ref.walk != (cells == 8) || len(batch) < 8 {
 			t.Fatalf("%d³ cells: aliased = %v, batch of %d", cells, ref.walk, len(batch))
 		}
+		var serial Stats
 		for _, n := range []int{0, 1, 3} {
 			c, batch := prepared()
 			helpers := make([]Model, n)
@@ -228,8 +232,14 @@ func TestRefreshBatchMatchesRefresh(t *testing.T) {
 				helpers[i] = model()
 			}
 			c.RefreshBatch(batch, helpers)
-			if c.Stats != ref.Stats {
-				t.Fatalf("%d³ cells, %d helpers: Stats %+v, one at a time %+v", cells, n, c.Stats, ref.Stats)
+			got, want := c.Stats, ref.Stats
+			if got.Refills != want.Refills || got.Patches != want.Patches || got.Refreshes+got.MemoHits != want.Refreshes+want.MemoHits {
+				t.Fatalf("%d³ cells, %d helpers: Stats %+v, one at a time %+v", cells, n, got, want)
+			}
+			if n == 0 {
+				serial = got
+			} else if got != serial {
+				t.Fatalf("%d³ cells, %d helpers: Stats %+v, without helpers %+v", cells, n, got, serial)
 			}
 			for slot, s := range c.Systems {
 				r := ref.Systems[slot]

@@ -8,6 +8,7 @@ package memmodel
 
 import (
 	"tensorkmc/internal/encoding"
+	"tensorkmc/internal/kmc"
 )
 
 // CGBudgetBytes is the per-core-group memory budget of the new Sunway
@@ -56,7 +57,7 @@ func OpenKMC(n float64, nLocal int) OpenKMCRow {
 type TensorKMCRow struct {
 	Lattice  float64 // 1 B/site species — the only size-proportional array
 	VacCache float64 // per-vacancy VET + bookkeeping
-	Shared   float64 // CET/NET/TABLE, constant
+	Shared   float64 // CET/NET/TABLE and the vacancy cache's memo, constant
 	Runtime  float64
 	OOM      bool
 }
@@ -68,12 +69,13 @@ func vacSystemBytes(tb *encoding.Tables) float64 {
 }
 
 // TensorKMC returns TensorKMC's footprint for n sites with nVac
-// vacancies under the given encoding tables.
+// vacancies under the given encoding tables, on one rank: one vacancy
+// cache, so one memo.
 func TensorKMC(n, nVac float64, tb *encoding.Tables) TensorKMCRow {
 	r := TensorKMCRow{
 		Lattice:  n,
 		VacCache: nVac * vacSystemBytes(tb),
-		Shared:   float64(tb.MemoryBytes()),
+		Shared:   float64(tb.MemoryBytes() + kmc.MemoBytes(tb)),
 	}
 	r.Runtime = (r.Lattice + r.VacCache + r.Shared) * runtimeOverhead
 	r.OOM = r.Runtime > CGBudgetBytes

@@ -5,6 +5,7 @@ import (
 
 	"tensorkmc/internal/eam"
 	"tensorkmc/internal/encoding"
+	"tensorkmc/internal/kmc"
 	"tensorkmc/internal/lattice"
 	"tensorkmc/internal/openkmc"
 	"tensorkmc/internal/rng"
@@ -92,6 +93,18 @@ func TestTensorKMCScalesWithVacanciesNotAtoms(t *testing.T) {
 	perVac := (c.Runtime - a.Runtime) / 100 / runtimeOverhead
 	if perVac < float64(tb.NAll) || perVac > float64(tb.NAll)+300 {
 		t.Fatalf("per-vacancy cache cost %v bytes, want ≈NAll+bookkeeping", perVac)
+	}
+}
+
+// TestSharedCountsMemo: the constant part of a rank's footprint is the
+// tables and its one vacancy cache's memo, whatever the size of the box.
+func TestSharedCountsMemo(t *testing.T) {
+	tb := stdTables()
+	want := float64(tb.MemoryBytes() + kmc.MemoBytes(tb))
+	for _, n := range []float64{1e6, 128e6} {
+		if got := TensorKMC(n, n*8e-6, tb).Shared; got != want {
+			t.Fatalf("%v sites: Shared = %v bytes, want tables + memo = %v", n, got, want)
+		}
 	}
 }
 

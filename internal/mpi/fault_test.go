@@ -194,3 +194,50 @@ func TestFabricCounters(t *testing.T) {
 		t.Fatalf("journal holds %d mpi-stall events, want 1", stalls)
 	}
 }
+
+// TestAbortCountsNoTimeout: ranks waiting in a gather with a long deadline
+// when a peer aborts return the abort's error at once, and no rank counts
+// a timeout — the journal holds one mpi-abort and no mpi-stall.
+func TestAbortCountsNoTimeout(t *testing.T) {
+	const n = 3
+	w := NewWorld(n)
+	reg, journal := telemetry.NewRegistry(), telemetry.NewJournal(0)
+	w.SetTelemetry(reg, journal)
+	cause := errors.New("rank 2 cannot go on")
+	RunWorld(w, func(c *Comm) {
+		if c.Rank() == 2 {
+			// Abort only once both peers wait in the gather.
+			for {
+				w.mu.Lock()
+				waiting := w.gen.arrived
+				w.mu.Unlock()
+				if waiting == n-1 {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			w.Abort(cause)
+			return
+		}
+		start := time.Now()
+		if _, err := c.AllGather(c.Rank(), time.Minute); !errors.Is(err, cause) {
+			t.Errorf("rank %d: gather returned %v, want the abort's error", c.Rank(), err)
+		}
+		if time.Since(start) > 30*time.Second {
+			t.Errorf("rank %d: the abort did not release the gather", c.Rank())
+		}
+	})
+	for r := 0; r < n; r++ {
+		if _, _, timeouts := fabricCounts(reg, r); timeouts != 0 {
+			t.Errorf("rank %d counted %d timeouts, want 0", r, timeouts)
+		}
+	}
+	counts := map[string]int{}
+	for _, e := range journal.Events() {
+		counts[e.Type]++
+	}
+	if counts["mpi-abort"] != 1 || counts["mpi-stall"] != 0 {
+		t.Fatalf("journal holds %d mpi-abort and %d mpi-stall events, want 1 and 0",
+			counts["mpi-abort"], counts["mpi-stall"])
+	}
+}

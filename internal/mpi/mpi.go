@@ -65,6 +65,7 @@ type World struct {
 
 	mu       sync.Mutex
 	broken   error         // latched on the first timed-out collective or Abort
+	aborted  bool          // broken was latched by Abort, not by a timeout
 	brokenCh chan struct{} // closed when broken latches (wakes every waiter)
 	gen      *gather       // the generation ranks are arriving at
 
@@ -93,7 +94,7 @@ func NewWorld(n int) *World {
 // up. Must be called with w.mu held. It returns the latched error.
 func (w *World) breakWorldLocked(typ string, err error) error {
 	if w.broken == nil {
-		w.broken = err
+		w.broken, w.aborted = err, typ == "mpi-abort"
 		close(w.brokenCh)
 		w.journal.Record(typ, "world broken: %v", err)
 	}
@@ -230,6 +231,10 @@ func (c *Comm) AllGather(v any, d time.Duration) ([]any, error) {
 	if g.arrived == w.size {
 		count(w.recvs, c.rank, peers)
 		return g.slots, nil
+	}
+	if w.aborted {
+		// A peer gave up: no deadline expired, so this is no timeout.
+		return nil, w.broken
 	}
 	count(w.timeouts, c.rank, 1)
 	var missing, waiting []int

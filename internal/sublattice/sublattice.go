@@ -76,6 +76,7 @@ type RankStats struct {
 	Discarded int64 // events rejected by the t_stop window
 	Sent      int64 // site changes broadcast
 	Refills   int64 // VET rebuilds for a new or moved centre, by translation or lattice walk
+	MemoHits  int64 // propensity recomputations the cache's memo answered without a model call
 }
 
 // Result is the outcome of a parallel run.
@@ -166,8 +167,7 @@ func Run(box *lattice.Box, cfg Config, duration float64, factory func() kmc.Mode
 
 	out := &Result{Box: lattice.NewBox(box.Nx, box.Ny, box.Nz, box.A), Time: duration, Stats: make([]RankStats, nRanks)}
 	for i, r := range results {
-		out.Stats[i] = r.stats
-		out.Stats[i].Refills = r.cache.Stats.Refills
+		out.Stats[i] = r.rankStats()
 		r.dom.ForEachLocal(func(v lattice.Vec, idx int) {
 			out.Box.Set(v, r.dom.Types()[idx])
 		})
@@ -223,6 +223,13 @@ type rankState struct {
 	hopCtr     *telemetry.Counter
 	sectorPh   *telemetry.Phase
 	exchangePh *telemetry.Phase
+}
+
+// rankStats returns the rank's counters, its cache's included.
+func (r *rankState) rankStats() RankStats {
+	st, cs := r.stats, r.cache.Stats
+	st.Refills, st.MemoHits = cs.Refills, cs.MemoHits
+	return st
 }
 
 func newRank(c *mpi.Comm, box *lattice.Box, cfg Config, model kmc.Model, pool *helperPool) *rankState {

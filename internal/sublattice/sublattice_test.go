@@ -459,8 +459,7 @@ func TestWalkOnlyDifferential(t *testing.T) {
 		res := mustRun(t, box, cfg, 3e-9, func() kmc.Model { return hashModel{tb} })
 		var hops int64
 		for rank, r := range ranks {
-			st := r.stats
-			st.Refills = r.cache.Stats.Refills
+			st := r.rankStats()
 			if st != res.Stats[rank] {
 				t.Fatalf("%v rank %d: stats %+v, Run says %+v", tc, rank, st, res.Stats[rank])
 			}
@@ -516,10 +515,11 @@ func (m countedModel) HopEnergies(vet encoding.VET) (float64, [8]float64, [8]boo
 }
 
 // TestHelperCountInvariant: Run returns the same box, byte for byte, and
-// the same rank counters whatever number of helper models the pool may
-// hold — GOMAXPROCS 1, 2 and 4 — on an EAM and an NNP deck over 2 and 8
-// ranks. The first model the factory makes is the one Run validates with
-// and then only lends, so its calls show that helpers ran.
+// the same rank counters, memo hits included, whatever number of helper
+// models the pool may hold — GOMAXPROCS 1, 2 and 4 — on an EAM and an NNP
+// deck over 2 and 8 ranks. The first model the factory makes is the one
+// Run validates with and then only lends, so its calls show that helpers
+// ran.
 func TestHelperCountInvariant(t *testing.T) {
 	tb := encoding.New(units.LatticeConstantFe, units.CutoffStandard)
 	eamPot := eam.New(eam.Default())
@@ -538,6 +538,7 @@ func TestHelperCountInvariant(t *testing.T) {
 		// of the deck: with one core, a rank may finish a batch before
 		// its helper starts.
 		var helperCalls atomic.Int64
+		var hits int64 // memo hits over the GOMAXPROCS 1 runs of the deck
 		for _, grid := range [][3]int{{2, 1, 1}, {2, 2, 2}} {
 			box := alloyBox(12, 0.1, 0.04, 61)
 			cfg := Config{PX: grid[0], PY: grid[1], PZ: grid[2], Temperature: 1000, TStop: 1e-10, Seed: 62}
@@ -561,6 +562,7 @@ func TestHelperCountInvariant(t *testing.T) {
 					var hops int64
 					for _, st := range res.Stats {
 						hops += st.Hops
+						hits += st.MemoHits
 					}
 					if hops < 50 {
 						t.Fatalf("%s %v: only %d hops", deck.name, grid, hops)
@@ -575,8 +577,8 @@ func TestHelperCountInvariant(t *testing.T) {
 				}
 			}
 		}
-		if helperCalls.Load() == 0 {
-			t.Fatalf("%s: no helper evaluated a system", deck.name)
+		if helperCalls.Load() == 0 || hits == 0 {
+			t.Fatalf("%s: %d systems evaluated by a helper, %d refreshes answered by the memo", deck.name, helperCalls.Load(), hits)
 		}
 	}
 }
