@@ -26,6 +26,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -49,7 +50,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		var err error
 		switch args[0] {
 		case "replay":
-			err = runReplay(stdout, args[1:])
+			err = runReplay(stdout, stderr, args[1:])
 		case "trace":
 			err = runTrace(stdout, args[1:])
 		default:
@@ -57,11 +58,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			usage(stderr)
 			return 2
 		}
-		if err != nil {
-			fmt.Fprintln(stderr, "tkmc-analyze:", err)
-			return 1
+		if err == nil || err == flag.ErrHelp {
+			return 0
 		}
-		return 0
+		fmt.Fprintln(stderr, "tkmc-analyze:", err)
+		if errors.As(err, new(usageError)) {
+			return 2
+		}
+		return 1
 	}
 	fs := flag.NewFlagSet("tkmc-analyze", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -89,11 +93,15 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// usageError is a mistake in how a subcommand was invoked, which exits
+// 2; any other error is a runtime failure and exits 1.
+type usageError struct{ error }
+
 // checkShells refuses a cluster adjacency cluster.Analyze does not
 // define, before any input is read.
 func checkShells(n int) error {
 	if n != 1 && n != 2 {
-		return fmt.Errorf("-shells wants 1 (1NN) or 2 (1NN+2NN), got %d", n)
+		return usageError{fmt.Errorf("-shells wants 1 (1NN) or 2 (1NN+2NN), got %d", n)}
 	}
 	return nil
 }
@@ -111,11 +119,11 @@ func usage(w io.Writer) {
 // from the given journal files and print the assembled tree.
 func runTrace(w io.Writer, args []string) error {
 	if len(args) < 2 {
-		return fmt.Errorf("trace wants a trace ID and at least one journal file:\n       tkmc-analyze trace <trace-id> <journal.jsonl>...")
+		return usageError{errors.New("trace wants a trace ID and at least one journal file:\n       tkmc-analyze trace <trace-id> <journal.jsonl>...")}
 	}
 	id, err := telemetry.ParseID(args[0])
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 	recs, err := telemetry.Collect(id, args[1:])
 	if err != nil {
@@ -127,17 +135,23 @@ func runTrace(w io.Writer, args []string) error {
 	return telemetry.Assemble(id, recs).Write(w)
 }
 
-// runReplay implements the replay subcommand.
-func runReplay(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+// runReplay implements the replay subcommand. Flag errors and usage
+// go to stderr.
+func runReplay(w, stderr io.Writer, args []string) error {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	logPath := fs.String("log", "", "TKMCTRJ1 trajectory log (required)")
 	toHop := fs.Int64("to-hop", -1, "target hop count (required)")
 	deckPath := fs.String("deck", "", "input deck, required for parallel logs (re-runs recorded segments)")
 	out := fs.String("out", "", "write the reconstructed TKMCBOX2 checkpoint here")
 	shells := fs.Int("shells", 2, "cluster adjacency: 1 = 1NN, 2 = 1NN+2NN")
-	fs.Parse(args)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return err
+	} else if err != nil {
+		return usageError{err}
+	}
 	if *logPath == "" || *toHop < 0 {
-		return fmt.Errorf("replay needs -log <trajectory> and -to-hop N")
+		return usageError{errors.New("replay needs -log <trajectory> and -to-hop N")}
 	}
 	if err := checkShells(*shells); err != nil {
 		return err

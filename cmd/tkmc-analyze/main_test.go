@@ -86,7 +86,7 @@ func TestReplaySubcommand(t *testing.T) {
 	target := hops / 2
 	out := filepath.Join(dir, "replayed.tkmc")
 	var sb strings.Builder
-	if err := runReplay(&sb, []string{
+	if err := runReplay(&sb, &sb, []string{
 		"-log", logPath, "-to-hop", fmt.Sprint(target), "-out", out,
 	}); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestReplaySubcommand(t *testing.T) {
 	}
 
 	// A target past the end of the log must be a hard error.
-	if err := runReplay(&sb, []string{"-log", logPath, "-to-hop", fmt.Sprint(hops + 100)}); err == nil {
+	if err := runReplay(&sb, &sb, []string{"-log", logPath, "-to-hop", fmt.Sprint(hops + 100)}); err == nil {
 		t.Fatal("replay past the end of the log succeeded")
 	}
 }
@@ -130,7 +130,7 @@ func TestShellsRefusedBeforeWork(t *testing.T) {
 		if stdout.Len() != 0 || !strings.Contains(stderr.String(), "-shells") {
 			t.Errorf("-box -shells %s: stdout %q, stderr %q", n, stdout.String(), stderr.String())
 		}
-		err := runReplay(&strings.Builder{}, []string{"-log", filepath.Join(dir, "absent.tkmctrj"), "-to-hop", "1", "-shells", n})
+		err := runReplay(&strings.Builder{}, &strings.Builder{}, []string{"-log", filepath.Join(dir, "absent.tkmctrj"), "-to-hop", "1", "-shells", n})
 		if err == nil || !strings.Contains(err.Error(), "-shells") {
 			t.Errorf("replay -shells %s: err = %v", n, err)
 		}
@@ -139,5 +139,36 @@ func TestShellsRefusedBeforeWork(t *testing.T) {
 	if code := realMain([]string{"-box", snap, "-shells", "1"}, &stdout, &strings.Builder{}); code != 0 ||
 		!strings.Contains(stdout.String(), "clusters (1NN adjacency)") {
 		t.Fatalf("-shells 1: exit %d, output %q", code, stdout.String())
+	}
+}
+
+// TestSubcommandUsageExits2: a mistake in how replay or trace is invoked
+// exits 2, the usage code of the box form, with its diagnostic on the
+// given stderr; replay -h exits 0. A failure of the work itself stays
+// exit 1. realMain returns every code, so none of these ends the test
+// process.
+func TestSubcommandUsageExits2(t *testing.T) {
+	absent := filepath.Join(t.TempDir(), "absent.tkmctrj")
+	for _, c := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"replay", "-log", absent}, 2, "-to-hop"},
+		{[]string{"replay", "-log", absent, "-to-hop", "1", "-shells", "3"}, 2, "-shells"},
+		{[]string{"replay", "-bogus"}, 2, "-bogus"},
+		{[]string{"replay", "-h"}, 0, "-to-hop"},
+		{[]string{"trace", "abc"}, 2, "trace wants a trace ID"},
+		{[]string{"trace", "not-hex", absent}, 2, "not-hex"},
+		{[]string{"replay", "-log", absent, "-to-hop", "1"}, 1, "absent.tkmctrj"},
+	} {
+		var stdout, stderr strings.Builder
+		code := realMain(c.args, &stdout, &stderr)
+		if code != c.code || !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("%q: exit %d, stderr %q; want exit %d naming %q", c.args, code, stderr.String(), c.code, c.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: wrote %q to stdout", c.args, stdout.String())
+		}
 	}
 }

@@ -11,8 +11,7 @@
 //	tkmc-ctl -data DIR [-addr host:port]
 //	         [-max-running N] [-max-queued N]
 //	         [-tenant-running N] [-tenant-queued N]
-//	         [-snapshot-every N] [-drain-timeout seconds]
-//	         [-event-log path]
+//	         [-drain-timeout seconds] [-event-log path]
 //
 // API (on -addr):
 //
@@ -69,12 +68,11 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 	fs := flag.NewFlagSet("tkmc-ctl", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:7970", "HTTP listen address (port 0 = kernel-picked)")
-	dataDir := fs.String("data", "", "state directory (WAL, snapshots, per-job checkpoints); required")
+	dataDir := fs.String("data", "", "state directory (WAL, per-job checkpoints); required")
 	maxRunning := fs.Int("max-running", 0, "concurrent running jobs (0 = default 2)")
 	maxQueued := fs.Int("max-queued", 0, "total in-flight job bound before 503 shedding (0 = default 64)")
 	tenantRunning := fs.Int("tenant-running", 0, "per-tenant running quota (0 = max-running)")
 	tenantQueued := fs.Int("tenant-queued", 0, "per-tenant in-flight quota before 429 shedding (0 = max-queued)")
-	snapshotEvery := fs.Int("snapshot-every", 0, "WAL records between snapshot compactions (0 = default 64)")
 	drainSecs := fs.Float64("drain-timeout", 60, "max seconds to wait for running jobs to checkpoint on drain")
 	eventLog := fs.String("event-log", "", "flush the controller's flight-recorder journal (including job trace spans) as JSONL to this path on exit")
 	if err := fs.Parse(args); err != nil {
@@ -83,6 +81,16 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 	if *dataDir == "" {
 		fmt.Fprintln(stderr, "tkmc-ctl: -data is required")
 		return exitUsage
+	}
+	// A negative quota would otherwise read as "use the default".
+	for _, q := range []struct {
+		name string
+		v    int
+	}{{"max-running", *maxRunning}, {"max-queued", *maxQueued}, {"tenant-running", *tenantRunning}, {"tenant-queued", *tenantQueued}} {
+		if q.v < 0 {
+			fmt.Fprintf(stderr, "tkmc-ctl: -%s wants a job count of at least 0 (0 = default), got %d\n", q.name, q.v)
+			return exitUsage
+		}
 	}
 	// A NaN, non-positive or overflowing timeout would report "drain
 	// timed out" at once, while jobs are still checkpointing.
@@ -106,7 +114,6 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 		MaxQueued:     *maxQueued,
 		TenantRunning: *tenantRunning,
 		TenantQueued:  *tenantQueued,
-		SnapshotEvery: *snapshotEvery,
 		Telemetry:     set,
 	})
 	if err != nil {

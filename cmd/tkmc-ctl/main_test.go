@@ -42,6 +42,21 @@ func TestUsageErrors(t *testing.T) {
 	if code := realMain(nil, &out, &out, nil); code != exitUsage {
 		t.Fatalf("missing -data: exit %d", code)
 	}
+	// A negative quota is refused, naming the flag, rather than read as
+	// the default.
+	for _, flag := range []string{"-max-running", "-max-queued", "-tenant-running", "-tenant-queued"} {
+		dir := filepath.Join(t.TempDir(), "data")
+		sig := make(chan os.Signal, 1)
+		sig <- syscall.SIGTERM
+		var out bytes.Buffer
+		code := realMain([]string{"-addr", "127.0.0.1:0", "-data", dir, flag, "-1"}, &out, &out, sig)
+		if code != exitUsage || !strings.Contains(out.String(), flag) {
+			t.Errorf("%s -1: exit %d, output %q", flag, code, out.String())
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s -1: state directory touched (%v)", flag, err)
+		}
+	}
 }
 
 // TestServeSubmitDrain: the full binary path — start, submit over HTTP,

@@ -63,7 +63,7 @@ type controller struct {
 // address from its banner, and keeps draining its stdout.
 func startController(t *testing.T, dataDir, crashSpec string, extraArgs ...string) *controller {
 	t.Helper()
-	args := append([]string{"-addr", "127.0.0.1:0", "-data", dataDir, "-snapshot-every", "3"}, extraArgs...)
+	args := append([]string{"-addr", "127.0.0.1:0", "-data", dataDir}, extraArgs...)
 	cmd := exec.Command(ctlBinary(t), args...)
 	for _, kv := range os.Environ() {
 		if !strings.HasPrefix(kv, crashEnv+"=") {

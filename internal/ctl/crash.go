@@ -23,8 +23,8 @@ const (
 	// CrashWALFsync fires after the fsync but before the in-memory
 	// state applies: a durable record the dying process never acted on.
 	CrashWALFsync = "wal-fsync"
-	// CrashSnapshot fires between snapshot persistence and WAL reset
-	// during compaction.
+	// CrashSnapshot fires mid-compaction: the compacted log has been
+	// renamed over the old one but not yet reopened.
 	CrashSnapshot = "snapshot"
 	// CrashPreempt fires mid-preemption: the victim has checkpointed
 	// and stopped, but its requeue transition has not been logged.

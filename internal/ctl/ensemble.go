@@ -115,7 +115,7 @@ func (p *Plane) fanOutLocked(parent *job) error {
 			},
 			journal: telemetry.NewJournal(0),
 		}
-		if _, err := p.wal.append(child.rec); err != nil {
+		if err := p.wal.append(child.rec); err != nil {
 			p.nextSeq = seq
 			return fmt.Errorf("ctl: logging replica %s: %w", id, err)
 		}

@@ -227,7 +227,7 @@ func TestEnsembleRecoveryFinishesFanOut(t *testing.T) {
 		State: StateQueued, Duration: 2e-8, Parent: parent.ID, Replica: 1,
 	}
 	for _, rec := range []JobRecord{parent, child1} {
-		if _, err := w.append(rec); err != nil {
+		if err := w.append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}

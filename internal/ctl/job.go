@@ -40,7 +40,7 @@ var States = []JobState{
 
 // Terminal reports whether the state ends a job's lifecycle: terminal
 // jobs hold no resources, are never scheduled again, and survive in the
-// store (and its snapshots) as the job's permanent record.
+// store (and its compactions) as the job's permanent record.
 func (s JobState) Terminal() bool {
 	switch s {
 	case StateCompleted, StateFailed, StateExhausted, StateCanceled:
@@ -78,7 +78,7 @@ func ParsePriority(name string) (int, error) {
 }
 
 // JobRecord is the durable description of one job — the unit the WAL
-// appends and the snapshot stores. Everything needed to re-adopt the
+// appends and a compaction keeps one of per job. Everything needed to re-adopt the
 // job after a controller crash is here (the deck text) or in the job's
 // checkpoint directory (the simulation state).
 type JobRecord struct {
@@ -159,6 +159,3 @@ type job struct {
 	// finalizeEnsemble, but only one invocation may aggregate.
 	finalizing bool
 }
-
-// snapshotRec returns the durable part of the job.
-func (j *job) snapshotRec() JobRecord { return j.rec }

@@ -19,8 +19,8 @@ import (
 // Config tunes the control plane. The zero value of every field takes a
 // sane default, so Config{Dir: dir} is a working controller.
 type Config struct {
-	// Dir is the controller's state directory: the WAL, its snapshots,
-	// and one checkpoint directory per job live under it.
+	// Dir is the controller's state directory: the WAL and one
+	// checkpoint directory per job live under it.
 	Dir string
 	// MaxRunning bounds concurrently running simulations (default 2).
 	MaxRunning int
@@ -34,9 +34,6 @@ type Config struct {
 	// tenant quota shed with 429.
 	TenantRunning int
 	TenantQueued  int
-	// SnapshotEvery compacts the WAL into an atomic snapshot after this
-	// many appended records (default 64).
-	SnapshotEvery int
 	// Telemetry, if non-nil, receives the controller's tkmc_ctl_*
 	// metrics and its flight-recorder events; nil builds a private set.
 	Telemetry *telemetry.Set
@@ -54,9 +51,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.TenantQueued <= 0 {
 		c.TenantQueued = c.MaxQueued
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 64
 	}
 }
 
@@ -97,9 +91,10 @@ type Plane struct {
 }
 
 // Open recovers (or initialises) a controller from its state directory:
-// load the last snapshot, replay the WAL tail, re-adopt every
-// non-terminal job, start scheduling. Crash recovery and first boot are
-// deliberately the same code path.
+// replay the WAL, re-adopt every non-terminal job, start scheduling.
+// Crash recovery and first boot are deliberately the same code path.
+// A directory holding an older controller's TKMCSNAP snapshot is
+// refused: the jobs folded into it are in no log this controller reads.
 func Open(cfg Config) (*Plane, error) {
 	cfg.applyDefaults()
 	if cfg.Dir == "" {
@@ -114,41 +109,32 @@ func Open(cfg Config) (*Plane, error) {
 	}
 	p := &Plane{cfg: cfg, set: set, jobs: map[string]*job{}}
 
-	snap, _, err := loadSnapshot(p.snapPath())
-	if err != nil {
-		return nil, err
+	for _, name := range []string{"ctl.snap", "ctl.snap.bak"} {
+		path := filepath.Join(cfg.Dir, name)
+		if _, err := os.Lstat(path); err == nil {
+			return nil, fmt.Errorf("ctl: %s is a job-store snapshot from an older tkmc-ctl; "+
+				"its jobs are in no log this controller replays, so the store is not opened", path)
+		}
+	}
+	// A crash mid-compaction can leave the temporary copy of the log
+	// behind; the log itself is whole either way.
+	stale, _ := filepath.Glob(p.walPath() + ".tmp-*")
+	for _, path := range stale {
+		os.Remove(path)
 	}
 	w, recs, err := openWAL(p.walPath(), set)
 	if err != nil {
 		return nil, err
 	}
 	p.wal = w
-	// The LSN counter must never fall below the snapshot watermark:
-	// right after a compaction the tail is empty, so the replayed
-	// records alone would restart the counter at zero and the next
-	// appends would be assigned LSNs the replay filter below discards
-	// as already folded into the snapshot — silently losing
-	// acknowledged transitions on the restart after next.
-	w.lsn = max(w.lsn, snap.LSN)
-	p.nextSeq = snap.NextSeq
-	for _, rec := range snap.Jobs {
-		p.jobs[rec.ID] = &job{rec: rec, journal: telemetry.NewJournal(0)}
-	}
-	for _, r := range recs {
-		if r.LSN <= snap.LSN {
-			continue // already folded into the snapshot
-		}
-		j, ok := p.jobs[r.Job.ID]
+	for _, rec := range recs {
+		j, ok := p.jobs[rec.ID]
 		if !ok {
 			j = &job{journal: telemetry.NewJournal(0)}
-			p.jobs[r.Job.ID] = j
+			p.jobs[rec.ID] = j
 		}
-		j.rec = r.Job
-	}
-	for _, j := range p.jobs {
-		if j.rec.Seq >= p.nextSeq {
-			p.nextSeq = j.rec.Seq + 1
-		}
+		j.rec = rec
+		p.nextSeq = max(p.nextSeq, rec.Seq+1)
 	}
 
 	// Re-adopt: a job logged as running belonged to a dead incarnation
@@ -196,8 +182,7 @@ func Open(cfg Config) (*Plane, error) {
 	return p, nil
 }
 
-func (p *Plane) walPath() string  { return filepath.Join(p.cfg.Dir, "ctl.wal") }
-func (p *Plane) snapPath() string { return filepath.Join(p.cfg.Dir, "ctl.snap") }
+func (p *Plane) walPath() string { return filepath.Join(p.cfg.Dir, "ctl.wal") }
 
 // JobDir returns the job's checkpoint directory.
 func (p *Plane) JobDir(id string) string { return filepath.Join(p.cfg.Dir, "jobs", id) }
@@ -236,24 +221,20 @@ func (p *Plane) bindMetrics() {
 // transitionLocked applies a mutation write-ahead: the mutated record is
 // logged (and fsynced) before the in-memory state changes, so an
 // acknowledged transition is always durable. Called with p.mu held.
+//
+// A transition is also what makes a record stale, so this is where the
+// log compacts: once it holds compactSlack more stale records than live
+// jobs. The J records a compaction writes are paid for by the J +
+// compactSlack transitions since the last one.
 func (p *Plane) transitionLocked(j *job, mutate func(*JobRecord)) error {
 	rec := j.rec
 	mutate(&rec)
-	if _, err := p.wal.append(rec); err != nil {
+	if err := p.wal.append(rec); err != nil {
 		return err
 	}
 	j.rec = rec
-	if p.wal.n >= p.cfg.SnapshotEvery {
-		st := snapshotState{NextSeq: p.nextSeq}
-		ids := make([]string, 0, len(p.jobs))
-		for id := range p.jobs {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			st.Jobs = append(st.Jobs, p.jobs[id].snapshotRec())
-		}
-		if err := p.wal.compact(st, p.snapPath()); err != nil {
+	if p.wal.n >= 2*len(p.jobs)+compactSlack {
+		if err := p.wal.compact(p.listLocked()); err != nil {
 			// Compaction failure is not a transition failure: the record
 			// is durable in the (now longer) WAL; retry next append.
 			p.set.Events().Record("compact-failed", "WAL compaction failed: %v", err)
@@ -339,7 +320,7 @@ func (p *Plane) Submit(deckText string) (JobRecord, error) {
 		},
 		journal: telemetry.NewJournal(0),
 	}
-	if _, err := p.wal.append(j.rec); err != nil {
+	if err := p.wal.append(j.rec); err != nil {
 		p.nextSeq = seq // roll back: nothing durable, nothing admitted
 		if errors.Is(err, frame.ErrTooLarge) {
 			// JSON escapes <, > and & six bytes wide, so a deck under the
@@ -380,6 +361,12 @@ func (p *Plane) Get(id string) (JobRecord, error) {
 func (p *Plane) List() []JobRecord {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.listLocked()
+}
+
+// listLocked returns every job record in admission (Seq) order. Called
+// with p.mu held.
+func (p *Plane) listLocked() []JobRecord {
 	out := make([]JobRecord, 0, len(p.jobs))
 	for _, j := range p.jobs {
 		out = append(out, j.rec)

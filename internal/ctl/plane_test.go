@@ -140,7 +140,7 @@ func TestQuotaPriorityScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := openTestPlane(t, Config{MaxRunning: 1, TenantQueued: 2, SnapshotEvery: 4})
+	p := openTestPlane(t, Config{MaxRunning: 1, TenantQueued: 2})
 	low, err := p.Submit(lowDeck)
 	if err != nil {
 		t.Fatal(err)
@@ -228,6 +228,11 @@ func TestQuotaPriorityScenario(t *testing.T) {
 	}
 	if sum(telemetry.MetricCtlWALFsyncs) < 1 {
 		t.Fatal("WAL fsync counter not bumped")
+	}
+	// The resumed job's progress records make most of the log stale, so
+	// the store compacted under the live scenario.
+	if sum(telemetry.MetricCtlWALSnapshots) < 1 {
+		t.Fatal("WAL compaction counter not bumped")
 	}
 }
 
@@ -397,7 +402,7 @@ func TestPoisonDeckJobFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	running := JobRecord{ID: "job-000001", Seq: 1, State: StateRunning, Deck: head + "cutoff -1\n", Duration: 1e-9}
-	if _, err := w.append(running); err != nil {
+	if err := w.append(running); err != nil {
 		t.Fatal(err)
 	}
 	w.close()
@@ -456,30 +461,29 @@ func TestDrainCheckpointsRunningJobs(t *testing.T) {
 	}
 }
 
-// TestLSNSurvivesCompactionRestart: restart → compaction-emptied WAL →
-// submit → restart again. The first reopen sees an empty tail, so its
-// LSN counter must be seeded from the snapshot watermark; otherwise the
-// post-restart submission is assigned an LSN at or below the watermark
-// and the second reopen's replay filter silently discards it —
-// acknowledged-durable job state lost.
-func TestLSNSurvivesCompactionRestart(t *testing.T) {
+// TestAcknowledgedJobsSurviveCompactionRestarts: a job acknowledged
+// after a compaction survives two restarts. The first incarnation ends
+// with the log freshly compacted; the second appends to that log; the
+// third and fourth must still hold both jobs, completed.
+func TestAcknowledgedJobsSurviveCompactionRestarts(t *testing.T) {
 	dir := t.TempDir()
-	// SnapshotEvery: 1 compacts after every transition, so closing leaves
-	// exactly the dangerous shape: snapshot at watermark N, empty tail.
-	p := openTestPlane(t, Config{Dir: dir, SnapshotEvery: 1})
+	p := openTestPlane(t, Config{Dir: dir})
 	first, err := p.Submit(testDeck("alice", "normal", 1, 1e-9, 1e-9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitJob(t, p, first.ID, "first completion", func(r JobRecord) bool { return r.State.Terminal() })
+	p.mu.Lock()
+	err = p.wal.compact(p.listLocked())
+	p.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The second incarnation must NOT compact: its appends have to sit
-	// in the WAL tail where only their LSNs decide whether the third
-	// incarnation's replay keeps them.
-	p2 := openTestPlane(t, Config{Dir: dir, SnapshotEvery: 1000})
+	p2 := openTestPlane(t, Config{Dir: dir})
 	second, err := p2.Submit(testDeck("bob", "normal", 2, 1e-9, 1e-9))
 	if err != nil {
 		t.Fatal(err)
@@ -492,14 +496,19 @@ func TestLSNSurvivesCompactionRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p3 := openTestPlane(t, Config{Dir: dir, SnapshotEvery: 1000})
-	for _, id := range []string{first.ID, second.ID} {
-		rec, err := p3.Get(id)
-		if err != nil {
-			t.Fatalf("job %s lost across compaction restart: %v", id, err)
+	for restart := 3; restart <= 4; restart++ {
+		p := openTestPlane(t, Config{Dir: dir})
+		for _, id := range []string{first.ID, second.ID} {
+			rec, err := p.Get(id)
+			if err != nil {
+				t.Fatalf("incarnation %d: job %s lost across compaction restart: %v", restart, id, err)
+			}
+			if rec.State != StateCompleted {
+				t.Fatalf("incarnation %d: job %s reverted to %s", restart, id, rec.State)
+			}
 		}
-		if rec.State != StateCompleted {
-			t.Fatalf("job %s reverted to %s after restart", id, rec.State)
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -517,7 +526,7 @@ func TestReAdoptionAfterRestart(t *testing.T) {
 		ID: "job-000004", Seq: 4, State: StateRunning,
 		Deck: testDeck("alice", "normal", 3, 2e-8, 1e-8), Duration: 2e-8,
 	}
-	if _, err := w.append(rec); err != nil {
+	if err := w.append(rec); err != nil {
 		t.Fatal(err)
 	}
 	w.close()

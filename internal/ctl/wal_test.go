@@ -1,6 +1,7 @@
 package ctl
 
 import (
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -14,8 +15,9 @@ func testRec(id string, seq uint64, st JobState) JobRecord {
 	return JobRecord{ID: id, Seq: seq, State: st, Deck: "cells 4 4 4\nduration 1e-9\n"}
 }
 
-// TestWALRoundTrip: records appended before close replay on reopen, in
-// order, with the LSN sequence continuing where it left off.
+// TestWALRoundTrip: a fresh log replays nothing (first boot); records
+// appended before close replay on reopen in file order, and appends
+// after the replay extend the same log.
 func TestWALRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ctl.wal")
 	w, recs, err := openWAL(path, telemetry.NewSet())
@@ -25,8 +27,9 @@ func TestWALRoundTrip(t *testing.T) {
 	if len(recs) != 0 {
 		t.Fatalf("fresh WAL replayed %d records", len(recs))
 	}
-	for i := 1; i <= 3; i++ {
-		if _, err := w.append(testRec("job-1", 1, StateQueued)); err != nil {
+	states := []JobState{StateQueued, StateRunning, StatePreempted}
+	for _, st := range states {
+		if err := w.append(testRec("job-1", 1, st)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,17 +41,20 @@ func TestWALRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.close()
-	if len(recs) != 3 {
-		t.Fatalf("replayed %d records, want 3", len(recs))
+	if len(recs) != len(states) || w2.n != len(states) {
+		t.Fatalf("replayed %d records (n=%d), want %d", len(recs), w2.n, len(states))
 	}
 	for i, r := range recs {
-		if r.LSN != uint64(i+1) {
-			t.Fatalf("record %d has LSN %d", i, r.LSN)
+		if r.State != states[i] {
+			t.Fatalf("record %d replayed as %s, want %s", i, r.State, states[i])
 		}
 	}
-	if lsn, err := w2.append(testRec("job-1", 1, StateRunning)); err != nil || lsn != 4 {
-		t.Fatalf("post-replay append: lsn=%d err=%v, want 4", lsn, err)
+	if err := w2.append(testRec("job-1", 1, StateRunning)); err != nil {
+		t.Fatalf("post-replay append: %v", err)
+	}
+	w2.close()
+	if _, recs, err = openWAL(path, nil); err != nil || len(recs) != 4 || recs[3].State != StateRunning {
+		t.Fatalf("re-replay got %+v err=%v, want 4 records ending running", recs, err)
 	}
 }
 
@@ -62,7 +68,7 @@ func TestWALTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := w.append(testRec("job-1", 1, StateQueued)); err != nil {
+		if err := w.append(testRec("job-1", 1, StateQueued)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +90,7 @@ func TestWALTornTail(t *testing.T) {
 		if len(recs) != 2 {
 			t.Fatalf("cut=%d: replayed %d records, want 2", cut, len(recs))
 		}
-		if _, err := w2.append(testRec("job-2", 2, StateQueued)); err != nil {
+		if err := w2.append(testRec("job-2", 2, StateQueued)); err != nil {
 			t.Fatalf("cut=%d: append after tear: %v", cut, err)
 		}
 		w2.close()
@@ -122,7 +128,7 @@ func TestWALCorruptRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Job.State != StateQueued {
+	if len(recs) != 1 || recs[0].State != StateQueued {
 		t.Fatalf("replayed %d records past corruption, want 1 (queued)", len(recs))
 	}
 }
@@ -144,7 +150,7 @@ func TestWALShortHeader(t *testing.T) {
 		if len(recs) != 0 {
 			t.Fatalf("%d-byte header replayed %d records", cut, len(recs))
 		}
-		if _, err := w.append(testRec("job-1", 1, StateQueued)); err != nil {
+		if err := w.append(testRec("job-1", 1, StateQueued)); err != nil {
 			t.Fatalf("%d-byte header: append after reset: %v", cut, err)
 		}
 		w.close()
@@ -165,75 +171,204 @@ func TestWALBadMagic(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: compaction folds the store into a durable
-// snapshot, resets the log, and a reopen sees snapshot + empty tail.
-func TestSnapshotRoundTrip(t *testing.T) {
+// TestCompactionRoundTrip: compaction rewrites the log in place as one
+// record per job, leaving no temporary file and no backup; the reopened
+// log takes further appends, and a replay sees the compacted records
+// followed by them.
+func TestCompactionRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "ctl.wal")
-	snapPath := filepath.Join(dir, "ctl.snap")
-	w, _, err := openWAL(walPath, nil)
+	path := filepath.Join(dir, "ctl.wal")
+	set := telemetry.NewSet()
+	w, _, err := openWAL(path, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		w.append(testRec("job-1", 1, StateQueued))
+	for _, st := range []JobState{StateQueued, StateRunning, StatePreempted, StateQueued, StateRunning} {
+		if err := w.append(testRec("job-1", 1, st)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st := snapshotState{NextSeq: 7, Jobs: []JobRecord{testRec("job-1", 1, StateRunning)}}
-	if err := w.compact(st, snapPath); err != nil {
+	if err := w.append(testRec("job-2", 2, StateQueued)); err != nil {
 		t.Fatal(err)
 	}
-	if w.n != 0 {
-		t.Fatalf("post-compaction record count %d", w.n)
+	jobs := []JobRecord{testRec("job-1", 1, StateRunning), testRec("job-2", 2, StateQueued)}
+	if err := w.compact(jobs); err != nil {
+		t.Fatal(err)
 	}
-	// Appends after compaction land in the fresh log with continuing LSNs.
-	if lsn, err := w.append(testRec("job-1", 1, StatePreempted)); err != nil || lsn != 6 {
-		t.Fatalf("post-compaction append lsn=%d err=%v", lsn, err)
+	if w.n != len(jobs) || w.compactions.Value() != 1 {
+		t.Fatalf("after compaction n=%d compactions=%d, want %d and 1", w.n, w.compactions.Value(), len(jobs))
+	}
+	if err := w.append(testRec("job-1", 1, StateCompleted)); err != nil {
+		t.Fatal(err)
 	}
 	w.close()
 
-	snap, ok, err := loadSnapshot(snapPath)
-	if err != nil || !ok {
-		t.Fatalf("loadSnapshot: ok=%v err=%v", ok, err)
+	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
+		t.Fatalf("compaction left %v, want only ctl.wal", names)
 	}
-	if snap.LSN != 5 || snap.NextSeq != 7 || len(snap.Jobs) != 1 {
-		t.Fatalf("snapshot %+v", snap)
-	}
-	_, recs, err := openWAL(walPath, nil)
+	_, recs, err := openWAL(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].LSN != 6 {
-		t.Fatalf("fresh tail replayed %+v", recs)
+	want := append(jobs, testRec("job-1", 1, StateCompleted))
+	if len(recs) != len(want) {
+		t.Fatalf("replayed %+v, want %+v", recs, want)
+	}
+	for i := range want {
+		if recs[i] != want[i] {
+			t.Fatalf("record %d replayed as %+v, want %+v", i, recs[i], want[i])
+		}
 	}
 }
 
-// TestSnapshotBackupFallback: a corrupted primary snapshot falls back to
-// the rotated .bak (the TKMCBOX2 discipline).
-func TestSnapshotBackupFallback(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ctl.snap")
-	if err := saveSnapshot(path, snapshotState{LSN: 1, NextSeq: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := saveSnapshot(path, snapshotState{LSN: 9, NextSeq: 4}); err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := os.ReadFile(path)
-	raw[len(raw)/2] ^= 0xff
-	os.WriteFile(path, raw, 0o644)
-	snap, ok, err := loadSnapshot(path)
-	if err != nil || !ok {
-		t.Fatalf("fallback load: ok=%v err=%v", ok, err)
-	}
-	if snap.LSN != 1 {
-		t.Fatalf("fallback returned LSN %d, want the .bak's 1", snap.LSN)
+// TestCompactionAmortised: compaction is due once the log holds
+// compactSlack more stale records than live jobs, so T transitions on a
+// J-job store compact at most ceil(T/(J+compactSlack)) times, each
+// writing J records, and the log never grows past 2J+compactSlack
+// records. The store replays to its last state.
+func TestCompactionAmortised(t *testing.T) {
+	const transitions = 200
+	for _, jobs := range []int{1, 3, 10, 40} {
+		dir := t.TempDir()
+		w, _, err := openWAL(filepath.Join(dir, "ctl.wal"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < jobs; i++ {
+			rec := testRec(fmt.Sprintf("job-%06d", i), uint64(i), StateCompleted)
+			if err := w.append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.close()
+
+		p := openTestPlane(t, Config{Dir: dir})
+		p.mu.Lock()
+		ids := make([]string, 0, jobs)
+		for _, rec := range p.listLocked() {
+			ids = append(ids, rec.ID)
+		}
+		for i := 0; i < transitions; i++ {
+			j := p.jobs[ids[i%jobs]]
+			if err := p.transitionLocked(j, func(r *JobRecord) { r.Hops++ }); err != nil {
+				t.Fatal(err)
+			}
+			if p.wal.n >= 2*jobs+compactSlack {
+				t.Fatalf("J=%d: log holds %d records after transition %d", jobs, p.wal.n, i)
+			}
+		}
+		got, bound := p.wal.compactions.Value(), (transitions+jobs+compactSlack-1)/(jobs+compactSlack)
+		want := p.listLocked()
+		p.mu.Unlock()
+		if got > int64(bound) || got < 1 {
+			t.Fatalf("J=%d: %d compactions over %d transitions, want 1..%d", jobs, got, transitions, bound)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		p2 := openTestPlane(t, Config{Dir: dir})
+		if list := p2.List(); fmt.Sprint(list) != fmt.Sprint(want) {
+			t.Fatalf("J=%d: reopened store %+v, want %+v", jobs, list, want)
+		}
 	}
 }
 
-// TestSnapshotMissing: no snapshot at all is first-boot, not an error.
-func TestSnapshotMissing(t *testing.T) {
-	_, ok, err := loadSnapshot(filepath.Join(t.TempDir(), "none.snap"))
-	if err != nil || ok {
-		t.Fatalf("missing snapshot: ok=%v err=%v", ok, err)
+// TestOldStoreDirectories: a log written before compaction moved into
+// it carries an "lsn" in every record and replays unchanged; a
+// directory holding that controller's TKMCSNAP snapshot (or only its
+// backup) is refused, naming the file, since the jobs folded into it
+// are in no log.
+func TestOldStoreDirectories(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := openWAL(filepath.Join(dir, "ctl.wal"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deck := testDeck("alice", "normal", 1, 1e-9, 1e-9)
+	for i, rec := range []string{
+		`{"lsn":1,"job":{"id":"job-000000","seq":0,"tenant":"alice","priority":1,"deck":%q,"state":"queued","duration":1e-9,"time":0,"hops":0}}`,
+		`{"lsn":2,"job":{"id":"job-000001","seq":1,"tenant":"alice","priority":1,"deck":%q,"state":"queued","duration":1e-9,"time":0,"hops":0}}`,
+		`{"lsn":3,"job":{"id":"job-000000","seq":0,"tenant":"alice","priority":1,"deck":%q,"state":"completed","duration":1e-9,"time":1e-9,"hops":33}}`,
+		`{"lsn":4,"job":{"id":"job-000001","seq":1,"tenant":"alice","priority":1,"deck":%q,"state":"canceled","duration":1e-9,"time":0,"hops":0}}`,
+	} {
+		if _, err := w.log.Append([]byte(fmt.Sprintf(rec, deck))); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	w.close()
+	p := openTestPlane(t, Config{Dir: dir})
+	list := p.List()
+	if len(list) != 2 || list[0].State != StateCompleted || list[0].Hops != 33 || list[1].State != StateCanceled {
+		t.Fatalf("old log replayed as %+v", list)
+	}
+	if next, err := p.Submit(deck); err != nil || next.Seq != 2 {
+		t.Fatalf("submission after old-log replay: seq %d, err %v", next.Seq, err)
+	}
+	p.Close()
+
+	for _, name := range []string{"ctl.snap", "ctl.snap.bak"} {
+		dir := t.TempDir()
+		snap := filepath.Join(dir, name)
+		if err := os.WriteFile(snap, []byte("TKMCSNAP"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if p, err := Open(Config{Dir: dir}); err == nil {
+			p.Close()
+			t.Fatalf("%s: store opened without the snapshot's jobs", name)
+		} else if !strings.Contains(err.Error(), snap) {
+			t.Fatalf("%s: error %q does not name the file", name, err)
+		}
+	}
+}
+
+// TestOpenAfterCompactionCrash: the two states a crash mid-compaction
+// can leave both open to the store as it was. Before the rename, the
+// old log is whole beside a temporary copy, which Open removes; after
+// it (the CrashSnapshot point), the compacted log is in place.
+func TestOpenAfterCompactionCrash(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ctl.wal")
+	w, _, err := openWAL(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []JobState{StateQueued, StatePreempted, StateCompleted} {
+		if err := w.append(testRec("job-000001", 1, st)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.append(testRec("job-000002", 2, StateCanceled)); err != nil {
+		t.Fatal(err)
+	}
+	w.close()
+	want := []JobRecord{testRec("job-000001", 1, StateCompleted), testRec("job-000002", 2, StateCanceled)}
+
+	// Crash before the rename: a torn temporary copy beside the old log.
+	tmp := path + ".tmp-123456"
+	if err := os.WriteFile(tmp, []byte(walMagic+"\x10\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := openTestPlane(t, Config{Dir: dir})
+	if list := p.List(); fmt.Sprint(list) != fmt.Sprint(want) {
+		t.Fatalf("old log beside a temporary copy replayed as %+v, want %+v", list, want)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("temporary copy survived Open: %v", err)
+	}
+	p.Close()
+
+	// Crash after the rename: the compacted log, never reopened.
+	w, _, err = openWAL(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.compact(want); err != nil {
+		t.Fatal(err)
+	}
+	w.close()
+	p = openTestPlane(t, Config{Dir: dir})
+	if list := p.List(); fmt.Sprint(list) != fmt.Sprint(want) {
+		t.Fatalf("compacted log replayed as %+v, want %+v", list, want)
 	}
 }
 

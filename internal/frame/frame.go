@@ -9,7 +9,7 @@
 // CRC-valid frame is a torn tail — the signature of a crash mid-append —
 // and is truncated on open; nothing in it was ever acknowledged.
 //
-// A sealed file (TKMCBOX2, TKMCSNAP) is magic | body | uint32 LE CRC-32
+// A sealed file (TKMCBOX2) is magic | body | uint32 LE CRC-32
 // (IEEE) of magic and body. It is written whole through
 // fault.WriteFileAtomic, which rotates the previous file to path+".bak",
 // and loaded from the primary with a fallback to that backup.

@@ -117,13 +117,60 @@ func goList(t *testing.T, tags string, patterns ...string) map[string]*listedPac
 	return pkgs
 }
 
+// modulePatterns list the module's packages for the scan. It names them
+// rather than using ./..., which walks bench/out/, where bench's smoke
+// test creates and deletes scratch directories while other packages'
+// tests run; a directory that vanishes mid-walk fails `go list`.
+// TestModulePatternsCoverTopLevel keeps the list complete.
+var modulePatterns = []string{".", "./bench", "./cmd/...", "./examples/...", "./internal/...", "./scripts/..."}
+
+// TestModulePatternsCoverTopLevel fails when a top-level directory
+// holds Go files that modulePatterns does not list, so the scan cannot
+// silently miss a new package tree. It walks only the directories the
+// list leaves out, never bench/.
+func TestModulePatternsCoverTopLevel(t *testing.T) {
+	covered := map[string]bool{}
+	for _, p := range modulePatterns {
+		covered[strings.TrimSuffix(strings.TrimPrefix(p, "./"), "/...")] = true
+	}
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() || covered[e.Name()] || goIgnores(e.Name()) {
+			continue
+		}
+		err := filepath.WalkDir(e.Name(), func(path string, d os.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && goIgnores(d.Name()):
+				return filepath.SkipDir
+			case !d.IsDir() && strings.HasSuffix(path, ".go"):
+				t.Errorf("%s holds Go files (%s) that modulePatterns does not list", e.Name(), path)
+				return filepath.SkipAll
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// goIgnores reports whether the go tool's ./... skips a directory name.
+func goIgnores(name string) bool {
+	return strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata"
+}
+
 // scanModule type-checks every non-test package of the module (and
 // bench/'s test files) under the given build tags, recording the exported
 // identifiers internal/ declares and those some non-test file uses.
 func scanModule(t *testing.T, tags string, declared map[string]token.Position, used map[string]bool) {
 	t.Helper()
 	const module = "tensorkmc"
-	pkgs := goList(t, tags, "./...")
+	pkgs := goList(t, tags, modulePatterns...)
 	var missing []string
 	for _, imp := range pkgs[module+"/bench"].TestImports {
 		if pkgs[imp] == nil {

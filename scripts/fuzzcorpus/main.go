@@ -393,9 +393,12 @@ func writeTrajCorpus(dir string) error {
 }
 
 // writeFrameCorpus builds seeds for the codec fuzz target with
-// internal/frame itself: a TKMCWAL1 log of job records, a TKMCSNAP
-// snapshot, and the hostile shapes — a torn tail, a bit flip, a zero
-// length prefix, a cut trailer.
+// internal/frame itself: a TKMCWAL1 log of job records, a sealed file,
+// and the hostile shapes — a torn tail, a bit flip, a zero length
+// prefix, a cut trailer. The sealed seeds keep the magic and body of
+// the control plane's retired TKMCSNAP snapshot: the codec reads any
+// magic, so they stay as generic sealed-file seeds, and the WAL seeds
+// keep that controller's "lsn" field for the same reason.
 func writeFrameCorpus(dir string) error {
 	if err := freshDir(dir); err != nil {
 		return err
