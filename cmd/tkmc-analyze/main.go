@@ -18,8 +18,9 @@
 //
 // The trace subcommand assembles one distributed trace from any number
 // of flushed flight-recorder journals (the JSONL files tensorkmc's
-// `event_log` deck key, tkmc-serve's -event-log and tkmc-ctl's
-// -event-log write): spans from every process nest into one tree —
+// `event_log` deck key and tkmc-ctl's -event-log write, and the journal
+// a process hosting evalserve.Serve nodes flushes itself): spans from
+// every process nest into one tree —
 // controller job span, run/segment spans, per-request client eval spans
 // with their retry/failover legs, and serve/evaluate spans from each fleet
 // node — with orphan marks where a parent's journal was lost.
@@ -37,7 +38,6 @@ import (
 	"tensorkmc/internal/core"
 	"tensorkmc/internal/diffusion"
 	"tensorkmc/internal/input"
-	"tensorkmc/internal/kmc"
 	"tensorkmc/internal/telemetry"
 )
 
@@ -174,14 +174,7 @@ func runReplay(w, stderr io.Writer, args []string) error {
 		}
 	} else {
 		var err error
-		ck, err = core.ReplayToHop(*logPath, *toHop, core.ReplayOptions{
-			FromStart: true,
-			OnBase: func(base *core.Checkpoint) error {
-				tr = diffusion.NewTracker(base.Box, len(base.Vacancies))
-				return nil
-			},
-			Observer: func(ev kmc.Event) { tr.Record(ev) },
-		})
+		ck, tr, err = core.ReplayDiffusion(*logPath, *toHop)
 		if err != nil {
 			return err
 		}

@@ -93,7 +93,7 @@ type Config struct {
 	EvalCache int
 
 	// EvalFleet, when non-empty, routes every energy evaluation through
-	// a remote tkmc-serve fleet: a consistent-hash ring over the
+	// a fleet of evalserve.Serve nodes: a consistent-hash ring over the
 	// content-addressed environment space shards the key space across
 	// the listed nodes, with per-request deadlines, bounded retry,
 	// failover to ring replicas, and (by default) graceful degradation

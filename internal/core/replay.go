@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 
+	"tensorkmc/internal/diffusion"
 	"tensorkmc/internal/kmc"
 	"tensorkmc/internal/lattice"
 	"tensorkmc/internal/rng"
@@ -121,6 +122,26 @@ func ReplayToHop(logPath string, target int64, opts ReplayOptions) (*Checkpoint,
 		RNG:       rnd.State(),
 		Vacancies: centers,
 	}, nil
+}
+
+// ReplayDiffusion replays a serial trajectory log from its first
+// snapshot to the target hop, as ReplayToHop with FromStart does, and
+// returns the reconstructed state with a diffusion.Tracker that has
+// recorded every replayed hop.
+func ReplayDiffusion(logPath string, target int64) (*Checkpoint, *diffusion.Tracker, error) {
+	var tr *diffusion.Tracker
+	ck, err := ReplayToHop(logPath, target, ReplayOptions{
+		FromStart: true,
+		OnBase: func(base *Checkpoint) error {
+			tr = diffusion.NewTracker(base.Box, len(base.Vacancies))
+			return nil
+		},
+		Observer: func(ev kmc.Event) { tr.Record(ev) },
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return ck, tr, nil
 }
 
 // ReplayParallelToHop reconstructs the state of a parallel run at a

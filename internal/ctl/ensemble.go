@@ -9,9 +9,7 @@ import (
 
 	"tensorkmc/internal/cluster"
 	"tensorkmc/internal/core"
-	"tensorkmc/internal/diffusion"
 	"tensorkmc/internal/input"
-	"tensorkmc/internal/kmc"
 	"tensorkmc/internal/rng"
 	"tensorkmc/internal/telemetry"
 	"tensorkmc/internal/traj"
@@ -264,15 +262,7 @@ func replicaDiffusivity(logPath string, ck *core.Checkpoint) (float64, error) {
 	if lg.Mode != traj.ModeSerial {
 		return math.NaN(), nil // parallel replica: cluster stats only
 	}
-	var tr *diffusion.Tracker
-	_, err = core.ReplayToHop(logPath, ck.Hops, core.ReplayOptions{
-		FromStart: true,
-		OnBase: func(base *core.Checkpoint) error {
-			tr = diffusion.NewTracker(base.Box, len(base.Vacancies))
-			return nil
-		},
-		Observer: func(ev kmc.Event) { tr.Record(ev) },
-	})
+	_, tr, err := core.ReplayDiffusion(logPath, ck.Hops)
 	if err != nil {
 		return math.NaN(), err
 	}

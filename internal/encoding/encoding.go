@@ -149,9 +149,9 @@ func Extent(a, rcut float64) int {
 }
 
 // sharedPairs bounds the memo behind New: a long-lived process that is
-// sent decks with free-float lattice constants and cutoffs (tkmc-ctl,
-// tkmc-serve) keeps the tables of its most recent few pairs, not of every
-// pair it ever saw. A run needs one pair, a test suite a handful.
+// sent decks with free-float lattice constants and cutoffs (tkmc-ctl)
+// keeps the tables of its most recent few pairs, not of every pair it
+// ever saw. A run needs one pair, a test suite a handful.
 const sharedPairs = 4
 
 // shared holds the Tables of the sharedPairs (a, rcut) pairs New was most

@@ -115,7 +115,7 @@ type fleetNode struct {
 	up atomic.Bool // mirrors !down for lock-free gauges
 }
 
-// FleetClient routes evaluation requests across a fleet of tkmc-serve
+// FleetClient routes evaluation requests across a fleet of Serve
 // nodes: a consistent-hash ring over the content-addressed VET key
 // space picks each request's owner (so every client aims the same
 // environment at the same node's cache), a deadline/retry layer hides

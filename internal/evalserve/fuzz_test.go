@@ -35,7 +35,7 @@ func fuzzServerAddr(t testing.TB) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ServeOptions(srv, ln, FrontendOptions{IdleTimeout: 2 * time.Second})
+		serveIdle(srv, ln, 2*time.Second)
 		fuzzFrontend.addr = ln.Addr().String()
 	})
 	return fuzzFrontend.addr

@@ -16,7 +16,7 @@ import (
 	"tensorkmc/internal/telemetry"
 )
 
-// Wire protocol of the tkmc-serve front-end.
+// Wire protocol of the evaluation front-end (Serve).
 //
 // Every frame is a little-endian uint32 payload length followed by the
 // payload; payload byte 0 is the opcode. A session starts with a hello
@@ -163,26 +163,14 @@ func decodeResult(p []byte) (Result, error) {
 
 // --- Server side --------------------------------------------------------
 
-// FrontendOptions tune a front-end's connection hygiene. The defaults
-// protect the server: a half-open or silent client used to pin its
-// handler goroutine and session buffers forever, so idle reaping is on
-// unless explicitly disabled.
-type FrontendOptions struct {
-	// IdleTimeout bounds how long a session may sit between frames
-	// before the server reaps the connection (default 2m; negative
-	// disables reaping).
-	IdleTimeout time.Duration
-}
+// defaultIdleTimeout bounds how long a Serve session may sit between
+// frames before the server reaps the connection, so a half-open or
+// silent client cannot pin its handler goroutine and buffers forever.
+const defaultIdleTimeout = 2 * time.Minute
 
 // writeTimeout bounds each reply write, so a client that stops reading
 // cannot wedge a handler on a full socket buffer.
 const writeTimeout = 30 * time.Second
-
-func (o *FrontendOptions) applyDefaults() {
-	if o.IdleTimeout == 0 {
-		o.IdleTimeout = 2 * time.Minute
-	}
-}
 
 // Frontend exposes a Server over TCP (or any net.Listener). Each accepted
 // connection is one independent client session; the shared Server behind
@@ -190,7 +178,7 @@ func (o *FrontendOptions) applyDefaults() {
 type Frontend struct {
 	srv  *Server
 	ln   net.Listener
-	opts FrontendOptions
+	idle time.Duration
 	wg   sync.WaitGroup
 
 	mu     sync.Mutex
@@ -199,18 +187,17 @@ type Frontend struct {
 }
 
 // Serve starts accepting wire-protocol sessions on the listener, serving
-// them from srv with default connection hygiene. It returns immediately;
-// Close shuts the front-end down. The Frontend does not own srv —
-// closing the Frontend leaves the Server (and its in-process callers)
-// running.
+// them from srv and reaping a session idle for defaultIdleTimeout. It
+// returns immediately; Close shuts the front-end down. The Frontend does
+// not own srv — closing the Frontend leaves the Server (and its
+// in-process callers) running.
 func Serve(srv *Server, ln net.Listener) *Frontend {
-	return ServeOptions(srv, ln, FrontendOptions{})
+	return serveIdle(srv, ln, defaultIdleTimeout)
 }
 
-// ServeOptions is Serve with explicit connection-hygiene options.
-func ServeOptions(srv *Server, ln net.Listener, opts FrontendOptions) *Frontend {
-	opts.applyDefaults()
-	f := &Frontend{srv: srv, ln: ln, opts: opts, conns: map[net.Conn]struct{}{}}
+// serveIdle is Serve with its own idle reap timeout.
+func serveIdle(srv *Server, ln net.Listener, idle time.Duration) *Frontend {
+	f := &Frontend{srv: srv, ln: ln, idle: idle, conns: map[net.Conn]struct{}{}}
 	f.wg.Add(1)
 	go f.acceptLoop()
 	return f
@@ -267,45 +254,6 @@ func (f *Frontend) Close() error {
 	return err
 }
 
-// Drain is the graceful sibling of Close: it stops accepting new
-// sessions immediately (connection attempts are refused once the
-// listener closes) but gives in-flight sessions up to timeout to finish
-// on their own — a KMC client holds its session for the life of its
-// run, so draining a serve node means letting attached simulations
-// disconnect at their own pace. Sessions still live at the deadline are
-// force-closed. It returns the number of sessions that had to be
-// forced, so callers can report an imperfect drain while still shutting
-// down cleanly.
-func (f *Frontend) Drain(timeout time.Duration) (int, error) {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return 0, nil
-	}
-	f.closed = true
-	f.mu.Unlock()
-	lnErr := f.ln.Close()
-
-	done := make(chan struct{})
-	go func() { f.wg.Wait(); close(done) }()
-	select {
-	case <-done:
-		return 0, lnErr
-	case <-time.After(timeout):
-	}
-	f.mu.Lock()
-	conns := make([]net.Conn, 0, len(f.conns))
-	for c := range f.conns {
-		conns = append(conns, c)
-	}
-	f.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	<-done
-	return len(conns), lnErr
-}
-
 // handle runs one client session to completion. Every frame read is
 // armed with the idle deadline and every reply write with the write
 // deadline, so a half-open peer expires instead of pinning the handler
@@ -317,9 +265,7 @@ func (f *Frontend) handle(conn net.Conn) {
 	tb := f.srv.Tables()
 
 	armRead := func() {
-		if f.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(f.opts.IdleTimeout))
-		}
+		conn.SetReadDeadline(time.Now().Add(f.idle))
 	}
 	armWrite := func() {
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
@@ -422,7 +368,7 @@ func (f *Frontend) handle(conn net.Conn) {
 
 // --- Client side --------------------------------------------------------
 
-// session is one wire-protocol connection to a tkmc-serve front-end: the
+// session is one wire-protocol connection to a Serve front-end: the
 // hello, then a request/reply stream of eval and result frames. A
 // fleetNode owns it and uses it only under its mutex, which serialises
 // the stream.

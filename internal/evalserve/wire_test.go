@@ -532,7 +532,7 @@ func TestWireIdleReap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe := ServeOptions(srv, ln, FrontendOptions{IdleTimeout: 50 * time.Millisecond})
+	fe := serveIdle(srv, ln, 50*time.Millisecond)
 	t.Cleanup(func() { fe.Close(); srv.Close() })
 
 	cl := dialTest(t, ln.Addr().String(), tb)
